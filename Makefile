@@ -3,16 +3,18 @@
 
 GO ?= go
 
-# Packages with shared mutable state (sharded star-view cache, lazy
-# graph caches, chase sessions, the worker pool, parallel PLL
-# construction) that must stay clean under the race detector. The cache
-# stripes, singleflight, and eviction paths all live in internal/match.
+# Packages with shared mutable state (the cache core and its two
+# instances, lazy graph caches, chase sessions, the worker pool,
+# parallel PLL construction) that must stay clean under the race
+# detector. The cache stripes, singleflight, and eviction paths all live
+# in internal/anscache; internal/match and internal/chase race the star
+# cache and the answer memo built on it.
 # cmd/wqe-datagen is deliberately absent: it spawns no goroutines of
 # its own (the parallel PLL build it calls is raced via
 # internal/distindex), so racing it would only slow CI down.
 RACE_PKGS = ./internal/graph ./internal/match ./internal/chase ./internal/par ./internal/distindex ./internal/anscache ./internal/hist ./internal/loadgen ./cmd/wqe-serve
 
-.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-parallel bench-batch bench-shard bench-load bench-serve ci
+.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-parallel bench-batch bench-load bench-serve ci
 
 all: build
 
@@ -87,12 +89,6 @@ bench-parallel:
 bench-batch:
 	WQE_BATCH_BENCH_JSON=$(abspath BENCH_batch.json) $(GO) test ./internal/chase -run TestEmitBatchBench -v
 
-# Regenerate BENCH_shard.json: AskAll throughput at batch widths
-# 1/4/8/16 with the sharded vs single-shard star-view cache, plus a
-# contended GetOrBuild hit microbenchmark.
-bench-shard:
-	WQE_SHARD_BENCH_JSON=$(abspath BENCH_shard.json) $(GO) test ./internal/chase -run TestEmitShardBench -v
-
 # Regenerate BENCH_load.json: million-node cold start — JSON vs binary
 # snapshot load wall time, bytes on disk, heap residency, PLL build vs
 # embedded-label restore, and AskAll throughput over the restored
@@ -108,4 +104,4 @@ bench-load:
 bench-serve:
 	WQE_SERVE_BENCH_JSON=$(abspath BENCH_serve.json) $(GO) test ./cmd/wqe-serve -run TestEmitServeBench -v
 
-ci: check fuzz-snapshot bench-parallel bench-batch bench-shard bench-load bench-serve
+ci: check fuzz-snapshot bench-parallel bench-batch bench-load bench-serve

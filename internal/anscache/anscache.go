@@ -1,21 +1,27 @@
-// Package anscache is the serving-path answer memo: a bounded,
-// sharded-stripe cache with singleflight request coalescing, keyed by a
-// caller-supplied canonical digest. Production why-question traffic is
-// highly repetitive — the same exemplar pairs get asked against the
-// same resident graph — so the single biggest serving win is to stop
-// recomputing identical chases: N concurrent identical requests execute
-// exactly one compute and all receive the same value, and finished
-// answers stay resident for later identical requests.
+// Package anscache is the module's one cache core: a bounded,
+// lock-striped map with singleflight coalescing, decayed hit counts and
+// least-hit eviction (§5.2's "hit count with time decay, least-hit
+// replacement"). It is instantiated twice: as the star-view cache
+// (match.Cache = Cache[*match.StarTable], keyed by structural star key,
+// shared by every question of a session) and as the serving-path answer
+// memo (Cache[chase.BatchResult], keyed by a canonical question digest,
+// so N concurrent identical requests run exactly one chase and finished
+// answers stay resident for later identical requests).
 //
-// The synchronization discipline is inherited from the star-view cache
-// in internal/match: keys hash (FNV-1a) onto a power-of-two number of
-// shards, each shard owns its own mutex, logical tick clock, entry map,
-// and in-flight singleflight table, eviction removes the least-hit
-// entry of the full shard with ties broken on the smallest key (fully
-// deterministic), and a panicking compute never wedges its waiters —
-// the failed flight wakes them and the first retrier becomes the new
-// owner, so waiters only ever inherit a panic from their own compute
-// attempt.
+// Keys hash (FNV-1a) onto a power-of-two number of shards; each shard
+// owns its own mutex, logical tick clock, entry map, and in-flight
+// singleflight table, so two callers contend only when their keys land
+// on the same stripe. Every use bumps a hit counter that decays with
+// the shard's clock, and a full shard evicts its least-hit entry with
+// ties broken on the smallest key. Eviction is therefore deterministic
+// per shard, and the shard a key lives on is a pure function of the
+// key, so identical request streams leave identical cache contents. A
+// cached value is a pure function of its key, so cache organization can
+// only change what gets recomputed — never what a value contains — and
+// rewrite ranking never reads cache statistics. A panicking compute
+// never wedges its waiters: the failed flight wakes them and the first
+// retrier becomes the new owner, so waiters only ever inherit a panic
+// from their own compute attempt.
 //
 // Statistics live in atomic counters (hits, misses, coalesced waits,
 // evictions, size, invalidations) so snapshots never take a shard lock.
@@ -28,14 +34,15 @@ import (
 	"sync/atomic"
 )
 
-// maxDecayAge caps the closed-form hit-decay exponent exactly as the
-// star-view cache does: past it, decay^age underflows any meaningful
-// hit mass, so the count flushes outright.
+// maxDecayAge caps the exponent of the closed-form hit decay. At the
+// default decay 0.95, 0.95^600 ≈ 4e-14 — far below one hit — so any
+// larger age flushes the hit count outright and math.Pow never sees
+// extreme exponents.
 const maxDecayAge = 1 << 12
 
-// decay is the per-tick hit decay factor. Matching internal/match's
-// default keeps the two caches' eviction temperament identical.
-const decay = 0.95
+// defaultDecay is the per-tick hit decay factor New uses: stale hit
+// counts halve roughly every 1/(1−decay) shard accesses.
+const defaultDecay = 0.95
 
 // Outcome classifies one GetOrCompute call.
 type Outcome uint8
@@ -51,7 +58,7 @@ const (
 	Coalesced
 )
 
-// Cache is a sharded answer memo holding values of type V. V should be
+// Cache is a sharded cache holding values of type V. V should be
 // treated as immutable once stored: every hit and every coalesced
 // waiter receives the same value.
 type Cache[V any] struct {
@@ -70,14 +77,16 @@ type Cache[V any] struct {
 // shard is one stripe: an independent decaying map with its own lock,
 // logical clock, generation counter, and singleflight table.
 type shard[V any] struct {
-	cap int // immutable after construction
+	// cap and decay are immutable after construction.
+	cap   int
+	decay float64
 
 	// mu guards every mutable field below.
 	mu       sync.Mutex
-	tick     int64                // guarded by mu
-	gen      int64                // guarded by mu; bumped by InvalidateAll
-	entries  map[string]*entry[V] // guarded by mu
-	inflight map[string]*flight[V]
+	tick     int64                 // guarded by mu
+	gen      int64                 // guarded by mu; bumped by InvalidateAll
+	entries  map[string]*entry[V]  // guarded by mu
+	inflight map[string]*flight[V] // guarded by mu
 }
 
 type entry[V any] struct {
@@ -97,7 +106,10 @@ type flight[V any] struct {
 	failed bool
 }
 
-// defaultShards mirrors match.DefaultShards: nextPow2(4×GOMAXPROCS).
+// defaultShards is the shard count used when none is requested:
+// nextPow2(4×GOMAXPROCS). Four stripes per logical CPU keeps the
+// probability of two concurrently active workers hashing onto the same
+// stripe low without inflating per-shard bookkeeping.
 func defaultShards() int {
 	return nextPow2(4 * runtime.GOMAXPROCS(0))
 }
@@ -112,13 +124,23 @@ func nextPow2(n int) int {
 }
 
 // New returns a cache holding at most capacity values, striped over
-// shards stripes (0 means auto: nextPow2(4×GOMAXPROCS); other values
-// round up to a power of two). Capacity splits as capacity/N per shard
-// with the remainder to the low shards, floor one entry per shard, so
-// the effective total capacity is max(capacity, N).
+// shards stripes (≤ 0 means nextPow2(4×GOMAXPROCS); other values round
+// up to a power of two, and 1 gives an un-striped cache). Capacity
+// splits as capacity/N per shard with the remainder to the low shards,
+// floor one entry per shard, so the effective total capacity is
+// max(capacity, N).
 func New[V any](capacity, shards int) *Cache[V] {
+	return NewDecay[V](capacity, shards, defaultDecay)
+}
+
+// NewDecay is New with the cache's hit decay factor (0 < decay ≤ 1,
+// anything else means the default 0.95) fixed at construction.
+func NewDecay[V any](capacity, shards int, decay float64) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
+	}
+	if decay <= 0 || decay > 1 {
+		decay = defaultDecay
 	}
 	if shards <= 0 {
 		shards = defaultShards()
@@ -139,6 +161,7 @@ func New[V any](capacity, shards int) *Cache[V] {
 		}
 		c.shards[i] = shard[V]{
 			cap:      sc,
+			decay:    decay,
 			entries:  map[string]*entry[V]{},
 			inflight: map[string]*flight[V]{},
 		}
@@ -166,6 +189,35 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 		h *= prime32
 	}
 	return &c.shards[h&c.mask]
+}
+
+// Get returns the resident value for key, bumping its decayed hit
+// count, or V's zero value when the key is absent (instantiate V as a
+// pointer where absence must be told apart). It never waits on an
+// in-flight compute.
+func (c *Cache[V]) Get(key string) (v V) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tick++
+	e, ok := s.entries[key]
+	if !ok {
+		c.misses.Add(1)
+		return v
+	}
+	c.hits.Add(1)
+	s.bumpLocked(e)
+	return e.val
+}
+
+// Put stores v under key (refreshing a resident entry), evicting the
+// owning shard's least-hit entry when that shard is full.
+func (c *Cache[V]) Put(key string, v V) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tick++
+	s.putLocked(c, key, v)
 }
 
 // lookupState is the locked phase's verdict.
@@ -271,23 +323,24 @@ func (s *shard[V]) runFlight(c *Cache[V], key string, gen int64, f *flight[V], c
 	return v
 }
 
-// bumpLocked applies the closed-form time decay then counts one hit
-// (see match.Cache.bumpLocked for why the closed form matters). The
-// caller must hold s.mu.
+// bumpLocked applies the time decay then counts one hit. The decay is
+// the closed form decay^age over the shard's own tick clock — a
+// per-tick loop would spin for the whole age under the lock, which
+// after a long miss streak (ticks advance on every shard access, hits
+// or not) meant millions of iterations for a single bump. The caller
+// must hold s.mu.
 func (s *shard[V]) bumpLocked(e *entry[V]) {
 	if age := s.tick - e.lastTick; age > maxDecayAge {
-		e.hits = 0
+		e.hits = 0 // decay^age underflows any meaningful hit mass
 	} else if age > 0 {
-		e.hits *= math.Pow(decay, float64(age))
+		e.hits *= math.Pow(s.decay, float64(age))
 	}
 	e.hits++
 	e.lastTick = s.tick
 }
 
 // putLocked inserts or refreshes an entry, evicting the shard's
-// least-hit entry when the shard is full. Ties break on the smallest
-// key so eviction is deterministic: identical request streams leave
-// identical cache contents. The caller must hold s.mu.
+// least-hit entry when the shard is full. The caller must hold s.mu.
 func (s *shard[V]) putLocked(c *Cache[V], key string, v V) {
 	if e, ok := s.entries[key]; ok {
 		e.val = v
@@ -301,8 +354,11 @@ func (s *shard[V]) putLocked(c *Cache[V], key string, v V) {
 	c.size.Add(1)
 }
 
-// evictWorstLocked evicts the least-hit entry, ties broken on the
-// smallest key. The caller must hold s.mu.
+// evictWorstLocked evicts the least-hit entry. Equal hit counts
+// tie-break on the smallest key: the scan runs in map order, and
+// without the tie-break a full shard of equal-hit entries would evict a
+// randomly chosen one, making cache contents — and downstream hit/miss
+// stats — differ between identical runs. The caller must hold s.mu.
 func (s *shard[V]) evictWorstLocked(c *Cache[V]) {
 	worstKey := ""
 	worst := 0.0
@@ -349,9 +405,13 @@ func (c *Cache[V]) InvalidateAll() {
 }
 
 // Counters is the cache's full atomic counter set, snapshot lock-free.
-// Hits+Misses+Coalesced equals the number of completed GetOrCompute
-// calls (a panicking compute counts its Miss but delivers no value).
-// Size is the current resident entry count; the rest are cumulative.
+// Hits+Misses+Coalesced equals the number of completed Get and
+// GetOrCompute calls (a panicking compute counts its Miss but delivers
+// no value); a lookup that found no resident value is a Miss or a
+// Coalesced wait. Size is the current resident entry count; the rest
+// are cumulative. The counters are observability only — rewrite ranking
+// never reads them — so exposing them (e.g. through a server's /stats
+// endpoint) cannot perturb byte-identical output.
 type Counters struct {
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
@@ -361,9 +421,9 @@ type Counters struct {
 	Invalidations int64 `json:"invalidations"`
 }
 
-// Counters snapshots every counter without taking a shard lock. Like
-// the star-view cache's snapshot, it is per-counter exact but not a
-// cross-counter instant under concurrent traffic.
+// Counters snapshots every counter without taking a shard lock. The
+// fields are loaded individually, so a snapshot taken under concurrent
+// traffic is per-counter exact but not a cross-counter instant.
 func (c *Cache[V]) Counters() Counters {
 	return Counters{
 		Hits:          c.hits.Load(),

@@ -2,7 +2,9 @@ package anscache
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,6 +46,25 @@ func TestHitMissStore(t *testing.T) {
 	got := c.Counters()
 	if got.Hits != 1 || got.Misses != 3 || got.Coalesced != 0 || got.Size != 1 {
 		t.Fatalf("counters = %+v", got)
+	}
+
+	// Plain Get/Put, the star cache's lookaside path: Put stores (and
+	// refreshes), Get returns the resident value or V's zero, each Get
+	// counts a hit or a miss, and neither runs a compute.
+	c.Put("p", "v1")
+	c.Put("p", "v2")
+	if v := c.Get("p"); v != "v2" {
+		t.Fatalf("Get after Put/refresh = %q, want v2", v)
+	}
+	if v := c.Get("absent"); v != "" {
+		t.Fatalf("Get of an absent key = %q, want the zero value", v)
+	}
+	if v, o := get("p", "SHOULD NOT RUN", true); v != "v2" || o != Hit {
+		t.Fatalf("GetOrCompute after Put: v=%q o=%v, want the Put value as a Hit", v, o)
+	}
+	want := Counters{Hits: 3, Misses: 4, Size: 2}
+	if got := c.Counters(); got != want || computes != 3 || c.Len() != 2 {
+		t.Fatalf("after Get/Put: counters = %+v (want %+v), computes = %d, Len = %d", got, want, computes, c.Len())
 	}
 }
 
@@ -175,6 +196,158 @@ func TestEvictionDeterministic(t *testing.T) {
 	}
 	if e1 != e2 || k1 != k2 {
 		t.Fatalf("replay diverged: (%v,%v) vs (%v,%v)", e1, k1, e2, k2)
+	}
+
+	// Least-hit replacement: hits outrank key order. "a" is the smallest
+	// key but the hottest entry, so the overflow evicts cold "b".
+	c := New[int](2, 1)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	for i := 0; i < 5; i++ {
+		c.Get("a")
+	}
+	c.Put("c", 3)
+	if c.Get("a") != 1 || c.Get("b") != 0 || c.Get("c") != 3 {
+		t.Fatalf("least-hit eviction kept the wrong entries: a=%d b=%d c=%d",
+			c.Get("a"), c.Get("b"), c.Get("c"))
+	}
+}
+
+// TestCapacitySplit pins the construction rules both caches' contents
+// depend on: shard counts round up to a power of two (≤0 means
+// defaultShards), capacity splits as capacity/N with the remainder on
+// the low shards and a floor of one entry per shard, and an
+// out-of-range decay falls back to defaultDecay.
+func TestCapacitySplit(t *testing.T) {
+	for _, tc := range []struct{ in, want int }{
+		{-1, defaultShards()}, {0, defaultShards()}, {1, 1}, {3, 4}, {16, 16}, {17, 32},
+	} {
+		if got := New[int](64, tc.in).Shards(); got != tc.want {
+			t.Errorf("shards=%d resolved to %d, want %d", tc.in, got, tc.want)
+		}
+	}
+	caps := func(c *Cache[int]) []int {
+		out := make([]int, len(c.shards))
+		for i := range c.shards {
+			out[i] = c.shards[i].cap
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		capacity, shards int
+		want             []int
+	}{
+		{10, 4, []int{3, 3, 2, 2}}, // 10/4 = 2 rem 2: shards 0,1 get the extra
+		{2, 4, []int{1, 1, 1, 1}},  // capacity < shards: the floor of one each
+		{0, 2, []int{1, 1}},        // capacity < 1 means 1, then the floor
+		{7, 1, []int{7}},           // un-striped: whole-cache capacity
+	} {
+		if got := caps(New[int](tc.capacity, tc.shards)); !slices.Equal(got, tc.want) {
+			t.Errorf("capacity %d over %d shards split %v, want %v", tc.capacity, tc.shards, got, tc.want)
+		}
+	}
+	for _, tc := range []struct{ in, want float64 }{
+		{0.5, 0.5}, {1, 1}, {0, defaultDecay}, {-1, defaultDecay}, {1.5, defaultDecay},
+	} {
+		if got := NewDecay[int](8, 2, tc.in).shards[1].decay; got != tc.want {
+			t.Errorf("decay %v resolved to %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestDecayOrdering: hit counts decay on the shard's tick clock at the
+// cache's own rate (applied when an entry is next touched), so an early
+// burst of hits is worth about one hit after a stretch of other keys'
+// traffic — and keeps its full weight in a cache built with decay 1.
+func TestDecayOrdering(t *testing.T) {
+	victim := func(decay float64) string {
+		c := NewDecay[int](2, 1, decay)
+		c.Put("old", 1)
+		for i := 0; i < 10; i++ {
+			c.Get("old") // decay 1: 11 hits; decay 0.5: just under 2
+		}
+		c.Put("new", 2)
+		for i := 0; i < 5; i++ {
+			c.Get("new") // decay 1: 6 hits; decay 0.5: just under 2
+		}
+		c.Get("old") // 7 ticks idle: decay 1 → 12 hits; decay 0.5 → 2·0.5⁷+1 ≈ 1.02
+		c.Put("third", 3)
+		switch {
+		case c.Get("old") == 0:
+			return "old"
+		case c.Get("new") == 0:
+			return "new"
+		}
+		return "none"
+	}
+	if got := victim(0.5); got != "old" {
+		t.Errorf("decay 0.5 evicted %s, want old (its early hits decayed away)", got)
+	}
+	if got := victim(1); got != "new" {
+		t.Errorf("decay 1 evicted %s, want new (hit counts never decay: 6 < 12)", got)
+	}
+}
+
+// TestBumpClosedFormMatchesLoop checks the closed form agrees with the
+// definitional per-tick decay on moderate ages.
+func TestBumpClosedFormMatchesLoop(t *testing.T) {
+	const decay = 0.9
+	c := NewDecay[int](8, 1, decay)
+	c.Put("k", 1)
+	sh := c.shardFor("k")
+	sh.mu.Lock()
+	e := sh.entries["k"]
+	e.hits = 5
+	age := int64(37)
+	sh.tick = e.lastTick + age
+	sh.bumpLocked(e)
+	got := e.hits
+	sh.mu.Unlock()
+
+	want := 5.0
+	for i := int64(0); i < age; i++ {
+		want *= decay
+	}
+	want++
+	if math.Abs(got-want) > 1e-9 {
+		t.Fatalf("closed-form bump = %v, per-tick loop gives %v", got, want)
+	}
+}
+
+// TestBumpSurvivesHugeTickGap is the regression test for the O(age)
+// decay spin: bumping an entry whose last touch lies far in the past
+// must complete instantly (the old per-tick loop under the shard lock
+// would run for minutes), and past maxDecayAge the decayed mass is
+// flushed to exactly one fresh hit — one tick earlier it is not.
+func TestBumpSurvivesHugeTickGap(t *testing.T) {
+	hitsAfterGap := func(gap int64) float64 {
+		c := New[int](8, 1)
+		c.Put("k", 1)
+		sh := c.shardFor("k")
+		sh.mu.Lock()
+		sh.entries["k"].hits = 1e300 // survives 0.95^4096 ≈ 1e-91 unless flushed
+		sh.tick += gap - 1           // Get's own tick completes the gap
+		sh.mu.Unlock()
+
+		start := time.Now()
+		if c.Get("k") != 1 {
+			t.Fatal("entry vanished")
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("bump across a %d-tick gap took %v; decay must be closed-form", gap, d)
+		}
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.entries["k"].hits
+	}
+	if hits := hitsAfterGap(1_000_000_000_000); hits != 1 {
+		t.Fatalf("hits after a trillion-tick gap = %v, want exactly 1", hits)
+	}
+	if hits := hitsAfterGap(maxDecayAge + 1); hits != 1 {
+		t.Fatalf("hits one tick past maxDecayAge = %v, want the flush to exactly 1", hits)
+	}
+	if hits := hitsAfterGap(maxDecayAge); hits <= 1 {
+		t.Fatalf("hits at maxDecayAge = %v, want decayed mass plus one (no flush yet)", hits)
 	}
 }
 

@@ -122,10 +122,7 @@ const ErrCancelled = chaseError("chase: job cancelled before start")
 // wall-clock budget across the whole batch set Deadline instead.
 func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, BatchStats) {
 	submit := s.clock()
-	var h0, m0 int64
-	if s.cache != nil {
-		h0, m0 = s.cache.Stats()
-	}
+	h0, m0 := s.CacheStats()
 
 	results := make([]BatchResult, len(jobs))
 	workers := par.Workers(opt.Workers)
@@ -150,10 +147,8 @@ func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, Batc
 		stats.Steps += int64(results[i].Steps)
 		stats.States += int64(results[i].States)
 	}
-	if s.cache != nil {
-		h1, m1 := s.cache.Stats()
-		stats.CacheHits, stats.CacheMisses = h1-h0, m1-m0
-	}
+	h1, m1 := s.CacheStats()
+	stats.CacheHits, stats.CacheMisses = h1-h0, m1-m0
 	stats.Elapsed = s.clock().Sub(submit)
 	return results, stats
 }

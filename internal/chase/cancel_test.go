@@ -190,9 +190,7 @@ func TestSessionRunAlgoDispatch(t *testing.T) {
 
 // TestSessionAskMultiFocusSharesState: the session multi-focus path
 // runs every focus through the shared star-view cache (a repeated focus
-// hits stars the first pass materialized), counts its questions, and
-// the deprecated standalone AnsWMultiFocus delegates with identical
-// answers.
+// hits stars the first pass materialized) and counts its questions.
 func TestSessionAskMultiFocusSharesState(t *testing.T) {
 	f := datagen.NewFig1()
 	cfg := DefaultConfig()
@@ -228,17 +226,5 @@ func TestSessionAskMultiFocusSharesState(t *testing.T) {
 
 	if _, err := s.AskMultiFocus(f.Q, foci, exemplars[:1]); err == nil {
 		t.Error("mismatched foci/exemplars slices must error")
-	}
-
-	legacy, err := AnsWMultiFocus(f.G, f.Q, foci, exemplars, cfg)
-	if err != nil {
-		t.Fatalf("AnsWMultiFocus: %v", err)
-	}
-	for i := range legacy {
-		if legacy[i].Answer.Closeness != answers[i].Answer.Closeness ||
-			legacy[i].Answer.Cost != answers[i].Answer.Cost {
-			t.Errorf("deprecated path diverged at %d: %+v vs %+v",
-				i, legacy[i].Answer, answers[i].Answer)
-		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wqe/internal/anscache"
 	"wqe/internal/distindex"
 	"wqe/internal/exemplar"
 	"wqe/internal/graph"
@@ -60,20 +61,11 @@ type Config struct {
 	CacheCap int
 	// CacheShards sets the star-view cache's lock-stripe count; keys are
 	// hashed over the shards so concurrent workers rarely share a mutex.
-	// 0 (the default) auto-sizes to match.DefaultShards(); other values
+	// 0 (the default) auto-sizes to nextPow2(4×GOMAXPROCS); other values
 	// round up to a power of two, and 1 gives the un-striped cache.
 	// Output is byte-identical for every setting — sharding only changes
 	// which star tables get rebuilt, never their contents.
 	CacheShards int
-	// CacheWeight, when positive, is the star-view cache's total weight
-	// budget in star-table cells (match.StarTable.Size): entries heavier
-	// than half a shard's share are never admitted, and admitting a
-	// heavy table evicts least-hit entries only until the budget fits,
-	// so one huge star view cannot flush a shard's working set. 0 (the
-	// default) keeps pure entry-count capacity. Like CacheShards, the
-	// setting only changes which tables stay resident, never their
-	// contents, so output stays byte-identical.
-	CacheWeight int
 	// AnswerCache enables the session-level answer memo with request
 	// coalescing: batch jobs (Session.Run / AskAll) are keyed by a
 	// canonical digest of (graph identity, algo, query, exemplar, search
@@ -311,7 +303,7 @@ func newWhyWith(g *graph.Graph, q *query.Query, e *exemplar.Exemplar, cfg Config
 	// same graph stay race-free.
 	g.WarmCaches()
 	if cache == nil && cfg.Cache {
-		cache = match.NewCacheWeighted(cfg.CacheCap, 0.95, cfg.CacheShards, cfg.CacheWeight)
+		cache = anscache.New[*match.StarTable](cfg.CacheCap, cfg.CacheShards)
 	}
 	w.Matcher = match.NewMatcher(g, w.Dist, cache)
 	w.FocusCands = g.NodesByLabel(q.Nodes[q.Focus].Label)
@@ -443,9 +435,7 @@ func (w *Why) beginRun() {
 func (w *Why) endRun(start time.Time) {
 	w.Stats.Steps = int(w.steps.Load())
 	w.Stats.Elapsed = time.Since(start)
-	if c := w.Matcher.Cache; c != nil {
-		w.Stats.CacheHits, w.Stats.CacheMiss = c.Stats()
-	}
+	w.Stats.CacheHits, w.Stats.CacheMiss = cacheStats(w.Matcher.Cache)
 }
 
 // stepsUsed reads the current run's evaluation count (for MaxSteps

@@ -76,7 +76,7 @@ func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Sessi
 		clock: time.Now,
 	}
 	if cfg.Cache {
-		s.cache = match.NewCacheWeighted(cfg.CacheCap, 0.95, cfg.CacheShards, cfg.CacheWeight)
+		s.cache = anscache.New[*match.StarTable](cfg.CacheCap, cfg.CacheShards)
 	}
 	if cfg.AnswerCache {
 		s.ans = anscache.New[BatchResult](cfg.AnswerCacheCap, 0)
@@ -128,13 +128,23 @@ func (s *Session) countRun(w *Why) {
 	s.steps.Add(int64(w.Stats.Steps))
 }
 
-// CacheStats reports the session cache's cumulative hits and misses.
-// Counters exposes the full per-counter set.
+// CacheStats reports the session star cache's cumulative hits and
+// misses. Counters exposes the full per-counter set.
 func (s *Session) CacheStats() (hits, misses int64) {
-	if s.cache == nil {
+	return cacheStats(s.cache)
+}
+
+// cacheStats folds a star cache's counters into the (hits, misses) pair
+// Stats, BatchStats and CacheStats report: a miss is any lookup that
+// found no resident table, whether it built the table (Misses) or
+// joined another worker's in-flight build (Coalesced), so hit ratios
+// mean the same at every worker count. A nil cache reports zeros.
+func cacheStats(c *match.Cache) (hits, misses int64) {
+	if c == nil {
 		return 0, 0
 	}
-	return s.cache.Stats()
+	k := c.Counters()
+	return k.Hits, k.Misses + k.Coalesced
 }
 
 // SessionCounters is the session's cumulative effort and cache counter
@@ -147,8 +157,9 @@ type SessionCounters struct {
 	Questions int64 `json:"questions"`
 	Steps     int64 `json:"steps"`
 	// Cache is the shared star-view cache's full counter set (zero
-	// values when the session runs uncached).
-	Cache match.CacheCounters `json:"cache"`
+	// values when the session runs uncached). Misses counts star tables
+	// built; a worker that joined another's in-flight build is Coalesced.
+	Cache anscache.Counters `json:"cache"`
 	// AnswerCache is the answer memo's counter set (zero values when
 	// Config.AnswerCache is off). Hits+Misses+Coalesced equals the
 	// number of memo-eligible jobs served; Questions above counts only
@@ -207,20 +218,6 @@ func (s *Session) AskMultiFocus(q *query.Query, foci []query.NodeID,
 		out = append(out, MultiFocusAnswer{Focus: u, Answer: a})
 	}
 	return out, nil
-}
-
-// AnsWMultiFocus answers a multi-focus Why-question without an existing
-// session by delegating to a throwaway one.
-//
-// Deprecated: use Session.AskMultiFocus. The standalone path used to
-// rebuild the distance oracle once per focus and bypass the star-view
-// cache and helper budget entirely; routing through a session fixes
-// that, and callers with more than one question should hold the session
-// to keep its cache warm.
-func AnsWMultiFocus(g *graph.Graph, q *query.Query, foci []query.NodeID,
-	exemplars []*exemplar.Exemplar, cfg Config) ([]MultiFocusAnswer, error) {
-
-	return NewSession(g, cfg).AskMultiFocus(q, foci, exemplars)
 }
 
 type chaseError string

@@ -55,8 +55,8 @@ func TestSessionRejectsTrivialExemplar(t *testing.T) {
 	}
 }
 
-// TestAnsWMultiFocus: the appendix extension answers one Why-question
-// per focus node.
+// TestAnsWMultiFocus: the appendix extension (Session.AskMultiFocus)
+// answers one Why-question per focus node.
 func TestAnsWMultiFocus(t *testing.T) {
 	f := datagen.NewFig1()
 	cfg := chase.DefaultConfig()
@@ -66,9 +66,10 @@ func TestAnsWMultiFocus(t *testing.T) {
 		"Discount": exemplar.C(graph.N(25)),
 	}}}
 
-	answers, err := chase.AnsWMultiFocus(f.G, f.Q,
+	s := chase.NewSession(f.G, cfg)
+	answers, err := s.AskMultiFocus(f.Q,
 		[]query.NodeID{0, 1}, // cellphone and carrier
-		[]*exemplar.Exemplar{f.E, carrierExemplar}, cfg)
+		[]*exemplar.Exemplar{f.E, carrierExemplar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,8 @@ func TestAnsWMultiFocus(t *testing.T) {
 		}
 	}
 
-	if _, err := chase.AnsWMultiFocus(f.G, f.Q, []query.NodeID{0},
-		[]*exemplar.Exemplar{f.E, carrierExemplar}, cfg); err == nil {
+	if _, err := s.AskMultiFocus(f.Q, []query.NodeID{0},
+		[]*exemplar.Exemplar{f.E, carrierExemplar}); err == nil {
 		t.Error("mismatched foci/exemplars must error")
 	}
 }

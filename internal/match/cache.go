@@ -1,494 +1,22 @@
 package match
 
-import (
-	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "wqe/internal/anscache"
 
-// maxDecayAge caps the exponent of the closed-form hit decay. At the
-// default decay 0.95, 0.95^600 ≈ 4e-14 — far below one hit — so any
-// larger age flushes the hit count outright and math.Pow never sees
-// extreme exponents.
-const maxDecayAge = 1 << 12
-
-// Cache is the global star-view cache of §5.2, lock-striped so that the
-// cross-question batch engine's workers do not serialize on one mutex.
-// The star key is hashed (FNV-1a) onto one of a power-of-two number of
-// shards; each shard owns its own mutex, tick counter, entry map, and
-// in-flight singleflight table, so two workers touching different stars
-// contend only when their keys land on the same stripe.
-//
-// Entries are keyed by the structural star key; each use bumps a hit
-// counter that decays with a per-shard time factor, and when a shard is
-// full the least-hit entry *of that shard* is evicted (ties broken on
-// the smallest key, so eviction is deterministic). Per-shard eviction
-// preserves the engine's byte-identical-output guarantee: a cached star
-// table is a pure function of its key, so cache organization can only
-// change which tables get rebuilt — never what a table contains — and
-// rewrite ranking never reads cache statistics.
-//
-// Concurrent misses on the same key are collapsed per shard by
-// GetOrBuild: the first caller builds the table while the rest block on
-// the in-flight build, so a beam level fanning out over near-identical
-// rewrites materializes each star once instead of once per worker.
-//
-// Global hit/miss/tick/size statistics live in atomic counters, so
-// Stats and Len never touch a shard mutex.
-type Cache struct {
-	// shards has power-of-two length; mask == len(shards)-1.
-	shards []cacheShard
-	mask   uint32
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	ticks     atomic.Int64
-	size      atomic.Int64
-	evictions atomic.Int64
-	weight    atomic.Int64
-	rejects   atomic.Int64
-}
-
-// cacheShard is one stripe of the cache: an independent decaying map
-// with its own lock, logical clock, and singleflight table.
-type cacheShard struct {
-	// cap, weightCap, and decay are immutable after construction.
-	// weightCap bounds the shard's total resident entry weight
-	// (StarTable.Size cells); 0 means count-capacity only.
-	cap       int
-	weightCap int
-	decay     float64
-
-	// mu guards every mutable field below.
-	mu       sync.Mutex
-	tick     int64                  // guarded by mu
-	weight   int64                  // guarded by mu; resident entry weight
-	entries  map[string]*cacheEntry // guarded by mu
-	inflight map[string]*flight     // guarded by mu
-}
-
-type cacheEntry struct {
-	table    *StarTable
-	weight   int64
-	hits     float64
-	lastTick int64
-}
-
-// flight is one in-progress star-table build other callers can wait on.
-// table and failed are written exactly once, before done is closed;
-// waiters read them only after <-done, so the handoff is race-free
-// without a lock. failed marks a build that panicked: its waiters must
-// not trust table and instead retry with a fresh flight.
-type flight struct {
-	done   chan struct{}
-	table  *StarTable
-	failed bool
-}
-
-// DefaultShards is the shard count used when none is requested:
-// nextPow2(4×GOMAXPROCS). Four stripes per logical CPU keeps the
-// probability of two concurrently active workers hashing onto the same
-// stripe low without inflating per-shard bookkeeping.
-func DefaultShards() int {
-	return nextPow2(4 * runtime.GOMAXPROCS(0))
-}
-
-// nextPow2 returns the smallest power of two ≥ n (and ≥ 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// Cache is the global star-view cache of §5.2: the module's one cache
+// core (see package anscache for the stripes, singleflight, hit decay
+// and least-hit eviction) holding materialized star tables under their
+// structural star keys. The matcher fetches through GetOrCompute, so
+// concurrent misses on one star key share a single materialization — a
+// beam level fanning out over near-identical rewrites builds each star
+// once instead of once per worker. A cached table is a pure function of
+// its key, so cache organization only changes which tables get rebuilt,
+// never what a table contains.
+type Cache = anscache.Cache[*StarTable]
 
 // NewCache returns a star-view cache holding at most capacity tables,
-// striped over DefaultShards() shards. The decay factor
+// striped over the core's default shard count. The decay factor
 // (0 < decay ≤ 1) halves stale hit counts roughly every 1/(1−decay)
 // uses; 0.95 is a good default.
 func NewCache(capacity int, decay float64) *Cache {
-	return NewCacheSharded(capacity, decay, 0)
+	return anscache.NewDecay[*StarTable](capacity, 0, decay)
 }
-
-// NewCacheSharded is NewCache with an explicit shard count: shards ≤ 0
-// means DefaultShards(), anything else is rounded up to the next power
-// of two (1 gives the un-striped cache of earlier revisions). The
-// capacity splits as capacity/N per shard with the remainder going to
-// the low shards; every shard holds at least one table, so the
-// effective total capacity is max(capacity, N).
-func NewCacheSharded(capacity int, decay float64, shards int) *Cache {
-	return NewCacheWeighted(capacity, decay, shards, 0)
-}
-
-// NewCacheWeighted is NewCacheSharded with a total weight budget on top
-// of the entry-count capacity. An entry's weight is its table's cell
-// count (StarTable.Size) — the actual memory driver — so one huge star
-// view cannot evict a shard's whole working set of small tables:
-// entries heavier than half a shard's budget are never admitted at all
-// (the build still returns its table to the caller; it just isn't
-// cached), and admitting a heavy entry evicts least-hit entries only
-// until the budget fits. weightBudget ≤ 0 disables weight accounting
-// (pure count capacity, the previous behavior). The budget splits
-// across shards like the count capacity does, with a floor of one
-// budget unit so no shard degrades to unlimited.
-func NewCacheWeighted(capacity int, decay float64, shards, weightBudget int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if decay <= 0 || decay > 1 {
-		decay = 0.95
-	}
-	if shards <= 0 {
-		shards = DefaultShards()
-	}
-	if weightBudget < 0 {
-		weightBudget = 0
-	}
-	shards = nextPow2(shards)
-	c := &Cache{
-		shards: make([]cacheShard, shards),
-		mask:   uint32(shards - 1),
-	}
-	base, rem := capacity/shards, capacity%shards
-	wbase, wrem := weightBudget/shards, weightBudget%shards
-	for i := range c.shards {
-		sc := base
-		if i < rem {
-			sc++
-		}
-		if sc < 1 {
-			sc = 1
-		}
-		wc := wbase
-		if i < wrem {
-			wc++
-		}
-		if weightBudget > 0 && wc < 1 {
-			wc = 1
-		}
-		c.shards[i] = cacheShard{
-			cap:       sc,
-			weightCap: wc,
-			decay:     decay,
-			entries:   map[string]*cacheEntry{},
-			inflight:  map[string]*flight{},
-		}
-	}
-	return c
-}
-
-// Shards returns the cache's shard count (a power of two).
-func (c *Cache) Shards() int { return len(c.shards) }
-
-// shardFor maps a star key onto its owning shard with the 32-bit
-// FNV-1a hash (inlined: the hash/fnv wrapper would allocate a hasher
-// and a byte-slice conversion on every lookup).
-func (c *Cache) shardFor(key string) *cacheShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return &c.shards[h&c.mask]
-}
-
-// Get returns the cached star table for key, bumping its decayed hit
-// count, or nil.
-func (c *Cache) Get(key string) *StarTable {
-	c.ticks.Add(1)
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tick++
-	e, ok := s.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil
-	}
-	c.hits.Add(1)
-	s.bumpLocked(e)
-	return e.table
-}
-
-// GetOrBuild returns the table for key, building it with build on a
-// miss. Concurrent callers missing on the same key share one build: the
-// first caller runs build (outside any cache lock), the rest block
-// until it finishes and return the same table. Every sharing caller is
-// still counted as a miss — they did miss; the singleflight only
-// de-duplicates the work.
-//
-// A panicking build does not poison the key: runFlight's deferred
-// cleanup marks the flight failed, closes it, removes the in-flight
-// entry, and lets the panic continue to the builder's caller, while
-// blocked waiters wake and retry with a fresh flight (the first
-// retrier becomes the new builder). Waiters therefore always complete
-// — or inherit a panic from their own build attempt, never someone
-// else's.
-func (c *Cache) GetOrBuild(key string, build func() *StarTable) *StarTable {
-	s := c.shardFor(key)
-	for {
-		t, f, owner := s.lookup(c, key)
-		switch {
-		case t != nil:
-			return t
-		case owner:
-			return s.runFlight(c, key, f, build)
-		default:
-			<-f.done
-			if !f.failed {
-				return f.table
-			}
-			// The builder panicked; race for a fresh flight.
-		}
-	}
-}
-
-// lookup is GetOrBuild's locked phase: a hit returns the table; a miss
-// returns the flight to wait on, or a freshly registered flight with
-// owner=true when this caller must run the build.
-func (s *cacheShard) lookup(c *Cache, key string) (t *StarTable, f *flight, owner bool) {
-	c.ticks.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tick++
-	if e, ok := s.entries[key]; ok {
-		c.hits.Add(1)
-		s.bumpLocked(e)
-		return e.table, nil, false
-	}
-	c.misses.Add(1)
-	if in, ok := s.inflight[key]; ok {
-		return nil, in, false
-	}
-	f = &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	return nil, f, true
-}
-
-// runFlight executes one singleflight build (outside the shard lock)
-// and publishes its outcome: on success the flight resolves to the
-// table and the entry is inserted; on panic the deferred handler marks
-// the flight failed, closes it, and deletes the in-flight entry —
-// waking every waiter — before the panic continues to the caller.
-// Without that cleanup a panicking build would leave the flight open
-// and the key's waiters blocked forever.
-func (s *cacheShard) runFlight(c *Cache, key string, f *flight, build func() *StarTable) *StarTable {
-	committed := false
-	defer func() {
-		if committed {
-			return
-		}
-		f.failed = true
-		close(f.done)
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-	}()
-
-	t := build()
-
-	f.table = t
-	close(f.done)
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.tick++
-	s.putLocked(c, key, t)
-	s.mu.Unlock()
-	committed = true
-	return t
-}
-
-// bumpLocked applies the time decay then counts one hit. The decay is
-// the closed form decay^age over the shard's own tick clock — a
-// per-tick loop here would spin for the whole age under the lock, which
-// after a long miss streak (ticks advance on every shard access, hits
-// or not) meant millions of iterations for a single bump. The caller
-// must hold s.mu.
-func (s *cacheShard) bumpLocked(e *cacheEntry) {
-	if age := s.tick - e.lastTick; age > maxDecayAge {
-		e.hits = 0 // decay^age underflows any meaningful hit mass
-	} else if age > 0 {
-		e.hits *= math.Pow(s.decay, float64(age))
-	}
-	e.hits++
-	e.lastTick = s.tick
-}
-
-// Put stores a star table, evicting the owning shard's least-hit entry
-// when that shard is full.
-func (c *Cache) Put(key string, t *StarTable) {
-	c.ticks.Add(1)
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tick++
-	s.putLocked(c, key, t)
-}
-
-// putLocked inserts or refreshes an entry, evicting the shard's
-// least-hit entries when the shard is over its count capacity or weight
-// budget. Equal hit counts tie-break on the smallest key: the scan runs
-// in map order, and without the tie-break a full shard of equal-hit
-// entries would evict a randomly chosen one, making cache contents —
-// and downstream hit/miss stats — differ between identical runs.
-// Eviction is deterministic per shard, and the shard a key lives on is
-// a pure function of the key, so whole-cache contents are reproducible
-// too. The caller must hold s.mu.
-func (s *cacheShard) putLocked(c *Cache, key string, t *StarTable) {
-	w := int64(t.Size())
-	oversized := s.weightCap > 0 && w > int64(s.weightCap)/2
-	if e, ok := s.entries[key]; ok {
-		if oversized {
-			// The refresh grew past the admission bound: a table this
-			// heavy is never resident, so drop the entry rather than
-			// letting one key hold most of the shard's budget.
-			s.removeLocked(c, key, e)
-			c.rejects.Add(1)
-			return
-		}
-		s.weight += w - e.weight
-		c.weight.Add(w - e.weight)
-		e.table = t
-		e.weight = w
-		s.bumpLocked(e)
-		s.shrinkToWeightLocked(c, key, 0)
-		return
-	}
-	if oversized {
-		// Weight-based admission: the build's caller keeps the table;
-		// the shard's working set of smaller tables stays resident.
-		c.rejects.Add(1)
-		return
-	}
-	if len(s.entries) >= s.cap {
-		s.evictWorstLocked(c, "")
-	}
-	s.shrinkToWeightLocked(c, "", w)
-	s.entries[key] = &cacheEntry{table: t, weight: w, hits: 1, lastTick: s.tick}
-	s.weight += w
-	c.weight.Add(w)
-	c.size.Add(1)
-}
-
-// shrinkToWeightLocked evicts least-hit entries (never `keep`) until the
-// shard's resident weight plus incoming fits the weight budget. A no-op
-// when weight accounting is off. The caller must hold s.mu.
-func (s *cacheShard) shrinkToWeightLocked(c *Cache, keep string, incoming int64) {
-	if s.weightCap == 0 {
-		return
-	}
-	// Terminates: every admitted entry (and the incoming one) weighs at
-	// most half the budget, and evictWorstLocked reports false once
-	// nothing evictable remains.
-	for s.weight+incoming > int64(s.weightCap) {
-		if !s.evictWorstLocked(c, keep) {
-			return
-		}
-	}
-}
-
-// evictWorstLocked evicts the least-hit entry, skipping `exclude`;
-// reports whether anything was evicted. Ties break on the smallest key
-// so the choice is deterministic. The caller must hold s.mu.
-func (s *cacheShard) evictWorstLocked(c *Cache, exclude string) bool {
-	worstKey := ""
-	worst := 0.0
-	first := true
-	//lint:ignore detsource eviction scans the whole shard map and tie-breaks on smallest key, so order cannot matter
-	for k, e := range s.entries {
-		if k == exclude {
-			continue
-		}
-		switch {
-		case first:
-			worstKey, worst, first = k, e.hits, false
-		case e.hits < worst:
-			worstKey, worst = k, e.hits
-		case e.hits > worst:
-		case k < worstKey: // equal hits: smallest key loses
-			worstKey = k
-		}
-	}
-	if first {
-		return false
-	}
-	s.removeLocked(c, worstKey, s.entries[worstKey])
-	c.evictions.Add(1)
-	return true
-}
-
-// removeLocked deletes one resident entry and settles the weight and
-// size accounting. The caller must hold s.mu.
-func (s *cacheShard) removeLocked(c *Cache, key string, e *cacheEntry) {
-	delete(s.entries, key)
-	s.weight -= e.weight
-	c.weight.Add(-e.weight)
-	c.size.Add(-1)
-}
-
-// Len returns the number of cached tables, from the atomic size
-// counter — it never takes a shard lock.
-func (c *Cache) Len() int {
-	return int(c.size.Load())
-}
-
-// Stats returns cumulative hit and miss counts, from the atomic
-// counters — it never takes a shard lock. The counts are exact; only
-// their split between concurrent callers racing on one key is
-// timing-dependent (and rewrite ranking never reads them).
-func (c *Cache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
-// Ticks returns the total number of cache accesses (Get, GetOrBuild
-// lookups, and Put calls) across all shards.
-func (c *Cache) Ticks() int64 {
-	return c.ticks.Load()
-}
-
-// CacheCounters is the cache's full atomic counter set, snapshot
-// lock-free by Counters. Hits/Misses/Ticks/Evictions are cumulative;
-// Size is the current resident table count. The counters are
-// observability only — rewrite ranking never reads them — so exposing
-// them (e.g. through a server's /stats endpoint) cannot perturb
-// byte-identical output.
-type CacheCounters struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Ticks     int64 `json:"ticks"`
-	Size      int64 `json:"size"`
-	Evictions int64 `json:"evictions"`
-	// Weight is the current resident entry weight (StarTable.Size cells
-	// across all shards); AdmissionRejects counts tables denied
-	// residency by weight-based admission. Both stay zero when the
-	// cache runs without a weight budget.
-	Weight           int64 `json:"weight"`
-	AdmissionRejects int64 `json:"admission_rejects"`
-}
-
-// Counters snapshots every cache counter without taking a shard lock.
-// The fields are loaded individually, so a snapshot taken under
-// concurrent traffic is per-counter exact but not a single atomic
-// cross-counter instant — fine for stats, meaningless to diff against
-// another snapshot taken mid-flight.
-func (c *Cache) Counters() CacheCounters {
-	return CacheCounters{
-		Hits:             c.hits.Load(),
-		Misses:           c.misses.Load(),
-		Ticks:            c.ticks.Load(),
-		Size:             c.size.Load(),
-		Evictions:        c.evictions.Load(),
-		Weight:           c.weight.Load(),
-		AdmissionRejects: c.rejects.Load(),
-	}
-}
-
-// Weight returns the resident entry weight across all shards, from the
-// atomic counter — it never takes a shard lock. Always zero without a
-// weight budget.
-func (c *Cache) Weight() int64 { return c.weight.Load() }

@@ -2,62 +2,82 @@ package match
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"wqe/internal/anscache"
 )
 
-// TestShardCountResolution pins the shard-count rules: ≤0 means
-// DefaultShards(), other values round up to the next power of two.
+// TestShardCountResolution pins the shard-count rules: NewCache (and any
+// count ≤0) means four stripes per logical CPU, and every count rounds
+// up to the next power of two.
 func TestShardCountResolution(t *testing.T) {
-	if got := NewCache(64, 0.95).Shards(); got != DefaultShards() {
-		t.Fatalf("NewCache shards = %d, want DefaultShards() = %d", got, DefaultShards())
+	auto := 1
+	for auto < 4*runtime.GOMAXPROCS(0) {
+		auto <<= 1
+	}
+	if got := NewCache(64, 0.95).Shards(); got != auto {
+		t.Fatalf("NewCache shards = %d, want nextPow2(4×GOMAXPROCS) = %d", got, auto)
 	}
 	for _, tc := range []struct{ in, want int }{
-		{-1, DefaultShards()}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
+		{-1, auto}, {0, auto}, {1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		if got := NewCacheSharded(64, 0.95, tc.in).Shards(); got != tc.want {
-			t.Errorf("NewCacheSharded(shards=%d) = %d shards, want %d", tc.in, got, tc.want)
+		if got := newCacheSharded(64, 0.95, tc.in).Shards(); got != tc.want {
+			t.Errorf("shards=%d resolved to %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
-// TestShardCapacitySplit checks capacity/N per shard with the remainder
-// on the low shards, and the ≥1-per-shard floor.
+// starKey is a realistic star-key shape for shard-spread tests.
+func starKey(i int) string { return fmt.Sprintf("g1|star|c=phone|e%d>store@2", i) }
+
+// TestShardCapacitySplit checks the shard capacities add up to the
+// requested capacity, and the ≥1-per-shard floor when the capacity is
+// below the shard count: a flood of distinct star keys settles at
+// exactly the effective capacity max(capacity, shards). (The exact
+// per-shard split is pinned next to the core, in internal/anscache.)
 func TestShardCapacitySplit(t *testing.T) {
-	c := NewCacheSharded(10, 0.95, 4)
-	want := []int{3, 3, 2, 2} // 10/4 = 2 rem 2 → shards 0,1 get the extra
-	for i := range c.shards {
-		if c.shards[i].cap != want[i] {
-			t.Errorf("shard %d cap = %d, want %d", i, c.shards[i].cap, want[i])
+	for _, tc := range []struct{ capacity, shards, want int }{
+		{10, 4, 10}, // 3+3+2+2
+		{2, 8, 8},   // floor of one table per shard
+	} {
+		c := newCacheSharded(tc.capacity, 0.95, tc.shards)
+		for i := 0; i < 512; i++ {
+			c.Put(starKey(i), &StarTable{})
 		}
-	}
-	// Capacity below the shard count: every shard still holds one table.
-	tiny := NewCacheSharded(2, 0.95, 8)
-	for i := range tiny.shards {
-		if tiny.shards[i].cap != 1 {
-			t.Errorf("tiny shard %d cap = %d, want the floor of 1", i, tiny.shards[i].cap)
+		if c.Len() != tc.want {
+			t.Errorf("capacity %d over %d shards holds %d tables, want %d",
+				tc.capacity, tc.shards, c.Len(), tc.want)
 		}
 	}
 }
 
-// TestShardMappingStable checks the FNV-1a shard mapping is a pure
-// function of the key and spreads a realistic star-key population over
-// every stripe.
+// TestShardMappingStable checks the shard mapping is a pure function of
+// the key and spreads a realistic star-key population over every
+// stripe: with one slot per shard, 256 star keys must leave all four
+// stripes occupied, and replaying them leaves the same four residents.
 func TestShardMappingStable(t *testing.T) {
-	c := NewCacheSharded(1024, 0.95, 4)
-	seen := make(map[*cacheShard]bool)
-	for i := 0; i < 256; i++ {
-		key := fmt.Sprintf("g1|star|c=phone|e%d>store@2", i)
-		sh := c.shardFor(key)
-		if c.shardFor(key) != sh {
-			t.Fatalf("shard mapping for %q not stable", key)
+	residents := func() string {
+		c := newCacheSharded(4, 0.95, 4)
+		for i := 0; i < 256; i++ {
+			c.Put(starKey(i), &StarTable{})
 		}
-		seen[sh] = true
+		if c.Len() != 4 {
+			t.Fatalf("256 star keys occupy %d of 4 one-slot shards; FNV-1a spread broken", c.Len())
+		}
+		var live []string
+		for i := 0; i < 256; i++ {
+			if c.Get(starKey(i)) != nil {
+				live = append(live, starKey(i))
+			}
+		}
+		return strings.Join(live, ",")
 	}
-	if len(seen) != 4 {
-		t.Fatalf("256 star keys landed on %d of 4 shards; FNV-1a spread broken", len(seen))
+	if a, b := residents(), residents(); a != b {
+		t.Fatalf("shard mapping not stable: residents {%s} then {%s}", a, b)
 	}
 }
 
@@ -82,16 +102,19 @@ func TestShardedEvictionDeterministic(t *testing.T) {
 	)
 	// Pick fill keys that land capacity/2 on each shard so the fill
 	// phase itself never evicts (insertion order into a non-full shard
-	// cannot change its final set).
-	probe := NewCacheSharded(capacity, 0.95, shards)
+	// cannot change its final set): a candidate joins only if a cache
+	// holding it and the keys so far evicts nothing.
+	fits := func(keys []string) bool {
+		c := newCacheSharded(capacity, 0.95, shards)
+		for _, k := range keys {
+			c.Put(k, &StarTable{})
+		}
+		return c.Counters().Evictions == 0
+	}
 	var fillKeys []string
-	perShard := make(map[*cacheShard]int)
 	for i := 0; len(fillKeys) < fill; i++ {
-		k := fmt.Sprintf("fill-%03d", i)
-		sh := probe.shardFor(k)
-		if perShard[sh] < capacity/shards {
-			perShard[sh]++
-			fillKeys = append(fillKeys, k)
+		if with := append(fillKeys[:len(fillKeys):len(fillKeys)], fmt.Sprintf("fill-%03d", i)); fits(with) {
+			fillKeys = with
 		}
 	}
 	overflowKeys := make([]string, overflow)
@@ -100,7 +123,7 @@ func TestShardedEvictionDeterministic(t *testing.T) {
 	}
 
 	victims := func(seed int) string {
-		c := NewCacheSharded(capacity, 0.95, shards)
+		c := newCacheSharded(capacity, 0.95, shards)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -123,11 +146,7 @@ func TestShardedEvictionDeterministic(t *testing.T) {
 		}
 		var evicted []string
 		for _, k := range append(append([]string{}, fillKeys...), overflowKeys...) {
-			sh := c.shardFor(k)
-			sh.mu.Lock()
-			_, present := sh.entries[k]
-			sh.mu.Unlock()
-			if !present {
+			if c.Get(k) == nil {
 				evicted = append(evicted, k)
 			}
 		}
@@ -146,11 +165,11 @@ func TestShardedEvictionDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedStatsAtomic checks Len/Stats/Ticks hold exact aggregates
+// TestShardedStatsAtomic checks Len and Counters hold exact aggregates
 // across shards without locking: the counts must add up after a burst
 // of cross-shard traffic.
 func TestShardedStatsAtomic(t *testing.T) {
-	c := NewCacheSharded(64, 0.95, 4)
+	c := newCacheSharded(64, 0.95, 4)
 	const keys = 32
 	for i := 0; i < keys; i++ {
 		c.Put(fmt.Sprintf("k%02d", i), &StarTable{})
@@ -164,12 +183,9 @@ func TestShardedStatsAtomic(t *testing.T) {
 		}
 	}
 	c.Get("absent")
-	hits, misses := c.Stats()
-	if hits != keys || misses != 1 {
-		t.Fatalf("Stats = (%d, %d), want (%d, 1)", hits, misses, keys)
-	}
-	if ticks := c.Ticks(); ticks != int64(2*keys+1) {
-		t.Fatalf("Ticks = %d, want %d", ticks, 2*keys+1)
+	want := anscache.Counters{Hits: keys, Misses: 1, Size: keys}
+	if got := c.Counters(); got != want {
+		t.Fatalf("Counters = %+v, want %+v", got, want)
 	}
 }
 
@@ -177,7 +193,7 @@ func TestShardedStatsAtomic(t *testing.T) {
 // the un-striped cache: whole-cache capacity, global smallest-key
 // eviction, one singleflight table.
 func TestSingleShardMatchesLegacySemantics(t *testing.T) {
-	c := NewCacheSharded(3, 0.95, 1)
+	c := newCacheSharded(3, 0.95, 1)
 	for _, k := range []string{"c", "a", "b", "d"} {
 		c.Put(k, &StarTable{})
 	}

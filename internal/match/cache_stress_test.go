@@ -7,9 +7,10 @@ import (
 )
 
 // TestCacheConcurrentStress hammers one star-view cache from many
-// goroutines with interleaved Get/Put/Len/Stats. Run under -race it
-// proves the "guarded by mu" annotations in cache.go hold dynamically,
-// not just under wqe-lint's lexical lockcheck.
+// goroutines with interleaved Get/Put/Len/Counters. Run under -race it
+// proves the core's "guarded by mu" annotations hold dynamically for
+// the star cache's Get/Put traffic, not just under wqe-lint's lexical
+// lockcheck.
 func TestCacheConcurrentStress(t *testing.T) {
 	const (
 		capacity = 32
@@ -35,7 +36,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 				}
 				if i%64 == 0 {
 					c.Len()
-					c.Stats()
+					c.Counters()
 				}
 			}
 		}(w)
@@ -44,8 +45,7 @@ func TestCacheConcurrentStress(t *testing.T) {
 	if n := c.Len(); n < 1 || n > capacity {
 		t.Fatalf("cache holds %d entries, want within [1, %d]", n, capacity)
 	}
-	hits, misses := c.Stats()
-	if hits+misses == 0 {
+	if k := c.Counters(); k.Hits+k.Misses == 0 {
 		t.Fatal("stress run recorded no cache traffic")
 	}
 	if c.Get("star-definitely-absent") != nil {

@@ -1,66 +1,30 @@
 package match
 
 import (
-	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"wqe/internal/anscache"
+	"wqe/internal/distindex"
+	"wqe/internal/graph"
+	"wqe/internal/query"
 )
 
-// TestBumpSurvivesHugeTickGap is the regression test for the O(age)
-// decay spin: bumping an entry whose last touch lies a trillion ticks
-// in the past must complete instantly (the old per-tick loop under the
-// shard lock would run for minutes). The decayed mass must be flushed
-// to exactly one fresh hit.
-func TestBumpSurvivesHugeTickGap(t *testing.T) {
-	c := NewCache(8, 0.95)
-	c.Put("k", &StarTable{})
-
-	sh := c.shardFor("k")
-	sh.mu.Lock()
-	sh.tick += 1_000_000_000_000 // simulate a very long miss streak
-	sh.mu.Unlock()
-
-	start := time.Now()
-	if c.Get("k") == nil {
-		t.Fatal("entry vanished")
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("bump across a huge tick gap took %v; decay must be closed-form", d)
-	}
-	sh.mu.Lock()
-	hits := sh.entries["k"].hits
-	sh.mu.Unlock()
-	if hits != 1 {
-		t.Fatalf("hits after full decay = %v, want exactly 1", hits)
-	}
+// newCacheSharded is NewCache with an explicit shard count (1 pins every
+// key onto one eviction scan), for tests that need deterministic
+// whole-cache capacity semantics.
+func newCacheSharded(capacity int, decay float64, shards int) *Cache {
+	return anscache.NewDecay[*StarTable](capacity, shards, decay)
 }
 
-// TestBumpClosedFormMatchesLoop checks the closed form agrees with the
-// definitional per-tick decay on moderate ages.
-func TestBumpClosedFormMatchesLoop(t *testing.T) {
-	const decay = 0.9
-	c := NewCache(8, decay)
-	c.Put("k", &StarTable{})
-	sh := c.shardFor("k")
-	sh.mu.Lock()
-	e := sh.entries["k"]
-	e.hits = 5
-	age := int64(37)
-	sh.tick = e.lastTick + age
-	sh.bumpLocked(e)
-	got := e.hits
-	sh.mu.Unlock()
-
-	want := 5.0
-	for i := int64(0); i < age; i++ {
-		want *= decay
-	}
-	want++
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("closed-form bump = %v, per-tick loop gives %v", got, want)
-	}
+// getOrBuild fetches key through the matcher's path: GetOrCompute with
+// an always-stored build.
+func getOrBuild(c *Cache, key string, build func() *StarTable) *StarTable {
+	t, _ := c.GetOrCompute(key, func() (*StarTable, bool) { return build(), true })
+	return t
 }
 
 // TestEvictionDeterministicOnTies fills a single-shard cache with
@@ -70,7 +34,7 @@ func TestBumpClosedFormMatchesLoop(t *testing.T) {
 // the sharded variants live in cache_shard_test.go.)
 func TestEvictionDeterministicOnTies(t *testing.T) {
 	for run := 0; run < 20; run++ {
-		c := NewCacheSharded(4, 0.95, 1)
+		c := newCacheSharded(4, 0.95, 1)
 		for _, k := range []string{"d", "b", "c", "a"} {
 			c.Put(k, &StarTable{})
 		}
@@ -90,7 +54,7 @@ func TestEvictionDeterministicOnTies(t *testing.T) {
 
 // TestGetOrBuildSingleflight hammers one key from many goroutines and
 // checks the table is built exactly once, everyone gets that table, and
-// every initial caller is accounted a miss.
+// exactly one caller is accounted the miss.
 func TestGetOrBuildSingleflight(t *testing.T) {
 	const workers = 16
 	c := NewCache(8, 0.95)
@@ -105,7 +69,7 @@ func TestGetOrBuildSingleflight(t *testing.T) {
 			defer done.Done()
 			ready.Done()
 			ready.Wait() // maximize contention on the cold key
-			results[i] = c.GetOrBuild("hot", func() *StarTable {
+			results[i] = getOrBuild(c, "hot", func() *StarTable {
 				builds.Add(1)
 				time.Sleep(20 * time.Millisecond) // hold the flight open
 				return want
@@ -121,6 +85,9 @@ func TestGetOrBuildSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got table %p, want the in-flight build %p", i, got, want)
 		}
 	}
+	if k := c.Counters(); k.Misses != 1 || k.Hits+k.Coalesced != workers-1 {
+		t.Fatalf("counters = %+v, want 1 miss and %d hits+coalesced", k, workers-1)
+	}
 	if c.Get("hot") != want {
 		t.Fatal("table was not committed to the cache after the flight")
 	}
@@ -131,15 +98,14 @@ func TestGetOrBuildHitSkipsBuild(t *testing.T) {
 	c := NewCache(8, 0.95)
 	want := &StarTable{}
 	c.Put("k", want)
-	got := c.GetOrBuild("k", func() *StarTable {
+	got := getOrBuild(c, "k", func() *StarTable {
 		t.Fatal("build ran on a cache hit")
 		return nil
 	})
 	if got != want {
-		t.Fatalf("GetOrBuild returned %p, want cached %p", got, want)
+		t.Fatalf("GetOrCompute returned %p, want cached %p", got, want)
 	}
-	hits, _ := c.Stats()
-	if hits != 1 {
+	if hits := c.Counters().Hits; hits != 1 {
 		t.Fatalf("hits = %d, want 1", hits)
 	}
 }
@@ -162,13 +128,13 @@ func TestGetOrBuildPanicDoesNotLeakFlight(t *testing.T) {
 	waiterDone := make(chan *StarTable, 1)
 	go func() {
 		<-inBuild
-		waiterDone <- c.GetOrBuild("boom", func() *StarTable { return want })
+		waiterDone <- getOrBuild(c, "boom", func() *StarTable { return want })
 	}()
 
 	panicked := make(chan interface{}, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		c.GetOrBuild("boom", func() *StarTable {
+		getOrBuild(c, "boom", func() *StarTable {
 			close(inBuild)
 			<-release // hold the flight open until the waiter is queued
 			panic("star build exploded")
@@ -200,7 +166,7 @@ func TestGetOrBuildPanicDoesNotLeakFlight(t *testing.T) {
 	// A fresh caller must complete too, and the key must be buildable.
 	done := make(chan *StarTable, 1)
 	go func() {
-		done <- c.GetOrBuild("boom", func() *StarTable { return want })
+		done <- getOrBuild(c, "boom", func() *StarTable { return want })
 	}()
 	select {
 	case got := <-done:
@@ -210,12 +176,85 @@ func TestGetOrBuildPanicDoesNotLeakFlight(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("fresh caller blocked: stale inflight entry survived the panic")
 	}
+}
 
-	sh := c.shardFor("boom")
-	sh.mu.Lock()
-	stale := len(sh.inflight)
-	sh.mu.Unlock()
-	if stale != 0 {
-		t.Fatalf("%d in-flight entries left behind, want 0", stale)
+// TestWeightDisabledKeepsCountSemantics: the star cache is bounded by
+// entry count alone. A table's size plays no part in admission or
+// eviction, so two huge tables fit a capacity-2 cache and nothing is
+// turned away.
+func TestWeightDisabledKeepsCountSemantics(t *testing.T) {
+	huge := func() *StarTable {
+		return &StarTable{Rows: make([]StarRow, 1000)}
+	}
+	c := newCacheSharded(2, 0.95, 1)
+	c.Put("a", huge())
+	c.Put("b", huge())
+	if k := c.Counters(); k.Size != 2 || k.Evictions != 0 {
+		t.Fatalf("count-capacity cache reacted to table size: %+v", k)
+	}
+	if c.Get("a") == nil || c.Get("b") == nil {
+		t.Fatal("a huge table was denied residency")
+	}
+}
+
+// TestMatchColdStarCoalesces pins the counter split the matcher reports
+// through the core: K callers needing one cold star table — a builder
+// holding the flight open and K−1 workers inside Matcher.Match — are
+// one Miss (the table is built once) and K−1 Coalesced waits.
+func TestMatchColdStarCoalesces(t *testing.T) {
+	g := randomGraph(40, 120, 5)
+	q := query.New()
+	u := q.AddNode("A")
+	v := q.AddNode("B")
+	q.AddEdge(u, v, 2)
+	q.Focus = u
+	stars := Decompose(q)
+	if len(stars) != 1 {
+		t.Fatalf("want a one-star query, got %d stars", len(stars))
+	}
+	m := NewMatcher(g, distindex.NewBFS(g), NewCache(8, 0.95))
+	key := m.keyPrefix + stars[0].Key(q)
+	want := NewMatcher(g, distindex.NewBFS(g), nil).Match(q).Answer
+
+	const K = 8
+	inBuild := make(chan struct{})
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the builder: owns the flight until released
+		defer wg.Done()
+		getOrBuild(m.Cache, key, func() *StarTable {
+			close(inBuild)
+			<-release
+			return buildStarTable(g, q, stars[0])
+		})
+	}()
+	<-inBuild
+
+	var started sync.WaitGroup
+	started.Add(K - 1)
+	answers := make([][]graph.NodeID, K-1)
+	for i := 0; i < K-1; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			started.Done()
+			answers[i] = m.Match(q).Answer
+		}(i)
+	}
+	started.Wait()
+	// Every Match caller is now microseconds from the flight wait and
+	// none can return before release; give them time to get there.
+	time.Sleep(100 * time.Millisecond)
+	close(release)
+	wg.Wait()
+
+	if k := m.Cache.Counters(); k.Misses != 1 || k.Coalesced != K-1 || k.Hits != 0 {
+		t.Fatalf("counters = %+v, want Misses 1, Coalesced %d, Hits 0", k, K-1)
+	}
+	for i, a := range answers {
+		if !slices.Equal(a, want) {
+			t.Fatalf("waiter %d answered %v, uncached answer is %v", i, a, want)
+		}
 	}
 }

@@ -62,7 +62,7 @@ func TestMatchConcurrentSharedMatcher(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if hits, misses := m.Cache.Stats(); hits == 0 || misses == 0 {
-		t.Fatalf("stress run exercised no cache traffic (hits=%d misses=%d)", hits, misses)
+	if k := m.Cache.Counters(); k.Hits == 0 || k.Misses == 0 {
+		t.Fatalf("stress run exercised no cache traffic (%+v)", k)
 	}
 }

@@ -1,19 +1,23 @@
 package match
 
-import "testing"
+import (
+	"testing"
+
+	"wqe/internal/anscache"
+)
 
 // TestCountersFullSnapshot pins the Counters snapshot the serving
-// layer's /stats endpoint reports: every counter in the set moves when
-// its event happens, and the snapshot agrees with the legacy Stats
-// pair. A capacity-1 single-shard cache makes evictions deterministic.
+// layer's /stats endpoint reports for the star cache: every counter
+// Get/Put traffic can move does so when its event happens. A capacity-1
+// single-shard cache makes evictions deterministic.
 func TestCountersFullSnapshot(t *testing.T) {
-	c := NewCacheSharded(1, 0.95, 1)
+	c := newCacheSharded(1, 0.95, 1)
 
-	if got := c.Counters(); got != (CacheCounters{}) {
+	if got := c.Counters(); got != (anscache.Counters{}) {
 		t.Fatalf("fresh cache counters = %+v, want all zero", got)
 	}
 
-	c.Put("a", &StarTable{}) // miss-free insert, 1 tick
+	c.Put("a", &StarTable{}) // miss-free insert
 	if c.Get("a") == nil {   // hit
 		t.Fatal("a vanished")
 	}
@@ -26,14 +30,8 @@ func TestCountersFullSnapshot(t *testing.T) {
 	}
 
 	got := c.Counters()
-	want := CacheCounters{Hits: 1, Misses: 2, Ticks: 5, Size: 1, Evictions: 1}
+	want := anscache.Counters{Hits: 1, Misses: 2, Size: 1, Evictions: 1}
 	if got != want {
 		t.Fatalf("counters = %+v, want %+v", got, want)
-	}
-	if h, m := c.Stats(); h != got.Hits || m != got.Misses {
-		t.Fatalf("Stats (%d, %d) disagrees with Counters %+v", h, m, got)
-	}
-	if c.Ticks() != got.Ticks {
-		t.Fatalf("Ticks %d disagrees with Counters %+v", c.Ticks(), got)
 	}
 }

@@ -289,7 +289,7 @@ func TestStarKeyFocusLiteralInvariance(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	// Single shard: whole-cache capacity semantics, so three keys must
 	// contend for two slots regardless of how they hash.
-	c := NewCacheSharded(2, 0.95, 1)
+	c := newCacheSharded(2, 0.95, 1)
 	t1, t2, t3 := &StarTable{}, &StarTable{}, &StarTable{}
 	c.Put("a", t1)
 	c.Put("b", t2)
@@ -307,16 +307,15 @@ func TestCacheEviction(t *testing.T) {
 	if c.Get("b") != nil {
 		t.Error("cold entry survived")
 	}
-	hits, misses := c.Stats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("stats not tracked: %d/%d", hits, misses)
+	if k := c.Counters(); k.Hits == 0 || k.Misses == 0 {
+		t.Errorf("stats not tracked: %+v", k)
 	}
 }
 
 func TestCacheDecay(t *testing.T) {
 	// Single shard: decay rides the shard's tick clock, so the keys
 	// must share one shard for Get("new") traffic to age "old".
-	c := NewCacheSharded(2, 0.5, 1)
+	c := newCacheSharded(2, 0.5, 1)
 	c.Put("old", &StarTable{})
 	for i := 0; i < 10; i++ {
 		c.Get("old")

@@ -96,8 +96,8 @@ func (m *Matcher) Match(q *query.Query) *Result {
 			s.AppendKey(&kb, q)
 			// Singleflight build: concurrent misses on the same star key
 			// share one materialization instead of racing duplicates.
-			t = m.Cache.GetOrBuild(kb.String(), func() *StarTable {
-				return buildStarTable(m.G, q, s)
+			t, _ = m.Cache.GetOrCompute(kb.String(), func() (*StarTable, bool) {
+				return buildStarTable(m.G, q, s), true
 			})
 		} else {
 			t = buildStarTable(m.G, q, s)

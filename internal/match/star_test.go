@@ -142,7 +142,7 @@ func TestColumnMapOnCachedTable(t *testing.T) {
 	if got := m.Match(build(false)).Answer; len(got) != 1 || got[0] != c {
 		t.Fatalf("reversed order: %v", got)
 	}
-	if hits, _ := cache.Stats(); hits == 0 {
+	if cache.Counters().Hits == 0 {
 		t.Error("reversed-order query should hit the cache")
 	}
 	_ = a

@@ -158,14 +158,9 @@ type Session = chase.Session
 // NewSession builds an exploration session over g.
 func NewSession(g *Graph, cfg Config) *Session { return chase.NewSession(g, cfg) }
 
-// MultiFocusAnswer pairs a focus node with its rewrite.
+// MultiFocusAnswer pairs a focus node with its rewrite, as returned by
+// Session.AskMultiFocus (the appendix's several-focus extension).
 type MultiFocusAnswer = chase.MultiFocusAnswer
-
-// AnsWMultiFocus answers a Why-question with several focus nodes
-// (the appendix extension): one chase per focus against its exemplar.
-func AnsWMultiFocus(g *Graph, q *Query, foci []QueryNodeID, exemplars []*Exemplar, cfg Config) ([]MultiFocusAnswer, error) {
-	return chase.AnsWMultiFocus(g, q, foci, exemplars, cfg)
-}
 
 // Evaluation plumbing for advanced use (custom matching, distance
 // oracles, star-view caches).
