@@ -14,7 +14,7 @@ GO ?= go
 # internal/distindex), so racing it would only slow CI down.
 RACE_PKGS = ./internal/graph ./internal/match ./internal/chase ./internal/par ./internal/distindex ./internal/anscache ./internal/hist ./internal/loadgen ./cmd/wqe-serve
 
-.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-parallel bench-batch bench-load bench-serve ci
+.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-smoke benchmark benchmark-check bench-parallel bench-batch bench-load bench-serve ci
 
 all: build
 
@@ -76,8 +76,26 @@ serve-smoke:
 fuzz-snapshot:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSnapshotReader -fuzztime 10s
 
+# Run the generation and BFS micro-benchmarks once each, so they cannot
+# rot: BenchmarkGenRefine (cold and warm partner sets) and the
+# Ball/VisitBall pair.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'GenRe|Ball' -benchtime 1x ./internal/chase ./internal/graph
+
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four
+# workloads, untraced then traced, one table and one JSON line. About
+# five minutes.
+benchmark:
+	$(GO) run ./benchmark -seed 7
+
+# One short traced pass of one workload as a correctness gate: every
+# answer is re-derived by a cache-less matcher over BFS distances, and
+# the run exits non-zero on `correct: false`. About 12 s.
+benchmark-check:
+	$(GO) run ./benchmark --workload explore_heu --seed 7 --seconds 3 --trace 1
+
 # Everything a PR must pass, without the benchmark regeneration.
-check: build vet fmt-check test race lint check-lockorder serve-smoke
+check: build vet fmt-check test race lint check-lockorder serve-smoke bench-smoke benchmark-check
 
 # Regenerate BENCH_parallel.json: sequential vs parallel wall-clock of
 # the Q-Chase evaluation engine on the synthetic workload.

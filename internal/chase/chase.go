@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -211,6 +211,9 @@ type Why struct {
 	// node's matching signature and the exploration radius, not on the
 	// rest of the rewrite.
 	partnerCache map[partnerCacheKey][]graph.NodeID
+	// partnerSigs numbers the matching signatures partnerCache keys
+	// refer to (see sigID).
+	partnerSigs map[string]int32
 
 	// Stats accumulates search effort across one algorithm run. It is
 	// written only by the algorithm goroutine (beginRun/endRun and the
@@ -296,6 +299,7 @@ func newWhyWith(g *graph.Graph, q *query.Query, e *exemplar.Exemplar, cfg Config
 		params:       ops.Params{MaxBound: cfg.MaxBound},
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		partnerCache: map[partnerCacheKey][]graph.NodeID{},
+		partnerSigs:  map[string]int32{},
 		//lint:ignore detsource injectable-clock default; only TimeLimit cutoffs and Elapsed stats read it, never ranking
 		clock: time.Now,
 	}
@@ -498,6 +502,6 @@ func (w *Why) stop(deadline time.Time) bool {
 
 // sortNodes sorts a node slice in place and returns it.
 func sortNodes(v []graph.NodeID) []graph.NodeID {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
+	slices.Sort(v)
 	return v
 }

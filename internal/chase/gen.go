@@ -1,8 +1,8 @@
 package chase
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"wqe/internal/graph"
 	"wqe/internal/match"
@@ -35,20 +35,28 @@ func opTargets(seq ops.Sequence) map[string]bool {
 	for _, o := range seq {
 		switch o.Kind {
 		case ops.RmL, ops.AddL, ops.RxL, ops.RfL:
-			t[fmt.Sprintf("L:%d:%s", o.U, o.Lit.Attr)] = true
+			t[litTarget(o.U, o.Lit.Attr)] = true
 		case ops.RmE, ops.RxE, ops.RfE:
-			t[fmt.Sprintf("E:%d:%d", o.U, o.U2)] = true
+			t[edgeTarget(o.U, o.U2)] = true
 		case ops.AddE:
 			if o.NewNode == nil {
-				t[fmt.Sprintf("E:%d:%d", o.U, o.U2)] = true
+				t[edgeTarget(o.U, o.U2)] = true
 			}
 		}
 	}
 	return t
 }
 
-func litTarget(u query.NodeID, attr string) string { return fmt.Sprintf("L:%d:%s", u, attr) }
-func edgeTarget(a, b query.NodeID) string          { return fmt.Sprintf("E:%d:%d", a, b) }
+// litTarget and edgeTarget render the target keys ("L:<node>:<attr>",
+// "E:<from>:<to>") the generators test against opTargets' set; they sit
+// inside every generator loop, hence strconv rather than fmt.
+func litTarget(u query.NodeID, attr string) string {
+	return "L:" + strconv.Itoa(int(u)) + ":" + attr
+}
+
+func edgeTarget(a, b query.NodeID) string {
+	return "E:" + strconv.Itoa(int(a)) + ":" + strconv.Itoa(int(b))
+}
 
 // rcBlame is the per-RC-node failure analysis that drives picky
 // relaxation: which local conditions of Q keep the node out of Q(G).

@@ -1,6 +1,8 @@
 package chase
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -9,24 +11,6 @@ import (
 	"wqe/internal/ops"
 	"wqe/internal/query"
 )
-
-// partnerMap caches, per pattern node, the candidate partners of every
-// focus match: nodes that could serve as h(u) in a valuation sending
-// the focus to that match. Partner sets are distance-based
-// overestimates (candidates of u within the pattern distance of the
-// focus match, ignoring direction), which is exactly the quality the
-// paper's pickiness estimates need: "no partner satisfies" certifies
-// removal, "some partner satisfies" certifies nothing.
-type partnerMap struct {
-	w *Why
-	q *query.Query
-	// dist caps per pattern node: PatternDist(u_o, u), capped at
-	// maxPartnerHops (ball sizes explode on power-law graphs).
-	pd map[query.NodeID]int
-	// sig caches each pattern node's matching signature, the
-	// Why-level cache key component.
-	sig map[query.NodeID]string
-}
 
 // maxPartnerHops bounds partner exploration; beyond it partner sets
 // stop being overestimates, so the cap stays generous relative to the
@@ -40,61 +24,103 @@ const maxPartnerHops = 4
 const maxPartnersScored = 96
 
 // partnerCacheKey identifies a partner set: focus match, radius, and
-// the pattern node's matching signature.
+// the pattern node's matching signature (as numbered by Why.sigID, so
+// a lookup hashes three integers rather than the signature text).
 type partnerCacheKey struct {
 	v   graph.NodeID
 	pd  int
-	sig string
+	sig int32
 }
 
-func newPartnerMap(w *Why, q *query.Query) *partnerMap {
-	pm := &partnerMap{w: w, q: q,
-		pd:  map[query.NodeID]int{},
-		sig: map[query.NodeID]string{}}
-	for u := range q.Nodes {
+// sigID numbers matching signatures in order of first use.
+func (w *Why) sigID(sig string) int32 {
+	id, ok := w.partnerSigs[sig]
+	if !ok {
+		id = int32(len(w.partnerSigs))
+		w.partnerSigs[sig] = id
+	}
+	return id
+}
+
+// refineGen is the working state of one GenRefine call: the sampled
+// relevant and irrelevant matches, what locates their partner sets,
+// and the operators accumulated so far.
+type refineGen struct {
+	w          *Why
+	q          *query.Query
+	rm, im     []graph.NodeID
+	used       map[string]bool
+	budgetLeft float64
+	acc        map[opIdent]*accum
+	// pd, indexed by pattern node: PatternDist(u_o, u), capped at
+	// maxPartnerHops (ball sizes explode on power-law graphs).
+	pd []int
+	// sig, indexed by pattern node: the Why-level id of the node's
+	// matching signature, the partner-cache key component.
+	sig []int32
+}
+
+// newRefineGen samples the relevant and irrelevant matches and resolves
+// each pattern node's partner radius and signature.
+func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string]bool, budgetLeft float64) *refineGen {
+	g := &refineGen{w: w, q: q, used: used, budgetLeft: budgetLeft,
+		// Neighborhood analysis is per-node bounded BFS; cap both sets
+		// (highest closeness first) to keep generation within bounded delay.
+		rm:  sampleByCl(w, rm, w.Cfg.MaxAnalysis),
+		im:  sampleByCl(w, im, w.Cfg.MaxAnalysis),
+		acc: map[opIdent]*accum{},
+		pd:  make([]int, len(q.Nodes)),
+		sig: make([]int32, len(q.Nodes)),
+	}
+	for u, n := range q.Nodes {
 		d := q.PatternDist(q.Focus, query.NodeID(u))
 		if d == graph.Unreachable || d > maxPartnerHops {
 			d = maxPartnerHops
 		}
-		pm.pd[query.NodeID(u)] = d
-		n := q.Nodes[u]
+		g.pd[u] = d
 		parts := make([]string, 0, len(n.Literals)+1)
 		parts = append(parts, n.Label)
 		for _, l := range n.Literals {
 			parts = append(parts, l.String())
 		}
 		sort.Strings(parts[1:])
-		pm.sig[query.NodeID(u)] = strings.Join(parts, "|")
+		g.sig[u] = w.sigID(strings.Join(parts, "|"))
 	}
-	return pm
+	return g
 }
 
 // partners returns the candidate partners of focus match v at pattern
-// node u. Results are memoized on the Why across chase states: they
-// depend only on v, u's matching signature, and the radius.
-func (pm *partnerMap) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
-	if u == pm.q.Focus {
+// node u: nodes that could serve as h(u) in a valuation sending the
+// focus to v. Partner sets are distance-based overestimates (the first
+// maxPartnersScored candidates of u in BFS order around v within the
+// pattern distance, ignoring direction; returned sorted by id), which
+// is exactly the quality the paper's pickiness estimates need: "no
+// partner satisfies" certifies removal, "some partner satisfies"
+// certifies nothing.
+//
+// Results are memoized on the Why across chase states: they depend only
+// on v, u's matching signature, and the radius. The traversal stops at
+// the last partner it keeps — the undirected radius-4 ball of a hub is
+// most of the graph.
+func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
+	if u == g.q.Focus {
 		return []graph.NodeID{v}
 	}
-	key := partnerCacheKey{v: v, pd: pm.pd[u], sig: pm.sig[u]}
-	if p, ok := pm.w.partnerCache[key]; ok {
+	key := partnerCacheKey{v: v, pd: g.pd[u], sig: g.sig[u]}
+	if p, ok := g.w.partnerCache[key]; ok {
 		return p
 	}
-	check := pm.q.Check(pm.w.G, u)
+	G := g.w.G
+	check := g.q.Check(G, u)
 	var out []graph.NodeID
-	for _, nd := range pm.w.G.Ball(v, pm.pd[u], graph.Both) {
-		if nd.D == 0 {
-			continue
+	G.VisitBall(v, g.pd[u], graph.Both, func(n graph.NodeID, d int32) bool {
+		if d > 0 && check.Candidate(G, n) {
+			out = append(out, n)
 		}
-		if check.Candidate(pm.w.G, nd.V) {
-			out = append(out, nd.V)
-			if len(out) >= maxPartnersScored {
-				break
-			}
-		}
-	}
+		return len(out) < maxPartnersScored
+	})
 	sortNodes(out)
-	pm.w.partnerCache[key] = out
+	g.w.partnerCache[key] = out
 	return out
 }
 
@@ -109,126 +135,226 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 	if len(im) == 0 {
 		return nil
 	}
-	// Neighborhood analysis is per-node bounded BFS; cap both sets
-	// (highest closeness first) to keep generation within bounded delay.
-	rm = sampleByCl(w, rm, w.Cfg.MaxAnalysis)
-	im = sampleByCl(w, im, w.Cfg.MaxAnalysis)
-	pm := newPartnerMap(w, q)
-
-	acc := map[opIdent]*accum{}
-	nf := float64(len(w.FocusCands))
-	add := func(o ops.Op, pickyEdge int, removedIM []graph.NodeID, removedRM []graph.NodeID) {
-		if len(removedIM) == 0 {
-			return // no hope of improving closeness
-		}
-		if !o.Applicable(q, w.params) || o.Cost(w.G) > budgetLeft {
-			return
-		}
-		key := identOf(o)
-		if acc[key] != nil {
-			return
-		}
-		var rmLoss float64
-		for _, v := range removedRM {
-			rmLoss += w.Eval.Cl(v)
-		}
-		a := &accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}, gain: map[graph.NodeID]bool{}}
-		for _, v := range removedIM {
-			a.gain[v] = true
-		}
-		a.total = w.Cfg.Lambda*float64(len(removedIM)) - rmLoss
-		_ = nf
-		acc[key] = a
-	}
-
-	// survives reports whether focus match v keeps at least one partner
-	// at u satisfying pred.
-	survives := func(v graph.NodeID, u query.NodeID, pred func(graph.NodeID) bool) bool {
-		for _, p := range pm.partners(v, u) {
-			if pred(p) {
-				return true
-			}
-		}
-		return false
-	}
-	removedBy := func(u query.NodeID, pred func(graph.NodeID) bool) (imOut, rmOut []graph.NodeID) {
-		for _, v := range im {
-			if !survives(v, u, pred) {
-				imOut = append(imOut, v)
-			}
-		}
-		for _, v := range rm {
-			if !survives(v, u, pred) {
-				rmOut = append(rmOut, v)
-			}
-		}
-		return
-	}
-
-	w.genAddL(q, rm, pm, used, add, removedBy)
-	w.genRfL(q, rm, pm, used, add, removedBy)
-	w.genRfE(q, rm, im, used, add)
-	w.genAddE(q, rm, im, used, add)
-
-	return w.finishScoredRefine(acc)
+	g := newRefineGen(w, q, rm, im, used, budgetLeft)
+	g.addL()
+	g.rfL()
+	g.rfE()
+	g.addE()
+	return w.finishScoredRefine(g.acc)
 }
 
-// genAddL: for each pattern node u and attribute value carried by an
-// RM-supporting match of u and not yet constrained in F_Q(u), propose
-// AddL(u, A = a) hoping irrelevant matches fail it.
-func (w *Why) genAddL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
-	used map[string]bool,
-	add func(ops.Op, int, []graph.NodeID, []graph.NodeID),
-	removedBy func(query.NodeID, func(graph.NodeID) bool) ([]graph.NodeID, []graph.NodeID)) {
+// add records refinement o, certainly removing the given irrelevant and
+// relevant matches, unless it cannot help, cannot be applied or
+// afforded, or was already generated.
+func (g *refineGen) add(o ops.Op, pickyEdge int, removedIM, removedRM []graph.NodeID) {
+	if len(removedIM) == 0 {
+		return // no hope of improving closeness
+	}
+	w := g.w
+	if !o.Applicable(g.q, w.params) || o.Cost(w.G) > g.budgetLeft {
+		return
+	}
+	key := identOf(o)
+	if g.acc[key] != nil {
+		return
+	}
+	var rmLoss float64
+	for _, v := range removedRM {
+		rmLoss += w.Eval.Cl(v)
+	}
+	a := &accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}, gain: map[graph.NodeID]bool{}}
+	for _, v := range removedIM {
+		a.gain[v] = true
+	}
+	a.total = w.Cfg.Lambda*float64(len(removedIM)) - rmLoss
+	g.acc[key] = a
+}
 
-	const maxValuesPerAttr = 6
-	for ui := range q.Nodes {
-		u := query.NodeID(ui)
-		// Count attribute values over RM partners at u.
-		type av struct {
-			attr string
-			val  graph.Value
+// removedBy returns the sampled irrelevant and relevant matches that
+// keep no partner at u satisfying pred.
+func (g *refineGen) removedBy(u query.NodeID, pred func(graph.NodeID) bool) (imOut, rmOut []graph.NodeID) {
+	survives := func(v graph.NodeID) bool {
+		return slices.ContainsFunc(g.partners(v, u), pred)
+	}
+	for _, v := range g.im {
+		if !survives(v) {
+			imOut = append(imOut, v)
 		}
-		counts := map[string]int{}
-		reprs := map[string]av{}
-		for _, vrm := range rm {
-			for _, p := range pm.partners(vrm, u) {
-				for _, t := range w.G.Tuple(p) {
-					attr := w.G.Attrs.Name(t.Attr)
-					if q.FindLiteral(u, attr, graph.EQ) >= 0 {
+	}
+	for _, v := range g.rm {
+		if !survives(v) {
+			rmOut = append(rmOut, v)
+		}
+	}
+	return
+}
+
+// maxValuesPerAttr caps how many values of one attribute AddL proposes
+// at one pattern node.
+const maxValuesPerAttr = 6
+
+// addLCand is one distinct attribute value carried by RM partners of a
+// pattern node: a candidate AddL(u, A = a).
+type addLCand struct {
+	// key renders the value as "attr=val#kind". Values are grouped by
+	// it and it breaks count ties, so it — not value identity — defines
+	// a candidate; it is rendered once per distinct value, not per cell.
+	key   string
+	attr  int32
+	val   graph.Value
+	count int
+}
+
+// valueKey is the exact identity of a tuple cell. It is finer than
+// addLCand.key only for inputs whose renderings collide (an attribute
+// name containing "=", NaN payloads), which then share a candidate.
+type valueKey struct {
+	attr int32
+	kind graph.ValueKind
+	bits uint64
+	str  string
+}
+
+// attrSlot is addL's per-attribute state at the current pattern node.
+type attrSlot struct {
+	// decided/open: whether AddL may constrain the attribute here (no
+	// "=" literal on it yet, target not used), settled once per
+	// (node, attribute) rather than per partner cell.
+	decided, open bool
+	// kept indexes the candidates kept for this attribute.
+	kept []int
+}
+
+// addL (genAddL): for each pattern node u and attribute value carried
+// by an RM-supporting match of u and not yet constrained in F_Q(u),
+// propose AddL(u, A = a) hoping irrelevant matches fail it.
+//
+// Scoring a candidate needs the sampled matches that keep no partner
+// carrying the value. Rather than rescanning every partner once per
+// candidate, one pass over the partners' tuples marks, for every kept
+// candidate at once, which sampled matches survive it; removal sets are
+// the complements, read in im/rm order. A cell marks a candidate under
+// exactly Literal.Sat's test (same attribute, same kind, Compare == 0),
+// which is coarser than the grouping key in one place: -0 and 0 are two
+// candidates, and a partner carrying either survives both.
+func (g *refineGen) addL() {
+	G := g.w.G
+	slots := make([]attrSlot, G.Attrs.Len())
+	var touched []int32 // slots to reset before the next pattern node
+	nIM := len(g.im)
+	parts := make([][]graph.NodeID, nIM+len(g.rm)) // partner sets, im then rm
+	var cands []addLCand
+	byValue := map[valueKey]int{} // exact cell identity → candidate
+	byKey := map[string]int{}     // rendered key → candidate
+	var survives []bool           // candidate-major: survives[k*len(parts)+i]
+
+	for ui := range g.q.Nodes {
+		u := query.NodeID(ui)
+		for _, a := range touched {
+			slots[a] = attrSlot{kept: slots[a].kept[:0]}
+		}
+		touched, cands = touched[:0], cands[:0]
+		clear(byValue)
+		clear(byKey)
+
+		// Count attribute values over RM partners at u.
+		for i, vrm := range g.rm {
+			parts[nIM+i] = g.partners(vrm, u)
+			for _, p := range parts[nIM+i] {
+				for _, t := range G.Tuple(p) {
+					slot := &slots[t.Attr]
+					if !slot.decided {
+						attr := G.Attrs.Name(t.Attr)
+						slot.decided = true
+						slot.open = g.q.FindLiteral(u, attr, graph.EQ) < 0 && !g.used[litTarget(u, attr)]
+						touched = append(touched, t.Attr)
+					}
+					if !slot.open {
 						continue
 					}
-					if used[litTarget(u, attr)] {
-						continue
+					vk := valueKey{t.Attr, t.Val.Kind, math.Float64bits(t.Val.Num), t.Val.Str}
+					ci, ok := byValue[vk]
+					if !ok {
+						key := G.Attrs.Name(t.Attr) + "=" + t.Val.String() + kindOf(t.Val)
+						if ci, ok = byKey[key]; !ok {
+							ci = len(cands)
+							cands = append(cands, addLCand{key: key})
+							byKey[key] = ci
+						}
+						byValue[vk] = ci
 					}
-					key := attr + "=" + t.Val.String() + kindOf(t.Val)
-					counts[key]++
-					reprs[key] = av{attr: attr, val: t.Val}
+					c := &cands[ci]
+					c.count++
+					c.attr, c.val = t.Attr, t.Val
 				}
 			}
 		}
-		keys := make([]string, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if counts[keys[i]] != counts[keys[j]] {
-				return counts[keys[i]] > counts[keys[j]]
+
+		// Keep the most frequent values of each attribute.
+		slices.SortFunc(cands, func(a, b addLCand) int {
+			if a.count != b.count {
+				return b.count - a.count
 			}
-			return keys[i] < keys[j]
+			return strings.Compare(a.key, b.key)
 		})
-		perAttr := map[string]int{}
-		for _, k := range keys {
-			x := reprs[k]
-			if perAttr[x.attr] >= maxValuesPerAttr {
-				continue
+		kept := cands[:0]
+		for _, c := range cands {
+			if slot := &slots[c.attr]; len(slot.kept) < maxValuesPerAttr {
+				slot.kept = append(slot.kept, len(kept))
+				kept = append(kept, c)
 			}
-			perAttr[x.attr]++
-			lit := query.Literal{Attr: x.attr, Op: graph.EQ, Val: x.val}
-			imOut, rmOut := removedBy(u, func(p graph.NodeID) bool { return lit.Sat(w.G, p) })
-			add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
+		}
+		if len(kept) == 0 {
+			continue
+		}
+
+		// Mark, per kept candidate, the sampled matches that survive it.
+		for i, v := range g.im {
+			parts[i] = g.partners(v, u)
+		}
+		survives = append(survives[:0], make([]bool, len(kept)*len(parts))...)
+		for i, ps := range parts {
+			for _, p := range ps {
+				for _, t := range G.Tuple(p) {
+					for _, k := range slots[t.Attr].kept {
+						if sameValue(t.Val, kept[k].val) {
+							survives[k*len(parts)+i] = true
+						}
+					}
+				}
+			}
+		}
+		for k, c := range kept {
+			alive := survives[k*len(parts) : (k+1)*len(parts)]
+			var imOut, rmOut []graph.NodeID
+			for i, v := range g.im {
+				if !alive[i] {
+					imOut = append(imOut, v)
+				}
+			}
+			for i, v := range g.rm {
+				if !alive[nIM+i] {
+					rmOut = append(rmOut, v)
+				}
+			}
+			lit := query.Literal{Attr: G.Attrs.Name(c.attr), Op: graph.EQ, Val: c.val}
+			g.add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
 		}
 	}
+}
+
+// sameValue is graph.EQ.Holds(a, b) — same kind and Compare == 0 —
+// spelled out because it is addL's innermost loop and Holds does not
+// inline. Written as Compare orders numbers (neither below nor above),
+// so it agrees with Literal.Sat on every input, -0 and NaN included.
+func sameValue(a, b graph.Value) bool {
+	if a.Kind != b.Kind {
+		return false
+	}
+	if a.Kind == graph.Number {
+		return !(a.Num < b.Num) && !(a.Num > b.Num)
+	}
+	return a.Str == b.Str
 }
 
 func kindOf(v graph.Value) string {
@@ -238,27 +364,28 @@ func kindOf(v graph.Value) string {
 	return "#s"
 }
 
-// genRfL: tighten existing numeric literals toward the RM-supporting
-// values (Appendix B rules, using ≤/≥ so the nearest relevant value
-// keeps matching).
-func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
-	used map[string]bool,
-	add func(ops.Op, int, []graph.NodeID, []graph.NodeID),
-	removedBy func(query.NodeID, func(graph.NodeID) bool) ([]graph.NodeID, []graph.NodeID)) {
-
+// rfL (genRfL): tighten existing numeric literals toward the
+// RM-supporting values (Appendix B rules, using ≤/≥ so the nearest
+// relevant value keeps matching).
+func (g *refineGen) rfL() {
 	const maxValues = 6
-	for ui := range q.Nodes {
+	G := g.w.G
+	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
-		for _, l := range q.Nodes[u].Literals {
-			if l.Val.Kind != graph.Number || used[litTarget(u, l.Attr)] {
+		for _, l := range g.q.Nodes[u].Literals {
+			if l.Val.Kind != graph.Number || g.used[litTarget(u, l.Attr)] {
 				continue
+			}
+			aid, ok := G.Attrs.Lookup(l.Attr)
+			if !ok {
+				continue // no node carries the attribute: nothing to tighten toward
 			}
 			// RM-supporting values of this attribute at u.
 			var vals []float64
 			seen := map[float64]bool{}
-			for _, vrm := range rm {
-				for _, p := range pm.partners(vrm, u) {
-					if val, ok := w.G.Attr(p, l.Attr); ok && val.Kind == graph.Number {
+			for _, vrm := range g.rm {
+				for _, p := range g.partners(vrm, u) {
+					if val, ok := G.AttrByID(p, aid); ok && val.Kind == graph.Number {
 						if !seen[val.Num] {
 							seen[val.Num] = true
 							vals = append(vals, val.Num)
@@ -267,9 +394,13 @@ func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
 				}
 			}
 			sort.Float64s(vals)
-			gen := func(newLit query.Literal) {
-				imOut, rmOut := removedBy(u, func(p graph.NodeID) bool { return newLit.Sat(w.G, p) })
-				add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, imOut, rmOut)
+			gen := func(op graph.Op, a float64) {
+				newLit := query.Literal{Attr: l.Attr, Op: op, Val: graph.N(a)}
+				imOut, rmOut := g.removedBy(u, func(p graph.NodeID) bool {
+					val, ok := G.AttrByID(p, aid)
+					return ok && op.Holds(val, newLit.Val)
+				})
+				g.add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, imOut, rmOut)
 			}
 			switch l.Op {
 			case graph.LE, graph.LT:
@@ -278,7 +409,7 @@ func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
 				count := 0
 				for i := len(vals) - 1; i >= 0 && count < maxValues; i-- {
 					if a := vals[i]; a < l.Val.Num {
-						gen(query.Literal{Attr: l.Attr, Op: graph.LE, Val: graph.N(a)})
+						gen(graph.LE, a)
 						count++
 					}
 				}
@@ -286,7 +417,7 @@ func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
 				count := 0
 				for i := 0; i < len(vals) && count < maxValues; i++ {
 					if a := vals[i]; a > l.Val.Num {
-						gen(query.Literal{Attr: l.Attr, Op: graph.GE, Val: graph.N(a)})
+						gen(graph.GE, a)
 						count++
 					}
 				}
@@ -295,68 +426,61 @@ func (w *Why) genRfL(q *query.Query, rm []graph.NodeID, pm *partnerMap,
 	}
 }
 
-// genRfE: tighten edge bounds by one (Appendix B: RfE(e, b, b−1)).
-// Removal certainty is computed for focus-incident edges via the
-// distance oracle; deeper edges are generated with the irrelevant
-// matches that lack any partner within the tightened bound along the
-// pattern distance.
-func (w *Why) genRfE(q *query.Query, rm, im []graph.NodeID,
-	used map[string]bool,
-	add func(ops.Op, int, []graph.NodeID, []graph.NodeID)) {
-
-	for ei, e := range q.Edges {
-		if e.Bound <= 1 || used[edgeTarget(e.From, e.To)] {
+// rfE (genRfE): tighten edge bounds by one (Appendix B: RfE(e, b, b−1)).
+// Removal certainty is computed for focus-incident edges via bounded
+// BFS; deeper edges are generated with the full irrelevant-match set as
+// the (over-)estimated removal.
+func (g *refineGen) rfE() {
+	G := g.w.G
+	for ei, e := range g.q.Edges {
+		if e.Bound <= 1 || g.used[edgeTarget(e.From, e.To)] {
 			continue
 		}
 		o := ops.Op{Kind: ops.RfE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound - 1}
 		var other query.NodeID
-		var out bool
-		switch q.Focus {
+		var dir graph.Direction
+		switch g.q.Focus {
 		case e.From:
-			other, out = e.To, true
+			other, dir = e.To, graph.Forward
 		case e.To:
-			other, out = e.From, false
+			other, dir = e.From, graph.Backward
 		default:
-			// Non-focus edge: generate with the full IM set as the
-			// (over-)estimated removal; certainty is unavailable locally.
-			add(o, ei, im, nil)
+			// Non-focus edge: certainty is unavailable locally.
+			g.add(o, ei, g.im, nil)
 			continue
 		}
+		// certainlyCut: no candidate of the other endpoint lies within
+		// the tightened bound of v. The search ends at the first one.
+		check := g.q.Check(G, other)
 		certainlyCut := func(v graph.NodeID) bool {
-			dir := graph.Forward
-			if !out {
-				dir = graph.Backward
-			}
-			for _, nd := range w.G.Ball(v, e.Bound-1, dir) {
-				if nd.D > 0 && q.IsCandidate(w.G, other, nd.V) {
-					return false
-				}
-			}
-			return true
+			cut := true
+			G.VisitBall(v, e.Bound-1, dir, func(n graph.NodeID, d int32) bool {
+				cut = d == 0 || !check.Candidate(G, n)
+				return cut
+			})
+			return cut
 		}
 		var imOut, rmOut []graph.NodeID
-		for _, v := range im {
+		for _, v := range g.im {
 			if certainlyCut(v) {
 				imOut = append(imOut, v)
 			}
 		}
-		for _, v := range rm {
+		for _, v := range g.rm {
 			if certainlyCut(v) {
 				rmOut = append(rmOut, v)
 			}
 		}
-		add(o, ei, imOut, rmOut)
+		g.add(o, ei, imOut, rmOut)
 	}
 }
 
-// genAddE: add edges from the focus to existing pattern nodes or to a
+// addE (genAddE): add edges from the focus to existing pattern nodes or to a
 // fresh labeled node, with a bound large enough that every relevant
 // match keeps a partner (Appendix B AddE rules, restricted to the focus
 // per DESIGN.md §6).
-func (w *Why) genAddE(q *query.Query, rm, im []graph.NodeID,
-	used map[string]bool,
-	add func(ops.Op, int, []graph.NodeID, []graph.NodeID)) {
-
+func (g *refineGen) addE() {
+	w, q, rm, im, used, add := g.w, g.q, g.rm, g.im, g.used, g.add
 	if len(rm) == 0 {
 		return
 	}

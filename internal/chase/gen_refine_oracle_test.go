@@ -1,0 +1,483 @@
+package chase
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"wqe/internal/datagen"
+	"wqe/internal/distindex"
+	"wqe/internal/exemplar"
+	"wqe/internal/graph"
+	"wqe/internal/match"
+	"wqe/internal/ops"
+	"wqe/internal/query"
+)
+
+// This file keeps the AddL, RfL and RfE generators as they stood before
+// the survivor index and the BFS visitor, verbatim apart from
+// receivers: partner sets cut from a materialized Ball, one
+// attr=val#kind string per partner cell, one Literal.Sat rescan of
+// every sampled match's partners per candidate, certainlyCut over a
+// whole Ball. GenRefine must produce the same operators with the same
+// scores in the same order.
+
+// oraclePartners is refineGen.partners over graph.Ball.
+type oraclePartners struct {
+	pm   *refineGen
+	memo map[string][]graph.NodeID
+}
+
+func (op *oraclePartners) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
+	pm := op.pm
+	if u == pm.q.Focus {
+		return []graph.NodeID{v}
+	}
+	key := fmt.Sprintf("%d/%d", v, u)
+	if p, ok := op.memo[key]; ok {
+		return p
+	}
+	check := pm.q.Check(pm.w.G, u)
+	var out []graph.NodeID
+	for _, nd := range pm.w.G.Ball(v, pm.pd[u], graph.Both) {
+		if nd.D == 0 {
+			continue
+		}
+		if check.Candidate(pm.w.G, nd.V) {
+			out = append(out, nd.V)
+			if len(out) >= maxPartnersScored {
+				break
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	op.memo[key] = out
+	return out
+}
+
+// oracleGen is a refineGen generating the old way.
+type oracleGen struct {
+	*refineGen
+	pm *oraclePartners
+}
+
+func newOracleGen(g *refineGen) *oracleGen {
+	return &oracleGen{g, &oraclePartners{pm: g, memo: map[string][]graph.NodeID{}}}
+}
+
+func (o *oracleGen) removedBy(u query.NodeID, pred func(graph.NodeID) bool) (imOut, rmOut []graph.NodeID) {
+	survives := func(v graph.NodeID, u query.NodeID, pred func(graph.NodeID) bool) bool {
+		for _, p := range o.pm.partners(v, u) {
+			if pred(p) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, v := range o.im {
+		if !survives(v, u, pred) {
+			imOut = append(imOut, v)
+		}
+	}
+	for _, v := range o.rm {
+		if !survives(v, u, pred) {
+			rmOut = append(rmOut, v)
+		}
+	}
+	return
+}
+
+// addL is the former genAddL.
+func (o *oracleGen) addL() {
+	w, q, rm, used, add, pm, removedBy := o.w, o.q, o.rm, o.used, o.add, o.pm, o.removedBy
+
+	const maxValuesPerAttr = 6
+	for ui := range q.Nodes {
+		u := query.NodeID(ui)
+		// Count attribute values over RM partners at u.
+		type av struct {
+			attr string
+			val  graph.Value
+		}
+		counts := map[string]int{}
+		reprs := map[string]av{}
+		for _, vrm := range rm {
+			for _, p := range pm.partners(vrm, u) {
+				for _, t := range w.G.Tuple(p) {
+					attr := w.G.Attrs.Name(t.Attr)
+					if q.FindLiteral(u, attr, graph.EQ) >= 0 {
+						continue
+					}
+					if used[fmt.Sprintf("L:%d:%s", u, attr)] {
+						continue
+					}
+					key := attr + "=" + t.Val.String() + kindOf(t.Val)
+					counts[key]++
+					reprs[key] = av{attr: attr, val: t.Val}
+				}
+			}
+		}
+		keys := make([]string, 0, len(counts))
+		for k := range counts {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			if counts[keys[i]] != counts[keys[j]] {
+				return counts[keys[i]] > counts[keys[j]]
+			}
+			return keys[i] < keys[j]
+		})
+		perAttr := map[string]int{}
+		for _, k := range keys {
+			x := reprs[k]
+			if perAttr[x.attr] >= maxValuesPerAttr {
+				continue
+			}
+			perAttr[x.attr]++
+			lit := query.Literal{Attr: x.attr, Op: graph.EQ, Val: x.val}
+			imOut, rmOut := removedBy(u, func(p graph.NodeID) bool { return lit.Sat(w.G, p) })
+			add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
+		}
+	}
+}
+
+// rfL is the former genRfL.
+func (o *oracleGen) rfL() {
+	w, q, rm, used, add, pm, removedBy := o.w, o.q, o.rm, o.used, o.add, o.pm, o.removedBy
+
+	const maxValues = 6
+	for ui := range q.Nodes {
+		u := query.NodeID(ui)
+		for _, l := range q.Nodes[u].Literals {
+			if l.Val.Kind != graph.Number || used[fmt.Sprintf("L:%d:%s", u, l.Attr)] {
+				continue
+			}
+			// RM-supporting values of this attribute at u.
+			var vals []float64
+			seen := map[float64]bool{}
+			for _, vrm := range rm {
+				for _, p := range pm.partners(vrm, u) {
+					if val, ok := w.G.Attr(p, l.Attr); ok && val.Kind == graph.Number {
+						if !seen[val.Num] {
+							seen[val.Num] = true
+							vals = append(vals, val.Num)
+						}
+					}
+				}
+			}
+			sort.Float64s(vals)
+			gen := func(newLit query.Literal) {
+				imOut, rmOut := removedBy(u, func(p graph.NodeID) bool { return newLit.Sat(w.G, p) })
+				add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, imOut, rmOut)
+			}
+			switch l.Op {
+			case graph.LE, graph.LT:
+				count := 0
+				for i := len(vals) - 1; i >= 0 && count < maxValues; i-- {
+					if a := vals[i]; a < l.Val.Num {
+						gen(query.Literal{Attr: l.Attr, Op: graph.LE, Val: graph.N(a)})
+						count++
+					}
+				}
+			case graph.GE, graph.GT:
+				count := 0
+				for i := 0; i < len(vals) && count < maxValues; i++ {
+					if a := vals[i]; a > l.Val.Num {
+						gen(query.Literal{Attr: l.Attr, Op: graph.GE, Val: graph.N(a)})
+						count++
+					}
+				}
+			}
+		}
+	}
+}
+
+// rfE is the former genRfE.
+func (o *oracleGen) rfE() {
+	w, q, rm, im, used, add := o.w, o.q, o.rm, o.im, o.used, o.add
+
+	for ei, e := range q.Edges {
+		if e.Bound <= 1 || used[fmt.Sprintf("E:%d:%d", e.From, e.To)] {
+			continue
+		}
+		o := ops.Op{Kind: ops.RfE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound - 1}
+		var other query.NodeID
+		var out bool
+		switch q.Focus {
+		case e.From:
+			other, out = e.To, true
+		case e.To:
+			other, out = e.From, false
+		default:
+			add(o, ei, im, nil)
+			continue
+		}
+		certainlyCut := func(v graph.NodeID) bool {
+			dir := graph.Forward
+			if !out {
+				dir = graph.Backward
+			}
+			for _, nd := range w.G.Ball(v, e.Bound-1, dir) {
+				if nd.D > 0 && q.IsCandidate(w.G, other, nd.V) {
+					return false
+				}
+			}
+			return true
+		}
+		var imOut, rmOut []graph.NodeID
+		for _, v := range im {
+			if certainlyCut(v) {
+				imOut = append(imOut, v)
+			}
+		}
+		for _, v := range rm {
+			if certainlyCut(v) {
+				rmOut = append(rmOut, v)
+			}
+		}
+		add(o, ei, imOut, rmOut)
+	}
+}
+
+// oracleGenRefine is GenRefine with the three rewritten generators
+// replaced by their former selves.
+func oracleGenRefine(w *Why, q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
+	rm, im, _, _ := w.Partition(res)
+	if len(im) == 0 {
+		return nil
+	}
+	g := newRefineGen(w, q, rm, im, used, budgetLeft)
+	o := newOracleGen(g)
+	o.addL()
+	o.rfL()
+	o.rfE()
+	g.addE()
+	return w.finishScoredRefine(g.acc)
+}
+
+// sameOps compares two scored lists field by field. Values compare by
+// bit pattern: AddL(a = -0) and AddL(a = 0) are equal as map keys, and
+// which of the two a state proposes is part of the contract.
+func sameOps(t *testing.T, what string, got, want []scoredOp) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d operators, oracle has %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, o := got[i], want[i]
+		if identOf(g.Op) != identOf(o.Op) ||
+			math.Float64bits(g.Op.Lit.Val.Num) != math.Float64bits(o.Op.Lit.Val.Num) ||
+			math.Float64bits(g.Op.NewLit.Val.Num) != math.Float64bits(o.Op.NewLit.Val.Num) {
+			t.Fatalf("%s: operator %d is %s (%#v), oracle has %s (%#v)", what, i, g.Op, g.Op.Lit.Val, o.Op, o.Op.Lit.Val)
+		}
+		if g.Pick != o.Pick || g.Cost != o.Cost || g.PickyEdge != o.PickyEdge {
+			t.Fatalf("%s: %s scored pick %v cost %v edge %d, oracle %v / %v / %d",
+				what, g.Op, g.Pick, g.Cost, g.PickyEdge, o.Pick, o.Cost, o.PickyEdge)
+		}
+		if !slices.Equal(g.Gain, o.Gain) {
+			t.Fatalf("%s: %s gains %v, oracle %v", what, g.Op, g.Gain, o.Gain)
+		}
+	}
+}
+
+// checkState compares GenRefine with the oracle on one chase state and
+// returns how many operators of each refinement class the state yielded.
+func checkState(t *testing.T, what string, w *Why, q *query.Query, used map[string]bool) map[ops.Kind]int {
+	t.Helper()
+	res := w.Matcher.Match(q)
+	want := oracleGenRefine(w, q, res, used, 3)
+	sameOps(t, what, w.GenRefine(q, res, used, 3), want)
+
+	// Partner sets are level-order prefixes of the ball either way.
+	rm, im, _, _ := w.Partition(res)
+	pm := newRefineGen(w, q, rm, im, used, 3)
+	byBall := &oraclePartners{pm: pm, memo: map[string][]graph.NodeID{}}
+	for _, v := range append(rm, im...) {
+		for u := range q.Nodes {
+			if got, want := pm.partners(v, query.NodeID(u)), byBall.partners(v, query.NodeID(u)); !slices.Equal(got, want) {
+				t.Fatalf("%s: partners(%d, u%d) = %v, over Ball %v", what, v, u, got, want)
+			}
+		}
+	}
+	n := map[ops.Kind]int{}
+	for _, o := range want {
+		n[o.Op.Kind]++
+	}
+	return n
+}
+
+// TestGenRefineMatchesOracleOnDatasets walks a few chase states — the
+// question's query, then the rewrites its best operators lead to, with
+// their targets marked used — on instances of every dataset kind.
+func TestGenRefineMatchesOracleOnDatasets(t *testing.T) {
+	total := map[ops.Kind]int{}
+	for _, dataset := range []string{datagen.DatasetKnowledge, datagen.DatasetMovies, datagen.DatasetOffshore, datagen.DatasetProducts} {
+		g, err := datagen.Generate(dataset, 1500, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := match.NewMatcher(g, distindex.NewBFS(g), nil)
+		rng := rand.New(rand.NewSource(29))
+		instances, addLs := 0, 0
+		for tries := 0; instances < 4 && tries < 200; tries++ {
+			inst, ok := datagen.GenWhy(g, m, datagen.WhySpec{
+				Query:      datagen.QuerySpec{Shape: query.TopoTree, Edges: 2, MaxPredicates: 2, PathEdgeProb: 0.2},
+				DisturbOps: 3,
+				MaxTuples:  5,
+			}, rng)
+			if !ok {
+				continue
+			}
+			instances++
+			cfg := DefaultConfig()
+			cfg.MaxOpsPerClass = 1 << 20 // compare everything scored, not the capped head
+			w, err := NewWhy(g, inst.Q, inst.E, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type state struct {
+				q   *query.Query
+				seq ops.Sequence
+			}
+			frontier := []state{{q: inst.Q}}
+			for depth := 0; depth < 3; depth++ {
+				var next []state
+				for si, s := range frontier {
+					used := opTargets(s.seq)
+					what := fmt.Sprintf("%s instance %d depth %d state %d", dataset, instances, depth, si)
+					for kind, n := range checkState(t, what, w, s.q, used) {
+						total[kind] += n
+						if kind == ops.AddL {
+							addLs += n
+						}
+					}
+					res := w.Matcher.Match(s.q)
+					pool := append(w.GenRefine(s.q, res, used, 3), w.GenRelax(s.q, res, used, 3)...)
+					for i, o := range pool {
+						if q2, err := o.Op.Apply(s.q); err == nil && i < 3 {
+							next = append(next, state{q: q2, seq: append(slices.Clone(s.seq), o.Op)})
+						}
+					}
+				}
+				frontier = next
+			}
+		}
+		if instances < 4 || addLs == 0 {
+			t.Errorf("%s: %d instances, %d AddL operators compared — the sweep checks nothing", dataset, instances, addLs)
+		}
+	}
+	for _, kind := range []ops.Kind{ops.RfL, ops.RfE, ops.AddE} {
+		if total[kind] == 0 {
+			t.Errorf("no %v operator compared on any dataset", kind)
+		}
+	}
+}
+
+// TestGenRefineMatchesOracleOnEdgeCases builds the inputs the dataset sweep
+// does not reach: -0 beside 0, String "5" beside Number 5, renderings
+// that collide across attributes, hubs whose partner sets truncate at
+// maxPartnersScored, more than 64 sampled matches on both sides, an
+// empty RM, a used target and an existing "=" literal.
+func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.New()
+	const nF, nP = 300, 500
+	for i := 0; i < nF; i++ {
+		g.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2)), "size": graph.N(float64(i % 5))})
+	}
+	aVals := []graph.Value{graph.N(0), graph.N(math.Copysign(0, -1)), graph.N(5), graph.S("5"), graph.S("x")}
+	for i := 0; i < nP; i++ {
+		attrs := map[string]graph.Value{
+			"a": aVals[rng.Intn(len(aVals))],
+			"b": graph.N(float64(1 + rng.Intn(9))), // more values than maxValuesPerAttr
+		}
+		switch rng.Intn(3) { // "k=v"="w" and "k"="v=w" both render k=v=w#s
+		case 0:
+			attrs["k=v"] = graph.S("w")
+		case 1:
+			attrs["k"] = graph.S("v=w")
+		}
+		g.AddNode("P", attrs)
+	}
+	for i := 0; i < nF; i++ {
+		fan := 1 + rng.Intn(4)
+		if i < 4 {
+			fan = 130 + 10*i // hubs, relevant and irrelevant: partner sets truncate
+		}
+		for _, p := range rng.Perm(nP)[:fan] {
+			g.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
+		}
+	}
+	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"good": exemplar.C(graph.N(1))}}}
+
+	base := func(focusLits, partnerLits []query.Literal) *query.Query {
+		q := query.New()
+		f := q.AddNode("F", focusLits...)
+		p := q.AddNode("P", partnerLits...)
+		q.AddEdge(f, p, 1)
+		q.Focus = f
+		return q
+	}
+	eq := func(attr string, v graph.Value) query.Literal {
+		return query.Literal{Attr: attr, Op: graph.EQ, Val: v}
+	}
+	cases := []struct {
+		name     string
+		q        *query.Query
+		used     map[string]bool
+		analysis int
+		wantOps  bool
+	}{
+		{"plain", base(nil, nil), map[string]bool{}, 0, true},
+		{"all sampled matches kept (150 per side)", base(nil, nil), map[string]bool{}, 1000, true},
+		{"used target", base(nil, nil), map[string]bool{litTarget(1, "a"): true, litTarget(0, "size"): true}, 0, true},
+		{"existing = literal", base(nil, []query.Literal{eq("b", graph.N(3))}), map[string]bool{}, 0, true},
+		{"existing >= literal", base(nil, []query.Literal{{Attr: "b", Op: graph.GE, Val: graph.N(2)}}), map[string]bool{}, 0, true},
+		{"partner constrained to -0", base(nil, []query.Literal{eq("a", graph.N(math.Copysign(0, -1)))}), map[string]bool{}, 0, true},
+		{"empty RM", base([]query.Literal{eq("good", graph.N(0))}, nil), map[string]bool{}, 0, false},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		cfg.MaxOpsPerClass = 1 << 20
+		cfg.MaxAnalysis = tc.analysis
+		w, err := NewWhy(g, tc.q, e, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := checkState(t, tc.name, w, tc.q, tc.used)[ops.AddL]; (n > 0) != tc.wantOps {
+			t.Errorf("%s: %d AddL operators compared, want some: %v", tc.name, n, tc.wantOps)
+		}
+	}
+
+	// The inputs above must actually contain what they claim to.
+	w, err := NewWhy(g, cases[0].q, e, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, im, _, _ := w.Partition(w.Matcher.Match(cases[0].q))
+	if n := len(newRefineGen(w, cases[0].q, rm, im, nil, 3).partners(0, 1)); n != maxPartnersScored {
+		t.Errorf("hub 0 keeps %d partners, want the cap %d", n, maxPartnersScored)
+	}
+	if len(rm) <= 64 || len(im) <= 64 {
+		t.Errorf("|RM| = %d, |IM| = %d: both must exceed 64", len(rm), len(im))
+	}
+}
+
+// TestSameValueIsEQHolds pins addL's inlined comparison to the one
+// Literal.Sat uses.
+func TestSameValueIsEQHolds(t *testing.T) {
+	vals := []graph.Value{
+		graph.N(0), graph.N(math.Copysign(0, -1)), graph.N(5), graph.N(-5), graph.N(math.NaN()),
+		graph.N(math.Inf(1)), graph.N(math.Inf(-1)), graph.S(""), graph.S("5"), graph.S("0"), graph.S("x"),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := sameValue(a, b), graph.EQ.Holds(a, b); got != want {
+				t.Errorf("sameValue(%#v, %#v) = %v, EQ.Holds says %v", a, b, got, want)
+			}
+		}
+	}
+}

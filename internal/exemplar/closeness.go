@@ -87,28 +87,62 @@ func stringSim(a, b string) float64 {
 // (variables must be evaluable); a missing attribute contributes 0 for
 // Const and Var cells and 1 for explicit wildcards.
 func TupleCloseness(g *graph.Graph, v graph.NodeID, t TuplePattern) float64 {
-	if len(t) == 0 {
-		return 0
-	}
-	// Sum in sorted attribute order: float addition rounds differently
-	// under different orders, and closeness values are compared exactly
-	// against θ and each other downstream.
-	var total float64
+	return compilePattern(g, t).closeness(g, v)
+}
+
+// compiledPattern is a tuple pattern resolved against one graph: its
+// cells in sorted attribute order with attribute ids and active domains
+// looked up once, so scoring a node is a walk over a slice instead of a
+// sort plus a name lookup and a domain lookup per cell. Float addition
+// rounds differently under different orders, and closeness values are
+// compared exactly against θ and each other downstream, so the cell
+// order is TuplePattern.SortedAttrs' — the order sums always used.
+type compiledPattern []compiledCell
+
+type compiledCell struct {
+	aid   int32
+	known bool // the graph has the attribute at all
+	kind  CellKind
+	val   graph.Value
+	dom   *graph.Domain // Const cells only
+}
+
+func compilePattern(g *graph.Graph, t TuplePattern) compiledPattern {
+	cp := make(compiledPattern, 0, len(t))
 	for _, attr := range t.SortedAttrs() {
 		cell := t[attr]
-		val, ok := g.Attr(v, attr)
-		switch cell.Kind {
-		case Wildcard:
+		c := compiledCell{kind: cell.Kind, val: cell.Val}
+		c.aid, c.known = g.Attrs.Lookup(attr)
+		if c.known && cell.Kind == Const {
+			c.dom = g.ActiveDomain(attr)
+		}
+		cp = append(cp, c)
+	}
+	return cp
+}
+
+func (cp compiledPattern) closeness(g *graph.Graph, v graph.NodeID) float64 {
+	if len(cp) == 0 {
+		return 0
+	}
+	var total float64
+	for _, c := range cp {
+		if c.kind == Wildcard {
 			total++
-		case Var:
-			if ok {
-				total++
-			}
-		case Const:
-			if ok {
-				total += cellSim(val, cell.Val, g.ActiveDomain(attr))
-			}
+			continue
+		}
+		if !c.known {
+			continue
+		}
+		val, ok := g.AttrByID(v, c.aid)
+		if !ok {
+			continue
+		}
+		if c.kind == Var {
+			total++
+		} else {
+			total += cellSim(val, c.val, c.dom)
 		}
 	}
-	return total / float64(len(t))
+	return total / float64(len(cp))
 }

@@ -423,3 +423,75 @@ func TestExemplarJSONErrors(t *testing.T) {
 		}
 	}
 }
+
+// tupleClosenessByName is the closeness sum as it was computed before
+// patterns were compiled: attribute names sorted per call, every cell
+// looked up by name. The compiled form must agree bit for bit — sums
+// are compared exactly against θ.
+func tupleClosenessByName(g *graph.Graph, v graph.NodeID, t TuplePattern) float64 {
+	if len(t) == 0 {
+		return 0
+	}
+	var total float64
+	for _, attr := range t.SortedAttrs() {
+		cell := t[attr]
+		val, ok := g.Attr(v, attr)
+		switch cell.Kind {
+		case Wildcard:
+			total++
+		case Var:
+			if ok {
+				total++
+			}
+		case Const:
+			if ok {
+				total += cellSim(val, cell.Val, g.ActiveDomain(attr))
+			}
+		}
+	}
+	return total / float64(len(t))
+}
+
+func TestCompiledPatternMatchesByName(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := graph.New()
+	attrs := []string{"a", "b", "c", "d", "e"}
+	for i := 0; i < 200; i++ {
+		tuple := map[string]graph.Value{}
+		for _, a := range attrs {
+			switch rng.Intn(3) {
+			case 0:
+				tuple[a] = graph.N(float64(rng.Intn(7)) / 3)
+			case 1:
+				tuple[a] = graph.S([]string{"red", "reed", "blue"}[rng.Intn(3)])
+			}
+		}
+		g.AddNode("N", tuple)
+	}
+	cellFor := func() Cell {
+		switch rng.Intn(4) {
+		case 0:
+			return W()
+		case 1:
+			return V("x")
+		case 2:
+			return C(graph.S("red"))
+		}
+		return C(graph.N(float64(rng.Intn(7)) / 3))
+	}
+	for trial := 0; trial < 200; trial++ {
+		p := TuplePattern{}
+		for _, a := range append(attrs, "absent") { // "absent": no node carries it
+			if rng.Intn(2) == 0 {
+				p[a] = cellFor()
+			}
+		}
+		cp := compilePattern(g, p)
+		for v := 0; v < g.NumNodes(); v++ {
+			want := tupleClosenessByName(g, graph.NodeID(v), p)
+			if got := cp.closeness(g, graph.NodeID(v)); got != want {
+				t.Fatalf("pattern %v node %d: compiled %v, by name %v", p, v, got, want)
+			}
+		}
+	}
+}

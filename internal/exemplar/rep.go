@@ -65,13 +65,17 @@ const errTooManyTuples = evalError("exemplar: more than 64 tuple patterns")
 // similarity matches.
 func (ev *Eval) scan() {
 	ev.match = map[graph.NodeID]nodeMatch{}
+	patterns := make([]compiledPattern, len(ev.E.Tuples))
+	for ti, t := range ev.E.Tuples {
+		patterns[ti] = compilePattern(ev.G, t)
+	}
 	n := ev.G.NumNodes()
 	for i := 0; i < n; i++ {
 		v := graph.NodeID(i)
 		var mask uint64
 		best := 0.0
-		for ti, t := range ev.E.Tuples {
-			cl := TupleCloseness(ev.G, v, t)
+		for ti, p := range patterns {
+			cl := p.closeness(ev.G, v)
 			if cl >= ev.Opts.Theta {
 				mask |= 1 << uint(ti)
 				if cl > best {

@@ -25,10 +25,13 @@ type NodeDist struct {
 }
 
 // bfsScratch is an epoch-stamped visited array reused across BFS runs;
-// clearing is O(1) per run (bump the stamp) instead of O(|V|).
+// clearing is O(1) per run (bump the stamp) instead of O(|V|). queue is
+// VisitBall's frontier, kept here so a visit allocates nothing once the
+// scratch has grown to the balls it serves.
 type bfsScratch struct {
 	seen  []uint32
 	stamp uint32
+	queue []NodeID
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &bfsScratch{} }}
@@ -88,6 +91,65 @@ func (g *Graph) Ball(v NodeID, maxHops int, dir Direction) []NodeDist {
 		start = end
 	}
 	return out
+}
+
+// VisitBall calls visit(u, d) for the nodes Ball(v, maxHops, dir) would
+// return, in the same order, and stops as soon as visit returns false.
+// The nodes visited before a stop are therefore a prefix of the ball,
+// and a caller that needs only the first k nodes with some property
+// pays for the levels up to the k-th, not for the whole radius. visit
+// may itself traverse g (each traversal draws its own scratch).
+//
+// The loop duplicates Ball's rather than sharing it: routing Ball
+// through a callback costs it a quarter of its speed, and star-table
+// construction lives on Ball. TestVisitBallMatchesBall pins the two
+// together on every prefix.
+func (g *Graph) VisitBall(v NodeID, maxHops int, dir Direction, visit func(u NodeID, d int32) bool) {
+	g.ensure()
+	sc := g.scratch()
+	queue := sc.queue[:0]
+	defer func() {
+		sc.queue = queue // keep whatever the frontier grew to
+		scratchPool.Put(sc)
+	}()
+	if !visit(v, 0) {
+		return
+	}
+	queue = append(queue, v)
+	sc.seen[v] = sc.stamp
+	start := 0
+	for d := int32(1); d <= int32(maxHops); d++ {
+		end := len(queue)
+		if start == end {
+			break
+		}
+		for i := start; i < end; i++ {
+			u := queue[i]
+			if dir == Forward || dir == Both {
+				for _, e := range g.outEdges[g.outOff[u]:g.outOff[u+1]] {
+					if sc.seen[e.To] != sc.stamp {
+						sc.seen[e.To] = sc.stamp
+						queue = append(queue, e.To)
+						if !visit(e.To, d) {
+							return
+						}
+					}
+				}
+			}
+			if dir == Backward || dir == Both {
+				for _, e := range g.inEdges[g.inOff[u]:g.inOff[u+1]] {
+					if sc.seen[e.To] != sc.stamp {
+						sc.seen[e.To] = sc.stamp
+						queue = append(queue, e.To)
+						if !visit(e.To, d) {
+							return
+						}
+					}
+				}
+			}
+		}
+		start = end
+	}
 }
 
 // Dist returns the length of the shortest directed path from → to,
