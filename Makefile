@@ -76,11 +76,12 @@ serve-smoke:
 fuzz-snapshot:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSnapshotReader -fuzztime 10s
 
-# Run the generation and BFS micro-benchmarks once each, so they cannot
-# rot: BenchmarkGenRefine (cold and warm partner sets) and the
-# Ball/VisitBall pair.
+# Run the generation, BFS and star-table micro-benchmarks once each, so
+# they cannot rot: BenchmarkGenRefine (cold and warm partner sets), the
+# Ball/VisitBall pair, BenchmarkVisitBalls (64 single visits vs one
+# batched sweep) and BenchmarkBuildStarTable (time and B/cell).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'GenRe|Ball' -benchtime 1x ./internal/chase ./internal/graph
+	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable' -benchtime 1x ./internal/chase ./internal/graph ./internal/match
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads, untraced then traced, one table and one JSON line. About

@@ -460,7 +460,9 @@ func (w *Why) finishScored(acc map[opIdent]*accum) []scoredOp {
 	return out
 }
 
-// accum is shared by GenRelax and GenRefine via finishScored.
+// accum is one operator being scored. GenRelax accumulates gain across
+// its add calls and finishScored flattens it into op.Gain; GenRefine
+// scores an operator in one call and writes op.Gain directly.
 type accum struct {
 	op    scoredOp
 	gain  map[graph.NodeID]bool

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -99,9 +100,11 @@ func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string
 // certifies nothing.
 //
 // Results are memoized on the Why across chase states: they depend only
-// on v, u's matching signature, and the radius. The traversal stops at
-// the last partner it keeps — the undirected radius-4 ball of a hub is
-// most of the graph.
+// on v, u's matching signature, and the radius. fillPartners has stored
+// the set of every sampled match, so during a GenRefine call this is a
+// lookup; the traversal below serves the sets the batched sweep cannot
+// decide. It stops at the last partner it keeps — the undirected
+// radius-4 ball of a hub is most of the graph.
 func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 	if u == g.q.Focus {
 		return []graph.NodeID{v}
@@ -124,6 +127,83 @@ func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 	return out
 }
 
+// fillPartners computes the partner sets the sampled matches still lack,
+// graph.MaxBallSources matches per traversal. The sampled matches of one
+// question are neighbours of one another, so their balls are largely the
+// same nodes: one bit-parallel sweep scans each edge once per level and
+// tests each reached node once per level, where a traversal per match
+// does both once per match.
+//
+// A set that never meets a candidate beyond maxPartnersScored is the
+// whole candidate ball, which has no order to respect, and the sweep
+// stores it. One that does is a prefix of the ball in BFS order, which
+// only the single-source traversal defines: its match is retired from
+// the sweep and left to partners.
+func (g *refineGen) fillPartners() {
+	G := g.w.G
+	var miss []graph.NodeID
+	// buf holds the sets being collected, maxPartnersScored slots per
+	// source; n counts what each source has met.
+	var buf []graph.NodeID
+	var n [graph.MaxBallSources]int
+	for ui := range g.q.Nodes {
+		u := query.NodeID(ui)
+		if u == g.q.Focus {
+			continue
+		}
+		key := partnerCacheKey{pd: g.pd[u], sig: g.sig[u]}
+		miss = miss[:0]
+		for _, side := range [2][]graph.NodeID{g.im, g.rm} {
+			for _, v := range side {
+				key.v = v
+				if _, ok := g.w.partnerCache[key]; !ok {
+					miss = append(miss, v)
+				}
+			}
+		}
+		if len(miss) == 0 {
+			continue
+		}
+		if buf == nil {
+			buf = make([]graph.NodeID, graph.MaxBallSources*maxPartnersScored)
+		}
+		check := g.q.Check(G, u)
+		for batch := miss; len(batch) > 0; {
+			clear(n[:])
+			var over uint64 // sources that met more than they may keep
+			taken := G.VisitBalls(batch, g.pd[u], graph.Both, func(p graph.NodeID, d int32, mask uint64) uint64 {
+				if d == 0 || mask&^over == 0 || !check.Candidate(G, p) {
+					return over
+				}
+				for m := mask &^ over; m != 0; m &= m - 1 {
+					i := bits.TrailingZeros64(m)
+					if n[i] == maxPartnersScored {
+						over |= 1 << i
+						continue
+					}
+					buf[i*maxPartnersScored+n[i]] = p
+					n[i]++
+				}
+				return over
+			})
+			for i, v := range batch[:taken] {
+				if over&(1<<i) != 0 {
+					g.partners(v, u)
+					continue
+				}
+				key.v = v
+				var set []graph.NodeID // nil when empty, as partners leaves it
+				if n[i] > 0 {
+					set = slices.Clone(buf[i*maxPartnersScored : i*maxPartnersScored+n[i]])
+					sortNodes(set)
+				}
+				g.w.partnerCache[key] = set
+			}
+			batch = batch[taken:]
+		}
+	}
+}
+
 // GenRefine implements GenRf (§5.3 + Appendix B): it derives picky
 // refinement operators (AddL, RfL, RfE, AddE) from the neighborhoods of
 // relevant matches and scores each by
@@ -136,6 +216,7 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 		return nil
 	}
 	g := newRefineGen(w, q, rm, im, used, budgetLeft)
+	g.fillPartners()
 	g.addL()
 	g.rfL()
 	g.rfE()
@@ -162,12 +243,13 @@ func (g *refineGen) add(o ops.Op, pickyEdge int, removedIM, removedRM []graph.No
 	for _, v := range removedRM {
 		rmLoss += w.Eval.Cl(v)
 	}
-	a := &accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}, gain: map[graph.NodeID]bool{}}
-	for _, v := range removedIM {
-		a.gain[v] = true
+	// removedIM is distinct (a subset of the sample) and an operator is
+	// recorded once, so its gain is the list itself, sorted.
+	gain := sortNodes(slices.Clone(removedIM))
+	g.acc[key] = &accum{
+		op:    scoredOp{Op: o, PickyEdge: pickyEdge, Gain: gain},
+		total: w.Cfg.Lambda*float64(len(removedIM)) - rmLoss,
 	}
-	a.total = w.Cfg.Lambda*float64(len(removedIM)) - rmLoss
-	g.acc[key] = a
 }
 
 // removedBy returns the sampled irrelevant and relevant matches that
@@ -637,7 +719,8 @@ func (g *refineGen) addE() {
 }
 
 // finishScoredRefine mirrors finishScored but keeps the already-computed
-// p' totals (which mix IM gain and RM loss).
+// p' totals (which mix IM gain and RM loss) and the gain lists add
+// stored.
 func (w *Why) finishScoredRefine(acc map[opIdent]*accum) []scoredOp {
 	out := make([]scoredOp, 0, len(acc))
 	keys := make([]opIdent, 0, len(acc))
@@ -650,11 +733,6 @@ func (w *Why) finishScoredRefine(acc map[opIdent]*accum) []scoredOp {
 		a := acc[k]
 		a.op.Pick = a.total / nf
 		a.op.Cost = a.op.Op.Cost(w.G)
-		a.op.Gain = make([]graph.NodeID, 0, len(a.gain))
-		for v := range a.gain {
-			a.op.Gain = append(a.op.Gain, v)
-		}
-		sortNodes(a.op.Gain)
 		out = append(out, a.op)
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -481,3 +481,86 @@ func TestSameValueIsEQHolds(t *testing.T) {
 		}
 	}
 }
+
+// TestGenRefineMatchesOracleOnFillShapes drives the batched partner fill
+// through the shapes the suites above leave out: every sampled match a
+// hub, so every source of every sweep retires (at level 1 for the
+// neighbouring pattern node, at level 2 for the one behind it) and all
+// sets come from the single-source visit; and a fill with exactly one
+// set missing, a sweep of one source.
+func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
+	const nF, nP, nR = 70, 400, 300 // more matches than one sweep carries
+	// build wires every F to between fan and fan+spread Ps, every P to two Rs.
+	build := func(fan, spread int) *graph.Graph {
+		rng := rand.New(rand.NewSource(11))
+		g := graph.New()
+		for i := 0; i < nF; i++ {
+			g.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2))})
+		}
+		for i := 0; i < nP; i++ {
+			g.AddNode("P", map[string]graph.Value{"b": graph.N(float64(1 + rng.Intn(5)))})
+		}
+		for i := 0; i < nR; i++ {
+			g.AddNode("R", map[string]graph.Value{"c": graph.N(float64(rng.Intn(4)))})
+		}
+		for i := 0; i < nF; i++ {
+			for _, p := range rng.Perm(nP)[:fan+rng.Intn(spread)] {
+				g.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
+			}
+		}
+		for p := 0; p < nP; p++ {
+			for _, r := range rng.Perm(nR)[:2] {
+				g.AddEdge(graph.NodeID(nF+p), graph.NodeID(nF+nP+r), "of")
+			}
+		}
+		return g
+	}
+	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"good": exemplar.C(graph.N(1))}}}
+	q := query.New()
+	f, p, r := q.AddNode("F"), q.AddNode("P"), q.AddNode("R")
+	q.AddEdge(f, p, 1)
+	q.AddEdge(p, r, 1)
+	q.Focus = f
+	cfg := DefaultConfig()
+	cfg.MaxOpsPerClass = 1 << 20
+	cfg.MaxAnalysis = 1000
+	// state runs one compared GenRefine on g and returns what located
+	// its partner sets.
+	state := func(what string, g *graph.Graph) (*Why, *refineGen) {
+		w, err := NewWhy(g, q, e, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := checkState(t, what, w, q, map[string]bool{})[ops.AddL]; n == 0 {
+			t.Errorf("%s: no AddL operator compared", what)
+		}
+		rm, im, _, _ := w.Partition(w.Matcher.Match(q))
+		if len(rm)+len(im) != nF || len(rm) == 0 || len(im) == 0 {
+			t.Fatalf("%s: |RM| = %d, |IM| = %d, want all %d F nodes on two sides", what, len(rm), len(im), nF)
+		}
+		return w, newRefineGen(w, q, rm, im, nil, 3)
+	}
+
+	w, pm := state("all hubs", build(maxPartnersScored+5, 40))
+	for v := graph.NodeID(0); v < nF; v++ {
+		for _, u := range []query.NodeID{p, r} {
+			set, ok := w.partnerCache[partnerCacheKey{v: v, pd: pm.pd[u], sig: pm.sig[u]}]
+			if !ok || len(set) != maxPartnersScored {
+				t.Fatalf("all hubs: match %d keeps %d partners at u%d (cached: %v), want the cap %d", v, len(set), u, ok, maxPartnersScored)
+			}
+		}
+	}
+
+	// One set missing: the fill sweeps a single source and restores it.
+	w, pm = state("plain", build(1, 4))
+	key := partnerCacheKey{v: 33, pd: pm.pd[r], sig: pm.sig[r]}
+	want := w.partnerCache[key]
+	if len(want) == 0 || len(want) >= maxPartnersScored {
+		t.Fatalf("single miss: match %d keeps %d partners at u%d, want a full, non-empty set", key.v, len(want), r)
+	}
+	delete(w.partnerCache, key)
+	checkState(t, "single miss", w, q, map[string]bool{})
+	if got, ok := w.partnerCache[key]; !ok || !slices.Equal(got, want) {
+		t.Errorf("single miss: the fill left %v (cached: %v), want %v", got, ok, want)
+	}
+}

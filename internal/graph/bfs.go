@@ -152,6 +152,117 @@ func (g *Graph) VisitBall(v NodeID, maxHops int, dir Direction, visit func(u Nod
 	}
 }
 
+// MaxBallSources is how many traversals one VisitBalls sweep carries:
+// one bit of a uint64 per source.
+const MaxBallSources = 64
+
+// ballsScratch is VisitBalls' working state. seen and next are indexed
+// by node and hold source sets: seen[n] the sources that reached n at a
+// settled level, next[n] those arriving at the level being built. Both
+// are all-zero between calls and cleared through the touched and
+// arriving lists, so a sweep costs what it reaches, never O(|V|).
+//
+// Memory: 16 B per node (two uint64), allocated on first use and pooled
+// — 16 MB per concurrently sweeping goroutine on a 1M-node graph — plus
+// 16 B per node actually reached for the lists below.
+type ballsScratch struct {
+	seen, next []uint64
+	touched    []NodeID // nodes with seen != 0
+	arriving   []NodeID // nodes with next != 0
+	front      []NodeID // the settled level, with the sources that
+	masks      []uint64 // reached each of its nodes at exactly that level
+}
+
+var ballsPool = sync.Pool{New: func() interface{} { return &ballsScratch{} }}
+
+// arrive records that the sources in m, having settled at a node whose
+// adjacency is edges, reach each neighbour they have not settled at.
+func (sc *ballsScratch) arrive(edges []Edge, m uint64) {
+	for _, e := range edges {
+		if nw := m &^ sc.seen[e.To]; nw != 0 {
+			if sc.next[e.To] == 0 {
+				sc.arriving = append(sc.arriving, e.To)
+			}
+			sc.next[e.To] |= nw
+		}
+	}
+}
+
+// VisitBalls runs the bounded traversals Ball(srcs[i], maxHops, dir) for
+// the first min(MaxBallSources, len(srcs)) sources in one
+// level-synchronous sweep and returns how many sources it took, so a
+// caller with more loops `for len(s) > 0 { s = s[g.VisitBalls(s, …):] }`.
+// Every node carries the set of sources that reached it as the bits of
+// a uint64 (bit i for srcs[i]), so sources with overlapping balls scan
+// each edge once per level rather than once per source.
+//
+// visit(n, d, mask) is called level by level, once per node and level,
+// with the sources at distance exactly d from n: bit i is reported for
+// (n, d) exactly when Ball(srcs[i], maxHops, dir) contains (n, d), a
+// source sees itself at d = 0, and the masks one node receives at
+// different levels are disjoint. The order of nodes within a level is
+// deterministic but not Ball's. The bits visit returns are retired: they
+// stop expanding, so those sources report nothing beyond the level they
+// were retired in (the rest of that level still carries them). visit
+// may itself traverse g.
+//
+// The scratch is pooled and cleared by what the sweep touched: a call
+// costs O(nodes reached + edges scanned) and allocates nothing once
+// warm. See ballsScratch for its size.
+func (g *Graph) VisitBalls(srcs []NodeID, maxHops int, dir Direction, visit func(n NodeID, d int32, mask uint64) (retire uint64)) (taken int) {
+	g.ensure()
+	taken = min(len(srcs), MaxBallSources)
+	sc := ballsPool.Get().(*ballsScratch)
+	if len(sc.seen) < g.NumNodes() {
+		sc.seen = make([]uint64, g.NumNodes())
+		sc.next = make([]uint64, g.NumNodes())
+	}
+	for i, s := range srcs[:taken] {
+		if sc.next[s] == 0 {
+			sc.arriving = append(sc.arriving, s)
+		}
+		sc.next[s] |= 1 << i
+	}
+	var retired uint64
+	for d := int32(0); len(sc.arriving) > 0; d++ {
+		// Settle level d: the arrivals become the frontier.
+		sc.front, sc.masks = sc.front[:0], sc.masks[:0]
+		for _, n := range sc.arriving {
+			m := sc.next[n]
+			sc.next[n] = 0
+			if sc.seen[n] == 0 {
+				sc.touched = append(sc.touched, n)
+			}
+			sc.seen[n] |= m
+			sc.front = append(sc.front, n)
+			sc.masks = append(sc.masks, m)
+			retired |= visit(n, d, m)
+		}
+		sc.arriving = sc.arriving[:0]
+		if d >= int32(maxHops) {
+			break
+		}
+		for i, u := range sc.front {
+			m := sc.masks[i] &^ retired
+			if m == 0 {
+				continue
+			}
+			if dir == Forward || dir == Both {
+				sc.arrive(g.outEdges[g.outOff[u]:g.outOff[u+1]], m)
+			}
+			if dir == Backward || dir == Both {
+				sc.arrive(g.inEdges[g.inOff[u]:g.inOff[u+1]], m)
+			}
+		}
+	}
+	for _, n := range sc.touched {
+		sc.seen[n] = 0
+	}
+	sc.touched = sc.touched[:0]
+	ballsPool.Put(sc)
+	return taken
+}
+
 // Dist returns the length of the shortest directed path from → to,
 // searching at most maxHops hops. It returns Unreachable when no such
 // path exists. Dist(v, v, _) is 0.

@@ -382,11 +382,18 @@ func (g *Graph) Attr(v NodeID, name string) (Value, bool) {
 }
 
 // AttrByID returns the value of the interned attribute aid on node v.
+// Tuples are a handful of cells sorted by attribute id, so a scan that
+// stops at the first id not below aid beats a binary search's closure
+// calls.
 func (g *Graph) AttrByID(v NodeID, aid int32) (Value, bool) {
 	tuple := g.Tuple(v)
-	i := sort.Search(len(tuple), func(i int) bool { return tuple[i].Attr >= aid })
-	if i < len(tuple) && tuple[i].Attr == aid {
-		return tuple[i].Val, true
+	for i := range tuple {
+		if a := tuple[i].Attr; a >= aid {
+			if a == aid {
+				return tuple[i].Val, true
+			}
+			break
+		}
 	}
 	return Value{}, false
 }

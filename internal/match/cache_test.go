@@ -184,7 +184,7 @@ func TestGetOrBuildPanicDoesNotLeakFlight(t *testing.T) {
 // turned away.
 func TestWeightDisabledKeepsCountSemantics(t *testing.T) {
 	huge := func() *StarTable {
-		return &StarTable{Rows: make([]StarRow, 1000)}
+		return &StarTable{centers: make([]graph.NodeID, 1000)}
 	}
 	c := newCacheSharded(2, 0.95, 1)
 	c.Put("a", huge())

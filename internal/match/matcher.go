@@ -1,7 +1,7 @@
 package match
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,8 +69,8 @@ type Result struct {
 
 // Has reports whether v ∈ Q(G).
 func (r *Result) Has(v graph.NodeID) bool {
-	i := sort.Search(len(r.Answer), func(i int) bool { return r.Answer[i] >= v })
-	return i < len(r.Answer) && r.Answer[i] == v
+	_, ok := slices.BinarySearch(r.Answer, v)
+	return ok
 }
 
 // Match evaluates q: it decomposes q into star views, materializes (or
@@ -131,7 +131,7 @@ outer:
 			verified = append(verified, cand)
 		}
 	}
-	sort.Slice(verified, func(i, j int) bool { return verified[i] < verified[j] })
+	slices.Sort(verified) // already ascending when the candidates are; cheap then
 	res.Answer = verified
 	v.supports = supports
 	m.release(v)
@@ -417,27 +417,27 @@ func (v *verifier) extend(depth int) bool {
 	// among the constraints; its entries are already distance- and
 	// candidate-filtered (focus entries are label-only and re-checked).
 	bestList := -1
-	var list []NbrEntry
+	var list []graph.NodeID
 	for i, c := range cons {
 		ref, ok := v.colFor[enumKey{edge: c.edge, center: c.anchorPat}]
 		if !ok {
 			continue
 		}
-		row := v.stars[ref.star].Table.Row(c.anchor)
-		if row == nil {
+		t := v.stars[ref.star].Table
+		row, ok := t.Row(c.anchor)
+		if !ok {
 			// The anchor is not a match of its star's center: no
 			// valuation extends this assignment.
 			return false
 		}
-		if l := row.Nbrs[ref.col]; bestList < 0 || len(l) < len(list) {
+		if l := t.Col(row, ref.col); bestList < 0 || len(l) < len(list) {
 			bestList, list = i, l
 		}
 	}
 
 	if bestList >= 0 {
 		needLitCheck := u == v.q.Focus // focus columns are label-only
-		for _, en := range list {
-			w := en.V
+		for _, w := range list {
 			if needLitCheck && !v.checks[u].Candidate(v.m.G, w) {
 				continue
 			}

@@ -1,29 +1,24 @@
 package match
 
 import (
-	"sort"
+	"slices"
 
 	"wqe/internal/graph"
 	"wqe/internal/query"
 )
 
-// NbrEntry is one (match, distance) pair of a star-table cell.
-type NbrEntry struct {
-	V    graph.NodeID
-	Dist int32
-}
-
-// StarRow is one row of a star table: a center match plus, per star
-// edge, the matches of the other endpoint reachable within the edge's
-// bound, plus the focus matches reachable within the augmented distance
-// when the star carries an augmented edge.
-type StarRow struct {
-	Center graph.NodeID
-	Nbrs   [][]NbrEntry // parallel to StarQuery.Edges
-	Aug    []NbrEntry   // non-nil only when the star has an augmented edge
-}
-
-// StarTable is the materialization T_i(G) of one star query (§2.3).
+// StarTable is the materialization T_i(G) of one star query (§2.3): one
+// row per center match, and per row one column for each star edge — the
+// matches of the edge's other endpoint reachable within its bound — plus,
+// when the star carries an augmented edge, a last column of the focus
+// matches reachable within the augmented distance.
+//
+// The layout is flat and pointer-free, CSR over (row, column): centers
+// holds the center matches in ascending order, cells is one arena of
+// node ids, and off cuts it, so column c of row r is
+// cells[off[r*width+c]:off[r*width+c+1]], ascending by id. A table costs
+// 4 B per row and cell and one int per column; off is int so that no
+// arena a slice can hold overflows it.
 //
 // Occurrences of the focus node are stored label-filtered only: Q-Chase
 // rewrites modify focus predicates constantly, and keeping the focus
@@ -31,30 +26,48 @@ type StarRow struct {
 // rewrite that differs only in focus literals (the incremental
 // verification of §2.3). FocusSupport applies the current focus
 // literals at read time.
+//
+// A table is immutable once built, so cached tables are safe for
+// concurrent readers; the zero value is an empty table.
 type StarTable struct {
 	Star *StarQuery
-	Rows []StarRow
 	// focusIsCenter records whether rows are focus candidates.
 	focusIsCenter bool
 	// focusEdges are the star-edge indices whose Other is the focus.
 	focusEdges []int
-	// rowOf indexes Rows by center match (built at materialization, so
-	// cached tables stay safe for concurrent readers).
-	rowOf map[graph.NodeID]int
 	// ColSigs are the per-column structural signatures (direction,
 	// bound, endpoint signature). A cached table may have been built
 	// from a structurally equal query whose edges were ordered
 	// differently; consumers map their star edges to table columns by
 	// signature.
 	ColSigs []string
+
+	centers []graph.NodeID
+	// width is the number of columns per row: len(Star.Edges), plus one
+	// for the augmented column.
+	width int
+	off   []int
+	cells []graph.NodeID
 }
 
-// Row returns the row for center match v, or nil.
-func (t *StarTable) Row(v graph.NodeID) *StarRow {
-	if i, ok := t.rowOf[v]; ok {
-		return &t.Rows[i]
-	}
-	return nil
+// NumRows returns the number of center matches.
+func (t *StarTable) NumRows() int { return len(t.centers) }
+
+// Center returns the center match of row r.
+func (t *StarTable) Center(r int) graph.NodeID { return t.centers[r] }
+
+// Row returns the row of center match v, if it has one.
+func (t *StarTable) Row(v graph.NodeID) (r int, ok bool) {
+	return slices.BinarySearch(t.centers, v)
+}
+
+// Col returns column c of row r, ascending by id: c indexes the star
+// edges the table was built from (see ColSigs), and c == len(Star.Edges)
+// is the augmented column of a star that has one. The caller must not
+// mutate it.
+func (t *StarTable) Col(r, c int) []graph.NodeID {
+	i := r*t.width + c
+	return t.cells[t.off[i]:t.off[i+1]]
 }
 
 // buildStarTable materializes a star over g: one row per center
@@ -62,11 +75,15 @@ func (t *StarTable) Row(v graph.NodeID) *StarRow {
 // of the other endpoint. Focus positions are filtered by label only
 // (see StarTable).
 func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
-	t := &StarTable{Star: s, focusIsCenter: s.Center == q.Focus}
+	t := &StarTable{Star: s, focusIsCenter: s.Center == q.Focus, width: len(s.Edges)}
 	for i, e := range s.Edges {
 		if e.Other == q.Focus {
 			t.focusEdges = append(t.focusEdges, i)
 		}
+	}
+	hasAug := !s.HasFocus && s.AugDist > 0
+	if hasAug {
+		t.width++
 	}
 	// isCand filters a node for pattern node u via compiled predicates;
 	// the focus is filtered by label only.
@@ -83,6 +100,7 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 		return checks[u].Candidate(g, v)
 	}
 
+	// Ascending either way: the by-label runs, or a filter of one.
 	var centerCands []graph.NodeID
 	if t.focusIsCenter {
 		centerCands = g.NodesByLabel(focusLabel)
@@ -100,7 +118,22 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 		}
 	}
 
-rows:
+	// column appends the candidates of pattern node u within bound hops
+	// in ball as the next column of the arena, and reports whether it
+	// holds any.
+	column := func(ball []graph.NodeDist, bound int, u query.NodeID) bool {
+		start := len(t.cells)
+		for _, nd := range ball {
+			if nd.D > 0 && int(nd.D) <= bound && isCand(u, nd.V) {
+				t.cells = append(t.cells, nd.V)
+			}
+		}
+		slices.Sort(t.cells[start:])
+		t.off = append(t.off, len(t.cells))
+		return len(t.cells) > start
+	}
+
+	t.off = append(t.off, 0)
 	for _, vc := range centerCands {
 		var ballOut, ballIn []graph.NodeDist
 		if maxOut > 0 {
@@ -109,48 +142,31 @@ rows:
 		if maxIn > 0 {
 			ballIn = g.Ball(vc, maxIn, graph.Backward)
 		}
-		row := StarRow{Center: vc, Nbrs: make([][]NbrEntry, len(s.Edges))}
-		for i, e := range s.Edges {
+		// A center match needs every star edge matched and, under an
+		// augmented edge, a focus candidate nearby; a row that fails at
+		// any column rolls the arena back to these marks.
+		nOff, nCells := len(t.off), len(t.cells)
+		ok := true
+		for _, e := range s.Edges {
 			ball := ballOut
 			if !e.Out {
 				ball = ballIn
 			}
-			var entries []NbrEntry
-			for _, nd := range ball {
-				if nd.D == 0 || int(nd.D) > e.Bound {
-					continue
-				}
-				if isCand(e.Other, nd.V) {
-					entries = append(entries, NbrEntry{V: nd.V, Dist: nd.D})
-				}
+			if ok = column(ball, e.Bound, e.Other); !ok {
+				break
 			}
-			if len(entries) == 0 {
-				continue rows // center match requires every star edge matched
-			}
-			sort.Slice(entries, func(a, b int) bool { return entries[a].V < entries[b].V })
-			row.Nbrs[i] = entries
 		}
-		if !s.HasFocus && s.AugDist > 0 {
-			aug := g.Ball(vc, s.AugDist, graph.Both)
-			for _, nd := range aug {
-				if nd.D == 0 {
-					continue
-				}
-				if isCand(q.Focus, nd.V) {
-					row.Aug = append(row.Aug, NbrEntry{V: nd.V, Dist: nd.D})
-				}
-			}
-			if len(row.Aug) == 0 {
-				continue rows // no focus candidate near this center match
-			}
-			sort.Slice(row.Aug, func(a, b int) bool { return row.Aug[a].V < row.Aug[b].V })
+		if ok && hasAug {
+			ok = column(g.Ball(vc, s.AugDist, graph.Both), s.AugDist, q.Focus)
 		}
-		t.Rows = append(t.Rows, row)
+		if !ok {
+			t.off, t.cells = t.off[:nOff], t.cells[:nCells]
+			continue
+		}
+		t.centers = append(t.centers, vc)
 	}
-	t.rowOf = make(map[graph.NodeID]int, len(t.Rows))
-	for i := range t.Rows {
-		t.rowOf[t.Rows[i].Center] = i
-	}
+	// Tables outlive the build in the cache: drop the growth slack.
+	t.centers, t.off, t.cells = slices.Clone(t.centers), slices.Clone(t.off), slices.Clone(t.cells)
 	for _, e := range s.Edges {
 		t.ColSigs = append(t.ColSigs, edgeSig(q, e))
 	}
@@ -168,6 +184,17 @@ func (t *StarTable) FocusSupport(g *graph.Graph, q *query.Query) map[graph.NodeI
 		return nil
 	}
 	check := q.Check(g, q.Focus)
+	support := map[graph.NodeID]bool{}
+	if t.focusIsCenter {
+		// Center rows must additionally satisfy the focus literals. Each
+		// center has one row, so there is no verdict to remember.
+		for _, v := range t.centers {
+			if check.Candidate(g, v) {
+				support[v] = true
+			}
+		}
+		return support
+	}
 	// Memoize per-node verdicts: hub-heavy tables repeat focus entries
 	// across many rows.
 	verdict := map[graph.NodeID]bool{}
@@ -179,26 +206,15 @@ func (t *StarTable) FocusSupport(g *graph.Graph, q *query.Query) map[graph.NodeI
 		verdict[v] = ok
 		return ok
 	}
-	support := map[graph.NodeID]bool{}
-	for _, row := range t.Rows {
-		switch {
-		case t.focusIsCenter:
-			// Center rows must additionally satisfy the focus literals.
-			if pass(row.Center) {
-				support[row.Center] = true
-			}
-		case len(t.focusEdges) > 0:
-			for _, ei := range t.focusEdges {
-				for _, en := range row.Nbrs[ei] {
-					if !support[en.V] && pass(en.V) {
-						support[en.V] = true
-					}
-				}
-			}
-		default:
-			for _, en := range row.Aug {
-				if !support[en.V] && pass(en.V) {
-					support[en.V] = true
+	cols := t.focusEdges
+	if len(cols) == 0 {
+		cols = []int{len(s.Edges)} // the augmented column
+	}
+	for r := range t.centers {
+		for _, c := range cols {
+			for _, v := range t.Col(r, c) {
+				if !support[v] && pass(v) {
+					support[v] = true
 				}
 			}
 		}
@@ -207,15 +223,8 @@ func (t *StarTable) FocusSupport(g *graph.Graph, q *query.Query) map[graph.NodeI
 }
 
 // Size returns the number of cells in the table, the |Q.S(G)| measure
-// used in the delay-time analysis.
+// used in the delay-time analysis: one per row for its center, plus the
+// entries of every column.
 func (t *StarTable) Size() int {
-	n := 0
-	for _, r := range t.Rows {
-		n++
-		for _, col := range r.Nbrs {
-			n += len(col)
-		}
-		n += len(r.Aug)
-	}
-	return n
+	return len(t.centers) + len(t.cells)
 }
