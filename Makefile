@@ -14,7 +14,7 @@ GO ?= go
 # internal/distindex), so racing it would only slow CI down.
 RACE_PKGS = ./internal/graph ./internal/match ./internal/chase ./internal/par ./internal/distindex ./internal/anscache ./internal/hist ./internal/loadgen ./cmd/wqe-serve
 
-.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-smoke benchmark benchmark-check bench-parallel bench-batch bench-load bench-serve ci
+.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-smoke benchmark benchmark-check bench-load ci
 
 all: build
 
@@ -98,16 +98,6 @@ benchmark-check:
 # Everything a PR must pass, without the benchmark regeneration.
 check: build vet fmt-check test race lint check-lockorder serve-smoke bench-smoke benchmark-check
 
-# Regenerate BENCH_parallel.json: sequential vs parallel wall-clock of
-# the Q-Chase evaluation engine on the synthetic workload.
-bench-parallel:
-	WQE_BENCH_JSON=$(abspath BENCH_parallel.json) $(GO) test ./internal/chase -run TestEmitParallelBench -v
-
-# Regenerate BENCH_batch.json: cross-question batch throughput (AskAll
-# over one shared session) and sequential vs parallel PLL construction.
-bench-batch:
-	WQE_BATCH_BENCH_JSON=$(abspath BENCH_batch.json) $(GO) test ./internal/chase -run TestEmitBatchBench -v
-
 # Regenerate BENCH_load.json: million-node cold start — JSON vs binary
 # snapshot load wall time, bytes on disk, heap residency, PLL build vs
 # embedded-label restore, and AskAll throughput over the restored
@@ -116,11 +106,4 @@ bench-batch:
 bench-load:
 	WQE_LOAD_BENCH_JSON=$(abspath BENCH_load.json) $(GO) test ./internal/chase -run TestEmitLoadBench -timeout 1800s -v
 
-# Regenerate BENCH_serve.json: closed-loop serving throughput over the
-# repeated-question Fig 1 workload with the answer cache off vs on
-# (byte-identical responses asserted), per-endpoint latency
-# percentiles, and the answer-cache hit/coalesce counters.
-bench-serve:
-	WQE_SERVE_BENCH_JSON=$(abspath BENCH_serve.json) $(GO) test ./cmd/wqe-serve -run TestEmitServeBench -v
-
-ci: check fuzz-snapshot bench-parallel bench-batch bench-load bench-serve
+ci: check fuzz-snapshot bench-load

@@ -19,13 +19,14 @@ import (
 	"wqe/internal/graph"
 )
 
-// newTestServer builds a server over the Fig 1 fixture and an
-// httptest listener in front of its mux.
-func newTestServer(t *testing.T, slots, queue int) (*server, *httptest.Server) {
+// newTestServer builds a server over the Fig 1 fixture, with the
+// answer memo on or off, and an httptest listener in front of its mux.
+func newTestServer(t *testing.T, slots, queue int, answerCache bool) (*server, *httptest.Server) {
 	t.Helper()
 	f := datagen.NewFig1()
 	cfg := chase.DefaultConfig()
 	cfg.Budget = 4
+	cfg.AnswerCache = answerCache
 	handles := []*graphHandle{{name: "fig1", g: f.G, session: chase.NewSession(f.G, cfg)}}
 	srv := newServer(handles, slots, queue, 30*time.Second)
 	ts := httptest.NewServer(srv.mux())
@@ -122,7 +123,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 // channel wired through to the chase — in which case it must stop
 // before the uncancelled run's step count.
 func TestCancelledClientStopsChase(t *testing.T) {
-	srv, ts := newTestServer(t, 2, 8)
+	srv, ts := newTestServer(t, 2, 8, false)
 
 	status, b, err := smokePost(ts.URL+"/ask", smokeAskBody(""))
 	if err != nil || status != http.StatusOK {
@@ -166,7 +167,7 @@ func TestCancelledClientStopsChase(t *testing.T) {
 // clean 429/503 rejection; every admitted job completes (none dropped);
 // and no job is admitted after drain returns.
 func TestDrainStress(t *testing.T) {
-	srv, ts := newTestServer(t, 2, 64)
+	srv, ts := newTestServer(t, 2, 64, false)
 	body := smokeAskBody("")
 
 	type outcome struct {
@@ -361,5 +362,54 @@ func TestLoadHandlesSnapshot(t *testing.T) {
 	}
 	if _, err := loadHandles([]string{"x=" + filepath.Join(dir, "missing")}, cfg); err == nil {
 		t.Error("missing graph file accepted")
+	}
+}
+
+// normalizeResponse strips the timing field so two answers can be
+// compared for semantic byte-identity: elapsed_ms is wall clock and
+// legitimately differs between a cached and an uncached serve.
+func normalizeResponse(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatalf("normalize: %v (%s)", err, raw)
+	}
+	delete(m, "elapsed_ms")
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestAnswerCacheResponsesIdenticalOverHTTP: through the decoder, the
+// memo and the encoder, the same question gets the same bytes whether
+// it is chased with the answer cache off, chased as a memo miss, or
+// served as a memo hit (TestMemoOffIdentical pins this at the Session
+// level only).
+func TestAnswerCacheResponsesIdenticalOverHTTP(t *testing.T) {
+	_, off := newTestServer(t, 2, 8, false)
+	onSrv, on := newTestServer(t, 2, 8, true)
+	post := func(url string) []byte {
+		t.Helper()
+		status, b, err := smokePost(url, smokeAskBody(""))
+		if err != nil || status != http.StatusOK {
+			t.Fatalf("POST %s: status %d, err %v: %s", url, status, err, b)
+		}
+		return normalizeResponse(t, b)
+	}
+	for _, ep := range []string{"/ask", "/askfast", "/why", "/whyempty", "/whymany"} {
+		want := post(off.URL + ep)
+		miss := post(on.URL + ep)
+		hit := post(on.URL + ep)
+		if !bytes.Equal(want, miss) || !bytes.Equal(want, hit) {
+			t.Errorf("%s: cache-on response differs from cache-off\noff:  %s\nmiss: %s\nhit:  %s", ep, want, miss, hit)
+		}
+	}
+	// The second post of each pair must really have been a hit; /ask
+	// and /why resolve to the same question, so ten posts miss four times.
+	ac := onSrv.graphs["fig1"].session.Counters().AnswerCache
+	if ac.Hits != 6 || ac.Misses != 4 {
+		t.Errorf("answer cache hits/misses = %d/%d, want 6/4", ac.Hits, ac.Misses)
 	}
 }

@@ -50,6 +50,26 @@ type BatchJob struct {
 	Cancel <-chan struct{}
 }
 
+// resolveAlgo is the one reading of the Algo/Beam pair: the search
+// runJob dispatches to and the name the answer memo keys on, so the
+// memo can never serve one algorithm's answer for another. beam is set
+// for "heu" only; ok is false for an unknown Algo.
+func (j BatchJob) resolveAlgo() (algo string, beam int, ok bool) {
+	switch {
+	case j.Algo == "" && j.Beam > 0, j.Algo == "heu":
+		beam = j.Beam
+		if beam < 1 {
+			beam = 3
+		}
+		return "heu", beam, true
+	case j.Algo == "", j.Algo == "answ":
+		return "answ", 0, true
+	case j.Algo == "whymany", j.Algo == "whyempty", j.Algo == "fmansw":
+		return j.Algo, 0, true
+	}
+	return "", 0, false
+}
+
 // BatchResult is one job's outcome, reported in submission order.
 // Answer, Steps, and States are deterministic — byte-identical to
 // running the same job alone, for any worker count — while Elapsed is
@@ -233,24 +253,22 @@ func (s *Session) runJob(j BatchJob, submit time.Time, batchCancel <-chan struct
 	// anchored submit on, or fake-clock tests (and any future clock
 	// injection) would compare instants from two different timelines.
 	w.clock = s.clock
-	var a Answer
-	switch {
-	case j.Algo == "" && j.Beam > 0, j.Algo == "heu":
-		beam := j.Beam
-		if beam < 1 {
-			beam = 3
-		}
-		a = w.AnsHeu(beam)
-	case j.Algo == "", j.Algo == "answ":
-		a = w.AnsW()
-	case j.Algo == "whymany":
-		a = w.ApxWhyM()
-	case j.Algo == "whyempty":
-		a = w.AnsWE()
-	case j.Algo == "fmansw":
-		a = w.FMAnsW()
-	default:
+	algo, beam, ok := j.resolveAlgo()
+	if !ok {
 		return BatchResult{Err: chaseError("chase: unknown batch algo " + j.Algo)}
+	}
+	var a Answer
+	switch algo {
+	case "heu":
+		a = w.AnsHeu(beam)
+	case "answ":
+		a = w.AnsW()
+	case "whymany":
+		a = w.ApxWhyM()
+	case "whyempty":
+		a = w.AnsWE()
+	case "fmansw":
+		a = w.FMAnsW()
 	}
 	s.questions.Add(1)
 	s.steps.Add(int64(w.Stats.Steps))

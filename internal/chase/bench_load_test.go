@@ -163,6 +163,52 @@ func heapMB() float64 {
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
+// warnSingleCore makes a one-core recording impossible to misread:
+// the PLL build and the batched questions use every core, so the
+// artifact must be regenerated on a multi-core runner (CI does this)
+// before those two figures mean anything.
+func warnSingleCore(t *testing.T) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) == 1 {
+		t.Log("*** WARNING: ran with GOMAXPROCS=1, so the parallel PLL build and the batched " +
+			"questions degenerated to sequential; regenerate the artifact on a multi-core machine ***")
+	}
+}
+
+// guardSingleCoreOverwrite skips the emitter when it would replace an
+// existing multi-core recording with a single-core one: a laptop or
+// container run must not silently clobber CI's numbers. The artifact
+// carries "gomaxprocs", so the guard reads it from the existing file.
+// WQE_BENCH_FORCE=1 overrides (for deliberately re-baselining on a
+// small machine).
+func guardSingleCoreOverwrite(t *testing.T, out string) {
+	t.Helper()
+	if skip, prev := shouldSkipOverwrite(out, runtime.GOMAXPROCS(0),
+		os.Getenv("WQE_BENCH_FORCE") == "1"); skip {
+		t.Skipf("refusing to overwrite %s (recorded with GOMAXPROCS=%d) from a single-core run; set WQE_BENCH_FORCE=1 to override", out, prev)
+	}
+}
+
+// shouldSkipOverwrite is the guard's decision: skip iff this run is
+// single-core, unforced, and the existing artifact at out records a
+// multi-core run (whose GOMAXPROCS it returns).
+func shouldSkipOverwrite(out string, gomaxprocs int, force bool) (bool, int) {
+	if gomaxprocs > 1 || force {
+		return false, 0
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		return false, 0 // nothing to clobber
+	}
+	var prev struct {
+		GOMAXPROCS int `json:"gomaxprocs"`
+	}
+	if json.Unmarshal(data, &prev) != nil || prev.GOMAXPROCS <= 1 {
+		return false, 0 // unreadable, or itself single-core: nothing of value lost
+	}
+	return true, prev.GOMAXPROCS
+}
+
 // TestEmitLoadBench measures snapshot vs JSON cold start at 1M+ nodes
 // and writes BENCH_load.json. Gated behind WQE_LOAD_BENCH_JSON: set it
 // to 1 to write the repo default, or to an explicit output path;
@@ -318,6 +364,7 @@ func TestEmitLoadBench(t *testing.T) {
 	if snapDur*10 >= jsonDur {
 		t.Errorf("snapshot load %.1fms is not <1/10 of JSON load %.1fms", b.SnapLoadMS, b.JSONLoadMS)
 	}
+	warnSingleCore(t)
 
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {

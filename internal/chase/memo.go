@@ -35,23 +35,14 @@ const keySep = "\x1f"
 // when the job must bypass the memo (unknown algo — let runJob report
 // the error; memoizing errors would hide config typos behind hits).
 func (s *Session) answerKey(j BatchJob) (key string, ok bool) {
-	// Resolve the algorithm exactly as runJob dispatches it, so "" with
-	// a positive beam and an explicit "heu" with the same beam share an
-	// entry, and beam widths below one collapse onto the default 3.
-	var algo string
-	switch {
-	case j.Algo == "" && j.Beam > 0, j.Algo == "heu":
-		beam := j.Beam
-		if beam < 1 {
-			beam = 3
-		}
-		algo = "heu:" + strconv.Itoa(beam)
-	case j.Algo == "", j.Algo == "answ":
-		algo = "answ"
-	case j.Algo == "whymany", j.Algo == "whyempty", j.Algo == "fmansw":
-		algo = j.Algo
-	default:
+	// "" with a positive beam and an explicit "heu" with the same beam
+	// share an entry, as they share a search (see resolveAlgo).
+	algo, beam, ok := j.resolveAlgo()
+	if !ok {
 		return "", false
+	}
+	if algo == "heu" {
+		algo = "heu:" + strconv.Itoa(beam)
 	}
 	maxSteps := s.Cfg.MaxSteps
 	if j.MaxSteps > 0 {
