@@ -77,9 +77,10 @@ fuzz-snapshot:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSnapshotReader -fuzztime 10s
 
 # Run the generation, BFS and star-table micro-benchmarks once each, so
-# they cannot rot: BenchmarkGenRefine (cold and warm partner sets), the
-# Ball/VisitBall pair, BenchmarkVisitBalls (64 single visits vs one
-# batched sweep) and BenchmarkBuildStarTable (time and B/cell).
+# they cannot rot: BenchmarkGenRefine (cold and warm partner sets, and
+# warm with every attribute irregular), the Ball/VisitBall pair,
+# BenchmarkVisitBalls (64 single visits vs one batched sweep) and
+# BenchmarkBuildStarTable (time and B/cell).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable' -benchtime 1x ./internal/chase ./internal/graph ./internal/match
 
@@ -99,7 +100,8 @@ benchmark-check:
 check: build vet fmt-check test race lint check-lockorder serve-smoke bench-smoke benchmark-check
 
 # Regenerate BENCH_load.json: million-node cold start — JSON vs binary
-# snapshot load wall time, bytes on disk, heap residency, PLL build vs
+# snapshot load wall time (fastest of three loads each; the snapshot must
+# be at least 5x faster), bytes on disk, heap residency, PLL build vs
 # embedded-label restore, and AskAll throughput over the restored
 # graph (byte-identical to fresh, asserted). WQE_LOAD_BENCH_NODES
 # scales the instance down for quick local runs.

@@ -214,6 +214,8 @@ type Why struct {
 	// partnerSigs numbers the matching signatures partnerCache keys
 	// refer to (see sigID).
 	partnerSigs map[string]int32
+	// addL is AddL generation's per-value-code scratch (gen_refine.go).
+	addL addLScratch
 
 	// Stats accumulates search effort across one algorithm run. It is
 	// written only by the algorithm goroutine (beginRun/endRun and the

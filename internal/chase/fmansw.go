@@ -145,3 +145,10 @@ func (w *Why) FMAnsW() Answer {
 	}
 	return best
 }
+
+func kindOf(v graph.Value) string {
+	if v.Kind == graph.Number {
+		return "#n"
+	}
+	return "#s"
+}

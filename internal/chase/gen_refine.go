@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -49,6 +50,7 @@ func (w *Why) sigID(sig string) int32 {
 type refineGen struct {
 	w          *Why
 	q          *query.Query
+	codes      *graph.Codes // w.G's tuples as value codes
 	rm, im     []graph.NodeID
 	used       map[string]bool
 	budgetLeft float64
@@ -64,7 +66,7 @@ type refineGen struct {
 // newRefineGen samples the relevant and irrelevant matches and resolves
 // each pattern node's partner radius and signature.
 func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string]bool, budgetLeft float64) *refineGen {
-	g := &refineGen{w: w, q: q, used: used, budgetLeft: budgetLeft,
+	g := &refineGen{w: w, q: q, codes: w.G.Codes(), used: used, budgetLeft: budgetLeft,
 		// Neighborhood analysis is per-node bounded BFS; cap both sets
 		// (highest closeness first) to keep generation within bounded delay.
 		rm:  sampleByCl(w, rm, w.Cfg.MaxAnalysis),
@@ -231,6 +233,12 @@ func (g *refineGen) add(o ops.Op, pickyEdge int, removedIM, removedRM []graph.No
 	if len(removedIM) == 0 {
 		return // no hope of improving closeness
 	}
+	if math.IsNaN(o.Lit.Val.Num) || math.IsNaN(o.NewLit.Val.Num) {
+		// A NaN constant compares equal to every number, so the literal
+		// says nothing; and an identity holding NaN is a map key that
+		// can be stored but never found again.
+		return
+	}
 	w := g.w
 	if !o.Applicable(g.q, w.params) || o.Cost(w.G) > g.budgetLeft {
 		return
@@ -278,113 +286,171 @@ const maxValuesPerAttr = 6
 // addLCand is one distinct attribute value carried by RM partners of a
 // pattern node: a candidate AddL(u, A = a).
 type addLCand struct {
-	// key renders the value as "attr=val#kind". Values are grouped by
-	// it and it breaks count ties, so it — not value identity — defines
-	// a candidate; it is rendered once per distinct value, not per cell.
-	key   string
-	attr  int32
-	val   graph.Value
-	count int
+	count int32
+	// rank is the place of the value's rendered key "attr=val#kind"
+	// among all of the graph's (graph.Codes.KeyRanks). The key is what a
+	// candidate is — cells rendering alike are one candidate — and its
+	// byte order breaks count ties.
+	rank int32
+	// code is the value proposed, attr the attribute it belongs to.
+	code, attr int32
 }
 
-// valueKey is the exact identity of a tuple cell. It is finer than
-// addLCand.key only for inputs whose renderings collide (an attribute
-// name containing "=", NaN payloads), which then share a candidate.
-type valueKey struct {
-	attr int32
-	kind graph.ValueKind
-	bits uint64
-	str  string
+// addLCount is addL's scratch for one value code; all zero between uses.
+type addLCount struct {
+	n int32 // RM partner cells counted
+	// last is the code of the latest cell counted here: the code
+	// counted, except where several codes of irregular attributes render
+	// alike and are counted as one. The latest cell is the value proposed.
+	last int32
+}
+
+// addLScratch is addL's per-code state, kept on the Why because zeroing
+// it per call would cost more than the counting. Every user leaves it
+// zero, resetting only the codes it touched.
+type addLScratch struct {
+	counts []addLCount
+	// keptOf is nonzero for the codes of kept candidates of regular
+	// attributes: one more than the candidate's index in its attribute's
+	// attrSlot.kept.
+	keptOf []uint8
+}
+
+// scratchFor returns the Why's scratch, sized for codes.
+func (w *Why) scratchFor(codes *graph.Codes) *addLScratch {
+	if n := codes.Len(); len(w.addL.counts) != n {
+		w.addL = addLScratch{counts: make([]addLCount, n), keptOf: make([]uint8, n)}
+	}
+	return &w.addL
 }
 
 // attrSlot is addL's per-attribute state at the current pattern node.
 type attrSlot struct {
-	// decided/open: whether AddL may constrain the attribute here (no
-	// "=" literal on it yet, target not used), settled once per
-	// (node, attribute) rather than per partner cell.
-	decided, open bool
-	// kept indexes the candidates kept for this attribute.
-	kept []int
+	// state: whether AddL may constrain the attribute here (no "="
+	// literal on it yet, target not used) and how its cells are told
+	// apart, settled once per (node, attribute) rather than per cell.
+	state uint8
+	// kept lists this attribute's kept candidates, as indexes of the
+	// survivor table's rows.
+	nKept uint8
+	kept  [maxValuesPerAttr]int32
+}
+
+const (
+	slotNew       uint8 = iota
+	slotClosed          // AddL may not constrain the attribute
+	slotOpen            // equal cells have equal codes
+	slotIrregular       // graph.Codes.Irregular: cells compare by value
+)
+
+// openSlot settles whether AddL may constrain attribute a at u.
+func (g *refineGen) openSlot(u query.NodeID, a int32) uint8 {
+	attr := g.w.G.Attrs.Name(a)
+	switch {
+	case g.q.FindLiteral(u, attr, graph.EQ) >= 0 || g.used[litTarget(u, attr)]:
+		return slotClosed
+	case g.codes.Irregular(a):
+		return slotIrregular
+	}
+	return slotOpen
 }
 
 // addL (genAddL): for each pattern node u and attribute value carried
 // by an RM-supporting match of u and not yet constrained in F_Q(u),
 // propose AddL(u, A = a) hoping irrelevant matches fail it.
 //
-// Scoring a candidate needs the sampled matches that keep no partner
-// carrying the value. Rather than rescanning every partner once per
-// candidate, one pass over the partners' tuples marks, for every kept
-// candidate at once, which sampled matches survive it; removal sets are
-// the complements, read in im/rm order. A cell marks a candidate under
-// exactly Literal.Sat's test (same attribute, same kind, Compare == 0),
-// which is coarser than the grouping key in one place: -0 and 0 are two
-// candidates, and a partner carrying either survives both.
+// It works on value codes (graph.Codes): a cell is two small integers,
+// equal cells have equal codes, and the rendered keys that define and
+// order candidates are ranked once per graph, so counting is an array
+// increment per partner cell and choosing the values to keep a sort of
+// integers. Scoring a candidate needs the sampled matches that keep no
+// partner carrying the value. Rather than rescanning every partner once
+// per candidate, one pass over the partners' coded tuples marks, for
+// every kept candidate at once, which sampled matches survive it;
+// removal sets are the complements, read in im/rm order.
+//
+// A cell marks a candidate under exactly Literal.Sat's test (same
+// attribute, same kind, Compare == 0). On a regular attribute that is
+// "same code". On an irregular one it is not — -0 and 0 are two
+// candidates, and a partner carrying either survives both; a NaN cell
+// survives every numeric candidate — and the pass compares values.
 func (g *refineGen) addL() {
-	G := g.w.G
+	G, codes := g.w.G, g.codes
+	rank, group := codes.KeyRanks()
+	sc := g.w.scratchFor(codes)
+	counts, keptOf := sc.counts, sc.keptOf
 	slots := make([]attrSlot, G.Attrs.Len())
-	var touched []int32 // slots to reset before the next pattern node
+	var attrs []int32   // slots to reset before the next pattern node
+	var touched []int32 // codes counted at this pattern node
 	nIM := len(g.im)
 	parts := make([][]graph.NodeID, nIM+len(g.rm)) // partner sets, im then rm
 	var cands []addLCand
-	byValue := map[valueKey]int{} // exact cell identity → candidate
-	byKey := map[string]int{}     // rendered key → candidate
-	var survives []bool           // candidate-major: survives[k*len(parts)+i]
+	var vals []graph.Value // the kept candidates' values
+	var survives []bool    // candidate-major: survives[k*len(parts)+i]
 
 	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
-		for _, a := range touched {
-			slots[a] = attrSlot{kept: slots[a].kept[:0]}
+		for _, a := range attrs {
+			slots[a] = attrSlot{}
 		}
-		touched, cands = touched[:0], cands[:0]
-		clear(byValue)
-		clear(byKey)
+		attrs, touched, cands, vals = attrs[:0], touched[:0], cands[:0], vals[:0]
 
 		// Count attribute values over RM partners at u.
 		for i, vrm := range g.rm {
 			parts[nIM+i] = g.partners(vrm, u)
 			for _, p := range parts[nIM+i] {
-				for _, t := range G.Tuple(p) {
-					slot := &slots[t.Attr]
-					if !slot.decided {
-						attr := G.Attrs.Name(t.Attr)
-						slot.decided = true
-						slot.open = g.q.FindLiteral(u, attr, graph.EQ) < 0 && !g.used[litTarget(u, attr)]
-						touched = append(touched, t.Attr)
+				for _, t := range codes.Tuple(p) {
+					state := slots[t.Attr].state
+					if state == slotNew {
+						state = g.openSlot(u, t.Attr)
+						slots[t.Attr].state = state
+						attrs = append(attrs, t.Attr)
 					}
-					if !slot.open {
+					if state == slotClosed {
 						continue
 					}
-					vk := valueKey{t.Attr, t.Val.Kind, math.Float64bits(t.Val.Num), t.Val.Str}
-					ci, ok := byValue[vk]
-					if !ok {
-						key := G.Attrs.Name(t.Attr) + "=" + t.Val.String() + kindOf(t.Val)
-						if ci, ok = byKey[key]; !ok {
-							ci = len(cands)
-							cands = append(cands, addLCand{key: key})
-							byKey[key] = ci
-						}
-						byValue[vk] = ci
+					code := t.Code
+					if state == slotIrregular {
+						code = group[code]
 					}
-					c := &cands[ci]
-					c.count++
-					c.attr, c.val = t.Attr, t.Val
+					c := &counts[code]
+					if c.n == 0 {
+						touched = append(touched, code)
+					}
+					c.n++
+					c.last = t.Code
 				}
 			}
+		}
+		for _, code := range touched {
+			c := &counts[code]
+			cands = append(cands, addLCand{count: c.n, rank: rank[code], code: c.last, attr: codes.Attr(c.last)})
+			*c = addLCount{}
 		}
 
 		// Keep the most frequent values of each attribute.
 		slices.SortFunc(cands, func(a, b addLCand) int {
 			if a.count != b.count {
-				return b.count - a.count
+				return int(b.count - a.count)
 			}
-			return strings.Compare(a.key, b.key)
+			return int(a.rank - b.rank)
 		})
 		kept := cands[:0]
+		irregular := false
 		for _, c := range cands {
-			if slot := &slots[c.attr]; len(slot.kept) < maxValuesPerAttr {
-				slot.kept = append(slot.kept, len(kept))
-				kept = append(kept, c)
+			slot := &slots[c.attr]
+			if slot.nKept == maxValuesPerAttr {
+				continue
 			}
+			if slot.state == slotIrregular {
+				irregular = true
+			} else {
+				keptOf[c.code] = slot.nKept + 1
+			}
+			slot.kept[slot.nKept] = int32(len(kept))
+			slot.nKept++
+			kept = append(kept, c)
+			vals = append(vals, codes.Value(c.code))
 		}
 		if len(kept) == 0 {
 			continue
@@ -397,16 +463,22 @@ func (g *refineGen) addL() {
 		survives = append(survives[:0], make([]bool, len(kept)*len(parts))...)
 		for i, ps := range parts {
 			for _, p := range ps {
-				for _, t := range G.Tuple(p) {
-					for _, k := range slots[t.Attr].kept {
-						if sameValue(t.Val, kept[k].val) {
-							survives[k*len(parts)+i] = true
+				for j, t := range codes.Tuple(p) {
+					if at := keptOf[t.Code]; at != 0 {
+						survives[int(slots[t.Attr].kept[at-1])*len(parts)+i] = true
+					} else if irregular && slots[t.Attr].state == slotIrregular {
+						val, slot := G.Tuple(p)[j].Val, &slots[t.Attr]
+						for _, k := range slot.kept[:slot.nKept] {
+							if sameValue(val, vals[k]) {
+								survives[int(k)*len(parts)+i] = true
+							}
 						}
 					}
 				}
 			}
 		}
 		for k, c := range kept {
+			keptOf[c.code] = 0
 			alive := survives[k*len(parts) : (k+1)*len(parts)]
 			var imOut, rmOut []graph.NodeID
 			for i, v := range g.im {
@@ -419,16 +491,16 @@ func (g *refineGen) addL() {
 					rmOut = append(rmOut, v)
 				}
 			}
-			lit := query.Literal{Attr: G.Attrs.Name(c.attr), Op: graph.EQ, Val: c.val}
+			lit := query.Literal{Attr: G.Attrs.Name(c.attr), Op: graph.EQ, Val: vals[k]}
 			g.add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
 		}
 	}
 }
 
 // sameValue is graph.EQ.Holds(a, b) — same kind and Compare == 0 —
-// spelled out because it is addL's innermost loop and Holds does not
-// inline. Written as Compare orders numbers (neither below nor above),
-// so it agrees with Literal.Sat on every input, -0 and NaN included.
+// spelled out because Holds does not inline. Written as Compare orders
+// numbers (neither below nor above), so it agrees with Literal.Sat on
+// every input, -0 and NaN included.
 func sameValue(a, b graph.Value) bool {
 	if a.Kind != b.Kind {
 		return false
@@ -439,19 +511,15 @@ func sameValue(a, b graph.Value) bool {
 	return a.Str == b.Str
 }
 
-func kindOf(v graph.Value) string {
-	if v.Kind == graph.Number {
-		return "#n"
-	}
-	return "#s"
-}
-
 // rfL (genRfL): tighten existing numeric literals toward the
 // RM-supporting values (Appendix B rules, using ≤/≥ so the nearest
 // relevant value keeps matching).
 func (g *refineGen) rfL() {
 	const maxValues = 6
 	G := g.w.G
+	counts := g.w.scratchFor(g.codes).counts // n marks the codes met
+	var touched []int32
+	var vals []float64
 	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
 		for _, l := range g.q.Nodes[u].Literals {
@@ -462,26 +530,39 @@ func (g *refineGen) rfL() {
 			if !ok {
 				continue // no node carries the attribute: nothing to tighten toward
 			}
-			// RM-supporting values of this attribute at u.
-			var vals []float64
-			seen := map[float64]bool{}
+			// RM-supporting values of this attribute at u: the distinct
+			// number codes met, in order of first meeting. NaN orders
+			// against nothing and tightens nothing; of -0 and 0 the one
+			// met first stands for both.
+			lo, hi := g.codes.NumberCodes(aid)
+			touched = touched[:0]
 			for _, vrm := range g.rm {
 				for _, p := range g.partners(vrm, u) {
-					if val, ok := G.AttrByID(p, aid); ok && val.Kind == graph.Number {
-						if !seen[val.Num] {
-							seen[val.Num] = true
-							vals = append(vals, val.Num)
+					for _, t := range g.codes.Tuple(p) {
+						if t.Attr < aid {
+							continue
 						}
+						if t.Attr == aid && lo <= t.Code && t.Code < hi && counts[t.Code].n == 0 {
+							counts[t.Code].n = 1
+							touched = append(touched, t.Code)
+						}
+						break
 					}
 				}
 			}
-			sort.Float64s(vals)
+			vals = vals[:0]
+			for _, code := range touched {
+				counts[code].n = 0
+				if a := g.codes.Value(code).Num; !math.IsNaN(a) {
+					vals = append(vals, a)
+				}
+			}
+			slices.SortStableFunc(vals, cmp.Compare[float64])
+			vals = slices.Compact(vals)
 			gen := func(op graph.Op, a float64) {
 				newLit := query.Literal{Attr: l.Attr, Op: op, Val: graph.N(a)}
-				imOut, rmOut := g.removedBy(u, func(p graph.NodeID) bool {
-					val, ok := G.AttrByID(p, aid)
-					return ok && op.Holds(val, newLit.Val)
-				})
+				sat := newLit.Check(G)
+				imOut, rmOut := g.removedBy(u, func(p graph.NodeID) bool { return sat.Candidate(G, p) })
 				g.add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, imOut, rmOut)
 			}
 			switch l.Op {

@@ -378,9 +378,10 @@ func TestGenRefineMatchesOracleOnDatasets(t *testing.T) {
 
 // TestGenRefineMatchesOracleOnEdgeCases builds the inputs the dataset sweep
 // does not reach: -0 beside 0, String "5" beside Number 5, renderings
-// that collide across attributes, hubs whose partner sets truncate at
-// maxPartnersScored, more than 64 sampled matches on both sides, an
-// empty RM, a used target and an existing "=" literal.
+// that collide across attributes, an attribute carrying NaN, a Number
+// cell carrying a Str beside the plain Number, hubs whose partner sets
+// truncate at maxPartnersScored, more than 64 sampled matches on both
+// sides, an empty RM, a used target and an existing "=" literal.
 func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.New()
@@ -389,10 +390,14 @@ func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 		g.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2)), "size": graph.N(float64(i % 5))})
 	}
 	aVals := []graph.Value{graph.N(0), graph.N(math.Copysign(0, -1)), graph.N(5), graph.S("5"), graph.S("x")}
+	cVals := []graph.Value{graph.N(1), graph.N(math.NaN()), graph.N(2), graph.N(3), graph.N(math.NaN()), graph.S("NaN"), graph.N(0)}
+	dVals := []graph.Value{graph.N(5), {Kind: graph.Number, Num: 5, Str: "five"}, graph.N(6), {Kind: graph.Number, Num: 5, Str: "V"}, graph.N(4)}
 	for i := 0; i < nP; i++ {
 		attrs := map[string]graph.Value{
 			"a": aVals[rng.Intn(len(aVals))],
 			"b": graph.N(float64(1 + rng.Intn(9))), // more values than maxValuesPerAttr
+			"c": cVals[i%len(cVals)],
+			"d": dVals[(i/2)%len(dVals)],
 		}
 		switch rng.Intn(3) { // "k=v"="w" and "k"="v=w" both render k=v=w#s
 		case 0:
@@ -437,6 +442,9 @@ func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 		{"existing = literal", base(nil, []query.Literal{eq("b", graph.N(3))}), map[string]bool{}, 0, true},
 		{"existing >= literal", base(nil, []query.Literal{{Attr: "b", Op: graph.GE, Val: graph.N(2)}}), map[string]bool{}, 0, true},
 		{"partner constrained to -0", base(nil, []query.Literal{eq("a", graph.N(math.Copysign(0, -1)))}), map[string]bool{}, 0, true},
+		{"partner bounded on the NaN attribute", base(nil, []query.Literal{{Attr: "c", Op: graph.GE, Val: graph.N(1)}}), map[string]bool{}, 0, true},
+		{"partner constrained to NaN", base(nil, []query.Literal{{Attr: "c", Op: graph.LE, Val: graph.N(math.NaN())}}), map[string]bool{}, 0, true},
+		{"partner bounded on the Number-with-Str attribute", base(nil, []query.Literal{{Attr: "d", Op: graph.LE, Val: graph.N(6)}}), map[string]bool{}, 0, true},
 		{"empty RM", base([]query.Literal{eq("good", graph.N(0))}, nil), map[string]bool{}, 0, false},
 	}
 	for _, tc := range cases {

@@ -85,8 +85,11 @@ type Graph struct {
 
 	// lazily computed caches, invalidated on mutation
 	lazyMu sync.Mutex
-	diam   int               // guarded by lazyMu
-	adoms  map[int32]*Domain // guarded by lazyMu
+	diam   int // guarded by lazyMu
+	// codes holds the active domains and the code column (adom.go).
+	// Stored under lazyMu; loaded without it, so a warm read is one
+	// atomic load.
+	codes atomic.Pointer[Codes]
 
 	uid uint64
 }
@@ -248,7 +251,7 @@ func (g *Graph) invalidate() {
 	g.lazyMu.Lock()
 	defer g.lazyMu.Unlock()
 	g.diam = -1
-	g.adoms = nil
+	g.codes.Store(nil)
 	g.dirty.Store(true)
 }
 

@@ -58,11 +58,17 @@ type StarInstance struct {
 	Cols  []int
 }
 
-// Result is one query evaluation: the star view used, per-node
-// candidate sets, and the answer Q(G) (the matches of the focus).
+// Result is one query evaluation: the star view used, the candidate
+// sets the search enumerated from, and the answer Q(G) (the matches of
+// the focus).
 type Result struct {
-	Query      *query.Query
-	Stars      []StarInstance
+	Query *query.Query
+	Stars []StarInstance
+	// Candidates, indexed by pattern node, holds the candidate set of
+	// the focus and of each node that starts a component of the pattern
+	// the focus is not in; every other node is enumerated from an
+	// assigned neighbor (its star-table row, else a BFS ball), and its
+	// entry is nil.
 	Candidates [][]graph.NodeID
 	Answer     []graph.NodeID // sorted
 }
@@ -83,9 +89,7 @@ func (m *Matcher) Match(q *query.Query) *Result {
 		Query:      q,
 		Candidates: make([][]graph.NodeID, len(q.Nodes)),
 	}
-	for u := range q.Nodes {
-		res.Candidates[u] = q.Candidates(m.G, query.NodeID(u))
-	}
+	res.Candidates[q.Focus] = q.Candidates(m.G, q.Focus)
 
 	var kb strings.Builder
 	for _, s := range Decompose(q) {
@@ -247,6 +251,9 @@ func (v *verifier) prepare() {
 				if !seen[u] {
 					seen[u] = true
 					v.order = append(v.order, query.NodeID(u))
+					// No assigned neighbor will anchor u: it is the
+					// one kind of node enumerated from its candidates.
+					v.cands[u] = q.Candidates(v.m.G, query.NodeID(u))
 					break
 				}
 			}

@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -214,9 +215,12 @@ func (q *Query) Candidates(g *graph.Graph, u NodeID) []graph.NodeID {
 		return pool
 	}
 	check := q.Check(g, u)
+	if check.label == noLabel {
+		return []graph.NodeID{}
+	}
 	out := make([]graph.NodeID, 0, len(pool))
-	for _, v := range pool {
-		if check.Candidate(g, v) {
+	for _, v := range pool { // pool carries the label already
+		if check.literals(g, v) {
 			out = append(out, v)
 		}
 	}
@@ -438,58 +442,122 @@ func (q *Query) IsolatedIgnored(u NodeID) bool {
 }
 
 // NodeCheck is a compiled candidate predicate for one pattern node:
-// the label and every literal attribute resolved to interned ids once,
-// so hot matching loops avoid per-node string lookups.
+// the label resolved to its interned id and every literal to an interval
+// of value codes (graph.Codes), so a hot matching loop tests a node with
+// integer compares over its 8-byte coded cells and touches no string and
+// no graph.Value.
 type NodeCheck struct {
-	wildcard bool
-	labelID  int32
-	dead     bool // a literal references an attribute absent from G
-	lits     []compiledLit
+	// label is the interned label a node must carry: anyLabel for the
+	// wildcard, noLabel when no node can pass (the label, or a literal's
+	// attribute, is absent from G).
+	label int32
+	lits  []compiledLit
+	// codes is the view lo/hi index. A mutation of the graph drops it,
+	// and the literals are then tested by value.
+	codes *graph.Codes
 }
+
+// Labels are interned from 0, so no node carries a negative one.
+const (
+	anyLabel int32 = -1
+	noLabel  int32 = -2
+)
 
 type compiledLit struct {
 	aid int32
-	op  graph.Op
-	val graph.Value
+	// lo, hi: the codes of the attribute's values that satisfy the
+	// literal (graph.Codes.Interval), so "lo <= code <= hi" is
+	// Literal.Sat; lo > hi when none does, and when byValue.
+	lo, hi int32
+	// byValue: the attribute is irregular — code order or identity is
+	// not Compare's — and op.Holds decides on the value.
+	byValue bool
+	op      graph.Op
+	val     graph.Value
 }
 
 // Check compiles the candidate predicate of pattern node u against g.
 func (q *Query) Check(g *graph.Graph, u NodeID) NodeCheck {
-	n := q.Nodes[u]
-	c := NodeCheck{wildcard: n.Label == ""}
-	if !c.wildcard {
-		id, ok := g.Labels.Lookup(n.Label)
+	return compile(g, q.Nodes[u].Label, q.Nodes[u].Literals)
+}
+
+// Check compiles the literal alone against g: Candidate is then Sat.
+func (l Literal) Check(g *graph.Graph) NodeCheck {
+	return compile(g, "", []Literal{l})
+}
+
+func compile(g *graph.Graph, label string, literals []Literal) NodeCheck {
+	c := NodeCheck{label: anyLabel}
+	if label != "" {
+		id, ok := g.Labels.Lookup(label)
 		if !ok {
-			c.dead = true
-			return c
+			return NodeCheck{label: noLabel}
 		}
-		c.labelID = id
+		c.label = id
 	}
-	for _, l := range n.Literals {
+	if len(literals) == 0 {
+		return c
+	}
+	c.codes = g.Codes()
+	c.lits = make([]compiledLit, 0, len(literals))
+	for _, l := range literals {
 		aid, ok := g.Attrs.Lookup(l.Attr)
 		if !ok {
-			c.dead = true
-			return c
+			return NodeCheck{label: noLabel}
 		}
-		c.lits = append(c.lits, compiledLit{aid: aid, op: l.Op, val: l.Val})
+		lo, hi, coded := c.codes.Interval(aid, l.Op, l.Val)
+		c.lits = append(c.lits, compiledLit{aid: aid, lo: lo, hi: hi, byValue: !coded, op: l.Op, val: l.Val})
 	}
+	slices.SortFunc(c.lits, func(a, b compiledLit) int { return int(a.aid - b.aid) })
 	return c
 }
 
 // Candidate reports whether v satisfies the compiled predicate;
 // equivalent to Query.IsCandidate but without string lookups.
 func (c *NodeCheck) Candidate(g *graph.Graph, v graph.NodeID) bool {
-	if c.dead {
-		return false
+	return (c.label == anyLabel || g.LabelID(v) == c.label) && c.literals(g, v)
+}
+
+// literals reports whether v satisfies every literal.
+func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
+	if len(c.lits) == 0 {
+		return true
 	}
-	if !c.wildcard && g.LabelID(v) != c.labelID {
-		return false
+	if !g.CodesCurrent(c.codes) {
+		return c.literalsByValue(g, v)
 	}
-	for _, l := range c.lits {
-		val, ok := g.AttrByID(v, l.aid)
-		if !ok || !l.op.Holds(val, l.val) {
+	// Tuples are a handful of cells sorted by attribute id, as lits is:
+	// one forward scan meets every literal's cell.
+	cells := c.codes.Tuple(v)
+	j := 0
+	for i := range c.lits {
+		l := &c.lits[i]
+		for j < len(cells) && cells[j].Attr < l.aid {
+			j++
+		}
+		if j == len(cells) || cells[j].Attr != l.aid {
+			return false
+		}
+		if code := cells[j].Code; code < l.lo || code > l.hi {
+			if !l.byValue || !l.holds(g, v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (c *NodeCheck) literalsByValue(g *graph.Graph, v graph.NodeID) bool {
+	for i := range c.lits {
+		if !c.lits[i].holds(g, v) {
 			return false
 		}
 	}
 	return true
+}
+
+// holds is Literal.Sat on the interned attribute id.
+func (l *compiledLit) holds(g *graph.Graph, v graph.NodeID) bool {
+	val, ok := g.AttrByID(v, l.aid)
+	return ok && l.op.Holds(val, l.val)
 }
