@@ -14,7 +14,7 @@ GO ?= go
 # internal/distindex), so racing it would only slow CI down.
 RACE_PKGS = ./internal/graph ./internal/match ./internal/chase ./internal/par ./internal/distindex ./internal/anscache ./internal/hist ./internal/loadgen ./cmd/wqe-serve
 
-.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-smoke benchmark benchmark-check bench-load ci
+.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-smoke profile benchmark benchmark-check bench-load ci
 
 all: build
 
@@ -79,10 +79,27 @@ fuzz-snapshot:
 # Run the generation, BFS and star-table micro-benchmarks once each, so
 # they cannot rot: BenchmarkGenRefine (cold and warm partner sets, and
 # warm with every attribute irregular), the Ball/VisitBall pair,
-# BenchmarkVisitBalls (64 single visits vs one batched sweep) and
-# BenchmarkBuildStarTable (time and B/cell).
+# BenchmarkVisitBalls (64 single visits vs one batched sweep),
+# BenchmarkBuildStarTable (time and B/cell) and BenchmarkAsk (one whole
+# question per algorithm, what `make profile` profiles).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable' -benchtime 1x ./internal/chase ./internal/graph ./internal/match
+	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask' -benchtime 1x ./internal/chase ./internal/graph ./internal/match
+
+# Where a question's time goes: BenchmarkAsk asks whole Why-questions the
+# way the benchmark's explore_heu and explore_answ workloads do (seeded
+# products graph, one Session, fresh Why per question, Workers=1), one
+# profiled run of 1200 questions per algorithm. Leaves the test binary and
+# ask-{heu,answ}.{cpu,mem}.prof in .bench_build/ and prints each CPU
+# profile's top of the table; `go tool pprof -list <func>
+# .bench_build/chase.test .bench_build/ask-heu.cpu.prof` for more.
+profile:
+	mkdir -p .bench_build
+	for a in heu answ; do \
+		$(GO) test -run '^$$' -bench "Ask/$$a" -benchtime 1200x \
+			-o .bench_build/chase.test -outputdir $(abspath .bench_build) \
+			-cpuprofile ask-$$a.cpu.prof -memprofile ask-$$a.mem.prof ./internal/chase || exit 1; \
+		$(GO) tool pprof -top -cum -nodecount 40 .bench_build/chase.test .bench_build/ask-$$a.cpu.prof || exit 1; \
+	done
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four
 # workloads, untraced then traced, one table and one JSON line. About

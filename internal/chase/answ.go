@@ -2,7 +2,6 @@ package chase
 
 import (
 	"container/heap"
-	"time"
 
 	"wqe/internal/match"
 	"wqe/internal/ops"
@@ -55,28 +54,36 @@ func (s *state) prio() float64 {
 }
 
 // ensure generates the state's picky operators on first visit
-// (procedure NextOp, Fig 7).
+// (procedure NextOp, Fig 7). A state that cannot afford one generates
+// none: it keeps an empty queue, ranks by its closeness alone and is
+// popped as a backtrack.
 func (s *state) ensure(w *Why, kthBestCl float64) {
 	if s.generated {
 		return
 	}
 	s.generated = true
-	used := opTargets(s.seq)
 	budgetLeft := w.Cfg.Budget - s.cost
+	if !expandable(budgetLeft) {
+		return
+	}
 
-	refineCond := hasIM(w, s.res)
-	relaxCond := !s.refineOnly
+	refineCond, relaxCond := true, !s.refineOnly
 	if w.Cfg.Prune {
 		// Lemma 5.5: refine only when removing IM can still beat the
 		// best known rewrite; relax only while cl⁺ can still grow.
-		refineCond = refineCond && s.clPlus > kthBestCl
+		refineCond = s.clPlus > kthBestCl
 		relaxCond = relaxCond && s.clPlus < w.ClStar-1e-12
 	}
+	if !refineCond && !relaxCond {
+		return
+	}
+	used := opTargets(s.seq)
+	rm, im, rc, _ := w.Partition(s.res)
 	if refineCond {
-		s.queue = append(s.queue, w.GenRefine(s.q, s.res, used, budgetLeft)...)
+		s.queue = append(s.queue, w.genRefine(s.q, rm, im, used, budgetLeft)...)
 	}
 	if relaxCond {
-		s.queue = append(s.queue, w.GenRelax(s.q, s.res, used, budgetLeft)...)
+		s.queue = append(s.queue, w.genRelax(s.q, rc, used, budgetLeft)...)
 	}
 	// Merge keeps each generator's order; globally re-rank by
 	// pickiness (stable, so equal scores keep generator priority).
@@ -273,7 +280,7 @@ func (w *Why) TopK(k int) []Answer {
 
 		if best.offer(ans2) {
 			w.Stats.Trajectory = append(w.Stats.Trajectory,
-				Sample{At: time.Since(start), Closeness: best.bestCl()})
+				Sample{At: w.clock().Sub(start), Closeness: best.bestCl()})
 			if w.Cfg.OnImprove != nil {
 				w.Cfg.OnImprove(best.list[0])
 			}

@@ -115,3 +115,62 @@ func BenchmarkGenRefine(b *testing.B) {
 		warm(b, g)
 	})
 }
+
+// BenchmarkAsk times whole Why-questions the way the repo's benchmark
+// asks them (benchmark/: explore_heu and explore_answ): a seeded
+// products graph, distinct tree questions, one Session, a fresh Why per
+// question, Workers=1. One iteration is one question; the pool wraps onto
+// a fresh session, so every pass starts with a cold star cache. It exists
+// to be profiled (`make profile`): a question here goes through the same
+// Session.Why → AnsHeu(3) / AnsW path as one in the benchmark's window.
+func BenchmarkAsk(b *testing.B) {
+	for _, tc := range []struct {
+		name            string
+		nodes, maxSteps int
+		run             func(*chase.Why)
+	}{
+		{"heu", 2000, 200, func(w *chase.Why) { w.AnsHeu(3) }},
+		{"answ", 1000, 60, func(w *chase.Why) { w.AnsW() }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			g, err := datagen.Generate(datagen.DatasetProducts, tc.nodes, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			idx := distindex.NewPLL(g)
+			m := match.NewMatcher(g, idx, nil)
+			rng := rand.New(rand.NewSource(14))
+			var pool []*datagen.WhyInstance
+			for tries := 0; len(pool) < 300 && tries < 6000; tries++ {
+				inst, ok := datagen.GenWhy(g, m, datagen.WhySpec{
+					Query:      datagen.QuerySpec{Shape: query.TopoTree, Edges: 2, MaxPredicates: 2, PathEdgeProb: 0.2},
+					DisturbOps: 3,
+					MaxTuples:  5,
+				}, rng)
+				if ok {
+					pool = append(pool, inst)
+				}
+			}
+			if len(pool) == 0 {
+				b.Skip("no instance")
+			}
+			cfg := chase.DefaultConfig()
+			cfg.Workers = 1
+			cfg.MaxSteps = tc.maxSteps
+			var sess *chase.Session
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%len(pool) == 0 {
+					sess = chase.NewSessionWithIndex(g, cfg, idx)
+				}
+				inst := pool[i%len(pool)]
+				w, err := sess.Why(inst.Q, inst.E)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tc.run(w)
+			}
+		})
+	}
+}

@@ -440,7 +440,7 @@ func (w *Why) beginRun() {
 // after all evaluation workers have joined.
 func (w *Why) endRun(start time.Time) {
 	w.Stats.Steps = int(w.steps.Load())
-	w.Stats.Elapsed = time.Since(start)
+	w.Stats.Elapsed = w.clock().Sub(start)
 	w.Stats.CacheHits, w.Stats.CacheMiss = cacheStats(w.Matcher.Cache)
 }
 

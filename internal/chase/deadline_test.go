@@ -184,3 +184,45 @@ func TestTopKDeadlineDeterministic(t *testing.T) {
 		t.Fatal("anytime contract broken: no best-so-far answer returned")
 	}
 }
+
+// TestRunTimesReadTheInjectedClock pins the one-clock bugfix: a run's
+// origin is w.clock(), so Stats.Elapsed and every trajectory sample must
+// be differences on that clock, never the wall clock's distance from a
+// fake origin. With no deadline set the only reads are the origin, the
+// deadline anchor, one per trajectory sample and the final stamp, so
+// under a clock that advances one step per read the expected values are
+// exact.
+func TestRunTimesReadTheInjectedClock(t *testing.T) {
+	const step = time.Millisecond
+	f := datagen.NewFig1()
+	cfg := DefaultConfig()
+	cfg.Budget = 4
+	for _, tc := range []struct {
+		name string
+		run  func(*Why)
+	}{
+		{"AnsW", func(w *Why) { w.AnsW() }},
+		{"AnsHeu", func(w *Why) { w.AnsHeu(3) }},
+	} {
+		name := tc.name
+		w, err := NewWhy(f.G, f.Q, f.E, cfg)
+		if err != nil {
+			t.Fatalf("NewWhy: %v", err)
+		}
+		w.clock = fakeClock(step)
+		tc.run(w)
+		n := len(w.Stats.Trajectory)
+		if n == 0 {
+			t.Fatalf("%s: empty trajectory, the test checks nothing", name)
+		}
+		for i, s := range w.Stats.Trajectory {
+			// Reads before sample i: origin, deadline anchor, i samples.
+			if want := time.Duration(i+2) * step; s.At != want {
+				t.Errorf("%s: Trajectory[%d].At = %v, want %v", name, i, s.At, want)
+			}
+		}
+		if want := time.Duration(n+2) * step; w.Stats.Elapsed != want {
+			t.Errorf("%s: Elapsed = %v, want %v", name, w.Stats.Elapsed, want)
+		}
+	}
+}

@@ -58,6 +58,16 @@ func edgeTarget(a, b query.NodeID) string {
 	return "E:" + strconv.Itoa(int(a)) + ":" + strconv.Itoa(int(b))
 }
 
+// expandable reports whether a state with budgetLeft = B − c(O) can
+// still buy an operator. Every operator costs at least ops.MinCost, so
+// below it the generators' own "Cost > budgetLeft" test rejects
+// everything they would build; the searches and both picky generators
+// ask here first and skip the work. Written as a negation so that it
+// rejects exactly what that test rejects, whatever budgetLeft holds.
+func expandable(budgetLeft float64) bool {
+	return !(budgetLeft < ops.MinCost)
+}
+
 // rcBlame is the per-RC-node failure analysis that drives picky
 // relaxation: which local conditions of Q keep the node out of Q(G).
 type rcBlame struct {
@@ -168,7 +178,16 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID) rcBlame {
 // operator by pickiness p(o) = Σ_{v ∈ RC̄(o)} cl(v, E) / |V_{u_o}|
 // (Lemma 5.2), and returns them best-first.
 func (w *Why) GenRelax(q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
+	if !expandable(budgetLeft) {
+		return nil
+	}
 	_, _, rc, _ := w.Partition(res)
+	return w.genRelax(q, rc, used, budgetLeft)
+}
+
+// genRelax is GenRelax over the relevant candidates of a state the
+// caller has partitioned and found expandable.
+func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, budgetLeft float64) []scoredOp {
 	if len(rc) == 0 {
 		return nil
 	}

@@ -84,7 +84,9 @@ func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string
 		parts := make([]string, 0, len(n.Literals)+1)
 		parts = append(parts, n.Label)
 		for _, l := range n.Literals {
-			parts = append(parts, l.String())
+			// Rendered with the kind: "a = 5" is one text for the number
+			// and for the string, and they select different partners.
+			parts = append(parts, l.String()+kindOf(l.Val))
 		}
 		sort.Strings(parts[1:])
 		g.sig[u] = w.sigID(strings.Join(parts, "|"))
@@ -213,7 +215,16 @@ func (g *refineGen) fillPartners() {
 // the certainly-removed irrelevant-match set and RM̲ the
 // certainly-removed relevant-match set under partner overestimation.
 func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
+	if !expandable(budgetLeft) {
+		return nil
+	}
 	rm, im, _, _ := w.Partition(res)
+	return w.genRefine(q, rm, im, used, budgetLeft)
+}
+
+// genRefine is GenRefine over the matches of a state the caller has
+// partitioned and found expandable.
+func (w *Why) genRefine(q *query.Query, rm, im []graph.NodeID, used map[string]bool, budgetLeft float64) []scoredOp {
 	if len(im) == 0 {
 		return nil
 	}

@@ -376,13 +376,22 @@ func TestGenRefineMatchesOracleOnDatasets(t *testing.T) {
 	}
 }
 
-// TestGenRefineMatchesOracleOnEdgeCases builds the inputs the dataset sweep
-// does not reach: -0 beside 0, String "5" beside Number 5, renderings
-// that collide across attributes, an attribute carrying NaN, a Number
-// cell carrying a Str beside the plain Number, hubs whose partner sets
-// truncate at maxPartnersScored, more than 64 sampled matches on both
-// sides, an empty RM, a used target and an existing "=" literal.
-func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
+// edgeCase is one hand-built chase state over edgeCaseGraph.
+type edgeCase struct {
+	name     string
+	q        *query.Query
+	used     map[string]bool
+	analysis int
+	wantOps  bool
+}
+
+// edgeCases builds the inputs the dataset sweeps do not reach: -0 beside
+// 0, String "5" beside Number 5, renderings that collide across
+// attributes, an attribute carrying NaN, a Number cell carrying a Str
+// beside the plain Number, hubs whose partner sets truncate at
+// maxPartnersScored, more than 64 sampled matches on both sides, an
+// empty RM, a used target and an existing "=" literal.
+func edgeCases() (*graph.Graph, *exemplar.Exemplar, []edgeCase) {
 	rng := rand.New(rand.NewSource(5))
 	g := graph.New()
 	const nF, nP = 300, 500
@@ -429,13 +438,7 @@ func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 	eq := func(attr string, v graph.Value) query.Literal {
 		return query.Literal{Attr: attr, Op: graph.EQ, Val: v}
 	}
-	cases := []struct {
-		name     string
-		q        *query.Query
-		used     map[string]bool
-		analysis int
-		wantOps  bool
-	}{
+	return g, e, []edgeCase{
 		{"plain", base(nil, nil), map[string]bool{}, 0, true},
 		{"all sampled matches kept (150 per side)", base(nil, nil), map[string]bool{}, 1000, true},
 		{"used target", base(nil, nil), map[string]bool{litTarget(1, "a"): true, litTarget(0, "size"): true}, 0, true},
@@ -447,14 +450,28 @@ func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 		{"partner bounded on the Number-with-Str attribute", base(nil, []query.Literal{{Attr: "d", Op: graph.LE, Val: graph.N(6)}}), map[string]bool{}, 0, true},
 		{"empty RM", base([]query.Literal{eq("good", graph.N(0))}, nil), map[string]bool{}, 0, false},
 	}
+}
+
+// why compiles the case's question with nothing capped, so that
+// everything scored is compared.
+func (tc edgeCase) why(t *testing.T, g *graph.Graph, e *exemplar.Exemplar) *Why {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.MaxOpsPerClass = 1 << 20
+	cfg.MaxAnalysis = tc.analysis
+	w, err := NewWhy(g, tc.q, e, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", tc.name, err)
+	}
+	return w
+}
+
+// TestGenRefineMatchesOracleOnEdgeCases compares GenRefine with the
+// oracle on the hand-built states of edgeCases.
+func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
+	g, e, cases := edgeCases()
 	for _, tc := range cases {
-		cfg := DefaultConfig()
-		cfg.MaxOpsPerClass = 1 << 20
-		cfg.MaxAnalysis = tc.analysis
-		w, err := NewWhy(g, tc.q, e, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
+		w := tc.why(t, g, e)
 		if n := checkState(t, tc.name, w, tc.q, tc.used)[ops.AddL]; (n > 0) != tc.wantOps {
 			t.Errorf("%s: %d AddL operators compared, want some: %v", tc.name, n, tc.wantOps)
 		}
@@ -471,6 +488,37 @@ func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 	}
 	if len(rm) <= 64 || len(im) <= 64 {
 		t.Errorf("|RM| = %d, |IM| = %d: both must exceed 64", len(rm), len(im))
+	}
+}
+
+// TestPartnerSetsDistinguishLiteralKind asks one Why for the partners of
+// one match under a = 5 (number) and under a = "5" (string): both
+// literals render "a = 5", and the sets memoized on the Why must not be
+// shared between them.
+func TestPartnerSetsDistinguishLiteralKind(t *testing.T) {
+	g, e, cases := edgeCases()
+	w, err := NewWhy(g, cases[0].q, e, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hub, p = graph.NodeID(0), query.NodeID(1)
+	var sets [2][]graph.NodeID
+	for i, val := range []graph.Value{graph.N(5), graph.S("5")} {
+		q := cases[0].q.Clone()
+		lit := query.Literal{Attr: "a", Op: graph.EQ, Val: val}
+		q.Nodes[p].Literals = append(q.Nodes[p].Literals, lit)
+		sets[i] = newRefineGen(w, q, nil, nil, nil, 3).partners(hub, p)
+		if len(sets[i]) == 0 {
+			t.Fatalf("%v: hub %d has no partner", lit, hub)
+		}
+		for _, n := range sets[i] {
+			if !lit.Sat(g, n) {
+				t.Errorf("%v: partner %d does not satisfy the literal", lit, n)
+			}
+		}
+	}
+	if slices.Equal(sets[0], sets[1]) {
+		t.Errorf("number and string literal share the partner set %v", sets[0])
 	}
 }
 

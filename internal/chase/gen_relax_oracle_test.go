@@ -1,0 +1,211 @@
+package chase
+
+import (
+	"sort"
+
+	"wqe/internal/graph"
+	"wqe/internal/match"
+	"wqe/internal/ops"
+	"wqe/internal/query"
+)
+
+// oracleGenRelax is GenRelax as it stood before generation became
+// budget-aware, verbatim apart from the receiver: it partitions the
+// answer itself and asks nothing about the budget before the per-operator
+// "Cost > budgetLeft" test. The terminal-state test checks that on a
+// state with budgetLeft < ops.MinCost it finds nothing to emit, and that
+// elsewhere GenRelax still emits exactly what it does.
+func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
+	_, _, rc, _ := w.Partition(res)
+	if len(rc) == 0 {
+		return nil
+	}
+	// Blame analysis runs bounded BFS per RC node; cap the analyzed set
+	// (highest-closeness first) so generation stays within the bounded
+	// delay of §5.4. Pickiness then scores against the sample.
+	rc = sampleByCl(w, rc, w.Cfg.MaxAnalysis)
+
+	// acc accumulates RC̄ per candidate operator, keyed by the
+	// operator's identity.
+	acc := map[opIdent]*accum{}
+	add := func(o ops.Op, pickyEdge int, v graph.NodeID) {
+		if !o.Applicable(q, w.params) || o.Cost(w.G) > budgetLeft {
+			return
+		}
+		key := identOf(o)
+		a := acc[key]
+		if a == nil {
+			a = &accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}, gain: map[graph.NodeID]bool{}}
+			acc[key] = a
+		}
+		if !a.gain[v] {
+			a.gain[v] = true
+			a.total += w.Eval.Cl(v)
+		}
+	}
+
+	focus := q.Focus
+	// Per-literal failing-value pools for the RxL discretization rule.
+	type litKey struct {
+		u    query.NodeID
+		attr string
+	}
+	failVals := map[litKey]map[float64][]graph.NodeID{}
+	noteVal := func(u query.NodeID, attr string, val graph.Value, v graph.NodeID) {
+		if val.Kind != graph.Number {
+			return
+		}
+		k := litKey{u, attr}
+		if failVals[k] == nil {
+			failVals[k] = map[float64][]graph.NodeID{}
+		}
+		failVals[k][val.Num] = append(failVals[k][val.Num], v)
+	}
+
+	var deepRC []graph.NodeID
+	for _, v := range rc {
+		blame := w.analyzeRC(q, v)
+
+		for _, l := range blame.failedLits {
+			if !used[litTarget(focus, l.Attr)] {
+				add(ops.Op{Kind: ops.RmL, U: focus, Lit: l}, -1, v)
+				if val, ok := w.G.Attr(v, l.Attr); ok {
+					noteVal(focus, l.Attr, val, v)
+				}
+			}
+		}
+		// Iterate failed edges in index order: operator insertion order
+		// decides identOf-map accumulation and, downstream, tie-broken
+		// top-k output.
+		failedEdges := make([]int, 0, len(blame.edgeFail))
+		for ei := range blame.edgeFail {
+			failedEdges = append(failedEdges, ei)
+		}
+		sort.Ints(failedEdges)
+		for _, ei := range failedEdges {
+			nearest := blame.edgeFail[ei]
+			e := q.Edges[ei]
+			if !used[edgeTarget(e.From, e.To)] {
+				add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, v)
+				// Step-wise bound relaxation (Appendix B); the RC node
+				// only counts when one step suffices.
+				if e.Bound < w.Cfg.MaxBound && nearest <= e.Bound+1 {
+					add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound + 1}, ei, v)
+				}
+				// Direct relaxation to the needed bound when farther.
+				if nearest != graph.Unreachable && nearest > e.Bound+1 && nearest <= w.Cfg.MaxBound {
+					add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: nearest}, ei, v)
+				}
+			}
+			for _, bl := range blame.litBlock[ei] {
+				if used[litTarget(bl.u, bl.lit.Attr)] {
+					continue
+				}
+				add(ops.Op{Kind: ops.RmL, U: bl.u, Lit: bl.lit}, ei, v)
+				noteVal(bl.u, bl.lit.Attr, bl.val, v)
+			}
+		}
+		if blame.deep {
+			deepRC = append(deepRC, v)
+		}
+	}
+
+	// Deep failures blame every non-focus-incident edge (the paper's
+	// rule (2): paths {(u,u'),(u',u_o)} — an overestimate).
+	for _, v := range deepRC {
+		for ei, e := range q.Edges {
+			if e.From == focus || e.To == focus {
+				continue
+			}
+			if used[edgeTarget(e.From, e.To)] {
+				continue
+			}
+			add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, v)
+			if e.Bound < w.Cfg.MaxBound {
+				add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound + 1}, ei, v)
+			}
+		}
+	}
+
+	// RxL discretization: for each blamed numeric literal (in pattern-node
+	// then attribute order, for deterministic generation), sort the
+	// failing values and generate one RxL per distinct value — relaxing
+	// up to that value admits every RC node at or before it.
+	blamedLits := make([]litKey, 0, len(failVals))
+	for k := range failVals {
+		blamedLits = append(blamedLits, k)
+	}
+	sort.Slice(blamedLits, func(i, j int) bool {
+		if blamedLits[i].u != blamedLits[j].u {
+			return blamedLits[i].u < blamedLits[j].u
+		}
+		return blamedLits[i].attr < blamedLits[j].attr
+	})
+	for _, k := range blamedLits {
+		vals := failVals[k]
+		li := -1
+		for _, op := range []graph.Op{graph.GE, graph.GT, graph.LE, graph.LT, graph.EQ} {
+			if i := q.FindLiteral(k.u, k.attr, op); i >= 0 {
+				li = i
+				break
+			}
+		}
+		if li < 0 {
+			continue
+		}
+		l := q.Nodes[k.u].Literals[li]
+		if l.Val.Kind != graph.Number {
+			continue
+		}
+		nums := make([]float64, 0, len(vals))
+		for n := range vals {
+			nums = append(nums, n)
+		}
+		sort.Float64s(nums)
+		const maxRxLValues = 8
+		switch l.Op {
+		case graph.GE, graph.GT, graph.EQ:
+			// Failing values lie below c; relax the lower bound downward,
+			// nearest first.
+			count := 0
+			for i := len(nums) - 1; i >= 0 && count < maxRxLValues; i-- {
+				a := nums[i]
+				if a >= l.Val.Num {
+					continue
+				}
+				o := ops.Op{Kind: ops.RxL, U: k.u, Lit: l,
+					NewLit: query.Literal{Attr: k.attr, Op: graph.GE, Val: graph.N(a)}}
+				for _, n := range nums[i:] {
+					if n >= a && n < l.Val.Num {
+						for _, v := range vals[n] {
+							add(o, -1, v)
+						}
+					}
+				}
+				count++
+			}
+		}
+		switch l.Op {
+		case graph.LE, graph.LT, graph.EQ:
+			count := 0
+			for i := 0; i < len(nums) && count < maxRxLValues; i++ {
+				a := nums[i]
+				if a <= l.Val.Num {
+					continue
+				}
+				o := ops.Op{Kind: ops.RxL, U: k.u, Lit: l,
+					NewLit: query.Literal{Attr: k.attr, Op: graph.LE, Val: graph.N(a)}}
+				for _, n := range nums[:i+1] {
+					if n <= a && n > l.Val.Num {
+						for _, v := range vals[n] {
+							add(o, -1, v)
+						}
+					}
+				}
+				count++
+			}
+		}
+	}
+
+	return w.finishScored(acc)
+}

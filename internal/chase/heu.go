@@ -2,7 +2,6 @@ package chase
 
 import (
 	"sort"
-	"time"
 
 	"wqe/internal/match"
 	"wqe/internal/ops"
@@ -87,22 +86,27 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 			if simSteps >= w.Cfg.MaxSteps || w.stop(deadline) {
 				break
 			}
-			used := opTargets(s.seq)
 			budgetLeft := w.Cfg.Budget - s.cost
 
 			var pool []scoredOp
 			if random {
-				pool = w.GenRandom(s.q, used, budgetLeft)
+				// Not skipped for a state that can afford nothing: building
+				// the pool draws from w.rng, and a skipped call would shift
+				// every later draw.
+				pool = w.GenRandom(s.q, opTargets(s.seq), budgetLeft)
 			} else {
+				if !expandable(budgetLeft) {
+					continue
+				}
+				used := opTargets(s.seq)
+				rm, im, rc, _ := w.Partition(s.res)
 				// Relaxations come first so that, on pickiness ties, the
 				// beam follows the normal form (relax before refine);
 				// refinements with strictly higher pickiness still win.
 				if !s.refineOnly {
-					pool = append(pool, capPerClass(w.GenRelax(s.q, s.res, used, budgetLeft), beam)...)
+					pool = append(pool, capPerClass(w.genRelax(s.q, rc, used, budgetLeft), beam)...)
 				}
-				if hasIM(w, s.res) {
-					pool = append(pool, capPerClass(w.GenRefine(s.q, s.res, used, budgetLeft), beam)...)
-				}
+				pool = append(pool, capPerClass(w.genRefine(s.q, rm, im, used, budgetLeft), beam)...)
 				sortScored(pool)
 			}
 
@@ -167,7 +171,7 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 			ans2.Diff = s2.diff
 			if best.offer(ans2) {
 				w.Stats.Trajectory = append(w.Stats.Trajectory,
-					Sample{At: time.Since(start), Closeness: best.bestCl()})
+					Sample{At: w.clock().Sub(start), Closeness: best.bestCl()})
 				if w.Cfg.OnImprove != nil {
 					w.Cfg.OnImprove(best.list[0])
 				}

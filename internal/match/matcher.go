@@ -113,21 +113,17 @@ func (m *Matcher) Match(q *query.Query) *Result {
 		})
 	}
 
-	// Focus pool: candidates supported by every star under the current
-	// focus literals.
+	// Focus pool: the candidates under the current focus literals that
+	// every star has at a focus position.
 	pool := res.Candidates[q.Focus]
 	v := m.vpool.Get().(*verifier)
 	v.q, v.cands, v.stars = q, res.Candidates, res.Stars
 	v.prepare()
-	supports := v.supports
-	for _, inst := range res.Stars {
-		supports = append(supports, inst.Table.FocusSupport(m.G, q))
-	}
 	var verified []graph.NodeID
 outer:
 	for _, cand := range pool {
-		for _, sup := range supports {
-			if sup != nil && !sup[cand] {
+		for _, inst := range res.Stars {
+			if !inst.Table.SupportsFocus(cand) {
 				continue outer
 			}
 		}
@@ -137,20 +133,15 @@ outer:
 	}
 	slices.Sort(verified) // already ascending when the candidates are; cheap then
 	res.Answer = verified
-	v.supports = supports
 	m.release(v)
 	return res
 }
 
 // release returns a verifier to the pool, dropping every reference that
-// would pin a query, result, or support map past the Match that made
-// it; the slices and maps themselves stay allocated for reuse.
+// would pin a query or result past the Match that made it; the slices
+// and the memo themselves stay allocated for reuse.
 func (m *Matcher) release(v *verifier) {
 	v.q, v.cands, v.stars = nil, nil, nil
-	for i := range v.supports {
-		v.supports[i] = nil
-	}
-	v.supports = v.supports[:0]
 	m.vpool.Put(v)
 }
 
@@ -182,22 +173,22 @@ func columnMap(q *query.Query, s *StarQuery, t *StarTable) []int {
 // materialized, bound- and literal-filtered partner lists — and only
 // falls back to BFS balls for edges no star column covers.
 type verifier struct {
-	m      *Matcher
-	q      *query.Query
-	cands  [][]graph.NodeID
-	stars  []StarInstance
-	order  []query.NodeID
-	h      []graph.NodeID // assignment, -1 = unassigned
-	used   map[graph.NodeID]bool
+	m     *Matcher
+	q     *query.Query
+	cands [][]graph.NodeID
+	stars []StarInstance
+	order []query.NodeID
+	// h is the assignment, -1 = unassigned. It doubles as the set of used
+	// graph nodes (valuations are injective): patterns are a handful of
+	// nodes, so a scan beats a map.
+	h      []graph.NodeID
 	checks []query.NodeCheck // compiled per-pattern-node predicates
-	// colFor maps (pattern edge, center pattern node) to a star table
-	// column: the materialized partner list for that edge anchored at a
-	// center match.
-	colFor map[enumKey]enumRef
+	// colFor maps a pattern edge seen from one endpoint — index
+	// 2*edge for its From node, 2*edge+1 for its To node — to the column
+	// of the star centered there: the materialized partner list for that
+	// edge anchored at a center match. star is -1 where no star has one.
+	colFor []enumRef
 
-	// supports holds the per-star focus-support sets for the current
-	// Match (scratch owned here so the pool recycles its backing array).
-	supports []map[graph.NodeID]bool
 	// seen is prepare's BFS visited set, reused across Match calls.
 	seen []bool
 	// cons holds one edge-constraint buffer per search depth: extend at
@@ -211,14 +202,18 @@ type verifier struct {
 	dmemo map[int64]int32
 }
 
-type enumKey struct {
-	edge   int
-	center query.NodeID
-}
-
 type enumRef struct {
 	star int
 	col  int
+}
+
+// colIndex is colFor's index for pattern edge e seen from its From node
+// (out) or its To node.
+func colIndex(e int, out bool) int {
+	if out {
+		return 2 * e
+	}
+	return 2*e + 1
 }
 
 func (v *verifier) prepare() {
@@ -263,11 +258,6 @@ func (v *verifier) prepare() {
 	for range q.Nodes {
 		v.h = append(v.h, -1)
 	}
-	if v.used == nil {
-		v.used = map[graph.NodeID]bool{}
-	} else {
-		clear(v.used)
-	}
 	v.checks = v.checks[:0]
 	for u := range q.Nodes {
 		v.checks = append(v.checks, q.Check(v.m.G, query.NodeID(u)))
@@ -278,18 +268,16 @@ func (v *verifier) prepare() {
 		clear(v.dmemo)
 	}
 
-	if v.colFor == nil {
-		v.colFor = map[enumKey]enumRef{}
-	} else {
-		clear(v.colFor)
+	v.colFor = v.colFor[:0]
+	for range 2 * len(q.Edges) {
+		v.colFor = append(v.colFor, enumRef{star: -1})
 	}
 	for si, inst := range v.stars {
 		for k, se := range inst.Star.Edges {
 			if inst.Cols[k] < 0 {
 				continue
 			}
-			v.colFor[enumKey{edge: se.EdgeIdx, center: inst.Star.Center}] =
-				enumRef{star: si, col: inst.Cols[k]}
+			v.colFor[colIndex(se.EdgeIdx, se.Out)] = enumRef{star: si, col: inst.Cols[k]}
 		}
 	}
 }
@@ -300,35 +288,28 @@ func (v *verifier) verify(cand graph.NodeID) bool {
 	for i := range v.h {
 		v.h[i] = -1
 	}
-	clear(v.used)
 	v.h[v.q.Focus] = cand
-	v.used[cand] = true
-	ok := v.extend(1)
-	delete(v.used, cand)
-	return ok
+	return v.extend(1)
 }
 
 // edgeConstraint is one distance requirement between the node being
 // assigned and an already-assigned anchor.
 type edgeConstraint struct {
-	edge      int          // pattern edge index
-	anchorPat query.NodeID // assigned endpoint's pattern node
-	anchor    graph.NodeID // its image
-	bound     int
-	out       bool // anchor → u in the pattern
+	edge   int          // pattern edge index
+	anchor graph.NodeID // the assigned endpoint's image
+	bound  int
+	out    bool // anchor → u in the pattern
 }
 
 // tryAssign extends the valuation with h(u) = w and recurses; the
 // assignment is rolled back on failure.
 func (v *verifier) tryAssign(u query.NodeID, w graph.NodeID, depth int) bool {
-	if v.used[w] {
+	if slices.Contains(v.h, w) {
 		return false
 	}
 	v.h[u] = w
-	v.used[w] = true
 	ok := v.extend(depth + 1)
 	v.h[u] = -1
-	delete(v.used, w)
 	return ok
 }
 
@@ -402,11 +383,9 @@ func (v *verifier) extend(depth int) bool {
 	for ei, e := range v.q.Edges {
 		switch {
 		case e.From == u && v.h[e.To] >= 0:
-			cons = append(cons, edgeConstraint{
-				edge: ei, anchorPat: e.To, anchor: v.h[e.To], bound: e.Bound, out: false})
+			cons = append(cons, edgeConstraint{edge: ei, anchor: v.h[e.To], bound: e.Bound, out: false})
 		case e.To == u && v.h[e.From] >= 0:
-			cons = append(cons, edgeConstraint{
-				edge: ei, anchorPat: e.From, anchor: v.h[e.From], bound: e.Bound, out: true})
+			cons = append(cons, edgeConstraint{edge: ei, anchor: v.h[e.From], bound: e.Bound, out: true})
 		}
 	}
 	v.cons[depth] = cons
@@ -426,8 +405,8 @@ func (v *verifier) extend(depth int) bool {
 	bestList := -1
 	var list []graph.NodeID
 	for i, c := range cons {
-		ref, ok := v.colFor[enumKey{edge: c.edge, center: c.anchorPat}]
-		if !ok {
+		ref := v.colFor[colIndex(c.edge, c.out)]
+		if ref.star < 0 {
 			continue
 		}
 		t := v.stars[ref.star].Table

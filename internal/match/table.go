@@ -24,17 +24,12 @@ import (
 // rewrites modify focus predicates constantly, and keeping the focus
 // columns literal-agnostic lets one materialized table serve every
 // rewrite that differs only in focus literals (the incremental
-// verification of §2.3). FocusSupport applies the current focus
-// literals at read time.
+// verification of §2.3). Readers apply the current focus literals.
 //
 // A table is immutable once built, so cached tables are safe for
 // concurrent readers; the zero value is an empty table.
 type StarTable struct {
 	Star *StarQuery
-	// focusIsCenter records whether rows are focus candidates.
-	focusIsCenter bool
-	// focusEdges are the star-edge indices whose Other is the focus.
-	focusEdges []int
 	// ColSigs are the per-column structural signatures (direction,
 	// bound, endpoint signature). A cached table may have been built
 	// from a structurally equal query whose edges were ordered
@@ -48,6 +43,11 @@ type StarTable struct {
 	width int
 	off   []int
 	cells []graph.NodeID
+	// focus lists, ascending and without repeats, the nodes at a focus
+	// position of some row: centers itself when the focus is the center,
+	// else the union of the columns that hold focus matches. Unused when
+	// the star is disconnected from the focus.
+	focus []graph.NodeID
 }
 
 // NumRows returns the number of center matches.
@@ -75,14 +75,19 @@ func (t *StarTable) Col(r, c int) []graph.NodeID {
 // of the other endpoint. Focus positions are filtered by label only
 // (see StarTable).
 func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
-	t := &StarTable{Star: s, focusIsCenter: s.Center == q.Focus, width: len(s.Edges)}
+	t := &StarTable{Star: s, width: len(s.Edges)}
+	focusIsCenter := s.Center == q.Focus
+	// focusCols are the columns holding focus matches: the star edges
+	// whose other endpoint is the focus, else the augmented column.
+	var focusCols []int
 	for i, e := range s.Edges {
 		if e.Other == q.Focus {
-			t.focusEdges = append(t.focusEdges, i)
+			focusCols = append(focusCols, i)
 		}
 	}
 	hasAug := !s.HasFocus && s.AugDist > 0
 	if hasAug {
+		focusCols = append(focusCols, t.width)
 		t.width++
 	}
 	// isCand filters a node for pattern node u via compiled predicates;
@@ -102,7 +107,7 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 
 	// Ascending either way: the by-label runs, or a filter of one.
 	var centerCands []graph.NodeID
-	if t.focusIsCenter {
+	if focusIsCenter {
 		centerCands = g.NodesByLabel(focusLabel)
 	} else {
 		centerCands = q.Candidates(g, s.Center)
@@ -167,64 +172,47 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 	}
 	// Tables outlive the build in the cache: drop the growth slack.
 	t.centers, t.off, t.cells = slices.Clone(t.centers), slices.Clone(t.off), slices.Clone(t.cells)
+	if focusIsCenter {
+		t.focus = t.centers
+	} else {
+		var focus []graph.NodeID
+		for r := range t.centers {
+			for _, c := range focusCols {
+				focus = append(focus, t.Col(r, c)...)
+			}
+		}
+		slices.Sort(focus)
+		t.focus = slices.Clone(slices.Compact(focus))
+	}
 	for _, e := range s.Edges {
 		t.ColSigs = append(t.ColSigs, edgeSig(q, e))
 	}
 	return t
 }
 
-// FocusSupport returns the focus candidates this table supports under
-// the query's current focus literals: nodes appearing at a focus
-// position of some row and satisfying every focus literal. A nil result
-// means the star is disconnected from the focus and supports all
-// candidates.
-func (t *StarTable) FocusSupport(g *graph.Graph, q *query.Query) map[graph.NodeID]bool {
-	s := t.Star
-	if !s.HasFocus && s.AugDist == 0 {
-		return nil
+// focusFree reports whether the star is disconnected from the focus: it
+// then constrains its own nodes only and supports every focus candidate.
+func (t *StarTable) focusFree() bool {
+	return !t.Star.HasFocus && t.Star.AugDist == 0
+}
+
+// SupportsFocus reports whether v appears at a focus position of some
+// row, which every focus match must. Focus positions are filtered by
+// label only, so the caller vouches for v's literals (Match asks about
+// candidates of the focus only).
+func (t *StarTable) SupportsFocus(v graph.NodeID) bool {
+	if t.focusFree() {
+		return true
 	}
-	check := q.Check(g, q.Focus)
-	support := map[graph.NodeID]bool{}
-	if t.focusIsCenter {
-		// Center rows must additionally satisfy the focus literals. Each
-		// center has one row, so there is no verdict to remember.
-		for _, v := range t.centers {
-			if check.Candidate(g, v) {
-				support[v] = true
-			}
-		}
-		return support
-	}
-	// Memoize per-node verdicts: hub-heavy tables repeat focus entries
-	// across many rows.
-	verdict := map[graph.NodeID]bool{}
-	pass := func(v graph.NodeID) bool {
-		if ok, seen := verdict[v]; seen {
-			return ok
-		}
-		ok := check.Candidate(g, v)
-		verdict[v] = ok
-		return ok
-	}
-	cols := t.focusEdges
-	if len(cols) == 0 {
-		cols = []int{len(s.Edges)} // the augmented column
-	}
-	for r := range t.centers {
-		for _, c := range cols {
-			for _, v := range t.Col(r, c) {
-				if !support[v] && pass(v) {
-					support[v] = true
-				}
-			}
-		}
-	}
-	return support
+	_, ok := slices.BinarySearch(t.focus, v)
+	return ok
 }
 
 // Size returns the number of cells in the table, the |Q.S(G)| measure
 // used in the delay-time analysis: one per row for its center, plus the
-// entries of every column.
+// entries of every column. The focus list is an index over those cells,
+// not part of the measure, and is not counted: Size is not the table's
+// memory footprint.
 func (t *StarTable) Size() int {
 	return len(t.centers) + len(t.cells)
 }

@@ -117,24 +117,29 @@ func (o Op) String() string {
 	return "op?"
 }
 
-// Cost returns c(o) per Table 1: unit cost 1 plus a relative-difference
-// term normalized by range(A) for literal modifications and by D(G) for
-// edge-bound updates. Costs always land in [1, 2] (the normalizing
-// denominators dominate the numerators by construction); Empty costs 0.
+// MinCost is the unit term of every Table 1 cost: no operator but Empty
+// costs less, so a remaining budget below it buys nothing.
+const MinCost = 1.0
+
+// Cost returns c(o) per Table 1: the unit cost MinCost plus a
+// relative-difference term normalized by range(A) for literal
+// modifications and by D(G) for edge-bound updates. Costs always land in
+// [1, 2] (the normalizing denominators dominate the numerators by
+// construction); Empty costs 0.
 func (o Op) Cost(g *graph.Graph) float64 {
 	switch o.Kind {
 	case Empty:
 		return 0
 	case RmL, AddL:
-		return 1
+		return MinCost
 	case RmE, AddE:
-		return 1 + clamp01(float64(o.Bound)/float64(g.Diameter()))
+		return MinCost + clamp01(float64(o.Bound)/float64(g.Diameter()))
 	case RxE, RfE:
 		diff := o.Bound - o.NewBound
 		if diff < 0 {
 			diff = -diff
 		}
-		return 1 + clamp01(float64(diff)/float64(g.Diameter()))
+		return MinCost + clamp01(float64(diff)/float64(g.Diameter()))
 	case RxL, RfL:
 		if o.Lit.Val.Kind != graph.Number || o.NewLit.Val.Kind != graph.Number {
 			return 2 // categorical rewrite: maximal relative difference
@@ -144,19 +149,22 @@ func (o Op) Cost(g *graph.Graph) float64 {
 		if diff < 0 {
 			diff = -diff
 		}
-		return 1 + clamp01(diff/dom.Range())
+		return MinCost + clamp01(diff/dom.Range())
 	}
-	return 1
+	return MinCost
 }
 
+// clamp01 clamps f to [0, 1]. NaN (a NaN literal constant) clamps to 0,
+// so that no cost falls below MinCost or compares false against every
+// budget.
 func clamp01(f float64) float64 {
-	if f < 0 {
-		return 0
-	}
 	if f > 1 {
 		return 1
 	}
-	return f
+	if f > 0 {
+		return f
+	}
+	return 0
 }
 
 // numericRegion returns the half-open numeric satisfaction interval

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,36 @@ func TestCostRange(t *testing.T) {
 		c := o.Cost(g)
 		if c < 1 || c > 2 {
 			t.Fatalf("cost(%s) = %v out of [1,2]", o, c)
+		}
+	}
+}
+
+// TestMinCostIsTheFloor: Empty is the only kind that costs less than
+// MinCost, whatever the operator's fields hold — zero and negative
+// bounds, NaN and infinite constants, an attribute no node carries, a
+// kind outside Table 1. The chase skips operator generation for a state
+// whose remaining budget is below MinCost on the strength of this.
+func TestMinCostIsTheFloor(t *testing.T) {
+	g, _ := fixture()
+	if c := (Op{Kind: Empty}).Cost(g); c >= MinCost {
+		t.Errorf("cost(∅) = %v, want below MinCost %v", c, MinCost)
+	}
+	nums := []float64{0, -1, 5, 840, 1e308, -1e308, math.Inf(1), math.Inf(-1), math.NaN()}
+	bounds := []int{-3, 0, 1, 2, 1 << 40}
+	for k := RmL; k <= RfE+1; k++ {
+		for _, attr := range []string{"Price", "NoSuchAttr"} {
+			for _, a := range nums {
+				for _, b := range nums {
+					for _, bound := range bounds {
+						for _, newBound := range bounds {
+							o := Op{Kind: k, Lit: lit(attr, graph.GE, a), NewLit: lit(attr, graph.LE, b), Bound: bound, NewBound: newBound}
+							if c := o.Cost(g); !(c >= MinCost && c <= 2) {
+								t.Fatalf("cost(%s) = %v, want within [MinCost, 2]", o, c)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

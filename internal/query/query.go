@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wqe/internal/graph"
@@ -26,7 +27,7 @@ type Literal struct {
 
 // String renders the literal as "A op c".
 func (l Literal) String() string {
-	return fmt.Sprintf("%s %s %s", l.Attr, l.Op, l.Val)
+	return l.Attr + " " + l.Op.String() + " " + l.Val.String()
 }
 
 // Equal reports literal identity.
@@ -355,9 +356,14 @@ func (q *Query) Shape() Topology {
 // Node order is significant (rewrites never reorder nodes).
 func (q *Query) Key() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "f%d", q.Focus)
+	b.WriteByte('f')
+	b.WriteString(strconv.Itoa(int(q.Focus)))
 	for i, n := range q.Nodes {
-		fmt.Fprintf(&b, "|n%d:%s{", i, n.Label)
+		b.WriteString("|n")
+		b.WriteString(strconv.Itoa(i))
+		b.WriteByte(':')
+		b.WriteString(n.Label)
+		b.WriteByte('{')
 		lits := append([]Literal(nil), n.Literals...)
 		sort.Slice(lits, func(a, c int) bool {
 			if lits[a].Attr != lits[c].Attr {
@@ -387,7 +393,12 @@ func (q *Query) Key() string {
 		return edges[a].Bound < edges[c].Bound
 	})
 	for _, e := range edges {
-		fmt.Fprintf(&b, "|e%d-%d:%d", e.From, e.To, e.Bound)
+		b.WriteString("|e")
+		b.WriteString(strconv.Itoa(int(e.From)))
+		b.WriteByte('-')
+		b.WriteString(strconv.Itoa(int(e.To)))
+		b.WriteByte(':')
+		b.WriteString(strconv.Itoa(e.Bound))
 	}
 	return b.String()
 }

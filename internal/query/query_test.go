@@ -2,6 +2,8 @@ package query
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 
 	"wqe/internal/graph"
@@ -205,6 +207,53 @@ func TestKey(t *testing.T) {
 	q2.Focus = u2
 	if q1.Key() != q2.Key() {
 		t.Error("literal order must not affect the key")
+	}
+}
+
+// TestKeyAndLiteralGolden pins the rendered bytes: chase deduplicates
+// rewrites by Key, star caches key on Literal.String, and the benchmark
+// hashes both into answers_sha256. The expected strings are what the
+// fmt-based renderers printed before they were rebuilt on strconv.
+func TestKeyAndLiteralGolden(t *testing.T) {
+	lits := []struct {
+		l    Literal
+		want string
+	}{
+		{Literal{Attr: "Age", Op: graph.GE, Val: graph.N(40)}, "Age >= 40"},
+		{Literal{Attr: "p", Op: graph.LT, Val: graph.N(math.NaN())}, "p < NaN"},
+		{Literal{Attr: "z", Op: graph.EQ, Val: graph.N(math.Copysign(0, -1))}, "z = -0"},
+		{Literal{Attr: "r", Op: graph.LE, Val: graph.N(1e21)}, "r <= 1e+21"},
+		{Literal{Attr: "r", Op: graph.GT, Val: graph.N(math.Inf(-1))}, "r > -Inf"},
+		{Literal{Attr: "full name", Op: graph.EQ, Val: graph.S("Ada  Lovelace ")}, "full name = Ada  Lovelace "},
+		{Literal{Attr: "", Op: graph.EQ, Val: graph.S("")}, " = "},
+		{Literal{Attr: "a", Op: graph.Op(9), Val: graph.S("%d")}, "a Op(9) %d"},
+	}
+	for _, tc := range lits {
+		if got := tc.l.String(); got != tc.want {
+			t.Errorf("Literal.String() = %q, want %q", got, tc.want)
+		}
+		if got, ref := tc.l.String(), fmt.Sprintf("%s %s %s", tc.l.Attr, tc.l.Op, tc.l.Val); got != ref {
+			t.Errorf("Literal.String() = %q, fmt renders %q", got, ref)
+		}
+	}
+
+	q := New()
+	a := q.AddNode("Person", lits[5].l, lits[1].l, lits[0].l)
+	b := q.AddNode("", lits[2].l)
+	c := q.AddNode("City of {x}|y")
+	for i := 0; i < 8; i++ {
+		q.AddNode("pad")
+	}
+	d := q.AddNode("Last") // id 11: two digits
+	q.AddEdge(d, a, 12)
+	q.AddEdge(b, c, 3)
+	q.AddEdge(b, a, 1)
+	q.Focus = d
+	const want = "f11|n0:Person{Age >= 40,full name = Ada  Lovelace ,p < NaN}|n1:{z = -0}|n2:City of {x}|y{}" +
+		"|n3:pad{}|n4:pad{}|n5:pad{}|n6:pad{}|n7:pad{}|n8:pad{}|n9:pad{}|n10:pad{}|n11:Last{}" +
+		"|e1-0:1|e1-2:3|e11-0:12"
+	if got := q.Key(); got != want {
+		t.Errorf("Key() =\n%s\nwant\n%s", got, want)
 	}
 }
 
