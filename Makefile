@@ -79,9 +79,11 @@ fuzz-snapshot:
 # Run the generation, BFS and star-table micro-benchmarks once each, so
 # they cannot rot: BenchmarkGenRefine (cold and warm partner sets, and
 # warm with every attribute irregular), the Ball/VisitBall pair,
+# BenchmarkTraverserBall (small balls by Ball vs by one Traverser),
 # BenchmarkVisitBalls (64 single visits vs one batched sweep),
-# BenchmarkBuildStarTable (time and B/cell) and BenchmarkAsk (one whole
-# question per algorithm, what `make profile` profiles).
+# BenchmarkBuildStarTable (the same stars built fresh and derived from
+# the parent's table; B/cell) and BenchmarkAsk (one whole question per
+# algorithm, what `make profile` profiles).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask' -benchtime 1x ./internal/chase ./internal/graph ./internal/match
 
@@ -89,8 +91,10 @@ bench-smoke:
 # way the benchmark's explore_heu and explore_answ workloads do (seeded
 # products graph, one Session, fresh Why per question, Workers=1), one
 # profiled run of 1200 questions per algorithm. Leaves the test binary and
-# ask-{heu,answ}.{cpu,mem}.prof in .bench_build/ and prints each CPU
-# profile's top of the table; `go tool pprof -list <func>
+# ask-{heu,answ}.{cpu,mem}.prof in .bench_build/ and prints, per
+# algorithm, the top of the CPU profile by cumulative time and then the
+# top allocation sites of the heap profile by bytes allocated over the run
+# (add -sample_index=alloc_objects for counts); `go tool pprof -list <func>
 # .bench_build/chase.test .bench_build/ask-heu.cpu.prof` for more.
 profile:
 	mkdir -p .bench_build
@@ -99,6 +103,7 @@ profile:
 			-o .bench_build/chase.test -outputdir $(abspath .bench_build) \
 			-cpuprofile ask-$$a.cpu.prof -memprofile ask-$$a.mem.prof ./internal/chase || exit 1; \
 		$(GO) tool pprof -top -cum -nodecount 40 .bench_build/chase.test .bench_build/ask-$$a.cpu.prof || exit 1; \
+		$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 .bench_build/chase.test .bench_build/ask-$$a.mem.prof || exit 1; \
 	done
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four

@@ -204,7 +204,7 @@ func (w *Why) TopK(k int) []Answer {
 	defer w.endRun(start)
 	workers := w.workers()
 
-	rootAns, rootRes := w.evaluate(w.Q, nil)
+	rootAns, rootRes := w.evaluate(nil, w.Q, nil)
 	root := &state{
 		q:      w.Q,
 		res:    rootRes,
@@ -316,8 +316,7 @@ func (w *Why) evaluateTop(s *state, op scoredOp, key string, q2 *query.Query,
 		return w.answerFor(q2, seq2, res), res
 	}
 	if workers <= 1 {
-		ans, res := w.evaluate(q2, seq2)
-		return ans, res
+		return w.evaluate(s.res, q2, seq2)
 	}
 
 	batch := []*beamCand{{q2: q2, seq2: seq2, key: key}}
@@ -346,10 +345,13 @@ func (w *Why) evaluateTop(s *state, op scoredOp, key string, q2 *query.Query,
 	w.forEach(workers, len(batch), func(i int) {
 		c := batch[i]
 		if i == 0 {
-			c.ans, c.res = w.evaluate(c.q2, c.seq2)
+			c.ans, c.res = w.evaluate(s.res, c.q2, c.seq2)
 			return
 		}
-		_, c.res = w.evaluateUncounted(c.q2, nil)
+		// Uncounted, and no Answer assembled: a prefetch thrown away
+		// unread must not perturb the MaxSteps schedule, and answerFor
+		// runs at consumption.
+		c.res = w.Matcher.MatchFrom(s.res, c.q2)
 	})
 	if len(batch) > 1 {
 		if s.spec == nil {

@@ -394,20 +394,16 @@ func (a Answer) String() string {
 }
 
 // evaluate runs Match on q and assembles an Answer (without lineage).
-// It counts one Q-Chase step and is safe to call from evaluation
-// workers: the step counter is atomic and everything else it touches is
-// either read-only or internally synchronized (see match.Matcher).
-func (w *Why) evaluate(q *query.Query, seq ops.Sequence) (Answer, *match.Result) {
+// parent is the evaluation of the state q was rewritten from, nil for a
+// question's own query: the matcher takes from it what q left unchanged
+// (match.Matcher.MatchFrom) and returns what it would without it. It
+// counts one Q-Chase step and is safe to call from evaluation workers:
+// the step counter is atomic and everything else it touches is either
+// read-only — parents included — or internally synchronized (see
+// match.Matcher).
+func (w *Why) evaluate(parent *match.Result, q *query.Query, seq ops.Sequence) (Answer, *match.Result) {
 	w.steps.Add(1)
-	return w.evaluateUncounted(q, seq)
-}
-
-// evaluateUncounted is evaluate without the step accounting. Speculative
-// evaluation (the AnsW sibling prefetch) uses it so that work thrown
-// away unread never perturbs the MaxSteps budget — step counts must
-// match the sequential schedule exactly for output to stay identical.
-func (w *Why) evaluateUncounted(q *query.Query, seq ops.Sequence) (Answer, *match.Result) {
-	res := w.Matcher.Match(q)
+	res := w.Matcher.MatchFrom(parent, q)
 	return w.answerFor(q, seq, res), res
 }
 

@@ -21,7 +21,7 @@ func (w *Why) FMAnsW() Answer {
 	defer w.endRun(start)
 	deadline := w.deadline(start)
 
-	rootAns, _ := w.evaluate(w.Q, nil)
+	rootAns, _ := w.evaluate(nil, w.Q, nil)
 	focusLabel := w.Q.Nodes[w.Q.Focus].Label
 
 	// Mine features "around V_{u_o}" (§7): the whole focus candidate
@@ -119,7 +119,7 @@ func (w *Why) FMAnsW() Answer {
 	best := rootAns
 	consider := func(subset []*feature) {
 		q := build(subset)
-		ans, _ := w.evaluate(q, nil)
+		ans, _ := w.evaluate(nil, q, nil)
 		ans.Ops = nil
 		if ans.Closeness > best.Closeness {
 			best = ans

@@ -105,16 +105,20 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID) rcBlame {
 		}
 	}
 
+	// The two balls are scanned and dropped: a traverser's storage serves
+	// them (each direction keeps its own until it is asked again).
+	tr := w.G.Traverser()
+	defer tr.Release()
 	var fwd, bwd []graph.NodeDist
 	ballFor := func(dir graph.Direction) []graph.NodeDist {
 		if dir == graph.Forward {
 			if fwd == nil {
-				fwd = w.G.Ball(v, w.Cfg.MaxBound, graph.Forward)
+				fwd = tr.Ball(v, w.Cfg.MaxBound, graph.Forward)
 			}
 			return fwd
 		}
 		if bwd == nil {
-			bwd = w.G.Ball(v, w.Cfg.MaxBound, graph.Backward)
+			bwd = tr.Ball(v, w.Cfg.MaxBound, graph.Backward)
 		}
 		return bwd
 	}

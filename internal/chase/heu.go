@@ -58,7 +58,7 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 	w.beginRun()
 	defer w.endRun(start)
 
-	rootAns, rootRes := w.evaluate(w.Q, nil)
+	rootAns, rootRes := w.evaluate(nil, w.Q, nil)
 	root := &state{
 		q:      w.Q,
 		res:    rootRes,
@@ -149,7 +149,7 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 		// Phase 2 — evaluate the whole level concurrently.
 		w.forEach(workers, len(cands), func(i int) {
 			c := cands[i]
-			c.ans, c.res = w.evaluate(c.q2, c.seq2)
+			c.ans, c.res = w.evaluate(c.parent.res, c.q2, c.seq2)
 		})
 
 		// Phase 3 — commit in claim order.

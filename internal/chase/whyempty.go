@@ -26,7 +26,7 @@ func (w *Why) AnsWE() Answer {
 	defer w.endRun(start)
 	deadline := w.deadline(start)
 
-	rootAns, _ := w.evaluate(w.Q, nil)
+	rootAns, _ := w.evaluate(nil, w.Q, nil)
 	q := w.Q
 	focus := q.Focus
 
@@ -146,7 +146,7 @@ func (w *Why) AnsWE() Answer {
 		if err != nil {
 			continue
 		}
-		ans2, res2 := w.evaluate(q2, p.ops)
+		ans2, res2 := w.evaluate(nil, q2, p.ops) // removals only: nothing to take from the root
 		if res2.Has(p.v) {
 			return ans2
 		}

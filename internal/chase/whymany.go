@@ -18,7 +18,7 @@ func (w *Why) ApxWhyM() Answer {
 	defer w.endRun(start)
 	deadline := w.deadline(start)
 
-	rootAns, rootRes := w.evaluate(w.Q, nil)
+	rootAns, rootRes := w.evaluate(nil, w.Q, nil)
 	if !hasIM(w, rootRes) {
 		return rootAns // nothing to remove
 	}
@@ -52,7 +52,7 @@ func (w *Why) ApxWhyM() Answer {
 	}
 	w.forEach(w.workers(), len(pending), func(i int) {
 		c := pending[i]
-		c.ans, c.res = w.evaluate(c.q2, ops.Sequence{c.op})
+		c.ans, c.res = w.evaluate(rootRes, c.q2, ops.Sequence{c.op})
 	})
 
 	type seed struct {
@@ -176,7 +176,7 @@ func (w *Why) ApxWhyM() Answer {
 			seq = append(seq, evaluated[i].op)
 		}
 		if q1, err := seq.Apply(w.Q, w.params); err == nil {
-			ans1, _ := w.evaluate(q1, seq)
+			ans1, _ := w.evaluate(rootRes, q1, seq)
 			if ans1.Closeness > result.Closeness {
 				result = ans1
 			}

@@ -26,12 +26,14 @@ type NodeDist struct {
 
 // bfsScratch is an epoch-stamped visited array reused across BFS runs;
 // clearing is O(1) per run (bump the stamp) instead of O(|V|). queue is
-// VisitBall's frontier, kept here so a visit allocates nothing once the
-// scratch has grown to the balls it serves.
+// VisitBall's frontier and balls a Traverser's storage, one per
+// direction, kept here so that neither allocates once the scratch has
+// grown to the balls it serves.
 type bfsScratch struct {
 	seen  []uint32
 	stamp uint32
 	queue []NodeID
+	balls [3][]NodeDist
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return &bfsScratch{} }}
@@ -42,6 +44,12 @@ func (g *Graph) scratch() *bfsScratch {
 		sc.seen = make([]uint32, g.NumNodes())
 		sc.stamp = 0
 	}
+	sc.next()
+	return sc
+}
+
+// next starts a traversal: nothing is seen under the new stamp.
+func (sc *bfsScratch) next() {
 	sc.stamp++
 	if sc.stamp == 0 { // wrapped: hard reset
 		for i := range sc.seen {
@@ -49,18 +57,26 @@ func (g *Graph) scratch() *bfsScratch {
 		}
 		sc.stamp = 1
 	}
-	return sc
 }
 
 // Ball returns every node within maxHops of v along the chosen
 // direction with its BFS distance; the first entry is (v, 0) and
 // entries appear in BFS order. The returned slice is freshly allocated
-// and owned by the caller.
+// and owned by the caller; a caller that scans one ball after another
+// and keeps none holds a Traverser instead.
 func (g *Graph) Ball(v NodeID, maxHops int, dir Direction) []NodeDist {
 	g.ensure()
 	sc := g.scratch()
-	defer scratchPool.Put(sc)
-	out := make([]NodeDist, 0, 16)
+	out := g.ball(sc, make([]NodeDist, 0, 16), v, maxHops, dir)
+	scratchPool.Put(sc)
+	return out
+}
+
+// ball is the loop Ball and Traverser.Ball share: it appends the ball of
+// v to out, which is empty, marking nodes under sc's current stamp. It is
+// a plain function because a callback per node costs the traversal a
+// quarter of its speed (see VisitBall).
+func (g *Graph) ball(sc *bfsScratch, out []NodeDist, v NodeID, maxHops int, dir Direction) []NodeDist {
 	out = append(out, NodeDist{V: v, D: 0})
 	sc.seen[v] = sc.stamp
 	start := 0
@@ -93,6 +109,35 @@ func (g *Graph) Ball(v NodeID, maxHops int, dir Direction) []NodeDist {
 	return out
 }
 
+// Traverser computes balls one after another on a scratch it draws once,
+// for callers that scan each ball and drop it: star-table construction
+// visits a hundred center candidates whose balls hold a handful of nodes
+// each, so the fixed price of a Ball — a pool round trip and a fresh
+// slice — outweighs the traversal. A Traverser is for one goroutine, must
+// be released, and must not outlive a mutation of the graph.
+type Traverser struct {
+	g  *Graph
+	sc *bfsScratch
+}
+
+// Traverser draws the scratch for a run of traversals over g.
+func (g *Graph) Traverser() Traverser {
+	g.ensure()
+	return Traverser{g: g, sc: g.scratch()}
+}
+
+// Ball is Graph.Ball into storage the traverser owns: the result is
+// valid until the next call with the same direction, or Release.
+func (t Traverser) Ball(v NodeID, maxHops int, dir Direction) []NodeDist {
+	t.sc.next()
+	out := t.g.ball(t.sc, t.sc.balls[dir][:0], v, maxHops, dir)
+	t.sc.balls[dir] = out // keep whatever the ball grew to
+	return out
+}
+
+// Release returns the scratch; the traverser and its balls are dead.
+func (t Traverser) Release() { scratchPool.Put(t.sc) }
+
 // VisitBall calls visit(u, d) for the nodes Ball(v, maxHops, dir) would
 // return, in the same order, and stops as soon as visit returns false.
 // The nodes visited before a stop are therefore a prefix of the ball,
@@ -100,9 +145,9 @@ func (g *Graph) Ball(v NodeID, maxHops int, dir Direction) []NodeDist {
 // pays for the levels up to the k-th, not for the whole radius. visit
 // may itself traverse g (each traversal draws its own scratch).
 //
-// The loop duplicates Ball's rather than sharing it: routing Ball
+// The loop duplicates ball's rather than sharing it: routing Ball
 // through a callback costs it a quarter of its speed, and star-table
-// construction lives on Ball. TestVisitBallMatchesBall pins the two
+// construction lives on it. TestVisitBallMatchesBall pins the two
 // together on every prefix.
 func (g *Graph) VisitBall(v NodeID, maxHops int, dir Direction, visit func(u NodeID, d int32) bool) {
 	g.ensure()

@@ -40,6 +40,61 @@ func TestVisitBallMatchesBall(t *testing.T) {
 	}
 }
 
+// TestTraverserMatchesBall pins Traverser.Ball to Ball for every
+// direction, radius 0–4 and source, on one traverser reused throughout:
+// a ball stays valid while the other two directions are asked, and the
+// epoch stamp wrapping around mid-run (the scratch's hard reset) changes
+// nothing.
+func TestTraverserMatchesBall(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		g := randomGraph(40, 110, seed)
+		tr := g.Traverser()
+		tr.sc.stamp = ^uint32(0) - 20 // wraps within the first few dozen balls
+		wrapped := false
+		for hops := 0; hops <= 4; hops++ {
+			for src := NodeID(0); int(src) < g.NumNodes(); src++ {
+				before := tr.sc.stamp
+				var got [3][]NodeDist
+				for _, dir := range []Direction{Forward, Backward, Both} {
+					got[dir] = tr.Ball(src, hops, dir)
+				}
+				wrapped = wrapped || tr.sc.stamp < before
+				for _, dir := range []Direction{Forward, Backward, Both} {
+					if want := g.Ball(src, hops, dir); !slices.Equal(got[dir], want) {
+						t.Fatalf("seed %d dir %d hops %d src %d:\n got %v\nwant %v", seed, dir, hops, src, got[dir], want)
+					}
+				}
+			}
+		}
+		tr.Release()
+		if !wrapped {
+			t.Fatal("the stamp never wrapped: the hard reset went untested")
+		}
+	}
+}
+
+// TestTraverserAllocs: once its storage has grown to the balls it
+// serves, a traverser allocates nothing, however many balls it computes.
+func TestTraverserAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the scratch never stays warm")
+	}
+	g := randomGraph(2000, 6000, 3)
+	run := func() {
+		tr := g.Traverser()
+		for v := NodeID(0); v < 50; v++ {
+			for _, dir := range []Direction{Forward, Backward, Both} {
+				ballSink += len(tr.Ball(v, 3, dir))
+			}
+		}
+		tr.Release()
+	}
+	run() // grow the storage to the largest ball below
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Errorf("%v allocations per 150 balls, want 0", allocs)
+	}
+}
+
 // TestVisitBallNested: the callback may traverse the graph itself.
 func TestVisitBallNested(t *testing.T) {
 	g := randomGraph(30, 90, 1)
@@ -291,6 +346,27 @@ func BenchmarkBall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ballSink += len(g.Ball(NodeID(i%2000), 4, Both))
 	}
+}
+
+// BenchmarkTraverserBall is the star-table shape: directed radius-2 balls
+// of a handful of nodes, one after another and dropped, by Ball and by
+// one Traverser.
+func BenchmarkTraverserBall(b *testing.B) {
+	g := randomGraph(2000, 5000, 7)
+	b.Run("ball", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ballSink += len(g.Ball(NodeID(i%2000), 2, Forward))
+		}
+	})
+	b.Run("traverser", func(b *testing.B) {
+		b.ReportAllocs()
+		tr := g.Traverser()
+		defer tr.Release()
+		for i := 0; i < b.N; i++ {
+			ballSink += len(tr.Ball(NodeID(i%2000), 2, Forward))
+		}
+	})
 }
 
 func BenchmarkVisitBall(b *testing.B) {

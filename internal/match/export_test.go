@@ -1,14 +1,44 @@
 package match
 
 import (
+	"fmt"
+	"slices"
+
 	"wqe/internal/graph"
 	"wqe/internal/query"
 )
 
-// BuildStarTable lets the external table-oracle test build tables
-// directly: it draws its queries from internal/datagen, which imports
+// BuildStarTable and DeriveStarTable let the external table tests build
+// and derive tables directly: they draw their queries from
+// internal/datagen and their rewrites from internal/chase, which import
 // this package.
-var BuildStarTable = buildStarTable
+var (
+	BuildStarTable  = buildStarTable
+	DeriveStarTable = deriveStarTable
+)
+
+// TableDiff names the first stored field in which two tables differ, or
+// returns "" when they hold the same star, rows, cells, focus list and
+// column signatures.
+func TableDiff(a, b *StarTable) string {
+	switch {
+	case a.Star != b.Star:
+		return "Star"
+	case a.width != b.width:
+		return fmt.Sprintf("width %d vs %d", a.width, b.width)
+	case !slices.Equal(a.centers, b.centers):
+		return fmt.Sprintf("centers %v vs %v", a.centers, b.centers)
+	case !slices.Equal(a.off, b.off):
+		return fmt.Sprintf("off %v vs %v", a.off, b.off)
+	case !slices.Equal(a.cells, b.cells):
+		return fmt.Sprintf("cells %v vs %v", a.cells, b.cells)
+	case !slices.Equal(a.focus, b.focus):
+		return fmt.Sprintf("focus %v vs %v", a.focus, b.focus)
+	case !slices.Equal(a.ColSigs, b.ColSigs):
+		return fmt.Sprintf("ColSigs %v vs %v", a.ColSigs, b.ColSigs)
+	}
+	return ""
+}
 
 // FocusSupport spells out what SupportsFocus answers node by node: the
 // focus candidates the table supports under the query's current focus

@@ -85,14 +85,32 @@ func (r *Result) Has(v graph.NodeID) bool {
 // backtracking search over the star tables (§5.2); BFS fills in only
 // where no star column applies.
 func (m *Matcher) Match(q *query.Query) *Result {
+	return m.MatchFrom(nil, q)
+}
+
+// MatchFrom is Match for a query rewritten from one already evaluated —
+// a Q-Chase state beside its parent's result. The result is Match(q)'s
+// whatever parent is (nil included): the parent only spares work, and
+// what may be taken from it is decided here, from the two queries (see
+// deriveStarTable, focusCandidates). Parents are read, never written, so
+// one may serve many concurrent calls.
+func (m *Matcher) MatchFrom(parent *Result, q *query.Query) *Result {
 	res := &Result{
 		Query:      q,
 		Candidates: make([][]graph.NodeID, len(q.Nodes)),
 	}
-	res.Candidates[q.Focus] = q.Candidates(m.G, q.Focus)
+	res.Candidates[q.Focus] = focusCandidates(m.G, parent, q)
 
 	var kb strings.Builder
 	for _, s := range Decompose(q) {
+		// A table the cache does not hold is the parent's, filtered, when
+		// the parent has the star under looser literals; else built.
+		compute := func() (*StarTable, bool) {
+			if t := deriveStarTable(m.G, parent, q, s); t != nil {
+				return t, true
+			}
+			return buildStarTable(m.G, q, s), true
+		}
 		var t *StarTable
 		if m.Cache != nil {
 			kb.Reset()
@@ -100,11 +118,9 @@ func (m *Matcher) Match(q *query.Query) *Result {
 			s.AppendKey(&kb, q)
 			// Singleflight build: concurrent misses on the same star key
 			// share one materialization instead of racing duplicates.
-			t, _ = m.Cache.GetOrCompute(kb.String(), func() (*StarTable, bool) {
-				return buildStarTable(m.G, q, s), true
-			})
+			t, _ = m.Cache.GetOrCompute(kb.String(), compute)
 		} else {
-			t = buildStarTable(m.G, q, s)
+			t, _ = compute()
 		}
 		res.Stars = append(res.Stars, StarInstance{
 			Star:  s,
@@ -146,11 +162,18 @@ func (m *Matcher) release(v *verifier) {
 }
 
 // columnMap matches the current star's edges to the table's columns by
-// structural signature. For freshly built tables this is the identity;
-// for cached tables the signatures admit a perfect matching because
-// the cache key is signature-derived.
+// structural signature. A table made for this very star (built or derived
+// by this Match) has them in the star's order; for cached tables the
+// signatures admit a perfect matching because the cache key is
+// signature-derived.
 func columnMap(q *query.Query, s *StarQuery, t *StarTable) []int {
 	cols := make([]int, len(s.Edges))
+	if t.Star == s {
+		for i := range cols {
+			cols[i] = i
+		}
+		return cols
+	}
 	used := make([]bool, len(t.ColSigs))
 	for i, e := range s.Edges {
 		sig := edgeSig(q, e)
@@ -181,8 +204,12 @@ type verifier struct {
 	// h is the assignment, -1 = unassigned. It doubles as the set of used
 	// graph nodes (valuations are injective): patterns are a handful of
 	// nodes, so a scan beats a map.
-	h      []graph.NodeID
-	checks []query.NodeCheck // compiled per-pattern-node predicates
+	h []graph.NodeID
+	// checks are the compiled per-pattern-node predicates: the focus's is
+	// compiled by prepare, another node's on first use (compiled marks
+	// which) — only the Ball fallback of extend reads those.
+	checks   []query.NodeCheck
+	compiled []bool
 	// colFor maps a pattern edge seen from one endpoint — index
 	// 2*edge for its From node, 2*edge+1 for its To node — to the column
 	// of the star centered there: the materialized partner list for that
@@ -194,6 +221,8 @@ type verifier struct {
 	// cons holds one edge-constraint buffer per search depth: extend at
 	// depth d fills cons[d] while the frames below it still hold theirs.
 	cons [][]edgeConstraint
+	// balls holds one ball per search depth, for extend's BFS fallback.
+	balls [][]graph.NodeDist
 	// dmemo caches Within verdicts per (source, target) node pair for
 	// the duration of one Match. The backtracking search re-tests the
 	// same pairs across candidates and depths; the memo answers repeats
@@ -258,10 +287,12 @@ func (v *verifier) prepare() {
 	for range q.Nodes {
 		v.h = append(v.h, -1)
 	}
-	v.checks = v.checks[:0]
-	for u := range q.Nodes {
-		v.checks = append(v.checks, q.Check(v.m.G, query.NodeID(u)))
+	v.checks, v.compiled = v.checks[:0], v.compiled[:0]
+	for range q.Nodes {
+		v.checks = append(v.checks, query.NodeCheck{})
+		v.compiled = append(v.compiled, false)
 	}
+	v.check(q.Focus)
 	if v.dmemo == nil {
 		v.dmemo = map[int64]int32{}
 	} else {
@@ -280,6 +311,14 @@ func (v *verifier) prepare() {
 			v.colFor[colIndex(se.EdgeIdx, se.Out)] = enumRef{star: si, col: inst.Cols[k]}
 		}
 	}
+}
+
+// check returns the compiled predicate of pattern node u.
+func (v *verifier) check(u query.NodeID) *query.NodeCheck {
+	if !v.compiled[u] {
+		v.checks[u], v.compiled[u] = v.q.Check(v.m.G, u), true
+	}
+	return &v.checks[u]
 }
 
 // verify reports whether an injective valuation with h(focus) = cand
@@ -424,7 +463,7 @@ func (v *verifier) extend(depth int) bool {
 	if bestList >= 0 {
 		needLitCheck := u == v.q.Focus // focus columns are label-only
 		for _, w := range list {
-			if needLitCheck && !v.checks[u].Candidate(v.m.G, w) {
+			if needLitCheck && !v.check(u).Candidate(v.m.G, w) {
 				continue
 			}
 			if v.checkRest(cons, w, bestList) && v.tryAssign(u, w, depth) {
@@ -446,12 +485,22 @@ func (v *verifier) extend(depth int) bool {
 	if !bc.out {
 		dir = graph.Backward
 	}
-	for _, nd := range v.m.G.Ball(bc.anchor, bc.bound, dir) {
+	check := v.check(u)
+	// The ball is read while deeper frames draw theirs: a copy per depth,
+	// like cons, out of a traverser's storage.
+	for len(v.balls) <= depth {
+		v.balls = append(v.balls, nil)
+	}
+	tr := v.m.G.Traverser()
+	ball := append(v.balls[depth][:0], tr.Ball(bc.anchor, bc.bound, dir)...)
+	tr.Release()
+	v.balls[depth] = ball
+	for _, nd := range ball {
 		if nd.D == 0 {
 			continue
 		}
 		w := nd.V
-		if !v.checks[u].Candidate(v.m.G, w) {
+		if !check.Candidate(v.m.G, w) {
 			continue
 		}
 		if v.checkRest(cons, w, best) && v.tryAssign(u, w, depth) {

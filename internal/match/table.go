@@ -75,43 +75,12 @@ func (t *StarTable) Col(r, c int) []graph.NodeID {
 // of the other endpoint. Focus positions are filtered by label only
 // (see StarTable).
 func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
-	t := &StarTable{Star: s, width: len(s.Edges)}
-	focusIsCenter := s.Center == q.Focus
-	// focusCols are the columns holding focus matches: the star edges
-	// whose other endpoint is the focus, else the augmented column.
-	var focusCols []int
-	for i, e := range s.Edges {
-		if e.Other == q.Focus {
-			focusCols = append(focusCols, i)
-		}
-	}
-	hasAug := !s.HasFocus && s.AugDist > 0
-	if hasAug {
-		focusCols = append(focusCols, t.width)
-		t.width++
-	}
-	// isCand filters a node for pattern node u via compiled predicates;
-	// the focus is filtered by label only.
-	focusLabel := q.Nodes[q.Focus].Label
-	focusLabelID, focusLabelOK := g.Labels.Lookup(focusLabel)
-	checks := make([]query.NodeCheck, len(q.Nodes))
-	for u := range q.Nodes {
-		checks[u] = q.Check(g, query.NodeID(u))
-	}
-	isCand := func(u query.NodeID, v graph.NodeID) bool {
-		if u == q.Focus {
-			return focusLabel == "" || (focusLabelOK && g.LabelID(v) == focusLabelID)
-		}
-		return checks[u].Candidate(g, v)
-	}
+	t := newStarTable(s)
+	checks := starChecks(g, q, s)
 
-	// Ascending either way: the by-label runs, or a filter of one.
-	var centerCands []graph.NodeID
-	if focusIsCenter {
-		centerCands = g.NodesByLabel(focusLabel)
-	} else {
-		centerCands = q.Candidates(g, s.Center)
-	}
+	// The center's candidates, ascending: its by-label run, filtered below
+	// by its literals unless it is the focus.
+	centerCands := g.NodesByLabel(q.Nodes[s.Center].Label)
 
 	maxOut, maxIn := 0, 0
 	for _, e := range s.Edges {
@@ -123,13 +92,12 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 		}
 	}
 
-	// column appends the candidates of pattern node u within bound hops
-	// in ball as the next column of the arena, and reports whether it
-	// holds any.
-	column := func(ball []graph.NodeDist, bound int, u query.NodeID) bool {
+	// column appends the nodes within bound hops in ball that pass check
+	// as the next column of the arena, and reports whether it holds any.
+	column := func(ball []graph.NodeDist, bound int, check *query.NodeCheck) bool {
 		start := len(t.cells)
 		for _, nd := range ball {
-			if nd.D > 0 && int(nd.D) <= bound && isCand(u, nd.V) {
+			if nd.D > 0 && int(nd.D) <= bound && check.Candidate(g, nd.V) {
 				t.cells = append(t.cells, nd.V)
 			}
 		}
@@ -138,14 +106,21 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 		return len(t.cells) > start
 	}
 
-	t.off = append(t.off, 0)
+	// A build visits a hundred-odd center candidates whose balls hold a
+	// handful of nodes each and are dropped once scanned: one traverser
+	// for all of them, so that a ball costs its traversal and nothing else.
+	tr := g.Traverser()
+	defer tr.Release()
 	for _, vc := range centerCands {
+		if !checks[s.Center].Candidate(g, vc) {
+			continue
+		}
 		var ballOut, ballIn []graph.NodeDist
 		if maxOut > 0 {
-			ballOut = g.Ball(vc, maxOut, graph.Forward)
+			ballOut = tr.Ball(vc, maxOut, graph.Forward)
 		}
 		if maxIn > 0 {
-			ballIn = g.Ball(vc, maxIn, graph.Backward)
+			ballIn = tr.Ball(vc, maxIn, graph.Backward)
 		}
 		// A center match needs every star edge matched and, under an
 		// augmented edge, a focus candidate nearby; a row that fails at
@@ -157,12 +132,12 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 			if !e.Out {
 				ball = ballIn
 			}
-			if ok = column(ball, e.Bound, e.Other); !ok {
+			if ok = column(ball, e.Bound, &checks[e.Other]); !ok {
 				break
 			}
 		}
-		if ok && hasAug {
-			ok = column(g.Ball(vc, s.AugDist, graph.Both), s.AugDist, q.Focus)
+		if ok && t.augmented() {
+			ok = column(tr.Ball(vc, s.AugDist, graph.Both), s.AugDist, &checks[q.Focus])
 		}
 		if !ok {
 			t.off, t.cells = t.off[:nOff], t.cells[:nCells]
@@ -170,24 +145,70 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 		}
 		t.centers = append(t.centers, vc)
 	}
-	// Tables outlive the build in the cache: drop the growth slack.
+	t.finish(q)
+	return t
+}
+
+// newStarTable returns the empty table of star s, ready for rows: its
+// width counts the augmented column when the star has one.
+func newStarTable(s *StarQuery) *StarTable {
+	t := &StarTable{Star: s, width: len(s.Edges), off: []int{0}}
+	if !s.HasFocus && s.AugDist > 0 {
+		t.width++
+	}
+	return t
+}
+
+// augmented reports whether the table's last column is the augmented one.
+func (t *StarTable) augmented() bool { return t.width > len(t.Star.Edges) }
+
+// finish is the common tail of buildStarTable and deriveStarTable, run
+// once the rows are in: it trims the arenas (tables outlive the build in
+// the cache), lists the focus positions and signs the columns.
+func (t *StarTable) finish(q *query.Query) {
+	s := t.Star
 	t.centers, t.off, t.cells = slices.Clone(t.centers), slices.Clone(t.off), slices.Clone(t.cells)
-	if focusIsCenter {
+	if s.Center == q.Focus {
 		t.focus = t.centers
 	} else {
+		// The columns holding focus matches: the star edges whose other
+		// endpoint is the focus, else the augmented column.
 		var focus []graph.NodeID
 		for r := range t.centers {
-			for _, c := range focusCols {
-				focus = append(focus, t.Col(r, c)...)
+			for c, e := range s.Edges {
+				if e.Other == q.Focus {
+					focus = append(focus, t.Col(r, c)...)
+				}
+			}
+			if t.augmented() {
+				focus = append(focus, t.Col(r, len(s.Edges))...)
 			}
 		}
 		slices.Sort(focus)
 		t.focus = slices.Clone(slices.Compact(focus))
 	}
-	for _, e := range s.Edges {
-		t.ColSigs = append(t.ColSigs, edgeSig(q, e))
+	t.ColSigs = make([]string, len(s.Edges))
+	for i, e := range s.Edges {
+		t.ColSigs[i] = edgeSig(q, e)
 	}
-	return t
+}
+
+// starChecks compiles, indexed by pattern node, the filter of every
+// position a table of star s has: the candidate predicate of its
+// non-focus nodes, and for the focus its label and none of its literals
+// (see StarTable).
+func starChecks(g *graph.Graph, q *query.Query, s *StarQuery) []query.NodeCheck {
+	checks := make([]query.NodeCheck, len(q.Nodes))
+	checks[q.Focus] = query.Node{Label: q.Nodes[q.Focus].Label}.Check(g)
+	if s.Center != q.Focus {
+		checks[s.Center] = q.Check(g, s.Center)
+	}
+	for _, e := range s.Edges {
+		if e.Other != q.Focus {
+			checks[e.Other] = q.Check(g, e.Other)
+		}
+	}
+	return checks
 }
 
 // focusFree reports whether the star is disconnected from the focus: it

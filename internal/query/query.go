@@ -489,7 +489,12 @@ type compiledLit struct {
 
 // Check compiles the candidate predicate of pattern node u against g.
 func (q *Query) Check(g *graph.Graph, u NodeID) NodeCheck {
-	return compile(g, q.Nodes[u].Label, q.Nodes[u].Literals)
+	return q.Nodes[u].Check(g)
+}
+
+// Check compiles the node's candidate predicate against g.
+func (n Node) Check(g *graph.Graph) NodeCheck {
+	return compile(g, n.Label, n.Literals)
 }
 
 // Check compiles the literal alone against g: Candidate is then Sat.
