@@ -14,7 +14,7 @@ GO ?= go
 # internal/distindex), so racing it would only slow CI down.
 RACE_PKGS = ./internal/graph ./internal/match ./internal/chase ./internal/par ./internal/distindex ./internal/anscache ./internal/hist ./internal/loadgen ./cmd/wqe-serve
 
-.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz-snapshot bench-smoke profile benchmark benchmark-check bench-load ci
+.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz bench-smoke profile benchmark benchmark-check bench-load ci
 
 all: build
 
@@ -70,11 +70,14 @@ check-lockorder:
 serve-smoke:
 	$(GO) run ./cmd/wqe-serve -smoke
 
-# Short randomized hammering of the binary snapshot reader on top of
-# the committed corpus (which `go test` always replays as regression
-# inputs). Any accepted input must re-encode byte-identically.
-fuzz-snapshot:
+# Short randomized hammering, 10 s each, on top of the committed corpora
+# (which `go test` always replays as regression inputs): the binary
+# snapshot reader — any accepted input must re-encode byte-identically —
+# and the key encoder — pattern nodes with equal signatures must admit
+# the same candidates, in whatever order they list their literals.
+fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSnapshotReader -fuzztime 10s
+	$(GO) test ./internal/query -run '^$$' -fuzz FuzzNodeSig -fuzztime 10s
 
 # Run the generation, BFS and star-table micro-benchmarks once each, so
 # they cannot rot: BenchmarkGenRefine (cold and warm partner sets, and
@@ -130,4 +133,4 @@ check: build vet fmt-check test race lint check-lockorder serve-smoke bench-smok
 bench-load:
 	WQE_LOAD_BENCH_JSON=$(abspath BENCH_load.json) $(GO) test ./internal/chase -run TestEmitLoadBench -timeout 1800s -v
 
-ci: check fuzz-snapshot bench-load
+ci: check fuzz bench-load

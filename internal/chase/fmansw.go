@@ -46,13 +46,20 @@ func (w *Why) FMAnsW() Answer {
 	}
 	counts := map[string]*feature{}
 	weight := 1
-	bump := func(key string, f feature) {
-		if ex := counts[key]; ex != nil {
+	var key []byte
+	bump := func(f feature) {
+		if ex := counts[string(key)]; ex != nil {
 			ex.count += weight
 			return
 		}
 		f.count = weight
-		counts[key] = &f
+		counts[string(key)] = &f
+	}
+	// neighbor keys a labeled neighbor at distance d, side 'o' or 'i'.
+	neighbor := func(side byte, nd graph.NodeDist) {
+		l := w.G.Label(nd.V)
+		key = graph.AppendKeyString(append(key[:0], side, byte(nd.D)), l)
+		bump(feature{label: l, dist: int(nd.D), out: side == 'o'})
 	}
 	for _, v := range pool {
 		weight = 1
@@ -61,22 +68,18 @@ func (w *Why) FMAnsW() Answer {
 		}
 		for _, av := range w.G.Tuple(v) {
 			attr := w.G.Attrs.Name(av.Attr)
-			bump("a:"+attr+"="+av.Val.String()+kindOf(av.Val),
-				feature{attr: attr, val: av.Val})
+			key = av.Val.AppendKey(graph.AppendKeyString(append(key[:0], 'a'), attr))
+			bump(feature{attr: attr, val: av.Val})
 		}
 		for _, nd := range w.G.Ball(v, 2, graph.Forward) {
-			if nd.D == 0 {
-				continue
+			if nd.D > 0 {
+				neighbor('o', nd)
 			}
-			l := w.G.Label(nd.V)
-			bump("o:"+l+string(rune('0'+nd.D)), feature{label: l, dist: int(nd.D), out: true})
 		}
 		for _, nd := range w.G.Ball(v, 2, graph.Backward) {
-			if nd.D == 0 {
-				continue
+			if nd.D > 0 {
+				neighbor('i', nd)
 			}
-			l := w.G.Label(nd.V)
-			bump("i:"+l+string(rune('0'+nd.D)), feature{label: l, dist: int(nd.D), out: false})
 		}
 	}
 
@@ -144,11 +147,4 @@ func (w *Why) FMAnsW() Answer {
 		}
 	}
 	return best
-}
-
-func kindOf(v graph.Value) string {
-	if v.Kind == graph.Number {
-		return "#n"
-	}
-	return "#s"
 }

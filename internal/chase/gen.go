@@ -425,11 +425,11 @@ func identLess(a, b opIdent) bool {
 	if a.u2 != b.u2 {
 		return a.u2 < b.u2
 	}
-	if a.lit != b.lit {
-		return litLess(a.lit, b.lit)
+	if c := a.lit.Compare(b.lit); c != 0 {
+		return c < 0
 	}
-	if a.newLit != b.newLit {
-		return litLess(a.newLit, b.newLit)
+	if c := a.newLit.Compare(b.newLit); c != 0 {
+		return c < 0
 	}
 	if a.bound != b.bound {
 		return a.bound < b.bound
@@ -438,16 +438,6 @@ func identLess(a, b opIdent) bool {
 		return a.newBound < b.newBound
 	}
 	return a.newLabel < b.newLabel
-}
-
-func litLess(a, b query.Literal) bool {
-	if a.Attr != b.Attr {
-		return a.Attr < b.Attr
-	}
-	if a.Op != b.Op {
-		return a.Op < b.Op
-	}
-	return a.Val.Compare(b.Val) < 0
 }
 
 // finishScored converts accumulated operators into a pickiness-sorted,

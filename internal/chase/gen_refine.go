@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 
 	"wqe/internal/graph"
 	"wqe/internal/match"
@@ -35,11 +34,11 @@ type partnerCacheKey struct {
 }
 
 // sigID numbers matching signatures in order of first use.
-func (w *Why) sigID(sig string) int32 {
-	id, ok := w.partnerSigs[sig]
+func (w *Why) sigID(sig []byte) int32 {
+	id, ok := w.partnerSigs[string(sig)]
 	if !ok {
 		id = int32(len(w.partnerSigs))
-		w.partnerSigs[sig] = id
+		w.partnerSigs[string(sig)] = id
 	}
 	return id
 }
@@ -75,21 +74,15 @@ func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string
 		pd:  make([]int, len(q.Nodes)),
 		sig: make([]int32, len(q.Nodes)),
 	}
-	for u, n := range q.Nodes {
+	var sig []byte
+	for u := range q.Nodes {
 		d := q.PatternDist(q.Focus, query.NodeID(u))
 		if d == graph.Unreachable || d > maxPartnerHops {
 			d = maxPartnerHops
 		}
 		g.pd[u] = d
-		parts := make([]string, 0, len(n.Literals)+1)
-		parts = append(parts, n.Label)
-		for _, l := range n.Literals {
-			// Rendered with the kind: "a = 5" is one text for the number
-			// and for the string, and they select different partners.
-			parts = append(parts, l.String()+kindOf(l.Val))
-		}
-		sort.Strings(parts[1:])
-		g.sig[u] = w.sigID(strings.Join(parts, "|"))
+		sig = query.AppendNodeSig(sig[:0], &q.Nodes[u])
+		g.sig[u] = w.sigID(sig)
 	}
 	return g
 }

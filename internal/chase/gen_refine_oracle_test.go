@@ -114,7 +114,11 @@ func (o *oracleGen) addL() {
 					if used[fmt.Sprintf("L:%d:%s", u, attr)] {
 						continue
 					}
-					key := attr + "=" + t.Val.String() + kindOf(t.Val)
+					kind := "#s"
+					if t.Val.Kind == graph.Number {
+						kind = "#n"
+					}
+					key := attr + "=" + t.Val.String() + kind
 					counts[key]++
 					reprs[key] = av{attr: attr, val: t.Val}
 				}

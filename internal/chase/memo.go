@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
-	"strings"
 	"time"
 )
 
@@ -26,9 +25,9 @@ import (
 // caller but is observable. Callers that need exact per-call anytime
 // behavior leave Config.AnswerCache off.
 
-// keySep separates canonical key fields; it cannot appear in the
-// numeric fields and query/exemplar encodings close over their own
-// structure, so the concatenation is unambiguous.
+// keySep ends each of the key's leading fields; it cannot appear in
+// them (numbers and algorithm names), and the query and exemplar keys
+// that follow are self-delimiting, so the concatenation is unambiguous.
 const keySep = "\x1f"
 
 // answerKey builds the canonical digest for one batch job, or ok=false
@@ -49,7 +48,8 @@ func (s *Session) answerKey(j BatchJob) (key string, ok bool) {
 		maxSteps = j.MaxSteps
 	}
 
-	var b strings.Builder
+	var buf [512]byte // most keys fit: nothing but the digest is allocated
+	b := buf[:0]
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, part := range []string{
 		strconv.FormatUint(s.G.UID(), 16),
@@ -63,13 +63,10 @@ func (s *Session) answerKey(j BatchJob) (key string, ok bool) {
 		strconv.Itoa(s.Cfg.MaxOpsPerClass),
 		strconv.Itoa(s.Cfg.MaxAnalysis),
 		strconv.FormatInt(s.Cfg.Seed, 10),
-		j.Q.Key(),
-		j.E.String(),
 	} {
-		b.WriteString(part)
-		b.WriteString(keySep)
+		b = append(append(b, part...), keySep...)
 	}
-	sum := sha256.Sum256([]byte(b.String()))
+	sum := sha256.Sum256(j.E.AppendKey(j.Q.AppendKey(b)))
 	return hex.EncodeToString(sum[:]), true
 }
 

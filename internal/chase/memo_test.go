@@ -5,7 +5,10 @@ import (
 
 	"wqe/internal/chase"
 	"wqe/internal/datagen"
+	"wqe/internal/exemplar"
+	"wqe/internal/graph"
 	"wqe/internal/par"
+	"wqe/internal/query"
 )
 
 func memoConfig() chase.Config {
@@ -232,6 +235,47 @@ func TestMemoAskAll(t *testing.T) {
 				results[i].Steps != refResults[i].Steps {
 				t.Errorf("workers=%d job %d diverged from memo-off reference", workers, i)
 			}
+		}
+	}
+}
+
+// TestMemoSeparatesExemplarCells: exemplars that render alike —
+// a constant's kind, a constant against the variable of that name, the
+// wildcard against the variable "_" — are different questions. Asked one
+// after the other on a memoizing session, the second runs its own chase
+// and gets the answer a session that never saw the first gives it.
+func TestMemoSeparatesExemplarCells(t *testing.T) {
+	g := graph.New()
+	for _, x := range []graph.Value{graph.N(1), graph.S("1"), graph.S("y"), graph.S("_")} {
+		g.AddNode("R", map[string]graph.Value{"x": x, "size": graph.N(3)})
+	}
+	q := query.New()
+	q.Focus = q.AddNode("R", query.Literal{Attr: "size", Op: graph.GE, Val: graph.N(5)})
+	for _, tc := range []struct {
+		name          string
+		first, second exemplar.Cell
+	}{
+		{"kind of a constant", exemplar.C(graph.N(1)), exemplar.C(graph.S("1"))},
+		{"constant and variable", exemplar.C(graph.S("y")), exemplar.V("y")},
+		{"wildcard and variable", exemplar.W(), exemplar.V("_")},
+	} {
+		job := func(c exemplar.Cell) chase.BatchJob {
+			return chase.BatchJob{Q: q, E: &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"x": c}}}}
+		}
+		sess := chase.NewSession(g, memoConfig())
+		if r := sess.Run(job(tc.first)); r.Err != nil {
+			t.Fatalf("%s: %v", tc.name, r.Err)
+		}
+		got := sess.Run(job(tc.second))
+		alone := chase.NewSession(g, memoConfig()).Run(job(tc.second))
+		if got.Err != nil || alone.Err != nil {
+			t.Fatalf("%s: %v, alone %v", tc.name, got.Err, alone.Err)
+		}
+		if sc := sess.Counters(); sc.Questions != 2 || sc.AnswerCache.Hits != 0 {
+			t.Errorf("%s: %d chases, %d memo hits for two different questions", tc.name, sc.Questions, sc.AnswerCache.Hits)
+		}
+		if renderAnswer(got.Answer) != renderAnswer(alone.Answer) {
+			t.Errorf("%s: second question answered\n%s\nasked alone\n%s", tc.name, renderAnswer(got.Answer), renderAnswer(alone.Answer))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package chase_test
 
 import (
+	"slices"
 	"testing"
 
 	"wqe/internal/chase"
@@ -92,5 +93,51 @@ func TestAnsWMultiFocus(t *testing.T) {
 	if _, err := s.AskMultiFocus(f.Q, []query.NodeID{0},
 		[]*exemplar.Exemplar{f.E, carrierExemplar}); err == nil {
 		t.Error("mismatched foci/exemplars must error")
+	}
+}
+
+// TestSessionStarCacheSeparatesLiteralKinds: R → P{code = 5} asked with
+// the number and then with the string, on one session and in both orders.
+// The two literals render alike and select different P nodes; each
+// question must get the answer a fresh session gives it, not the other's
+// star table.
+func TestSessionStarCacheSeparatesLiteralKinds(t *testing.T) {
+	g := graph.New()
+	pNum := g.AddNode("P", map[string]graph.Value{"code": graph.N(5)})
+	pStr := g.AddNode("P", map[string]graph.Value{"code": graph.S("5")})
+	rNum := g.AddNode("R", map[string]graph.Value{"tag": graph.N(1)})
+	rStr := g.AddNode("R", map[string]graph.Value{"tag": graph.N(1)})
+	g.AddEdge(rNum, pNum, "has")
+	g.AddEdge(rStr, pStr, "has")
+	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"tag": exemplar.C(graph.N(1))}}}
+	ask := func(code graph.Value) *query.Query {
+		q := query.New()
+		r := q.AddNode("R")
+		p := q.AddNode("P", query.Literal{Attr: "code", Op: graph.EQ, Val: code})
+		q.AddEdge(r, p, 1)
+		q.Focus = r
+		return q
+	}
+	matches := func(s *chase.Session, q *query.Query) []graph.NodeID {
+		w, err := s.Why(q, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Matcher.Match(q).Answer
+	}
+	codes := []graph.Value{graph.N(5), graph.S("5")}
+	want := [][]graph.NodeID{{rNum}, {rStr}}
+	for first := range codes {
+		shared := chase.NewSession(g, chase.DefaultConfig())
+		for _, i := range []int{first, 1 - first} {
+			q := ask(codes[i])
+			fresh := matches(chase.NewSession(g, chase.DefaultConfig()), q)
+			if !slices.Equal(fresh, want[i]) {
+				t.Fatalf("%s: a fresh session answers %v, want %v", q, fresh, want[i])
+			}
+			if got := matches(shared, q); !slices.Equal(got, fresh) {
+				t.Errorf("%s asked after the other kind: %v, a fresh session answers %v", q, got, fresh)
+			}
+		}
 	}
 }

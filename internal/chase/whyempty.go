@@ -54,9 +54,9 @@ func (w *Why) AnsWE() Answer {
 	var plans []plan
 	for _, v := range rc {
 		var seq ops.Sequence
-		seen := map[string]bool{}
+		seen := map[opIdent]bool{}
 		addOp := func(o ops.Op) {
-			k := o.String()
+			k := identOf(o)
 			if !seen[k] {
 				seen[k] = true
 				seq = append(seq, o)

@@ -8,6 +8,7 @@
 package exemplar
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -176,7 +177,7 @@ func FromEntities(g *graph.Graph, entities []graph.NodeID, attrs []string) *Exem
 		if len(t) == 0 {
 			continue
 		}
-		key := t.key()
+		key := string(t.appendKey(nil))
 		if !seen[key] {
 			seen[key] = true
 			e.Tuples = append(e.Tuples, t)
@@ -199,11 +200,43 @@ func (t TuplePattern) SortedAttrs() []string {
 	return attrs
 }
 
-func (t TuplePattern) key() string {
-	var b strings.Builder
+// AppendKey appends the exemplar's identity to dst: every tuple pattern
+// in order (appendKey), then every constraint — the variable, the
+// operator, and tagged apart, the other variable or the constant's key.
+// Exemplars with equal keys have the same rep over every graph. String is
+// for display: it renders the constant 1, the constant "1" and the
+// variable named 1 alike.
+func (e *Exemplar) AppendKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(e.Tuples)))
+	for _, t := range e.Tuples {
+		dst = t.appendKey(dst)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(e.Constraints)))
+	for _, c := range e.Constraints {
+		dst = append(graph.AppendKeyString(dst, c.Left), byte(c.Op))
+		if c.IsVar {
+			dst = graph.AppendKeyString(append(dst, 'v'), c.Right)
+		} else {
+			dst = c.Val.AppendKey(append(dst, 'c'))
+		}
+	}
+	return dst
+}
+
+// appendKey appends the pattern's identity to dst: its attributes in
+// sorted order, each with its cell's kind and what a cell of that kind
+// holds — a constant's key, a variable's name, nothing for a wildcard.
+func (t TuplePattern) appendKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(t)))
 	for _, a := range t.SortedAttrs() {
 		cell := t[a]
-		fmt.Fprintf(&b, "%s:%d:%s:%s|", a, cell.Kind, cell.Val, cell.Var)
+		dst = append(graph.AppendKeyString(dst, a), byte(cell.Kind))
+		switch cell.Kind {
+		case Const:
+			dst = cell.Val.AppendKey(dst)
+		case Var:
+			dst = graph.AppendKeyString(dst, cell.Var)
+		}
 	}
-	return b.String()
+	return dst
 }

@@ -353,6 +353,14 @@ func TestFromEntities(t *testing.T) {
 	if len(empty.Tuples) != 0 {
 		t.Error("entities without the requested attrs yield no tuples")
 	}
+	// The number 5 and the string "5" render alike and match different
+	// nodes: two entities, two tuple patterns.
+	kinds := graph.New()
+	num := kinds.AddNode("P", map[string]graph.Value{"code": graph.N(5)})
+	str := kinds.AddNode("P", map[string]graph.Value{"code": graph.S("5")})
+	if e := FromEntities(kinds, []graph.NodeID{num, str}, nil); len(e.Tuples) != 2 {
+		t.Errorf("tuples differing in a value's kind merged: %v", e)
+	}
 }
 
 func TestTooManyTuples(t *testing.T) {

@@ -227,14 +227,14 @@ func (ev *Eval) enforceEquality(active map[graph.NodeID]bool, lb, rb binding) bo
 	type member struct {
 		v    graph.NodeID
 		val  graph.Value
+		key  string // val's key: its value class
 		ok   bool
 		both bool // member of both groups (must agree with itself too)
 	}
 	var members []member
 	count := map[string]int{}
-	valueOf := map[string]graph.Value{}
 	// Per-member decisions below depend only on values; the winning value
-	// class breaks ties over sorted keys.
+	// class breaks ties on its key.
 	//lint:ignore mapiter order-insensitive, see above
 	for v := range active {
 		l := ev.match[v].mask&(1<<uint(lb.tuple)) != 0
@@ -264,32 +264,24 @@ func (ev *Eval) enforceEquality(active map[graph.NodeID]bool, lb, rb binding) bo
 			members = append(members, member{v: v, ok: false})
 			continue
 		}
-		m := member{v: v, val: vals[0], ok: true, both: len(vals) == 2}
+		m := member{v: v, val: vals[0], key: string(vals[0].AppendKey(nil)), ok: true, both: len(vals) == 2}
 		members = append(members, m)
-		count[m.val.String()+"|"+kindTag(m.val)]++
-		valueOf[m.val.String()+"|"+kindTag(m.val)] = m.val
+		count[m.key]++
 	}
 	if len(members) == 0 {
 		return false
 	}
-	// Pick the value class with the most members (ties: smallest value,
-	// for determinism).
-	bestKey := ""
-	bestN := -1
-	keys := make([]string, 0, len(count))
-	for k := range count {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if count[k] > bestN {
-			bestN, bestKey = count[k], k
+	// Pick the value class with the most members (ties: smallest key, for
+	// determinism).
+	var best member
+	for _, m := range members {
+		if n, most := count[m.key], count[best.key]; m.ok && (n > most || n == most && m.key < best.key) {
+			best = m
 		}
 	}
-	best := valueOf[bestKey]
 	removed := false
 	for _, m := range members {
-		if !m.ok || !m.val.Equal(best) {
+		if !m.ok || !m.val.Equal(best.val) {
 			if active[m.v] {
 				delete(active, m.v)
 				removed = true
@@ -297,13 +289,6 @@ func (ev *Eval) enforceEquality(active map[graph.NodeID]bool, lb, rb binding) bo
 		}
 	}
 	return removed
-}
-
-func kindTag(v graph.Value) string {
-	if v.Kind == graph.Number {
-		return "n"
-	}
-	return "s"
 }
 
 // enforceInequality handles x op y with op ∈ {<, ≤, >, ≥}: every node

@@ -7,7 +7,9 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -90,6 +92,27 @@ func (v Value) Compare(w Value) int {
 		return 0
 	}
 	return strings.Compare(v.Str, w.Str)
+}
+
+// AppendKey appends the identity of v to dst: the kind, then the 64 bits
+// of a Number or, behind its length, the Str of anything else. Two values
+// with equal keys are the same operand to every Op; String is for display
+// and tells N(5) from S("5") no better than the reader can. Numbers are
+// told apart by bit pattern, so -0 and 0, and two NaNs of different
+// payload, have keys of their own although Compare calls them equal:
+// a key may separate what matches alike, never merge what does not.
+func (v Value) AppendKey(dst []byte) []byte {
+	dst = append(dst, byte(v.Kind))
+	if v.Kind == Number {
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Num))
+	}
+	return AppendKeyString(dst, v.Str)
+}
+
+// AppendKeyString appends s to a key behind its length, so that no
+// delimiter s may contain ends it early.
+func AppendKeyString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
 // String renders the value for display.

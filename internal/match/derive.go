@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+
 	"wqe/internal/graph"
 	"wqe/internal/query"
 )
@@ -16,15 +18,12 @@ import (
 // query and in a rewrite of it: ok when the child's contain the parent's
 // (its candidates are then a subset of the parent's), tight when the
 // child also has a literal the parent lacks. Sets, not lists: a literal
-// carried twice tightens nothing.
+// carried twice tightens nothing. Literals are the same when their keys
+// are (Literal.Compare), so containment here and equality of star keys
+// never disagree.
 func tightened(parent, child []query.Literal) (tight, ok bool) {
 	has := func(set []query.Literal, l query.Literal) bool {
-		for _, x := range set {
-			if x.Equal(l) {
-				return true
-			}
-		}
-		return false
+		return slices.ContainsFunc(set, func(x query.Literal) bool { return x.Compare(l) == 0 })
 	}
 	for _, l := range parent {
 		if !has(child, l) {

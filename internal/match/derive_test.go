@@ -171,16 +171,6 @@ func irregularWhys(t *testing.T, visit func(what string, w *chase.Why)) {
 	}
 }
 
-// questionsMatcher is the question's own matcher, behind its star cache.
-func questionsMatcher(w *chase.Why) *match.Matcher { return w.Matcher }
-
-// cacheless is a matcher over the question's graph with no star cache,
-// for the irregular graph: there a number and a string render alike, and
-// the star-cache key is their rendering (ROADMAP item 7, open), so a
-// cached table may belong to the other kind's literal — with or without
-// a parent in play.
-func cacheless(w *chase.Why) *match.Matcher { return match.NewMatcher(w.G, w.Dist, nil) }
-
 // parentStar returns the parent's star centered where s is.
 func parentStar(parent *match.Result, s *match.StarQuery) *match.StarInstance {
 	for i := range parent.Stars {
@@ -295,18 +285,16 @@ func (sh *derivedShapes) checkDerived(t *testing.T, what string, g *graph.Graph,
 // may not reach, by hand.
 func TestDerivedTablesEqualFreshBuilds(t *testing.T) {
 	var sh derivedShapes
-	sweep := func(m func(*chase.Why) *match.Matcher) func(string, *chase.Why) {
-		return func(what string, w *chase.Why) {
-			m := m(w)
-			walkRewrites(w, what, func(what string, parent *match.Result, q *query.Query) *match.Result {
-				sh.checkDerived(t, what, w.G, parent, q)
-				return m.MatchFrom(parent, q)
-			})
-		}
+	// Every sweep evaluates behind the question's own star cache.
+	sweep := func(what string, w *chase.Why) {
+		walkRewrites(w, what, func(what string, parent *match.Result, q *query.Query) *match.Result {
+			sh.checkDerived(t, what, w.G, parent, q)
+			return w.Matcher.MatchFrom(parent, q)
+		})
 	}
-	datasetWhys(t, 14, sweep(questionsMatcher))
+	datasetWhys(t, 14, sweep)
 	regular := sh.derived
-	irregularWhys(t, sweep(cacheless))
+	irregularWhys(t, sweep)
 	sh.irregular = sh.derived - regular
 
 	// By hand, on the chain graph of the table oracle: a0 → b0 → c0 → d0,
@@ -422,21 +410,19 @@ func sameResult(t *testing.T, what string, got, want *match.Result) {
 // result returns what a cache-less Match of the rewrite alone returns.
 func TestMatchFromEqualsMatch(t *testing.T) {
 	pairs := 0
-	sweep := func(m func(*chase.Why) *match.Matcher) func(string, *chase.Why) {
-		return func(what string, w *chase.Why) {
-			m, alone := m(w), cacheless(w)
-			walkRewrites(w, what, func(what string, parent *match.Result, q *query.Query) *match.Result {
-				got := m.MatchFrom(parent, q)
-				sameResult(t, what, got, alone.Match(q))
-				if parent != nil {
-					pairs++
-				}
-				return got
-			})
-		}
+	sweep := func(what string, w *chase.Why) {
+		alone := match.NewMatcher(w.G, w.Dist, nil)
+		walkRewrites(w, what, func(what string, parent *match.Result, q *query.Query) *match.Result {
+			got := w.Matcher.MatchFrom(parent, q)
+			sameResult(t, what, got, alone.Match(q))
+			if parent != nil {
+				pairs++
+			}
+			return got
+		})
 	}
-	datasetWhys(t, 3, sweep(questionsMatcher))
-	irregularWhys(t, sweep(cacheless))
+	datasetWhys(t, 3, sweep)
+	irregularWhys(t, sweep)
 	if pairs < 500 {
 		t.Errorf("compared %d rewrites with their parents: want at least 500", pairs)
 	}

@@ -1,9 +1,6 @@
 package match
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
 	"wqe/internal/graph"
@@ -42,9 +39,8 @@ func keyFixture() (*graph.Graph, *query.Query) {
 }
 
 // BenchmarkStarKeys measures cache-key construction for one evaluation:
-// the per-star structural keys plus the per-graph prefix. This is the
-// allocation hot path the strings.Builder rewrite targets (the old code
-// rebuilt "g%d|" + s.Key(q) with fmt.Sprintf per star per Match).
+// the per-star structural keys behind the per-graph prefix, in the one
+// buffer Match keeps.
 func BenchmarkStarKeys(b *testing.B) {
 	g, q := keyFixture()
 	m := NewMatcher(g, nil, NewCache(64, 0.95))
@@ -53,69 +49,24 @@ func BenchmarkStarKeys(b *testing.B) {
 	b.ResetTimer()
 	var sink string
 	for i := 0; i < b.N; i++ {
-		var kb strings.Builder
+		var kb []byte
 		for _, s := range stars {
-			kb.Reset()
-			kb.WriteString(m.keyPrefix)
-			s.AppendKey(&kb, q)
-			sink = kb.String()
+			kb = s.AppendKey(append(kb[:0], m.keyPrefix...), q)
+			sink = string(kb)
 		}
 	}
 	_ = sink
 }
 
-// BenchmarkStarKeysLegacy reconstructs the pre-optimization key path —
-// fmt.Sprintf("g%d|%s", uid, key) around sprintf-built edge signatures
-// — so the allocation win of the builder rewrite stays measurable:
-// run both StarKeys benchmarks with -benchmem and compare.
-func BenchmarkStarKeysLegacy(b *testing.B) {
-	g, q := keyFixture()
-	stars := Decompose(q)
-	legacySig := func(u query.NodeID) string {
-		if u == q.Focus {
-			return q.Nodes[u].Label + "{*}"
-		}
-		return nodeSig(q, u)
-	}
-	legacyEdgeSig := func(e StarEdge) string {
-		dir := "<"
-		if e.Out {
-			dir = ">"
-		}
-		other := nodeSig(q, e.Other)
-		if e.Other == q.Focus {
-			other = q.Nodes[e.Other].Label + "{*}"
-		}
-		return fmt.Sprintf("%s%d%s", dir, e.Bound, other)
-	}
-	legacyKey := func(s *StarQuery) string {
-		var kb strings.Builder
-		kb.WriteString("c:")
-		kb.WriteString(legacySig(s.Center))
-		edges := make([]string, 0, len(s.Edges))
-		for _, e := range s.Edges {
-			edges = append(edges, legacyEdgeSig(e))
-		}
-		sort.Strings(edges)
-		for _, e := range edges {
-			kb.WriteByte('|')
-			kb.WriteString(e)
-		}
-		if s.Center == q.Focus {
-			kb.WriteString("|C*")
-		}
-		if !s.HasFocus {
-			fmt.Fprintf(&kb, "|aug:%d:%s", s.AugDist, legacySig(q.Focus))
-		}
-		return kb.String()
-	}
+// BenchmarkQueryKey measures Query.Key, which every visited-set test of
+// a search pays and which is the only engine code a memoized answer's
+// request reaches (Session.answerKey).
+func BenchmarkQueryKey(b *testing.B) {
+	_, q := keyFixture()
 	b.ReportAllocs()
-	b.ResetTimer()
 	var sink string
 	for i := 0; i < b.N; i++ {
-		for _, s := range stars {
-			sink = fmt.Sprintf("g%d|%s", g.UID(), legacyKey(s))
-		}
+		sink = q.Key()
 	}
 	_ = sink
 }

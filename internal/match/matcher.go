@@ -3,7 +3,6 @@ package match
 import (
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"wqe/internal/distindex"
@@ -101,7 +100,7 @@ func (m *Matcher) MatchFrom(parent *Result, q *query.Query) *Result {
 	}
 	res.Candidates[q.Focus] = focusCandidates(m.G, parent, q)
 
-	var kb strings.Builder
+	var kb []byte
 	for _, s := range Decompose(q) {
 		// A table the cache does not hold is the parent's, filtered, when
 		// the parent has the star under looser literals; else built.
@@ -113,12 +112,10 @@ func (m *Matcher) MatchFrom(parent *Result, q *query.Query) *Result {
 		}
 		var t *StarTable
 		if m.Cache != nil {
-			kb.Reset()
-			kb.WriteString(m.keyPrefix)
-			s.AppendKey(&kb, q)
+			kb = s.AppendKey(append(kb[:0], m.keyPrefix...), q)
 			// Singleflight build: concurrent misses on the same star key
 			// share one materialization instead of racing duplicates.
-			t, _ = m.Cache.GetOrCompute(kb.String(), compute)
+			t, _ = m.Cache.GetOrCompute(string(kb), compute)
 		} else {
 			t, _ = compute()
 		}

@@ -6,9 +6,8 @@
 package match
 
 import (
+	"encoding/binary"
 	"sort"
-	"strconv"
-	"strings"
 
 	"wqe/internal/graph"
 	"wqe/internal/query"
@@ -115,106 +114,58 @@ func makeStar(q *query.Query, center query.NodeID) *StarQuery {
 }
 
 // Key returns a structural cache key for the star within query q: it
-// encodes the center's label and literals, each star edge's direction,
+// encodes the center's matching signature, each star edge's direction,
 // bound, and endpoint signature, and the augmented distance — but no
 // pattern-node ids, so structurally identical stars of different
 // rewrites share cache entries. Focus positions are keyed by label
 // only: materialized tables store label-filtered focus columns and
 // apply focus literals at read time, so rewrites differing only in
 // focus predicates share one table.
-func (s *StarQuery) Key(q *query.Query) string {
-	var b strings.Builder
-	s.AppendKey(&b, q)
-	return b.String()
-}
+func (s *StarQuery) Key(q *query.Query) string { return string(s.AppendKey(nil, q)) }
 
-// AppendKey writes the structural cache key (see Key) into b. Match
-// builds one key per star per evaluation on the Q-Chase hot path;
-// appending into a caller-owned builder lets it prepend the graph
-// prefix without a second allocation pass.
-func (s *StarQuery) AppendKey(b *strings.Builder, q *query.Query) {
-	writeSig := func(u query.NodeID) {
-		if u == q.Focus {
-			b.WriteString(q.Nodes[u].Label)
-			b.WriteString("{*}")
-			return
-		}
-		writeNodeSig(b, q, u)
-	}
-	b.WriteString("c:")
-	writeSig(s.Center)
+// AppendKey appends the structural cache key (see Key) to dst. Match
+// builds one key per star per evaluation on the Q-Chase hot path, behind
+// the graph prefix in one buffer.
+func (s *StarQuery) AppendKey(dst []byte, q *query.Query) []byte {
+	dst = appendSig(dst, q, s.Center)
 	// Edge signatures must be order-insensitive (a cached table may come
 	// from a rewrite whose edges were ordered differently), so they are
 	// sorted before concatenation and need individual strings.
-	edges := make([]string, 0, len(s.Edges))
-	for _, e := range s.Edges {
-		edges = append(edges, edgeSig(q, e))
+	edges := make([]string, len(s.Edges))
+	for i, e := range s.Edges {
+		edges[i] = edgeSig(q, e)
 	}
 	sort.Strings(edges)
+	dst = binary.AppendUvarint(dst, uint64(len(edges)))
 	for _, e := range edges {
-		b.WriteByte('|')
-		b.WriteString(e)
-	}
-	if s.Center == q.Focus {
-		b.WriteString("|C*")
+		dst = append(dst, e...)
 	}
 	if !s.HasFocus {
-		b.WriteString("|aug:")
-		b.WriteString(strconv.Itoa(s.AugDist))
-		b.WriteByte(':')
-		writeSig(q.Focus)
+		dst = binary.AppendUvarint(dst, uint64(s.AugDist))
+		dst = appendSig(dst, q, q.Focus)
 	}
+	return dst
 }
 
 // edgeSig encodes one star edge's structural signature: direction,
-// bound, and the non-center endpoint's matching signature (label-only
-// for the focus, which star tables store literal-agnostic).
+// bound, and the non-center endpoint's matching signature.
 func edgeSig(q *query.Query, e StarEdge) string {
-	var b strings.Builder
+	dir := byte('<')
 	if e.Out {
-		b.WriteByte('>')
-	} else {
-		b.WriteByte('<')
+		dir = '>'
 	}
-	b.WriteString(strconv.Itoa(e.Bound))
-	if e.Other == q.Focus {
-		b.WriteString(q.Nodes[e.Other].Label)
-		b.WriteString("{*}")
-	} else {
-		writeNodeSig(&b, q, e.Other)
-	}
-	return b.String()
+	var buf [64]byte // most signatures fit, and then only the string is allocated
+	sig := binary.AppendUvarint(append(buf[:0], dir), uint64(e.Bound))
+	return string(appendSig(sig, q, e.Other))
 }
 
-// nodeSig encodes a pattern node's matching semantics: label plus
-// sorted literals.
-func nodeSig(q *query.Query, u query.NodeID) string {
-	var b strings.Builder
-	writeNodeSig(&b, q, u)
-	return b.String()
-}
-
-// writeNodeSig appends a pattern node's matching signature into b.
-func writeNodeSig(b *strings.Builder, q *query.Query, u query.NodeID) {
-	n := q.Nodes[u]
-	b.WriteString(n.Label)
-	b.WriteByte('{')
-	switch len(n.Literals) {
-	case 0:
-	case 1: // common case: skip the sort scaffolding
-		b.WriteString(n.Literals[0].String())
-	default:
-		lits := make([]string, 0, len(n.Literals))
-		for _, l := range n.Literals {
-			lits = append(lits, l.String())
-		}
-		sort.Strings(lits)
-		for i, l := range lits {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(l)
-		}
+// appendSig appends what a star table filters the positions of pattern
+// node u by: the node's signature (query.AppendNodeSig), or for the
+// focus, which tables store literal-agnostic, its label alone.
+func appendSig(dst []byte, q *query.Query, u query.NodeID) []byte {
+	n := &q.Nodes[u]
+	if u == q.Focus {
+		return graph.AppendKeyString(append(dst, '*'), n.Label)
 	}
-	b.WriteByte('}')
+	return query.AppendNodeSig(append(dst, 'n'), n)
 }

@@ -5,10 +5,12 @@
 package query
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"wqe/internal/graph"
@@ -33,6 +35,30 @@ func (l Literal) String() string {
 // Equal reports literal identity.
 func (l Literal) Equal(m Literal) bool {
 	return l.Attr == m.Attr && l.Op == m.Op && l.Val.Equal(m.Val)
+}
+
+// Compare is the one order on literals: by attribute, operator, kind of
+// the constant, then the constant — anything but a Number by Str, Numbers
+// as cmp.Compare orders floats (NaN below every number) and, where that
+// calls two equal, by bit pattern (NaN payloads, 0 before -0). It is
+// total, and zero exactly when the literals have equal keys (AppendKey).
+func (l Literal) Compare(m Literal) int {
+	a, b := l.Val, m.Val
+	if c := cmp.Or(strings.Compare(l.Attr, m.Attr), cmp.Compare(l.Op, m.Op), cmp.Compare(a.Kind, b.Kind)); c != 0 {
+		return c
+	}
+	if a.Kind != graph.Number {
+		return strings.Compare(a.Str, b.Str)
+	}
+	return cmp.Or(cmp.Compare(a.Num, b.Num), cmp.Compare(math.Float64bits(a.Num), math.Float64bits(b.Num)))
+}
+
+// AppendKey appends the literal's identity to dst: attribute, operator
+// and the constant's key (graph.Value.AppendKey), each self-delimiting.
+func (l Literal) AppendKey(dst []byte) []byte {
+	dst = graph.AppendKeyString(dst, l.Attr)
+	dst = append(dst, byte(l.Op))
+	return l.Val.AppendKey(dst)
 }
 
 // Sat reports whether node v of g satisfies the literal: v must carry
@@ -351,56 +377,56 @@ func (q *Query) Shape() Topology {
 	return TopoTree
 }
 
+// AppendNodeSig appends the matching signature of pattern node n to dst:
+// its label and its literals in Compare order, whatever order n lists
+// them in. Nodes with equal signatures have equal candidates in every
+// graph. This is the identity every key of the engine is built from — a
+// rewrite (Query.AppendKey), a star table, a partner set.
+func AppendNodeSig(dst []byte, n *Node) []byte {
+	dst = graph.AppendKeyString(dst, n.Label)
+	lits := n.Literals
+	if !slices.IsSortedFunc(lits, Literal.Compare) {
+		lits = slices.Clone(lits)
+		slices.SortFunc(lits, Literal.Compare)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(lits)))
+	for _, l := range lits {
+		dst = l.AppendKey(dst)
+	}
+	return dst
+}
+
 // Key returns a deterministic canonical encoding of the query, used to
-// deduplicate rewrites during the chase and to key star-view caches.
-// Node order is significant (rewrites never reorder nodes).
+// deduplicate rewrites during the chase and to key the answer memo: two
+// queries with equal keys have equal answers in every graph. Node order
+// is significant (rewrites never reorder nodes); literal and edge order
+// are not. The bytes are not text.
 func (q *Query) Key() string {
-	var b strings.Builder
-	b.WriteByte('f')
-	b.WriteString(strconv.Itoa(int(q.Focus)))
-	for i, n := range q.Nodes {
-		b.WriteString("|n")
-		b.WriteString(strconv.Itoa(i))
-		b.WriteByte(':')
-		b.WriteString(n.Label)
-		b.WriteByte('{')
-		lits := append([]Literal(nil), n.Literals...)
-		sort.Slice(lits, func(a, c int) bool {
-			if lits[a].Attr != lits[c].Attr {
-				return lits[a].Attr < lits[c].Attr
-			}
-			if lits[a].Op != lits[c].Op {
-				return lits[a].Op < lits[c].Op
-			}
-			return lits[a].Val.Compare(lits[c].Val) < 0
-		})
-		for j, l := range lits {
-			if j > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(l.String())
-		}
-		b.WriteByte('}')
+	var buf [256]byte // most keys fit, and then only the string is allocated
+	return string(q.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the encoding Key returns to dst.
+func (q *Query) AppendKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(q.Focus))
+	dst = binary.AppendUvarint(dst, uint64(len(q.Nodes)))
+	for i := range q.Nodes {
+		dst = AppendNodeSig(dst, &q.Nodes[i])
 	}
-	edges := append([]Edge(nil), q.Edges...)
-	sort.Slice(edges, func(a, c int) bool {
-		if edges[a].From != edges[c].From {
-			return edges[a].From < edges[c].From
-		}
-		if edges[a].To != edges[c].To {
-			return edges[a].To < edges[c].To
-		}
-		return edges[a].Bound < edges[c].Bound
-	})
+	byEnds := func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Bound, b.Bound))
+	}
+	edges := q.Edges
+	if !slices.IsSortedFunc(edges, byEnds) {
+		edges = slices.Clone(edges)
+		slices.SortFunc(edges, byEnds)
+	}
 	for _, e := range edges {
-		b.WriteString("|e")
-		b.WriteString(strconv.Itoa(int(e.From)))
-		b.WriteByte('-')
-		b.WriteString(strconv.Itoa(int(e.To)))
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(e.Bound))
+		dst = binary.AppendUvarint(dst, uint64(e.From))
+		dst = binary.AppendUvarint(dst, uint64(e.To))
+		dst = binary.AppendUvarint(dst, uint64(e.Bound))
 	}
-	return b.String()
+	return dst
 }
 
 // String renders a compact human-readable form of the query.

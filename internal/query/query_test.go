@@ -210,10 +210,13 @@ func TestKey(t *testing.T) {
 	}
 }
 
-// TestKeyAndLiteralGolden pins the rendered bytes: chase deduplicates
-// rewrites by Key, star caches key on Literal.String, and the benchmark
-// hashes both into answers_sha256. The expected strings are what the
-// fmt-based renderers printed before they were rebuilt on strconv.
+// TestKeyAndLiteralGolden pins two byte formats. Literal.String is what
+// explanations and the benchmark's rendered operators print: the expected
+// strings are what the fmt-based renderer printed before it was rebuilt on
+// strconv. Key is the identity the chase deduplicates rewrites by and the
+// benchmark hashes into answers_sha256: uvarint counts and node ids,
+// length-prefixed strings, one byte per operator and kind, a Number's
+// eight float bits big-endian.
 func TestKeyAndLiteralGolden(t *testing.T) {
 	lits := []struct {
 		l    Literal
@@ -249,11 +252,19 @@ func TestKeyAndLiteralGolden(t *testing.T) {
 	q.AddEdge(b, c, 3)
 	q.AddEdge(b, a, 1)
 	q.Focus = d
-	const want = "f11|n0:Person{Age >= 40,full name = Ada  Lovelace ,p < NaN}|n1:{z = -0}|n2:City of {x}|y{}" +
-		"|n3:pad{}|n4:pad{}|n5:pad{}|n6:pad{}|n7:pad{}|n8:pad{}|n9:pad{}|n10:pad{}|n11:Last{}" +
-		"|e1-0:1|e1-2:3|e11-0:12"
+	const pad = "\x03pad\x00"
+	const want = "\x0b\x0c" + // focus 11, 12 nodes
+		"\x06Person\x03" + // literals in Compare order, not as listed
+		"\x03Age\x04\x00\x40\x44\x00\x00\x00\x00\x00\x00" +
+		"\x09full name\x00\x01\x0eAda  Lovelace " +
+		"\x01p\x01\x00\x7f\xf8\x00\x00\x00\x00\x00\x01" +
+		"\x00\x01" + "\x01z\x00\x00\x80\x00\x00\x00\x00\x00\x00\x00" + // the wildcard label, z = -0
+		"\x0dCity of {x}|y\x00" +
+		pad + pad + pad + pad + pad + pad + pad + pad +
+		"\x04Last\x00" +
+		"\x01\x00\x01" + "\x01\x02\x03" + "\x0b\x00\x0c" // edges by (from, to, bound)
 	if got := q.Key(); got != want {
-		t.Errorf("Key() =\n%s\nwant\n%s", got, want)
+		t.Errorf("Key() =\n%q\nwant\n%q", got, want)
 	}
 }
 
