@@ -14,7 +14,7 @@ GO ?= go
 # internal/distindex), so racing it would only slow CI down.
 RACE_PKGS = ./internal/graph ./internal/match ./internal/chase ./internal/par ./internal/distindex ./internal/anscache ./internal/hist ./internal/loadgen ./cmd/wqe-serve
 
-.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check serve-smoke fuzz bench-smoke profile benchmark benchmark-check bench-load ci
+.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check fuzz bench-smoke profile benchmark benchmark-check bench-load ci
 
 all: build
 
@@ -61,14 +61,6 @@ check-cfg:
 # double-run byte-identity contract.
 check-lockorder:
 	$(GO) test ./cmd/wqe-lint -run 'TestLockorder'
-
-# End-to-end exercise of the serving layer: wqe-serve boots on an
-# ephemeral port, answers every endpoint against the Fig 1 fixture,
-# verifies /stats accounting, then drains and exits cleanly. Fully
-# deterministic — the fixture's optimum and the request counts are
-# pinned.
-serve-smoke:
-	$(GO) run ./cmd/wqe-serve -smoke
 
 # Short randomized hammering, 10 s each, on top of the committed corpora
 # (which `go test` always replays as regression inputs): the binary
@@ -122,7 +114,7 @@ benchmark-check:
 	$(GO) run ./benchmark --workload explore_heu --seed 7 --seconds 3 --trace 1
 
 # Everything a PR must pass, without the benchmark regeneration.
-check: build vet fmt-check test race lint check-lockorder serve-smoke bench-smoke benchmark-check
+check: build vet fmt-check test race lint check-lockorder bench-smoke benchmark-check
 
 # Regenerate BENCH_load.json: million-node cold start — JSON vs binary
 # snapshot load wall time (fastest of three loads each; the snapshot must

@@ -6,7 +6,6 @@
 //	wqe-serve -addr :8080 -graph products=g.json
 //	wqe-serve -graph big=big.snap          # binary snapshot, sniffed by magic
 //	wqe-serve -graph a=a.json -graph b=b.json -slots 4 -queue 64
-//	wqe-serve -smoke   # self-exercise every endpoint against the Fig 1 fixture, then exit
 //
 // -graph accepts either on-disk format: graph JSON or the binary
 // snapshot written by wqe-datagen -snapshot / wqe -save-snapshot,
@@ -86,9 +85,7 @@ func run(args []string) int {
 		lambda      = fs.Float64("lambda", 1, "irrelevant-match penalty λ")
 		maxBound    = fs.Int("maxbound", 3, "edge bound cap b_m")
 		workers     = fs.Int("workers", 0, "per-question evaluation workers (0 = one per logical CPU)")
-		cacheShards = fs.Int("cache-shards", 0, "star-view cache lock stripes (0 = auto)")
 		answerCache = fs.Int("answer-cache", 4096, "answer memo capacity in entries: identical requests are served from cache and identical concurrent requests coalesce onto one chase (0 disables)")
-		smoke       = fs.Bool("smoke", false, "start on an ephemeral port, exercise every endpoint against the fixture graph, verify /stats, drain, and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -100,21 +97,10 @@ func run(args []string) int {
 	cfg.Lambda = *lambda
 	cfg.MaxBound = *maxBound
 	cfg.Workers = *workers
-	cfg.CacheShards = *cacheShards
-	cfg.AnswerCache = *answerCache > 0
 	cfg.AnswerCacheCap = *answerCache
 
-	if *smoke {
-		if err := runSmoke(cfg, *slots, *queueCap); err != nil {
-			fmt.Fprintln(os.Stderr, "wqe-serve: smoke: FAIL:", err)
-			return 1
-		}
-		fmt.Println("wqe-serve: smoke: PASS")
-		return 0
-	}
-
 	if len(graphs) == 0 {
-		fmt.Fprintln(os.Stderr, "wqe-serve: need at least one -graph name=path.json (or -smoke)")
+		fmt.Fprintln(os.Stderr, "wqe-serve: need at least one -graph name=path.json")
 		return 2
 	}
 	handles, err := loadHandles(graphs, cfg)

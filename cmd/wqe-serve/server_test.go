@@ -26,7 +26,9 @@ func newTestServer(t *testing.T, slots, queue int, answerCache bool) (*server, *
 	f := datagen.NewFig1()
 	cfg := chase.DefaultConfig()
 	cfg.Budget = 4
-	cfg.AnswerCache = answerCache
+	if answerCache {
+		cfg.AnswerCacheCap = 4096
+	}
 	handles := []*graphHandle{{name: "fig1", g: f.G, session: chase.NewSession(f.G, cfg)}}
 	srv := newServer(handles, slots, queue, 30*time.Second)
 	ts := httptest.NewServer(srv.mux())
@@ -254,15 +256,16 @@ func TestDrainStress(t *testing.T) {
 	}
 }
 
-// TestSmokeEndToEnd runs the -smoke self-exercise, covering every
-// endpoint, the /stats accounting, and the drain handshake in one go —
-// once per answer-cache mode, since the exact accounting differs.
+// TestSmokeEndToEnd runs the smoke self-exercise (smoke_test.go),
+// covering every endpoint, the /stats accounting, and the drain
+// handshake in one go — once per answer-cache mode, since the exact
+// accounting differs.
 func TestSmokeEndToEnd(t *testing.T) {
-	for _, on := range []bool{false, true} {
+	for _, memo := range []int{0, 4096} {
 		cfg := chase.DefaultConfig()
-		cfg.AnswerCache = on
+		cfg.AnswerCacheCap = memo
 		if err := runSmoke(cfg, 2, 8); err != nil {
-			t.Fatalf("smoke (answer cache %v): %v", on, err)
+			t.Fatalf("smoke (answer cache cap %d): %v", memo, err)
 		}
 	}
 }

@@ -61,9 +61,8 @@ func loadBatchSpecs(path string) ([]batchJobSpec, error) {
 // runBatch answers every job in the jobs file concurrently over one
 // shared session (graph, star-view cache, distance oracle) and prints
 // the results in submission order followed by the aggregate statistics.
-func runBatch(graphPath, batchPath string, workers, cacheShards int,
-	budget, theta, lambda float64, maxBound int) error {
-
+// workers bounds how many jobs run at once.
+func runBatch(cfg chase.Config, graphPath, batchPath string, workers int) error {
 	if graphPath == "" {
 		return fmt.Errorf("-batch needs -graph")
 	}
@@ -80,13 +79,6 @@ func runBatch(graphPath, batchPath string, workers, cacheShards int,
 		return err
 	}
 
-	cfg := chase.DefaultConfig()
-	cfg.Budget = budget
-	cfg.Theta = theta
-	cfg.Lambda = lambda
-	cfg.MaxBound = maxBound
-	cfg.Cache = true
-	cfg.CacheShards = cacheShards
 	sess := chase.NewSessionWithIndex(g, cfg, res.Index)
 
 	jobs := make([]chase.BatchJob, len(specs))

@@ -54,23 +54,29 @@ func main() {
 		demo         = flag.Bool("demo", false, "run the built-in Fig 1 example")
 		batchPath    = flag.String("batch", "", "jobs JSON file: answer a batch of Why-questions over one shared session")
 		workers      = flag.Int("workers", 0, "batch worker count (0 = one per logical CPU)")
-		cacheShards  = flag.Int("cache-shards", 0, "star-view cache lock stripes (0 = auto, 1 = unsharded; rounded up to a power of two)")
 		saveSnapshot = flag.String("save-snapshot", "",
 			"write the loaded -graph as a binary snapshot to this path (alone with -graph: convert and exit)")
 	)
 	flag.Parse()
+
+	cfg := chase.DefaultConfig()
+	cfg.Budget = *budget
+	cfg.Theta = *theta
+	cfg.Lambda = *lambda
+	cfg.MaxBound = *maxBound
 
 	var err error
 	if *batchPath != "" {
 		if *saveSnapshot != "" {
 			err = fmt.Errorf("-save-snapshot does not combine with -batch")
 		} else {
-			err = runBatch(*graphPath, *batchPath, *workers, *cacheShards,
-				*budget, *theta, *lambda, *maxBound)
+			err = runBatch(cfg, *graphPath, *batchPath, *workers)
 		}
 	} else {
-		err = run(*graphPath, *queryPath, *exemplarPath, *algo, *k, *beam,
-			*budget, *theta, *lambda, *maxBound, *cacheShards, *demo, *saveSnapshot)
+		err = run(cfg, question{
+			graph: *graphPath, query: *queryPath, exemplar: *exemplarPath,
+			algo: *algo, k: *k, beam: *beam, demo: *demo, saveSnapshot: *saveSnapshot,
+		})
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wqe:", err)
@@ -78,27 +84,34 @@ func main() {
 	}
 }
 
-func run(graphPath, queryPath, exemplarPath, algo string, k, beam int,
-	budget, theta, lambda float64, maxBound, cacheShards int, demo bool,
-	saveSnapshot string) error {
+// question is one single-question run's flags other than the search
+// configuration: where its inputs come from and which algorithm answers.
+type question struct {
+	graph, query, exemplar string
+	algo                   string
+	k, beam                int
+	demo                   bool
+	saveSnapshot           string
+}
 
+func run(cfg chase.Config, a question) error {
 	var (
 		g   *graph.Graph
 		q   *query.Query
 		e   *exemplar.Exemplar
 		idx distindex.Index
 	)
-	if demo {
+	if a.demo {
 		f := datagen.NewFig1()
 		g, q, e = f.G, f.Q, f.E
-		if budget == 3 {
-			budget = 4 // the Fig 1 optimum needs the Example 3.3 budget
+		if cfg.Budget == 3 {
+			cfg.Budget = 4 // the Fig 1 optimum needs the Example 3.3 budget
 		}
 	} else {
-		if graphPath == "" {
+		if a.graph == "" {
 			return fmt.Errorf("need -graph, -query, and -exemplar (or -demo)")
 		}
-		res, err := graphload.Open(graphPath)
+		res, err := graphload.Open(a.graph)
 		if err != nil {
 			return err
 		}
@@ -106,34 +119,27 @@ func run(graphPath, queryPath, exemplarPath, algo string, k, beam int,
 		if res.PLLRestored() {
 			fmt.Fprintln(os.Stderr, "wqe: restored PLL distance index from snapshot")
 		}
-		if saveSnapshot != "" {
-			if err := writeSnapshotFile(saveSnapshot, res); err != nil {
+		if a.saveSnapshot != "" {
+			if err := writeSnapshotFile(a.saveSnapshot, res); err != nil {
 				return err
 			}
-			fmt.Fprintln(os.Stderr, "wqe: wrote snapshot", saveSnapshot)
-			if queryPath == "" && exemplarPath == "" {
+			fmt.Fprintln(os.Stderr, "wqe: wrote snapshot", a.saveSnapshot)
+			if a.query == "" && a.exemplar == "" {
 				return nil // conversion-only run
 			}
 		}
-		if queryPath == "" || exemplarPath == "" {
+		if a.query == "" || a.exemplar == "" {
 			return fmt.Errorf("need -graph, -query, and -exemplar (or -demo)")
 		}
-		if q, err = loadQuery(queryPath); err != nil {
+		if q, err = loadQuery(a.query); err != nil {
 			return err
 		}
-		if e, err = loadExemplar(exemplarPath); err != nil {
+		if e, err = loadExemplar(a.exemplar); err != nil {
 			return err
 		}
 	}
 
-	cfg := chase.DefaultConfig()
-	cfg.Budget = budget
-	cfg.Theta = theta
-	cfg.Lambda = lambda
-	cfg.MaxBound = maxBound
-	cfg.CacheShards = cacheShards
-	sess := chase.NewSessionWithIndex(g, cfg, idx)
-	w, err := sess.Why(q, e)
+	w, err := chase.NewSessionWithIndex(g, cfg, idx).Why(q, e)
 	if err != nil {
 		return err
 	}
@@ -148,13 +154,13 @@ func run(graphPath, queryPath, exemplarPath, algo string, k, beam int,
 		len(rm), len(im), len(rc), len(ic), w.ClStar)
 
 	var answers []chase.Answer
-	switch algo {
+	switch a.algo {
 	case "answ":
 		answers = []chase.Answer{w.AnsW()}
 	case "topk":
-		answers = w.TopK(k)
+		answers = w.TopK(a.k)
 	case "heu":
-		answers = []chase.Answer{w.AnsHeu(beam)}
+		answers = []chase.Answer{w.AnsHeu(a.beam)}
 	case "whymany":
 		answers = []chase.Answer{w.ApxWhyM()}
 	case "whyempty":
@@ -162,14 +168,14 @@ func run(graphPath, queryPath, exemplarPath, algo string, k, beam int,
 	case "fmansw":
 		answers = []chase.Answer{w.FMAnsW()}
 	default:
-		return fmt.Errorf("unknown -algo %q", algo)
+		return fmt.Errorf("unknown -algo %q", a.algo)
 	}
 
-	for i, a := range answers {
+	for i, ans := range answers {
 		if len(answers) > 1 {
 			fmt.Printf("— rewrite #%d —\n", i+1)
 		}
-		printAnswer(g, a)
+		printAnswer(g, ans)
 	}
 	fmt.Printf("search: %d chase steps, %d states, %v elapsed\n",
 		w.Stats.Steps, w.Stats.States, w.Stats.Elapsed.Round(1000))

@@ -6,20 +6,29 @@ import (
 	"path/filepath"
 	"testing"
 
+	"wqe/internal/chase"
 	"wqe/internal/datagen"
 )
+
+// testConfig is the search the tests ask under: the defaults at the
+// budget the Fig 1 optimum needs.
+func testConfig() chase.Config {
+	cfg := chase.DefaultConfig()
+	cfg.Budget = 4
+	return cfg
+}
 
 // TestRunDemo drives the CLI's full pipeline on the built-in example.
 func TestRunDemo(t *testing.T) {
 	for _, algo := range []string{"answ", "topk", "heu", "whymany", "whyempty", "fmansw"} {
-		if err := run("", "", "", algo, 2, 2, 4, 1, 1, 3, 0, true, ""); err != nil {
+		if err := run(testConfig(), question{algo: algo, k: 2, beam: 2, demo: true}); err != nil {
 			t.Errorf("run(-demo, -algo %s): %v", algo, err)
 		}
 	}
-	if err := run("", "", "", "bogus", 2, 2, 4, 1, 1, 3, 0, true, ""); err == nil {
+	if err := run(testConfig(), question{algo: "bogus", demo: true}); err == nil {
 		t.Error("unknown algorithm must error")
 	}
-	if err := run("", "", "", "answ", 2, 2, 4, 1, 1, 3, 0, false, ""); err == nil {
+	if err := run(testConfig(), question{algo: "answ"}); err == nil {
 		t.Error("missing file flags must error")
 	}
 }
@@ -53,10 +62,10 @@ func TestRunFromFiles(t *testing.T) {
 	}
 	ef.Close()
 
-	if err := run(gPath, qPath, ePath, "answ", 2, 2, 4, 1, 1, 3, 2, false, ""); err != nil {
+	if err := run(testConfig(), question{graph: gPath, query: qPath, exemplar: ePath, algo: "answ"}); err != nil {
 		t.Fatalf("run from files: %v", err)
 	}
-	if err := run(filepath.Join(dir, "missing.json"), qPath, ePath, "answ", 2, 2, 4, 1, 1, 3, 0, false, ""); err == nil {
+	if err := run(testConfig(), question{graph: filepath.Join(dir, "missing.json"), query: qPath, exemplar: ePath, algo: "answ"}); err == nil {
 		t.Error("missing graph file must error")
 	}
 }
@@ -88,18 +97,18 @@ func TestRunSnapshotRoundTrip(t *testing.T) {
 	ePath := write("e.json", f.E.WriteJSON)
 
 	snapPath := filepath.Join(dir, "g.snap")
-	if err := run(gPath, "", "", "answ", 2, 2, 4, 1, 1, 3, 0, false, snapPath); err != nil {
+	if err := run(testConfig(), question{graph: gPath, algo: "answ", saveSnapshot: snapPath}); err != nil {
 		t.Fatalf("conversion run: %v", err)
 	}
 	if fi, err := os.Stat(snapPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("snapshot not written: %v", err)
 	}
-	if err := run(snapPath, qPath, ePath, "answ", 2, 2, 4, 1, 1, 3, 0, false, ""); err != nil {
+	if err := run(testConfig(), question{graph: snapPath, query: qPath, exemplar: ePath, algo: "answ"}); err != nil {
 		t.Fatalf("run from snapshot: %v", err)
 	}
 	// Snapshot-in, snapshot-out while answering in the same run.
 	again := filepath.Join(dir, "g2.snap")
-	if err := run(snapPath, qPath, ePath, "answ", 2, 2, 4, 1, 1, 3, 0, false, again); err != nil {
+	if err := run(testConfig(), question{graph: snapPath, query: qPath, exemplar: ePath, algo: "answ", saveSnapshot: again}); err != nil {
 		t.Fatalf("answer+save run: %v", err)
 	}
 	a, err := os.ReadFile(snapPath)
@@ -149,14 +158,14 @@ func TestRunBatch(t *testing.T) {
 		]`)
 		return err
 	})
-	if err := runBatch(gPath, jobs, 2, 4, 4, 1, 1, 3); err != nil {
+	if err := runBatch(testConfig(), gPath, jobs, 2); err != nil {
 		t.Fatalf("runBatch: %v", err)
 	}
 
-	if err := runBatch("", jobs, 0, 0, 4, 1, 1, 3); err == nil {
+	if err := runBatch(testConfig(), "", jobs, 0); err == nil {
 		t.Error("batch without -graph must error")
 	}
-	if err := runBatch(gPath, filepath.Join(dir, "missing.json"), 0, 0, 4, 1, 1, 3); err == nil {
+	if err := runBatch(testConfig(), gPath, filepath.Join(dir, "missing.json"), 0); err == nil {
 		t.Error("missing jobs file must error")
 	}
 
@@ -164,7 +173,7 @@ func TestRunBatch(t *testing.T) {
 		_, err := io.WriteString(fh, `[]`)
 		return err
 	})
-	if err := runBatch(gPath, empty, 0, 0, 4, 1, 1, 3); err == nil {
+	if err := runBatch(testConfig(), gPath, empty, 0); err == nil {
 		t.Error("empty jobs file must error")
 	}
 
@@ -172,7 +181,7 @@ func TestRunBatch(t *testing.T) {
 		_, err := io.WriteString(fh, `[{"query": "nope.json", "exemplar": "e.json"}]`)
 		return err
 	})
-	if err := runBatch(gPath, badRef, 0, 0, 4, 1, 1, 3); err == nil {
+	if err := runBatch(testConfig(), gPath, badRef, 0); err == nil {
 		t.Error("jobs referencing a missing query file must error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"wqe/internal/chase"
 	"wqe/internal/datagen"
+	"wqe/internal/distindex"
 )
 
 // The ablation experiments back the design choices DESIGN.md §5 calls
@@ -43,7 +44,6 @@ func (h *Harness) AblationCacheCapacity() *Table {
 		var hits, total int64
 		for _, inst := range instances {
 			cfg := h.config(AlgoAnsW, defaultBudget)
-			cfg.Cache = cap > 0
 			cfg.CacheCap = cap
 			w, err := chase.NewWhy(g, inst.Q, inst.E, cfg)
 			if err != nil {
@@ -65,7 +65,7 @@ func (h *Harness) AblationCacheCapacity() *Table {
 }
 
 // AblationDistBackend compares the bounded-BFS oracle against Pruned
-// Landmark Labeling, including the index build cost.
+// Landmark Labeling; setup time is the index build.
 func (h *Harness) AblationDistBackend() *Table {
 	t := &Table{
 		ID:     "Ablation A2",
@@ -76,18 +76,22 @@ func (h *Harness) AblationDistBackend() *Table {
 	g := h.GraphFor(datagen.DatasetMovies, h.Opts.Scale)
 	instances := h.Instances(spec)
 	for _, backend := range []string{"bfs", "pll"} {
+		s0 := time.Now()
+		var idx distindex.Index
+		switch backend {
+		case "bfs":
+			idx = distindex.NewBFS(g)
+		case "pll":
+			idx = distindex.NewPLLParallel(g, 0)
+		}
+		setup := time.Since(s0)
 		var times []time.Duration
-		var setup time.Duration
-		for i, inst := range instances {
+		for _, inst := range instances {
+			// A session per question: each starts with an empty star cache.
 			cfg := h.config(AlgoAnsW, defaultBudget)
-			cfg.DistBackend = backend
-			s0 := time.Now()
-			w, err := chase.NewWhy(g, inst.Q, inst.E, cfg)
+			w, err := chase.NewSessionWithIndex(g, cfg, idx).Why(inst.Q, inst.E)
 			if err != nil {
 				continue
-			}
-			if i == 0 {
-				setup = time.Since(s0) // dominated by index construction
 			}
 			start := time.Now()
 			w.AnsW()

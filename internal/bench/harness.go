@@ -188,9 +188,9 @@ func (h *Harness) config(a Algo, budget float64) chase.Config {
 	cfg.TimeLimit = h.Opts.TimeLimit
 	switch a.Name {
 	case "AnsWnc":
-		cfg.Cache = false
+		cfg.CacheCap = 0
 	case "AnsWb", "FMAnsW":
-		cfg.Cache = false
+		cfg.CacheCap = 0
 		cfg.Prune = false
 	}
 	return cfg

@@ -177,7 +177,7 @@ func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, Batc
 // with the job's cancel signal and deadline applied and its TimeLimit
 // anchored now — the single-question entry point a server calls per
 // request. Queue wait before this call is the caller's to account for
-// (set Deadline at admission). With Config.AnswerCache on, identical
+// (set Deadline at admission). With Engine.AnswerCacheCap set, identical
 // jobs are served from the answer memo (see memo.go): hits skip the
 // chase entirely and concurrent identical requests coalesce onto one.
 func (s *Session) Run(j BatchJob) BatchResult {
@@ -197,6 +197,28 @@ func cancelled(ch <-chan struct{}) bool {
 	}
 }
 
+// limits resolves the Limits a job runs under: the session's, with the
+// job's overrides applied and a relative time limit converted into an
+// absolute deadline anchored at submission. Why.deadline gives Deadline
+// precedence over TimeLimit, so a queued job's wait is not free time.
+func (j BatchJob) limits(l Limits, submit time.Time, batchCancel <-chan struct{}) Limits {
+	if j.TimeLimit > 0 {
+		l.TimeLimit = j.TimeLimit
+	}
+	switch {
+	case !j.Deadline.IsZero():
+		l.Deadline = j.Deadline
+	case l.TimeLimit > 0:
+		l.Deadline = submit.Add(l.TimeLimit)
+	}
+	if j.Cancel != nil {
+		l.Cancel = j.Cancel
+	} else if batchCancel != nil {
+		l.Cancel = batchCancel
+	}
+	return l
+}
+
 // cancelledJob resolves whether a not-yet-started job is cancelled: its
 // own Cancel wins when set, otherwise the batch-level signal applies.
 func cancelledJob(j BatchJob, batch <-chan struct{}) bool {
@@ -209,50 +231,26 @@ func cancelledJob(j BatchJob, batch <-chan struct{}) bool {
 // runJob compiles and runs one batch job against the session's shared
 // state. submit is the instant the job was handed over (the AskAll
 // call or the server's admission), anchoring relative time limits so
-// queue wait is charged to the job. detached strips every wall-clock
-// cutoff and cancel signal (MaxSteps still bounds the search) — the
-// answer memo runs its singleflight chases detached so the stored
-// answer is a pure function of the question, not of whichever waiter's
-// deadline happened to own the flight.
+// queue wait is charged to the job. detached clears the Limits
+// (MaxSteps still bounds the search) — the answer memo runs its
+// singleflight chases detached so the stored answer is a pure function
+// of the question, not of whichever waiter's deadline happened to own
+// the flight.
 func (s *Session) runJob(j BatchJob, submit time.Time, batchCancel <-chan struct{}, detached bool) BatchResult {
 	if j.Q == nil || j.E == nil {
 		return BatchResult{Err: errNilJob}
 	}
 	cfg := s.Cfg
-	if j.MaxSteps > 0 {
-		cfg.MaxSteps = j.MaxSteps
-	}
+	cfg.Search = s.search(j)
 	if detached {
-		cfg.TimeLimit = 0
-		cfg.Deadline = time.Time{}
-		cfg.Cancel = nil
+		cfg.Limits = Limits{}
 	} else {
-		if j.TimeLimit > 0 {
-			cfg.TimeLimit = j.TimeLimit
-		}
-		// Convert the relative limit into an absolute deadline anchored
-		// at submission. Why.deadline gives Config.Deadline precedence
-		// over TimeLimit, so a queued job's wait is no longer free time.
-		switch {
-		case !j.Deadline.IsZero():
-			cfg.Deadline = j.Deadline
-		case cfg.TimeLimit > 0:
-			cfg.Deadline = submit.Add(cfg.TimeLimit)
-		}
-		if j.Cancel != nil {
-			cfg.Cancel = j.Cancel
-		} else if batchCancel != nil {
-			cfg.Cancel = batchCancel
-		}
+		cfg.Limits = j.limits(cfg.Limits, submit, batchCancel)
 	}
-	w, err := newWhyWith(s.G, j.Q, j.E, cfg, s.dist, s.cache, s.budget)
+	w, err := newWhyWith(s, j.Q, j.E, cfg)
 	if err != nil {
 		return BatchResult{Err: err}
 	}
-	// Deadlines and elapsed stats must read the same clock the session
-	// anchored submit on, or fake-clock tests (and any future clock
-	// injection) would compare instants from two different timelines.
-	w.clock = s.clock
 	algo, beam, ok := j.resolveAlgo()
 	if !ok {
 		return BatchResult{Err: chaseError("chase: unknown batch algo " + j.Algo)}

@@ -32,9 +32,7 @@ func TestBatchIdenticalAcrossShardCounts(t *testing.T) {
 	run := func(shards, workers int) []rendered {
 		cfg := chase.DefaultConfig()
 		cfg.MaxSteps = 400
-		cfg.Cache = true
-		cfg.CacheShards = shards
-		sess := chase.NewSession(g, cfg)
+		sess := chase.NewSessionWithShards(g, cfg, shards)
 		results, stats := sess.AskAll(jobs, chase.BatchOptions{Workers: workers})
 		out := make([]rendered, len(results))
 		for i, r := range results {

@@ -25,7 +25,6 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 	cfg := chase.DefaultConfig()
 	cfg.MaxSteps = 400
-	cfg.Cache = true
 
 	type rendered struct {
 		answer        string
@@ -74,7 +73,6 @@ func TestBatchMatchesSequential(t *testing.T) {
 func TestBatchJobOverrides(t *testing.T) {
 	g, instances := genInstances(t, datagen.DatasetProducts, 800, 2, 3)
 	cfg := chase.DefaultConfig()
-	cfg.Cache = true
 	sess := chase.NewSession(g, cfg)
 
 	jobs := []chase.BatchJob{
@@ -123,7 +121,6 @@ func TestSessionConcurrentStress(t *testing.T) {
 	g, instances := genInstances(t, datagen.DatasetProducts, 1000, 4, 17)
 	cfg := chase.DefaultConfig()
 	cfg.MaxSteps = 300
-	cfg.Cache = true
 
 	// Single-threaded reference answers.
 	refSess := chase.NewSession(g, cfg)

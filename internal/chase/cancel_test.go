@@ -93,9 +93,11 @@ func TestCancelMidBeamReleasesBudgetTokens(t *testing.T) {
 			close(cancel) // cancel at the first improvement: mid-search by construction
 		}
 	}
-	w, err := newWhyWith(f.G, f.Q, f.E, cfg, nil, nil, budget)
+	s := NewSession(f.G, cfg)
+	s.budget = budget
+	w, err := s.Why(f.Q, f.E)
 	if err != nil {
-		t.Fatalf("newWhyWith: %v", err)
+		t.Fatalf("Why: %v", err)
 	}
 	ans := w.AnsHeu(8)
 	if improved == 0 {

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wqe/internal/anscache"
 	"wqe/internal/distindex"
 	"wqe/internal/exemplar"
 	"wqe/internal/graph"
@@ -46,8 +45,25 @@ func (r Relevance) String() string {
 	return [...]string{"RM", "IM", "RC", "IC"}[r]
 }
 
-// Config tunes the Q-Chase algorithms.
+// Config tunes the Q-Chase algorithms. Its three parts say what each
+// knob may change: the Search decides which rewrite a question gets,
+// the Engine only how fast it arrives, and the Limits only where an
+// anytime run is cut short. The answer memo keys on the Search alone
+// (memo.go). Fields are promoted, so cfg.Budget and cfg.Workers read
+// and write through.
 type Config struct {
+	Search
+	Engine
+	Limits
+}
+
+// Search holds every knob that changes a question's answer; a finished
+// search is a pure function of the question and these fields.
+type Search struct {
+	// MaxSteps caps the number of simulated Q-Chase steps (query
+	// evaluations); the anytime algorithms return the best rewrite found
+	// so far when exhausted. 0 means the default (100000).
+	MaxSteps int
 	// Budget is the operator cost bound B. Default 3 (the paper's
 	// default experimental budget).
 	Budget float64
@@ -56,29 +72,6 @@ type Config struct {
 	// Theta and Lambda configure the exemplar evaluator (vsim threshold
 	// and irrelevant-match penalty). Defaults 1 and 1.
 	Theta, Lambda float64
-	// Cache enables the star-view cache (§5.2). CacheCap bounds it.
-	Cache    bool
-	CacheCap int
-	// CacheShards sets the star-view cache's lock-stripe count; keys are
-	// hashed over the shards so concurrent workers rarely share a mutex.
-	// 0 (the default) auto-sizes to nextPow2(4×GOMAXPROCS); other values
-	// round up to a power of two, and 1 gives the un-striped cache.
-	// Output is byte-identical for every setting — sharding only changes
-	// which star tables get rebuilt, never their contents.
-	CacheShards int
-	// AnswerCache enables the session-level answer memo with request
-	// coalescing: batch jobs (Session.Run / AskAll) are keyed by a
-	// canonical digest of (graph identity, algo, query, exemplar, search
-	// options — deadlines and cancel signals excluded), identical
-	// concurrent requests share exactly one chase, and finished answers
-	// stay resident for later identical requests. AnswerCacheCap bounds
-	// the number of resident answers (default 4096 when enabled).
-	// Off by default: a memoized job returns the complete answer the
-	// unbounded-deadline chase produced, which a deadline-limited caller
-	// may observe as *more* complete than an uncached run — servers opt
-	// in for throughput, libraries keep exact per-call semantics.
-	AnswerCache    bool
-	AnswerCacheCap int
 	// Prune enables the cl⁺ pruning strategies of Lemma 5.5.
 	Prune bool
 	// MaxOpsPerClass caps how many picky operators one state generates
@@ -89,10 +82,38 @@ type Config struct {
 	// pickiness scores are then relative to the sample. 0 means the
 	// default (120).
 	MaxAnalysis int
-	// MaxSteps caps the number of simulated Q-Chase steps (query
-	// evaluations); the anytime algorithms return the best rewrite found
-	// so far when exhausted. 0 means the default (100000).
-	MaxSteps int
+	// Seed drives the randomized baseline AnsHeuB.
+	Seed int64
+}
+
+// Engine sizes the machinery a search runs on. Output is byte-identical
+// for every setting.
+type Engine struct {
+	// Workers bounds the evaluation worker pool the parallel algorithms
+	// fan rewrite evaluations out over: 0 (the default) uses one worker
+	// per logical CPU, 1 forces fully sequential evaluation. Candidates
+	// are claimed and committed in sequential order; only the Match calls
+	// in between run concurrently (see DESIGN.md "Concurrency model").
+	Workers int
+	// CacheCap bounds the star-view cache (§5.2) in tables; 0 runs
+	// without one. A cached table is a pure function of its key, so the
+	// cache only changes which tables get rebuilt.
+	CacheCap int
+	// AnswerCacheCap bounds the session-level answer memo in answers; 0
+	// (the default) runs without one. With it, batch jobs (Session.Run /
+	// AskAll) are keyed by a canonical digest of the graph, the algorithm,
+	// the question and the Search; identical concurrent requests share
+	// exactly one chase, and finished answers stay resident for later
+	// identical requests. A memoized job returns the complete answer a
+	// chase without Limits produced, which a deadline-limited caller may
+	// observe as *more* complete than an uncached run — servers opt in
+	// for throughput, libraries keep exact per-call semantics.
+	AnswerCacheCap int
+}
+
+// Limits bounds one run: where an anytime search stops early, and who
+// hears of its progress. They never enter the answer memo.
+type Limits struct {
 	// TimeLimit, when positive, stops the search after the wall-clock
 	// limit and returns the best rewrite so far (anytime behavior).
 	TimeLimit time.Duration
@@ -111,38 +132,25 @@ type Config struct {
 	// and any helper-budget tokens it held are released. Servers wire a
 	// disconnected client's done-channel here.
 	Cancel <-chan struct{}
-	// Workers bounds the evaluation worker pool the parallel algorithms
-	// fan rewrite evaluations out over: 0 (the default) uses one worker
-	// per logical CPU, 1 forces fully sequential evaluation. Output is
-	// byte-identical for every setting — candidates are claimed and
-	// committed in sequential order; only the Match calls in between run
-	// concurrently (see DESIGN.md "Concurrency model").
-	Workers int
 	// OnImprove, when non-nil, is invoked every time the best rewrite
 	// improves — the paper's "return Q* upon request" anytime hook.
+	// Sessions with a hook bypass the answer memo, so every improvement
+	// is observed.
 	OnImprove func(best Answer)
-	// Seed drives the randomized baseline AnsHeuB.
-	Seed int64
-	// DistBackend forces the distance oracle: "bfs", "pll", or ""
-	// (auto). Used by the ablation benchmarks.
-	DistBackend string
 }
 
-// DefaultConfig mirrors the paper's experimental defaults.
+// DefaultConfig mirrors the paper's experimental defaults, with a
+// 4096-table star-view cache and no answer memo.
 func DefaultConfig() Config {
 	return Config{
-		Budget:   3,
-		MaxBound: 3,
-		Theta:    1,
-		Lambda:   1,
-		Cache:    true,
-		CacheCap: 4096,
-		Prune:    true,
+		Search: Search{Budget: 3, MaxBound: 3, Theta: 1, Lambda: 1, Prune: true},
+		Engine: Engine{CacheCap: 4096},
 	}
 }
 
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
+// withDefaults fills every unset search knob with its default.
+func (c Search) withDefaults() Search {
+	d := DefaultConfig().Search
 	if c.Budget <= 0 {
 		c.Budget = d.Budget
 	}
@@ -154,12 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Lambda <= 0 {
 		c.Lambda = d.Lambda
-	}
-	if c.CacheCap <= 0 {
-		c.CacheCap = d.CacheCap
-	}
-	if c.AnswerCacheCap <= 0 {
-		c.AnswerCacheCap = 4096
 	}
 	if c.MaxOpsPerClass <= 0 {
 		c.MaxOpsPerClass = 64
@@ -199,11 +201,10 @@ type Why struct {
 	params ops.Params
 	rng    *rand.Rand
 
-	// budget, when non-nil, gates this Why's evaluation fan-out on the
-	// shared helper-token budget (see par.Budget): inside a batch, inner
+	// budget gates this Why's evaluation fan-out on the session's
+	// helper-token budget (see par.Budget): inside a batch, inner
 	// per-question parallelism and outer cross-question parallelism draw
 	// from the same pool, so nesting never oversubscribes the machine.
-	// Standalone Why-questions leave it nil and fan out ungated.
 	budget *par.Budget
 
 	// partnerCache memoizes refinement partner sets across chase states:
@@ -251,23 +252,21 @@ type Sample struct {
 	Closeness float64
 }
 
-// NewWhy compiles a Why-question. It validates the query and exemplar,
-// builds the exemplar evaluator (rep(E, V), closeness), the distance
-// oracle, and the matcher.
+// NewWhy compiles a Why-question on a session of its own: it validates
+// the query and exemplar, and builds the exemplar evaluator (rep(E, V),
+// closeness), the distance oracle, and the matcher. Callers asking more
+// than one question of a graph keep a Session instead.
 func NewWhy(g *graph.Graph, q *query.Query, e *exemplar.Exemplar, cfg Config) (*Why, error) {
-	return newWhyWith(g, q, e, cfg, nil, nil, nil)
+	return NewSession(g, cfg).Why(q, e)
 }
 
-// newWhyWith is NewWhy with the per-graph resources supplied by a
-// Session: a prebuilt distance oracle, a shared star-view cache, and
-// the helper-token budget. Any nil resource is built (or, for the
-// budget, left off) exactly as standalone NewWhy would — sessions reuse
-// one oracle and one cache across every question instead of building
-// and discarding them per Ask.
-func newWhyWith(g *graph.Graph, q *query.Query, e *exemplar.Exemplar, cfg Config,
-	dist distindex.Index, cache *match.Cache, budget *par.Budget) (*Why, error) {
-
-	cfg = cfg.withDefaults()
+// newWhyWith compiles a Why-question under cfg over the per-graph
+// resources s owns: the distance oracle, the star-view cache (nil runs
+// uncached), the helper-token budget, and the clock — deadlines and
+// elapsed stats must read the clock the session anchors submissions on.
+func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*Why, error) {
+	g := s.G
+	cfg.Search = cfg.Search.withDefaults()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -278,40 +277,24 @@ func newWhyWith(g *graph.Graph, q *query.Query, e *exemplar.Exemplar, cfg Config
 	if !ev.Nontrivial() {
 		return nil, errors.New("chase: trivial exemplar: rep(E, V) is empty")
 	}
-	if dist == nil {
-		switch cfg.DistBackend {
-		case "bfs":
-			dist = distindex.NewBFS(g)
-		case "pll":
-			dist = distindex.NewPLLParallel(g, cfg.Workers)
-		case "":
-			dist = distindex.Auto(g)
-		default:
-			return nil, fmt.Errorf("chase: unknown distance backend %q", cfg.DistBackend)
-		}
-	}
 	w := &Why{
 		G:            g,
 		Q:            q.Clone(),
 		E:            e,
 		Cfg:          cfg,
 		Eval:         ev,
-		Dist:         dist,
-		budget:       budget,
+		Dist:         s.dist,
+		budget:       s.budget,
 		params:       ops.Params{MaxBound: cfg.MaxBound},
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		partnerCache: map[partnerCacheKey][]graph.NodeID{},
 		partnerSigs:  map[string]int32{},
-		//lint:ignore detsource injectable-clock default; only TimeLimit cutoffs and Elapsed stats read it, never ranking
-		clock: time.Now,
+		clock:        s.clock,
 	}
 	// Warm the graph's lazy caches so concurrent Why-questions over the
 	// same graph stay race-free.
 	g.WarmCaches()
-	if cache == nil && cfg.Cache {
-		cache = anscache.New[*match.StarTable](cfg.CacheCap, cfg.CacheShards)
-	}
-	w.Matcher = match.NewMatcher(g, w.Dist, cache)
+	w.Matcher = match.NewMatcher(g, w.Dist, s.cache)
 	w.FocusCands = g.NodesByLabel(q.Nodes[q.Focus].Label)
 	w.focusSet = make(map[graph.NodeID]bool, len(w.FocusCands))
 	for _, v := range w.FocusCands {
@@ -447,10 +430,9 @@ func (w *Why) stepsUsed() int { return int(w.steps.Load()) }
 // workers resolves Config.Workers to a concrete pool size.
 func (w *Why) workers() int { return par.Workers(w.Cfg.Workers) }
 
-// forEach fans fn out over the evaluation pool, gated by the shared
-// helper budget when this Why runs under a Session (nil budget is the
-// ungated standalone path). Output never depends on the gate: callers
-// commit in claim order whatever the realized parallelism was.
+// forEach fans fn out over the evaluation pool, gated by the session's
+// helper budget. Output never depends on the gate: callers commit in
+// claim order whatever the realized parallelism was.
 func (w *Why) forEach(workers, n int, fn func(i int)) {
 	par.ForEachIn(w.budget, workers, n, fn)
 }

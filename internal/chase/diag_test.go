@@ -24,7 +24,9 @@ func TestDiagSearchEffort(t *testing.T) {
 	} {
 		for i, inst := range instances {
 			cfg := chase.DefaultConfig()
-			cfg.Cache = tc.cache
+			if !tc.cache {
+				cfg.CacheCap = 0
+			}
 			cfg.Prune = tc.prune
 			cfg.MaxSteps = 30000
 			w, err := chase.NewWhy(g, inst.Q, inst.E, cfg)

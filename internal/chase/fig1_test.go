@@ -168,9 +168,9 @@ func TestFig1Variants(t *testing.T) {
 		name string
 		cfg  chase.Config
 	}{
-		{"AnsW", chase.Config{Cache: true, Prune: true}},
-		{"AnsWnc", chase.Config{Cache: false, Prune: true}},
-		{"AnsWb", chase.Config{Cache: false, Prune: false}},
+		{"AnsW", chase.Config{Search: chase.Search{Prune: true}, Engine: chase.Engine{CacheCap: 4096}}},
+		{"AnsWnc", chase.Config{Search: chase.Search{Prune: true}}},
+		{"AnsWb", chase.Config{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

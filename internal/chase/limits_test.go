@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wqe/internal/chase"
-	"wqe/internal/datagen"
 )
 
 // TestMaxStepsRespected: the search stops at the step cap and still
@@ -76,19 +75,5 @@ func TestConcurrentWhyQuestions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestBadDistBackend: config validation.
-func TestBadDistBackend(t *testing.T) {
-	f := datagen.NewFig1()
-	cfg := chase.DefaultConfig()
-	cfg.DistBackend = "quantum"
-	if _, err := chase.NewWhy(f.G, f.Q, f.E, cfg); err == nil {
-		t.Error("unknown distance backend must be rejected")
-	}
-	cfg.DistBackend = "pll"
-	if _, err := chase.NewWhy(f.G, f.Q, f.E, cfg); err != nil {
-		t.Errorf("pll backend rejected: %v", err)
 	}
 }

@@ -11,24 +11,48 @@ import (
 // stops identical Why-questions from recomputing identical chases.
 // Session.Run and AskAll route batch jobs through runMemo, which keys
 // each job by a canonical digest of everything that determines its
-// answer — graph identity, resolved algorithm, query, exemplar, and
-// every search knob — and shares one singleflight chase among identical
+// answer — graph identity, resolved algorithm, query, exemplar, and the
+// job's Search — and shares one singleflight chase among identical
 // concurrent requests (internal/anscache holds the stripe discipline).
 //
-// Deadlines, time limits, and cancel signals are deliberately EXCLUDED
-// from both the key and the flight: a memoized chase runs detached
-// (bounded only by MaxSteps), so the stored answer is a pure function
-// of the key and one waiter's disconnect can never truncate the answer
-// every other waiter receives. The trade-off is anytime semantics: a
+// The key is the Search by construction: Engine knobs cannot change an
+// answer, and a memoized chase runs with its Limits cleared (bounded
+// only by MaxSteps), so the stored answer is a pure function of the key
+// and one waiter's disconnect can never truncate the answer every other
+// waiter receives. The trade-off is anytime semantics: a
 // deadline-limited request served from the memo gets the complete
 // answer rather than a best-so-far cut, which is never worse for the
 // caller but is observable. Callers that need exact per-call anytime
-// behavior leave Config.AnswerCache off.
+// behavior leave Engine.AnswerCacheCap at 0.
 
 // keySep ends each of the key's leading fields; it cannot appear in
 // them (numbers and algorithm names), and the query and exemplar keys
 // that follow are self-delimiting, so the concatenation is unambiguous.
 const keySep = "\x1f"
+
+// appendKey appends every Search field to dst, each followed by keySep:
+// the one list of what an answer depends on besides the question.
+func (c Search) appendKey(dst []byte) []byte {
+	dst = append(strconv.AppendInt(dst, int64(c.MaxSteps), 10), keySep...)
+	dst = append(strconv.AppendFloat(dst, c.Budget, 'g', -1, 64), keySep...)
+	dst = append(strconv.AppendInt(dst, int64(c.MaxBound), 10), keySep...)
+	dst = append(strconv.AppendFloat(dst, c.Theta, 'g', -1, 64), keySep...)
+	dst = append(strconv.AppendFloat(dst, c.Lambda, 'g', -1, 64), keySep...)
+	dst = append(strconv.AppendBool(dst, c.Prune), keySep...)
+	dst = append(strconv.AppendInt(dst, int64(c.MaxOpsPerClass), 10), keySep...)
+	dst = append(strconv.AppendInt(dst, int64(c.MaxAnalysis), 10), keySep...)
+	return append(strconv.AppendInt(dst, c.Seed, 10), keySep...)
+}
+
+// search resolves the Search a job runs under: the session's, with the
+// job's MaxSteps override applied.
+func (s *Session) search(j BatchJob) Search {
+	sr := s.Cfg.Search
+	if j.MaxSteps > 0 {
+		sr.MaxSteps = j.MaxSteps
+	}
+	return sr
+}
 
 // answerKey builds the canonical digest for one batch job, or ok=false
 // when the job must bypass the memo (unknown algo — let runJob report
@@ -40,34 +64,25 @@ func (s *Session) answerKey(j BatchJob) (key string, ok bool) {
 	if !ok {
 		return "", false
 	}
-	if algo == "heu" {
-		algo = "heu:" + strconv.Itoa(beam)
-	}
-	maxSteps := s.Cfg.MaxSteps
-	if j.MaxSteps > 0 {
-		maxSteps = j.MaxSteps
-	}
+	return jobDigest(s.G.UID(), algo, beam, s.search(j), j), true
+}
 
-	var buf [512]byte // most keys fit: nothing but the digest is allocated
-	b := buf[:0]
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, part := range []string{
-		strconv.FormatUint(s.G.UID(), 16),
-		algo,
-		strconv.Itoa(maxSteps),
-		f(s.Cfg.Budget),
-		strconv.Itoa(s.Cfg.MaxBound),
-		f(s.Cfg.Theta),
-		f(s.Cfg.Lambda),
-		strconv.FormatBool(s.Cfg.Prune),
-		strconv.Itoa(s.Cfg.MaxOpsPerClass),
-		strconv.Itoa(s.Cfg.MaxAnalysis),
-		strconv.FormatInt(s.Cfg.Seed, 10),
-	} {
-		b = append(append(b, part...), keySep...)
+// jobDigest hashes one job's key parts: the graph uid, the resolved
+// algorithm (with its beam for "heu"), the Search, the query and the
+// exemplar. Most keys fit the stack buffer, so the returned string is
+// the only allocation.
+func jobDigest(uid uint64, algo string, beam int, sr Search, j BatchJob) string {
+	var buf [512]byte
+	b := append(strconv.AppendUint(buf[:0], uid, 16), keySep...)
+	b = append(b, algo...)
+	if algo == "heu" {
+		b = strconv.AppendInt(append(b, ':'), int64(beam), 10)
 	}
+	b = sr.appendKey(append(b, keySep...))
 	sum := sha256.Sum256(j.E.AppendKey(j.Q.AppendKey(b)))
-	return hex.EncodeToString(sum[:]), true
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // runMemo is the memo-aware front of runJob. With the answer cache off
@@ -87,8 +102,8 @@ func (s *Session) runMemo(j BatchJob, submit time.Time, batchCancel <-chan struc
 		return s.runJob(j, submit, batchCancel, false)
 	}
 	res, _ := s.ans.GetOrCompute(key, func() (BatchResult, bool) {
-		// Detached flight: deadlines/cancel stripped (see file comment),
-		// so the stored answer is complete and deterministic. Errors are
+		// Detached flight: Limits cleared (see file comment), so the
+		// stored answer is complete and deterministic. Errors are
 		// delivered to every coalesced waiter but never stored — the
 		// next identical request retries.
 		r := s.runJob(j, submit, nil, true)

@@ -8,34 +8,11 @@ import (
 	"wqe/internal/datagen"
 )
 
-// memoKeyed lists the Config fields answerKey digests: each one changes
-// what a chase returns, so two jobs differing in it must not share a
-// memo entry.
-var memoKeyed = []string{
-	"Budget", "MaxBound", "Theta", "Lambda", "Prune",
-	"MaxOpsPerClass", "MaxAnalysis", "MaxSteps", "Seed",
-}
-
-// memoExcluded lists the Config fields answerKey deliberately leaves
-// out, with the reason the stored answer cannot depend on them.
-var memoExcluded = map[string]string{
-	"TimeLimit":      "memoized flights run detached, bounded by MaxSteps only (memo.go)",
-	"Deadline":       "same: stripped from the flight, so never part of the answer",
-	"Cancel":         "same: one waiter's disconnect must not truncate a shared answer",
-	"OnImprove":      "sessions with a streaming hook bypass the memo entirely (runMemo)",
-	"Workers":        "output is byte-identical for every worker count",
-	"Cache":          "star cache on/off only changes which tables get rebuilt",
-	"CacheCap":       "star cache sizing never changes a table's contents",
-	"CacheShards":    "output is byte-identical for every shard count",
-	"AnswerCache":    "the memo's own switch",
-	"AnswerCacheCap": "the memo's own sizing",
-	"DistBackend":    "BFS and PLL oracles answer the same exact distances",
-}
-
-// TestMemoKeyClassifiesEveryConfigField fails the day someone adds a
-// Config knob without deciding whether the answer memo must key on it:
-// every field is in exactly one of the two lists above, changing a keyed
-// field changes answerKey, and changing an excluded one does not.
+// TestMemoKeyClassifiesEveryConfigField: Config is exactly Search +
+// Engine + Limits, changing any Search field changes answerKey, and
+// changing any Engine or Limits field does not — so a knob added to
+// Search is keyed the day it is added, and one added anywhere else is
+// declared unable to change an answer.
 func TestMemoKeyClassifiesEveryConfigField(t *testing.T) {
 	f := datagen.NewFig1()
 	job := BatchJob{Q: f.Q, E: f.E}
@@ -48,53 +25,80 @@ func TestMemoKeyClassifiesEveryConfigField(t *testing.T) {
 		}
 		return k
 	}
-	base := DefaultConfig().withDefaults()
+	base := DefaultConfig()
+	base.Search = base.Search.withDefaults()
 	baseKey := keyFor(base)
 
-	keyed := map[string]bool{}
-	for _, name := range memoKeyed {
-		keyed[name] = true
-	}
 	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		_, excluded := memoExcluded[name]
-		if keyed[name] == excluded {
-			t.Errorf("Config.%s must be in exactly one of memoKeyed / memoExcluded (keyed=%v excluded=%v): "+
-				"decide whether answerKey digests it", name, keyed[name], excluded)
-			continue
+	parts := []reflect.Type{reflect.TypeOf(Search{}), reflect.TypeOf(Engine{}), reflect.TypeOf(Limits{})}
+	if typ.NumField() != len(parts) {
+		t.Fatalf("Config has %d fields, want exactly the embedded Search, Engine and Limits", typ.NumField())
+	}
+	for i, part := range parts {
+		if sf := typ.Field(i); !sf.Anonymous || sf.Type != part {
+			t.Fatalf("Config field %d is %s %s, want embedded %s", i, sf.Name, sf.Type, part)
 		}
-		cfg := base
-		fv := reflect.ValueOf(&cfg).Elem().Field(i)
-		switch v := fv.Addr().Interface().(type) {
-		case *float64:
-			*v++
-		case *int:
-			*v++
-		case *int64:
-			*v++
-		case *bool:
-			*v = !*v
-		case *string:
-			*v += "x"
-		case *time.Duration:
-			*v += time.Second
-		case *time.Time:
-			*v = v.Add(time.Hour)
-		case *<-chan struct{}:
-			*v = make(chan struct{})
-		case *func(Answer):
-			*v = func(Answer) {}
-		default:
-			t.Fatalf("Config.%s has type %s: teach this test to change it", name, fv.Type())
-		}
-		if changed := keyFor(cfg) != baseKey; changed != keyed[name] {
-			t.Errorf("changing Config.%s changed the memo key = %v, want %v", name, changed, keyed[name])
+		keyed := part == parts[0]
+		for k := 0; k < part.NumField(); k++ {
+			name := part.Name() + "." + part.Field(k).Name
+			cfg := base
+			change(t, name, reflect.ValueOf(&cfg).Elem().Field(i).Field(k))
+			if changed := keyFor(cfg) != baseKey; changed != keyed {
+				t.Errorf("changing %s changed the memo key = %v, want %v", name, changed, keyed)
+			}
 		}
 	}
-	// Every field is in exactly one list, so a longer combined list can
-	// only mean an entry naming a field that no longer exists.
-	if n := typ.NumField(); n != len(memoKeyed)+len(memoExcluded) {
-		t.Errorf("Config has %d fields, the lists name %d: drop the stale entry", n, len(memoKeyed)+len(memoExcluded))
+}
+
+// change sets the addressable field v to a value different from its own.
+func change(t *testing.T, name string, v reflect.Value) {
+	t.Helper()
+	switch p := v.Addr().Interface().(type) {
+	case *float64:
+		*p++
+	case *int:
+		*p++
+	case *int64:
+		*p++
+	case *bool:
+		*p = !*p
+	case *time.Duration:
+		*p += time.Second
+	case *time.Time:
+		*p = p.Add(time.Hour)
+	case *<-chan struct{}:
+		*p = make(chan struct{})
+	case *func(Answer):
+		*p = func(Answer) {}
+	default:
+		t.Fatalf("%s has type %s: teach this test to change it", name, v.Type())
+	}
+}
+
+// TestMemoKeyGolden pins the digests of two Fig 1 jobs, on a graph
+// with uid 1: restructuring how the key is written must not move a byte
+// of it.
+func TestMemoKeyGolden(t *testing.T) {
+	f := datagen.NewFig1()
+	sr := DefaultConfig().Search.withDefaults()
+	if got, want := jobDigest(1, "answ", 0, sr, BatchJob{Q: f.Q, E: f.E}),
+		"e6555a61455c6367b247f4a4c6dc1acb45a9c95aa2ffa34da38d4d7ef98452cc"; got != want {
+		t.Errorf("default job digest %s, want %s", got, want)
+	}
+	sr.MaxSteps = 7
+	if got, want := jobDigest(1, "heu", 2, sr, BatchJob{Q: f.Q, E: f.E}),
+		"1ea3e5a6b2cb5275b58af5c2502390a3d295b599b55f4e8273abee2dbb9d8e1a"; got != want {
+		t.Errorf("beam-2, 7-step job digest %s, want %s", got, want)
+	}
+}
+
+// TestMemoKeyAllocs: keying a job allocates the returned digest string
+// and nothing else.
+func TestMemoKeyAllocs(t *testing.T) {
+	f := datagen.NewFig1()
+	s := NewSession(f.G, DefaultConfig())
+	job := BatchJob{Q: f.Q, E: f.E}
+	if n := testing.AllocsPerRun(100, func() { s.answerKey(job) }); n > 1 {
+		t.Errorf("answerKey makes %v allocations, want ≤ 1", n)
 	}
 }

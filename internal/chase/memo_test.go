@@ -13,9 +13,8 @@ import (
 
 func memoConfig() chase.Config {
 	cfg := chase.DefaultConfig()
-	cfg.Cache = true
 	cfg.MaxSteps = 300
-	cfg.AnswerCache = true
+	cfg.AnswerCacheCap = 4096
 	return cfg
 }
 
@@ -76,7 +75,7 @@ func TestMemoOffIdentical(t *testing.T) {
 
 	on := memoConfig()
 	off := memoConfig()
-	off.AnswerCache = false
+	off.AnswerCacheCap = 0
 
 	run := func(cfg chase.Config) []chase.BatchResult {
 		sess := chase.NewSession(g, cfg)
@@ -85,7 +84,7 @@ func TestMemoOffIdentical(t *testing.T) {
 			out[i] = sess.Run(j)
 		}
 		sc := sess.Counters()
-		if cfg.AnswerCache {
+		if cfg.AnswerCacheCap > 0 {
 			if sc.Questions != int64(len(instances)) || sc.AnswerCache.Hits != int64(len(instances)) {
 				t.Fatalf("cache-on counters = %+v, want %d chases and as many hits", sc, len(instances))
 			}
@@ -218,7 +217,7 @@ func TestMemoAskAll(t *testing.T) {
 	}
 
 	off := memoConfig()
-	off.AnswerCache = false
+	off.AnswerCacheCap = 0
 	refResults, _ := chase.NewSession(g, off).AskAll(jobs, chase.BatchOptions{Workers: 1})
 
 	for _, workers := range []int{1, 4} {

@@ -35,7 +35,7 @@ type Session struct {
 	cache  *match.Cache
 	budget *par.Budget
 
-	// ans is the answer memo (Config.AnswerCache): finished batch-job
+	// ans is the answer memo (Engine.AnswerCacheCap): finished batch-job
 	// results keyed by canonical question digest, with singleflight
 	// coalescing. nil when disabled. See memo.go.
 	ans *anscache.Cache[BatchResult]
@@ -63,7 +63,7 @@ func NewSession(g *graph.Graph, cfg Config) *Session {
 // have been built over g (or a bit-identical restore of it); nil falls
 // back to the automatic backend choice.
 func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Session {
-	cfg = cfg.withDefaults()
+	cfg.Search = cfg.Search.withDefaults()
 	if idx == nil {
 		idx = distindex.Auto(g)
 	}
@@ -75,10 +75,10 @@ func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Sessi
 		//lint:ignore detsource injectable-clock default; only stats and anytime deadline cutoffs read it, never ranking
 		clock: time.Now,
 	}
-	if cfg.Cache {
-		s.cache = anscache.New[*match.StarTable](cfg.CacheCap, cfg.CacheShards)
+	if cfg.CacheCap > 0 {
+		s.cache = anscache.New[*match.StarTable](cfg.CacheCap, 0)
 	}
-	if cfg.AnswerCache {
+	if cfg.AnswerCacheCap > 0 {
 		s.ans = anscache.New[BatchResult](cfg.AnswerCacheCap, 0)
 	}
 	return s
@@ -88,12 +88,7 @@ func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Sessi
 // prebuilt distance oracle, the shared star-view cache, and the helper
 // budget.
 func (s *Session) Why(q *query.Query, e *exemplar.Exemplar) (*Why, error) {
-	w, err := newWhyWith(s.G, q, e, s.Cfg, s.dist, s.cache, s.budget)
-	if err != nil {
-		return nil, err
-	}
-	w.clock = s.clock
-	return w, nil
+	return newWhyWith(s, q, e, s.Cfg)
 }
 
 // Ask runs one search session: evaluate the query, and when an exemplar
@@ -161,7 +156,7 @@ type SessionCounters struct {
 	// built; a worker that joined another's in-flight build is Coalesced.
 	Cache anscache.Counters `json:"cache"`
 	// AnswerCache is the answer memo's counter set (zero values when
-	// Config.AnswerCache is off). Hits+Misses+Coalesced equals the
+	// Engine.AnswerCacheCap is 0). Hits+Misses+Coalesced equals the
 	// number of memo-eligible jobs served; Questions above counts only
 	// the chases actually executed (the misses).
 	AnswerCache anscache.Counters `json:"answer_cache"`

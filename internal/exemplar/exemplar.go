@@ -10,7 +10,7 @@ package exemplar
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"wqe/internal/graph"
@@ -127,12 +127,7 @@ func (e *Exemplar) String() string {
 			b.WriteString("; ")
 		}
 		fmt.Fprintf(&b, "t%d⟨", i)
-		attrs := make([]string, 0, len(t))
-		for a := range t {
-			attrs = append(attrs, a)
-		}
-		sort.Strings(attrs)
-		for j, a := range attrs {
+		for j, a := range t.SortedAttrs() {
 			if j > 0 {
 				b.WriteString(", ")
 			}
@@ -192,12 +187,18 @@ func FromEntities(g *graph.Graph, entities []graph.NodeID, attrs []string) *Exem
 // would leak Go's iteration randomness into float rounding and error
 // messages.
 func (t TuplePattern) SortedAttrs() []string {
-	attrs := make([]string, 0, len(t))
+	return t.appendSortedAttrs(make([]string, 0, len(t)))
+}
+
+// appendSortedAttrs appends the pattern's attribute names to dst in
+// sorted order.
+func (t TuplePattern) appendSortedAttrs(dst []string) []string {
+	n := len(dst)
 	for a := range t {
-		attrs = append(attrs, a)
+		dst = append(dst, a)
 	}
-	sort.Strings(attrs)
-	return attrs
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // AppendKey appends the exemplar's identity to dst: every tuple pattern
@@ -228,7 +229,8 @@ func (e *Exemplar) AppendKey(dst []byte) []byte {
 // holds — a constant's key, a variable's name, nothing for a wildcard.
 func (t TuplePattern) appendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(t)))
-	for _, a := range t.SortedAttrs() {
+	var buf [16]string // most patterns fit: then ordering them allocates nothing
+	for _, a := range t.appendSortedAttrs(buf[:0]) {
 		cell := t[a]
 		dst = append(graph.AppendKeyString(dst, a), byte(cell.Kind))
 		switch cell.Kind {

@@ -88,13 +88,13 @@ func datasetWhys(t *testing.T, perKind int, visit func(what string, w *chase.Why
 				continue
 			}
 			instances++
-			cfg := chase.DefaultConfig()
-			cfg.CacheCap = 16 // evictions: unchanged stars come back as misses
-			cfg.CacheShards = 1
-			w, err := chase.NewWhy(g, inst.Q, inst.E, cfg)
+			w, err := chase.NewWhy(g, inst.Q, inst.E, chase.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
+			// One stripe of 16 tables: evictions, so unchanged stars
+			// come back as misses.
+			w.Matcher.Cache = match.NewStripedCache(16, 1)
 			visit(fmt.Sprintf("%s instance %d", dataset, instances), w)
 		}
 		if instances < perKind {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"wqe/internal/anscache"
 	"wqe/internal/graph"
 	"wqe/internal/query"
 )
@@ -16,6 +17,13 @@ var (
 	BuildStarTable  = buildStarTable
 	DeriveStarTable = deriveStarTable
 )
+
+// NewStripedCache returns a star-view cache striped over the given
+// number of locks, for tests whose eviction order must not depend on
+// the machine's automatic stripe count.
+func NewStripedCache(capacity, shards int) *Cache {
+	return anscache.New[*StarTable](capacity, shards)
+}
 
 // TableDiff names the first stored field in which two tables differ, or
 // returns "" when they hold the same star, rows, cells, focus list and

@@ -418,7 +418,8 @@ func (q *Query) AppendKey(dst []byte) []byte {
 	}
 	edges := q.Edges
 	if !slices.IsSortedFunc(edges, byEnds) {
-		edges = slices.Clone(edges)
+		var buf [8]Edge // most patterns fit: then sorting allocates nothing
+		edges = append(buf[:0], edges...)
 		slices.SortFunc(edges, byEnds)
 	}
 	for _, e := range edges {

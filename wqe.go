@@ -122,8 +122,12 @@ func ExemplarFromEntities(g *Graph, entities []NodeID, attrs []string) *Exemplar
 
 // Rewriting and chase.
 type (
-	// Config tunes the Q-Chase algorithms (budget B, bound b_m, caches,
-	// pruning, anytime limits).
+	// Config tunes the Q-Chase algorithms. Its Search part (budget B,
+	// bound b_m, θ, λ, pruning, operator caps, step cap, seed) decides
+	// the answer; its Engine part (workers, star-cache and answer-memo
+	// capacities, 0 = none) and Limits part (time limit, deadline,
+	// cancel, OnImprove) only how fast it arrives and where an anytime
+	// run stops. Fields are promoted: cfg.Budget, cfg.CacheCap.
 	Config = chase.Config
 	// Why is a compiled Why-question; its methods run the algorithms.
 	Why = chase.Why
@@ -142,7 +146,8 @@ type (
 )
 
 // DefaultConfig mirrors the paper's experimental defaults (B = 3,
-// b_m = 3, θ = 1, λ = 1, caching and pruning on).
+// b_m = 3, θ = 1, λ = 1, star-view caching and pruning on, no answer
+// memo).
 func DefaultConfig() Config { return chase.DefaultConfig() }
 
 // NewWhy compiles a Why-question W(Q(u_o), E) over g.
