@@ -64,11 +64,14 @@ check-lockorder:
 
 # Short randomized hammering, 10 s each, on top of the committed corpora
 # (which `go test` always replays as regression inputs): the binary
-# snapshot reader — any accepted input must re-encode byte-identically —
-# and the key encoder — pattern nodes with equal signatures must admit
-# the same candidates, in whatever order they list their literals.
+# snapshot reader — any accepted input must re-encode byte-identically —,
+# the JSON reader — it must accept what the encoding/json walk it
+# replaced accepts, and build the same graph — and the key encoder —
+# pattern nodes with equal signatures must admit the same candidates,
+# in whatever order they list their literals.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSnapshotReader -fuzztime 10s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzNodeSig -fuzztime 10s
 
 # Run the generation, BFS and star-table micro-benchmarks once each, so
@@ -77,10 +80,11 @@ fuzz:
 # BenchmarkTraverserBall (small balls by Ball vs by one Traverser),
 # BenchmarkVisitBalls (64 single visits vs one batched sweep),
 # BenchmarkBuildStarTable (the same stars built fresh and derived from
-# the parent's table; B/cell) and BenchmarkAsk (one whole question per
-# algorithm, what `make profile` profiles).
+# the parent's table; B/cell), BenchmarkAsk (one whole question per
+# algorithm, what `make profile` profiles) and the two graph loaders,
+# BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask' -benchtime 1x ./internal/chase ./internal/graph ./internal/match
+	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot' -benchtime 1x ./internal/chase ./internal/graph ./internal/match
 
 # Where a question's time goes: BenchmarkAsk asks whole Why-questions the
 # way the benchmark's explore_heu and explore_answ workloads do (seeded
@@ -118,7 +122,7 @@ check: build vet fmt-check test race lint check-lockorder bench-smoke benchmark-
 
 # Regenerate BENCH_load.json: million-node cold start — JSON vs binary
 # snapshot load wall time (fastest of three loads each; the snapshot must
-# be at least 5x faster), bytes on disk, heap residency, PLL build vs
+# load no slower than the JSON), bytes on disk, heap residency, PLL build vs
 # embedded-label restore, and AskAll throughput over the restored
 # graph (byte-identical to fresh, asserted). WQE_LOAD_BENCH_NODES
 # scales the instance down for quick local runs.

@@ -297,16 +297,6 @@ func (ev *Eval) enforceEquality(active map[graph.NodeID]bool, lb, rb binding) bo
 // iterates to the fixpoint.
 //
 // Existence of a partner only depends on the other group's extreme
-// value (its minimum for >/≥, maximum for </≤), with the second
-// extreme covering the self-partnering case, so each pass is linear —
-// the naive pairwise check would make Lemma 2.2's quadratic bound
-// tight on large groups.
-// enforceInequality handles x op y with op ∈ {<, ≤, >, ≥}: every node
-// of the left group needs a partner in the right group satisfying
-// v.A op v'.A', and symmetrically. One pass of removals; the caller
-// iterates to the fixpoint.
-//
-// Existence of a partner only depends on the other group's extreme
 // value (its minimum for >/≥, maximum for </≤), with the runner-up
 // covering the self-partnering case, so each pass is linear — the
 // naive pairwise check would make Lemma 2.2's quadratic bound tight on

@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -312,9 +315,26 @@ func TestReadJSONErrors(t *testing.T) {
 		`{"nodes":[{"id":0,"label":"A"}],"edges":[{"src":0,"dst":5}]}`,    // edge out of range
 		`{"nodes":[{"id":0,"label":"A","attrs":{"x":[1,2]}}],"edges":[]}`, // bad attr type
 	}
-	for _, s := range bad {
-		if _, err := ReadJSON(bytes.NewBufferString(s)); err == nil {
-			t.Errorf("ReadJSON(%q) should fail", s)
+	// A null where a number is needed once read as 0.
+	null := []string{
+		`{"nodes":[{"id":0,"label":"A","attrs":{"x":null}}],"edges":[]}`,
+		`{"nodes":[{"id":null,"label":"A"}],"edges":[]}`,
+		`{"nodes":[{"id":0,"label":"A"}],"edges":[{"src":null,"dst":0}]}`,
+		`{"nodes":[{"id":0,"label":"A"}],"edges":[{"src":0,"dst":null}]}`,
+	}
+	for _, s := range append(bad, null...) {
+		for _, r := range []io.Reader{
+			bytes.NewBufferString(s),
+			iotest.OneByteReader(bytes.NewBufferString(s)),
+		} {
+			if _, err := ReadJSON(r); err == nil {
+				t.Errorf("ReadJSON(%q) through %T should fail", s, r)
+			}
+		}
+	}
+	for _, s := range null {
+		if _, err := ReadJSON(bytes.NewBufferString(s)); !errors.Is(err, errNull) {
+			t.Errorf("ReadJSON(%q) = %v, want a null error", s, err)
 		}
 	}
 }
