@@ -81,20 +81,24 @@ fuzz:
 # BenchmarkVisitBalls (64 single visits vs one batched sweep),
 # BenchmarkBuildStarTable (the same stars built fresh and derived from
 # the parent's table; B/cell), BenchmarkAsk (one whole question per
-# algorithm, what `make profile` profiles) and the two graph loaders,
-# BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s).
+# algorithm, what `make profile` profiles; generating its workload-sized
+# question pools takes about a second), the two graph loaders,
+# BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s), and
+# BenchmarkCachePutFull (an evicting Put on a full cache core).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot' -benchtime 1x ./internal/chase ./internal/graph ./internal/match
+	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot|CachePutFull' -benchtime 1x ./internal/chase ./internal/graph ./internal/match ./internal/anscache
 
 # Where a question's time goes: BenchmarkAsk asks whole Why-questions the
 # way the benchmark's explore_heu and explore_answ workloads do (seeded
-# products graph, one Session, fresh Why per question, Workers=1), one
-# profiled run of 1200 questions per algorithm. Leaves the test binary and
-# ask-{heu,answ}.{cpu,mem}.prof in .bench_build/ and prints, per
-# algorithm, the top of the CPU profile by cumulative time and then the
-# top allocation sites of the heap profile by bytes allocated over the run
-# (add -sample_index=alloc_objects for counts); `go tool pprof -list <func>
-# .bench_build/chase.test .bench_build/ask-heu.cpu.prof` for more.
+# products graph, a question pool of the workload's size, one Session,
+# fresh Why per question, Workers=1), one profiled run of 1200 questions
+# per algorithm, most of them on a full star cache as in the benchmark's
+# window. Leaves the test binary and ask-{heu,answ}.{cpu,mem}.prof in
+# .bench_build/ and prints, per algorithm, the top of the CPU profile by
+# cumulative time and then the top allocation sites of the heap profile by
+# bytes allocated over the run (add -sample_index=alloc_objects for
+# counts); `go tool pprof -list <func> .bench_build/chase.test
+# .bench_build/ask-heu.cpu.prof` for more.
 profile:
 	mkdir -p .bench_build
 	for a in heu answ; do \

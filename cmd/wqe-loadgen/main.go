@@ -3,7 +3,7 @@
 // answer, and immediately issue the next, so offered load adapts to
 // server capacity (the FalkorDB benchmark discipline). The run reports
 // achieved throughput, per-endpoint p50/p95/p99/max latency from
-// power-of-two histograms, and an error breakdown by status code, as
+// log-linear histograms, and an error breakdown by status code, as
 // JSON on stdout or -out.
 //
 //	wqe-loadgen -url http://127.0.0.1:8080 -graph fig1 -fig1 -clients 8 -duration 10s

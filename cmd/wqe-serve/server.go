@@ -546,15 +546,15 @@ type statsResponse struct {
 	Requests requestStatsJSON          `json:"requests"`
 	Graphs   map[string]graphStatsJSON `json:"graphs"`
 	// Endpoints reports per-endpoint request latency (count, quantile
-	// upper bounds in ms) from the same power-of-two histogram the load
+	// upper bounds in ms) from the same log-linear histogram the load
 	// generator uses, so server-side and client-side percentiles are
 	// directly comparable.
 	Endpoints map[string]endpointStatsJSON `json:"endpoints"`
 }
 
 // endpointStatsJSON is one endpoint's latency summary. The quantiles
-// are upper bounds (power-of-two bucket edges) clamped to the observed
-// max; see internal/hist.
+// are upper bounds (bucket edges, within 12.5 % of the true quantile)
+// clamped to the observed max; see internal/hist.
 type endpointStatsJSON struct {
 	Count int64   `json:"count"`
 	P50MS float64 `json:"p50_ms"`

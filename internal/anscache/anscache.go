@@ -13,9 +13,10 @@
 // singleflight table, so two callers contend only when their keys land
 // on the same stripe. Every use bumps a hit counter that decays with
 // the shard's clock, and a full shard evicts its least-hit entry with
-// ties broken on the smallest key. Eviction is therefore deterministic
-// per shard, and the shard a key lives on is a pure function of the
-// key, so identical request streams leave identical cache contents. A
+// ties broken on the smallest key, popped off a min-heap the shard keeps
+// in exactly that order. Eviction is therefore deterministic per shard,
+// and the shard a key lives on is a pure function of the key, so
+// identical request streams leave identical cache contents. A
 // cached value is a pure function of its key, so cache organization can
 // only change what gets recomputed — never what a value contains — and
 // rewrite ranking never reads cache statistics. A panicking compute
@@ -28,6 +29,7 @@
 package anscache
 
 import (
+	"container/heap"
 	"math"
 	"runtime"
 	"sync"
@@ -86,13 +88,50 @@ type shard[V any] struct {
 	tick     int64                 // guarded by mu
 	gen      int64                 // guarded by mu; bumped by InvalidateAll
 	entries  map[string]*entry[V]  // guarded by mu
+	victims  victims[V]            // guarded by mu; the entries, next victim first
 	inflight map[string]*flight[V] // guarded by mu
 }
 
 type entry[V any] struct {
 	val      V
+	key      string
 	hits     float64
 	lastTick int64
+	pos      int // index in the shard's victims heap
+}
+
+// victims is a binary min-heap (container/heap) of a shard's entries in
+// eviction order: fewest stored hits first, ties to the smaller key. The
+// order reads only fields the shard changes under its lock, and every
+// change is followed by heap.Fix at the entry's pos, so victims[0] is
+// always the entry a scan of the whole shard would pick.
+type victims[V any] []*entry[V]
+
+func (h victims[V]) Len() int { return len(h) }
+
+func (h victims[V]) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.hits < b.hits || a.hits == b.hits && a.key < b.key
+}
+
+func (h victims[V]) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].pos, h[j].pos = i, j
+}
+
+func (h *victims[V]) Push(x any) {
+	e := x.(*entry[V])
+	e.pos = len(*h)
+	*h = append(*h, e)
+}
+
+func (h *victims[V]) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil // the heap's spare capacity must not pin an evicted value
+	*h = old[:n-1]
+	return e
 }
 
 // flight is one in-progress compute other callers can wait on. val and
@@ -337,6 +376,7 @@ func (s *shard[V]) bumpLocked(e *entry[V]) {
 	}
 	e.hits++
 	e.lastTick = s.tick
+	heap.Fix(&s.victims, e.pos)
 }
 
 // putLocked inserts or refreshes an entry, evicting the shard's
@@ -350,35 +390,21 @@ func (s *shard[V]) putLocked(c *Cache[V], key string, v V) {
 	if len(s.entries) >= s.cap {
 		s.evictWorstLocked(c)
 	}
-	s.entries[key] = &entry[V]{val: v, hits: 1, lastTick: s.tick}
+	e := &entry[V]{val: v, key: key, hits: 1, lastTick: s.tick}
+	s.entries[key] = e
+	heap.Push(&s.victims, e)
 	c.size.Add(1)
 }
 
-// evictWorstLocked evicts the least-hit entry. Equal hit counts
-// tie-break on the smallest key: the scan runs in map order, and
-// without the tie-break a full shard of equal-hit entries would evict a
-// randomly chosen one, making cache contents — and downstream hit/miss
-// stats — differ between identical runs. The caller must hold s.mu.
+// evictWorstLocked evicts the least-hit entry, the root of the victims
+// heap, in O(log n). Equal hit counts tie-break on the smallest key:
+// without the tie-break a full shard of equal-hit entries would evict
+// whichever one some order put first, and cache contents — and
+// downstream hit/miss stats — would then depend on more than the
+// request stream. The caller must hold s.mu.
 func (s *shard[V]) evictWorstLocked(c *Cache[V]) {
-	worstKey := ""
-	worst := 0.0
-	first := true
-	//lint:ignore detsource eviction scans the whole shard map and tie-breaks on smallest key, so order cannot matter
-	for k, e := range s.entries {
-		switch {
-		case first:
-			worstKey, worst, first = k, e.hits, false
-		case e.hits < worst:
-			worstKey, worst = k, e.hits
-		case e.hits > worst:
-		case k < worstKey: // equal hits: smallest key loses
-			worstKey = k
-		}
-	}
-	if first {
-		return
-	}
-	delete(s.entries, worstKey)
+	e := heap.Pop(&s.victims).(*entry[V])
+	delete(s.entries, e.key)
 	c.size.Add(-1)
 	c.evictions.Add(1)
 }
@@ -398,6 +424,7 @@ func (c *Cache[V]) InvalidateAll() {
 		s.gen++
 		dropped += len(s.entries)
 		s.entries = map[string]*entry[V]{}
+		s.victims = nil
 		s.mu.Unlock()
 	}
 	c.size.Add(int64(-dropped))

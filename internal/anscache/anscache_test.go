@@ -420,3 +420,160 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatalf("size %d exceeds capacity", got.Size)
 	}
 }
+
+// worstByScan is the eviction scan the victims heap replaced, kept as
+// its oracle: the least-hit entry over the whole shard map, ties going
+// to the smallest key. ok is false for an empty shard. The caller must
+// hold s.mu.
+func worstByScan[V any](s *shard[V]) (worstKey string, ok bool) {
+	worst := 0.0
+	for k, e := range s.entries {
+		switch {
+		case !ok:
+			worstKey, worst, ok = k, e.hits, true
+		case e.hits < worst:
+			worstKey, worst = k, e.hits
+		case e.hits > worst:
+		case k < worstKey: // equal hits: smallest key loses
+			worstKey = k
+		}
+	}
+	return worstKey, ok
+}
+
+// checkVictims holds every shard's heap to the map it indexes and to
+// the scan: the heap invariant holds, each entry's pos is its index and
+// its key maps to it, and the root is the entry worstByScan picks.
+func checkVictims[V any](t *testing.T, c *Cache[V], step string) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		h := s.victims
+		if len(h) != len(s.entries) {
+			t.Fatalf("%s: shard %d heap holds %d entries, map %d", step, i, len(h), len(s.entries))
+		}
+		for j, e := range h {
+			if e.pos != j {
+				t.Fatalf("%s: shard %d entry %q at heap index %d stores pos %d", step, i, e.key, j, e.pos)
+			}
+			if s.entries[e.key] != e {
+				t.Fatalf("%s: shard %d heap entry %q is not the map's", step, i, e.key)
+			}
+			if j > 0 && h.Less(j, (j-1)/2) {
+				t.Fatalf("%s: shard %d heap invariant broken at index %d (%q, %v hits) under its parent (%q, %v)",
+					step, i, j, e.key, e.hits, h[(j-1)/2].key, h[(j-1)/2].hits)
+			}
+		}
+		if want, ok := worstByScan(s); ok && h[0].key != want {
+			t.Fatalf("%s: shard %d next victim %q (%v hits), the scan picks %q (%v hits)",
+				step, i, h[0].key, h[0].hits, want, s.entries[want].hits)
+		}
+		s.mu.Unlock()
+	}
+}
+
+// TestVictimsHeapMatchesScan drives random sequences of every operation
+// over small caches and checks the victims heap after each one. Decay 1
+// leaves many entries tied on whole hit counts; decay 0.5 across tick
+// gaps beyond maxDecayAge flushes bumped entries to exactly one hit, so
+// both exercise the smallest-key tie-break as well as the hit order.
+func TestVictimsHeapMatchesScan(t *testing.T) {
+	for _, decay := range []float64{1, 0.5} {
+		for _, shards := range []int{1, 2, 4} {
+			for capacity := 1; capacity <= 16; capacity++ {
+				name := fmt.Sprintf("decay%v/shards%d/cap%d", decay, shards, capacity)
+				t.Run(name, func(t *testing.T) {
+					driveVictims(t, NewDecay[int](capacity, shards, decay), decay,
+						rand.New(rand.NewSource(int64(capacity*100+shards))))
+				})
+			}
+		}
+	}
+}
+
+func driveVictims(t *testing.T, c *Cache[int], decay float64, rng *rand.Rand) {
+	const ops, keys = 400, 24
+	compute := func(k int, store bool) func() (int, bool) {
+		return func() (int, bool) { return k, store }
+	}
+	for i := 0; i < ops; i++ {
+		k := rng.Intn(keys)
+		key := fmt.Sprintf("k%d", k)
+		var step string
+		switch r := rng.Intn(100); {
+		case r < 30:
+			step = "Get " + key
+			c.Get(key)
+		case r < 50:
+			step = "Put " + key
+			c.Put(key, k)
+		case r < 80:
+			step = "GetOrCompute " + key
+			c.GetOrCompute(key, compute(k, true))
+		case r < 88:
+			step = "GetOrCompute (declines to store) " + key
+			c.GetOrCompute(key, compute(k, false))
+		case r < 94:
+			step = "GetOrCompute (panics) " + key
+			ran := false // a resident key is a hit: no compute runs
+			func() {
+				defer func() {
+					if panicked := recover() != nil; panicked != ran {
+						t.Fatalf("op %d: %s: compute ran %v, panicked %v", i, step, ran, panicked)
+					}
+				}()
+				c.GetOrCompute(key, func() (int, bool) { ran = true; panic("compute exploded") })
+			}()
+		case r < 96:
+			step = "InvalidateAll"
+			c.InvalidateAll()
+		default:
+			if decay == 1 {
+				step = "Get " + key
+				c.Get(key)
+				break
+			}
+			s := c.shardFor(key)
+			gap := int64(maxDecayAge + 1 + rng.Intn(64))
+			step = fmt.Sprintf("tick gap %d", gap)
+			s.mu.Lock()
+			s.tick += gap
+			s.mu.Unlock()
+		}
+		checkVictims(t, c, fmt.Sprintf("op %d (%s)", i, step))
+	}
+}
+
+// BenchmarkCachePutFull times an evicting Put: a full 4096-entry cache
+// over 8 shards, every key new, so each Put evicts the least-hit entry
+// of its shard (≈ 512 entries).
+func BenchmarkCachePutFull(b *testing.B) {
+	const capacity = 4096
+	c := New[int](capacity, 8)
+	for i := 0; i < capacity; i++ {
+		c.Put(fmt.Sprintf("k%08d", i), i)
+	}
+	for i := 0; i < capacity; i += 3 {
+		c.Get(fmt.Sprintf("k%08d", i)) // a spread of hit counts
+	}
+	keys := make([]string, 1<<16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("n%08d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(keys) == 0 && i > 0 {
+			b.StopTimer()
+			for j := range keys {
+				keys[j] = fmt.Sprintf("n%08d", i+j)
+			}
+			b.StartTimer()
+		}
+		c.Put(keys[i%len(keys)], i)
+	}
+	if got := c.Counters().Evictions; got < int64(b.N) {
+		b.Fatalf("%d evictions for %d Puts: not every Put evicted", got, b.N)
+	}
+}

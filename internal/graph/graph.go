@@ -121,9 +121,10 @@ func (g *Graph) NumEdges() int { return g.edges }
 
 // Reserve pre-sizes the build-side arenas for a graph of known shape:
 // nodes, edges, and total attribute-tuple entries (0 skips the arena it
-// sizes). Loaders that know the counts up front — the JSON reader's
-// meta header, the datagen generators — call it once so a million-node
-// build does a handful of allocations instead of log-many regrowths.
+// sizes). Loaders that know the counts — the datagen generators up
+// front, the JSON reader as the elements its meta header announced
+// arrive — call it so a million-node build does a handful of
+// allocations instead of log-many regrowths.
 func (g *Graph) Reserve(nodes, edges, attrEntries int) {
 	if nodes > 0 && cap(g.labels)-len(g.labels) < nodes {
 		g.labels = append(make([]int32, 0, len(g.labels)+nodes), g.labels...)

@@ -30,7 +30,7 @@ type jsonEdge struct {
 // are encoded one element at a time, so the writer's memory is O(1) in
 // the graph size — and deterministic (json.Marshal sorts map keys). A
 // "meta" header with exact element counts comes first so ReadJSON can
-// allocate the arenas up front.
+// size the arenas from it.
 func (g *Graph) WriteJSON(w io.Writer) error {
 	sw := &stickyWriter{bw: bufio.NewWriterSize(w, 1<<16)}
 	attrEntries := 0
@@ -120,23 +120,23 @@ func (sw *stickyWriter) raw(b []byte) {
 //
 // The input is one JSON object, and reading stops at its closing brace.
 // Its keys are matched exactly: "meta" is optional and only pre-sizes
-// the arenas (Reserve); "nodes" and "edges" are arrays, either may come
-// first, and a second copy of either adds to the first; any other key
-// is skipped. Inside an element the keys "id", "label" and "attrs" (of
-// a node), "src", "dst" and "label" (of an edge), and "nodes", "edges"
-// and "attr_entries" (of meta) match case-insensitively, folded as
-// encoding/json folds them (bytes.EqualFold: "ID" is "id", and so is
-// "ſrc" "src"); other keys are skipped. Skipped values must still be
-// valid JSON, nested at most 10000 deep counting the element around
-// them. A key given twice in one element takes its last value; a second
-// "attrs" object merges into the first, and "attrs": null drops what
-// came before. A missing key, a "label": null, and a null element read
-// as the zero value. The node at index i of a "nodes" array must have
-// id i; ids, edge ends and meta counts are JSON integers (no fraction,
-// no exponent); attribute values are JSON numbers (finite float64) or
-// strings; labels are strings. An edge's ends must be ids of nodes read
-// before it when a "nodes" array came before it, else of nodes read by
-// the end of the input.
+// the arenas, as far as the input bears its counts out (grow); "nodes"
+// and "edges" are arrays, either may come first, and a second copy of
+// either adds to the first; any other key is skipped. Inside an element
+// the keys "id", "label" and "attrs" (of a node), "src", "dst" and
+// "label" (of an edge), and "nodes", "edges" and "attr_entries" (of
+// meta) match case-insensitively, folded as encoding/json folds them
+// (bytes.EqualFold: "ID" is "id", and so is "ſrc" "src"); other keys
+// are skipped. Skipped values must still be valid JSON, nested at most
+// 10000 deep counting the element around them. A key given twice in one
+// element takes its last value; a second "attrs" object merges into the
+// first, and "attrs": null drops what came before. A missing key, a
+// "label": null, and a null element read as the zero value. The node at
+// index i of a "nodes" array must have id i; ids, edge ends and meta
+// counts are JSON integers (no fraction, no exponent); attribute values
+// are JSON numbers (finite float64) or strings; labels are strings. An
+// edge's ends must be ids of nodes read before it when a "nodes" array
+// came before it, else of nodes read by the end of the input.
 //
 // The scanner reads r once, in 64 KB refills, with no reflection; it
 // checks JSON's grammar as encoding/json's scanner does and converts
@@ -157,6 +157,11 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 
 const (
 	jsonBufSize = 64 << 10
+	// jsonFirstReserve caps what a "meta" count reserves when the first
+	// element of an arena arrives: a 40-byte header may claim 10¹⁰
+	// nodes. Files of up to this many elements per arena still get one
+	// allocation each.
+	jsonFirstReserve = 1 << 16
 	// jsonMaxDepth is encoding/json's nesting limit, counted over what it
 	// scanned as one value: a whole node, edge or meta object, or one
 	// top-level value.
@@ -179,6 +184,10 @@ type jsonReader struct {
 
 	nodesSeen bool
 	pending   []pendingEdge // edges read before any "nodes" array
+
+	// The "meta" counts: nodes, edges and attribute entries the header
+	// claims. grow reserves toward them as the elements arrive.
+	hintNodes, hintEdges, hintAttrs int
 
 	// Buffers reused across elements.
 	key   []byte     // a key read before a fill, unescaped
@@ -255,8 +264,27 @@ func (d *jsonReader) meta() error {
 	if err != nil {
 		return err
 	}
-	d.g.Reserve(nodes, edges, attrs)
+	d.hintNodes, d.hintEdges, d.hintAttrs = nodes, edges, attrs
 	return nil
+}
+
+// grow returns how many elements to reserve beyond the n an arena of
+// capacity c holds, before k more are appended, under a "meta" claim of
+// hint: once the arena is full, up to min(hint, jsonFirstReserve) for
+// its first elements and min(hint, 2n) after that. 0 leaves the growth
+// to append — when there is room, when the claim is exhausted, or when
+// the claim would not hold the k. An honest header thus reaches its
+// exact counts in one allocation, or a few doublings past
+// jsonFirstReserve, and a false one costs at most that first reservation
+// or twice what the input held.
+func grow(n, c, k, hint int) int {
+	if n+k <= c {
+		return 0
+	}
+	if target := min(hint, max(2*n, jsonFirstReserve)); target >= n+k {
+		return target - n
+	}
+	return 0
 }
 
 // node reads the element at index i of a "nodes" array and adds it.
@@ -297,6 +325,8 @@ func (d *jsonReader) node(i int) error {
 func (d *jsonReader) addNode(i int) error {
 	g := d.g
 	attrs := d.attrs
+	g.Reserve(grow(len(g.labels), cap(g.labels), 1, d.hintNodes), 0,
+		grow(len(g.attrArena), cap(g.attrArena), len(attrs), d.hintAttrs))
 	name := func(a jsonAttr) []byte { return d.names[a.name[0]:a.name[1]] }
 	sorted := true
 	for k := 1; k < len(attrs) && sorted; k++ {
@@ -365,6 +395,7 @@ func (d *jsonReader) addEdge(src, dst int, label []byte) error {
 	if src < 0 || src >= g.NumNodes() || dst < 0 || dst >= g.NumNodes() {
 		return fmt.Errorf("graph: edge %d→%d out of range", src, dst)
 	}
+	g.Reserve(0, grow(len(g.edgeLog), cap(g.edgeLog), 1, d.hintEdges), 0)
 	g.edgeLog = append(g.edgeLog, rawEdge{From: NodeID(src), To: NodeID(dst), Label: intern(g.Labels, label)})
 	g.edges++
 	return nil

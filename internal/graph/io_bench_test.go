@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -99,5 +101,70 @@ func TestReadJSONUnknownAndMetaKeys(t *testing.T) {
 	}
 	if v, ok := g.Attr(0, "x"); !ok || !v.Equal(N(3)) {
 		t.Fatalf("attr lost: %v %v", v, ok)
+	}
+}
+
+// TestReadJSONDistrustsMeta: "meta" counts are claims, not input. A
+// header claiming 10¹⁰ elements of each kind used to reserve them before
+// the first element arrived — a fatal out-of-memory error from a 40-byte
+// file. Now such a document reads as the graph its elements make, and
+// what it allocates is bounded by the input, not by the claim: nothing
+// for a header alone, one first reservation per arena the elements use.
+func TestReadJSONDistrustsMeta(t *testing.T) {
+	for _, tc := range []struct {
+		doc          string
+		nodes, edges int
+		maxAlloc     uint64
+	}{
+		{`{"meta":{"nodes":10000000000}}`, 0, 0, 1 << 20},
+		{`{"meta":{"nodes":10000000000,"edges":10000000000,"attr_entries":10000000000}}`, 0, 0, 1 << 20},
+		{`{"meta":{"nodes":4611686018427387904,"edges":4611686018427387904,"attr_entries":4611686018427387904},` +
+			`"nodes":[{"id":0,"label":"A","attrs":{"p":1}},{"id":1}],"edges":[{"src":1,"dst":0}]}`, 2, 1, 8 << 20},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := ReadJSON(bytes.NewReader([]byte(tc.doc)))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("ReadJSON(%s): %v", tc.doc, err)
+		}
+		if g.NumNodes() != tc.nodes || g.NumEdges() != tc.edges {
+			t.Errorf("ReadJSON(%s) = %d nodes, %d edges, want %d, %d", tc.doc, g.NumNodes(), g.NumEdges(), tc.nodes, tc.edges)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= tc.maxAlloc {
+			t.Errorf("ReadJSON(%s) allocated %d bytes, want under %d", tc.doc, alloc, tc.maxAlloc)
+		}
+	}
+}
+
+// TestReadJSONGrowsToHonestMeta: an honest header larger than the first
+// reservation still ends with arenas of exactly the claimed size, and a
+// header claiming less than the input holds only stops the reserving;
+// either way the graph is the one the oracle reads.
+func TestReadJSONGrowsToHonestMeta(t *testing.T) {
+	var buf bytes.Buffer
+	if err := randomGraph(jsonFirstReserve+5, jsonFirstReserve+7, 3).WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	want, err := ReadJSONOracle(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	short := bytes.Replace(buf.Bytes(), []byte(fmt.Sprintf(`"nodes": %d,`, want.NumNodes())), []byte(`"nodes": 7,`), 1)
+	if bytes.Equal(short, buf.Bytes()) {
+		t.Fatal("meta header not found")
+	}
+	for i, doc := range [][]byte{buf.Bytes(), short} {
+		got, err := ReadJSON(bytes.NewReader(doc))
+		if err != nil {
+			t.Fatalf("ReadJSON: %v", err)
+		}
+		if !bytes.Equal(snapBytes(t, got, nil), snapBytes(t, want, nil)) {
+			t.Fatalf("document %d: ReadJSON's graph differs from the oracle's", i)
+		}
+		if i == 0 && (cap(got.labels) != got.NumNodes() || cap(got.edgeLog) != got.NumEdges() || cap(got.attrArena) != len(got.attrArena)) {
+			t.Errorf("arena capacities %d/%d/%d, want the claimed %d/%d/%d", cap(got.labels), cap(got.edgeLog), cap(got.attrArena),
+				got.NumNodes(), got.NumEdges(), len(got.attrArena))
+		}
 	}
 }

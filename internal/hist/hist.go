@@ -1,10 +1,11 @@
-// Package hist provides a lock-free power-of-two-bucket latency
-// histogram, shared by the serving layer's /stats endpoint and the
-// closed-loop load generator so both report percentiles computed the
-// same way. No external dependencies: buckets are a fixed array of
-// atomic counters indexed by the bit length of the observed duration in
-// nanoseconds, so Observe is a couple of atomic adds and a CAS, cheap
-// enough to sit on a serving hot path.
+// Package hist provides a lock-free log-linear latency histogram,
+// shared by the serving layer's /stats endpoint and the closed-loop load
+// generator so both report percentiles computed the same way. No
+// external dependencies: buckets are a fixed array of atomic counters,
+// each power of two of nanoseconds split into eight equal sub-buckets,
+// so a reported percentile is within 12.5 % of the true one and Observe
+// is a couple of atomic adds and a CAS, cheap enough to sit on a serving
+// hot path.
 package hist
 
 import (
@@ -13,11 +14,16 @@ import (
 	"time"
 )
 
-// nBuckets covers every possible duration: bucket i holds observations
-// whose nanosecond count has bit length i, i.e. values in
-// [2^(i-1), 2^i); bucket 0 holds exactly zero. bits.Len64 never exceeds
-// 64, so 65 buckets suffice.
-const nBuckets = 65
+// subBits is log2 of the sub-buckets per power of two. With 8, a
+// bucket's width is at most an eighth of its lower edge.
+const subBits = 3
+
+// nBuckets covers every possible duration. A duration below 2·2^subBits
+// ns has a bucket of its own; above that, one with bit length n falls
+// in bucket (n−subBits)·2^subBits + s, where s is the subBits bits below
+// its leading one. A Duration is an int64, so n never exceeds 63, and
+// the last bucket ends at the largest Duration.
+const nBuckets = (63 - subBits + 1) << subBits
 
 // Hist is a concurrent latency histogram. The zero value is ready to
 // use. All methods are safe for concurrent callers; every field is
@@ -35,7 +41,13 @@ func bucketFor(d time.Duration) int {
 	if d <= 0 {
 		return 0
 	}
-	return bits.Len64(uint64(d))
+	v := uint64(d)
+	if v < 2<<subBits {
+		return int(v)
+	}
+	n := bits.Len64(v)
+	sub := int(v>>(n-1-subBits)) & (1<<subBits - 1)
+	return (n-subBits)<<subBits + sub
 }
 
 // Observe records one duration.
@@ -96,10 +108,11 @@ func (s Snapshot) Mean() time.Duration {
 
 // Quantile returns an upper bound for the p-quantile (0 < p ≤ 1): the
 // upper edge of the first bucket whose cumulative count reaches
-// ⌈p·count⌉, clamped to the exact observed maximum. With power-of-two
-// buckets the bound is within 2x of the true quantile, which is the
-// honest resolution this histogram trades for lock-freedom; p50/p95/p99
-// read through this. An empty snapshot returns 0.
+// ⌈p·count⌉, clamped to the exact observed maximum. A bucket is at most
+// an eighth as wide as its lower edge, so the bound is within 12.5 % of
+// the true quantile, which is the resolution this histogram trades for
+// lock-freedom; p50/p95/p99 read through this. An empty snapshot
+// returns 0.
 func (s Snapshot) Quantile(p float64) time.Duration {
 	if s.count == 0 || p <= 0 {
 		return 0
@@ -132,11 +145,11 @@ func (s Snapshot) Quantile(p float64) time.Duration {
 
 // bucketUpper returns the largest duration bucket i can hold.
 func bucketUpper(i int) time.Duration {
-	if i == 0 {
-		return 0
+	if i < 2<<subBits {
+		return time.Duration(i)
 	}
-	if i >= 63 {
-		return time.Duration(int64(^uint64(0) >> 1)) // clamp at MaxInt64 ns
-	}
-	return time.Duration((uint64(1) << uint(i)) - 1)
+	n := i>>subBits + subBits // the bit length of the bucket's durations
+	shift := n - 1 - subBits
+	lower := uint64(1<<subBits|i&(1<<subBits-1)) << shift
+	return time.Duration(lower + 1<<shift - 1)
 }

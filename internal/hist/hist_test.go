@@ -1,6 +1,9 @@
 package hist
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,8 +26,9 @@ func TestBucketFor(t *testing.T) {
 		d    time.Duration
 		want int
 	}{
-		{-5, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4},
-		{1023, 10}, {1024, 11},
+		{-5, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 3}, {7, 7}, {8, 8}, {15, 15},
+		{16, 16}, {17, 16}, {18, 17}, {31, 23}, {32, 24},
+		{1023, 63}, {1024, 64}, {1<<63 - 1, nBuckets - 1},
 	}
 	for _, tc := range cases {
 		if got := bucketFor(tc.d); got != tc.want {
@@ -107,5 +111,72 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 	if s.Max() != time.Duration(7*1000+999) {
 		t.Fatalf("max = %v, want %v", s.Max(), time.Duration(7999))
+	}
+}
+
+// TestBucketEdges: the buckets tile the durations with no gap or
+// overlap — each bucket's upper edge maps to it and the next nanosecond
+// to the next bucket — and no bucket is wider than an eighth of its
+// lower edge once past the exact ones.
+func TestBucketEdges(t *testing.T) {
+	lower := time.Duration(0)
+	for i := 0; i < nBuckets; i++ {
+		upper := bucketUpper(i)
+		if got := bucketFor(upper); got != i {
+			t.Fatalf("bucketFor(bucketUpper(%d) = %d) = %d", i, upper, got)
+		}
+		if got := bucketFor(lower); got != i {
+			t.Fatalf("bucket %d's lower edge %d maps to bucket %d", i, lower, got)
+		}
+		if width := upper - lower + 1; width > 1 && 8*width > lower {
+			t.Fatalf("bucket %d = [%d, %d] is wider than an eighth of its lower edge", i, lower, upper)
+		}
+		if i == nBuckets-1 {
+			if upper != 1<<63-1 {
+				t.Fatalf("last bucket ends at %d, want MaxInt64", upper)
+			}
+			break
+		}
+		lower = upper + 1
+	}
+}
+
+// TestQuantileRelativeError: on known distributions — a uniform spread,
+// a log-uniform one over six decades, and the narrow 2–4 ms band that
+// power-of-two buckets reported as p50 = p95 = 4.194303 ms — p50, p95
+// and p99 come within 12.5 % above the exact order statistic, never
+// below it.
+func TestQuantileRelativeError(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name string
+		draw func() time.Duration
+	}{
+		{"uniform 0-100ms", func() time.Duration { return time.Duration(rng.Int63n(int64(100 * time.Millisecond))) }},
+		{"log-uniform 1us-1s", func() time.Duration {
+			return time.Duration(float64(time.Microsecond) * math.Pow(10, 6*rng.Float64()))
+		}},
+		{"2-4ms", func() time.Duration { return 2*time.Millisecond + time.Duration(rng.Int63n(int64(2*time.Millisecond))) }},
+	} {
+		var h Hist
+		samples := make([]time.Duration, 20000)
+		for i := range samples {
+			samples[i] = tc.draw()
+			h.Observe(samples[i])
+		}
+		slices.Sort(samples)
+		s := h.Snapshot()
+		got := map[float64]time.Duration{}
+		for _, p := range []float64{0.50, 0.95, 0.99} {
+			exact := samples[int(p*float64(len(samples)))-1] // rank ⌈p·n⌉, 1-based
+			q := s.Quantile(p)
+			got[p] = q
+			if q < exact || float64(q) > 1.125*float64(exact) {
+				t.Errorf("%s: p%v = %v, exact %v: outside [exact, exact × 1.125]", tc.name, p*100, q, exact)
+			}
+		}
+		if got[0.50] == got[0.95] {
+			t.Errorf("%s: p50 = p95 = %v", tc.name, got[0.50])
+		}
 	}
 }

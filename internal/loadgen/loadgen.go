@@ -9,7 +9,7 @@
 // generator, so runs are reproducible per seed) and its payloads
 // uniformly from a pool. An optional target-RPS pacer throttles the
 // fleet globally; a warmup window excludes cold-start requests from the
-// report. Latency is recorded into the same power-of-two histograms the
+// report. Latency is recorded into the same log-linear histograms the
 // server's /stats uses (internal/hist), so client-side and server-side
 // percentiles are directly comparable.
 package loadgen
@@ -70,8 +70,9 @@ type Options struct {
 }
 
 // EndpointReport is one endpoint's share of the run. Quantiles are
-// upper bounds in ms (power-of-two buckets clamped to the observed
-// max) and cover successful (HTTP 200) requests only.
+// upper bounds in ms (bucket edges within 12.5 % of the true quantile,
+// clamped to the observed max) and cover successful (HTTP 200) requests
+// only.
 type EndpointReport struct {
 	Count  int64   `json:"count"`
 	Errors int64   `json:"errors"`
