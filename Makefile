@@ -66,13 +66,16 @@ check-lockorder:
 # (which `go test` always replays as regression inputs): the binary
 # snapshot reader — any accepted input must re-encode byte-identically —,
 # the JSON reader — it must accept what the encoding/json walk it
-# replaced accepts, and build the same graph — and the key encoder —
+# replaced accepts, and build the same graph —, the key encoder —
 # pattern nodes with equal signatures must admit the same candidates,
-# in whatever order they list their literals.
+# in whatever order they list their literals — and wqe-serve's question
+# decoder — each body must compile to the jobs the encoding/json
+# decoding it replaced compiles, or fail in both.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSnapshotReader -fuzztime 10s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzNodeSig -fuzztime 10s
+	$(GO) test ./cmd/wqe-serve -run '^$$' -fuzz FuzzDecodeAsk -fuzztime 10s
 
 # Run the generation, BFS and star-table micro-benchmarks once each, so
 # they cannot rot: BenchmarkGenRefine (cold and warm partner sets, and
@@ -83,10 +86,13 @@ fuzz:
 # the parent's table; B/cell), BenchmarkAsk (one whole question per
 # algorithm, what `make profile` profiles; generating its workload-sized
 # question pools takes about a second), the two graph loaders,
-# BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s), and
-# BenchmarkCachePutFull (an evicting Put on a full cache core).
+# BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s),
+# BenchmarkCachePutFull (an evicting Put on a full cache core), and
+# BenchmarkDecodeAsk (one /askfast body to a compiled job, through the
+# encoding/json path it replaced and through wqe-serve's one-pass
+# decoder; allocs reported).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot|CachePutFull' -benchtime 1x ./internal/chase ./internal/graph ./internal/match ./internal/anscache
+	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot|CachePutFull' -benchtime 1x ./internal/chase ./internal/graph ./internal/match ./internal/anscache ./cmd/wqe-serve
 
 # Where a question's time goes: BenchmarkAsk asks whole Why-questions the
 # way the benchmark's explore_heu and explore_answ workloads do (seeded

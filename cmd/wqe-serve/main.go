@@ -39,6 +39,13 @@
 // deadline-limited request served from the memo receives the complete
 // answer rather than a best-so-far cut. /stats reports hit/miss/
 // coalesced counters per graph and per-endpoint latency percentiles.
+//
+// A request body may hold up to 8 MiB (413 beyond that), and is decoded
+// in one pass (decode.go). -debug addr serves net/http/pprof on a
+// listener of its own, off by default:
+//
+//	wqe-serve -graph g=g.snap -debug 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
 package main
 
 import (
@@ -86,6 +93,7 @@ func run(args []string) int {
 		maxBound    = fs.Int("maxbound", 3, "edge bound cap b_m")
 		workers     = fs.Int("workers", 0, "per-question evaluation workers (0 = one per logical CPU)")
 		answerCache = fs.Int("answer-cache", 4096, "answer memo capacity in entries: identical requests are served from cache and identical concurrent requests coalesce onto one chase (0 disables)")
+		debugAddr   = fs.String("debug", "", "serve net/http/pprof on this address, on a listener of its own (empty: off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -115,12 +123,28 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "wqe-serve:", err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.mux()}
+	httpSrv := &http.Server{
+		Handler:           srv.mux(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
-	// The accept loop lives on a par.Group goroutine; the main
-	// goroutine owns the signal-driven shutdown sequence and joins the
-	// group before exiting, so the process never leaks its server.
+	// The accept loops live on par.Group goroutines; the main goroutine
+	// owns the signal-driven shutdown sequence and joins the group
+	// before exiting, so the process never leaks a server.
 	var group par.Group
+	var debugSrv *http.Server
+	if *debugAddr != "" {
+		var daddr net.Addr
+		if debugSrv, daddr, err = serveDebug(*debugAddr, &group); err != nil {
+			fmt.Fprintln(os.Stderr, "wqe-serve: debug listener:", err)
+			if cerr := ln.Close(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "wqe-serve:", cerr)
+			}
+			return 1
+		}
+		fmt.Printf("wqe-serve: debug listener on %s (net/http/pprof)\n", daddr)
+	}
 	var serveErr error
 	group.Go(func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
@@ -141,6 +165,12 @@ func run(args []string) int {
 	srv.drain()
 	if err := httpSrv.Shutdown(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "wqe-serve: shutdown:", err)
+	}
+	if debugSrv != nil {
+		// Close, not Shutdown: a profile being taken would hold it open.
+		if err := debugSrv.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "wqe-serve: debug listener:", err)
+		}
 	}
 	group.Wait()
 	if serveErr != nil {

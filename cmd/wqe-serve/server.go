@@ -13,10 +13,9 @@ import (
 	"time"
 
 	"wqe/internal/chase"
-	"wqe/internal/exemplar"
 	"wqe/internal/graph"
 	"wqe/internal/hist"
-	"wqe/internal/query"
+	"wqe/internal/jsonscan"
 )
 
 // askEndpoints are the serving endpoints whose latency /stats reports;
@@ -247,23 +246,6 @@ func (s *server) timed(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// askRequest is the payload of every single-question endpoint. Query
-// and Exemplar embed the same JSON schemas the CLI files use.
-type askRequest struct {
-	Graph    string          `json:"graph"`
-	Query    json.RawMessage `json:"query"`
-	Exemplar json.RawMessage `json:"exemplar"`
-	// Algo picks the algorithm on /ask ("answ", "heu", "whymany",
-	// "whyempty", "fmansw"); the dedicated endpoints override it.
-	Algo string `json:"algo,omitempty"`
-	Beam int    `json:"beam,omitempty"`
-	// MaxSteps/TimeLimitMS override the session defaults per request.
-	// The time limit is anchored at submission: waiting in the
-	// admission queue spends it.
-	MaxSteps    int `json:"max_steps,omitempty"`
-	TimeLimitMS int `json:"time_limit_ms,omitempty"`
-}
-
 // askResponse is one answered Why-question.
 type askResponse struct {
 	Graph     string   `json:"graph"`
@@ -290,8 +272,7 @@ func (s *server) askHandler(forceAlgo string, explain bool) http.HandlerFunc {
 	return func(rw http.ResponseWriter, r *http.Request) {
 		submit := s.clock()
 		var req askRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			s.badRequestf(rw, "decode request: %v", err)
+		if !s.decodeBody(rw, r, func(sc *jsonscan.Reader) error { return decodeQuestion(sc, &req) }) {
 			return
 		}
 		if forceAlgo != "" {
@@ -322,28 +303,20 @@ func (s *server) askHandler(forceAlgo string, explain bool) http.HandlerFunc {
 	}
 }
 
-// compileJob resolves the request's graph and parses its query and
-// exemplar into a session job. cancel is the request context's done
-// channel: it stops the chase mid-beam when the client disconnects.
+// compileJob resolves the request's graph and turns the decoded question
+// into a session job. cancel is the request context's done channel: it
+// stops the chase mid-beam when the client disconnects.
 func (s *server) compileJob(req *askRequest, submit time.Time, cancel <-chan struct{}) (*graphHandle, chase.BatchJob, error) {
 	h, err := s.handleFor(req.Graph)
 	if err != nil {
 		return nil, chase.BatchJob{}, err
 	}
-	if len(req.Query) == 0 || len(req.Exemplar) == 0 {
-		return nil, chase.BatchJob{}, fmt.Errorf("request needs both \"query\" and \"exemplar\"")
-	}
-	q, err := query.ReadJSON(bytes.NewReader(req.Query))
-	if err != nil {
-		return nil, chase.BatchJob{}, fmt.Errorf("parse query: %w", err)
-	}
-	e, err := exemplar.ReadJSON(bytes.NewReader(req.Exemplar))
-	if err != nil {
-		return nil, chase.BatchJob{}, fmt.Errorf("parse exemplar: %w", err)
+	if req.err != nil {
+		return nil, chase.BatchJob{}, req.err
 	}
 	job := chase.BatchJob{
-		Q:        q,
-		E:        e,
+		Q:        req.Q,
+		E:        req.E,
 		Algo:     req.Algo,
 		Beam:     req.Beam,
 		MaxSteps: req.MaxSteps,
@@ -413,14 +386,6 @@ func algoName(req *askRequest) string {
 	return "answ"
 }
 
-// askAllRequest is the /askall payload: one resident graph, many jobs.
-type askAllRequest struct {
-	Graph string `json:"graph"`
-	// Workers bounds the cross-question fan-out (0 = one per CPU).
-	Workers int          `json:"workers,omitempty"`
-	Jobs    []askRequest `json:"jobs"`
-}
-
 type askAllResponse struct {
 	Graph   string          `json:"graph"`
 	Results []askAllResult  `json:"results"`
@@ -449,28 +414,13 @@ type askAllStatsJSON struct {
 func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 	submit := s.clock()
 	var req askAllRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequestf(rw, "decode request: %v", err)
+	if !s.decodeBody(rw, r, func(sc *jsonscan.Reader) error { return decodeAskAll(sc, &req) }) {
 		return
 	}
-	if len(req.Jobs) == 0 {
-		s.badRequestf(rw, "askall needs a non-empty \"jobs\" array")
-		return
-	}
-	h, err := s.handleFor(req.Graph)
+	h, jobs, err := s.compileAll(&req, submit)
 	if err != nil {
 		s.badRequestf(rw, "%v", err)
 		return
-	}
-	jobs := make([]chase.BatchJob, len(req.Jobs))
-	for i := range req.Jobs {
-		req.Jobs[i].Graph = h.name
-		_, job, err := s.compileJob(&req.Jobs[i], submit, nil)
-		if err != nil {
-			s.badRequestf(rw, "job #%d: %v", i+1, err)
-			return
-		}
-		jobs[i] = job
 	}
 
 	// One admission slot covers the whole batch: AskAll schedules its
@@ -514,6 +464,28 @@ func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.completed.Add(1)
 	s.writeJSON(rw, out)
+}
+
+// compileAll resolves an /askall payload's graph and compiles each of
+// its jobs over it.
+func (s *server) compileAll(req *askAllRequest, submit time.Time) (*graphHandle, []chase.BatchJob, error) {
+	if len(req.Jobs) == 0 {
+		return nil, nil, fmt.Errorf("askall needs a non-empty \"jobs\" array")
+	}
+	h, err := s.handleFor(req.Graph)
+	if err != nil {
+		return nil, nil, err
+	}
+	jobs := make([]chase.BatchJob, len(req.Jobs))
+	for i := range req.Jobs {
+		req.Jobs[i].Graph = h.name
+		_, job, err := s.compileJob(&req.Jobs[i], submit, nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("job #%d: %w", i+1, err)
+		}
+		jobs[i] = job
+	}
+	return h, jobs, nil
 }
 
 func (s *server) handleHealthz(rw http.ResponseWriter, r *http.Request) {

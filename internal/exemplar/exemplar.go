@@ -84,8 +84,9 @@ type binding struct {
 // paper's variables x_ij name exactly one cell.
 func (e *Exemplar) bindings() (map[string]binding, error) {
 	b := make(map[string]binding)
+	var buf [16]string // most patterns fit: then ordering them allocates nothing
 	for ti, t := range e.Tuples {
-		for _, attr := range t.SortedAttrs() {
+		for _, attr := range t.appendSortedAttrs(buf[:0]) {
 			cell := t[attr]
 			if cell.Kind != Var {
 				continue

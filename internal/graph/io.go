@@ -9,6 +9,8 @@ import (
 	"io"
 	"slices"
 	"strconv"
+
+	"wqe/internal/jsonscan"
 )
 
 // jsonNode / jsonEdge define the on-disk JSON shape used by the CLI
@@ -138,49 +140,43 @@ func (sw *stickyWriter) raw(b []byte) {
 // edge's ends must be ids of nodes read before it when a "nodes" array
 // came before it, else of nodes read by the end of the input.
 //
-// The scanner reads r once, in 64 KB refills, with no reflection; it
-// checks JSON's grammar as encoding/json's scanner does and converts
-// numbers with strconv. Strings holding a backslash or a byte >= 0x80
-// are decoded by encoding/json itself, so escapes, surrogate pairs and
-// invalid UTF-8 (each bad byte becomes U+FFFD) read exactly as before.
-// The one difference from the encoding/json walk this reader replaced:
-// null is an error for an id, an edge's src or dst, and an attribute
-// value, where the walk read it as 0 (when a later duplicate key
-// overrides the null, it is not an error).
+// The input is read once, in 64 KB refills, by internal/jsonscan, with
+// no reflection; it checks JSON's grammar as encoding/json's scanner
+// does, decodes strings by encoding/json's rules (escapes, surrogate
+// pairs, each byte of invalid UTF-8 as U+FFFD), and numbers are
+// converted with strconv. The one difference from the encoding/json walk
+// this reader replaced: null is an error for an id, an edge's src or
+// dst, and an attribute value, where the walk read it as 0 (when a later
+// duplicate key overrides the null, it is not an error).
 func ReadJSON(r io.Reader) (*Graph, error) {
-	d := &jsonReader{r: r, buf: make([]byte, 0, jsonBufSize), g: New()}
+	d := &jsonReader{sc: *jsonscan.NewReader(r), g: New()}
 	if err := d.document(); err != nil {
-		return nil, err
+		var se *jsonscan.Error
+		switch {
+		case !errors.As(err, &se):
+			return nil, err
+		case se.Err != nil:
+			return nil, fmt.Errorf("graph: %w", err)
+		}
+		return nil, fmt.Errorf("graph: decode: %w", err)
 	}
 	return d.g, nil
 }
 
-const (
-	jsonBufSize = 64 << 10
-	// jsonFirstReserve caps what a "meta" count reserves when the first
-	// element of an arena arrives: a 40-byte header may claim 10¹⁰
-	// nodes. Files of up to this many elements per arena still get one
-	// allocation each.
-	jsonFirstReserve = 1 << 16
-	// jsonMaxDepth is encoding/json's nesting limit, counted over what it
-	// scanned as one value: a whole node, edge or meta object, or one
-	// top-level value.
-	jsonMaxDepth = 10000
-)
+// jsonFirstReserve caps what a "meta" count reserves when the first
+// element of an arena arrives: a 40-byte header may claim 10¹⁰ nodes.
+// Files of up to this many elements per arena still get one allocation
+// each.
+const jsonFirstReserve = 1 << 16
 
 // errNull is wrapped by the error for a null where a number is needed.
 var errNull = errors.New("null")
 
-// jsonReader scans ReadJSON's input and adds what it reads to g.
-// buf[pos:] holds input read but not yet consumed; a slice of buf a
-// method returns is valid until the next fill.
+// jsonReader reads ReadJSON's input through sc and adds what it reads to
+// g.
 type jsonReader struct {
-	r    io.Reader
-	buf  []byte
-	pos  int
-	off  int64 // input offset of buf[0]
-	rerr error // why r stopped: io.EOF at the end of input
-	g    *Graph
+	sc jsonscan.Reader
+	g  *Graph
 
 	nodesSeen bool
 	pending   []pendingEdge // edges read before any "nodes" array
@@ -190,7 +186,6 @@ type jsonReader struct {
 	hintNodes, hintEdges, hintAttrs int
 
 	// Buffers reused across elements.
-	key   []byte     // a key read before a fill, unescaped
 	label []byte     // the element's label
 	names []byte     // the node's attribute names, back to back
 	attrs []jsonAttr // the node's attributes, in input order
@@ -221,20 +216,20 @@ const (
 // document reads the top-level object and adds the edges that came
 // before the nodes.
 func (d *jsonReader) document() error {
-	err := d.object(func(key []byte) error {
+	err := d.sc.Object(func(key []byte) error {
 		switch string(key) {
 		case "meta":
 			return d.meta()
 		case "nodes":
-			if err := d.array(d.node); err != nil {
+			if err := d.sc.Array(d.node); err != nil {
 				return err
 			}
 			d.nodesSeen = true
 			return nil
 		case "edges":
-			return d.array(d.edge)
+			return d.sc.Array(d.edge)
 		}
-		return d.skip(0)
+		return d.sc.Skip(0)
 	})
 	if err != nil {
 		return err
@@ -252,14 +247,14 @@ func (d *jsonReader) meta() error {
 	var nodes, edges, attrs int
 	err := d.element(func(key []byte) error {
 		switch {
-		case fieldIs(key, "nodes"):
+		case jsonscan.FieldIs(key, "nodes"):
 			return d.intField(&nodes, nil)
-		case fieldIs(key, "edges"):
+		case jsonscan.FieldIs(key, "edges"):
 			return d.intField(&edges, nil)
-		case fieldIs(key, "attr_entries"):
+		case jsonscan.FieldIs(key, "attr_entries"):
 			return d.intField(&attrs, nil)
 		}
-		return d.skip(1)
+		return d.sc.Skip(1)
 	})
 	if err != nil {
 		return err
@@ -296,14 +291,14 @@ func (d *jsonReader) node(i int) error {
 	d.attrs = d.attrs[:0]
 	err := d.element(func(key []byte) error {
 		switch {
-		case fieldIs(key, "id"):
+		case jsonscan.FieldIs(key, "id"):
 			return d.intField(&id, &idNull)
-		case fieldIs(key, "label"):
+		case jsonscan.FieldIs(key, "label"):
 			return d.labelField()
-		case fieldIs(key, "attrs"):
+		case jsonscan.FieldIs(key, "attrs"):
 			return d.attrsField()
 		}
-		return d.skip(1)
+		return d.sc.Skip(1)
 	})
 	if err != nil {
 		return err
@@ -367,14 +362,14 @@ func (d *jsonReader) edge(i int) error {
 	d.label = d.label[:0]
 	err := d.element(func(key []byte) error {
 		switch {
-		case fieldIs(key, "src"):
+		case jsonscan.FieldIs(key, "src"):
 			return d.intField(&src, &srcNull)
-		case fieldIs(key, "dst"):
+		case jsonscan.FieldIs(key, "dst"):
 			return d.intField(&dst, &dstNull)
-		case fieldIs(key, "label"):
+		case jsonscan.FieldIs(key, "label"):
 			return d.labelField()
 		}
-		return d.skip(1)
+		return d.sc.Skip(1)
 	})
 	switch {
 	case err != nil:
@@ -413,22 +408,22 @@ func intern(in *Interner, name []byte) int32 {
 // element reads one element of the nodes or edges array, or the meta
 // object: an object, or null, which reads as an object with no keys.
 func (d *jsonReader) element(field func(key []byte) error) error {
-	c, err := d.next()
+	c, err := d.sc.Next()
 	switch {
 	case err != nil:
 		return err
 	case c == 'n':
-		return d.lit("null")
+		return d.sc.Lit("null")
 	case c != '{':
-		return d.errorf("expected an object or null, found %q", c)
+		return d.sc.Errorf("expected an object or null, found %q", c)
 	}
-	return d.object(field)
+	return d.sc.Object(field)
 }
 
 // intField reads an integer field into *dst. null leaves *dst as it
 // was and, when isNull is not nil, is recorded there.
 func (d *jsonReader) intField(dst *int, isNull *bool) error {
-	c, err := d.next()
+	c, err := d.sc.Next()
 	switch {
 	case err != nil:
 		return err
@@ -436,17 +431,17 @@ func (d *jsonReader) intField(dst *int, isNull *bool) error {
 		if isNull != nil {
 			*isNull = true
 		}
-		return d.lit("null")
-	case c != '-' && !isDigit(int(c)):
-		return d.errorf("expected an integer")
+		return d.sc.Lit("null")
+	case !jsonscan.IsNumStart(c):
+		return d.sc.Errorf("expected an integer")
 	}
-	tok, err := d.num()
+	tok, err := d.sc.Num()
 	if err != nil {
 		return err
 	}
 	v, err := strconv.Atoi(string(tok))
 	if err != nil {
-		return d.errorf("%s is not an integer", tok)
+		return d.sc.Errorf("%s is not an integer", tok)
 	}
 	*dst = v
 	if isNull != nil {
@@ -457,16 +452,16 @@ func (d *jsonReader) intField(dst *int, isNull *bool) error {
 
 // labelField reads a label into d.label; null keeps the label before it.
 func (d *jsonReader) labelField() error {
-	c, err := d.next()
+	c, err := d.sc.Next()
 	switch {
 	case err != nil:
 		return err
 	case c == 'n':
-		return d.lit("null")
+		return d.sc.Lit("null")
 	case c != '"':
-		return d.errorf("label is not a string")
+		return d.sc.Errorf("label is not a string")
 	}
-	s, err := d.strBytes()
+	s, err := d.sc.Str()
 	d.label = append(d.label[:0], s...)
 	return err
 }
@@ -474,31 +469,31 @@ func (d *jsonReader) labelField() error {
 // attrsField reads an "attrs" object into d.names and d.attrs, after
 // what an earlier "attrs" of the same node put there; null drops that.
 func (d *jsonReader) attrsField() error {
-	c, err := d.next()
+	c, err := d.sc.Next()
 	switch {
 	case err != nil:
 		return err
 	case c == 'n':
 		d.names, d.attrs = d.names[:0], d.attrs[:0]
-		return d.lit("null")
+		return d.sc.Lit("null")
 	case c != '{':
-		return d.errorf("attrs is not an object")
+		return d.sc.Errorf("attrs is not an object")
 	}
-	return d.object(func(key []byte) error {
+	return d.sc.Object(func(key []byte) error {
 		a := jsonAttr{name: [2]int{len(d.names), len(d.names) + len(key)}}
 		d.names = append(d.names, key...)
-		c, err := d.next()
+		c, err := d.sc.Next()
 		switch {
 		case err != nil:
 			return err
 		case c == '"':
 			var s []byte
-			if s, err = d.strBytes(); err == nil {
+			if s, err = d.sc.Str(); err == nil {
 				a.val = S(string(s))
 			}
-		case c == '-' || isDigit(int(c)):
+		case jsonscan.IsNumStart(c):
 			var tok []byte
-			if tok, err = d.num(); err == nil {
+			if tok, err = d.sc.Num(); err == nil {
 				f, perr := strconv.ParseFloat(string(tok), 64)
 				a.val = N(f)
 				if perr != nil {
@@ -507,390 +502,39 @@ func (d *jsonReader) attrsField() error {
 			}
 		case c == 'n':
 			a.fault = attrNull
-			err = d.lit("null")
+			err = d.sc.Lit("null")
 		default:
 			a.fault = attrNotScalar
-			err = d.skip(2)
+			err = d.sc.Skip(2)
 		}
 		d.attrs = append(d.attrs, a)
 		return err
 	})
 }
 
-// object reads an object, the reader at its '{', calling field with
-// each key, unescaped, once the reader is at the key's value. field
-// must consume the value, and read the key before it does: the key may
-// lie in buf.
-func (d *jsonReader) object(field func(key []byte) error) error {
-	if err := d.expect('{'); err != nil {
-		return err
-	}
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == '}' {
-		d.pos++
-		return nil
-	}
-	for {
-		if c != '"' {
-			return d.errorf("expected a string key, found %q", c)
-		}
-		key, err := d.strBytes()
+// DecodeConstJSON reads the constant of a query literal, an exemplar
+// cell or an exemplar constraint as encoding/json read it through a
+// RawMessage into a float64, then a string: a number as a Number, a
+// string as a String, and null as the Number 0 (decoding null into a
+// float64 left it 0). ok is false, the value consumed, for a number
+// beyond float64's range and for any other kind of value.
+func DecodeConstJSON(r *jsonscan.Reader) (v Value, ok bool, err error) {
+	c, err := r.Next()
+	switch {
+	case err != nil:
+		return Value{}, false, err
+	case c == '"':
+		s, err := r.Str()
+		return S(string(s)), err == nil, err
+	case jsonscan.IsNumStart(c):
+		tok, err := r.Num()
 		if err != nil {
-			return err
+			return Value{}, false, err
 		}
-		if d.pos < len(d.buf) && d.buf[d.pos] == ':' {
-			d.pos++ // no fill since the key was read: it is still valid
-		} else {
-			d.key = append(d.key[:0], key...)
-			if err := d.expect(':'); err != nil {
-				return err
-			}
-			key = d.key
-		}
-		if err := field(key); err != nil {
-			return err
-		}
-		if c, err = d.next(); err != nil {
-			return err
-		}
-		d.pos++
-		switch c {
-		case '}':
-			return nil
-		case ',':
-			if c, err = d.next(); err != nil {
-				return err
-			}
-		default:
-			d.pos--
-			return d.errorf("expected ',' or '}', found %q", c)
-		}
+		f, perr := strconv.ParseFloat(string(tok), 64)
+		return N(f), perr == nil, nil
+	case c == 'n':
+		return N(0), true, r.Lit("null")
 	}
-}
-
-// array reads an array, the reader at its '[', calling elem with the
-// index of each element once the reader is at it; elem must consume it.
-func (d *jsonReader) array(elem func(i int) error) error {
-	if err := d.expect('['); err != nil {
-		return err
-	}
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c == ']' {
-		d.pos++
-		return nil
-	}
-	for i := 0; ; i++ {
-		if err := elem(i); err != nil {
-			return err
-		}
-		if c, err = d.next(); err != nil {
-			return err
-		}
-		d.pos++
-		switch c {
-		case ']':
-			return nil
-		case ',':
-		default:
-			d.pos--
-			return d.errorf("expected ',' or ']', found %q", c)
-		}
-	}
-}
-
-// skip consumes one value of any kind, checking it as encoding/json's
-// scanner would; depth is the number of containers already open around
-// it in what that scanner would read as one value.
-func (d *jsonReader) skip(depth int) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	switch c {
-	case '{', '[':
-		if depth++; depth > jsonMaxDepth {
-			return d.errorf("exceeded max depth")
-		}
-		if c == '{' {
-			return d.object(func([]byte) error { return d.skip(depth) })
-		}
-		return d.array(func(int) error { return d.skip(depth) })
-	case '"':
-		_, _, err = d.str()
-		return err
-	case 't':
-		return d.lit("true")
-	case 'f':
-		return d.lit("false")
-	case 'n':
-		return d.lit("null")
-	}
-	_, err = d.num()
-	return err
-}
-
-// next skips whitespace and returns the byte after it, unconsumed.
-func (d *jsonReader) next() (byte, error) {
-	for {
-		buf, i := d.buf, d.pos
-		for ; i < len(buf); i++ {
-			if c := buf[i]; c > ' ' || (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-				d.pos = i
-				return c, nil
-			}
-		}
-		d.pos = i
-		if !d.fill() {
-			return 0, d.errorf("unexpected end of input")
-		}
-	}
-}
-
-// expect consumes the byte want, after whitespace.
-func (d *jsonReader) expect(want byte) error {
-	c, err := d.next()
-	if err != nil {
-		return err
-	}
-	if c != want {
-		return d.errorf("expected %q, found %q", want, c)
-	}
-	d.pos++
-	return nil
-}
-
-// lit consumes the literal word (true, false or null).
-func (d *jsonReader) lit(word string) error {
-	if !d.avail(len(word)) {
-		return d.errorf("unexpected end of input")
-	}
-	if string(d.buf[d.pos:d.pos+len(word)]) != word {
-		return d.errorf("invalid literal, expected %s", word)
-	}
-	d.pos += len(word)
-	return nil
-}
-
-// strBytes consumes a string and returns its value: its content itself
-// when plain, else what encoding/json decodes it to.
-func (d *jsonReader) strBytes() ([]byte, error) {
-	tok, plain, err := d.str()
-	if err != nil {
-		return nil, err
-	}
-	if plain {
-		return tok[1 : len(tok)-1], nil
-	}
-	var s string
-	if err := json.Unmarshal(tok, &s); err != nil {
-		return nil, fmt.Errorf("graph: decode: %w", err)
-	}
-	return []byte(s), nil
-}
-
-// str consumes a string, checking it as encoding/json's scanner does,
-// and returns it with its quotes. plain reports that it holds no
-// backslash and no byte >= 0x80, so that its content is its value.
-func (d *jsonReader) str() (tok []byte, plain bool, err error) {
-	plain = true
-	n := 1 // past the opening quote
-	for {
-		b := d.buf[d.pos:]
-		for n < len(b) {
-			c := b[n]
-			n++
-			if jsonPlain[c] {
-				continue
-			}
-			switch {
-			case c == '"':
-				d.pos += n
-				return b[:n], plain, nil
-			case c < 0x20:
-				return nil, false, d.errorf("invalid character %q in string", c)
-			case c >= 0x80:
-				plain = false
-				continue
-			}
-			// A backslash: one of "\/bfnrt, or u and four hex digits.
-			plain = false
-			if !d.avail(n + 1) {
-				return nil, false, d.errorf("unexpected end of input")
-			}
-			b = d.buf[d.pos:]
-			switch b[n] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				n++
-				continue
-			case 'u':
-				if !d.avail(n + 5) {
-					return nil, false, d.errorf("unexpected end of input")
-				}
-				b = d.buf[d.pos:]
-				for _, h := range b[n+1 : n+5] {
-					if !isHex(h) {
-						return nil, false, d.errorf("invalid \\u escape in string")
-					}
-				}
-				n += 5
-				continue
-			}
-			return nil, false, d.errorf("invalid escape \\%c in string", b[n])
-		}
-		if !d.fill() {
-			return nil, false, d.errorf("unexpected end of input")
-		}
-	}
-}
-
-// jsonPlain marks the bytes that stand for themselves inside a string.
-var jsonPlain = func() (t [256]bool) {
-	for c := 0x20; c < 0x80; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// num consumes a number, checking JSON's grammar, and returns its text.
-func (d *jsonReader) num() ([]byte, error) {
-	for {
-		n, past := numLen(d.buf[d.pos:])
-		if past && d.fill() {
-			continue // the number may go on: scan it again, whole
-		}
-		if n < 0 {
-			return nil, d.errorf("invalid number")
-		}
-		tok := d.buf[d.pos : d.pos+n]
-		d.pos += n
-		return tok, nil
-	}
-}
-
-// numLen returns the length of the JSON number b starts with, or -1 if
-// it starts with none; past reports that it had to look beyond b.
-func numLen(b []byte) (n int, past bool) {
-	at := func(i int) int {
-		if i < len(b) {
-			return int(b[i])
-		}
-		past = true
-		return -1
-	}
-	if at(n) == '-' {
-		n++
-	}
-	switch c := at(n); {
-	case c == '0':
-		n++
-	case '1' <= c && c <= '9':
-		for n++; isDigit(at(n)); n++ {
-		}
-	default:
-		return -1, past
-	}
-	if at(n) == '.' {
-		if n++; !isDigit(at(n)) {
-			return -1, past
-		}
-		for n++; isDigit(at(n)); n++ {
-		}
-	}
-	if c := at(n); c == 'e' || c == 'E' {
-		if n++; at(n) == '+' || at(n) == '-' {
-			n++
-		}
-		if !isDigit(at(n)) {
-			return -1, past
-		}
-		for n++; isDigit(at(n)); n++ {
-		}
-	}
-	return n, past
-}
-
-func isDigit(c int) bool { return '0' <= c && c <= '9' }
-
-func isHex(c byte) bool {
-	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
-}
-
-// fieldIs reports whether key names the field name as encoding/json
-// matches struct fields: equal under bytes.EqualFold.
-func fieldIs(key []byte, name string) bool {
-	if len(key) == len(name) {
-		for i, c := range key {
-			if c != name[i] && (c|0x20 != name[i] || name[i] < 'a' || name[i] > 'z') {
-				return false
-			}
-		}
-		return true
-	}
-	// Only a longer key, holding a non-ASCII rune, can fold to an ASCII
-	// name some other way ("ſ" to "s", "K" to "k").
-	if len(key) < len(name) {
-		return false
-	}
-	for _, c := range key {
-		if c >= 0x80 {
-			return bytes.EqualFold(key, []byte(name))
-		}
-	}
-	return false
-}
-
-// avail makes at least n unconsumed bytes available, if the input has
-// them.
-func (d *jsonReader) avail(n int) bool {
-	for len(d.buf)-d.pos < n {
-		if !d.fill() {
-			return false
-		}
-	}
-	return true
-}
-
-// fill reads more input after the unconsumed bytes, first moving them
-// to the front of buf and doubling buf if they fill it. It reports
-// whether any byte was added; when none was, rerr says why.
-func (d *jsonReader) fill() bool {
-	if d.rerr != nil {
-		return false
-	}
-	if d.pos > 0 {
-		d.off += int64(d.pos)
-		d.buf = d.buf[:copy(d.buf, d.buf[d.pos:])]
-		d.pos = 0
-	}
-	if len(d.buf) == cap(d.buf) {
-		d.buf = append(make([]byte, 0, 2*cap(d.buf)), d.buf...)
-	}
-	for range 100 { // bufio's bound on reads that return nothing
-		n, err := d.r.Read(d.buf[len(d.buf):cap(d.buf)])
-		d.buf = d.buf[:len(d.buf)+n]
-		if err != nil {
-			d.rerr = err
-			return n > 0
-		}
-		if n > 0 {
-			return true
-		}
-	}
-	d.rerr = io.ErrNoProgress
-	return false
-}
-
-// errorf reports bad input at the current offset, or the read error
-// that cut the input short.
-func (d *jsonReader) errorf(format string, args ...any) error {
-	if d.rerr != nil && d.rerr != io.EOF {
-		return fmt.Errorf("graph: read: %w", d.rerr)
-	}
-	return fmt.Errorf("graph: decode: %s at byte %d", fmt.Sprintf(format, args...), d.off+int64(d.pos))
+	return Value{}, false, r.Skip(r.Depth())
 }

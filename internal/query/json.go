@@ -2,10 +2,12 @@ package query
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
 	"wqe/internal/graph"
+	"wqe/internal/jsonscan"
 )
 
 // jsonQuery is the on-disk shape used by the CLI tools:
@@ -49,18 +51,6 @@ func valueToJSON(v graph.Value) (json.RawMessage, error) {
 	return json.Marshal(v.Str)
 }
 
-func valueFromJSON(raw json.RawMessage) (graph.Value, error) {
-	var num float64
-	if err := json.Unmarshal(raw, &num); err == nil {
-		return graph.N(num), nil
-	}
-	var s string
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return graph.Value{}, fmt.Errorf("query: literal value is neither number nor string")
-	}
-	return graph.S(s), nil
-}
-
 // WriteJSON serializes the query.
 func (q *Query) WriteJSON(w io.Writer) error {
 	jq := jsonQuery{Focus: int(q.Focus)}
@@ -83,34 +73,144 @@ func (q *Query) WriteJSON(w io.Writer) error {
 	return enc.Encode(jq)
 }
 
-// ReadJSON parses a query in the WriteJSON shape and validates it.
+// ReadJSON parses a query in the WriteJSON shape and validates it: one
+// JSON value is read from r (DecodeJSON), and what follows it is not.
 func ReadJSON(r io.Reader) (*Query, error) {
-	var jq jsonQuery
-	if err := json.NewDecoder(r).Decode(&jq); err != nil {
+	q, err := DecodeJSON(jsonscan.NewReaderSize(r, 4<<10))
+	var se *jsonscan.Error
+	if errors.As(err, &se) {
 		return nil, fmt.Errorf("query: decode: %w", err)
 	}
-	q := New()
-	for _, jn := range jq.Nodes {
-		u := q.AddNode(jn.Label)
-		for _, jl := range jn.Literals {
-			op, err := graph.ParseOp(jl.Op)
-			if err != nil {
-				return nil, err
-			}
-			val, err := valueFromJSON(jl.Value)
-			if err != nil {
-				return nil, err
-			}
-			q.Nodes[u].Literals = append(q.Nodes[u].Literals,
-				Literal{Attr: jl.Attr, Op: op, Val: val})
-		}
+	return q, err
+}
+
+// DecodeJSON reads a query in the WriteJSON shape from r, builds it and
+// validates it. It reads as encoding/json decoded the document into the
+// WriteJSON structs, with one documented difference: keys match the
+// field names case-insensitively (jsonscan.FieldIs), other keys are
+// skipped, a key given twice takes its last value, null leaves a field
+// as it was and empties a list, a null node, literal or edge has no
+// keys, "value" is a number, a string, or null for the number 0, and a
+// value of the wrong kind fails the query once the document is read.
+// The difference: a second "nodes", "literals" or "edges" array replaces
+// the first, where encoding/json decoded it element by element into the
+// first one's elements.
+//
+// A *jsonscan.Error means that the input is not JSON, and r stopped where
+// it failed; any other error is about the query, and r has read the
+// whole document.
+func DecodeJSON(r *jsonscan.Reader) (*Query, error) {
+	d := queryDecoder{r: r}
+	if err := r.Struct(d.field); d.types.Keep(err) != nil {
+		return nil, err
 	}
-	for _, je := range jq.Edges {
-		q.AddEdge(NodeID(je.From), NodeID(je.To), je.Bound)
+	switch {
+	case d.types.Err != nil:
+		return nil, fmt.Errorf("query: decode: %w", d.types.Err)
+	case d.fault != nil:
+		return nil, d.fault
 	}
-	q.Focus = NodeID(jq.Focus)
+	q := &Query{Nodes: d.nodes, Edges: d.edges, Focus: NodeID(d.focus)}
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	return q, nil
+}
+
+// queryDecoder holds a query document as DecodeJSON reads it.
+type queryDecoder struct {
+	r     *jsonscan.Reader
+	types jsonscan.Sticky // the first value of the wrong kind
+
+	focus int
+	nodes []Node
+	edges []Edge
+
+	// fault is the first literal of the nodes that names no operator or
+	// holds no constant; nodeFault is the first of the node being read.
+	fault, nodeFault error
+}
+
+func (d *queryDecoder) field(key []byte) error {
+	r := d.r
+	switch {
+	case jsonscan.FieldIs(key, "focus"):
+		return d.types.Keep(r.Int(&d.focus))
+	case jsonscan.FieldIs(key, "nodes"):
+		d.nodes, d.fault = nil, nil
+		return d.types.Keep(r.List(d.node))
+	case jsonscan.FieldIs(key, "edges"):
+		d.edges = nil
+		return d.types.Keep(r.List(d.edge))
+	}
+	return r.Skip(r.Depth())
+}
+
+func (d *queryDecoder) node(int) error {
+	var n Node
+	d.nodeFault = nil
+	err := d.r.Struct(func(key []byte) error {
+		switch {
+		case jsonscan.FieldIs(key, "label"):
+			return d.types.Keep(d.r.String(&n.Label))
+		case jsonscan.FieldIs(key, "literals"):
+			n.Literals, d.nodeFault = nil, nil
+			return d.types.Keep(d.r.List(func(int) error { return d.literal(&n) }))
+		}
+		return d.r.Skip(d.r.Depth())
+	})
+	if d.fault == nil {
+		d.fault = d.nodeFault
+	}
+	d.nodes = append(d.nodes, n)
+	return d.types.Keep(err)
+}
+
+// literal reads one element of a "literals" array and adds it to n.
+func (d *queryDecoder) literal(n *Node) error {
+	var (
+		attr, op string
+		val      graph.Value
+		valOK    bool
+	)
+	err := d.r.Struct(func(key []byte) error {
+		switch {
+		case jsonscan.FieldIs(key, "attr"):
+			return d.types.Keep(d.r.String(&attr))
+		case jsonscan.FieldIs(key, "op"):
+			return d.types.Keep(d.r.String(&op))
+		case jsonscan.FieldIs(key, "value"):
+			var err error
+			val, valOK, err = graph.DecodeConstJSON(d.r)
+			return err
+		}
+		return d.r.Skip(d.r.Depth())
+	})
+	o, oerr := graph.ParseOp(op)
+	switch {
+	case d.nodeFault != nil:
+	case oerr != nil:
+		d.nodeFault = oerr
+	case !valOK:
+		d.nodeFault = fmt.Errorf("query: literal value is neither number nor string")
+	}
+	n.Literals = append(n.Literals, Literal{Attr: attr, Op: o, Val: val})
+	return d.types.Keep(err)
+}
+
+func (d *queryDecoder) edge(int) error {
+	var from, to, bound int
+	err := d.r.Struct(func(key []byte) error {
+		switch {
+		case jsonscan.FieldIs(key, "from"):
+			return d.types.Keep(d.r.Int(&from))
+		case jsonscan.FieldIs(key, "to"):
+			return d.types.Keep(d.r.Int(&to))
+		case jsonscan.FieldIs(key, "bound"):
+			return d.types.Keep(d.r.Int(&bound))
+		}
+		return d.r.Skip(d.r.Depth())
+	})
+	d.edges = append(d.edges, Edge{From: NodeID(from), To: NodeID(to), Bound: max(bound, 1)})
+	return d.types.Keep(err)
 }
