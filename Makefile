@@ -9,12 +9,14 @@ GO ?= go
 # detector. The cache stripes, singleflight, and eviction paths all live
 # in internal/anscache; internal/match and internal/chase race the star
 # cache and the answer memo built on it.
+# A clean run here is also what enforces the `// guarded by <mu>` field
+# comments (DESIGN.md §9).
 # cmd/wqe-datagen is deliberately absent: it spawns no goroutines of
 # its own (the parallel PLL build it calls is raced via
 # internal/distindex), so racing it would only slow CI down.
 RACE_PKGS = ./internal/graph ./internal/match ./internal/chase ./internal/par ./internal/distindex ./internal/anscache ./internal/hist ./internal/loadgen ./cmd/wqe-serve
 
-.PHONY: all build vet fmt-check test race lint callgraph lockorder check-cfg check-lockorder check fuzz bench-smoke profile benchmark benchmark-check bench-load ci
+.PHONY: all build vet fmt-check test race lint check fuzz bench-smoke profile benchmark benchmark-check bench-load ci
 
 all: build
 
@@ -35,32 +37,11 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Repo-specific static analysis (see internal/lint and README
-# "Static analysis & CI"). Exits non-zero on any finding.
+# Repo-specific static analysis: the six wqe-lint rules that go vet,
+# -race and the tests do not cover (internal/lint, README "Static
+# analysis & CI", DESIGN.md §9). Exits non-zero on any finding.
 lint:
 	$(GO) run ./cmd/wqe-lint ./...
-
-# Dump the module's static call graph (nodes, dispatch-kinded edges,
-# SCCs) — the substrate behind lockcheck and detsource.
-callgraph:
-	$(GO) run ./cmd/wqe-lint -callgraph
-
-# Dump the module's lock-acquisition-order graph (lock identities,
-# held-while-acquiring edges with witness chains, cycles) — the
-# substrate behind the lockorder deadlock analysis.
-lockorder:
-	$(GO) run ./cmd/wqe-lint -lockorder
-
-# The CFG/dataflow core under the flow-sensitive analyzers: golden
-# block-structure dumps and the double-build determinism contract.
-check-cfg:
-	$(GO) test ./internal/lint/cfg
-
-# End-to-end golden test of the -lockorder dump over the fixture module
-# (one genuine AB-BA cycle, one consistent-order pair), including the
-# double-run byte-identity contract.
-check-lockorder:
-	$(GO) test ./cmd/wqe-lint -run 'TestLockorder'
 
 # Short randomized hammering, 10 s each, on top of the committed corpora
 # (which `go test` always replays as regression inputs): the binary
@@ -128,7 +109,7 @@ benchmark-check:
 	$(GO) run ./benchmark --workload explore_heu --seed 7 --seconds 3 --trace 1
 
 # Everything a PR must pass, without the benchmark regeneration.
-check: build vet fmt-check test race lint check-lockorder bench-smoke benchmark-check
+check: build vet fmt-check test race lint bench-smoke benchmark-check
 
 # Regenerate BENCH_load.json: million-node cold start — JSON vs binary
 # snapshot load wall time (fastest of three loads each; the snapshot must

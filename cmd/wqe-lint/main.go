@@ -1,42 +1,27 @@
 // Command wqe-lint runs the repo-specific static-analysis suite of
-// internal/lint over the module: mapiter (deterministic map iteration),
-// lockcheck (flow-sensitive mutex discipline with witness chains),
-// lockorder (module-wide lock-acquisition-order cycles — AB-BA
-// deadlocks with two-sided witness chains), atomicfield (fields mixing
-// sync/atomic and plain access), detsource (no nondeterminism sources
-// reachable from canonical-output packages), errdrop (no silently
-// discarded errors in internal packages), panicfree (no panics in
-// library code), floateq (no float ==/!= in ranking code), gobound (no
-// goroutine spawns outside the internal/par worker pool), ctxflow
-// (contexts threaded into every blocking operation), leakcheck
-// (goroutines joined or cancellable), and lintignore (suppression
-// directives must state a reason).
+// internal/lint over the module: mapiter (deterministic map iteration
+// in canonical-output packages), detsource (no nondeterminism sources
+// in canonical-output packages or the module packages they import),
+// errdrop (no silently discarded errors in internal packages and
+// command mains), panicfree (no panics in library code), gobound (no
+// goroutine spawns outside the internal/par worker pool), and
+// lintignore (suppression directives must state a reason and name
+// existing rules).
 //
 // Usage:
 //
-//	wqe-lint [-root dir] [-rules list] [-format text|github|sarif] [-workers n] [-callgraph] [-lockorder] [patterns...]
+//	wqe-lint [-root dir] [-rules list] [-format text|github] [patterns...]
 //
 // Patterns select which packages findings are reported for: "./..."
 // (everything, the default), or directory paths like ./internal/chase.
 // The whole module is always loaded and type-checked regardless, since
-// lock annotations and the call graph are collected module-wide.
-//
-// -callgraph skips the analyzers and dumps the module's static call
-// graph (nodes, edges with dispatch kinds, SCCs) in its deterministic
-// text form, for debugging interprocedural findings. -lockorder does
-// the same for the module's lock-acquisition-order graph (lock
-// identities, held-while-acquiring edges with witnesses, cycles).
-//
-// -workers sets how many analyzer goroutines run per-package passes
-// concurrently (0 = GOMAXPROCS); the findings stream is byte-identical
-// at every worker count.
+// detsource follows imports module-wide.
 //
 // Output is one `file:line: rule: message` per finding; with
 // -format=github each finding is instead a GitHub Actions workflow
 // command (`::error file=…,line=…::…`), so CI failures annotate the
-// offending lines in the pull-request diff; with -format=sarif the
-// findings are a SARIF 2.1.0 log on stdout for code-scanning upload.
-// The exit status is 1 when anything is reported, 2 on load errors.
+// offending lines in the pull-request diff. The exit status is 1 when
+// anything is reported, 2 on usage or load errors.
 package main
 
 import (
@@ -55,20 +40,17 @@ func main() {
 }
 
 // run is the testable entry point: it parses args, loads the module,
-// and prints findings (or the call graph) to stdout. Exit code 0 means
-// clean, 1 means findings, 2 means usage or load errors.
+// and prints findings to stdout. Exit code 0 means clean, 1 means
+// findings, 2 means usage or load errors.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("wqe-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	root := fs.String("root", "", "module root (default: walk up from cwd to go.mod)")
 	rules := fs.String("rules", "", "comma-separated analyzer names to run (default: all)")
-	format := fs.String("format", "text", "findings output: text (file:line: rule: message), github (workflow error annotations), or sarif (SARIF 2.1.0 log)")
-	workers := fs.Int("workers", 0, "concurrent per-package analyzer goroutines (0 = GOMAXPROCS); output is identical at every count")
-	dumpCG := fs.Bool("callgraph", false, "dump the module call graph instead of linting")
-	dumpLO := fs.Bool("lockorder", false, "dump the module lock-acquisition-order graph instead of linting")
+	format := fs.String("format", "text", "findings output: text (file:line: rule: message) or github (workflow error annotations)")
 	fs.Usage = func() {
 		//lint:ignore errdrop terminal output; a failed diagnostic write has no useful handler
-		fmt.Fprintf(stderr, "usage: wqe-lint [-root dir] [-rules list] [-format text|github|sarif] [-workers n] [-callgraph] [-lockorder] [patterns...]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: wqe-lint [-root dir] [-rules list] [-format text|github] [patterns...]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			//lint:ignore errdrop terminal output; a failed diagnostic write has no useful handler
 			fmt.Fprintf(stderr, "  %-10s %s\n", a.Name, a.Doc)
@@ -78,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *format != "text" && *format != "github" && *format != "sarif" {
-		return fail(stderr, fmt.Errorf("unknown -format %q (want text, github, or sarif)", *format))
+	if *format != "text" && *format != "github" {
+		return fail(stderr, fmt.Errorf("unknown -format %q (want text or github)", *format))
 	}
 
 	dir := *root
@@ -101,36 +83,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 
-	if *dumpCG {
-		//lint:ignore errdrop terminal output; a failed diagnostic write has no useful handler
-		fmt.Fprint(stdout, lint.CallGraphOf(mod).Dump())
-		return 0
-	}
-	if *dumpLO {
-		//lint:ignore errdrop terminal output; a failed diagnostic write has no useful handler
-		fmt.Fprint(stdout, lint.LockOrderOf(mod).Dump())
-		return 0
-	}
-
 	analyzers, err := selectAnalyzers(*rules)
 	if err != nil {
 		return fail(stderr, err)
 	}
 
-	findings := lint.RunAllWorkers(mod, analyzers, *workers)
-	findings = filterByPatterns(mod, findings, fs.Args())
-
-	if *format == "sarif" {
-		if err := writeSarif(stdout, dir, analyzers, findings); err != nil {
-			return fail(stderr, err)
-		}
-		if len(findings) > 0 {
-			//lint:ignore errdrop terminal output; a failed diagnostic write has no useful handler
-			fmt.Fprintf(stderr, "wqe-lint: %d finding(s)\n", len(findings))
-			return 1
-		}
-		return 0
-	}
+	findings := filterByPatterns(mod, lint.RunAll(mod, analyzers), fs.Args())
 
 	for _, f := range findings {
 		line := rel(dir, f)

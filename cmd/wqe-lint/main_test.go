@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -63,15 +61,6 @@ func TestGoldenFixture(t *testing.T) {
 	out2, _, code2 := runOnce(t, "-root", fixtureRoot)
 	if code2 != 1 || out2 != out1 {
 		t.Errorf("second run differs (code %d): the findings stream must be byte-identical across runs", code2)
-	}
-
-	// Parallel per-package analysis must not reorder or alter anything:
-	// the stream is byte-identical at every worker count.
-	for _, w := range []string{"1", "4", "8"} {
-		outW, _, codeW := runOnce(t, "-root", fixtureRoot, "-workers", w)
-		if codeW != 1 || outW != out1 {
-			t.Errorf("-workers %s run differs (code %d): output must be byte-identical at every worker count", w, codeW)
-		}
 	}
 }
 
@@ -132,80 +121,6 @@ func TestBadFormat(t *testing.T) {
 	}
 }
 
-// TestSarifFormat pins the -format=sarif stream: a parseable SARIF
-// 2.1.0 log whose results mirror the text stream one-to-one, with
-// module-relative slash URIs, byte-identical across runs.
-func TestSarifFormat(t *testing.T) {
-	text, _, _ := runOnce(t, "-root", fixtureRoot)
-	out1, errText, code := runOnce(t, "-root", fixtureRoot, "-format", "sarif")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1; stderr:\n%s", code, errText)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out1), &log); err != nil {
-		t.Fatalf("sarif output is not valid JSON: %v\n%.400s", err, out1)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 {
-		t.Fatalf("want one SARIF 2.1.0 run, got version %q with %d runs", log.Version, len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "wqe-lint" {
-		t.Errorf("driver name = %q, want wqe-lint", run.Tool.Driver.Name)
-	}
-	if len(run.Tool.Driver.Rules) != len(lint.Analyzers()) {
-		t.Errorf("rules roster has %d entries, want %d (one per analyzer)",
-			len(run.Tool.Driver.Rules), len(lint.Analyzers()))
-	}
-	textLines := strings.Split(strings.TrimSpace(text), "\n")
-	if len(run.Results) != len(textLines) {
-		t.Fatalf("sarif has %d results, text stream %d lines — formats must report identically",
-			len(run.Results), len(textLines))
-	}
-	for i, r := range run.Results {
-		if r.Level != "error" || len(r.Locations) != 1 {
-			t.Fatalf("result %d: level %q with %d locations, want error with 1", i, r.Level, len(r.Locations))
-		}
-		uri := r.Locations[0].PhysicalLocation.ArtifactLocation.URI
-		if strings.Contains(uri, "\\") || filepath.IsAbs(uri) {
-			t.Errorf("result %d: URI %q must be module-relative with forward slashes", i, uri)
-		}
-		prefix := fmt.Sprintf("%s:%d: %s: ", uri, r.Locations[0].PhysicalLocation.Region.StartLine, r.RuleID)
-		if !strings.HasPrefix(textLines[i], prefix) {
-			t.Errorf("result %d does not mirror text line:\nsarif: %s\ntext:  %s", i, prefix, textLines[i])
-		}
-	}
-	out2, _, _ := runOnce(t, "-root", fixtureRoot, "-format", "sarif")
-	if out2 != out1 {
-		t.Error("sarif stream must be byte-identical across runs")
-	}
-}
-
 // TestCleanModule pins exit 0 and empty output on a module with no
 // findings.
 func TestCleanModule(t *testing.T) {
@@ -252,73 +167,9 @@ func TestPatternFilter(t *testing.T) {
 			t.Errorf("pattern ./det/... leaked a foreign finding: %s", line)
 		}
 	}
-	// The interprocedural chain from chase into det must survive the
-	// filter: analysis is module-wide even when reporting is narrowed.
-	if !strings.Contains(out, "chase.Pipeline → det.Hop1 → det.Hop2") {
-		t.Errorf("expected the cross-package witness chain in filtered output:\n%s", out)
-	}
-}
-
-// TestLockorderDump pins the -lockorder mode end to end against a
-// golden file: the fixture module carries one genuine AB-BA cycle
-// (order.A/order.B, one side through a helper) and one consistent-order
-// pair (order.C before order.D everywhere, no cycle), and the dump must
-// be byte-identical across runs.
-func TestLockorderDump(t *testing.T) {
-	out1, errText, code := runOnce(t, "-root", fixtureRoot, "-lockorder")
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, errText)
-	}
-
-	golden := filepath.Join("testdata", "lockorder.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(out1), 0o644); err != nil {
-			t.Fatalf("updating golden: %v", err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden: %v", err)
-	}
-	if out1 != string(want) {
-		t.Errorf("dump differs from %s (rerun with -update after intended changes):\ngot:\n%s\nwant:\n%s",
-			golden, out1, want)
-	}
-
-	if !strings.HasPrefix(out1, "lockorder:") {
-		t.Errorf("dump should open with the summary header, got:\n%.120s", out1)
-	}
-	if !strings.Contains(out1, "cycle: order.A.mu order.B.mu") {
-		t.Errorf("dump missing the A/B cycle line:\n%s", out1)
-	}
-	for _, line := range strings.Split(out1, "\n") {
-		if strings.HasPrefix(line, "cycle: ") &&
-			(strings.Contains(line, "order.C.mu") || strings.Contains(line, "order.D.mu")) {
-			t.Errorf("consistent-order pair C/D must not be reported as a cycle: %s", line)
-		}
-	}
-
-	out2, _, _ := runOnce(t, "-root", fixtureRoot, "-lockorder")
-	if out2 != out1 {
-		t.Error("lock-order dump must be byte-identical across runs")
-	}
-}
-
-// TestCallgraphDump pins the -callgraph mode: deterministic across
-// runs, exit 0, and containing a known cross-package edge.
-func TestCallgraphDump(t *testing.T) {
-	out1, _, code := runOnce(t, "-root", fixtureRoot, "-callgraph")
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0", code)
-	}
-	out2, _, _ := runOnce(t, "-root", fixtureRoot, "-callgraph")
-	if out1 != out2 {
-		t.Error("call-graph dump must be byte-identical across runs")
-	}
-	if !strings.HasPrefix(out1, "callgraph:") {
-		t.Errorf("dump should open with the summary header, got:\n%.120s", out1)
-	}
-	if !strings.Contains(out1, "det.Hop1\n  -> det.Hop2 [static]") {
-		t.Errorf("dump missing expected static edge stanza:\n%.400s", out1)
+	// The import chain from chase into det must survive the filter:
+	// analysis is module-wide even when reporting is narrowed.
+	if !strings.Contains(out, "imported by canonical output via chase → det") {
+		t.Errorf("expected the cross-package import chain in filtered output:\n%s", out)
 	}
 }

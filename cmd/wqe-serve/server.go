@@ -129,7 +129,6 @@ func (a *admission) acquire(ctx context.Context) (release func(), status int) {
 	a.mu.Lock()
 	if a.draining {
 		a.mu.Unlock()
-		//lint:ignore ctxflow returning the slot token just taken into a buffered channel with guaranteed free capacity; never blocks
 		a.slots <- struct{}{}
 		leave()
 		return nil, http.StatusServiceUnavailable

@@ -36,6 +36,43 @@ func newTestServer(t *testing.T, slots, queue int, answerCache bool) (*server, *
 	return srv, ts
 }
 
+// stallLimit bounds every wait in the admission tests: a regression
+// that makes acquire ignore its context, or drain miss a waiter, fails
+// in seconds and names the call instead of hanging until go test's
+// ten-minute timeout.
+const stallLimit = 5 * time.Second
+
+// recvWithin receives from ch, failing the test if nothing arrives
+// within stallLimit.
+func recvWithin[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(stallLimit):
+		t.Fatalf("%s: still blocked after %v", what, stallLimit)
+		var zero T
+		return zero
+	}
+}
+
+// acquireWithin runs a.acquire on its own goroutine, so a stall fails
+// the test (see stallLimit) instead of blocking it.
+func acquireWithin(t *testing.T, a *admission, ctx context.Context, what string) (func(), int) {
+	t.Helper()
+	type result struct {
+		release func()
+		status  int
+	}
+	ch := make(chan result, 1)
+	go func() {
+		release, status := a.acquire(ctx)
+		ch <- result{release, status}
+	}()
+	r := recvWithin(t, ch, what)
+	return r.release, r.status
+}
+
 // TestAdmissionBounds pins the admission state machine: a full waiting
 // room rejects with 429, a queued caller whose context is already done
 // bails with the client-gone status without ever holding a slot, a
@@ -43,7 +80,7 @@ func newTestServer(t *testing.T, slots, queue int, answerCache bool) (*server, *
 func TestAdmissionBounds(t *testing.T) {
 	a := newAdmission(1, 1)
 
-	release, status := a.acquire(context.Background())
+	release, status := acquireWithin(t, a, context.Background(), "first acquire")
 	if status != 0 || release == nil {
 		t.Fatalf("first acquire: status %d", status)
 	}
@@ -52,7 +89,7 @@ func TestAdmissionBounds(t *testing.T) {
 	// third is turned away at the door.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, st := a.acquire(ctx); st != statusClientGone {
+	if _, st := acquireWithin(t, a, ctx, "queued caller with dead context"); st != statusClientGone {
 		t.Errorf("queued caller with dead context: status %d, want %d", st, statusClientGone)
 	}
 	if w, r, _ := a.snapshot(); w != 0 || r != 1 {
@@ -60,17 +97,17 @@ func TestAdmissionBounds(t *testing.T) {
 	}
 
 	release()
-	release2, status := a.acquire(context.Background())
+	release2, status := acquireWithin(t, a, context.Background(), "reacquire after release")
 	if status != 0 {
 		t.Fatalf("reacquire after release: status %d", status)
 	}
-	if _, st := a.acquire(ctx); st != statusClientGone {
+	if _, st := acquireWithin(t, a, ctx, "dead-context caller"); st != statusClientGone {
 		t.Errorf("dead-context caller: status %d, want %d", st, statusClientGone)
 	}
 	release2()
 
 	a.beginDrain()
-	if _, st := a.acquire(context.Background()); st != http.StatusServiceUnavailable {
+	if _, st := acquireWithin(t, a, context.Background(), "acquire after drain"); st != http.StatusServiceUnavailable {
 		t.Errorf("acquire after drain: status %d, want 503", st)
 	}
 	if _, _, draining := a.snapshot(); !draining {
@@ -83,7 +120,7 @@ func TestAdmissionBounds(t *testing.T) {
 // queued caller with 503.
 func TestAdmissionQueueFull(t *testing.T) {
 	a := newAdmission(1, 1)
-	release, status := a.acquire(context.Background())
+	release, status := acquireWithin(t, a, context.Background(), "acquire")
 	if status != 0 {
 		t.Fatalf("acquire: status %d", status)
 	}
@@ -94,14 +131,16 @@ func TestAdmissionQueueFull(t *testing.T) {
 		_, st := a.acquire(context.Background())
 		queued <- st
 	}()
-	for {
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
 		if w, _, _ := a.snapshot(); w == 1 {
 			break
 		}
-		time.Sleep(time.Millisecond)
+		if time.Since(start) > stallLimit {
+			t.Fatalf("queued caller never entered the waiting room within %v", stallLimit)
+		}
 	}
 	// ...so the next caller is rejected at the door.
-	if _, st := a.acquire(context.Background()); st != http.StatusTooManyRequests {
+	if _, st := acquireWithin(t, a, context.Background(), "overflow caller"); st != http.StatusTooManyRequests {
 		t.Errorf("overflow caller: status %d, want 429", st)
 	}
 
@@ -112,11 +151,11 @@ func TestAdmissionQueueFull(t *testing.T) {
 		a.beginDrain()
 		close(done)
 	}()
-	if st := <-queued; st != http.StatusServiceUnavailable {
+	if st := recvWithin(t, queued, "queued caller after drain"); st != http.StatusServiceUnavailable {
 		t.Errorf("queued caller after drain: status %d, want 503", st)
 	}
 	release()
-	<-done
+	recvWithin(t, done, "beginDrain after the slot holder released")
 }
 
 // TestCancelledClientStopsChase sends a request whose context is
@@ -164,10 +203,10 @@ func TestCancelledClientStopsChase(t *testing.T) {
 }
 
 // TestDrainStress is the graceful-shutdown race check (run under
-// -race): concurrent clients hammer /ask while the server drains
-// mid-flight. Invariants: every response is a complete 200 answer or a
-// clean 429/503 rejection; every admitted job completes (none dropped);
-// and no job is admitted after drain returns.
+// -race): concurrent clients hammer /ask, and a poller /stats, while
+// the server drains mid-flight. Invariants: every response is a
+// complete 200 answer or a clean 429/503 rejection; every admitted job
+// completes (none dropped); and no job is admitted after drain returns.
 func TestDrainStress(t *testing.T) {
 	srv, ts := newTestServer(t, 2, 64, false)
 	body := smokeAskBody("")
@@ -208,6 +247,24 @@ func TestDrainStress(t *testing.T) {
 			}
 		}()
 	}
+	// A poller reads /stats throughout, so -race also sees every counter
+	// and gauge read while the handlers update them.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var stats statsResponse
+			if err := smokeGet(ts.URL+"/stats", &stats); err != nil {
+				t.Errorf("/stats under stress: %v", err)
+				return
+			}
+		}
+	}()
 
 	// Let real work get admitted, then drain mid-flight.
 	for srv.stats.admitted.Load() < 16 {

@@ -3,164 +3,173 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
+	"slices"
 	"strings"
-
-	"wqe/internal/lint/callgraph"
 )
 
-// DetSource returns the detsource analyzer: a taint-style reachability
-// check from canonical-output packages (query, ops, chase, exemplar) to
-// nondeterminism sources anywhere in the module.
+// DetSource returns the detsource analyzer: nondeterminism sources must
+// not appear where they can reach canonical output — in a
+// canonical-output package (query, ops, chase, exemplar) or in any
+// module package one of them imports, directly or transitively.
 //
 // mapiter polices map ranges inside the canonical packages themselves;
-// detsource closes the interprocedural gap: a helper three calls away
-// that ranges a map, reads the wall clock, draws from the global
+// detsource closes the gap through helper packages: a helper that
+// ranges a map, reads the wall clock, draws from the global
 // math/rand, or races a multi-way select still perturbs canonical
-// output, and each finding carries the witness call chain that proves
-// the reachability. Code not reachable from a canonical package is
-// deliberately left alone.
+// output. Scope is by import, not by call: every function of an
+// imported package counts, whether or not canonical code calls it, and
+// a source injected from a package no canonical package imports (a
+// benchmark's clock, say) is out of scope. Each finding names the
+// import chain that puts its package in scope.
 func DetSource() *Analyzer {
-	facts := make(map[*Module][]Finding)
-	prepare := func(mod *Module) {
-		if _, ok := facts[mod]; !ok {
-			facts[mod] = runDetSourceModule(mod)
-		}
-	}
 	return &Analyzer{
-		Name:    "detsource",
-		Doc:     "nondeterminism sources must not be reachable from canonical-output packages",
-		Prepare: prepare,
+		Name: "detsource",
+		Doc:  "nondeterminism sources must not appear in canonical-output packages or the module packages they import",
 		Run: func(mod *Module, pkg *Package) []Finding {
-			prepare(mod)
-			return findingsIn(facts[mod], pkg)
+			chain := importChain(mod, pkg)
+			if chain == nil {
+				return nil
+			}
+			return scanDetSources(pkg, chainDesc(mod, chain))
 		},
 	}
 }
 
-func runDetSourceModule(mod *Module) []Finding {
-	cg := CallGraphOf(mod)
-	var roots []*callgraph.Node
-	for _, n := range cg.Nodes {
-		if canonicalOutputPkgs[n.Pkg.Name] {
-			roots = append(roots, n)
+// importChain returns the shortest chain of module-internal imports
+// from a canonical-output package to target (just target when it is
+// canonical itself), or nil when no canonical package imports it.
+func importChain(mod *Module, target *Package) []*Package {
+	byPath := make(map[string]*Package, len(mod.Pkgs))
+	for _, p := range mod.Pkgs {
+		byPath[p.PkgPath] = p
+	}
+	parent := map[*Package]*Package{}
+	var queue []*Package
+	for _, p := range mod.Pkgs {
+		if canonicalOutputPkgs[p.Name()] {
+			parent[p] = nil
+			queue = append(queue, p)
 		}
 	}
-	if len(roots) == 0 {
+	_, found := parent[target]
+	for len(queue) > 0 && !found {
+		p := queue[0]
+		queue = queue[1:]
+		for _, path := range imports(p, byPath) {
+			dep := byPath[path]
+			if _, seen := parent[dep]; !seen {
+				parent[dep] = p
+				queue = append(queue, dep)
+				found = found || dep == target
+			}
+		}
+	}
+	if !found {
 		return nil
 	}
-	parent := cg.ReachableFrom(roots)
-
-	var out []Finding
-	for _, n := range cg.Nodes {
-		if _, reachable := parent[n]; !reachable || n.Decl.Body == nil {
-			continue
-		}
-		via := pathDesc(callgraph.PathTo(parent, n))
-		out = append(out, scanDetSources(mod.Fset, n, via)...)
+	var chain []*Package
+	for p := target; p != nil; p = parent[p] {
+		chain = append(chain, p)
 	}
-	return out
+	slices.Reverse(chain)
+	return chain
 }
 
-// pathDesc renders a witness path for the diagnostic: the chain of
-// calls from a canonical-output package, or just the package when the
-// tainted function lives there directly.
-func pathDesc(path []*callgraph.Node) string {
-	if len(path) == 1 {
-		return fmt.Sprintf("in canonical-output package %s", path[0].Pkg.Name)
+// chainDesc renders an import chain for the diagnostic.
+func chainDesc(mod *Module, chain []*Package) string {
+	if len(chain) == 1 {
+		return fmt.Sprintf("in canonical-output package %s", chain[0].Name())
 	}
-	ids := make([]string, len(path))
-	for i, n := range path {
-		ids[i] = n.ID
+	paths := make([]string, len(chain))
+	for i, p := range chain {
+		paths[i] = displayPath(mod, p)
 	}
-	return "reached from canonical output via " + strings.Join(ids, " → ")
+	return "imported by canonical output via " + strings.Join(paths, " → ")
 }
 
-// scanDetSources walks one reachable function body for the four source
-// kinds. Map ranges inside canonical packages are mapiter's to report;
+// displayPath shortens a package import path to its module-relative
+// form ("wqe/internal/chase" → "internal/chase"); the root package is
+// shown by name.
+func displayPath(mod *Module, p *Package) string {
+	if p.PkgPath == mod.Path {
+		return p.Name()
+	}
+	return strings.TrimPrefix(p.PkgPath, mod.Path+"/")
+}
+
+// scanDetSources walks a package in scope for the four source kinds.
+// Map ranges inside canonical packages are mapiter's to report;
 // everything else is flagged here regardless of package.
-func scanDetSources(fset *token.FileSet, n *callgraph.Node, via string) []Finding {
+func scanDetSources(pkg *Package, via string) []Finding {
 	var out []Finding
-	info := n.Pkg.Info
-	canonical := canonicalOutputPkgs[n.Pkg.Name]
-	ast.Inspect(n.Decl, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.RangeStmt:
-			if canonical {
-				return true
-			}
-			t := info.TypeOf(node.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if collectOnlyBody(info, node) {
-				return true
-			}
-			out = append(out, Finding{
-				Pos:  fset.Position(node.Pos()),
-				Rule: "detsource",
-				Msg: fmt.Sprintf("range over map has nondeterministic order, %s; "+
-					"collect keys and sort them first, or //lint:ignore detsource <reason>", via),
-			})
-		case *ast.SelectorExpr:
-			pkgPath, name, ok := stdlibUse(info, node)
-			if !ok {
-				return true
-			}
-			switch {
-			case pkgPath == "time" && name == "Now":
-				out = append(out, Finding{
-					Pos:  fset.Position(node.Pos()),
-					Rule: "detsource",
-					Msg: fmt.Sprintf("time.Now reads the wall clock, %s; "+
-						"inject a clock, or //lint:ignore detsource <reason>", via),
-				})
-			case pkgPath == "math/rand" && name != "New" && name != "NewSource":
-				out = append(out, Finding{
-					Pos:  fset.Position(node.Pos()),
-					Rule: "detsource",
-					Msg: fmt.Sprintf("math/rand.%s draws from the global random source, %s; "+
-						"use rand.New(rand.NewSource(seed)), or //lint:ignore detsource <reason>", name, via),
-				})
-			}
-		case *ast.SelectStmt:
-			// Randomness needs two comm cases ready at once. A single comm
-			// case — with or without a default (the non-blocking try) — is
-			// deterministic: the spec's pseudo-random choice only arbitrates
-			// between ready comm cases, and default never races.
-			comm := 0
-			for _, clause := range node.Body.List {
-				if c, ok := clause.(*ast.CommClause); ok && c.Comm != nil {
-					comm++
+	info := pkg.Info
+	canonical := canonicalOutputPkgs[pkg.Name()]
+	report := func(node ast.Node, msg string, args ...any) {
+		out = append(out, Finding{
+			Pos:  pkg.Fset.Position(node.Pos()),
+			Rule: "detsource",
+			Msg:  fmt.Sprintf(msg, args...),
+		})
+	}
+	for _, file := range pkg.Files {
+		ast.Inspect(file, func(node ast.Node) bool {
+			switch node := node.(type) {
+			case *ast.RangeStmt:
+				if canonical {
+					return true
+				}
+				t := info.TypeOf(node.X)
+				if t == nil {
+					return true
+				}
+				if _, isMap := t.Underlying().(*types.Map); !isMap || collectOnlyBody(info, node) {
+					return true
+				}
+				report(node, "range over map has nondeterministic order, %s; "+
+					"collect keys and sort them first, or //lint:ignore detsource <reason>", via)
+			case *ast.SelectorExpr:
+				pkgPath, name, ok := stdlibUse(info, node)
+				switch {
+				case !ok:
+				case pkgPath == "time" && name == "Now":
+					report(node, "time.Now reads the wall clock, %s; "+
+						"inject a clock, or //lint:ignore detsource <reason>", via)
+				case pkgPath == "math/rand" && name != "New" && name != "NewSource":
+					report(node, "math/rand.%s draws from the global random source, %s; "+
+						"use rand.New(rand.NewSource(seed)), or //lint:ignore detsource <reason>", name, via)
+				}
+			case *ast.SelectStmt:
+				// Randomness needs two comm cases ready at once. A single comm
+				// case — with or without a default (the non-blocking try) — is
+				// deterministic: the spec's pseudo-random choice only arbitrates
+				// between ready comm cases, and default never races.
+				comm := 0
+				for _, clause := range node.Body.List {
+					if c, ok := clause.(*ast.CommClause); ok && c.Comm != nil {
+						comm++
+					}
+				}
+				if comm >= 2 {
+					report(node, "select with multiple cases picks a ready case at random, %s; "+
+						"restructure, or //lint:ignore detsource <reason>", via)
 				}
 			}
-			if comm < 2 {
-				return true
-			}
-			out = append(out, Finding{
-				Pos:  fset.Position(node.Pos()),
-				Rule: "detsource",
-				Msg: fmt.Sprintf("select with multiple cases picks a ready case at random, %s; "+
-					"restructure, or //lint:ignore detsource <reason>", via),
-			})
-		}
-		return true
-	})
+			return true
+		})
+	}
 	return out
 }
 
 // stdlibUse resolves a selector to (package path, name) when it names a
-// package-level function or value of an imported package.
+// package-level function or value of an imported package; a type name
+// (rand.Rand in a field declaration, say) is not a use.
 func stdlibUse(info *types.Info, sel *ast.SelectorExpr) (string, string, bool) {
 	if _, isMethod := info.Selections[sel]; isMethod {
 		return "", "", false
 	}
 	obj := info.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
+	if _, isType := obj.(*types.TypeName); obj == nil || isType || obj.Pkg() == nil {
 		return "", "", false
 	}
 	return obj.Pkg().Path(), obj.Name(), true

@@ -1,63 +1,29 @@
 // Package lint implements wqe's repo-specific static-analysis suite
 // using only the standard library's go/parser, go/ast, and go/types.
 //
-// Twelve analyzers enforce the invariants the paper's algorithms
-// depend on for reproducible output. The interprocedural ones
-// (lockcheck, lockorder, atomicfield, detsource) share a module-wide
-// static call graph built by internal/lint/callgraph, and the
-// flow-sensitive ones (lockcheck, lockorder, atomicfield, ctxflow,
-// leakcheck) share the control-flow graphs and dataflow solver of
-// internal/lint/cfg:
+// Six analyzers enforce the invariants the paper's algorithms depend on
+// for reproducible output, each one a defect that neither `go vet`,
+// `-race` nor the tests catch (DESIGN.md §9 names the probe for each):
 //
 //   - mapiter: no raw `for range` over maps in canonical-output
 //     packages (query, ops, chase, exemplar) — Go randomizes map
 //     iteration order, which silently breaks tie-broken top-k ranking;
 //     collect keys and sort them first.
-//   - lockcheck: struct fields annotated `// guarded by <mu>` must be
-//     reached only on call paths that hold the mutex. Intra-function
-//     facts come from a flow-sensitive lock-set analysis (must-held
-//     discharges accesses, may-held detects deadlocks, deferred
-//     unlocks fire on exit edges); per-function summaries propagate
-//     along the call graph, so helpers that rely on the caller's lock
-//     are verified rather than name-trusted. Findings carry the
-//     witness call chain; locks whose release is neither performed nor
-//     scheduled on some exit path, releases with no pairing
-//     acquisition, and re-acquisitions of a may-held lock are reported
-//     on every function.
-//   - lockorder: a module-wide lock-acquisition-order graph — nodes
-//     are lock identities (struct-field mutexes with stripe arrays
-//     summarized per field, package-level locks), an edge A→B means
-//     "B was acquired while A was held", propagated through the call
-//     graph with witness chains. Every cycle is a potential AB-BA
-//     deadlock and is reported with a two-sided witness.
-//   - atomicfield: a struct field accessed through sync/atomic (or
-//     typed atomic.Int64-family) anywhere must be accessed that way
-//     everywhere — plain reads tear against atomic writers. Plain
-//     access is exempt before publication (constructor bodies prior to
-//     first escape) and under a mutex held at every access.
 //   - detsource: nondeterminism sources (raw map range, time.Now,
-//     global math/rand, multi-way select) must not be reachable from
-//     canonical-output packages, along any call chain.
-//   - errdrop: internal packages must not silently discard error
-//     returns (`_ =` or bare call statements).
+//     global math/rand, multi-way select) must not appear in a
+//     canonical-output package or in any module package one imports,
+//     directly or transitively.
+//   - errdrop: internal packages and command mains must not silently
+//     discard error returns (`_ =` or bare call statements).
 //   - panicfree: library code must not panic; only functions whose doc
 //     comment carries an `invariant:` marker may, to assert genuinely
 //     unreachable states.
-//   - floateq: no ==/!= on floating-point operands in closeness/ranking
-//     code (chase, exemplar) — compare with explicit </> arms instead.
 //   - gobound: no raw `go` statements outside internal/par — all
 //     fan-out goes through the bounded, joined, panic-propagating
 //     worker pool, keeping output independent of completion order.
-//   - ctxflow: a function that receives a context.Context must thread
-//     it into every blocking or spawning operation on every path —
-//     bare sends/receives, time.Sleep, fresh context roots, and
-//     context-blind spawns are flagged.
-//   - leakcheck: a spawned goroutine must be joined or cancellable;
-//     a completion signal (WaitGroup.Done, close/send on a local
-//     unbuffered channel) dropped on some path to return is a leak.
 //   - lintignore: a `//lint:ignore` directive must carry a
-//     justification; a bare directive is itself a finding and
-//     suppresses nothing.
+//     justification and name existing rules; a bare directive is itself
+//     a finding and suppresses nothing.
 //
 // Any finding can be suppressed with a trailing or preceding
 // `//lint:ignore <rule> <reason>` comment — the reason is mandatory.
@@ -84,20 +50,14 @@ func (f Finding) String() string {
 }
 
 // Analyzer is one lint pass. Run receives a fully type-checked package
-// and the whole module (for cross-package facts such as guarded-field
-// declarations) and reports findings; suppression via lint:ignore is
-// applied by the driver.
+// and the whole module (for cross-package facts such as the import
+// graph) and reports findings; suppression via lint:ignore is applied
+// by the driver.
 type Analyzer struct {
 	Name string
 	Doc  string
 	// Applies reports whether the analyzer runs on the package at all.
 	Applies func(pkg *Package) bool
-	// Prepare computes module-wide facts (call graph, lock flows,
-	// propagated summaries) before any Run call. RunAll invokes every
-	// Prepare sequentially, so the per-module caches are written
-	// single-threaded and are read-only by the time the per-package
-	// Run calls fan out across workers.
-	Prepare func(mod *Module)
 	Run     func(mod *Module, pkg *Package) []Finding
 }
 
@@ -105,43 +65,23 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		MapIter(),
-		LockCheck(),
-		LockOrderCheck(),
-		AtomicField(),
 		DetSource(),
 		ErrDrop(),
 		PanicFree(),
-		FloatEq(),
 		GoBound(),
-		CtxFlow(),
-		LeakCheck(),
 		LintIgnore(),
 	}
 }
 
 // RunAll loads nothing itself: it applies every analyzer to every
 // package of an already-loaded module, filters suppressed findings, and
-// returns the remainder sorted by position. Single-worker convenience
-// wrapper around RunAllWorkers.
+// returns the remainder sorted by position. Packages are analyzed
+// concurrently (GOMAXPROCS workers) into indexed slots, so the output
+// does not depend on scheduling: the slot order is the package order,
+// and the final sort is by position, rule, and message.
 func RunAll(mod *Module, analyzers []*Analyzer) []Finding {
-	return RunAllWorkers(mod, analyzers, 1)
-}
-
-// RunAllWorkers is RunAll with the per-package analyzer execution
-// spread over a bounded worker pool (workers < 1 means GOMAXPROCS).
-// Module-wide facts are computed up front by the Prepare hooks, then
-// packages are analyzed concurrently into indexed slots, so the merged
-// output is byte-identical for every worker count: the slot order is
-// the package order, and the final sort is by position, rule, and
-// message — nothing depends on scheduling.
-func RunAllWorkers(mod *Module, analyzers []*Analyzer, workers int) []Finding {
-	for _, a := range analyzers {
-		if a.Prepare != nil {
-			a.Prepare(mod)
-		}
-	}
 	slots := make([][]Finding, len(mod.Pkgs))
-	par.ForEach(par.Workers(workers), len(mod.Pkgs), func(i int) {
+	par.ForEach(par.Workers(0), len(mod.Pkgs), func(i int) {
 		pkg := mod.Pkgs[i]
 		ig := ignoresOf(pkg)
 		for _, a := range analyzers {

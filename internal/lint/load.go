@@ -23,8 +23,6 @@ import (
 type Package struct {
 	// PkgPath is the import path ("wqe/internal/chase").
 	PkgPath string
-	// Dir is the absolute directory holding the package sources.
-	Dir string
 	// Fset is the file set shared by every package of one Load.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, sorted by file name.
@@ -193,7 +191,7 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) 
 	if rel != "." {
 		pkgPath = modPath + "/" + filepath.ToSlash(rel)
 	}
-	return &Package{PkgPath: pkgPath, Dir: dir, Fset: fset, Files: files}, nil
+	return &Package{PkgPath: pkgPath, Fset: fset, Files: files}, nil
 }
 
 // imports returns the module-internal import paths of a parsed package.

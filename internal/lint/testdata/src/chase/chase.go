@@ -1,7 +1,6 @@
-// Package chase is a lint fixture: its name puts it in floateq's scope
-// (closeness and ranking code) as well as mapiter's, and makes it a
-// taint root for detsource — nondeterminism sources it can reach
-// through any call chain (see fixture/det) are flagged.
+// Package chase is a lint fixture: its name puts it in mapiter's scope
+// and makes it a root for detsource — nondeterminism sources in any
+// package it imports (see fixture/det) are flagged.
 package chase
 
 import (
@@ -10,11 +9,11 @@ import (
 	"fixture/det"
 )
 
-// Pipeline hands ranking work to a helper package; detsource follows
-// the chain to the map range two hops down.
+// Pipeline hands ranking work to a helper package; detsource flags the
+// map range there because chase imports det.
 func Pipeline(m map[string]int) int { return det.Hop1(m) }
 
-// Uses reaches each taint source in det; the findings land there.
+// Uses calls each taint source in det; the findings land there.
 func Uses(a, b chan int) int64 {
 	det.Jitter()
 	det.Seeded(7)
@@ -27,34 +26,4 @@ func Uses(a, b chan int) int64 {
 // flagged in place.
 func Clock() int64 {
 	return time.Now().UnixNano() // want detsource
-}
-
-// Score compares closeness values with exact equality: flagged.
-func Score(a, b float64) bool {
-	return a == b // want floateq
-}
-
-// Distinct is the != form: flagged.
-func Distinct(a, b float64) bool {
-	if a != b { // want floateq
-		return true
-	}
-	return false
-}
-
-// Ordered comparisons are fine.
-func Ordered(a, b float64) bool { return a < b }
-
-// Ints may use exact equality.
-func Ints(a, b int) bool { return a == b }
-
-// Tolerated carries a justification for an exact sentinel compare.
-func Tolerated(a float64) bool {
-	//lint:ignore floateq comparing against an exact sentinel value
-	return a == -1
-}
-
-// Mixed flags when only one operand is a float.
-func Mixed(a float64) bool {
-	return a == 0 // want floateq
 }

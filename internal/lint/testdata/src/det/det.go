@@ -1,6 +1,7 @@
 // Package det is a lint fixture for detsource: it is NOT a
-// canonical-output package, so its nondeterminism sources are flagged
-// only where a call chain from chase (see fixture/chase) reaches them.
+// canonical-output package, but chase (see fixture/chase) imports it,
+// so its nondeterminism sources are flagged with the import chain. A
+// package no canonical package imports is left alone (see fixture/lib).
 package det
 
 import (
@@ -11,8 +12,7 @@ import (
 // Hop1 merely forwards; the tainted range lives one hop further down.
 func Hop1(m map[string]int) int { return Hop2(m) }
 
-// Hop2 ranges a map in iteration order and is reachable from
-// chase.Pipeline via Hop1: flagged, with the witness chain.
+// Hop2 ranges a map in iteration order: flagged, with the import chain.
 func Hop2(m map[string]int) int {
 	total := 0
 	for _, v := range m { // want detsource
@@ -23,11 +23,11 @@ func Hop2(m map[string]int) int {
 	return total
 }
 
-// Orphan has the same tainted shape but no path from canonical output
-// reaches it: not flagged.
+// Orphan has the same tainted shape and no canonical code calls it,
+// but its package is imported by one: scope is by import, so flagged.
 func Orphan(m map[string]int) int {
 	total := 0
-	for _, v := range m {
+	for _, v := range m { // want detsource
 		if v > 0 {
 			total += v
 		}

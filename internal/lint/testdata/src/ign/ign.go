@@ -1,7 +1,7 @@
 // Package ign is a lint fixture for lintignore: every lint:ignore
-// directive must carry a justification after its rule list. A bare
-// directive is itself flagged and suppresses nothing, so the finding it
-// tried to waive surfaces too.
+// directive must carry a justification after its rule list and name
+// rules the suite has. A bare directive is itself flagged and
+// suppresses nothing, so the finding it tried to waive surfaces too.
 package ign
 
 // Unjustified carries a rule but no reason: the directive is flagged
@@ -15,6 +15,14 @@ func Unjustified() {
 func NoRule() {
 	//lint:ignore // want lintignore
 	panic("boom") // want panicfree
+}
+
+// Retired waives a rule the suite no longer has: the directive is
+// flagged (the justification does not save it), so a waiver cannot
+// outlive its rule.
+func Retired(ch chan int) {
+	//lint:ignore ctxflow the rule this waived was retired // want lintignore
+	ch <- 1
 }
 
 // Justified is the well-formed escape hatch: it suppresses and is not

@@ -37,3 +37,15 @@ func Suppressed() {
 func DropOutsideInternal() {
 	Quiet(false)
 }
+
+// Sum ranges a map, but no canonical-output package imports lib, so
+// detsource does not apply here.
+func Sum(m map[string]int) int {
+	total := 0
+	for _, v := range m {
+		if v > 0 {
+			total += v
+		}
+	}
+	return total
+}

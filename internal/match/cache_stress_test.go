@@ -8,9 +8,8 @@ import (
 
 // TestCacheConcurrentStress hammers one star-view cache from many
 // goroutines with interleaved Get/Put/Len/Counters. Run under -race it
-// proves the core's "guarded by mu" annotations hold dynamically for
-// the star cache's Get/Put traffic, not just under wqe-lint's lexical
-// lockcheck.
+// is what enforces the core's "guarded by mu" annotations for the star
+// cache's Get/Put traffic.
 func TestCacheConcurrentStress(t *testing.T) {
 	const (
 		capacity = 32
