@@ -63,10 +63,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *format != "text" && *format != "github" {
 		return fail(stderr, fmt.Errorf("unknown -format %q (want text or github)", *format))
 	}
+	// Rules are checked before the module loads: a typo costs no
+	// type-check, and is reported even where loading would fail.
+	analyzers, err := selectAnalyzers(*rules)
+	if err != nil {
+		return fail(stderr, err)
+	}
 
 	dir := *root
 	if dir == "" {
-		var err error
 		dir, err = findModuleRoot()
 		if err != nil {
 			return fail(stderr, err)
@@ -79,11 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	mod, err := lint.Load(dir)
-	if err != nil {
-		return fail(stderr, err)
-	}
-
-	analyzers, err := selectAnalyzers(*rules)
 	if err != nil {
 		return fail(stderr, err)
 	}

@@ -144,14 +144,17 @@ func TestLoadError(t *testing.T) {
 	}
 }
 
-// TestBadRule pins exit 2 on an unknown -rules entry.
+// TestBadRule pins exit 2 on an unknown -rules entry, named before any
+// load: on a root that is no module at all, the rule is still the error.
 func TestBadRule(t *testing.T) {
-	_, errText, code := runOnce(t, "-root", fixtureRoot, "-rules", "nosuchrule")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2; stderr:\n%s", code, errText)
-	}
-	if !strings.Contains(errText, "nosuchrule") {
-		t.Errorf("error should name the unknown rule, got %q", errText)
+	for _, root := range []string{fixtureRoot, t.TempDir()} {
+		_, errText, code := runOnce(t, "-root", root, "-rules", "nosuchrule")
+		if code != 2 {
+			t.Fatalf("root %s: exit code = %d, want 2; stderr:\n%s", root, code, errText)
+		}
+		if !strings.Contains(errText, "nosuchrule") {
+			t.Errorf("root %s: error should name the unknown rule, got %q", root, errText)
+		}
 	}
 }
 

@@ -298,7 +298,7 @@ func (s *server) askHandler(forceAlgo string, explain bool) http.HandlerFunc {
 			return
 		}
 		s.stats.completed.Add(1)
-		s.writeJSON(rw, answerJSON(h, &req, res, explain))
+		s.writeJSON(rw, answerJSON(h, job, res, explain))
 	}
 }
 
@@ -343,12 +343,12 @@ func (s *server) handleFor(name string) (*graphHandle, error) {
 	return h, nil
 }
 
-// answerJSON renders one batch result.
-func answerJSON(h *graphHandle, req *askRequest, res chase.BatchResult, explain bool) askResponse {
+// answerJSON renders the result of one batch job.
+func answerJSON(h *graphHandle, job chase.BatchJob, res chase.BatchResult, explain bool) askResponse {
 	a := res.Answer
 	out := askResponse{
 		Graph:     h.name,
-		Algo:      algoName(req),
+		Algo:      job.AlgoName(),
 		Rewrite:   a.Query.String(),
 		Ops:       []string{},
 		Cost:      a.Cost,
@@ -373,16 +373,6 @@ func answerJSON(h *graphHandle, req *askRequest, res chase.BatchResult, explain 
 		out.Explanation = a.Explain(h.g)
 	}
 	return out
-}
-
-func algoName(req *askRequest) string {
-	switch {
-	case req.Algo != "":
-		return req.Algo
-	case req.Beam > 0:
-		return "heu"
-	}
-	return "answ"
 }
 
 type askAllResponse struct {
@@ -458,7 +448,7 @@ func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 			out.Results[i] = askAllResult{Error: res.Err.Error()}
 			continue
 		}
-		a := answerJSON(h, &req.Jobs[i], res, false)
+		a := answerJSON(h, jobs[i], res, false)
 		out.Results[i] = askAllResult{Answer: &a}
 	}
 	s.stats.completed.Add(1)

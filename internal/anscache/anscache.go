@@ -25,7 +25,7 @@
 // from their own compute attempt.
 //
 // Statistics live in atomic counters (hits, misses, coalesced waits,
-// evictions, size, invalidations) so snapshots never take a shard lock.
+// evictions, size) so snapshots never take a shard lock.
 package anscache
 
 import (
@@ -68,16 +68,15 @@ type Cache[V any] struct {
 	shards []shard[V]
 	mask   uint32
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	coalesced     atomic.Int64
-	evictions     atomic.Int64
-	size          atomic.Int64
-	invalidations atomic.Int64
+	hits      atomic.Int64
+	misses    atomic.Int64
+	coalesced atomic.Int64
+	evictions atomic.Int64
+	size      atomic.Int64
 }
 
 // shard is one stripe: an independent decaying map with its own lock,
-// logical clock, generation counter, and singleflight table.
+// logical clock, victims heap and singleflight table.
 type shard[V any] struct {
 	// cap and decay are immutable after construction.
 	cap   int
@@ -86,7 +85,6 @@ type shard[V any] struct {
 	// mu guards every mutable field below.
 	mu       sync.Mutex
 	tick     int64                 // guarded by mu
-	gen      int64                 // guarded by mu; bumped by InvalidateAll
 	entries  map[string]*entry[V]  // guarded by mu
 	victims  victims[V]            // guarded by mu; the entries, next victim first
 	inflight map[string]*flight[V] // guarded by mu
@@ -283,14 +281,14 @@ const (
 func (c *Cache[V]) GetOrCompute(key string, compute func() (V, bool)) (V, Outcome) {
 	s := c.shardFor(key)
 	for {
-		v, f, gen, state := s.lookup(key)
+		v, f, state := s.lookup(key)
 		switch state {
 		case lookupHit:
 			c.hits.Add(1)
 			return v, Hit
 		case lookupOwner:
 			c.misses.Add(1)
-			return s.runFlight(c, key, gen, f, compute), Miss
+			return s.runFlight(c, key, f, compute), Miss
 		default:
 			<-f.done
 			if !f.failed {
@@ -304,32 +302,30 @@ func (c *Cache[V]) GetOrCompute(key string, compute func() (V, bool)) (V, Outcom
 
 // lookup is GetOrCompute's locked phase: a hit returns the value; a
 // miss returns the flight to wait on, or a freshly registered flight
-// (plus the shard generation it must commit against) when this caller
-// must run the compute.
-func (s *shard[V]) lookup(key string) (v V, f *flight[V], gen int64, state lookupState) {
+// when this caller must run the compute.
+func (s *shard[V]) lookup(key string) (v V, f *flight[V], state lookupState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tick++
 	if e, ok := s.entries[key]; ok {
 		s.bumpLocked(e)
-		return e.val, nil, 0, lookupHit
+		return e.val, nil, lookupHit
 	}
 	if in, ok := s.inflight[key]; ok {
-		return v, in, 0, lookupWait
+		return v, in, lookupWait
 	}
 	f = &flight[V]{done: make(chan struct{})}
 	s.inflight[key] = f
-	return v, f, s.gen, lookupOwner
+	return v, f, lookupOwner
 }
 
 // runFlight executes one singleflight compute (outside the shard lock)
 // and publishes its outcome: on success the flight resolves to the
-// value and — if compute said to store it and no InvalidateAll ran
-// since the flight registered — the entry is inserted; on panic the
-// deferred handler marks the flight failed, closes it, and deletes the
-// in-flight entry, waking every waiter, before the panic continues to
-// the caller.
-func (s *shard[V]) runFlight(c *Cache[V], key string, gen int64, f *flight[V], compute func() (V, bool)) V {
+// value and, if compute said to store it, the entry is inserted; on
+// panic the deferred handler marks the flight failed, closes it, and
+// deletes the in-flight entry, waking every waiter, before the panic
+// continues to the caller.
+func (s *shard[V]) runFlight(c *Cache[V], key string, f *flight[V], compute func() (V, bool)) V {
 	committed := false
 	defer func() {
 		if committed {
@@ -349,12 +345,7 @@ func (s *shard[V]) runFlight(c *Cache[V], key string, gen int64, f *flight[V], c
 	s.mu.Lock()
 	delete(s.inflight, key)
 	s.tick++
-	// The generation check is the InvalidateAll seam: a flight that
-	// started before an invalidation must not re-seed the cleared map
-	// with a stale answer. Its waiters still receive the value — they
-	// joined a computation that began under the old state — but the
-	// memo stays empty for requests arriving after the invalidation.
-	if store && s.gen == gen {
+	if store {
 		s.putLocked(c, key, v)
 	}
 	s.mu.Unlock()
@@ -409,28 +400,6 @@ func (s *shard[V]) evictWorstLocked(c *Cache[V]) {
 	c.evictions.Add(1)
 }
 
-// InvalidateAll drops every resident value and bumps each shard's
-// generation so in-flight computes cannot re-seed the map with stale
-// answers. This is the seam the dynamic-graphs work will call on every
-// mutation batch: a graph update invalidates all memoized answers at
-// once, and the next identical request recomputes against the new
-// state. In-flight waiters still receive their flight's value — they
-// joined a computation that began before the invalidation.
-func (c *Cache[V]) InvalidateAll() {
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.gen++
-		dropped += len(s.entries)
-		s.entries = map[string]*entry[V]{}
-		s.victims = nil
-		s.mu.Unlock()
-	}
-	c.size.Add(int64(-dropped))
-	c.invalidations.Add(1)
-}
-
 // Counters is the cache's full atomic counter set, snapshot lock-free.
 // Hits+Misses+Coalesced equals the number of completed Get and
 // GetOrCompute calls (a panicking compute counts its Miss but delivers
@@ -440,12 +409,11 @@ func (c *Cache[V]) InvalidateAll() {
 // never reads them — so exposing them (e.g. through a server's /stats
 // endpoint) cannot perturb byte-identical output.
 type Counters struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Coalesced     int64 `json:"coalesced"`
-	Evictions     int64 `json:"evictions"`
-	Size          int64 `json:"size"`
-	Invalidations int64 `json:"invalidations"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Coalesced int64 `json:"coalesced"`
+	Evictions int64 `json:"evictions"`
+	Size      int64 `json:"size"`
 }
 
 // Counters snapshots every counter without taking a shard lock. The
@@ -453,11 +421,10 @@ type Counters struct {
 // traffic is per-counter exact but not a cross-counter instant.
 func (c *Cache[V]) Counters() Counters {
 	return Counters{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Coalesced:     c.coalesced.Load(),
-		Evictions:     c.evictions.Load(),
-		Size:          c.size.Load(),
-		Invalidations: c.invalidations.Load(),
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Coalesced: c.coalesced.Load(),
+		Evictions: c.evictions.Load(),
+		Size:      c.size.Load(),
 	}
 }

@@ -351,49 +351,10 @@ func TestBumpSurvivesHugeTickGap(t *testing.T) {
 	}
 }
 
-// TestInvalidateAll: resident answers drop, and a flight that started
-// before the invalidation delivers its value to waiters but does not
-// re-seed the cleared map (the dynamic-graphs seam).
-func TestInvalidateAll(t *testing.T) {
-	c := New[int](8, 1)
-	c.GetOrCompute("old", func() (int, bool) { return 1, true })
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	var g par.Group
-	var flightVal int
-	g.Go(func() {
-		flightVal, _ = c.GetOrCompute("inflight", func() (int, bool) {
-			close(entered)
-			<-gate
-			return 2, true
-		})
-	})
-	<-entered
-
-	c.InvalidateAll()
-	if got := c.Counters(); got.Size != 0 || got.Invalidations != 1 {
-		t.Fatalf("after invalidate: %+v", got)
-	}
-
-	close(gate)
-	g.Wait()
-	if flightVal != 2 {
-		t.Fatalf("in-flight caller got %d, want its flight's value 2", flightVal)
-	}
-	// The stale flight must not have re-seeded the map.
-	if _, o := c.GetOrCompute("inflight", func() (int, bool) { return 3, true }); o != Miss {
-		t.Fatalf("post-invalidation access = %v, want Miss (stale flight must not commit)", o)
-	}
-	if _, o := c.GetOrCompute("old", func() (int, bool) { return 4, true }); o != Miss {
-		t.Fatalf("old key after invalidation = %v, want Miss", o)
-	}
-}
-
 // TestConcurrentStress hammers a small cache from many workers with
-// overlapping keys, evictions, and periodic invalidations — the -race
-// sweep for the stripe discipline. Every caller must get the value its
-// key's compute produces.
+// overlapping keys and evictions — the -race sweep for the stripe
+// discipline. Every caller must get the value its key's compute
+// produces.
 func TestConcurrentStress(t *testing.T) {
 	c := New[int](16, 4)
 	const workers, iters, keys = 8, 500, 32
@@ -406,9 +367,6 @@ func TestConcurrentStress(t *testing.T) {
 			if v != k*10 {
 				t.Errorf("key %s got %d, want %d", key, v, k*10)
 				return
-			}
-			if i%100 == 99 && w == 0 {
-				c.InvalidateAll()
 			}
 		}
 	})
@@ -525,9 +483,6 @@ func driveVictims(t *testing.T, c *Cache[int], decay float64, rng *rand.Rand) {
 				}()
 				c.GetOrCompute(key, func() (int, bool) { ran = true; panic("compute exploded") })
 			}()
-		case r < 96:
-			step = "InvalidateAll"
-			c.InvalidateAll()
 		default:
 			if decay == 1 {
 				step = "Get " + key

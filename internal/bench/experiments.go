@@ -94,7 +94,7 @@ func (h *Harness) Fig10a() *Table {
 	t := &Table{
 		ID:     "Fig 10(a)",
 		Title:  "Efficiency (mean seconds per Why-question)",
-		Header: append([]string{"dataset"}, algoNames(algos)...),
+		Header: append([]string{"dataset"}, algoHeaders(algos)...),
 	}
 	for _, ds := range datagen.AllDatasets() {
 		row := append([]string{ds}, h.timeRow(InstanceSpec{Dataset: ds}, defaultBudget, algos)...)
@@ -109,7 +109,7 @@ func (h *Harness) Fig10b() *Table {
 	t := &Table{
 		ID:     "Fig 10(b)",
 		Title:  "Scalability on " + datagen.DatasetKnowledge + " (mean seconds vs |G|)",
-		Header: append([]string{"nodes"}, algoNames(algos)...),
+		Header: append([]string{"nodes"}, algoHeaders(algos)...),
 	}
 	base := h.Opts.Scale
 	for _, frac := range []int{40, 55, 70, 85, 100} {
@@ -127,7 +127,7 @@ func (h *Harness) Fig10c() *Table {
 	t := &Table{
 		ID:     "Fig 10(c)",
 		Title:  "Efficiency vs |E_Q| on " + datagen.DatasetKnowledge,
-		Header: append([]string{"|E_Q|"}, algoNames(algos)...),
+		Header: append([]string{"|E_Q|"}, algoHeaders(algos)...),
 	}
 	for edges := 1; edges <= 6; edges++ {
 		spec := InstanceSpec{Dataset: datagen.DatasetKnowledge, Edges: edges}
@@ -142,7 +142,7 @@ func (h *Harness) budgetTable(id, dataset string) *Table {
 	t := &Table{
 		ID:     id,
 		Title:  "Efficiency vs budget B on " + dataset,
-		Header: append([]string{"B"}, algoNames(algos)...),
+		Header: append([]string{"B"}, algoHeaders(algos)...),
 	}
 	for b := 1; b <= 5; b++ {
 		spec := InstanceSpec{Dataset: dataset}
@@ -163,7 +163,7 @@ func (h *Harness) exemplarTable(id, dataset string) *Table {
 	t := &Table{
 		ID:     id,
 		Title:  "Efficiency vs |T| on " + dataset,
-		Header: append([]string{"|T|"}, algoNames(algos)...),
+		Header: append([]string{"|T|"}, algoHeaders(algos)...),
 	}
 	for _, tuples := range []int{5, 10, 15, 20, 25} {
 		spec := InstanceSpec{Dataset: dataset, Tuples: tuples}
@@ -185,7 +185,7 @@ func (h *Harness) Fig10h() *Table {
 	t := &Table{
 		ID:     "Fig 10(h)",
 		Title:  "Efficiency vs topology on " + datagen.DatasetProducts,
-		Header: append([]string{"topology"}, algoNames(algos)...),
+		Header: append([]string{"topology"}, algoHeaders(algos)...),
 	}
 	for _, shape := range []query.Topology{query.TopoStar, query.TopoTree, query.TopoCyclic} {
 		edges := 3
@@ -204,7 +204,7 @@ func (h *Harness) Fig10i() *Table {
 	t := &Table{
 		ID:     "Fig 10(i)",
 		Title:  "Relative closeness δ (Jaccard vs ground truth)",
-		Header: append([]string{"dataset"}, algoNames(algos)...),
+		Header: append([]string{"dataset"}, algoHeaders(algos)...),
 	}
 	for _, ds := range datagen.AllDatasets() {
 		row := append([]string{ds}, h.closenessRow(InstanceSpec{Dataset: ds}, defaultBudget, algos)...)
@@ -219,7 +219,7 @@ func (h *Harness) Fig10j() *Table {
 	t := &Table{
 		ID:     "Fig 10(j)",
 		Title:  "Relative closeness vs |E_Q| on " + datagen.DatasetKnowledge,
-		Header: append([]string{"|E_Q|"}, algoNames(algos)...),
+		Header: append([]string{"|E_Q|"}, algoHeaders(algos)...),
 	}
 	for edges := 1; edges <= 6; edges++ {
 		spec := InstanceSpec{Dataset: datagen.DatasetKnowledge, Edges: edges}
@@ -235,7 +235,7 @@ func (h *Harness) Fig10k() *Table {
 	t := &Table{
 		ID:     "Fig 10(k)",
 		Title:  "Relative closeness vs budget B on " + datagen.DatasetKnowledge,
-		Header: append([]string{"B"}, algoNames(algos)...),
+		Header: append([]string{"B"}, algoHeaders(algos)...),
 	}
 	// Disturb harder (5 ops) so larger budgets have headroom to help.
 	for b := 1; b <= 5; b++ {
@@ -314,7 +314,7 @@ func (h *Harness) Fig12a() *Table {
 	t := &Table{
 		ID:     "Fig 12(a)",
 		Title:  "Why-Many efficiency (mean seconds)",
-		Header: append([]string{"dataset"}, algoNames(algos)...),
+		Header: append([]string{"dataset"}, algoHeaders(algos)...),
 	}
 	for _, ds := range []string{datagen.DatasetKnowledge, datagen.DatasetMovies} {
 		spec := InstanceSpec{Dataset: ds, RelaxOnly: true}
@@ -330,7 +330,7 @@ func (h *Harness) Fig12b() *Table {
 	t := &Table{
 		ID:     "Fig 12(b)",
 		Title:  "Why-Many effectiveness (mean |IM| before → after; δ vs ground truth)",
-		Header: append([]string{"dataset", "|IM| before"}, algoNames(algos)...),
+		Header: append([]string{"dataset", "|IM| before"}, algoHeaders(algos)...),
 	}
 	for _, ds := range []string{datagen.DatasetKnowledge, datagen.DatasetMovies} {
 		spec := InstanceSpec{Dataset: ds, RelaxOnly: true}
@@ -376,7 +376,7 @@ func (h *Harness) Fig12c() *Table {
 	t := &Table{
 		ID:     "Fig 12(c)",
 		Title:  "Why-Empty efficiency (mean seconds)",
-		Header: append([]string{"dataset"}, algoNames(algos)...),
+		Header: append([]string{"dataset"}, algoHeaders(algos)...),
 	}
 	for _, ds := range []string{datagen.DatasetKnowledge, datagen.DatasetProducts} {
 		spec := InstanceSpec{Dataset: ds, RefineOnly: true, DisturbOps: 4}
@@ -449,7 +449,7 @@ func ndcg(gains []float64) float64 {
 	return dcg / idcg
 }
 
-func algoNames(algos []Algo) []string {
+func algoHeaders(algos []Algo) []string {
 	out := make([]string, len(algos))
 	for i, a := range algos {
 		out[i] = a.String()

@@ -70,6 +70,14 @@ func (j BatchJob) resolveAlgo() (algo string, beam int, ok bool) {
 	return "", 0, false
 }
 
+// AlgoName is the name of the search the job runs, as resolveAlgo
+// reads it: "heu" for a beam without an Algo, "answ" for neither, ""
+// for an unknown Algo.
+func (j BatchJob) AlgoName() string {
+	algo, _, _ := j.resolveAlgo()
+	return algo
+}
+
 // BatchResult is one job's outcome, reported in submission order.
 // Answer, Steps, and States are deterministic — byte-identical to
 // running the same job alone, for any worker count — while Elapsed is

@@ -90,12 +90,12 @@ func datasetWhys(t *testing.T, visit func(what string, w *Why, inst *datagen.Why
 			}
 			instances++
 			cfg := DefaultConfig()
-			cfg.MaxOpsPerClass = 1 << 20 // everything scored, not the capped head
 			cfg.Seed = int64(instances)
 			w, err := NewWhy(g, inst.Q, inst.E, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			w.maxOpsPerClass = 1 << 20 // everything scored, not the capped head
 			visit(fmt.Sprintf("%s instance %d", dataset, instances), w, inst)
 		}
 		if instances < 3 {

@@ -74,9 +74,6 @@ type Search struct {
 	Theta, Lambda float64
 	// Prune enables the cl⁺ pruning strategies of Lemma 5.5.
 	Prune bool
-	// MaxOpsPerClass caps how many picky operators one state generates
-	// per operator class. 0 means the default (64).
-	MaxOpsPerClass int
 	// MaxAnalysis caps how many RC/RM/IM nodes the picky generators run
 	// per-node neighborhood analysis on (highest closeness first);
 	// pickiness scores are then relative to the sample. 0 means the
@@ -163,9 +160,6 @@ func (c Search) withDefaults() Search {
 	if c.Lambda <= 0 {
 		c.Lambda = d.Lambda
 	}
-	if c.MaxOpsPerClass <= 0 {
-		c.MaxOpsPerClass = 64
-	}
 	if c.MaxAnalysis <= 0 {
 		c.MaxAnalysis = 120
 	}
@@ -217,6 +211,10 @@ type Why struct {
 	partnerSigs map[string]int32
 	// addL is AddL generation's per-value-code scratch (gen_refine.go).
 	addL addLScratch
+	// maxOpsPerClass caps how many picky operators one state generates
+	// per operator class: the constant maxOpsPerClass, which tests lift
+	// to compare everything scored.
+	maxOpsPerClass int
 
 	// Stats accumulates search effort across one algorithm run. It is
 	// written only by the algorithm goroutine (beginRun/endRun and the
@@ -290,6 +288,8 @@ func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 		partnerCache: map[partnerCacheKey][]graph.NodeID{},
 		partnerSigs:  map[string]int32{},
 		clock:        s.clock,
+
+		maxOpsPerClass: maxOpsPerClass,
 	}
 	// Warm the graph's lazy caches so concurrent Why-questions over the
 	// same graph stay race-free.

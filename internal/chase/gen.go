@@ -440,8 +440,14 @@ func identLess(a, b opIdent) bool {
 	return a.newLabel < b.newLabel
 }
 
+// maxOpsPerClass is how many picky operators one state generates per
+// operator class.
+const maxOpsPerClass = 64
+
 // finishScored converts accumulated operators into a pickiness-sorted,
-// per-class-capped slice.
+// per-class-capped slice. An accumulator with a gain set (GenRelax's)
+// has it flattened into op.Gain; one without (GenRefine's) keeps the
+// op.Gain its generator stored.
 func (w *Why) finishScored(acc map[opIdent]*accum) []scoredOp {
 	out := make([]scoredOp, 0, len(acc))
 	keys := make([]opIdent, 0, len(acc))
@@ -453,11 +459,13 @@ func (w *Why) finishScored(acc map[opIdent]*accum) []scoredOp {
 		a := acc[k]
 		a.op.Pick = a.total / float64(len(w.FocusCands))
 		a.op.Cost = a.op.Op.Cost(w.G)
-		a.op.Gain = make([]graph.NodeID, 0, len(a.gain))
-		for v := range a.gain {
-			a.op.Gain = append(a.op.Gain, v)
+		if a.gain != nil {
+			a.op.Gain = make([]graph.NodeID, 0, len(a.gain))
+			for v := range a.gain {
+				a.op.Gain = append(a.op.Gain, v)
+			}
+			sortNodes(a.op.Gain)
 		}
-		sortNodes(a.op.Gain)
 		out = append(out, a.op)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -469,13 +477,13 @@ func (w *Why) finishScored(acc map[opIdent]*accum) []scoredOp {
 		}
 		return out[i].Cost < out[j].Cost
 	})
-	out = capPerClass(out, w.Cfg.MaxOpsPerClass)
-	return out
+	return capPerClass(out, w.maxOpsPerClass)
 }
 
 // accum is one operator being scored. GenRelax accumulates gain across
 // its add calls and finishScored flattens it into op.Gain; GenRefine
-// scores an operator in one call and writes op.Gain directly.
+// scores an operator in one call, writes op.Gain directly and leaves
+// gain nil.
 type accum struct {
 	op    scoredOp
 	gain  map[graph.NodeID]bool

@@ -115,5 +115,5 @@ func (w *Why) GenRandom(q *query.Query, used map[string]bool, budgetLeft float64
 		out[i] = scoredOp{Op: o, Pick: w.rng.Float64(), Cost: o.Cost(w.G), PickyEdge: -1}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Pick > out[j].Pick })
-	return capPerClass(out, w.Cfg.MaxOpsPerClass)
+	return capPerClass(out, w.maxOpsPerClass)
 }

@@ -227,7 +227,7 @@ func (w *Why) genRefine(q *query.Query, rm, im []graph.NodeID, used map[string]b
 	g.rfL()
 	g.rfE()
 	g.addE()
-	return w.finishScoredRefine(g.acc)
+	return w.finishScored(g.acc)
 }
 
 // add records refinement o, certainly removing the given irrelevant and
@@ -801,33 +801,4 @@ func (g *refineGen) addE() {
 			NewNode: &ops.NewNodeSpec{Label: name}}, -1, imOut, nil)
 		generated++
 	}
-}
-
-// finishScoredRefine mirrors finishScored but keeps the already-computed
-// p' totals (which mix IM gain and RM loss) and the gain lists add
-// stored.
-func (w *Why) finishScoredRefine(acc map[opIdent]*accum) []scoredOp {
-	out := make([]scoredOp, 0, len(acc))
-	keys := make([]opIdent, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sortIdents(keys)
-	nf := float64(len(w.FocusCands))
-	for _, k := range keys {
-		a := acc[k]
-		a.op.Pick = a.total / nf
-		a.op.Cost = a.op.Op.Cost(w.G)
-		out = append(out, a.op)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		switch {
-		case out[i].Pick > out[j].Pick:
-			return true
-		case out[i].Pick < out[j].Pick:
-			return false
-		}
-		return out[i].Cost < out[j].Cost
-	})
-	return capPerClass(out, w.Cfg.MaxOpsPerClass)
 }

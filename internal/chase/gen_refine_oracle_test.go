@@ -259,7 +259,7 @@ func oracleGenRefine(w *Why, q *query.Query, res *match.Result, used map[string]
 	o.rfL()
 	o.rfE()
 	g.addE()
-	return w.finishScoredRefine(g.acc)
+	return w.finishScored(g.acc)
 }
 
 // sameOps compares two scored lists field by field. Values compare by
@@ -336,12 +336,11 @@ func TestGenRefineMatchesOracleOnDatasets(t *testing.T) {
 				continue
 			}
 			instances++
-			cfg := DefaultConfig()
-			cfg.MaxOpsPerClass = 1 << 20 // compare everything scored, not the capped head
-			w, err := NewWhy(g, inst.Q, inst.E, cfg)
+			w, err := NewWhy(g, inst.Q, inst.E, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
+			w.maxOpsPerClass = 1 << 20 // compare everything scored, not the capped head
 			type state struct {
 				q   *query.Query
 				seq ops.Sequence
@@ -461,12 +460,12 @@ func edgeCases() (*graph.Graph, *exemplar.Exemplar, []edgeCase) {
 func (tc edgeCase) why(t *testing.T, g *graph.Graph, e *exemplar.Exemplar) *Why {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.MaxOpsPerClass = 1 << 20
 	cfg.MaxAnalysis = tc.analysis
 	w, err := NewWhy(g, tc.q, e, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", tc.name, err)
 	}
+	w.maxOpsPerClass = 1 << 20
 	return w
 }
 
@@ -582,15 +581,15 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 	q.AddEdge(p, r, 1)
 	q.Focus = f
 	cfg := DefaultConfig()
-	cfg.MaxOpsPerClass = 1 << 20
 	cfg.MaxAnalysis = 1000
-	// state runs one compared GenRefine on g and returns what located
-	// its partner sets.
+	// state runs one compared GenRefine on g, nothing capped, and
+	// returns what located its partner sets.
 	state := func(what string, g *graph.Graph) (*Why, *refineGen) {
 		w, err := NewWhy(g, q, e, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.maxOpsPerClass = 1 << 20
 		if n := checkState(t, what, w, q, map[string]bool{})[ops.AddL]; n == 0 {
 			t.Errorf("%s: no AddL operator compared", what)
 		}

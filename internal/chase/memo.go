@@ -39,7 +39,6 @@ func (c Search) appendKey(dst []byte) []byte {
 	dst = append(strconv.AppendFloat(dst, c.Theta, 'g', -1, 64), keySep...)
 	dst = append(strconv.AppendFloat(dst, c.Lambda, 'g', -1, 64), keySep...)
 	dst = append(strconv.AppendBool(dst, c.Prune), keySep...)
-	dst = append(strconv.AppendInt(dst, int64(c.MaxOpsPerClass), 10), keySep...)
 	dst = append(strconv.AppendInt(dst, int64(c.MaxAnalysis), 10), keySep...)
 	return append(strconv.AppendInt(dst, c.Seed, 10), keySep...)
 }
@@ -110,13 +109,4 @@ func (s *Session) runMemo(j BatchJob, submit time.Time, batchCancel <-chan struc
 		return r, r.Err == nil
 	})
 	return res
-}
-
-// InvalidateAnswers drops every memoized answer and fences in-flight
-// chases from re-seeding the memo — the seam a future dynamic-graphs
-// layer calls after each mutation batch. No-op without an answer cache.
-func (s *Session) InvalidateAnswers() {
-	if s.ans != nil {
-		s.ans.InvalidateAll()
-	}
 }

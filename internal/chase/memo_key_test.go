@@ -82,12 +82,12 @@ func TestMemoKeyGolden(t *testing.T) {
 	f := datagen.NewFig1()
 	sr := DefaultConfig().Search.withDefaults()
 	if got, want := jobDigest(1, "answ", 0, sr, BatchJob{Q: f.Q, E: f.E}),
-		"e6555a61455c6367b247f4a4c6dc1acb45a9c95aa2ffa34da38d4d7ef98452cc"; got != want {
+		"436d785467a4f4e20f42468a9d8d2e3fc42893241f46b983234f7f577f61b3ac"; got != want {
 		t.Errorf("default job digest %s, want %s", got, want)
 	}
 	sr.MaxSteps = 7
 	if got, want := jobDigest(1, "heu", 2, sr, BatchJob{Q: f.Q, E: f.E}),
-		"1ea3e5a6b2cb5275b58af5c2502390a3d295b599b55f4e8273abee2dbb9d8e1a"; got != want {
+		"68cfcae9fa2bb3e3fc49880dd1c53d87e217ebbfaecdb5ef03541300b7b80d39"; got != want {
 		t.Errorf("beam-2, 7-step job digest %s, want %s", got, want)
 	}
 }

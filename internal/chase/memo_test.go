@@ -184,27 +184,6 @@ func TestMemoKeying(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidateAnswers: the dynamic-graphs seam. After an
-// invalidation the same question chases again.
-func TestMemoInvalidateAnswers(t *testing.T) {
-	g, instances := genInstances(t, datagen.DatasetProducts, 800, 1, 3)
-	sess := chase.NewSession(g, memoConfig())
-	job := chase.BatchJob{Q: instances[0].Q, E: instances[0].E}
-
-	r1 := sess.Run(job)
-	sess.InvalidateAnswers()
-	r2 := sess.Run(job)
-	sc := sess.Counters()
-	if sc.Questions != 2 || sc.AnswerCache.Misses != 2 || sc.AnswerCache.Invalidations != 1 {
-		t.Fatalf("counters = %+v, want 2 chases, 2 misses, 1 invalidation", sc)
-	}
-	// The graph did not actually change, so the recomputed answer is
-	// byte-identical — determinism across invalidation.
-	if renderAnswer(r1.Answer) != renderAnswer(r2.Answer) {
-		t.Error("recomputed answer diverged from the original")
-	}
-}
-
 // TestMemoAskAll routes the batch path through the memo too: a batch of
 // repeated jobs executes one chase per distinct question for every
 // worker count, with results identical to the memo-off batch.

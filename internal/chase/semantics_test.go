@@ -18,48 +18,48 @@ func TestAnswerIsValidChaseResult(t *testing.T) {
 	g, instances := genInstances(t, "watdiv-like", 2500, 4, 61)
 	params := ops.Params{MaxBound: 3}
 	for _, inst := range instances {
-		for _, algoName := range []string{"AnsW", "AnsHeu"} {
+		for _, algo := range []string{"AnsW", "AnsHeu"} {
 			w, err := chase.NewWhy(g, inst.Q, inst.E, chase.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			var a chase.Answer
-			if algoName == "AnsW" {
+			if algo == "AnsW" {
 				a = w.AnsW()
 			} else {
 				a = w.AnsHeu(3)
 			}
 
 			if !a.Ops.Canonical() {
-				t.Errorf("%s: non-canonical sequence %v", algoName, a.Ops)
+				t.Errorf("%s: non-canonical sequence %v", algo, a.Ops)
 			}
 			if !a.Ops.IsNormalForm() {
-				t.Errorf("%s: sequence not in normal form %v", algoName, a.Ops)
+				t.Errorf("%s: sequence not in normal form %v", algo, a.Ops)
 			}
 			if a.Cost > w.Cfg.Budget+1e-9 {
-				t.Errorf("%s: cost %v over budget", algoName, a.Cost)
+				t.Errorf("%s: cost %v over budget", algo, a.Cost)
 			}
 			rebuilt, err := a.Ops.Apply(inst.Q, params)
 			if err != nil {
-				t.Errorf("%s: sequence not applicable to Q: %v", algoName, err)
+				t.Errorf("%s: sequence not applicable to Q: %v", algo, err)
 				continue
 			}
 			if rebuilt.Key() != a.Query.Key() {
 				t.Errorf("%s: Q ⊕ O ≠ reported rewrite:\n%s\nvs\n%s",
-					algoName, rebuilt, a.Query)
+					algo, rebuilt, a.Query)
 			}
 			// Re-evaluate independently: answers and satisfaction agree.
 			res := w.Matcher.Match(a.Query)
 			if len(res.Answer) != len(a.Matches) {
 				t.Errorf("%s: reported %d matches, re-evaluation has %d",
-					algoName, len(a.Matches), len(res.Answer))
+					algo, len(a.Matches), len(res.Answer))
 			}
 			if got := w.Satisfied(res.Answer); got != a.Satisfied {
 				t.Errorf("%s: satisfaction mismatch: reported %v, actual %v",
-					algoName, a.Satisfied, got)
+					algo, a.Satisfied, got)
 			}
 			if got := w.Closeness(res.Answer); !almostEqual(got, a.Closeness) {
-				t.Errorf("%s: closeness mismatch: %v vs %v", algoName, a.Closeness, got)
+				t.Errorf("%s: closeness mismatch: %v vs %v", algo, a.Closeness, got)
 			}
 		}
 	}

@@ -110,9 +110,6 @@ func (ev *Eval) Cl(v graph.NodeID) float64 {
 	return 0
 }
 
-// Rep returns rep(E, V) as a node → cl map. Callers must not mutate it.
-func (ev *Eval) Rep() map[graph.NodeID]float64 { return ev.rep }
-
 // RepNodes returns rep(E, V) as a sorted slice.
 func (ev *Eval) RepNodes() []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(ev.rep))

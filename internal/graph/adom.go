@@ -110,7 +110,6 @@ func (g *Graph) Codes() *Codes {
 	if c := g.codes.Load(); c != nil {
 		return c
 	}
-	g.ensure() // before lazyMu: compaction takes the same mutex
 	g.lazyMu.Lock()
 	defer g.lazyMu.Unlock()
 	c := g.codes.Load()
@@ -296,8 +295,7 @@ func domainOrder(a, b Value) int {
 }
 
 // buildCodesLocked scans the attribute arena once and materializes all
-// active domains and the code column. The caller must hold g.lazyMu and
-// have ensured the arena is compacted (no pending SetAttr overrides).
+// active domains and the code column. The caller must hold g.lazyMu.
 func (g *Graph) buildCodesLocked() *Codes {
 	nAttrs := g.Attrs.Len()
 	c := &Codes{

@@ -55,10 +55,9 @@ type Graph struct {
 	Labels *Interner
 	Attrs  *Interner
 
-	// CSR read core, valid whenever dirty is false. labels, attrOff,
-	// and attrArena are additionally maintained incrementally by
-	// AddNode, so they are stale only between a SetAttr and the next
-	// compaction (attrOver holds the pending patches).
+	// CSR read core. labels, attrOff, and attrArena are maintained by
+	// AddNode and always current; the adjacency arenas and the by-label
+	// index are valid whenever dirty is false.
 	labels     []int32            // node label, indexed by NodeID
 	attrOff    []int32            // len NumNodes()+1; tuple of v is attrArena[attrOff[v]:attrOff[v+1]]
 	attrArena  []AttrValue        // all node tuples, each sorted by Attr
@@ -74,9 +73,8 @@ type Graph struct {
 	// losing the original edge insertion order; snapshot-loaded graphs
 	// synthesize it on first mutation (in source-major order — see
 	// ensureEdgeLog).
-	edgeLog  []rawEdge
-	attrOver map[NodeID][]AttrValue // SetAttr patches awaiting compaction
-	edges    int
+	edgeLog []rawEdge
+	edges   int
 
 	// dirty is set by every mutation and cleared by compact. Reads load
 	// it with acquire semantics, so a reader that observes false also
@@ -184,33 +182,6 @@ func (g *Graph) AddNodeTuple(label string, tuple []AttrValue) NodeID {
 	return id
 }
 
-// SetAttr sets (or overwrites) one attribute of node v. The patch lands
-// in an override table and is folded into the attribute arena at the
-// next compaction.
-func (g *Graph) SetAttr(v NodeID, name string, val Value) {
-	aid := g.Attrs.Intern(name)
-	var tuple []AttrValue
-	if over, ok := g.attrOver[v]; ok {
-		tuple = over
-	} else {
-		// Copy out of the arena: the override owns its slice.
-		tuple = append([]AttrValue(nil), g.attrArena[g.attrOff[v]:g.attrOff[v+1]]...)
-	}
-	i := sort.Search(len(tuple), func(i int) bool { return tuple[i].Attr >= aid })
-	if i < len(tuple) && tuple[i].Attr == aid {
-		tuple[i].Val = val
-	} else {
-		tuple = append(tuple, AttrValue{})
-		copy(tuple[i+1:], tuple[i:])
-		tuple[i] = AttrValue{Attr: aid, Val: val}
-	}
-	if g.attrOver == nil {
-		g.attrOver = map[NodeID][]AttrValue{}
-	}
-	g.attrOver[v] = tuple
-	g.invalidate()
-}
-
 // AddEdge adds a directed edge from → to with an optional label.
 func (g *Graph) AddEdge(from, to NodeID, label string) {
 	g.ensureEdgeLog()
@@ -264,13 +235,12 @@ func (g *Graph) ensure() {
 	}
 }
 
-// compact folds the build-side logs into the CSR arenas: attribute
-// overrides splice into the attribute arena, the edge log counting-sorts
-// into both adjacency arenas (stably, so per-node edge order reproduces
-// the append order of the old slice-of-slices layout), and the by-label
-// index rebuilds as ascending-ID runs over one backing slice. Readers
-// that observe dirty == false afterwards observe the completed arenas —
-// the atomic store publishes them.
+// compact folds the build-side logs into the CSR arenas: the edge log
+// counting-sorts into both adjacency arenas (stably, so per-node edge
+// order reproduces the append order of the old slice-of-slices layout),
+// and the by-label index rebuilds as ascending-ID runs over one backing
+// slice. Readers that observe dirty == false afterwards observe the
+// completed arenas — the atomic store publishes them.
 func (g *Graph) compact() {
 	g.lazyMu.Lock()
 	defer g.lazyMu.Unlock()
@@ -278,10 +248,6 @@ func (g *Graph) compact() {
 		return // another reader compacted while this one waited
 	}
 	n := len(g.labels)
-
-	if len(g.attrOver) > 0 {
-		g.compactAttrsLocked(n)
-	}
 
 	// Adjacency: two stable counting sorts over the edge log.
 	g.outOff = offsetsFor(n, g.edgeLog, func(e rawEdge) NodeID { return e.From })
@@ -331,27 +297,6 @@ func (g *Graph) rebuildByLabel() {
 	}
 }
 
-// compactAttrsLocked rebuilds the attribute arena with the SetAttr
-// overrides spliced in. The caller must hold lazyMu.
-func (g *Graph) compactAttrsLocked(n int) {
-	sized := len(g.attrArena)
-	//lint:ignore detsource sizing pass sums patch deltas; addition is order-independent
-	for v, t := range g.attrOver {
-		sized += len(t) - int(g.attrOff[v+1]-g.attrOff[v])
-	}
-	arena := make([]AttrValue, 0, sized)
-	off := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		if t, ok := g.attrOver[NodeID(v)]; ok {
-			arena = append(arena, t...)
-		} else {
-			arena = append(arena, g.attrArena[g.attrOff[v]:g.attrOff[v+1]]...)
-		}
-		off[v+1] = int32(len(arena))
-	}
-	g.attrArena, g.attrOff, g.attrOver = arena, off, nil
-}
-
 // offsetsFor builds the (n+1)-length offset array of a counting sort of
 // the edge log under the given endpoint key.
 func offsetsFor(n int, log []rawEdge, key func(rawEdge) NodeID) []int32 {
@@ -364,11 +309,6 @@ func offsetsFor(n int, log []rawEdge, key func(rawEdge) NodeID) []int32 {
 	}
 	return off
 }
-
-// Freeze eagerly compacts the build-side logs into the CSR arenas.
-// Purely a performance hook: loaders call it after construction so the
-// first concurrent readers never stall behind the one-off compaction.
-func (g *Graph) Freeze() { g.ensure() }
 
 // Label returns the label of node v.
 func (g *Graph) Label(v NodeID) string { return g.Labels.Name(g.labels[v]) }
@@ -405,7 +345,6 @@ func (g *Graph) AttrByID(v NodeID, aid int32) (Value, bool) {
 // Tuple returns the attribute tuple f_A(v), sorted by attribute id.
 // The caller must not mutate the returned slice.
 func (g *Graph) Tuple(v NodeID) []AttrValue {
-	g.ensure()
 	return g.attrArena[g.attrOff[v]:g.attrOff[v+1]]
 }
 

@@ -85,26 +85,6 @@ func TestGraphBasics(t *testing.T) {
 	}
 }
 
-func TestSetAttr(t *testing.T) {
-	g := New()
-	a := g.AddNode("X", map[string]Value{"p": N(1)})
-	g.SetAttr(a, "p", N(2))
-	if v, _ := g.Attr(a, "p"); !v.Equal(N(2)) {
-		t.Error("overwrite failed")
-	}
-	g.SetAttr(a, "q", S("new"))
-	if v, ok := g.Attr(a, "q"); !ok || !v.Equal(S("new")) {
-		t.Error("insert failed")
-	}
-	// Tuple must stay sorted by attribute id.
-	tuple := g.Tuple(a)
-	for i := 1; i < len(tuple); i++ {
-		if tuple[i-1].Attr >= tuple[i].Attr {
-			t.Error("tuple not sorted after SetAttr")
-		}
-	}
-}
-
 func TestTupleSortedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(20, 30, seed)

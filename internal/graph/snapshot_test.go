@@ -18,7 +18,6 @@ func snapGraph(t testing.TB) *Graph {
 	g.AddNode("D", map[string]Value{"name": S("dup"), "alias": S("dup"), "z": N(-7.25)})
 	g.AddEdge(0, NodeID(g.NumNodes()-1), "")
 	g.AddEdge(0, NodeID(g.NumNodes()-1), "") // parallel edge
-	g.SetAttr(3, "x", N(99))
 	return g
 }
 

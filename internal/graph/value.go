@@ -57,9 +57,6 @@ func ParseValue(s string) Value {
 	return S(s)
 }
 
-// IsNumber reports whether the value is numeric.
-func (v Value) IsNumber() bool { return v.Kind == Number }
-
 // Equal reports value equality. A Number never equals a String even if
 // the text renders identically.
 func (v Value) Equal(w Value) bool {
