@@ -49,9 +49,10 @@ lint:
 # the JSON reader — it must accept what the encoding/json walk it
 # replaced accepts, and build the same graph —, the key encoder —
 # pattern nodes with equal signatures must admit the same candidates,
-# in whatever order they list their literals — and wqe-serve's question
-# decoder — each body must compile to the jobs the encoding/json
-# decoding it replaced compiles, or fail in both.
+# in whatever order they list their literals — and the job decoder
+# chase.DecodeJob, reached through wqe-serve's requests — each body must
+# compile to the jobs the encoding/json decoding it replaced compiles, or
+# fail in both.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSnapshotReader -fuzztime 10s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s
@@ -70,8 +71,8 @@ fuzz:
 # BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s),
 # BenchmarkCachePutFull (an evicting Put on a full cache core), and
 # BenchmarkDecodeAsk (one /askfast body to a compiled job, through the
-# encoding/json path it replaced and through wqe-serve's one-pass
-# decoder; allocs reported).
+# encoding/json path it replaced and through chase.DecodeJob as
+# wqe-serve reaches it; allocs reported).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot|CachePutFull' -benchtime 1x ./internal/chase ./internal/graph ./internal/match ./internal/anscache ./cmd/wqe-serve
 

@@ -1,15 +1,15 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sync"
 
-	"wqe/internal/exemplar"
+	"wqe/internal/chase"
 	"wqe/internal/jsonscan"
-	"wqe/internal/query"
 )
 
 // maxBodyBytes caps what a request body may hold; a longer one is
@@ -17,29 +17,15 @@ import (
 const maxBodyBytes = 8 << 20
 
 // askRequest is one question as it arrives: the payload of every
-// single-question endpoint and each job of /askall.
+// single-question endpoint and each job of /askall, a job object
+// (chase.DecodeJob) with the name of a resident graph beside it.
 //
-//	{"graph": "fig1", "query": {...}, "exemplar": {...},
-//	 "algo": "answ", "beam": 0, "max_steps": 0, "time_limit_ms": 0}
-//
-// The query and exemplar are the documents the CLI reads from files
-// (query.DecodeJSON, exemplar.DecodeJSON), inline.
+//	{"graph": "fig1", "query": {...}, "exemplar": {...}, ...}
 type askRequest struct {
 	Graph string
-	Q     *query.Query
-	E     *exemplar.Exemplar
-	// Algo picks the algorithm on /ask ("answ", "heu", "whymany",
-	// "whyempty", "fmansw"); the dedicated endpoints override it.
-	Algo string
-	Beam int
-	// MaxSteps/TimeLimitMS override the session defaults per request.
-	// The time limit is anchored at submission: waiting in the
-	// admission queue spends it.
-	MaxSteps    int
-	TimeLimitMS int
-	// err is what is wrong with the question itself — no query or
-	// exemplar, or one that does not parse. compileJob reports it once
-	// the graph resolves.
+	Job   chase.BatchJob
+	// err is what is wrong with the question itself. compileJob reports
+	// it once the graph resolves.
 	err error
 }
 
@@ -53,73 +39,24 @@ type askAllRequest struct {
 	Jobs    []askRequest
 }
 
-// decodeAsk reads one question from r in one pass, its query and
-// exemplar decoded where they stand, whatever the order of the keys. It
-// reads as encoding/json decoded the payload into a struct whose query
-// and exemplar were RawMessages, parsed afterwards: keys match
-// case-insensitively, other keys are skipped, a key given twice takes
-// its last value, null leaves a field as it was, and reading stops at
-// the end of the value. The error it returns is the request's: r is not
-// JSON, or an envelope field holds a value of the wrong kind (kept in
-// types, as encoding/json kept the first). What is wrong with the
-// question itself is left in req.err.
-func decodeAsk(r *jsonscan.Reader, req *askRequest, types *jsonscan.Sticky) error {
-	var (
-		hasQ, hasE bool
-		qErr, eErr error
-	)
-	err := r.Struct(func(key []byte) error {
-		switch {
-		case jsonscan.FieldIs(key, "graph"):
-			return types.Keep(r.String(&req.Graph))
-		case jsonscan.FieldIs(key, "query"):
-			hasQ = true
-			req.Q, qErr = query.DecodeJSON(r)
-			return notJSON(qErr)
-		case jsonscan.FieldIs(key, "exemplar"):
-			hasE = true
-			req.E, eErr = exemplar.DecodeJSON(r)
-			return notJSON(eErr)
-		case jsonscan.FieldIs(key, "algo"):
-			return types.Keep(r.String(&req.Algo))
-		case jsonscan.FieldIs(key, "beam"):
-			return types.Keep(r.Int(&req.Beam))
-		case jsonscan.FieldIs(key, "max_steps"):
-			return types.Keep(r.Int(&req.MaxSteps))
-		case jsonscan.FieldIs(key, "time_limit_ms"):
-			return types.Keep(r.Int(&req.TimeLimitMS))
+// decodeAsk reads one question from r, as chase.DecodeJob reads a job
+// and "graph" besides. The error it returns is the request's; what is
+// wrong with the question itself is left in req.err.
+func decodeAsk(r *jsonscan.Reader, req *askRequest, types *jsonscan.Sticky) (err error) {
+	req.err, err = chase.DecodeJob(r, &req.Job, types, func(key []byte) (bool, error) {
+		if !jsonscan.FieldIs(key, "graph") {
+			return false, nil
 		}
-		return r.Skip(r.Depth())
+		return true, types.Keep(r.String(&req.Graph))
 	})
-	switch {
-	case !hasQ || !hasE:
-		req.err = errors.New("request needs both \"query\" and \"exemplar\"")
-	case qErr != nil:
-		req.err = fmt.Errorf("parse query: %w", qErr)
-	case eErr != nil:
-		req.err = fmt.Errorf("parse exemplar: %w", eErr)
-	}
-	return types.Keep(err)
-}
-
-// notJSON passes on the error of a document decoder only when the input
-// is not JSON — the decoders return that *jsonscan.Error unwrapped —:
-// it ends the request's decoding, where an error about the document
-// waits in askRequest.err.
-func notJSON(err error) error {
-	if _, ok := err.(*jsonscan.Error); ok {
-		return err
-	}
-	return nil
+	return err
 }
 
 // decodeQuestion reads a single-question payload.
 func decodeQuestion(r *jsonscan.Reader, req *askRequest) error {
 	var types jsonscan.Sticky
-	if err := decodeAsk(r, req, &types); err != nil {
-		return err
-	}
-	return types.Err
+	err := decodeAsk(r, req, &types)
+	return cmp.Or(err, types.Err)
 }
 
 // decodeAskAll reads an /askall payload, each job as decodeAsk reads a
@@ -141,10 +78,8 @@ func decodeAskAll(r *jsonscan.Reader, req *askAllRequest) error {
 		}
 		return r.Skip(r.Depth())
 	})
-	if err := types.Keep(err); err != nil {
-		return err
-	}
-	return types.Err
+	err = types.Keep(err)
+	return cmp.Or(err, types.Err)
 }
 
 // body is a request body read into memory and a scanner over it, pooled

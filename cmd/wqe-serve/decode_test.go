@@ -234,6 +234,7 @@ func TestDecodeAskCases(t *testing.T) {
 		{"unknown graph", `{"graph":"nope","query":` + q + `,"exemplar":` + e + `}`, false},
 		{"no exemplar", `{"query":` + q + `}`, false},
 		{"bad operator", `{"query":{"nodes":[{"literals":[{"attr":"a","op":"~"}]}]},"exemplar":` + e + `}`, false},
+		{"a path names no server file", `{"query":"testdata/fig1/query.json","exemplar":` + e + `}`, false},
 		{"later key wins", `{"query":{"nodes":[{"literals":[{"attr":"a","op":"~","op":"<","value":1}]}]},"exemplar":` + e + `}`, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

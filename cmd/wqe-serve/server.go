@@ -275,7 +275,7 @@ func (s *server) askHandler(forceAlgo string, explain bool) http.HandlerFunc {
 			return
 		}
 		if forceAlgo != "" {
-			req.Algo = forceAlgo
+			req.Job.Algo = forceAlgo
 		}
 		h, job, err := s.compileJob(&req, submit, r.Context().Done())
 		if err != nil {
@@ -313,19 +313,14 @@ func (s *server) compileJob(req *askRequest, submit time.Time, cancel <-chan str
 	if req.err != nil {
 		return nil, chase.BatchJob{}, req.err
 	}
-	job := chase.BatchJob{
-		Q:        req.Q,
-		E:        req.E,
-		Algo:     req.Algo,
-		Beam:     req.Beam,
-		MaxSteps: req.MaxSteps,
-		Cancel:   cancel,
-	}
+	job := req.Job
+	job.Cancel = cancel
 	// Anchor the request budget at submission so queue wait counts.
 	limit := s.timeout
-	if req.TimeLimitMS > 0 {
-		limit = time.Duration(req.TimeLimitMS) * time.Millisecond
+	if job.TimeLimit > 0 {
+		limit = job.TimeLimit
 	}
+	job.TimeLimit = 0
 	if limit > 0 {
 		job.Deadline = submit.Add(limit)
 	}

@@ -1,68 +1,83 @@
 package main
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
 	"wqe/internal/chase"
+	"wqe/internal/exemplar"
 	"wqe/internal/graphload"
+	"wqe/internal/jsonscan"
+	"wqe/internal/query"
 )
 
-// batchJobSpec is one entry of the -batch jobs file: paths to the
-// question's query and exemplar, plus optional per-job overrides.
-type batchJobSpec struct {
-	Query    string `json:"query"`    // query JSON path
-	Exemplar string `json:"exemplar"` // exemplar JSON path
-
-	// Beam selects the algorithm: 0 = exact AnsW, >0 = AnsHeu with that
-	// beam width.
-	Beam int `json:"beam,omitempty"`
-	// MaxSteps, when positive, overrides the session step budget for
-	// this job.
-	MaxSteps int `json:"max_steps,omitempty"`
-	// TimeLimitMS, when positive, is this job's anytime deadline in
-	// milliseconds.
-	TimeLimitMS int `json:"time_limit_ms,omitempty"`
-}
-
-// loadBatchSpecs reads a -batch jobs file: a JSON array of job specs.
-// Relative query/exemplar paths resolve against the jobs file's
-// directory, so a jobs file can travel with its inputs.
-func loadBatchSpecs(path string) ([]batchJobSpec, error) {
+// loadJobs reads a -batch jobs file: a JSON array of job objects as
+// chase.DecodeJob reads them, where a string "query" or "exemplar" is the
+// path of the document instead. Relative paths resolve against the jobs
+// file's directory, so a jobs file can travel with its inputs.
+func loadJobs(path string) ([]chase.BatchJob, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var specs []batchJobSpec
-	if err := json.Unmarshal(data, &specs); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
+	var (
+		r     jsonscan.Reader
+		types jsonscan.Sticky
+		jobs  []chase.BatchJob
+	)
+	r.Reset(data)
+	err = r.List(func(int) error {
+		jobs = append(jobs, chase.BatchJob{})
+		j := &jobs[len(jobs)-1]
+		bad, err := chase.DecodeJob(&r, j, &types, func(key []byte) (bool, error) {
+			isQuery := jsonscan.FieldIs(key, "query")
+			if c, err := r.Next(); err != nil || c != '"' || !isQuery && !jsonscan.FieldIs(key, "exemplar") {
+				return false, err
+			}
+			doc, err := r.Str()
+			p := string(doc)
+			if !filepath.IsAbs(p) {
+				p = filepath.Join(filepath.Dir(path), p)
+			}
+			switch {
+			case err != nil:
+			case isQuery:
+				j.Q, err = load(p, query.ReadJSON)
+			default:
+				j.E, err = load(p, exemplar.ReadJSON)
+			}
+			return true, err
+		})
+		if err = cmp.Or(err, bad); err != nil {
+			return fmt.Errorf("job #%d: %w", len(jobs), err)
+		}
+		return nil
+	})
+	if _, end := r.Next(); err == nil && end == nil {
+		err = r.Errorf("data after the jobs array")
 	}
-	if len(specs) == 0 {
+	if err = cmp.Or(err, types.Err); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(jobs) == 0 {
 		return nil, fmt.Errorf("%s: no jobs", path)
 	}
-	dir := filepath.Dir(path)
-	for i := range specs {
-		if specs[i].Query == "" || specs[i].Exemplar == "" {
-			return nil, fmt.Errorf("%s: job #%d needs both \"query\" and \"exemplar\"", path, i+1)
-		}
-		if !filepath.IsAbs(specs[i].Query) {
-			specs[i].Query = filepath.Join(dir, specs[i].Query)
-		}
-		if !filepath.IsAbs(specs[i].Exemplar) {
-			specs[i].Exemplar = filepath.Join(dir, specs[i].Exemplar)
-		}
-	}
-	return specs, nil
+	return jobs, nil
 }
 
 // runBatch answers every job in the jobs file concurrently over one
 // shared session (graph, star-view cache, distance oracle) and prints
 // the results in submission order followed by the aggregate statistics.
-// workers bounds how many jobs run at once.
+// workers bounds how many jobs run at once. The jobs file is read before
+// the graph, so a mistake in it shows before the graph's load time.
 func runBatch(cfg chase.Config, graphPath, batchPath string, workers int) error {
+	jobs, err := loadJobs(batchPath)
+	if err != nil {
+		return err
+	}
 	if graphPath == "" {
 		return fmt.Errorf("-batch needs -graph")
 	}
@@ -74,39 +89,15 @@ func runBatch(cfg chase.Config, graphPath, batchPath string, workers int) error 
 	if res.PLLRestored() {
 		fmt.Fprintln(os.Stderr, "wqe: restored PLL distance index from snapshot")
 	}
-	specs, err := loadBatchSpecs(batchPath)
-	if err != nil {
-		return err
-	}
-
 	sess := chase.NewSessionWithIndex(g, cfg, res.Index)
-
-	jobs := make([]chase.BatchJob, len(specs))
-	for i, sp := range specs {
-		q, err := loadQuery(sp.Query)
-		if err != nil {
-			return fmt.Errorf("job #%d: %w", i+1, err)
-		}
-		e, err := loadExemplar(sp.Exemplar)
-		if err != nil {
-			return fmt.Errorf("job #%d: %w", i+1, err)
-		}
-		jobs[i] = chase.BatchJob{
-			Q: q, E: e,
-			Beam:      sp.Beam,
-			MaxSteps:  sp.MaxSteps,
-			TimeLimit: time.Duration(sp.TimeLimitMS) * time.Millisecond,
-		}
-	}
 
 	fmt.Println("graph:", g)
 	fmt.Printf("batch: %d jobs over shared session\n\n", len(jobs))
 	results, stats := sess.AskAll(jobs, chase.BatchOptions{Workers: workers})
 	for i, r := range results {
-		fmt.Printf("— job #%d (%s) —\n", i+1, filepath.Base(specs[i].Query))
+		fmt.Printf("— job #%d (%s) —\n", i+1, cmp.Or(jobs[i].AlgoName(), jobs[i].Algo))
 		if r.Err != nil {
-			fmt.Println("error:", r.Err)
-			fmt.Println()
+			fmt.Printf("error: %v\n\n", r.Err)
 			continue
 		}
 		printAnswer(g, r.Answer)

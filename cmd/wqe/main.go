@@ -19,15 +19,15 @@
 //
 // Batch mode answers many Why-questions concurrently over one shared
 // graph, star-view cache, and distance index. The jobs file is a JSON
-// array of {"query": path, "exemplar": path} objects, each optionally
-// carrying "beam", "max_steps", and "time_limit_ms" overrides; results
-// print in submission order and are identical to running the jobs one
-// at a time.
+// array of the job objects wqe-serve's /askall takes (chase.DecodeJob),
+// where "query" and "exemplar" may also be file paths; results print in
+// submission order and are identical to running the jobs one at a time.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"wqe/internal/chase"
@@ -108,8 +108,20 @@ func run(cfg chase.Config, a question) error {
 			cfg.Budget = 4 // the Fig 1 optimum needs the Example 3.3 budget
 		}
 	} else {
-		if a.graph == "" {
+		convert := a.saveSnapshot != "" && a.query == "" && a.exemplar == ""
+		if a.graph == "" || !convert && (a.query == "" || a.exemplar == "") {
 			return fmt.Errorf("need -graph, -query, and -exemplar (or -demo)")
+		}
+		// The question is read before the graph, so a mistake in it shows
+		// before the graph's load time.
+		var err error
+		if !convert {
+			if q, err = load(a.query, query.ReadJSON); err != nil {
+				return err
+			}
+			if e, err = load(a.exemplar, exemplar.ReadJSON); err != nil {
+				return err
+			}
 		}
 		res, err := graphload.Open(a.graph)
 		if err != nil {
@@ -124,18 +136,9 @@ func run(cfg chase.Config, a question) error {
 				return err
 			}
 			fmt.Fprintln(os.Stderr, "wqe: wrote snapshot", a.saveSnapshot)
-			if a.query == "" && a.exemplar == "" {
-				return nil // conversion-only run
+			if convert {
+				return nil
 			}
-		}
-		if a.query == "" || a.exemplar == "" {
-			return fmt.Errorf("need -graph, -query, and -exemplar (or -demo)")
-		}
-		if q, err = loadQuery(a.query); err != nil {
-			return err
-		}
-		if e, err = loadExemplar(a.exemplar); err != nil {
-			return err
 		}
 	}
 
@@ -240,20 +243,12 @@ func writeSnapshotFile(path string, res *graphload.Result) error {
 	return cerr
 }
 
-func loadQuery(path string) (*query.Query, error) {
+// load reads the document at path with read.
+func load[T any](path string, read func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return *new(T), err
 	}
 	defer f.Close()
-	return query.ReadJSON(f)
-}
-
-func loadExemplar(path string) (*exemplar.Exemplar, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return exemplar.ReadJSON(f)
+	return read(f)
 }

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"wqe/internal/chase"
 	"wqe/internal/datagen"
+	"wqe/internal/jsonscan"
 )
 
 // testConfig is the search the tests ask under: the defaults at the
@@ -68,6 +72,12 @@ func TestRunFromFiles(t *testing.T) {
 	if err := run(testConfig(), question{graph: filepath.Join(dir, "missing.json"), query: qPath, exemplar: ePath, algo: "answ"}); err == nil {
 		t.Error("missing graph file must error")
 	}
+	// The question is read before the graph.
+	noQuery := filepath.Join(dir, "noquery.json")
+	err = run(testConfig(), question{graph: filepath.Join(dir, "missing.json"), query: noQuery, exemplar: ePath, algo: "answ"})
+	if err == nil || !strings.Contains(err.Error(), noQuery) {
+		t.Errorf("missing graph and query files: error %v, want one naming the query file", err)
+	}
 }
 
 // TestRunSnapshotRoundTrip converts the JSON graph to a binary
@@ -124,9 +134,11 @@ func TestRunSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunBatch exercises the batch mode end to end: a jobs file with
-// relative paths, mixed algorithms, per-job overrides, and a failing
-// job that must not disturb the others.
+// TestRunBatch: a jobs file is an array of the job objects
+// chase.DecodeJob reads, where "query" and "exemplar" may be paths
+// relative to the file. Each job must decode as its all-inline twin, a
+// job with an unknown algorithm must fail only its own slot, and a
+// mistake in the file must be reported before the graph is opened.
 func TestRunBatch(t *testing.T) {
 	dir := t.TempDir()
 	f := datagen.NewFig1()
@@ -146,42 +158,93 @@ func TestRunBatch(t *testing.T) {
 		}
 		return p
 	}
+	text := func(name, body string) string {
+		return write(name, func(fh io.Writer) error {
+			_, err := io.WriteString(fh, body)
+			return err
+		})
+	}
 	gPath := write("g.json", f.G.WriteJSON)
 	write("q.json", f.Q.WriteJSON)
 	write("e.json", f.E.WriteJSON)
+	var qb, eb bytes.Buffer
+	if err := f.Q.WriteJSON(&qb); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.E.WriteJSON(&eb); err != nil {
+		t.Fatal(err)
+	}
 
-	jobs := write("jobs.json", func(fh io.Writer) error {
-		_, err := io.WriteString(fh, `[
-			{"query": "q.json", "exemplar": "e.json"},
-			{"query": "q.json", "exemplar": "e.json", "beam": 2},
-			{"query": "q.json", "exemplar": "e.json", "max_steps": 5, "time_limit_ms": 50}
-		]`)
-		return err
-	})
-	if err := runBatch(testConfig(), gPath, jobs, 2); err != nil {
+	// Each job as the file holds it, then its all-inline twin.
+	inline := `"query": ` + qb.String() + `, "exemplar": ` + eb.String()
+	cases := [][2]string{
+		{`"query": "q.json", "exemplar": "e.json"`, inline},
+		{inline + `, "algo": "whymany"`, inline + `, "algo": "whymany"`},
+		{`"query": "q.json", "exemplar": ` + eb.String() + `, "beam": 2, "max_steps": 5, "time_limit_ms": 50`,
+			inline + `, "beam": 2, "max_steps": 5, "time_limit_ms": 50`},
+		{`"exemplar": "e.json", "algo": "nope", "query": "q.json"`, inline + `, "algo": "nope"`},
+	}
+	var file []string
+	for _, c := range cases {
+		file = append(file, "{"+c[0]+"}")
+	}
+	jobsPath := text("jobs.json", "[\n"+strings.Join(file, ",\n")+"\n]\n")
+	jobs, err := loadJobs(jobsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != len(cases) {
+		t.Fatalf("%d jobs, want %d", len(jobs), len(cases))
+	}
+	for i, c := range cases {
+		var (
+			r     jsonscan.Reader
+			types jsonscan.Sticky
+			want  chase.BatchJob
+		)
+		r.Reset([]byte("{" + c[1] + "}"))
+		if bad, err := chase.DecodeJob(&r, &want, &types, nil); bad != nil || err != nil || types.Err != nil {
+			t.Fatalf("twin of job #%d: %v, %v, %v", i+1, bad, err, types.Err)
+		}
+		got := jobs[i]
+		if got.Algo != want.Algo || got.Beam != want.Beam || got.MaxSteps != want.MaxSteps || got.TimeLimit != want.TimeLimit ||
+			got.Q.Key() != want.Q.Key() || !bytes.Equal(got.E.AppendKey(nil), want.E.AppendKey(nil)) {
+			t.Errorf("job #%d = %+v, want %+v", i+1, got, want)
+		}
+	}
+	if j := jobs[2]; jobs[1].Algo != "whymany" || j.Beam != 2 || j.MaxSteps != 5 || j.TimeLimit != 50*time.Millisecond {
+		t.Errorf("jobs #2 and #3 = %+v, %+v: the overrides were not read", jobs[1], j)
+	}
+	results, _ := chase.NewSession(f.G, testConfig()).AskAll(jobs, chase.BatchOptions{Workers: 2})
+	for i, r := range results {
+		if (r.Err != nil) != (i == 3) {
+			t.Errorf("job #%d (algo %q): error %v", i+1, jobs[i].Algo, r.Err)
+		}
+	}
+	if err := runBatch(testConfig(), gPath, jobsPath, 2); err != nil {
 		t.Fatalf("runBatch: %v", err)
 	}
 
-	if err := runBatch(testConfig(), "", jobs, 0); err == nil {
+	if err := runBatch(testConfig(), "", jobsPath, 0); err == nil {
 		t.Error("batch without -graph must error")
 	}
-	if err := runBatch(testConfig(), gPath, filepath.Join(dir, "missing.json"), 0); err == nil {
-		t.Error("missing jobs file must error")
-	}
-
-	empty := write("empty.json", func(fh io.Writer) error {
-		_, err := io.WriteString(fh, `[]`)
-		return err
-	})
-	if err := runBatch(testConfig(), gPath, empty, 0); err == nil {
-		t.Error("empty jobs file must error")
-	}
-
-	badRef := write("badref.json", func(fh io.Writer) error {
-		_, err := io.WriteString(fh, `[{"query": "nope.json", "exemplar": "e.json"}]`)
-		return err
-	})
-	if err := runBatch(testConfig(), gPath, badRef, 0); err == nil {
-		t.Error("jobs referencing a missing query file must error")
+	for _, tc := range []struct{ name, body string }{
+		{"missing.json", ""},
+		{"empty.json", `[]`},
+		{"badref.json", `[{"query": "nope.json", "exemplar": "e.json"}]`},
+		{"noexemplar.json", `[{"query": "q.json"}]`},
+		{"notjson.json", `[{"query": "q.json", "exemplar": "e.json"},]`},
+		{"trailing.json", `[{"query": "q.json", "exemplar": "e.json"}] []`},
+	} {
+		p := filepath.Join(dir, tc.name)
+		if tc.body != "" {
+			p = text(tc.name, tc.body)
+		}
+		// The graph path is missing too: the jobs file's error must come
+		// first.
+		err := runBatch(testConfig(), filepath.Join(dir, "nograph.json"), p, 0)
+		if err == nil || !strings.Contains(err.Error(), p) {
+			t.Errorf("%s: error %v, want one naming the jobs file", tc.name, err)
+		}
 	}
 }

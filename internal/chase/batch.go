@@ -1,9 +1,12 @@
 package chase
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"wqe/internal/exemplar"
+	"wqe/internal/jsonscan"
 	"wqe/internal/par"
 	"wqe/internal/query"
 )
@@ -48,6 +51,83 @@ type BatchJob struct {
 	// answer if it was already running). It overrides any batch-level
 	// cancel signal for this job.
 	Cancel <-chan struct{}
+}
+
+// DecodeJob reads one job object from r into j in one pass, its query
+// and exemplar decoded where they stand, whatever the order of the keys.
+// It is the one reading of a question on the wire, for wqe-serve's
+// requests and cmd/wqe's jobs files alike:
+//
+//	{"query": {...}, "exemplar": {...}, "algo": "answ",
+//	 "beam": 0, "max_steps": 0, "time_limit_ms": 0}
+//
+// The query and exemplar are the documents query.DecodeJSON and
+// exemplar.DecodeJSON read. "algo", "beam" and "max_steps" fill the
+// fields of those names, and "time_limit_ms" fills TimeLimit. It reads as
+// encoding/json decoded the object into a struct whose query and
+// exemplar were RawMessages, parsed afterwards: keys match
+// case-insensitively, other keys are skipped, a key given twice takes its
+// last value, null leaves a field as it was, and reading stops at the end
+// of the value.
+//
+// field, when not nil, sees each key first: it reads the value and
+// reports true, or reports false and leaves the value to DecodeJob.
+// wqe-serve reads "graph" there; cmd/wqe reads a string "query" or
+// "exemplar" as a file path.
+//
+// err is the input's own: it is not JSON, or a field holds a value of
+// the wrong kind (kept in types, as encoding/json kept the first). bad is
+// what is wrong with the question: no query or exemplar, or one that does
+// not parse.
+func DecodeJob(r *jsonscan.Reader, j *BatchJob, types *jsonscan.Sticky, field func(key []byte) (bool, error)) (bad, err error) {
+	var qErr, eErr error
+	limitMS := int(j.TimeLimit / time.Millisecond)
+	err = r.Struct(func(key []byte) error {
+		if field != nil {
+			if ok, err := field(key); ok || err != nil {
+				return err
+			}
+		}
+		switch {
+		case jsonscan.FieldIs(key, "query"):
+			j.Q, qErr = query.DecodeJSON(r)
+			return notJSON(qErr)
+		case jsonscan.FieldIs(key, "exemplar"):
+			j.E, eErr = exemplar.DecodeJSON(r)
+			return notJSON(eErr)
+		case jsonscan.FieldIs(key, "algo"):
+			return types.Keep(r.String(&j.Algo))
+		case jsonscan.FieldIs(key, "beam"):
+			return types.Keep(r.Int(&j.Beam))
+		case jsonscan.FieldIs(key, "max_steps"):
+			return types.Keep(r.Int(&j.MaxSteps))
+		case jsonscan.FieldIs(key, "time_limit_ms"):
+			return types.Keep(r.Int(&limitMS))
+		}
+		return r.Skip(r.Depth())
+	})
+	j.TimeLimit = time.Duration(limitMS) * time.Millisecond
+	// A document key read leaves the document or its decoder's error.
+	switch {
+	case j.Q == nil && qErr == nil, j.E == nil && eErr == nil:
+		bad = errors.New("request needs both \"query\" and \"exemplar\"")
+	case j.Q == nil:
+		bad = fmt.Errorf("parse query: %w", qErr)
+	case j.E == nil:
+		bad = fmt.Errorf("parse exemplar: %w", eErr)
+	}
+	return bad, types.Keep(err)
+}
+
+// notJSON passes on the error of a document decoder only when the input
+// is not JSON — the decoders return that *jsonscan.Error unwrapped —: it
+// ends the job's decoding, where an error about the document is the
+// job's bad.
+func notJSON(err error) error {
+	if _, ok := err.(*jsonscan.Error); ok {
+		return err
+	}
+	return nil
 }
 
 // resolveAlgo is the one reading of the Algo/Beam pair: the search

@@ -180,7 +180,8 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID) rcBlame {
 // node's local failures, derives picky edges and picky operators (RmL,
 // RxL, RmE, RxE on both focus-incident and deeper edges), scores each
 // operator by pickiness p(o) = Σ_{v ∈ RC̄(o)} cl(v, E) / |V_{u_o}|
-// (Lemma 5.2), and returns them best-first.
+// (Lemma 5.2), and returns them best-first. It is the test entry point:
+// the searches call genRelax on states they have already partitioned.
 func (w *Why) GenRelax(q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
 	if !expandable(budgetLeft) {
 		return nil

@@ -96,9 +96,9 @@ func (s *Session) Why(q *query.Query, e *exemplar.Exemplar) (*Why, error) {
 	return newWhyWith(s, q, e, s.Cfg)
 }
 
-// Ask runs one search session: evaluate the query, and when an exemplar
-// is given, rewrite toward it with AnsW. The returned Answer's Diff
-// carries the lineage to present to the user.
+// Ask answers one Why-question with AnsW. It is public API, as
+// wqe.Session's Ask; nothing in the module but tests calls it. The
+// returned Answer's Diff carries the lineage to present to the user.
 func (s *Session) Ask(q *query.Query, e *exemplar.Exemplar) (Answer, error) {
 	w, err := s.Why(q, e)
 	if err != nil {

@@ -85,7 +85,8 @@ func stringSim(a, b string) float64 {
 // attributes A(t) explicitly present in the tuple pattern. Variable and
 // wildcard cells contribute 1 when the node carries the attribute
 // (variables must be evaluable); a missing attribute contributes 0 for
-// Const and Var cells and 1 for explicit wildcards.
+// Const and Var cells and 1 for explicit wildcards. It is the public
+// kernel the tests pin; Eval compiles each tuple pattern once instead.
 func TupleCloseness(g *graph.Graph, v graph.NodeID, t TuplePattern) float64 {
 	return compilePattern(g, t).closeness(g, v)
 }
