@@ -16,7 +16,7 @@ GO ?= go
 # internal/distindex), so racing it would only slow CI down.
 RACE_PKGS = ./internal/graph ./internal/match ./internal/chase ./internal/par ./internal/distindex ./internal/anscache ./internal/hist ./internal/loadgen ./cmd/wqe-serve
 
-.PHONY: all build vet fmt-check test race lint check fuzz bench-smoke profile benchmark benchmark-check bench-load ci
+.PHONY: all build vet fmt-check test race lint examples check fuzz bench-smoke profile benchmark benchmark-check bench-load ci
 
 all: build
 
@@ -42,6 +42,11 @@ race:
 # analysis & CI", DESIGN.md §9). Exits non-zero on any finding.
 lint:
 	$(GO) run ./cmd/wqe-lint ./...
+
+# Run each program under examples/ once; any non-zero exit fails the
+# target. A few seconds with a warm build cache.
+examples:
+	@for e in examples/*/; do echo "go run ./$$e"; $(GO) run ./$$e > /dev/null || exit 1; done
 
 # Short randomized hammering, 10 s each, on top of the committed corpora
 # (which `go test` always replays as regression inputs): the binary
@@ -110,7 +115,7 @@ benchmark-check:
 	$(GO) run ./benchmark --workload explore_heu --seed 7 --seconds 3 --trace 1
 
 # Everything a PR must pass, without the benchmark regeneration.
-check: build vet fmt-check test race lint bench-smoke benchmark-check
+check: build vet fmt-check test race lint examples bench-smoke benchmark-check
 
 # Regenerate BENCH_load.json: million-node cold start — JSON vs binary
 # snapshot load wall time (fastest of three loads each; the snapshot must

@@ -43,12 +43,12 @@ func ExampleWhy_TopK() {
 // ExampleWhy_AnsWE explains an empty answer: which constraints must go
 // for the desired entity to match.
 func ExampleWhy_AnsWE() {
-	g := wqe.NewGraph()
-	brand := g.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Apple")})
-	laptop := g.AddNode("Laptop", map[string]wqe.Value{
+	gb := wqe.NewGraphBuilder()
+	brand := gb.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Apple")})
+	laptop := gb.AddNode("Laptop", map[string]wqe.Value{
 		"Model": wqe.S("MR942CH/A"), "GPU": wqe.S("AMD"), "RAM": wqe.N(32),
 	})
-	g.AddEdge(laptop, brand, "madeBy")
+	gb.AddEdge(laptop, brand, "madeBy")
 
 	q := wqe.NewQuery()
 	l := q.AddNode("Laptop",
@@ -62,6 +62,7 @@ func ExampleWhy_AnsWE() {
 	e := &wqe.Exemplar{Tuples: []wqe.TuplePattern{{
 		"Model": wqe.ConstCell(wqe.S("MR942CH/A")),
 	}}}
+	g := gb.Build()
 	w, _ := wqe.NewWhy(g, q, e, wqe.DefaultConfig())
 	a := w.AnsWE()
 	fmt.Println(a.Ops)

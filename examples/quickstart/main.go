@@ -14,9 +14,9 @@ import (
 
 func main() {
 	// ── 1. An attributed product graph (a fragment of Fig 2) ────────
-	g := wqe.NewGraph()
+	b := wqe.NewGraphBuilder()
 	phone := func(name string, display, storage, price, ram float64) wqe.NodeID {
-		return g.AddNode("Cellphone", map[string]wqe.Value{
+		return b.AddNode("Cellphone", map[string]wqe.Value{
 			"Name": wqe.S(name), "Display": wqe.N(display),
 			"Storage": wqe.N(storage), "Price": wqe.N(price), "RAM": wqe.N(ram),
 		})
@@ -29,20 +29,21 @@ func main() {
 	phone("J7", 5.5, 16, 300, 2)
 
 	carrier := func(name string, discount float64) wqe.NodeID {
-		return g.AddNode("Carrier", map[string]wqe.Value{
+		return b.AddNode("Carrier", map[string]wqe.Value{
 			"Name": wqe.S(name), "Discount": wqe.N(discount),
 		})
 	}
 	sprint, att, tmobile := carrier("Sprint", 25), carrier("ATT", 10), carrier("TMobile", 25)
 	for _, sale := range [][2]wqe.NodeID{{att, p1}, {att, p2}, {sprint, p3}, {sprint, p5}, {tmobile, p4}} {
-		g.AddEdge(sale[0], sale[1], "sells")
+		b.AddEdge(sale[0], sale[1], "sells")
 	}
-	wear := g.AddNode("Wearable", map[string]wqe.Value{"Name": wqe.S("GearS3")})
-	sensor := g.AddNode("Sensor", map[string]wqe.Value{"Name": wqe.S("HeartRate")})
-	g.AddEdge(wear, sensor, "has")
+	wear := b.AddNode("Wearable", map[string]wqe.Value{"Name": wqe.S("GearS3")})
+	sensor := b.AddNode("Sensor", map[string]wqe.Value{"Name": wqe.S("HeartRate")})
+	b.AddEdge(wear, sensor, "has")
 	for _, p := range []wqe.NodeID{p1, p2, p5} {
-		g.AddEdge(p, wear, "pairs")
+		b.AddEdge(p, wear, "pairs")
 	}
+	g := b.Build()
 
 	// ── 2. The original query Q: pricey cellphones with a carrier and
 	//       a sensor within two hops ──────────────────────────────────

@@ -62,17 +62,17 @@ func main() {
 // all four constraints at once: the NVidia machines are older or
 // smaller, and the desired MacBooks ship AMD or Intel GPUs.
 func buildStore() *wqe.Graph {
-	g := wqe.NewGraph()
-	apple := g.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Apple")})
-	dell := g.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Dell")})
-	lenovo := g.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Lenovo")})
+	b := wqe.NewGraphBuilder()
+	apple := b.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Apple")})
+	dell := b.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Dell")})
+	lenovo := b.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Lenovo")})
 
 	add := func(model string, year, screen, ram float64, gpu string, brand wqe.NodeID) {
-		l := g.AddNode("Laptop", map[string]wqe.Value{
+		l := b.AddNode("Laptop", map[string]wqe.Value{
 			"Model": wqe.S(model), "Year": wqe.N(year), "Screen": wqe.N(screen),
 			"RAM": wqe.N(ram), "GPU": wqe.S(gpu),
 		})
-		g.AddEdge(l, brand, "madeBy")
+		b.AddEdge(l, brand, "madeBy")
 	}
 	add("MR942CH/A", 2018, 15.4, 32, "AMD", apple)
 	add("MR942LL/A", 2018, 15.4, 32, "AMD", apple)
@@ -82,5 +82,5 @@ func buildStore() *wqe.Graph {
 	add("P52", 2017, 15.6, 32, "NVidia", lenovo)
 	add("X1-Extreme", 2019, 15.6, 32, "NVidia", lenovo)
 	add("T480", 2018, 14.0, 32, "Intel", lenovo)
-	return g
+	return b.Build()
 }

@@ -106,13 +106,13 @@ func BenchmarkGenRefine(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) { warm(b, g) })
 	b.Run("warm-irregular", func(b *testing.B) {
-		g, _ := datagen.Generate(datagen.DatasetKnowledge, 4000, 5)
+		gb := datagen.Knowledge(4000, 5)
 		nan := map[string]graph.Value{}
-		for a := 1; a < g.Attrs.Len(); a++ {
-			nan[g.Attrs.Name(int32(a))] = graph.N(math.NaN())
+		for a := 1; a < gb.Attrs.Len(); a++ {
+			nan[gb.Attrs.Name(int32(a))] = graph.N(math.NaN())
 		}
-		g.AddNode("irregular", nan)
-		warm(b, g)
+		gb.AddNode("irregular", nan)
+		warm(b, gb.Build())
 	})
 }
 

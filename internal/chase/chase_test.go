@@ -281,16 +281,16 @@ func TestApxWhyM(t *testing.T) {
 
 // TestAnsWE: removal-only Why-Empty rewriting on a constructed case.
 func TestAnsWE(t *testing.T) {
-	g := graph.New()
-	brand := g.AddNode("Brand", map[string]graph.Value{"Name": graph.S("Apple")})
-	l1 := g.AddNode("Laptop", map[string]graph.Value{
+	gb := graph.NewBuilder()
+	brand := gb.AddNode("Brand", map[string]graph.Value{"Name": graph.S("Apple")})
+	l1 := gb.AddNode("Laptop", map[string]graph.Value{
 		"Year": graph.N(2018), "GPU": graph.S("AMD"), "RAM": graph.N(32),
 	})
-	g.AddEdge(l1, brand, "madeBy")
-	l2 := g.AddNode("Laptop", map[string]graph.Value{
+	gb.AddEdge(l1, brand, "madeBy")
+	l2 := gb.AddNode("Laptop", map[string]graph.Value{
 		"Year": graph.N(2017), "GPU": graph.S("NVidia"), "RAM": graph.N(16),
 	})
-	g.AddEdge(l2, brand, "madeBy")
+	gb.AddEdge(l2, brand, "madeBy")
 
 	q := query.New()
 	lap := q.AddNode("Laptop",
@@ -305,6 +305,7 @@ func TestAnsWE(t *testing.T) {
 		"RAM": exemplar.C(graph.N(32)),
 	}}}
 
+	g := gb.Build()
 	w, err := chase.NewWhy(g, q, e, chase.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

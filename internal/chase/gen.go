@@ -27,29 +27,38 @@ type scoredOp struct {
 	PickyEdge int
 }
 
-// opTargets returns the cancel-out target keys of a sequence, used to
-// keep generated chase sequences canonical: a target touched once is
-// never touched again.
+// opTarget returns the cancel-out target key an operator occupies: its
+// literal's ("L:<node>:<attr>") or its edge's ("E:<from>:<to>"). An AddE
+// that adds a new node occupies none. Generated chase sequences stay
+// canonical by touching each target at most once.
+func opTarget(o ops.Op) (key string, ok bool) {
+	switch o.Kind {
+	case ops.RmL, ops.AddL, ops.RxL, ops.RfL:
+		return litTarget(o.U, o.Lit.Attr), true
+	case ops.RmE, ops.RxE, ops.RfE:
+		return edgeTarget(o.U, o.U2), true
+	case ops.AddE:
+		if o.NewNode == nil {
+			return edgeTarget(o.U, o.U2), true
+		}
+	}
+	return "", false
+}
+
+// opTargets returns the targets a sequence occupies.
 func opTargets(seq ops.Sequence) map[string]bool {
 	t := map[string]bool{}
 	for _, o := range seq {
-		switch o.Kind {
-		case ops.RmL, ops.AddL, ops.RxL, ops.RfL:
-			t[litTarget(o.U, o.Lit.Attr)] = true
-		case ops.RmE, ops.RxE, ops.RfE:
-			t[edgeTarget(o.U, o.U2)] = true
-		case ops.AddE:
-			if o.NewNode == nil {
-				t[edgeTarget(o.U, o.U2)] = true
-			}
+		if k, ok := opTarget(o); ok {
+			t[k] = true
 		}
 	}
 	return t
 }
 
-// litTarget and edgeTarget render the target keys ("L:<node>:<attr>",
-// "E:<from>:<to>") the generators test against opTargets' set; they sit
-// inside every generator loop, hence strconv rather than fmt.
+// litTarget and edgeTarget render the target keys the generators test
+// against opTargets' set; they sit inside every generator loop, hence
+// strconv rather than fmt.
 func litTarget(u query.NodeID, attr string) string {
 	return "L:" + strconv.Itoa(int(u)) + ":" + attr
 }

@@ -15,19 +15,8 @@ import (
 func (w *Why) GenRandom(q *query.Query, used map[string]bool, budgetLeft float64) []scoredOp {
 	var pool []ops.Op
 	consider := func(o ops.Op) {
-		switch o.Kind {
-		case ops.RmL, ops.AddL, ops.RxL, ops.RfL:
-			if used[litTarget(o.U, o.Lit.Attr)] {
-				return
-			}
-		case ops.RmE, ops.RxE, ops.RfE:
-			if used[edgeTarget(o.U, o.U2)] {
-				return
-			}
-		case ops.AddE:
-			if o.NewNode == nil && used[edgeTarget(o.U, o.U2)] {
-				return
-			}
+		if k, ok := opTarget(o); ok && used[k] {
+			return
 		}
 		if o.Applicable(q, w.params) && o.Cost(w.G) <= budgetLeft {
 			pool = append(pool, o)

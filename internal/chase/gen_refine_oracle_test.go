@@ -396,10 +396,10 @@ type edgeCase struct {
 // empty RM, a used target and an existing "=" literal.
 func edgeCases() (*graph.Graph, *exemplar.Exemplar, []edgeCase) {
 	rng := rand.New(rand.NewSource(5))
-	g := graph.New()
+	gb := graph.NewBuilder()
 	const nF, nP = 300, 500
 	for i := 0; i < nF; i++ {
-		g.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2)), "size": graph.N(float64(i % 5))})
+		gb.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2)), "size": graph.N(float64(i % 5))})
 	}
 	aVals := []graph.Value{graph.N(0), graph.N(math.Copysign(0, -1)), graph.N(5), graph.S("5"), graph.S("x")}
 	cVals := []graph.Value{graph.N(1), graph.N(math.NaN()), graph.N(2), graph.N(3), graph.N(math.NaN()), graph.S("NaN"), graph.N(0)}
@@ -417,7 +417,7 @@ func edgeCases() (*graph.Graph, *exemplar.Exemplar, []edgeCase) {
 		case 1:
 			attrs["k"] = graph.S("v=w")
 		}
-		g.AddNode("P", attrs)
+		gb.AddNode("P", attrs)
 	}
 	for i := 0; i < nF; i++ {
 		fan := 1 + rng.Intn(4)
@@ -425,7 +425,7 @@ func edgeCases() (*graph.Graph, *exemplar.Exemplar, []edgeCase) {
 			fan = 130 + 10*i // hubs, relevant and irrelevant: partner sets truncate
 		}
 		for _, p := range rng.Perm(nP)[:fan] {
-			g.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
+			gb.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
 		}
 	}
 	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"good": exemplar.C(graph.N(1))}}}
@@ -441,6 +441,7 @@ func edgeCases() (*graph.Graph, *exemplar.Exemplar, []edgeCase) {
 	eq := func(attr string, v graph.Value) query.Literal {
 		return query.Literal{Attr: attr, Op: graph.EQ, Val: v}
 	}
+	g := gb.Build()
 	return g, e, []edgeCase{
 		{"plain", base(nil, nil), map[string]bool{}, 0, true},
 		{"all sampled matches kept (150 per side)", base(nil, nil), map[string]bool{}, 1000, true},
@@ -552,27 +553,27 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 	// build wires every F to between fan and fan+spread Ps, every P to two Rs.
 	build := func(fan, spread int) *graph.Graph {
 		rng := rand.New(rand.NewSource(11))
-		g := graph.New()
+		gb := graph.NewBuilder()
 		for i := 0; i < nF; i++ {
-			g.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2))})
+			gb.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2))})
 		}
 		for i := 0; i < nP; i++ {
-			g.AddNode("P", map[string]graph.Value{"b": graph.N(float64(1 + rng.Intn(5)))})
+			gb.AddNode("P", map[string]graph.Value{"b": graph.N(float64(1 + rng.Intn(5)))})
 		}
 		for i := 0; i < nR; i++ {
-			g.AddNode("R", map[string]graph.Value{"c": graph.N(float64(rng.Intn(4)))})
+			gb.AddNode("R", map[string]graph.Value{"c": graph.N(float64(rng.Intn(4)))})
 		}
 		for i := 0; i < nF; i++ {
 			for _, p := range rng.Perm(nP)[:fan+rng.Intn(spread)] {
-				g.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
+				gb.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
 			}
 		}
 		for p := 0; p < nP; p++ {
 			for _, r := range rng.Perm(nR)[:2] {
-				g.AddEdge(graph.NodeID(nF+p), graph.NodeID(nF+nP+r), "of")
+				gb.AddEdge(graph.NodeID(nF+p), graph.NodeID(nF+nP+r), "of")
 			}
 		}
-		return g
+		return gb.Build()
 	}
 	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"good": exemplar.C(graph.N(1))}}}
 	q := query.New()

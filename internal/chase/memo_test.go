@@ -223,10 +223,11 @@ func TestMemoAskAll(t *testing.T) {
 // after the other on a memoizing session, the second runs its own chase
 // and gets the answer a session that never saw the first gives it.
 func TestMemoSeparatesExemplarCells(t *testing.T) {
-	g := graph.New()
+	gb := graph.NewBuilder()
 	for _, x := range []graph.Value{graph.N(1), graph.S("1"), graph.S("y"), graph.S("_")} {
-		g.AddNode("R", map[string]graph.Value{"x": x, "size": graph.N(3)})
+		gb.AddNode("R", map[string]graph.Value{"x": x, "size": graph.N(3)})
 	}
+	g := gb.Build()
 	q := query.New()
 	q.Focus = q.AddNode("R", query.Literal{Attr: "size", Op: graph.GE, Val: graph.N(5)})
 	for _, tc := range []struct {

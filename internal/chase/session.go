@@ -29,10 +29,9 @@ import (
 // from the shared helper-token budget, so concurrent questions compose
 // without oversubscribing the machine.
 //
-// The graph must not be mutated once a Session reads it, as the paper
-// asks every question of one fixed G: star tables, memoized answers and
-// the distance index are pure functions of the graph as first read, and
-// none of them is ever invalidated.
+// A graph.Graph has no mutators, as the paper asks every question of
+// one fixed G: star tables, memoized answers and the distance index are
+// pure functions of it, and none of them is ever invalidated.
 type Session struct {
 	G      *graph.Graph
 	Cfg    Config

@@ -102,13 +102,14 @@ func TestAnsWMultiFocus(t *testing.T) {
 // question must get the answer a fresh session gives it, not the other's
 // star table.
 func TestSessionStarCacheSeparatesLiteralKinds(t *testing.T) {
-	g := graph.New()
-	pNum := g.AddNode("P", map[string]graph.Value{"code": graph.N(5)})
-	pStr := g.AddNode("P", map[string]graph.Value{"code": graph.S("5")})
-	rNum := g.AddNode("R", map[string]graph.Value{"tag": graph.N(1)})
-	rStr := g.AddNode("R", map[string]graph.Value{"tag": graph.N(1)})
-	g.AddEdge(rNum, pNum, "has")
-	g.AddEdge(rStr, pStr, "has")
+	gb := graph.NewBuilder()
+	pNum := gb.AddNode("P", map[string]graph.Value{"code": graph.N(5)})
+	pStr := gb.AddNode("P", map[string]graph.Value{"code": graph.S("5")})
+	rNum := gb.AddNode("R", map[string]graph.Value{"tag": graph.N(1)})
+	rStr := gb.AddNode("R", map[string]graph.Value{"tag": graph.N(1)})
+	gb.AddEdge(rNum, pNum, "has")
+	gb.AddEdge(rStr, pStr, "has")
+	g := gb.Build()
 	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"tag": exemplar.C(graph.N(1))}}}
 	ask := func(code graph.Value) *query.Query {
 		q := query.New()

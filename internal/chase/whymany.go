@@ -137,7 +137,7 @@ func (w *Why) ApxWhyM() Answer {
 			if !remaining[i] || cost1+s.cost > w.Cfg.Budget {
 				continue
 			}
-			if conflicts(usedTargets, s.op) {
+			if k, ok := opTarget(s.op); ok && usedTargets[k] {
 				continue
 			}
 			im2 := unionSet(coveredIM, s.removedIM)
@@ -154,7 +154,9 @@ func (w *Why) ApxWhyM() Answer {
 		remaining[bestIdx] = false
 		o1 = append(o1, bestIdx)
 		cost1 += s.cost
-		markTargets(usedTargets, s.op)
+		if k, ok := opTarget(s.op); ok {
+			usedTargets[k] = true
+		}
 		//lint:ignore mapiter set union: each iteration only inserts true, order-insensitive
 		for v := range s.removedIM {
 			coveredIM[v] = true
@@ -200,35 +202,6 @@ func (w *Why) seedRf(res *match.Result) []scoredOp {
 		pool = pool[:maxSeeds]
 	}
 	return pool
-}
-
-func conflicts(used map[string]bool, o ops.Op) bool {
-	for _, t := range targetsOf(o) {
-		if used[t] {
-			return true
-		}
-	}
-	return false
-}
-
-func markTargets(used map[string]bool, o ops.Op) {
-	for _, t := range targetsOf(o) {
-		used[t] = true
-	}
-}
-
-func targetsOf(o ops.Op) []string {
-	switch o.Kind {
-	case ops.RmL, ops.AddL, ops.RxL, ops.RfL:
-		return []string{litTarget(o.U, o.Lit.Attr)}
-	case ops.RmE, ops.RxE, ops.RfE:
-		return []string{edgeTarget(o.U, o.U2)}
-	case ops.AddE:
-		if o.NewNode == nil {
-			return []string{edgeTarget(o.U, o.U2)}
-		}
-	}
-	return nil
 }
 
 func unionSet(a, b map[graph.NodeID]bool) map[graph.NodeID]bool {

@@ -16,17 +16,18 @@ const (
 )
 
 // Generate builds the named dataset at roughly n nodes with a seeded
-// generator.
+// generator. Knowledge, Movies, Offshore and Products return the
+// dataset unbuilt, for a caller that adds to it first.
 func Generate(name string, n int, seed int64) (*graph.Graph, error) {
 	switch name {
 	case DatasetKnowledge:
-		return Knowledge(n, seed), nil
+		return Knowledge(n, seed).Build(), nil
 	case DatasetMovies:
-		return Movies(n, seed), nil
+		return Movies(n, seed).Build(), nil
 	case DatasetOffshore:
-		return Offshore(n, seed), nil
+		return Offshore(n, seed).Build(), nil
 	case DatasetProducts:
-		return Products(n, seed), nil
+		return Products(n, seed).Build(), nil
 	}
 	return nil, fmt.Errorf("datagen: unknown dataset %q", name)
 }
@@ -64,9 +65,9 @@ func prefAttach(rng *rand.Rand, ends []graph.NodeID, numNodes int, eps float64) 
 
 // Knowledge builds the DBpedia analog: a power-law multigraph with many
 // labels and ~9 attributes per node drawn from per-label schemas.
-func Knowledge(n int, seed int64) *graph.Graph {
+func Knowledge(n int, seed int64) *graph.Builder {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	b := graph.NewBuilder()
 	labelCount := n / 400
 	if labelCount < 20 {
 		labelCount = 20
@@ -96,7 +97,7 @@ func Knowledge(n int, seed int64) *graph.Graph {
 				attrs[name] = graph.N(base + float64(rng.Intn(1000)))
 			}
 		}
-		g.AddNode(label, attrs)
+		b.AddNode(label, attrs)
 	}
 
 	relations := []string{"linksTo", "relatedTo", "partOf", "locatedIn", "knows"}
@@ -108,17 +109,17 @@ func Knowledge(n int, seed int64) *graph.Graph {
 		if src == dst {
 			continue
 		}
-		g.AddEdge(src, dst, relations[rng.Intn(len(relations))])
+		b.AddEdge(src, dst, relations[rng.Intn(len(relations))])
 		ends = append(ends, src, dst)
 	}
-	return g
+	return b
 }
 
 // Movies builds the IMDB analog: movies, people, genres, and studios
 // with ~6 attributes and hub actors.
-func Movies(n int, seed int64) *graph.Graph {
+func Movies(n int, seed int64) *graph.Builder {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	b := graph.NewBuilder()
 	nMovies := n * 45 / 100
 	nActors := n * 35 / 100
 	nDirectors := n * 10 / 100
@@ -127,20 +128,20 @@ func Movies(n int, seed int64) *graph.Graph {
 
 	genres := make([]graph.NodeID, nGenres)
 	for i := range genres {
-		genres[i] = g.AddNode("Genre", map[string]graph.Value{
+		genres[i] = b.AddNode("Genre", map[string]graph.Value{
 			"Name": graph.S(fmt.Sprintf("genre-%02d", i)),
 		})
 	}
 	studios := make([]graph.NodeID, nStudios)
 	for i := range studios {
-		studios[i] = g.AddNode("Studio", map[string]graph.Value{
+		studios[i] = b.AddNode("Studio", map[string]graph.Value{
 			"Name":    graph.S(fmt.Sprintf("studio-%03d", i)),
 			"Founded": graph.N(float64(1900 + rng.Intn(120))),
 		})
 	}
 	movies := make([]graph.NodeID, nMovies)
 	for i := range movies {
-		movies[i] = g.AddNode("Movie", map[string]graph.Value{
+		movies[i] = b.AddNode("Movie", map[string]graph.Value{
 			"Title":   graph.S(fmt.Sprintf("movie-%05d", i)),
 			"Year":    graph.N(float64(1950 + rng.Intn(74))),
 			"Rating":  graph.N(float64(rng.Intn(100)) / 10),
@@ -148,41 +149,41 @@ func Movies(n int, seed int64) *graph.Graph {
 			"Runtime": graph.N(float64(60 + rng.Intn(120))),
 			"Budget":  graph.N(float64(rng.Intn(200000000))),
 		})
-		g.AddEdge(movies[i], genres[zipfIdx(rng, nGenres)], "hasGenre")
+		b.AddEdge(movies[i], genres[zipfIdx(rng, nGenres)], "hasGenre")
 		if nStudios > 0 {
-			g.AddEdge(studios[zipfIdx(rng, nStudios)], movies[i], "produced")
+			b.AddEdge(studios[zipfIdx(rng, nStudios)], movies[i], "produced")
 		}
 	}
 	for i := 0; i < nActors; i++ {
-		a := g.AddNode("Actor", map[string]graph.Value{
+		a := b.AddNode("Actor", map[string]graph.Value{
 			"Name":       graph.S(fmt.Sprintf("actor-%05d", i)),
 			"BirthYear":  graph.N(float64(1930 + rng.Intn(80))),
 			"Popularity": graph.N(float64(rng.Intn(100))),
 		})
 		roles := 1 + zipfIdx(rng, 8) // hub actors act in many movies
 		for r := 0; r <= roles && nMovies > 0; r++ {
-			g.AddEdge(a, movies[rng.Intn(nMovies)], "actedIn")
+			b.AddEdge(a, movies[rng.Intn(nMovies)], "actedIn")
 		}
 	}
 	for i := 0; i < nDirectors; i++ {
-		d := g.AddNode("Director", map[string]graph.Value{
+		d := b.AddNode("Director", map[string]graph.Value{
 			"Name":      graph.S(fmt.Sprintf("director-%04d", i)),
 			"BirthYear": graph.N(float64(1930 + rng.Intn(70))),
 			"Awards":    graph.N(float64(rng.Intn(20))),
 		})
 		for r := 0; r <= rng.Intn(4) && nMovies > 0; r++ {
-			g.AddEdge(d, movies[rng.Intn(nMovies)], "directed")
+			b.AddEdge(d, movies[rng.Intn(nMovies)], "directed")
 		}
 	}
-	return g
+	return b
 }
 
 // Offshore builds the ICIJ Offshore analog: entities, officers,
 // intermediaries, addresses, and jurisdictions with sparse temporal
 // attributes.
-func Offshore(n int, seed int64) *graph.Graph {
+func Offshore(n int, seed int64) *graph.Builder {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	b := graph.NewBuilder()
 	nEntities := n * 45 / 100
 	nOfficers := n * 30 / 100
 	nInterm := n * 10 / 100
@@ -193,18 +194,18 @@ func Offshore(n int, seed int64) *graph.Graph {
 
 	countries := make([]graph.NodeID, nCountries)
 	for i := range countries {
-		countries[i] = g.AddNode("Country", map[string]graph.Value{
+		countries[i] = b.AddNode("Country", map[string]graph.Value{
 			"Name": graph.S(fmt.Sprintf("country-%02d", i)),
 			"Code": graph.N(float64(i)),
 		})
 	}
 	addresses := make([]graph.NodeID, nAddresses)
 	for i := range addresses {
-		addresses[i] = g.AddNode("Address", map[string]graph.Value{
+		addresses[i] = b.AddNode("Address", map[string]graph.Value{
 			"Street": graph.S(fmt.Sprintf("street-%04d", i)),
 			"Zip":    graph.N(float64(10000 + rng.Intn(90000))),
 		})
-		g.AddEdge(addresses[i], countries[zipfIdx(rng, nCountries)], "inCountry")
+		b.AddEdge(addresses[i], countries[zipfIdx(rng, nCountries)], "inCountry")
 	}
 	entities := make([]graph.NodeID, nEntities)
 	for i := range entities {
@@ -218,38 +219,38 @@ func Offshore(n int, seed int64) *graph.Graph {
 		if rng.Intn(3) == 0 {
 			attrs["CloseYear"] = graph.N(float64(inc + rng.Intn(30)))
 		}
-		entities[i] = g.AddNode("Entity", attrs)
+		entities[i] = b.AddNode("Entity", attrs)
 		if nAddresses > 0 {
-			g.AddEdge(entities[i], addresses[rng.Intn(nAddresses)], "registeredAt")
+			b.AddEdge(entities[i], addresses[rng.Intn(nAddresses)], "registeredAt")
 		}
-		g.AddEdge(entities[i], countries[zipfIdx(rng, nCountries)], "jurisdiction")
+		b.AddEdge(entities[i], countries[zipfIdx(rng, nCountries)], "jurisdiction")
 	}
 	for i := 0; i < nOfficers; i++ {
-		o := g.AddNode("Officer", map[string]graph.Value{
+		o := b.AddNode("Officer", map[string]graph.Value{
 			"Name":  graph.S(fmt.Sprintf("officer-%05d", i)),
 			"Since": graph.N(float64(1980 + rng.Intn(40))),
 		})
 		for r := 0; r <= zipfIdx(rng, 5) && nEntities > 0; r++ {
-			g.AddEdge(o, entities[rng.Intn(nEntities)], "officerOf")
+			b.AddEdge(o, entities[rng.Intn(nEntities)], "officerOf")
 		}
 	}
 	for i := 0; i < nInterm; i++ {
-		m := g.AddNode("Intermediary", map[string]graph.Value{
+		m := b.AddNode("Intermediary", map[string]graph.Value{
 			"Name":   graph.S(fmt.Sprintf("intermediary-%04d", i)),
 			"Volume": graph.N(float64(rng.Intn(10000))),
 		})
 		for r := 0; r <= 1+zipfIdx(rng, 10) && nEntities > 0; r++ {
-			g.AddEdge(m, entities[rng.Intn(nEntities)], "arranged")
+			b.AddEdge(m, entities[rng.Intn(nEntities)], "arranged")
 		}
 	}
-	return g
+	return b
 }
 
 // Products builds the WatDiv analog: an e-commerce purchase graph with
 // users, products, retailers, reviews, and categories.
-func Products(n int, seed int64) *graph.Graph {
+func Products(n int, seed int64) *graph.Builder {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	b := graph.NewBuilder()
 	nProducts := n * 35 / 100
 	nUsers := n * 25 / 100
 	nReviews := n * 25 / 100
@@ -259,62 +260,62 @@ func Products(n int, seed int64) *graph.Graph {
 
 	categories := make([]graph.NodeID, nCategories)
 	for i := range categories {
-		categories[i] = g.AddNode("Category", map[string]graph.Value{
+		categories[i] = b.AddNode("Category", map[string]graph.Value{
 			"Name": graph.S(fmt.Sprintf("category-%02d", i)),
 		})
 	}
 	brands := make([]graph.NodeID, nBrands)
 	for i := range brands {
-		brands[i] = g.AddNode("Brand", map[string]graph.Value{
+		brands[i] = b.AddNode("Brand", map[string]graph.Value{
 			"Name":    graph.S(fmt.Sprintf("brand-%02d", i)),
 			"Founded": graph.N(float64(1950 + rng.Intn(70))),
 		})
 	}
 	products := make([]graph.NodeID, nProducts)
 	for i := range products {
-		products[i] = g.AddNode("Product", map[string]graph.Value{
+		products[i] = b.AddNode("Product", map[string]graph.Value{
 			"Name":   graph.S(fmt.Sprintf("product-%05d", i)),
 			"Price":  graph.N(float64(5 + rng.Intn(1500))),
 			"Rating": graph.N(float64(rng.Intn(50)) / 10),
 			"Stock":  graph.N(float64(rng.Intn(500))),
 			"Year":   graph.N(float64(2005 + rng.Intn(20))),
 		})
-		g.AddEdge(products[i], categories[zipfIdx(rng, nCategories)], "inCategory")
-		g.AddEdge(products[i], brands[zipfIdx(rng, nBrands)], "brandedBy")
+		b.AddEdge(products[i], categories[zipfIdx(rng, nCategories)], "inCategory")
+		b.AddEdge(products[i], brands[zipfIdx(rng, nBrands)], "brandedBy")
 	}
 	retailers := make([]graph.NodeID, nRetailers)
 	for i := range retailers {
-		retailers[i] = g.AddNode("Retailer", map[string]graph.Value{
+		retailers[i] = b.AddNode("Retailer", map[string]graph.Value{
 			"Name":     graph.S(fmt.Sprintf("retailer-%03d", i)),
 			"Discount": graph.N(float64(5 * rng.Intn(7))),
 			"Ships":    graph.N(float64(1 + rng.Intn(14))),
 		})
 		listings := 4 + zipfIdx(rng, 40)
 		for l := 0; l < listings && nProducts > 0; l++ {
-			g.AddEdge(retailers[i], products[rng.Intn(nProducts)], "sells")
+			b.AddEdge(retailers[i], products[rng.Intn(nProducts)], "sells")
 		}
 	}
 	users := make([]graph.NodeID, nUsers)
 	for i := range users {
-		users[i] = g.AddNode("User", map[string]graph.Value{
+		users[i] = b.AddNode("User", map[string]graph.Value{
 			"Name": graph.S(fmt.Sprintf("user-%05d", i)),
 			"Age":  graph.N(float64(18 + rng.Intn(60))),
 		})
 		for p := 0; p <= zipfIdx(rng, 6) && nProducts > 0; p++ {
-			g.AddEdge(users[i], products[rng.Intn(nProducts)], "purchased")
+			b.AddEdge(users[i], products[rng.Intn(nProducts)], "purchased")
 		}
 	}
 	for i := 0; i < nReviews; i++ {
-		r := g.AddNode("Review", map[string]graph.Value{
+		r := b.AddNode("Review", map[string]graph.Value{
 			"Score":   graph.N(float64(1 + rng.Intn(5))),
 			"Helpful": graph.N(float64(rng.Intn(200))),
 		})
 		if nUsers > 0 {
-			g.AddEdge(users[rng.Intn(nUsers)], r, "wrote")
+			b.AddEdge(users[rng.Intn(nUsers)], r, "wrote")
 		}
 		if nProducts > 0 {
-			g.AddEdge(r, products[rng.Intn(nProducts)], "reviews")
+			b.AddEdge(r, products[rng.Intn(nProducts)], "reviews")
 		}
 	}
-	return g
+	return b
 }

@@ -36,9 +36,9 @@ type Fig1 struct {
 //     RxL(Price ≥ 840 → Price ≥ 790), reaching Q'(G) = {P3, P4, P5}
 //     and closeness 1/2.
 func NewFig1() *Fig1 {
-	g := graph.New()
+	b := graph.NewBuilder()
 	phone := func(name string, display, storage, price, ram float64) graph.NodeID {
-		return g.AddNode("Cellphone", map[string]graph.Value{
+		return b.AddNode("Cellphone", map[string]graph.Value{
 			"Name":    graph.S(name),
 			"Display": graph.N(display),
 			"Storage": graph.N(storage),
@@ -54,7 +54,7 @@ func NewFig1() *Fig1 {
 	p6 := phone("J7", 5.5, 16, 300, 2)
 
 	carrier := func(name string, discount float64) graph.NodeID {
-		return g.AddNode("Carrier", map[string]graph.Value{
+		return b.AddNode("Carrier", map[string]graph.Value{
 			"Name":     graph.S(name),
 			"Discount": graph.N(discount),
 		})
@@ -64,21 +64,21 @@ func NewFig1() *Fig1 {
 	tmobile := carrier("TMobile", 25)
 
 	// Carriers sell cellphones. 25%-discount carriers do not sell P1/P2.
-	g.AddEdge(att, p1, "sells")
-	g.AddEdge(att, p2, "sells")
-	g.AddEdge(sprint, p3, "sells")
-	g.AddEdge(sprint, p5, "sells")
-	g.AddEdge(tmobile, p4, "sells")
-	g.AddEdge(att, p6, "sells")
+	b.AddEdge(att, p1, "sells")
+	b.AddEdge(att, p2, "sells")
+	b.AddEdge(sprint, p3, "sells")
+	b.AddEdge(sprint, p5, "sells")
+	b.AddEdge(tmobile, p4, "sells")
+	b.AddEdge(att, p6, "sells")
 
 	// Wearables and sensors: P1, P2, P5 reach a Sensor within two hops;
 	// P3 and P4 have none (P3 "has no wearable sensors").
-	wear := g.AddNode("Wearable", map[string]graph.Value{"Name": graph.S("GearS3")})
-	sensor := g.AddNode("Sensor", map[string]graph.Value{"Name": graph.S("HeartRate")})
-	g.AddEdge(wear, sensor, "has")
-	g.AddEdge(p1, wear, "pairs")
-	g.AddEdge(p2, wear, "pairs")
-	g.AddEdge(p5, wear, "pairs")
+	wear := b.AddNode("Wearable", map[string]graph.Value{"Name": graph.S("GearS3")})
+	sensor := b.AddNode("Sensor", map[string]graph.Value{"Name": graph.S("HeartRate")})
+	b.AddEdge(wear, sensor, "has")
+	b.AddEdge(p1, wear, "pairs")
+	b.AddEdge(p2, wear, "pairs")
+	b.AddEdge(p5, wear, "pairs")
 
 	// Query Q (Fig 1): find Cellphones priced ≥ 840 with ≥ 4GB RAM,
 	// sold by a Carrier, with a Sensor within two hops.
@@ -115,7 +115,7 @@ func NewFig1() *Fig1 {
 	}
 
 	return &Fig1{
-		G: g, Q: q, E: e,
+		G: b.Build(), Q: q, E: e,
 		Phones: map[string]graph.NodeID{
 			"P1": p1, "P2": p2, "P3": p3, "P4": p4, "P5": p5, "P6": p6,
 		},

@@ -9,17 +9,17 @@ import (
 
 func randomGraph(n, m int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	gb := graph.NewBuilder()
 	for i := 0; i < n; i++ {
-		g.AddNode("N", nil)
+		gb.AddNode("N", nil)
 	}
 	for i := 0; i < m; i++ {
 		a, b := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 		if a != b {
-			g.AddEdge(a, b, "")
+			gb.AddEdge(a, b, "")
 		}
 	}
-	return g
+	return gb.Build()
 }
 
 // TestPLLMatchesBFS cross-checks the pruned-landmark index against the
@@ -53,13 +53,14 @@ func TestPLLMatchesBFS(t *testing.T) {
 
 // TestPLLChain checks exact distances and direction on a chain.
 func TestPLLChain(t *testing.T) {
-	g := graph.New()
+	gb := graph.NewBuilder()
 	for i := 0; i < 8; i++ {
-		g.AddNode("N", nil)
+		gb.AddNode("N", nil)
 	}
 	for i := 0; i+1 < 8; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "")
+		gb.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "")
 	}
+	g := gb.Build()
 	pll := NewPLL(g)
 	for a := 0; a < 8; a++ {
 		for b := 0; b < 8; b++ {
@@ -205,14 +206,15 @@ func TestPLLParallelDistances(t *testing.T) {
 // parallel path (chain length exceeds the seed count, so the batched
 // phase actually runs).
 func TestPLLChainParallel(t *testing.T) {
-	g := graph.New()
+	gb := graph.NewBuilder()
 	const n = 40
 	for i := 0; i < n; i++ {
-		g.AddNode("N", nil)
+		gb.AddNode("N", nil)
 	}
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "")
+		gb.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "")
 	}
+	g := gb.Build()
 	if !labelsEqual(t, NewPLL(g), NewPLLParallel(g, 3)) {
 		t.Fatal("chain labels differ between sequential and parallel builds")
 	}

@@ -9,15 +9,15 @@ import (
 
 func benchGraph(n int) *graph.Graph {
 	rng := rand.New(rand.NewSource(1))
-	g := graph.New()
+	gb := graph.NewBuilder()
 	for i := 0; i < n; i++ {
-		g.AddNode("Phone", map[string]graph.Value{
+		gb.AddNode("Phone", map[string]graph.Value{
 			"Display": graph.N([]float64{5.5, 6.2, 6.3}[rng.Intn(3)]),
 			"Storage": graph.N(float64(int(16) << rng.Intn(4))),
 			"Price":   graph.N(float64(300 + 50*rng.Intn(14))),
 		})
 	}
-	return g
+	return gb.Build()
 }
 
 func benchExemplar() *Exemplar {

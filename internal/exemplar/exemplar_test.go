@@ -11,15 +11,15 @@ import (
 
 // phones builds a small catalog: display/storage/price triples.
 func phones(rows [][3]float64) *graph.Graph {
-	g := graph.New()
+	gb := graph.NewBuilder()
 	for _, r := range rows {
-		g.AddNode("Phone", map[string]graph.Value{
+		gb.AddNode("Phone", map[string]graph.Value{
 			"Display": graph.N(r[0]),
 			"Storage": graph.N(r[1]),
 			"Price":   graph.N(r[2]),
 		})
 	}
-	return g
+	return gb.Build()
 }
 
 func mustEval(t *testing.T, g *graph.Graph, e *Exemplar) *Eval {
@@ -178,9 +178,9 @@ func TestRepInequalityCascade(t *testing.T) {
 
 func TestRepEqualityClass(t *testing.T) {
 	// x = y across two groups: the maximal value class survives.
-	g := graph.New()
+	gb := graph.NewBuilder()
 	add := func(label string, color string) graph.NodeID {
-		return g.AddNode(label, map[string]graph.Value{"Color": graph.S(color), "Kind": graph.S(label)})
+		return gb.AddNode(label, map[string]graph.Value{"Color": graph.S(color), "Kind": graph.S(label)})
 	}
 	add("A", "red")   // 0
 	add("A", "red")   // 1
@@ -194,6 +194,7 @@ func TestRepEqualityClass(t *testing.T) {
 		},
 		Constraints: []Constraint{{Left: "x", Op: graph.EQ, IsVar: true, Right: "y"}},
 	}
+	g := gb.Build()
 	ev := mustEval(t, g, e)
 	want := map[graph.NodeID]bool{0: true, 1: true, 3: true}
 	for v := graph.NodeID(0); v < 5; v++ {
@@ -355,9 +356,10 @@ func TestFromEntities(t *testing.T) {
 	}
 	// The number 5 and the string "5" render alike and match different
 	// nodes: two entities, two tuple patterns.
-	kinds := graph.New()
-	num := kinds.AddNode("P", map[string]graph.Value{"code": graph.N(5)})
-	str := kinds.AddNode("P", map[string]graph.Value{"code": graph.S("5")})
+	kindsB := graph.NewBuilder()
+	num := kindsB.AddNode("P", map[string]graph.Value{"code": graph.N(5)})
+	str := kindsB.AddNode("P", map[string]graph.Value{"code": graph.S("5")})
+	kinds := kindsB.Build()
 	if e := FromEntities(kinds, []graph.NodeID{num, str}, nil); len(e.Tuples) != 2 {
 		t.Errorf("tuples differing in a value's kind merged: %v", e)
 	}
@@ -462,7 +464,7 @@ func tupleClosenessByName(g *graph.Graph, v graph.NodeID, t TuplePattern) float6
 
 func TestCompiledPatternMatchesByName(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	g := graph.New()
+	gb := graph.NewBuilder()
 	attrs := []string{"a", "b", "c", "d", "e"}
 	for i := 0; i < 200; i++ {
 		tuple := map[string]graph.Value{}
@@ -474,8 +476,9 @@ func TestCompiledPatternMatchesByName(t *testing.T) {
 				tuple[a] = graph.S([]string{"red", "reed", "blue"}[rng.Intn(3)])
 			}
 		}
-		g.AddNode("N", tuple)
+		gb.AddNode("N", tuple)
 	}
+	g := gb.Build()
 	cellFor := func() Cell {
 		switch rng.Intn(4) {
 		case 0:

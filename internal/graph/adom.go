@@ -56,10 +56,9 @@ func (g *Graph) ActiveDomain(name string) *Domain {
 	return &Domain{Attr: name}
 }
 
-// WarmCaches eagerly computes the lazily-built diameter, active domains
-// and code column. The lazy builders are serialized by lazyMu, so this
-// is purely a performance warm-up: call it once after construction so
-// concurrent readers never stall behind a full domain scan.
+// WarmCaches eagerly computes the diameter, active domains and code
+// column, which are otherwise built on first use: call it once after
+// construction so no reader stalls behind a full domain scan.
 func (g *Graph) WarmCaches() {
 	g.Diameter()
 	g.Codes()
@@ -77,8 +76,8 @@ type AttrCode struct {
 // attribute's base plus the index of its value in Domain.Values, so one
 // attribute's codes are contiguous, ordered as its domain is, and equal
 // codes mean equal cells. The column is derived state, built by the
-// pass that builds the domains and dropped with them on mutation; it is
-// 8 bytes per cell and is not part of the snapshot format.
+// pass that builds the domains; it is 8 bytes per cell and is not part
+// of the snapshot format.
 //
 // Code identity is exactly the engine's equality test (same kind,
 // Compare == 0) and code order exactly Compare's order on every
@@ -103,27 +102,12 @@ type Codes struct {
 	}
 }
 
-// Codes returns the coded view of the graph's current tuples, building
-// it (and the active domains) on first use after a mutation. The result
-// is shared and immutable.
+// Codes returns the coded view of the graph's tuples, building it (and
+// the active domains) on first use. The result is shared and immutable.
 func (g *Graph) Codes() *Codes {
-	if c := g.codes.Load(); c != nil {
-		return c
-	}
-	g.lazyMu.Lock()
-	defer g.lazyMu.Unlock()
-	c := g.codes.Load()
-	if c == nil {
-		c = g.buildCodesLocked()
-		g.codes.Store(c)
-	}
-	return c
+	g.codesOnce.Do(func() { g.codes = g.buildCodes() })
+	return g.codes
 }
-
-// CodesCurrent reports whether c is still the coded view of g: false
-// once a mutation has dropped it, after which c describes tuples that no
-// longer exist.
-func (g *Graph) CodesCurrent(c *Codes) bool { return c != nil && g.codes.Load() == c }
 
 // Tuple returns the coded tuple of node v, cell for cell parallel to
 // Graph.Tuple. The caller must not mutate it.
@@ -294,9 +278,9 @@ func domainOrder(a, b Value) int {
 	return strings.Compare(a.Str, b.Str)
 }
 
-// buildCodesLocked scans the attribute arena once and materializes all
-// active domains and the code column. The caller must hold g.lazyMu.
-func (g *Graph) buildCodesLocked() *Codes {
+// buildCodes scans the attribute arena once and materializes all active
+// domains and the code column.
+func (g *Graph) buildCodes() *Codes {
 	nAttrs := g.Attrs.Len()
 	c := &Codes{
 		off:       g.attrOff,

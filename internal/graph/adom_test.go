@@ -26,10 +26,10 @@ func edgeValues() []Value {
 // edgeGraph draws every node's attributes from pools: "plain" and "word"
 // hold ordinary numbers and strings, "mixed" both kinds, "edge" anything
 // from edgeValues.
-func edgeGraph(n int, seed int64) *Graph {
+func edgeGraph(n int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
 	edge := edgeValues()
-	g := New()
+	b := NewBuilder()
 	for i := 0; i < n; i++ {
 		attrs := map[string]Value{"plain": N(float64(rng.Intn(12) - 4))}
 		if rng.Intn(4) > 0 {
@@ -41,23 +41,23 @@ func edgeGraph(n int, seed int64) *Graph {
 		if rng.Intn(2) > 0 {
 			attrs["edge"] = edge[rng.Intn(len(edge))]
 		}
-		g.AddNode([]string{"A", "B"}[rng.Intn(2)], attrs)
+		b.AddNode([]string{"A", "B"}[rng.Intn(2)], attrs)
 	}
-	return g
+	return b
 }
 
 // TestDomainWithNaNAndZeros: NaN cells are one domain value however many
 // there are (a float-keyed map gave each its own), -0 and 0 are two, and
 // neither disturbs Contains or Range.
 func TestDomainWithNaNAndZeros(t *testing.T) {
-	g := New()
+	b := NewBuilder()
 	for _, v := range []Value{
 		N(math.NaN()), N(5), N(0), N(math.NaN()), N(negZero), S("s"),
 		N(math.Float64frombits(0x7ff8000000000123)), N(0), N(2), N(math.NaN()),
 	} {
-		g.AddNode("P", map[string]Value{"x": v})
+		b.AddNode("P", map[string]Value{"x": v})
 	}
-	d := g.ActiveDomain("x")
+	d := b.Build().ActiveDomain("x")
 	if len(d.Values) != 6 || d.Numbers != 5 {
 		t.Fatalf("domain = %v (%d numeric), want 0 -0 2 5 NaN s", d.Values, d.Numbers)
 	}
@@ -83,10 +83,10 @@ func TestDomainWithNaNAndZeros(t *testing.T) {
 		t.Errorf("min %v max %v range %v, want 0 5 5", d.NumMin, d.NumMax, d.Range())
 	}
 
-	onlyNaN := New()
+	onlyNaN := NewBuilder()
 	onlyNaN.AddNode("P", map[string]Value{"x": N(math.NaN())})
 	onlyNaN.AddNode("P", map[string]Value{"x": N(math.NaN())})
-	if d := onlyNaN.ActiveDomain("x"); len(d.Values) != 1 || d.NumMin != 0 || d.NumMax != 0 || d.Range() != 1 {
+	if d := onlyNaN.Build().ActiveDomain("x"); len(d.Values) != 1 || d.NumMin != 0 || d.NumMax != 0 || d.Range() != 1 {
 		t.Errorf("all-NaN domain = %v, min %v max %v range %v", d.Values, d.NumMin, d.NumMax, d.Range())
 	}
 }
@@ -95,7 +95,7 @@ func TestDomainWithNaNAndZeros(t *testing.T) {
 // names its cell's value, and on a regular attribute codes are equal
 // where the engine's equality test holds and ordered as Compare orders.
 func TestCodesMirrorTuples(t *testing.T) {
-	g := edgeGraph(400, 3)
+	g := edgeGraph(400, 3).Build()
 	c := g.Codes()
 	total := 0
 	for a := int32(1); a < int32(g.Attrs.Len()); a++ {
@@ -172,10 +172,11 @@ func TestCodesIrregular(t *testing.T) {
 		{"name beginning another", []map[string]Value{{"a=b=c": N(1), "a=b": N(1), "a": N(1), "b": N(1), "=": N(1)}}, []string{"=", "a", "a=b", "a=b=c"}},
 	}
 	for _, tc := range cases {
-		g := New()
+		b := NewBuilder()
 		for _, n := range tc.nodes {
-			g.AddNode("P", n)
+			b.AddNode("P", n)
 		}
+		g := b.Build()
 		c := g.Codes()
 		var got []string
 		for a := int32(1); a < int32(g.Attrs.Len()); a++ {
@@ -190,52 +191,10 @@ func TestCodesIrregular(t *testing.T) {
 	}
 }
 
-// TestCodesRebuiltAfterMutation: AddNode drops the view — a column over tuples that no longer exist must never be read — and the
-// next use builds one over the new tuples.
-func TestCodesRebuiltAfterMutation(t *testing.T) {
-	g := edgeGraph(50, 9)
-	check := func(what string) *Codes {
-		t.Helper()
-		c := g.Codes()
-		if !g.CodesCurrent(c) || g.Codes() != c {
-			t.Fatalf("%s: a fresh view is not current", what)
-		}
-		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
-			for i, av := range g.Tuple(v) {
-				if got := c.Value(c.Tuple(v)[i].Code); got.Compare(av.Val) != 0 {
-					t.Fatalf("%s: node %d cell %d is %v, its code stands for %v", what, v, i, av.Val, got)
-				}
-			}
-		}
-		return c
-	}
-	c1 := check("built")
-	v := g.AddNode("A", map[string]Value{"fresh": S("new"), "plain": N(-1e9)})
-	if g.CodesCurrent(c1) {
-		t.Fatal("view still current after AddNode")
-	}
-	c2 := check("after AddNode")
-	if len(c2.Tuple(v)) != 2 || c2.Domain(mustAttr(t, g, "fresh")) == nil {
-		t.Fatalf("the added node has %d coded cells, fresh's domain %v", len(c2.Tuple(v)), c2.Domain(mustAttr(t, g, "fresh")))
-	}
-	if g.CodesCurrent(nil) {
-		t.Error("no view is current")
-	}
-}
-
-func mustAttr(t *testing.T, g *Graph, name string) int32 {
-	t.Helper()
-	a, ok := g.Attrs.Lookup(name)
-	if !ok {
-		t.Fatalf("attribute %q not interned", name)
-	}
-	return a
-}
-
 // TestCodesConcurrentFirstUse hits a cold graph's view and key ranks from
 // many goroutines (run under -race): one build each, shared by all.
 func TestCodesConcurrentFirstUse(t *testing.T) {
-	g := edgeGraph(300, 4)
+	g := edgeGraph(300, 4).Build()
 	views := make([]*Codes, 8)
 	ranks := make([][]int32, len(views))
 	var wg sync.WaitGroup
@@ -262,8 +221,9 @@ func TestCodesConcurrentFirstUse(t *testing.T) {
 // TestKeyRanks: ranks order codes as their rendered keys order, and a
 // group is the codes rendering alike.
 func TestKeyRanks(t *testing.T) {
-	g := edgeGraph(400, 5)
-	g.AddNode("A", map[string]Value{"k=v": S("w"), "k": S("v=w")})
+	b := edgeGraph(400, 5)
+	b.AddNode("A", map[string]Value{"k=v": S("w"), "k": S("v=w")})
+	g := b.Build()
 	c := g.Codes()
 	rank, group := c.KeyRanks()
 	text := func(code int32) string {

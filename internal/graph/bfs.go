@@ -65,7 +65,6 @@ func (sc *bfsScratch) next() {
 // and owned by the caller; a caller that scans one ball after another
 // and keeps none holds a Traverser instead.
 func (g *Graph) Ball(v NodeID, maxHops int, dir Direction) []NodeDist {
-	g.ensure()
 	sc := g.scratch()
 	out := g.ball(sc, make([]NodeDist, 0, 16), v, maxHops, dir)
 	scratchPool.Put(sc)
@@ -113,8 +112,8 @@ func (g *Graph) ball(sc *bfsScratch, out []NodeDist, v NodeID, maxHops int, dir 
 // for callers that scan each ball and drop it: star-table construction
 // visits a hundred center candidates whose balls hold a handful of nodes
 // each, so the fixed price of a Ball — a pool round trip and a fresh
-// slice — outweighs the traversal. A Traverser is for one goroutine, must
-// be released, and must not outlive a mutation of the graph.
+// slice — outweighs the traversal. A Traverser is for one goroutine and
+// must be released.
 type Traverser struct {
 	g  *Graph
 	sc *bfsScratch
@@ -122,7 +121,6 @@ type Traverser struct {
 
 // Traverser draws the scratch for a run of traversals over g.
 func (g *Graph) Traverser() Traverser {
-	g.ensure()
 	return Traverser{g: g, sc: g.scratch()}
 }
 
@@ -150,7 +148,6 @@ func (t Traverser) Release() { scratchPool.Put(t.sc) }
 // construction lives on it. TestVisitBallMatchesBall pins the two
 // together on every prefix.
 func (g *Graph) VisitBall(v NodeID, maxHops int, dir Direction, visit func(u NodeID, d int32) bool) {
-	g.ensure()
 	sc := g.scratch()
 	queue := sc.queue[:0]
 	defer func() {
@@ -255,7 +252,6 @@ func (sc *ballsScratch) arrive(edges []Edge, m uint64) {
 // costs O(nodes reached + edges scanned) and allocates nothing once
 // warm. See ballsScratch for its size.
 func (g *Graph) VisitBalls(srcs []NodeID, maxHops int, dir Direction, visit func(n NodeID, d int32, mask uint64) (retire uint64)) (taken int) {
-	g.ensure()
 	taken = min(len(srcs), MaxBallSources)
 	sc := ballsPool.Get().(*ballsScratch)
 	if len(sc.seen) < g.NumNodes() {
@@ -318,7 +314,6 @@ func (g *Graph) Dist(from, to NodeID, maxHops int) int {
 	if maxHops <= 0 {
 		return Unreachable
 	}
-	g.ensure()
 	sc := g.scratch()
 	defer scratchPool.Put(sc)
 	queue := make([]NodeID, 0, 16)
@@ -356,50 +351,23 @@ func (g *Graph) eccentricity(v NodeID) (int, NodeID) {
 }
 
 // Diameter returns an estimate of D(G), the diameter of the graph viewed
-// undirected, computed by the double-sweep heuristic (exact on trees,
-// a lower bound in general; the paper uses D(G) only to normalize
-// edge-bound operator costs). The estimate is cached until the graph
-// mutates, and is at least 1 on nonempty graphs so cost normalization
+// undirected, computed once by the double-sweep heuristic (exact on
+// trees, a lower bound in general; the paper uses D(G) only to normalize
+// edge-bound operator costs). It is at least 1, so cost normalization
 // never divides by zero.
-//
-// The BFS sweeps run outside lazyMu: Ball calls ensure, which takes the
-// same mutex when the graph is dirty, so holding it across the sweeps
-// would self-deadlock. Concurrent first callers may each compute the
-// estimate; every computation over the same (immutable-while-read)
-// graph yields the same value, so the racing stores agree.
 func (g *Graph) Diameter() int {
-	g.ensure()
-	g.lazyMu.Lock()
-	d := g.diam
-	g.lazyMu.Unlock()
-	if d >= 0 {
-		return d
-	}
-	n := g.NumNodes()
-	best := 1
-	if n > 0 {
-		// Double sweep: BFS from a few arbitrary seeds, then from the
-		// farthest node each finds; the second sweep's eccentricity is
-		// the classic double-sweep lower bound (exact on trees).
-		seeds := []NodeID{0, NodeID(n / 2), NodeID(n - 1)}
-		for _, s := range seeds {
-			e1, far := g.eccentricity(s)
-			if e1 > best {
-				best = e1
-			}
-			e2, _ := g.eccentricity(far)
-			if e2 > best {
-				best = e2
+	g.diamOnce.Do(func() {
+		g.diam = 1
+		if n := g.NumNodes(); n > 0 {
+			// Double sweep: BFS from a few arbitrary seeds, then from the
+			// farthest node each finds; the second sweep's eccentricity is
+			// the classic double-sweep lower bound (exact on trees).
+			for _, s := range []NodeID{0, NodeID(n / 2), NodeID(n - 1)} {
+				e1, far := g.eccentricity(s)
+				e2, _ := g.eccentricity(far)
+				g.diam = max(g.diam, e1, e2)
 			}
 		}
-	}
-	g.lazyMu.Lock()
-	// Keep whichever estimate landed first unless a mutation reset the
-	// cache in between; all writers computed the same number anyway.
-	if g.diam < 0 {
-		g.diam = best
-	}
-	d = g.diam
-	g.lazyMu.Unlock()
-	return d
+	})
+	return g.diam
 }

@@ -8,7 +8,7 @@ import (
 // TestConcurrentReads exercises parallel Ball/Dist/domain reads under
 // the race detector (the scratch pool and warmed caches must be safe).
 func TestConcurrentReads(t *testing.T) {
-	g := randomGraph(200, 600, 7)
+	g := randomGraph(200, 600, 7).Build()
 	g.WarmCaches()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -30,9 +30,9 @@ func TestConcurrentReads(t *testing.T) {
 
 // TestConcurrentLazyBuilds hits a cold graph from many goroutines
 // without WarmCaches: the lazy diameter/domain builders would race each
-// other unless lazyMu serializes them.
+// other unless their sync.Onces serialize them.
 func TestConcurrentLazyBuilds(t *testing.T) {
-	g := randomGraph(150, 450, 11)
+	g := randomGraph(150, 450, 11).Build()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

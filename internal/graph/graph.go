@@ -20,11 +20,10 @@ type Edge struct {
 	Label int32  // interned edge label; 0 means unlabeled
 }
 
-// rawEdge is one entry of the append-only edge log, the authoritative
-// edge list in insertion order. The CSR adjacency arenas are derived
-// from it by two stable counting sorts, so per-node out-edge order and
-// per-node in-edge order both reproduce the exact orders the old
-// slice-of-slices representation exposed.
+// rawEdge is one entry of a Builder's edge log, the edge list in
+// insertion order. Build derives the CSR adjacency arenas from it by two
+// stable counting sorts, so per-node out-edge order and per-node in-edge
+// order both follow insertion order.
 type rawEdge struct {
 	From, To NodeID
 	Label    int32
@@ -43,21 +42,15 @@ type AttrValue struct {
 // millions of small ones, and the whole structure serializes to a
 // binary snapshot (see snapshot.go) with no pointer chasing.
 //
-// Graphs are built single-threaded; afterwards all read methods are
-// safe for concurrent use. Mutations append to build-side logs and set
-// an atomic dirty flag; the first read after a mutation compacts the
-// logs into the CSR arenas under lazyMu (the same mutex that guards the
-// lazily computed diameter and active-domain caches). Once compacted —
-// and mutation-free graphs compact exactly once — every read is a flag
-// check plus flat array indexing.
+// A Graph is made once, by Builder.Build or ReadSnapshot, and has no
+// mutators, so every method is safe for concurrent use and every read is
+// flat array indexing. The diameter and the coded view are derived on
+// first use, each under its own sync.Once.
 type Graph struct {
 	// Labels interns node and edge labels; Attrs interns attribute names.
 	Labels *Interner
 	Attrs  *Interner
 
-	// CSR read core. labels, attrOff, and attrArena are maintained by
-	// AddNode and always current; the adjacency arenas and the by-label
-	// index are valid whenever dirty is false.
 	labels     []int32            // node label, indexed by NodeID
 	attrOff    []int32            // len NumNodes()+1; tuple of v is attrArena[attrOff[v]:attrOff[v+1]]
 	attrArena  []AttrValue        // all node tuples, each sorted by Attr
@@ -68,77 +61,66 @@ type Graph struct {
 	byLabel    map[int32][]NodeID // label id → ascending-ID run of byLabelAll
 	byLabelAll []NodeID           // runs concatenated in label-id order
 
-	// Build-side state. edgeLog is retained after compaction for graphs
-	// built through AddEdge so later mutations can recompact without
-	// losing the original edge insertion order; snapshot-loaded graphs
-	// synthesize it on first mutation (in source-major order — see
-	// ensureEdgeLog).
-	edgeLog []rawEdge
-	edges   int
-
-	// dirty is set by every mutation and cleared by compact. Reads load
-	// it with acquire semantics, so a reader that observes false also
-	// observes the completed CSR arenas.
-	dirty atomic.Bool
-
-	// lazily computed caches, invalidated on mutation
-	lazyMu sync.Mutex
-	diam   int // guarded by lazyMu
-	// codes holds the active domains and the code column (adom.go).
-	// Stored under lazyMu; loaded without it, so a warm read is one
-	// atomic load.
-	codes atomic.Pointer[Codes]
+	diamOnce  sync.Once
+	diam      int
+	codesOnce sync.Once
+	codes     *Codes // the active domains and the code column (adom.go)
 
 	uid uint64
-}
-
-// New returns an empty graph.
-func New() *Graph {
-	g := &Graph{
-		Labels:  NewInterner(),
-		Attrs:   NewInterner(),
-		attrOff: []int32{0},
-		diam:    -1,
-		uid:     graphUID.Add(1),
-	}
-	// Born dirty: the first read compacts, so the CSR arenas (offset
-	// arrays in particular) are always materialized, even for an empty
-	// graph.
-	g.dirty.Store(true)
-	return g
 }
 
 // UID returns a process-unique identity for this graph instance.
 func (g *Graph) UID() uint64 { return g.uid }
 
-// NumNodes returns |V|. It never triggers compaction.
+// NumNodes returns |V|.
 func (g *Graph) NumNodes() int { return len(g.labels) }
 
-// NumEdges returns |E|. It never triggers compaction.
-func (g *Graph) NumEdges() int { return g.edges }
+// NumEdges returns |E|.
+func (g *Graph) NumEdges() int { return len(g.outEdges) }
 
-// Reserve pre-sizes the build-side arenas for a graph of known shape:
-// nodes, edges, and total attribute-tuple entries (0 skips the arena it
-// sizes). Loaders that know the counts — the datagen generators up
-// front, the JSON reader as the elements its meta header announced
-// arrive — call it so a million-node build does a handful of
-// allocations instead of log-many regrowths.
-func (g *Graph) Reserve(nodes, edges, attrEntries int) {
-	if nodes > 0 && cap(g.labels)-len(g.labels) < nodes {
-		g.labels = append(make([]int32, 0, len(g.labels)+nodes), g.labels...)
-		g.attrOff = append(make([]int32, 0, len(g.labels)+nodes+1), g.attrOff...)
+// Builder assembles a Graph: AddNode and AddEdge append to build-side
+// logs, and Build lays them out once. A Builder is for one goroutine.
+type Builder struct {
+	// Labels interns node and edge labels; Attrs interns attribute names
+	// (AddNodeTuple's tuples carry ids from it). Build hands both to the
+	// Graph.
+	Labels *Interner
+	Attrs  *Interner
+
+	labels    []int32
+	attrOff   []int32
+	attrArena []AttrValue
+	edgeLog   []rawEdge
+}
+
+// NewBuilder returns an empty builder.
+func NewBuilder() *Builder {
+	return &Builder{Labels: NewInterner(), Attrs: NewInterner(), attrOff: []int32{0}}
+}
+
+// NumNodes returns the number of nodes added since the last Build.
+func (b *Builder) NumNodes() int { return len(b.labels) }
+
+// reserve pre-sizes the arenas for nodes, edges, and attribute-tuple
+// entries still to come (0 skips the arena it sizes), so the JSON reader
+// does a handful of allocations for a million-node graph instead of
+// log-many regrowths.
+func (b *Builder) reserve(nodes, edges, attrEntries int) {
+	if nodes > 0 && cap(b.labels)-len(b.labels) < nodes {
+		b.labels = append(make([]int32, 0, len(b.labels)+nodes), b.labels...)
+		b.attrOff = append(make([]int32, 0, len(b.labels)+nodes+1), b.attrOff...)
 	}
-	if edges > 0 && cap(g.edgeLog)-len(g.edgeLog) < edges {
-		g.edgeLog = append(make([]rawEdge, 0, len(g.edgeLog)+edges), g.edgeLog...)
+	if edges > 0 && cap(b.edgeLog)-len(b.edgeLog) < edges {
+		b.edgeLog = append(make([]rawEdge, 0, len(b.edgeLog)+edges), b.edgeLog...)
 	}
-	if attrEntries > 0 && cap(g.attrArena)-len(g.attrArena) < attrEntries {
-		g.attrArena = append(make([]AttrValue, 0, len(g.attrArena)+attrEntries), g.attrArena...)
+	if attrEntries > 0 && cap(b.attrArena)-len(b.attrArena) < attrEntries {
+		b.attrArena = append(make([]AttrValue, 0, len(b.attrArena)+attrEntries), b.attrArena...)
 	}
 }
 
 // AddNode adds a node with the given label and attribute tuple and
 // returns its id.
-func (g *Graph) AddNode(label string, attrs map[string]Value) NodeID {
+func (b *Builder) AddNode(label string, attrs map[string]Value) NodeID {
 	// Intern in sorted-name order so attribute ids (and everything
 	// derived from them) are deterministic across runs regardless of
 	// map iteration order.
@@ -149,22 +131,22 @@ func (g *Graph) AddNode(label string, attrs map[string]Value) NodeID {
 	sort.Strings(names)
 	tuple := make([]AttrValue, 0, len(attrs))
 	for _, name := range names {
-		tuple = append(tuple, AttrValue{Attr: g.Attrs.Intern(name), Val: attrs[name]})
+		tuple = append(tuple, AttrValue{Attr: b.Attrs.Intern(name), Val: attrs[name]})
 	}
-	return g.AddNodeTuple(label, tuple)
+	return b.AddNodeTuple(label, tuple)
 }
 
 // AddNodeTuple is AddNode's allocation-light fast path: the tuple's
-// attribute names are already interned through g.Attrs. The entries
+// attribute names are already interned through b.Attrs. The entries
 // need not arrive sorted; duplicate attribute ids keep the last value.
-// The tuple is copied into the graph's arena — the caller keeps
+// The tuple is copied into the builder's arena — the caller keeps
 // ownership of (and may reuse) the slice.
-func (g *Graph) AddNodeTuple(label string, tuple []AttrValue) NodeID {
-	id := NodeID(len(g.labels))
-	g.labels = append(g.labels, g.Labels.Intern(label))
-	start := len(g.attrArena)
-	g.attrArena = append(g.attrArena, tuple...)
-	seg := g.attrArena[start:]
+func (b *Builder) AddNodeTuple(label string, tuple []AttrValue) NodeID {
+	id := NodeID(len(b.labels))
+	b.labels = append(b.labels, b.Labels.Intern(label))
+	start := len(b.attrArena)
+	b.attrArena = append(b.attrArena, tuple...)
+	seg := b.attrArena[start:]
 	sort.SliceStable(seg, func(i, j int) bool { return seg[i].Attr < seg[j].Attr })
 	// Drop duplicate attribute ids, keeping the last occurrence (the
 	// stable sort preserves input order within an id run).
@@ -176,104 +158,55 @@ func (g *Graph) AddNodeTuple(label string, tuple []AttrValue) NodeID {
 		seg[w] = seg[i]
 		w++
 	}
-	g.attrArena = g.attrArena[:start+w]
-	g.attrOff = append(g.attrOff, int32(len(g.attrArena)))
-	g.invalidate()
+	b.attrArena = b.attrArena[:start+w]
+	b.attrOff = append(b.attrOff, int32(len(b.attrArena)))
 	return id
 }
 
 // AddEdge adds a directed edge from → to with an optional label.
-func (g *Graph) AddEdge(from, to NodeID, label string) {
-	g.ensureEdgeLog()
-	g.edgeLog = append(g.edgeLog, rawEdge{From: from, To: to, Label: g.Labels.Intern(label)})
-	g.edges++
-	g.invalidate()
+func (b *Builder) AddEdge(from, to NodeID, label string) {
+	b.edgeLog = append(b.edgeLog, rawEdge{From: from, To: to, Label: b.Labels.Intern(label)})
 }
 
-// ensureEdgeLog materializes the edge log for graphs whose CSR arenas
-// did not come from one — snapshot restores drop the log because an
-// unmutated graph never needs it. The synthesized log lists edges in
-// source-major order (source id, then position in its out-list), which
-// preserves every out-adjacency exactly; in-adjacency order after a
-// later compaction is then source-major too, not the original global
-// insertion order. JSON round-trips have always had this property —
-// WriteJSON emits edges source-major — and no read path's semantics
-// depend on in-edge order; only byte-identity against a never-restored
-// graph would notice, and that comparison is only guaranteed for
-// unmutated restores.
-func (g *Graph) ensureEdgeLog() {
-	if len(g.edgeLog) == g.edges {
-		return
+// Build lays out what was added as a Graph: the edge log counting-sorts
+// into both adjacency arenas (stably, so per-node edge order is
+// insertion order), and the by-label index is built as ascending-ID runs
+// over one backing slice. The Graph takes over the node arenas and the
+// interners, and b is reset to an empty builder, so nothing added to b
+// afterwards reaches the Graph.
+func (b *Builder) Build() *Graph {
+	g := &Graph{
+		Labels:    b.Labels,
+		Attrs:     b.Attrs,
+		labels:    b.labels,
+		attrOff:   b.attrOff,
+		attrArena: b.attrArena,
+		uid:       graphUID.Add(1),
 	}
-	log := make([]rawEdge, 0, g.edges)
-	for v := 0; v < len(g.outOff)-1; v++ {
-		for _, e := range g.outEdges[g.outOff[v]:g.outOff[v+1]] {
-			log = append(log, rawEdge{From: NodeID(v), To: e.To, Label: e.Label})
-		}
-	}
-	g.edgeLog = log
-}
+	log := b.edgeLog
+	*b = *NewBuilder()
 
-// invalidate marks the CSR view and the lazy caches stale. The dirty
-// flag is flipped under lazyMu so a concurrent compact cannot clear a
-// flag set for a mutation it did not see — though mutations are
-// single-threaded by contract, keeping the pairing locked makes the
-// discipline local and checkable.
-func (g *Graph) invalidate() {
-	g.lazyMu.Lock()
-	defer g.lazyMu.Unlock()
-	g.diam = -1
-	g.codes.Store(nil)
-	g.dirty.Store(true)
-}
-
-// ensure makes the CSR view current. The fast path — every read after
-// construction settles — is one atomic load.
-func (g *Graph) ensure() {
-	if g.dirty.Load() {
-		g.compact()
-	}
-}
-
-// compact folds the build-side logs into the CSR arenas: the edge log
-// counting-sorts into both adjacency arenas (stably, so per-node edge
-// order reproduces the append order of the old slice-of-slices layout),
-// and the by-label index rebuilds as ascending-ID runs over one backing
-// slice. Readers that observe dirty == false afterwards observe the
-// completed arenas — the atomic store publishes them.
-func (g *Graph) compact() {
-	g.lazyMu.Lock()
-	defer g.lazyMu.Unlock()
-	if !g.dirty.Load() {
-		return // another reader compacted while this one waited
-	}
 	n := len(g.labels)
-
-	// Adjacency: two stable counting sorts over the edge log.
-	g.outOff = offsetsFor(n, g.edgeLog, func(e rawEdge) NodeID { return e.From })
-	g.inOff = offsetsFor(n, g.edgeLog, func(e rawEdge) NodeID { return e.To })
-	g.outEdges = make([]Edge, len(g.edgeLog))
-	g.inEdges = make([]Edge, len(g.edgeLog))
+	g.outOff = offsetsFor(n, log, func(e rawEdge) NodeID { return e.From })
+	g.inOff = offsetsFor(n, log, func(e rawEdge) NodeID { return e.To })
+	g.outEdges = make([]Edge, len(log))
+	g.inEdges = make([]Edge, len(log))
 	outCur := append([]int32(nil), g.outOff[:n]...)
 	inCur := append([]int32(nil), g.inOff[:n]...)
-	for _, e := range g.edgeLog {
+	for _, e := range log {
 		g.outEdges[outCur[e.From]] = Edge{To: e.To, Label: e.Label}
 		outCur[e.From]++
 		g.inEdges[inCur[e.To]] = Edge{To: e.From, Label: e.Label}
 		inCur[e.To]++
 	}
-
-	g.rebuildByLabel()
-
-	g.dirty.Store(false)
+	g.buildByLabel()
+	return g
 }
 
-// rebuildByLabel rebuilds the by-label index: ascending-ID runs per
-// label id, concatenated in label-id order over one backing slice. Node
-// ids ascend with insertion, so each run reproduces the append order of
-// the old per-label slices. Called from compact (under lazyMu) and from
-// the snapshot reader (single-threaded construction).
-func (g *Graph) rebuildByLabel() {
+// buildByLabel builds the by-label index: ascending-ID runs per label
+// id, concatenated in label-id order over one backing slice. Called by
+// Build and by the snapshot reader.
+func (g *Graph) buildByLabel() {
 	n := len(g.labels)
 	numLabels := g.Labels.Len()
 	cnt := make([]int32, numLabels+1)
@@ -350,19 +283,16 @@ func (g *Graph) Tuple(v NodeID) []AttrValue {
 
 // Out returns the out-adjacency of v. The caller must not mutate it.
 func (g *Graph) Out(v NodeID) []Edge {
-	g.ensure()
 	return g.outEdges[g.outOff[v]:g.outOff[v+1]]
 }
 
 // In returns the in-adjacency of v. The caller must not mutate it.
 func (g *Graph) In(v NodeID) []Edge {
-	g.ensure()
 	return g.inEdges[g.inOff[v]:g.inOff[v+1]]
 }
 
 // Degree returns the total (in+out) degree of v.
 func (g *Graph) Degree(v NodeID) int {
-	g.ensure()
 	return int(g.outOff[v+1] - g.outOff[v] + g.inOff[v+1] - g.inOff[v])
 }
 
@@ -381,7 +311,6 @@ func (g *Graph) NodesByLabel(label string) []NodeID {
 	if !ok {
 		return nil
 	}
-	g.ensure()
 	return g.byLabel[lid]
 }
 

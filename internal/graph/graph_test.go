@@ -12,23 +12,23 @@ import (
 
 // chain builds 0 → 1 → … → n-1.
 func chain(n int) *Graph {
-	g := New()
+	b := NewBuilder()
 	for i := 0; i < n; i++ {
-		g.AddNode("N", map[string]Value{"idx": N(float64(i))})
+		b.AddNode("N", map[string]Value{"idx": N(float64(i))})
 	}
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(NodeID(i), NodeID(i+1), "next")
+		b.AddEdge(NodeID(i), NodeID(i+1), "next")
 	}
-	return g
+	return b.Build()
 }
 
-// randomGraph builds a seeded random directed graph.
-func randomGraph(n, m int, seed int64) *Graph {
+// randomGraph adds a seeded random directed graph to a new builder.
+func randomGraph(n, m int, seed int64) *Builder {
 	rng := rand.New(rand.NewSource(seed))
-	g := New()
+	gb := NewBuilder()
 	labels := []string{"A", "B", "C"}
 	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))], map[string]Value{
+		gb.AddNode(labels[rng.Intn(len(labels))], map[string]Value{
 			"x": N(float64(rng.Intn(10))),
 			"s": S(labels[rng.Intn(len(labels))]),
 		})
@@ -36,19 +36,20 @@ func randomGraph(n, m int, seed int64) *Graph {
 	for i := 0; i < m; i++ {
 		a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
 		if a != b {
-			g.AddEdge(a, b, "e")
+			gb.AddEdge(a, b, "e")
 		}
 	}
-	return g
+	return gb
 }
 
 func TestGraphBasics(t *testing.T) {
-	g := New()
-	a := g.AddNode("Person", map[string]Value{"Age": N(30), "Name": S("Ann")})
-	b := g.AddNode("Person", map[string]Value{"Age": N(40)})
-	c := g.AddNode("City", nil)
-	g.AddEdge(a, c, "lives")
-	g.AddEdge(b, c, "lives")
+	gb := NewBuilder()
+	a := gb.AddNode("Person", map[string]Value{"Age": N(30), "Name": S("Ann")})
+	b := gb.AddNode("Person", map[string]Value{"Age": N(40)})
+	c := gb.AddNode("City", nil)
+	gb.AddEdge(a, c, "lives")
+	gb.AddEdge(b, c, "lives")
+	g := gb.Build()
 
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("size = (%d,%d), want (3,2)", g.NumNodes(), g.NumEdges())
@@ -85,9 +86,34 @@ func TestGraphBasics(t *testing.T) {
 	}
 }
 
+// TestBuildDetachesBuilder: what is added to a builder after Build
+// reaches neither the built graph nor its interners, and goes into the
+// next Build alone.
+func TestBuildDetachesBuilder(t *testing.T) {
+	b := randomGraph(30, 60, 5)
+	g1 := b.Build()
+	before := snapBytes(t, g1, nil)
+	x := b.AddNode("Fresh", map[string]Value{"x": N(1), "new": S("v")})
+	y := b.AddNode("A", nil)
+	b.AddEdge(x, y, "late")
+	g2 := b.Build()
+	if !bytes.Equal(snapBytes(t, g1, nil), before) {
+		t.Fatal("adding to the builder after Build changed the built graph")
+	}
+	if x != 0 || y != 1 || g2.NumNodes() != 2 || g2.NumEdges() != 1 || g2.Label(x) != "Fresh" || g2.Out(x)[0].To != y {
+		t.Fatalf("second graph = %v, want only the two nodes and one edge added after the first Build", g2)
+	}
+	if g1.Labels == g2.Labels || g1.Attrs == g2.Attrs {
+		t.Fatal("the two graphs share an interner")
+	}
+	if _, ok := g1.Labels.Lookup("Fresh"); ok {
+		t.Fatal("a label added after Build reached the built graph's interner")
+	}
+}
+
 func TestTupleSortedProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		g := randomGraph(20, 30, seed)
+		g := randomGraph(20, 30, seed).Build()
 		for i := 0; i < g.NumNodes(); i++ {
 			tuple := g.Tuple(NodeID(i))
 			for j := 1; j < len(tuple); j++ {
@@ -150,7 +176,7 @@ func naiveDist(g *Graph, from, to NodeID, dir Direction) int {
 // three directions.
 func TestBallMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		g := randomGraph(25, 50, seed)
+		g := randomGraph(25, 50, seed).Build()
 		for _, dir := range []Direction{Forward, Backward, Both} {
 			src := NodeID(int(seed) % g.NumNodes())
 			ball := g.Ball(src, 4, dir)
@@ -179,7 +205,7 @@ func TestBallMatchesNaive(t *testing.T) {
 // TestDistMatchesNaive cross-checks the bounded Dist.
 func TestDistMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		g := randomGraph(20, 40, seed)
+		g := randomGraph(20, 40, seed).Build()
 		for a := 0; a < g.NumNodes(); a += 3 {
 			for b := 0; b < g.NumNodes(); b += 3 {
 				want := naiveDist(g, NodeID(a), NodeID(b), Forward)
@@ -209,23 +235,17 @@ func TestDiameter(t *testing.T) {
 	if d := g.Diameter(); d != 6 {
 		t.Errorf("cached diameter = %d, want 6", d)
 	}
-	// Mutation invalidates the cache.
-	g.AddNode("N", nil)
-	g.AddEdge(6, 7, "next")
-	if d := g.Diameter(); d != 7 {
-		t.Errorf("diameter after growth = %d, want 7", d)
-	}
-	empty := New()
-	if d := empty.Diameter(); d != 1 {
+	if d := NewBuilder().Build().Diameter(); d != 1 {
 		t.Errorf("empty graph diameter = %d, want 1 (cost-normalization floor)", d)
 	}
 }
 
 func TestActiveDomain(t *testing.T) {
-	g := New()
-	g.AddNode("P", map[string]Value{"price": N(10), "tag": S("a")})
-	g.AddNode("P", map[string]Value{"price": N(30), "tag": S("b")})
-	g.AddNode("P", map[string]Value{"price": N(10), "tag": S("a")})
+	b := NewBuilder()
+	b.AddNode("P", map[string]Value{"price": N(10), "tag": S("a")})
+	b.AddNode("P", map[string]Value{"price": N(30), "tag": S("b")})
+	b.AddNode("P", map[string]Value{"price": N(10), "tag": S("a")})
+	g := b.Build()
 
 	d := g.ActiveDomain("price")
 	if len(d.Values) != 2 {
@@ -249,15 +269,10 @@ func TestActiveDomain(t *testing.T) {
 			t.Error("domain values not sorted")
 		}
 	}
-	// Mutation invalidates the cache.
-	g.AddNode("P", map[string]Value{"price": N(99)})
-	if d2 := g.ActiveDomain("price"); len(d2.Values) != 3 {
-		t.Errorf("domain after mutation = %v, want 3 values", d2.Values)
-	}
 }
 
 func TestJSONRoundtrip(t *testing.T) {
-	g := randomGraph(15, 25, 99)
+	g := randomGraph(15, 25, 99).Build()
 	var buf bytes.Buffer
 	if err := g.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

@@ -149,7 +149,7 @@ func (sw *stickyWriter) raw(b []byte) {
 // dst, and an attribute value, where the walk read it as 0 (when a later
 // duplicate key overrides the null, it is not an error).
 func ReadJSON(r io.Reader) (*Graph, error) {
-	d := &jsonReader{sc: *jsonscan.NewReader(r), g: New()}
+	d := &jsonReader{sc: *jsonscan.NewReader(r), b: NewBuilder()}
 	if err := d.document(); err != nil {
 		var se *jsonscan.Error
 		switch {
@@ -160,7 +160,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		}
 		return nil, fmt.Errorf("graph: decode: %w", err)
 	}
-	return d.g, nil
+	return d.b.Build(), nil
 }
 
 // jsonFirstReserve caps what a "meta" count reserves when the first
@@ -173,10 +173,10 @@ const jsonFirstReserve = 1 << 16
 var errNull = errors.New("null")
 
 // jsonReader reads ReadJSON's input through sc and adds what it reads to
-// g.
+// b.
 type jsonReader struct {
 	sc jsonscan.Reader
-	g  *Graph
+	b  *Builder
 
 	nodesSeen bool
 	pending   []pendingEdge // edges read before any "nodes" array
@@ -315,13 +315,12 @@ func (d *jsonReader) node(i int) error {
 // addNode appends the node just read: its attributes are interned in
 // name order — the order AddNode interns in, so a load is
 // interner-identical to one through the encoding/json walk — and its
-// tuple sorted by attribute id. The graph is new and born dirty, and
-// nothing reads it during the load, so there is no cache to invalidate.
+// tuple sorted by attribute id.
 func (d *jsonReader) addNode(i int) error {
-	g := d.g
+	b := d.b
 	attrs := d.attrs
-	g.Reserve(grow(len(g.labels), cap(g.labels), 1, d.hintNodes), 0,
-		grow(len(g.attrArena), cap(g.attrArena), len(attrs), d.hintAttrs))
+	b.reserve(grow(len(b.labels), cap(b.labels), 1, d.hintNodes), 0,
+		grow(len(b.attrArena), cap(b.attrArena), len(attrs), d.hintAttrs))
 	name := func(a jsonAttr) []byte { return d.names[a.name[0]:a.name[1]] }
 	sorted := true
 	for k := 1; k < len(attrs) && sorted; k++ {
@@ -330,7 +329,7 @@ func (d *jsonReader) addNode(i int) error {
 	if !sorted {
 		slices.SortStableFunc(attrs, func(a, b jsonAttr) int { return bytes.Compare(name(a), name(b)) })
 	}
-	start := len(g.attrArena)
+	start := len(b.attrArena)
 	for k, a := range attrs {
 		if k+1 < len(attrs) && bytes.Equal(name(a), name(attrs[k+1])) {
 			continue // a later duplicate wins
@@ -341,14 +340,14 @@ func (d *jsonReader) addNode(i int) error {
 		case attrNotScalar:
 			return fmt.Errorf("graph: attr %q of node %d is neither number nor string", name(a), i)
 		}
-		g.attrArena = append(g.attrArena, AttrValue{Attr: intern(g.Attrs, name(a)), Val: a.val})
+		b.attrArena = append(b.attrArena, AttrValue{Attr: intern(b.Attrs, name(a)), Val: a.val})
 	}
-	tuple := g.attrArena[start:]
+	tuple := b.attrArena[start:]
 	if !slices.IsSortedFunc(tuple, cmpAttr) {
 		slices.SortFunc(tuple, cmpAttr)
 	}
-	g.labels = append(g.labels, intern(g.Labels, d.label))
-	g.attrOff = append(g.attrOff, int32(len(g.attrArena)))
+	b.labels = append(b.labels, intern(b.Labels, d.label))
+	b.attrOff = append(b.attrOff, int32(len(b.attrArena)))
 	return nil
 }
 
@@ -386,13 +385,12 @@ func (d *jsonReader) edge(i int) error {
 }
 
 func (d *jsonReader) addEdge(src, dst int, label []byte) error {
-	g := d.g
-	if src < 0 || src >= g.NumNodes() || dst < 0 || dst >= g.NumNodes() {
+	b := d.b
+	if src < 0 || src >= b.NumNodes() || dst < 0 || dst >= b.NumNodes() {
 		return fmt.Errorf("graph: edge %d→%d out of range", src, dst)
 	}
-	g.Reserve(0, grow(len(g.edgeLog), cap(g.edgeLog), 1, d.hintEdges), 0)
-	g.edgeLog = append(g.edgeLog, rawEdge{From: NodeID(src), To: NodeID(dst), Label: intern(g.Labels, label)})
-	g.edges++
+	b.reserve(0, grow(len(b.edgeLog), cap(b.edgeLog), 1, d.hintEdges), 0)
+	b.edgeLog = append(b.edgeLog, rawEdge{From: NodeID(src), To: NodeID(dst), Label: intern(b.Labels, label)})
 	return nil
 }
 

@@ -34,7 +34,7 @@ func ReadJSONOracle(r io.Reader) (*Graph, error) {
 	if err := expectDelim(dec, '{'); err != nil {
 		return nil, fmt.Errorf("graph: decode: %w", err)
 	}
-	g := New()
+	g := NewBuilder()
 	// Edges that arrive before the "nodes" section cannot be validated
 	// or label-interned yet (interning them early would permute label
 	// ids relative to the node-first order); buffer them.
@@ -102,11 +102,11 @@ func ReadJSONOracle(r io.Reader) (*Graph, error) {
 			return nil, err
 		}
 	}
-	return g, nil
+	return g.Build(), nil
 }
 
 // readNodes consumes the "nodes" array one element at a time.
-func readNodes(dec *json.Decoder, g *Graph) error {
+func readNodes(dec *json.Decoder, g *Builder) error {
 	if err := expectDelim(dec, '['); err != nil {
 		return fmt.Errorf("graph: decode nodes: %w", err)
 	}
@@ -160,7 +160,7 @@ func parseAttrScalar(raw json.RawMessage) (Value, error) {
 	return S(s), nil
 }
 
-func addEdgeChecked(g *Graph, src, dst int, label string) error {
+func addEdgeChecked(g *Builder, src, dst int, label string) error {
 	if src < 0 || src >= g.NumNodes() || dst < 0 || dst >= g.NumNodes() {
 		return fmt.Errorf("graph: edge %d→%d out of range", src, dst)
 	}

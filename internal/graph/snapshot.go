@@ -65,7 +65,6 @@ type Snapshot struct {
 // in the binary snapshot format. The output is deterministic: the same
 // graph contents always produce the same bytes.
 func (g *Graph) WriteSnapshot(w io.Writer, aux []byte) error {
-	g.ensure()
 	n := g.NumNodes()
 
 	var hdr [snapHeaderLen]byte
@@ -77,7 +76,7 @@ func (g *Graph) WriteSnapshot(w io.Writer, aux []byte) error {
 	}
 	binary.LittleEndian.PutUint32(hdr[12:16], flags)
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(g.edges))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(g.NumEdges()))
 	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(g.attrArena)))
 	binary.LittleEndian.PutUint64(hdr[40:48], uint64(len(aux)))
 	hh := fnv.New64a()
@@ -332,13 +331,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		outEdges:  outEdges,
 		inOff:     inOff,
 		inEdges:   inEdges,
-		edges:     edges,
-		diam:      -1,
 		uid:       graphUID.Add(1),
 	}
-	g.rebuildByLabel()
-	// dirty stays false: the CSR view above IS current. edgeLog stays
-	// empty; ensureEdgeLog synthesizes it if the graph is ever mutated.
+	g.buildByLabel()
 	return &Snapshot{G: g, Aux: aux, Version: version}, nil
 }
 

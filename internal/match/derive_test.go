@@ -113,10 +113,10 @@ func datasetWhys(t *testing.T, perKind int, visit func(what string, w *chase.Why
 func irregularWhys(t *testing.T, visit func(what string, w *chase.Why)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
-	g := graph.New()
+	gb := graph.NewBuilder()
 	const nF, nP = 120, 200
 	for i := 0; i < nF; i++ {
-		g.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2)), "size": graph.N(float64(i % 5))})
+		gb.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2)), "size": graph.N(float64(i % 5))})
 	}
 	aVals := []graph.Value{graph.N(0), graph.N(math.Copysign(0, -1)), graph.N(5), graph.S("5"), graph.S("x")}
 	cVals := []graph.Value{graph.N(1), graph.N(math.NaN()), graph.N(2), graph.N(3), graph.N(math.NaN()), graph.S("NaN"), graph.N(0)}
@@ -134,16 +134,17 @@ func irregularWhys(t *testing.T, visit func(what string, w *chase.Why)) {
 		case 1:
 			attrs["k"] = graph.S("v=w")
 		}
-		g.AddNode("P", attrs)
+		gb.AddNode("P", attrs)
 	}
 	for i := 0; i < nF; i++ {
 		for _, p := range rng.Perm(nP)[:1+rng.Intn(4)] {
-			g.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
+			gb.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
 			if rng.Intn(3) == 0 {
-				g.AddEdge(graph.NodeID(nF+p), graph.NodeID(nF+(p+1)%nP), "near")
+				gb.AddEdge(graph.NodeID(nF+p), graph.NodeID(nF+(p+1)%nP), "near")
 			}
 		}
 	}
+	g := gb.Build()
 	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"good": exemplar.C(graph.N(1))}}}
 	for _, tc := range []struct {
 		name    string
@@ -299,16 +300,16 @@ func TestDerivedTablesEqualFreshBuilds(t *testing.T) {
 
 	// By hand, on the chain graph of the table oracle: a0 → b0 → c0 → d0,
 	// a1 → b1, b2 → c2, a0 → b2.
-	g := graph.New()
+	gb := graph.NewBuilder()
 	node := func(label string, x float64) graph.NodeID {
-		return g.AddNode(label, map[string]graph.Value{"x": graph.N(x)})
+		return gb.AddNode(label, map[string]graph.Value{"x": graph.N(x)})
 	}
 	a0, b0, c0, d0 := node("A", 0), node("B", 1), node("C", 0), node("D", 0)
 	a1, b1 := node("A", 1), node("B", 2)
 	b2, c2 := node("B", 1), node("C", 1)
 	d1 := node("D", 3)
 	for _, e := range [][2]graph.NodeID{{a0, b0}, {b0, c0}, {c0, d0}, {a1, b1}, {b2, c2}, {a0, b2}, {c2, d1}} {
-		g.AddEdge(e[0], e[1], "e")
+		gb.AddEdge(e[0], e[1], "e")
 	}
 	lit := func(x float64) query.Literal { return query.Literal{Attr: "x", Op: graph.EQ, Val: graph.N(x)} }
 	with := func(q *query.Query, u query.NodeID, l query.Literal) *query.Query {
@@ -326,6 +327,7 @@ func TestDerivedTablesEqualFreshBuilds(t *testing.T) {
 	chain.AddEdge(uc, ud, 1)
 	chain.Focus = ua
 
+	g := gb.Build()
 	m := match.NewMatcher(g, distindex.NewBFS(g), nil)
 	before := sh
 	parent := m.Match(chain)
@@ -432,31 +434,31 @@ func TestMatchFromEqualsMatch(t *testing.T) {
 // take, MatchFrom derives nothing and still returns what Match returns.
 func TestMatchFromFallsBack(t *testing.T) {
 	// A_i → B_2i, B_2i+1; B_j → C_j, C_j+1: every pattern below matches.
-	g := graph.New()
+	gb := graph.NewBuilder()
 	const n = 24
 	attrs := func(i int) map[string]graph.Value {
 		return map[string]graph.Value{"x": graph.N(float64(i % 3)), "y": graph.N(float64(i % 5))}
 	}
 	for i := 0; i < n; i++ {
-		g.AddNode("A", attrs(i))
+		gb.AddNode("A", attrs(i))
 	}
 	for i := 0; i < 2*n; i++ {
-		g.AddNode("B", attrs(i))
+		gb.AddNode("B", attrs(i))
 	}
 	for i := 0; i < 2*n; i++ {
-		g.AddNode("C", attrs(i))
+		gb.AddNode("C", attrs(i))
 	}
 	for i := 0; i < n; i++ {
-		g.AddNode("D", attrs(i))
+		gb.AddNode("D", attrs(i))
 	}
 	for i := 0; i < n; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(n+2*i), "e")
-		g.AddEdge(graph.NodeID(i), graph.NodeID(n+2*i+1), "e")
-		g.AddEdge(graph.NodeID(i), graph.NodeID(5*n+i), "e")
+		gb.AddEdge(graph.NodeID(i), graph.NodeID(n+2*i), "e")
+		gb.AddEdge(graph.NodeID(i), graph.NodeID(n+2*i+1), "e")
+		gb.AddEdge(graph.NodeID(i), graph.NodeID(5*n+i), "e")
 	}
 	for j := 0; j < 2*n; j++ {
-		g.AddEdge(graph.NodeID(n+j), graph.NodeID(3*n+j), "e")
-		g.AddEdge(graph.NodeID(n+j), graph.NodeID(3*n+(j+1)%(2*n)), "e")
+		gb.AddEdge(graph.NodeID(n+j), graph.NodeID(3*n+j), "e")
+		gb.AddEdge(graph.NodeID(n+j), graph.NodeID(3*n+(j+1)%(2*n)), "e")
 	}
 	eq := func(attr string, x float64) query.Literal {
 		return query.Literal{Attr: attr, Op: graph.EQ, Val: graph.N(x)}
@@ -480,6 +482,7 @@ func TestMatchFromFallsBack(t *testing.T) {
 	}
 	cut := edit(base, func(q *query.Query) { q.Edges = q.Edges[1:] }) // RmE(A, B): the star at B loses the focus
 
+	g := gb.Build()
 	m := match.NewMatcher(g, distindex.NewBFS(g), nil)
 	const (
 		builds  = iota // every star is built afresh
@@ -547,18 +550,19 @@ func TestMatchFromFallsBack(t *testing.T) {
 // sixteen hundred.
 func TestFreshBuildAllocsIndependentOfCandidates(t *testing.T) {
 	build := func(candidates int) float64 {
-		g := graph.New()
+		gb := graph.NewBuilder()
 		for i := 0; i < candidates; i++ {
-			a := g.AddNode("A", nil)
+			a := gb.AddNode("A", nil)
 			if i < 8 {
-				g.AddEdge(a, g.AddNode("B", nil), "e")
+				gb.AddEdge(a, gb.AddNode("B", nil), "e")
 			} else {
-				g.AddEdge(a, g.AddNode("C", nil), "e") // a ball to scan, no row
+				gb.AddEdge(a, gb.AddNode("C", nil), "e") // a ball to scan, no row
 			}
 		}
 		q := query.New()
 		q.AddEdge(q.AddNode("A"), q.AddNode("B"), 1)
 		s := match.Decompose(q)[0]
+		g := gb.Build()
 		if rows := match.BuildStarTable(g, q, s).NumRows(); rows != 8 {
 			t.Fatalf("%d candidates: %d rows, want 8", candidates, rows)
 		}

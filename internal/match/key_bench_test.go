@@ -11,21 +11,22 @@ import (
 // literals — enough structure that key construction exercises every
 // signature path (direction, bounds, literals, focus wildcarding).
 func keyFixture() (*graph.Graph, *query.Query) {
-	g := graph.New()
+	gb := graph.NewBuilder()
 	phones := make([]graph.NodeID, 4)
 	for i := range phones {
-		phones[i] = g.AddNode("phone", map[string]graph.Value{
+		phones[i] = gb.AddNode("phone", map[string]graph.Value{
 			"price": graph.N(float64(100 + 50*i)),
 			"brand": graph.S("x"),
 		})
 	}
 	for i := 0; i < 3; i++ {
-		store := g.AddNode("store", map[string]graph.Value{"rating": graph.N(float64(i + 2))})
-		maker := g.AddNode("maker", nil)
-		g.AddEdge(store, phones[i], "sells")
-		g.AddEdge(maker, phones[i], "makes")
-		g.AddEdge(phones[i], phones[i+1], "rel")
+		store := gb.AddNode("store", map[string]graph.Value{"rating": graph.N(float64(i + 2))})
+		maker := gb.AddNode("maker", nil)
+		gb.AddEdge(store, phones[i], "sells")
+		gb.AddEdge(maker, phones[i], "makes")
+		gb.AddEdge(phones[i], phones[i+1], "rel")
 	}
+	g := gb.Build()
 	g.WarmCaches()
 
 	q := query.New()

@@ -11,20 +11,20 @@ import (
 
 func randomGraph(n, m int, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	gb := graph.NewBuilder()
 	labels := []string{"A", "B", "C"}
 	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(len(labels))], map[string]graph.Value{
+		gb.AddNode(labels[rng.Intn(len(labels))], map[string]graph.Value{
 			"x": graph.N(float64(rng.Intn(6))),
 		})
 	}
 	for i := 0; i < m; i++ {
 		a, b := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 		if a != b {
-			g.AddEdge(a, b, "")
+			gb.AddEdge(a, b, "")
 		}
 	}
-	return g
+	return gb.Build()
 }
 
 func randomQuery(g *graph.Graph, rng *rand.Rand) *query.Query {
@@ -148,16 +148,17 @@ func TestMatcherAgainstBruteForce(t *testing.T) {
 // TestMatcherIgnoresIsolated: detached non-focus nodes pose no
 // constraint.
 func TestMatcherIgnoresIsolated(t *testing.T) {
-	g := graph.New()
-	a := g.AddNode("A", nil)
-	b := g.AddNode("B", nil)
-	g.AddEdge(a, b, "")
+	gb := graph.NewBuilder()
+	a := gb.AddNode("A", nil)
+	b := gb.AddNode("B", nil)
+	gb.AddEdge(a, b, "")
 
 	q := query.New()
 	fa := q.AddNode("A")
 	q.AddNode("Z") // isolated; no Z exists in the graph
 	q.Focus = fa
 
+	g := gb.Build()
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	got := m.Match(q).Answer
 	if len(got) != 1 || got[0] != a {
@@ -167,11 +168,11 @@ func TestMatcherIgnoresIsolated(t *testing.T) {
 
 func TestMatcherInjective(t *testing.T) {
 	// Two query nodes with the same label need two distinct graph nodes.
-	g := graph.New()
-	a := g.AddNode("A", nil)
-	b := g.AddNode("A", nil)
-	g.AddEdge(a, b, "")
-	g.AddEdge(b, a, "")
+	gb := graph.NewBuilder()
+	a := gb.AddNode("A", nil)
+	b := gb.AddNode("A", nil)
+	gb.AddEdge(a, b, "")
+	gb.AddEdge(b, a, "")
 
 	q := query.New()
 	u := q.AddNode("A")
@@ -181,6 +182,7 @@ func TestMatcherInjective(t *testing.T) {
 	q.AddEdge(v, w, 1)
 	q.Focus = u
 
+	g := gb.Build()
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	if got := m.Match(q).Answer; len(got) != 0 {
 		t.Errorf("three injective A-nodes cannot fit in two: got %v", got)
@@ -189,12 +191,12 @@ func TestMatcherInjective(t *testing.T) {
 
 func TestEdgeToPathMatching(t *testing.T) {
 	// a → x → b : bound 1 must fail, bound 2 must succeed.
-	g := graph.New()
-	a := g.AddNode("A", nil)
-	x := g.AddNode("X", nil)
-	b := g.AddNode("B", nil)
-	g.AddEdge(a, x, "")
-	g.AddEdge(x, b, "")
+	gb := graph.NewBuilder()
+	a := gb.AddNode("A", nil)
+	x := gb.AddNode("X", nil)
+	b := gb.AddNode("B", nil)
+	gb.AddEdge(a, x, "")
+	gb.AddEdge(x, b, "")
 
 	build := func(bound int) *query.Query {
 		q := query.New()
@@ -204,6 +206,7 @@ func TestEdgeToPathMatching(t *testing.T) {
 		q.Focus = u
 		return q
 	}
+	g := gb.Build()
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	if got := m.Match(build(1)).Answer; len(got) != 0 {
 		t.Errorf("bound 1 should not match a 2-hop path: %v", got)

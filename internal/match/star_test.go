@@ -45,18 +45,19 @@ func TestAugmentedDistance(t *testing.T) {
 // TestAugmentedStarConstrains: the augmented star table prunes focus
 // candidates with no B-node within the augmented distance.
 func TestAugmentedStarConstrains(t *testing.T) {
-	g := graph.New()
-	f1 := g.AddNode("F", nil)
-	a1 := g.AddNode("A", nil)
-	b1 := g.AddNode("B", nil)
-	g.AddEdge(f1, a1, "")
-	g.AddEdge(a1, b1, "")
+	gb := graph.NewBuilder()
+	f1 := gb.AddNode("F", nil)
+	a1 := gb.AddNode("A", nil)
+	b1 := gb.AddNode("B", nil)
+	gb.AddEdge(f1, a1, "")
+	gb.AddEdge(a1, b1, "")
 	// A second F with an A but no B in range.
-	f2 := g.AddNode("F", nil)
-	a2 := g.AddNode("A", nil)
-	g.AddEdge(f2, a2, "")
+	f2 := gb.AddNode("F", nil)
+	a2 := gb.AddNode("A", nil)
+	gb.AddEdge(f2, a2, "")
 
 	q := chainQuery(1, 1)
+	g := gb.Build()
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	got := m.Match(q).Answer
 	if len(got) != 1 || got[0] != f1 {
@@ -87,12 +88,13 @@ func TestDisconnectedStarSupportsAll(t *testing.T) {
 	q.AddEdge(a, b, 1) // component without the focus
 	q.Focus = f
 
-	g := graph.New()
-	g.AddNode("F", nil)
-	x := g.AddNode("A", nil)
-	y := g.AddNode("B", nil)
-	g.AddEdge(x, y, "")
+	gb := graph.NewBuilder()
+	gb.AddNode("F", nil)
+	x := gb.AddNode("A", nil)
+	y := gb.AddNode("B", nil)
+	gb.AddEdge(x, y, "")
 
+	g := gb.Build()
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	res := m.Match(q)
 	if len(res.Answer) != 1 {
@@ -110,12 +112,12 @@ func TestDisconnectedStarSupportsAll(t *testing.T) {
 // TestColumnMapOnCachedTable: a cached table built from a query with
 // reversed edge declaration order still maps columns correctly.
 func TestColumnMapOnCachedTable(t *testing.T) {
-	g := graph.New()
-	c := g.AddNode("C", nil)
-	a := g.AddNode("A", nil)
-	b := g.AddNode("B", nil)
-	g.AddEdge(c, a, "")
-	g.AddEdge(b, c, "")
+	gb := graph.NewBuilder()
+	c := gb.AddNode("C", nil)
+	a := gb.AddNode("A", nil)
+	b := gb.AddNode("B", nil)
+	gb.AddEdge(c, a, "")
+	gb.AddEdge(b, c, "")
 
 	build := func(order bool) *query.Query {
 		q := query.New()
@@ -133,6 +135,7 @@ func TestColumnMapOnCachedTable(t *testing.T) {
 		return q
 	}
 	cache := NewCache(16, 0.95)
+	g := gb.Build()
 	m := NewMatcher(g, distindex.NewBFS(g), cache)
 	if got := m.Match(build(true)).Answer; len(got) != 1 || got[0] != c {
 		t.Fatalf("first order: %v", got)

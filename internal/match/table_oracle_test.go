@@ -304,17 +304,18 @@ func TestFlatStarTableMatchesRowOracle(t *testing.T) {
 
 	// Hand-built: a chain a0 → b0 → c0 → d0 (and a1 → b1 with no c below
 	// it, b2 → c2 with no d below it, a lone d3), attributes on the Bs.
-	g := graph.New()
+	gb := graph.NewBuilder()
 	node := func(label string, x float64) graph.NodeID {
-		return g.AddNode(label, map[string]graph.Value{"x": graph.N(x)})
+		return gb.AddNode(label, map[string]graph.Value{"x": graph.N(x)})
 	}
 	a0, b0, c0, d0 := node("A", 0), node("B", 1), node("C", 0), node("D", 0)
 	a1, b1 := node("A", 1), node("B", 2)
 	b2, c2 := node("B", 1), node("C", 1)
 	node("D", 3)
 	for _, e := range [][2]graph.NodeID{{a0, b0}, {b0, c0}, {c0, d0}, {a1, b1}, {b2, c2}, {a0, b2}} {
-		g.AddEdge(e[0], e[1], "e")
+		gb.AddEdge(e[0], e[1], "e")
 	}
+	g := gb.Build()
 	chain := func(labels ...string) *query.Query {
 		q := query.New()
 		prev := q.AddNode(labels[0])

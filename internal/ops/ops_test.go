@@ -13,16 +13,16 @@ import (
 // fixture builds the Fig 1 query and a graph with known diameter and
 // price range for cost assertions.
 func fixture() (*graph.Graph, *query.Query) {
-	g := graph.New()
+	gb := graph.NewBuilder()
 	// A 4-chain fixes the (undirected) diameter at 3.
 	for i := 0; i < 4; i++ {
-		g.AddNode("Cellphone", map[string]graph.Value{
+		gb.AddNode("Cellphone", map[string]graph.Value{
 			"Price": graph.N(float64(750 + 50*i)), // range 150
 			"RAM":   graph.N(float64(2 + 2*i)),
 		})
 	}
 	for i := 0; i+1 < 4; i++ {
-		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "")
+		gb.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "")
 	}
 
 	q := query.New()
@@ -35,7 +35,7 @@ func fixture() (*graph.Graph, *query.Query) {
 	q.AddEdge(car, cell, 1)
 	q.AddEdge(cell, sen, 2)
 	q.Focus = cell
-	return g, q
+	return gb.Build(), q
 }
 
 func lit(attr string, op graph.Op, v float64) query.Literal {

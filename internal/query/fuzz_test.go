@@ -60,7 +60,7 @@ func fuzzNode(text string) Node {
 func fuzzGraph() *graph.Graph {
 	rng := rand.New(rand.NewSource(5))
 	pick := func(vals ...graph.Value) graph.Value { return vals[rng.Intn(len(vals))] }
-	g := graph.New()
+	gb := graph.NewBuilder()
 	for i := 0; i < 96; i++ {
 		attrs := map[string]graph.Value{
 			"a":    pick(graph.N(0), graph.N(math.Copysign(0, -1)), graph.N(5), graph.S("5"), graph.S("x"), graph.S("1"), graph.S("1,b = 2")),
@@ -76,9 +76,9 @@ func fuzzGraph() *graph.Graph {
 		case 1:
 			attrs["k"] = graph.S("v=w")
 		}
-		g.AddNode([]string{"P", "F", "", "City of {x}|y"}[rng.Intn(4)], attrs)
+		gb.AddNode([]string{"P", "F", "", "City of {x}|y"}[rng.Intn(4)], attrs)
 	}
-	return g
+	return gb.Build()
 }
 
 // FuzzNodeSig holds AppendNodeSig, Literal.AppendKey and Literal.Compare

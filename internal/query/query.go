@@ -490,9 +490,7 @@ type NodeCheck struct {
 	// attribute, is absent from G).
 	label int32
 	lits  []compiledLit
-	// codes is the view lo/hi index. A mutation of the graph drops it,
-	// and the literals are then tested by value.
-	codes *graph.Codes
+	codes *graph.Codes // the view lo/hi index
 }
 
 // Labels are interned from 0, so no node carries a negative one.
@@ -566,9 +564,6 @@ func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
 	if len(c.lits) == 0 {
 		return true
 	}
-	if !g.CodesCurrent(c.codes) {
-		return c.literalsByValue(g, v)
-	}
 	// Tuples are a handful of cells sorted by attribute id, as lits is:
 	// one forward scan meets every literal's cell.
 	cells := c.codes.Tuple(v)
@@ -585,15 +580,6 @@ func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
 			if !l.byValue || !l.holds(g, v) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-func (c *NodeCheck) literalsByValue(g *graph.Graph, v graph.NodeID) bool {
-	for i := range c.lits {
-		if !c.lits[i].holds(g, v) {
-			return false
 		}
 	}
 	return true

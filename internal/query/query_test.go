@@ -11,14 +11,14 @@ import (
 
 // sampleGraph: two people in one city, one person elsewhere.
 func sampleGraph() *graph.Graph {
-	g := graph.New()
-	g.AddNode("Person", map[string]graph.Value{"Age": graph.N(30), "Job": graph.S("eng")}) // 0
-	g.AddNode("Person", map[string]graph.Value{"Age": graph.N(50), "Job": graph.S("law")}) // 1
-	g.AddNode("City", map[string]graph.Value{"Pop": graph.N(100000)})                      // 2
-	g.AddNode("Person", map[string]graph.Value{"Age": graph.N(41)})                        // 3
-	g.AddEdge(0, 2, "lives")
-	g.AddEdge(1, 2, "lives")
-	return g
+	gb := graph.NewBuilder()
+	gb.AddNode("Person", map[string]graph.Value{"Age": graph.N(30), "Job": graph.S("eng")}) // 0
+	gb.AddNode("Person", map[string]graph.Value{"Age": graph.N(50), "Job": graph.S("law")}) // 1
+	gb.AddNode("City", map[string]graph.Value{"Pop": graph.N(100000)})                      // 2
+	gb.AddNode("Person", map[string]graph.Value{"Age": graph.N(41)})                        // 3
+	gb.AddEdge(0, 2, "lives")
+	gb.AddEdge(1, 2, "lives")
+	return gb.Build()
 }
 
 func TestLiteralSat(t *testing.T) {

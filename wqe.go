@@ -12,10 +12,11 @@
 // The package is a façade: it re-exports the stable surface of the
 // internal packages.
 //
-//	g := wqe.NewGraph()
-//	phone := g.AddNode("Cellphone", map[string]wqe.Value{
+//	b := wqe.NewGraphBuilder()
+//	b.AddNode("Cellphone", map[string]wqe.Value{
 //	    "Price": wqe.N(840),
 //	})
+//	g := b.Build()
 //	q := wqe.NewQuery()
 //	u := q.AddNode("Cellphone", wqe.Literal{Attr: "Price", Op: wqe.GE, Val: wqe.N(840)})
 //	q.Focus = u
@@ -47,8 +48,11 @@ import (
 
 // Graph model.
 type (
-	// Graph is a directed, attributed graph G = (V, E, L, f_A).
+	// Graph is a directed, attributed graph G = (V, E, L, f_A), made
+	// once by GraphBuilder.Build and read-only afterwards.
 	Graph = graph.Graph
+	// GraphBuilder takes a graph's nodes and edges, then builds it.
+	GraphBuilder = graph.Builder
 	// NodeID identifies a graph node.
 	NodeID = graph.NodeID
 	// Value is a typed attribute value (number or string).
@@ -57,8 +61,8 @@ type (
 	Domain = graph.Domain
 )
 
-// NewGraph returns an empty attributed graph.
-func NewGraph() *Graph { return graph.New() }
+// NewGraphBuilder returns an empty graph builder.
+func NewGraphBuilder() *GraphBuilder { return graph.NewBuilder() }
 
 // N returns a numeric attribute value.
 func N(v float64) Value { return graph.N(v) }

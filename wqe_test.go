@@ -42,11 +42,12 @@ func TestPublicAPIRoundtrip(t *testing.T) {
 }
 
 func TestPublicGraphAndValues(t *testing.T) {
-	g := wqe.NewGraph()
-	v := g.AddNode("Thing", map[string]wqe.Value{
+	gb := wqe.NewGraphBuilder()
+	v := gb.AddNode("Thing", map[string]wqe.Value{
 		"price": wqe.ParseValue("$42"),
 		"name":  wqe.S("widget"),
 	})
+	g := gb.Build()
 	if got, _ := g.Attr(v, "price"); !got.Equal(wqe.N(42)) {
 		t.Errorf("ParseValue($42) = %v", got)
 	}
