@@ -51,7 +51,7 @@ examples:
 # Short randomized hammering, 10 s each, on top of the committed corpora
 # (which `go test` always replays as regression inputs): the binary
 # snapshot reader — any accepted input must re-encode byte-identically —,
-# the JSON reader — it must accept what the encoding/json walk it
+# the PLL label blob reader — likewise —, the JSON reader — it must accept what the encoding/json walk it
 # replaced accepts, and build the same graph —, the key encoder —
 # pattern nodes with equal signatures must admit the same candidates,
 # in whatever order they list their literals — and the job decoder
@@ -60,6 +60,7 @@ examples:
 # fail in both.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzSnapshotReader -fuzztime 10s
+	$(GO) test ./internal/distindex -run '^$$' -fuzz FuzzUnmarshalPLL -fuzztime 10s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzReadJSON -fuzztime 10s
 	$(GO) test ./internal/query -run '^$$' -fuzz FuzzNodeSig -fuzztime 10s
 	$(GO) test ./cmd/wqe-serve -run '^$$' -fuzz FuzzDecodeAsk -fuzztime 10s

@@ -137,11 +137,17 @@ type loadBench struct {
 	SnapLoadMS    float64 `json:"snapshot_load_ms"`
 	LoadSpeedup   float64 `json:"load_speedup"`
 
-	// Heap deltas (HeapAlloc after GC, minus the pre-load baseline):
-	// the JSON figure is the graph alone; the snapshot figure includes
-	// the restored PLL index.
+	// Heap figures in MiB (HeapAlloc after GC, minus the pre-load
+	// baseline). Both graph figures are taken after WarmCaches, so both
+	// include the code column: the JSON-loaded graph builds it, the
+	// snapshot-loaded one reads it. The PLL figure is the restored index
+	// alone, taken after the aux blob it was restored from is released;
+	// the blob figure is that blob's size, which the snapshot graph
+	// figure excludes.
 	JSONHeapMB float64 `json:"json_heap_mb"`
 	SnapHeapMB float64 `json:"snapshot_heap_mb"`
+	PLLHeapMB  float64 `json:"pll_heap_mb"`
+	AuxBlobMB  float64 `json:"aux_blob_mb"`
 
 	PLLLabels    int     `json:"pll_labels"`
 	PLLBuildMS   float64 `json:"pll_build_ms"`
@@ -298,6 +304,7 @@ func TestEmitLoadBench(t *testing.T) {
 		if d := time.Since(start); i == 0 || d < jsonDur {
 			jsonDur = d
 		}
+		jres.G.WarmCaches()
 		jsonHeap = heapMB() - base
 		if jres.G.NumNodes() != g.NumNodes() || jres.G.NumEdges() != g.NumEdges() {
 			t.Fatalf("JSON load shape %v, want %v", jres.G, g)
@@ -324,13 +331,17 @@ func TestEmitLoadBench(t *testing.T) {
 			snapDur = d
 		}
 	}
+	snap.G.WarmCaches()
+	blobMB := float64(cap(snap.Aux)) / (1 << 20)
+	snapHeap := heapMB() - base - blobMB
 	restoreStart := time.Now()
 	restoredPLL, err := distindex.UnmarshalPLL(snap.G, snap.Aux)
 	if err != nil {
 		t.Fatal(err)
 	}
 	restoreDur := time.Since(restoreStart)
-	snapHeap := heapMB() - base
+	snap.Aux = nil
+	pllHeap := heapMB() - base - snapHeap
 	if snap.G.NumNodes() != g.NumNodes() || snap.G.NumEdges() != g.NumEdges() {
 		t.Fatalf("snapshot load shape %v, want %v", snap.G, g)
 	}
@@ -367,6 +378,8 @@ func TestEmitLoadBench(t *testing.T) {
 		LoadSpeedup:     float64(jsonDur) / float64(snapDur),
 		JSONHeapMB:      jsonHeap,
 		SnapHeapMB:      snapHeap,
+		PLLHeapMB:       pllHeap,
+		AuxBlobMB:       blobMB,
 		PLLLabels:       pll.LabelSize(),
 		PLLBuildMS:      ms(buildDur),
 		PLLRestoreMS:    ms(restoreDur),

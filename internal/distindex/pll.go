@@ -26,12 +26,52 @@ type labelCand struct {
 // of landmarks processed in descending-degree order with pruned BFS.
 // dist(s→t) is then the minimum of dOut + dIn over landmarks common to
 // out(s) and in(t).
+//
+// Each side is stored the way the graph stores adjacency: one arena of
+// entries and an offset per node, which is also the layout of the
+// marshaled blob (snapshot.go).
 type PLL struct {
-	g    *graph.Graph
-	rank []int32        // node → landmark rank (0 = highest degree)
-	inv  []graph.NodeID // rank → node
-	in   [][]labelEntry // sorted by rank
-	out  [][]labelEntry
+	rank    []int32 // node → landmark rank (0 = highest degree)
+	in, out labelSide
+}
+
+// labelSide is one side of the index in CSR form: the labels of node v
+// are arena[off[v]:off[v+1]], strictly ascending by rank. Offsets are
+// int32, as in the blob.
+type labelSide struct {
+	off   []int32
+	arena []labelEntry
+}
+
+// of returns the labels of v.
+func (s *labelSide) of(v graph.NodeID) []labelEntry { return s.arena[s.off[v]:s.off[v+1]] }
+
+// flatten lays per-node label lists out as one side.
+func flatten(lists [][]labelEntry) labelSide {
+	total := 0
+	for _, ls := range lists {
+		total += len(ls)
+	}
+	s := labelSide{off: make([]int32, len(lists)+1), arena: make([]labelEntry, 0, total)}
+	for v, ls := range lists {
+		s.arena = append(s.arena, ls...)
+		s.off[v+1] = int32(len(s.arena))
+	}
+	return s
+}
+
+// pllBuilder is the index under construction: labels are appended to
+// per-node lists in rank order, and finish flattens them once.
+type pllBuilder struct {
+	g       *graph.Graph
+	rank    []int32        // node → landmark rank
+	inv     []graph.NodeID // rank → node
+	in, out [][]labelEntry // sorted by rank
+}
+
+// finish flattens the label lists into the index.
+func (p *pllBuilder) finish() *PLL {
+	return &PLL{rank: p.rank, in: flatten(p.in), out: flatten(p.out)}
 }
 
 // pllScratch is the per-BFS working set, allocated once per worker and
@@ -64,9 +104,9 @@ func newPLLScratch(n int) *pllScratch {
 // newPLLSkeleton builds the shared preamble of both constructions: the
 // degree-descending landmark order (ties broken on the smaller node ID,
 // so the ranking — and hence the whole index — is deterministic).
-func newPLLSkeleton(g *graph.Graph) *PLL {
+func newPLLSkeleton(g *graph.Graph) *pllBuilder {
 	n := g.NumNodes()
-	p := &PLL{
+	p := &pllBuilder{
 		g:    g,
 		rank: make([]int32, n),
 		inv:  make([]graph.NodeID, n),
@@ -102,7 +142,7 @@ func NewPLL(g *graph.Graph) *PLL {
 		p.commit(int32(r), true, p.prunedBFS(root, int32(r), true, sc))
 		p.commit(int32(r), false, p.prunedBFS(root, int32(r), false, sc))
 	}
-	return p
+	return p.finish()
 }
 
 // seedLandmarks is how many top-rank landmarks the parallel build
@@ -188,13 +228,13 @@ func NewPLLParallel(g *graph.Graph, workers int) *PLL {
 			batch *= 2
 		}
 	}
-	return p
+	return p.finish()
 }
 
 // commit appends a BFS's candidate labels as-is: the sequential build's
 // pruning already consulted every lower-rank label, so its candidates
 // are final.
-func (p *PLL) commit(rrank int32, forward bool, cands []labelCand) {
+func (p *pllBuilder) commit(rrank int32, forward bool, cands []labelCand) {
 	for _, c := range cands {
 		if forward {
 			p.in[c.v] = append(p.in[c.v], labelEntry{rank: rrank, d: c.d})
@@ -211,7 +251,7 @@ func (p *PLL) commit(rrank int32, forward bool, cands []labelCand) {
 // BFS would have labeled it, and the merged index is bit-identical.
 // Merging in rank order keeps every per-node label list rank-sorted,
 // exactly like sequential appends.
-func (p *PLL) mergeVerified(rrank int32, forward bool, cands []labelCand, sc *pllScratch) {
+func (p *pllBuilder) mergeVerified(rrank int32, forward bool, cands []labelCand, sc *pllScratch) {
 	root := p.inv[rrank]
 	rootSide := p.out[root]
 	if !forward {
@@ -248,7 +288,7 @@ func (p *PLL) mergeVerified(rrank int32, forward bool, cands []labelCand, sc *pl
 // rank, making the candidates final; under the batched schedule it is a
 // subset, making them a superset of the final labels that mergeVerified
 // filters.
-func (p *PLL) prunedBFS(root graph.NodeID, rrank int32, forward bool, sc *pllScratch) []labelCand {
+func (p *pllBuilder) prunedBFS(root graph.NodeID, rrank int32, forward bool, sc *pllScratch) []labelCand {
 	// Index the root's existing labels for O(1) prune queries.
 	// For forward BFS we need dist(root→u) ≤ d via existing labels:
 	// min over common landmarks of root.out and u.in.
@@ -314,7 +354,7 @@ func (p *PLL) prunedBFS(root graph.NodeID, rrank int32, forward bool, sc *pllScr
 // coveredBy reports whether existing labels certify dist(root, v) ≤ d
 // (forward) or dist(v, root) ≤ d (backward), where rootLabel holds the
 // root-side label distances indexed by landmark rank.
-func (p *PLL) coveredBy(v graph.NodeID, d int32, rootLabel []int32, forward bool) bool {
+func (p *pllBuilder) coveredBy(v graph.NodeID, d int32, rootLabel []int32, forward bool) bool {
 	side := p.in[v]
 	if !forward {
 		side = p.out[v]
@@ -333,7 +373,7 @@ func (p *PLL) Dist(s, t graph.NodeID) int {
 	if s == t {
 		return 0
 	}
-	ls, lt := p.out[s], p.in[t]
+	ls, lt := p.out.of(s), p.in.of(t)
 	best := int32(-1)
 	i, j := 0, 0
 	for i < len(ls) && j < len(lt) {
@@ -369,7 +409,7 @@ func (p *PLL) Within(s, t graph.NodeID, bound int) bool {
 	if s == t {
 		return bound >= 0
 	}
-	ls, lt := p.out[s], p.in[t]
+	ls, lt := p.out.of(s), p.in.of(t)
 	i, j := 0, 0
 	for i < len(ls) && j < len(lt) {
 		switch {
@@ -390,10 +430,4 @@ func (p *PLL) Within(s, t graph.NodeID, bound int) bool {
 
 // LabelSize returns the total number of label entries, a measure of
 // index memory.
-func (p *PLL) LabelSize() int {
-	total := 0
-	for i := range p.in {
-		total += len(p.in[i]) + len(p.out[i])
-	}
-	return total
-}
+func (p *PLL) LabelSize() int { return len(p.in.arena) + len(p.out.arena) }

@@ -2,6 +2,7 @@ package distindex
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wqe/internal/graph"
@@ -134,28 +135,14 @@ func TestAutoSelection(t *testing.T) {
 	}
 }
 
-// labelsEqual compares two indexes label-for-label: same per-node
-// in/out lists, same (rank, d) entries in the same order.
+// labelsEqual compares two indexes label-for-label: same rank
+// permutation, same per-node in/out lists, same (rank, d) entries in the
+// same order.
 func labelsEqual(t *testing.T, a, b *PLL) bool {
 	t.Helper()
-	if len(a.in) != len(b.in) || a.LabelSize() != b.LabelSize() {
-		return false
-	}
-	sides := func(p *PLL, i int) [2][]labelEntry { return [2][]labelEntry{p.in[i], p.out[i]} }
-	for i := range a.in {
-		as, bs := sides(a, i), sides(b, i)
-		for s := 0; s < 2; s++ {
-			if len(as[s]) != len(bs[s]) {
-				return false
-			}
-			for j := range as[s] {
-				if as[s][j] != bs[s][j] {
-					return false
-				}
-			}
-		}
-	}
-	return true
+	return slices.Equal(a.rank, b.rank) &&
+		slices.Equal(a.in.off, b.in.off) && slices.Equal(a.in.arena, b.in.arena) &&
+		slices.Equal(a.out.off, b.out.off) && slices.Equal(a.out.arena, b.out.arena)
 }
 
 // TestPLLParallelBitIdentical pins the tentpole contract: the parallel

@@ -3,6 +3,7 @@ package distindex
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"wqe/internal/graph"
 )
@@ -32,12 +33,7 @@ const (
 // same index always produces the same bytes.
 func (p *PLL) Marshal() []byte {
 	n := len(p.rank)
-	inTotal, outTotal := 0, 0
-	for i := 0; i < n; i++ {
-		inTotal += len(p.in[i])
-		outTotal += len(p.out[i])
-	}
-	size := len(pllMagic) + 4 + 8 + 4*n + 2*(4*(n+1)) + 8*(inTotal+outTotal)
+	size := len(pllMagic) + 4 + 8 + 4*n + 2*(4*(n+1)) + 8*p.LabelSize()
 	buf := make([]byte, 0, size)
 	buf = append(buf, pllMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, pllVersion)
@@ -45,31 +41,26 @@ func (p *PLL) Marshal() []byte {
 	for _, r := range p.rank {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
 	}
-	buf = appendSide(buf, p.in)
-	buf = appendSide(buf, p.out)
+	buf = appendSide(buf, &p.in)
+	buf = appendSide(buf, &p.out)
 	return buf
 }
 
-func appendSide(buf []byte, side [][]labelEntry) []byte {
-	off := uint32(0)
-	buf = binary.LittleEndian.AppendUint32(buf, 0)
-	for _, ls := range side {
-		off += uint32(len(ls))
-		buf = binary.LittleEndian.AppendUint32(buf, off)
+func appendSide(buf []byte, side *labelSide) []byte {
+	for _, o := range side.off {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(o))
 	}
-	for _, ls := range side {
-		for _, le := range ls {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(le.rank))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(le.d))
-		}
+	for _, le := range side.arena {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(le.rank))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(le.d))
 	}
 	return buf
 }
 
 // UnmarshalPLL reconstructs a marshaled index over g. It fails if the
-// blob is malformed or was built over a graph of a different size; the
-// label entries per node land as subslices of one shared arena, so a
-// restore is a handful of big allocations regardless of node count.
+// blob is malformed or was built over a graph of a different size. The
+// blob is the index's own layout, so each side is one offsets array and
+// one arena decoded in a single pass.
 func UnmarshalPLL(g *graph.Graph, data []byte) (*PLL, error) {
 	c := &byteCursor{b: data}
 	if string(c.take(len(pllMagic))) != pllMagic {
@@ -91,69 +82,65 @@ func UnmarshalPLL(g *graph.Graph, data []byte) (*PLL, error) {
 	if c.err != nil {
 		return nil, fmt.Errorf("distindex: pll blob: truncated rank array")
 	}
-	inv := make([]graph.NodeID, n)
 	seen := make([]bool, n)
 	for v, r := range rank {
 		if r < 0 || int(r) >= n || seen[r] {
 			return nil, fmt.Errorf("distindex: pll blob: rank array is not a permutation (node %d, rank %d)", v, r)
 		}
 		seen[r] = true
-		inv[r] = graph.NodeID(v)
 	}
 
-	in, err := readSide(c, n, "in")
-	if err != nil {
+	p := &PLL{rank: rank}
+	var err error
+	if p.in, err = readSide(c, n, "in"); err != nil {
 		return nil, err
 	}
-	out, err := readSide(c, n, "out")
-	if err != nil {
+	if p.out, err = readSide(c, n, "out"); err != nil {
 		return nil, err
 	}
 	if c.off != len(c.b) {
 		return nil, fmt.Errorf("distindex: pll blob: %d trailing bytes", len(c.b)-c.off)
 	}
-	return &PLL{g: g, rank: rank, inv: inv, in: in, out: out}, nil
+	return p, nil
 }
 
-func readSide(c *byteCursor, n int, what string) ([][]labelEntry, error) {
+func readSide(c *byteCursor, n int, what string) (labelSide, error) {
 	off := c.int32s(n + 1)
 	if c.err != nil {
-		return nil, fmt.Errorf("distindex: pll blob: truncated %s offsets", what)
+		return labelSide{}, fmt.Errorf("distindex: pll blob: truncated %s offsets", what)
 	}
 	if off[0] != 0 {
-		return nil, fmt.Errorf("distindex: pll blob: %s offsets must start at 0", what)
+		return labelSide{}, fmt.Errorf("distindex: pll blob: %s offsets must start at 0", what)
 	}
 	for i := 0; i < n; i++ {
 		if off[i] > off[i+1] {
-			return nil, fmt.Errorf("distindex: pll blob: %s offsets not monotonic at %d", what, i)
+			return labelSide{}, fmt.Errorf("distindex: pll blob: %s offsets not monotonic at %d", what, i)
 		}
 	}
 	total := int(off[n])
-	arena := make([]labelEntry, total)
-	for i := range arena {
-		r := int32(c.u32())
-		d := int32(c.u32())
-		if c.err != nil {
-			return nil, fmt.Errorf("distindex: pll blob: truncated %s entries", what)
-		}
-		if r < 0 || int(r) >= n || d < 0 {
-			return nil, fmt.Errorf("distindex: pll blob: %s entry %d out of range (rank=%d d=%d)", what, i, r, d)
-		}
-		arena[i] = labelEntry{rank: r, d: d}
+	p := c.take(8 * total)
+	if c.err != nil {
+		return labelSide{}, fmt.Errorf("distindex: pll blob: truncated %s entries", what)
 	}
-	side := make([][]labelEntry, n)
+	arena := make([]labelEntry, total)
 	for v := 0; v < n; v++ {
-		ls := arena[off[v]:off[v+1]:off[v+1]]
 		// Dist/Within merge-intersect; the lists must be strictly
 		// rank-sorted exactly as construction leaves them.
-		for i := 1; i < len(ls); i++ {
-			if ls[i-1].rank >= ls[i].rank {
-				return nil, fmt.Errorf("distindex: pll blob: %s labels of node %d not strictly rank-sorted", what, v)
+		prev := int64(-1)
+		for i := int(off[v]); i < int(off[v+1]); i++ {
+			pair := binary.LittleEndian.Uint64(p[8*i:])
+			r, d := uint32(pair), uint32(pair>>32)
+			if r >= uint32(n) || d > math.MaxInt32 {
+				return labelSide{}, fmt.Errorf("distindex: pll blob: %s entry %d out of range (rank=%d d=%d)", what, i, int32(r), int32(d))
 			}
+			if int64(r) <= prev {
+				return labelSide{}, fmt.Errorf("distindex: pll blob: %s labels of node %d not strictly rank-sorted", what, v)
+			}
+			prev = int64(r)
+			arena[i] = labelEntry{rank: int32(r), d: int32(d)}
 		}
-		side[v] = ls
 	}
-	return side, nil
+	return labelSide{off: off, arena: arena}, nil
 }
 
 // byteCursor walks an in-memory blob with sticky bounds-check errors.

@@ -75,9 +75,11 @@ type AttrCode struct {
 // active domains are the dictionary: the code of a cell is its
 // attribute's base plus the index of its value in Domain.Values, so one
 // attribute's codes are contiguous, ordered as its domain is, and equal
-// codes mean equal cells. The column is derived state, built by the
-// pass that builds the domains; it is 8 bytes per cell and is not part
-// of the snapshot format.
+// codes mean equal cells. The column is 8 bytes per cell, and it is the
+// wire form of the attribute column: a snapshot stores the domains in
+// code order and the cells as (attr, code) pairs, so ReadSnapshot hands
+// the graph its Codes ready-made. A graph built any other way builds them
+// on first use, in one pass over the tuples.
 //
 // Code identity is exactly the engine's equality test (same kind,
 // Compare == 0) and code order exactly Compare's order on every
@@ -103,7 +105,8 @@ type Codes struct {
 }
 
 // Codes returns the coded view of the graph's tuples, building it (and
-// the active domains) on first use. The result is shared and immutable.
+// the active domains) on first use unless the graph was read from a
+// snapshot. The result is shared and immutable.
 func (g *Graph) Codes() *Codes {
 	g.codesOnce.Do(func() { g.codes = g.buildCodes() })
 	return g.codes
@@ -278,6 +281,47 @@ func domainOrder(a, b Value) int {
 	return strings.Compare(a.Str, b.Str)
 }
 
+// summarize fills in Numbers, NumMin and NumMax from d.Values, which
+// are in domain order, and reports whether the values alone make the
+// attribute irregular (see Codes).
+func (d *Domain) summarize() (irregular bool) {
+	for i, v := range d.Values {
+		if v.Kind == Number {
+			d.Numbers++
+		}
+		if v.Kind > String || (v.Kind == Number && v.Num != v.Num) ||
+			(i > 0 && v.Compare(d.Values[i-1]) == 0) {
+			irregular = true
+		}
+	}
+	// The numbers ascend with the NaNs last.
+	finite := d.Values[:d.Numbers]
+	for len(finite) > 0 && finite[len(finite)-1].Num != finite[len(finite)-1].Num {
+		finite = finite[:len(finite)-1]
+	}
+	if len(finite) > 0 {
+		d.NumMin, d.NumMax = finite[0].Num, finite[len(finite)-1].Num
+	}
+	return irregular
+}
+
+// markNameCollisions marks irregular the attributes whose "name=value"
+// renderings can collide: "k=v"="w" and "k"="v=w" render alike.
+func markNameCollisions(attrs *Interner, irregular []bool) {
+	for a := 1; a < attrs.Len(); a++ {
+		name := attrs.Name(int32(a))
+		for i := range name {
+			if name[i] != '=' {
+				continue
+			}
+			irregular[a] = true
+			if p, ok := attrs.Lookup(name[:i]); ok {
+				irregular[p] = true
+			}
+		}
+	}
+}
+
 // buildCodes scans the attribute arena once and materializes all active
 // domains and the code column.
 func (g *Graph) buildCodes() *Codes {
@@ -318,42 +362,15 @@ func (g *Graph) buildCodes() *Codes {
 		slices.SortFunc(ns, func(x, y int32) int { return domainOrder(vals[x], vals[y]) })
 		d := &Domain{Attr: g.Attrs.Name(int32(a)), Values: make([]Value, len(ns))}
 		for i, n := range ns {
-			v := vals[n]
-			d.Values[i] = v
+			d.Values[i] = vals[n]
 			codeOf[n] = c.base[a] + int32(i)
-			if v.Kind == Number {
-				d.Numbers++
-			}
-			if v.Kind > String || (v.Kind == Number && v.Num != v.Num) ||
-				(i > 0 && v.Compare(d.Values[i-1]) == 0) {
-				c.irregular[a] = true
-			}
 		}
-		// The numbers ascend with the NaNs last.
-		finite := d.Values[:d.Numbers]
-		for len(finite) > 0 && finite[len(finite)-1].Num != finite[len(finite)-1].Num {
-			finite = finite[:len(finite)-1]
-		}
-		if len(finite) > 0 {
-			d.NumMin, d.NumMax = finite[0].Num, finite[len(finite)-1].Num
-		}
+		c.irregular[a] = d.summarize()
 		c.doms[a] = d
 	}
 	for i := range c.cells {
 		c.cells[i].Code = codeOf[c.cells[i].Code]
 	}
-	// "k=v"="w" and "k"="v=w" render alike.
-	for a := 1; a < nAttrs; a++ {
-		name := g.Attrs.Name(int32(a))
-		for i := range name {
-			if name[i] != '=' {
-				continue
-			}
-			c.irregular[a] = true
-			if p, ok := g.Attrs.Lookup(name[:i]); ok {
-				c.irregular[p] = true
-			}
-		}
-	}
+	markNameCollisions(g.Attrs, c.irregular)
 	return c
 }

@@ -343,11 +343,39 @@ func (g *Graph) Dist(from, to NodeID, maxHops int) int {
 }
 
 // eccentricity runs a full undirected BFS from v and returns the largest
-// finite distance reached along with a node at that distance.
+// finite distance reached along with the last node reached at it: the
+// last entry of Ball(v, |V|, Both). It keeps only the pooled queue, not
+// the ball, so a sweep of a million nodes leaves no garbage behind.
 func (g *Graph) eccentricity(v NodeID) (int, NodeID) {
-	ball := g.Ball(v, g.NumNodes(), Both)
-	last := ball[len(ball)-1]
-	return int(last.D), last.V
+	sc := g.scratch()
+	q := append(sc.queue[:0], v)
+	sc.seen[v] = sc.stamp
+	depth := 0
+	for start := 0; ; depth++ {
+		end := len(q)
+		for _, u := range q[start:end] {
+			for _, e := range g.outEdges[g.outOff[u]:g.outOff[u+1]] {
+				if sc.seen[e.To] != sc.stamp {
+					sc.seen[e.To] = sc.stamp
+					q = append(q, e.To)
+				}
+			}
+			for _, e := range g.inEdges[g.inOff[u]:g.inOff[u+1]] {
+				if sc.seen[e.To] != sc.stamp {
+					sc.seen[e.To] = sc.stamp
+					q = append(q, e.To)
+				}
+			}
+		}
+		if len(q) == end {
+			break
+		}
+		start = end
+	}
+	last := q[len(q)-1]
+	sc.queue = q
+	scratchPool.Put(sc)
+	return depth, last
 }
 
 // Diameter returns an estimate of D(G), the diameter of the graph viewed

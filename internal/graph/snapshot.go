@@ -18,21 +18,31 @@ import (
 //	header   magic[8] version:u32 flags:u32 nodes:u64 edges:u64
 //	         attrEntries:u64 auxLen:u64 headerSum:u64(FNV-64a of the
 //	         preceding 48 bytes)
-//	body     labels interner · attrs interner · string-value table ·
-//	         node labels · attr offsets · attr arena · out offsets ·
-//	         out edges · in offsets · in edges · aux bytes
+//	body     labels interner · attrs interner · domains · node labels ·
+//	         attr offsets · code cells · out offsets · out edges ·
+//	         in offsets · in edges · aux bytes
 //	footer   bodySum:u64 (FNV-64a of every body byte)
 //
-// The writer iterates arenas in index order and interner tables in id
-// order, so the encoding of a given graph is a pure function of its
-// contents: write → read → write is byte-identical (pinned by test).
+// The attribute column travels in coded form (adom.go): the domains, in
+// attribute-id order, each as numbers:u32 strings:u32, the numbers'
+// float64 bits and the length-prefixed strings, in domain order; then
+// one attr:u32 code:u32 cell per tuple entry. The reader builds Codes
+// from them directly and looks every cell's value up in its domain.
+//
+// The writer iterates arenas in index order, interner tables in id
+// order and domains in code order, so the encoding of a given graph is a
+// pure function of its contents: write → read → write is byte-identical
+// (pinned by test). The reader accepts only that canonical form.
 // The aux section is opaque to this package; callers use it to embed a
 // serialized distance index (see internal/distindex) so a server
 // cold-start can skip index construction.
 const (
 	// SnapshotVersion is the current format version. Version history:
-	//   1 — initial layout as described above.
-	SnapshotVersion = 1
+	//   1 — initial layout: a string-value table, and 13-byte attr
+	//       cells (attr:u32 kind:u8 payload:u64).
+	//   2 — the attribute column in coded form: domains and 8-byte
+	//       code cells replace the string table and the 13-byte cells.
+	SnapshotVersion = 2
 
 	snapshotMagic = "WQESNAP\x00"
 	snapHeaderLen = 56
@@ -65,6 +75,11 @@ type Snapshot struct {
 // in the binary snapshot format. The output is deterministic: the same
 // graph contents always produce the same bytes.
 func (g *Graph) WriteSnapshot(w io.Writer, aux []byte) error {
+	return g.writeSnapshot(w, aux, g.wireCodes())
+}
+
+// writeSnapshot writes g with codes as its code column.
+func (g *Graph) writeSnapshot(w io.Writer, aux []byte, codes *Codes) error {
 	n := g.NumNodes()
 
 	var hdr [snapHeaderLen]byte
@@ -92,39 +107,29 @@ func (g *Graph) WriteSnapshot(w io.Writer, aux []byte) error {
 	sw.interner(g.Labels)
 	sw.interner(g.Attrs)
 
-	// String-value table: distinct attribute strings in first-occurrence
-	// order (an arena scan, so the order — and the encoding — is
-	// deterministic; the map is only used for index lookups).
-	strIdx := make(map[string]uint32)
-	strs := make([]string, 0, 16)
-	for _, av := range g.attrArena {
-		if av.Val.Kind == String {
-			if _, ok := strIdx[av.Val.Str]; !ok {
-				strIdx[av.Val.Str] = uint32(len(strs))
-				strs = append(strs, av.Val.Str)
-			}
+	for a := int32(0); a < int32(g.Attrs.Len()); a++ {
+		var vals []Value
+		numbers := 0
+		if d := codes.Domain(a); d != nil {
+			vals, numbers = d.Values, d.Numbers
+		}
+		sw.u32(uint32(numbers))
+		sw.u32(uint32(len(vals) - numbers))
+		for _, v := range vals[:numbers] {
+			sw.u64(math.Float64bits(v.Num))
+		}
+		for _, v := range vals[numbers:] {
+			sw.str(v.Str)
 		}
 	}
-	sw.u32(uint32(len(strs)))
-	for _, s := range strs {
-		sw.str(s)
-	}
-
 	for _, l := range g.labels {
 		sw.u32(uint32(l))
 	}
 	for _, o := range g.attrOff {
 		sw.u32(uint32(o))
 	}
-	for _, av := range g.attrArena {
-		sw.u32(uint32(av.Attr))
-		if av.Val.Kind == Number {
-			sw.u8(0)
-			sw.u64(math.Float64bits(av.Val.Num))
-		} else {
-			sw.u8(1)
-			sw.u64(uint64(strIdx[av.Val.Str]))
-		}
+	for _, c := range codes.cells {
+		sw.u64(uint64(uint32(c.Attr)) | uint64(uint32(c.Code))<<32)
 	}
 	for _, o := range g.outOff {
 		sw.u32(uint32(o))
@@ -159,7 +164,9 @@ func (g *Graph) WriteSnapshot(w io.Writer, aux []byte) error {
 // descriptive errors; a successfully read graph is immediately usable
 // with no further construction work.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	// 64 KiB, the size graphload.Read wraps its reader in: NewReaderSize
+	// then returns that reader as it is.
+	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [snapHeaderLen]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: snapshot: short header: %w", err)
@@ -171,7 +178,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if version != SnapshotVersion {
 		// Version check comes before the header checksum so a future
 		// format (which may checksum differently) gets the clear error.
-		return nil, fmt.Errorf("graph: snapshot: unsupported format version %d (this build reads version %d)",
+		return nil, fmt.Errorf("graph: snapshot: unsupported format version %d (this build reads version %d; "+
+			"re-save the graph from its JSON with `wqe -graph g.json -save-snapshot g.snap`)",
 			version, SnapshotVersion)
 	}
 	hh := fnv.New64a()
@@ -207,11 +215,10 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, err
 	}
 
-	strCount := int(sr.u32())
-	if strCount > attrEntries {
-		return nil, fmt.Errorf("graph: snapshot: string table larger than attr arena (%d > %d)", strCount, attrEntries)
+	codes, err := sr.domains(attrsIn, attrEntries)
+	if err != nil {
+		return nil, err
 	}
-	strs := sr.stringTable(strCount)
 
 	labels := sr.int32s(n)
 	for _, l := range labels {
@@ -223,45 +230,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := validateOffsets("attr", attrOff, n, attrEntries); err != nil {
 		return nil, errOr(sr.err, err)
 	}
-	// Attr entries are 13 wire bytes each (attr:u32 kind:u8 payload:u64);
-	// decode whole chunks from one read rather than issuing three reads
-	// per entry — at millions of entries the call overhead dominates.
-	const attrWire = 13
-	attrArena := make([]AttrValue, 0, minInt(attrEntries, maxSnapshotChunk/attrWire))
-	for len(attrArena) < attrEntries && sr.err == nil {
-		c := minInt(attrEntries-len(attrArena), maxSnapshotChunk/attrWire)
-		p := sr.take(c * attrWire)
-		if sr.err != nil {
-			break
-		}
-		base := len(attrArena)
-		attrArena = grown(attrArena, c, attrEntries)
-		for i := 0; i < c; i++ {
-			rec := p[i*attrWire : i*attrWire+attrWire]
-			aid := int32(binary.LittleEndian.Uint32(rec))
-			kind := rec[4]
-			payload := binary.LittleEndian.Uint64(rec[5:])
-			if aid < 0 || int(aid) >= attrsIn.Len() {
-				return nil, fmt.Errorf("graph: snapshot: attr id %d out of range", aid)
-			}
-			var val Value
-			switch kind {
-			case 0:
-				f := math.Float64frombits(payload)
-				if math.IsNaN(f) {
-					return nil, fmt.Errorf("graph: snapshot: NaN attribute value (entry %d)", base+i)
-				}
-				val = N(f)
-			case 1:
-				if payload >= uint64(len(strs)) {
-					return nil, fmt.Errorf("graph: snapshot: string index %d out of range (table has %d)", payload, len(strs))
-				}
-				val = S(strs[payload])
-			default:
-				return nil, fmt.Errorf("graph: snapshot: unknown value kind %d (entry %d)", kind, base+i)
-			}
-			attrArena[base+i] = AttrValue{Attr: aid, Val: val}
-		}
+	attrArena, err := sr.cells(codes, attrEntries)
+	if err != nil {
+		return nil, err
 	}
 	// Tuples must be strictly sorted by attr id — AttrByID binary-searches.
 	for v := 0; v+1 <= n && sr.err == nil; v++ {
@@ -333,8 +304,37 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		inEdges:   inEdges,
 		uid:       graphUID.Add(1),
 	}
+	codes.off = attrOff
+	g.codes = codes
+	g.codesOnce.Do(func() {})
 	g.buildByLabel()
 	return &Snapshot{G: g, Aux: aux, Version: version}, nil
+}
+
+// wireCodes returns the code column WriteSnapshot stores. The wire form
+// of a value is a Number's bits or anything else's Str, as it has always
+// been, so a cell with payload its kind ignores, or of neither kind, is
+// stored as the value it reads back as; when any cell is, the codes are
+// built afresh over the values as stored. No graph read from a file has
+// such a cell.
+func (g *Graph) wireCodes() *Codes {
+	stored := func(v Value) Value {
+		if v.Kind == Number {
+			return N(v.Num)
+		}
+		return S(v.Str)
+	}
+	for _, av := range g.attrArena {
+		if (av.Val.Kind == Number && av.Val.Str == "") || (av.Val.Kind == String && math.Float64bits(av.Val.Num) == 0) {
+			continue
+		}
+		arena := make([]AttrValue, len(g.attrArena))
+		for i, av := range g.attrArena {
+			arena[i] = AttrValue{Attr: av.Attr, Val: stored(av.Val)}
+		}
+		return (&Graph{Attrs: g.Attrs, attrOff: g.attrOff, attrArena: arena}).buildCodes()
+	}
+	return g.Codes()
 }
 
 // snapWriter hashes everything it writes; errors are sticky.
@@ -354,11 +354,6 @@ func (sw *snapWriter) bytes(p []byte) {
 		return
 	}
 	hashBytes(sw.h, p)
-}
-
-func (sw *snapWriter) u8(v uint8) {
-	sw.buf[0] = v
-	sw.bytes(sw.buf[:1])
 }
 
 func (sw *snapWriter) u32(v uint32) {
@@ -420,17 +415,6 @@ func (sr *snapReader) take(n int) []byte {
 	return p
 }
 
-func (sr *snapReader) u8() uint8 {
-	if _, err := io.ReadFull(sr.br, sr.buf[:1]); err != nil {
-		if sr.err == nil {
-			sr.err = err
-		}
-		return 0
-	}
-	hashBytes(sr.h, sr.buf[:1])
-	return sr.buf[0]
-}
-
 func (sr *snapReader) u32() uint32 {
 	if _, err := io.ReadFull(sr.br, sr.buf[:4]); err != nil {
 		if sr.err == nil {
@@ -440,17 +424,6 @@ func (sr *snapReader) u32() uint32 {
 	}
 	hashBytes(sr.h, sr.buf[:4])
 	return binary.LittleEndian.Uint32(sr.buf[:4])
-}
-
-func (sr *snapReader) u64() uint64 {
-	if _, err := io.ReadFull(sr.br, sr.buf[:8]); err != nil {
-		if sr.err == nil {
-			sr.err = err
-		}
-		return 0
-	}
-	hashBytes(sr.h, sr.buf[:8])
-	return binary.LittleEndian.Uint64(sr.buf[:8])
 }
 
 // stringTable reads count length-prefixed strings. It parses whole
@@ -528,6 +501,121 @@ func (sr *snapReader) int32s(count int) []int32 {
 		}
 	}
 	return out
+}
+
+// uint64s is int32s for 8-byte words.
+func (sr *snapReader) uint64s(count int) []uint64 {
+	out := make([]uint64, 0, minInt(count, maxSnapshotChunk/8))
+	for len(out) < count && sr.err == nil {
+		c := minInt(count-len(out), maxSnapshotChunk/8)
+		p := sr.take(c * 8)
+		if sr.err != nil {
+			break
+		}
+		base := len(out)
+		out = grown(out, c, count)
+		for i := 0; i < c; i++ {
+			out[base+i] = binary.LittleEndian.Uint64(p[i*8:])
+		}
+	}
+	return out
+}
+
+// domains reads the domain table into a Codes that lacks only its cells
+// and offsets. Each attribute's values must ascend strictly in domain
+// order and hold no NaN, and all of them together may not outnumber the
+// cells, each of which uses one. Numbers, NumMin, NumMax and the
+// irregular flags are recomputed, never read.
+func (sr *snapReader) domains(attrs *Interner, cells int) (*Codes, error) {
+	nAttrs := attrs.Len()
+	c := &Codes{
+		base:      make([]int32, nAttrs+1),
+		doms:      make([]*Domain, nAttrs),
+		irregular: make([]bool, nAttrs),
+	}
+	for a := 0; a < nAttrs; a++ {
+		numbers, strs := int(sr.u32()), int(sr.u32())
+		if sr.err != nil {
+			break
+		}
+		size := int(c.base[a]) + numbers + strs
+		if size > cells {
+			return nil, fmt.Errorf("graph: snapshot: domains hold more values than the %d cells", cells)
+		}
+		c.base[a+1] = int32(size)
+		nums, ss := sr.uint64s(numbers), sr.stringTable(strs)
+		if sr.err != nil || numbers+strs == 0 {
+			continue
+		}
+		vals := make([]Value, 0, numbers+strs)
+		for _, bits := range nums {
+			vals = append(vals, N(math.Float64frombits(bits)))
+		}
+		for _, str := range ss {
+			vals = append(vals, S(str))
+		}
+		for i, v := range vals {
+			if v.Num != v.Num {
+				return nil, fmt.Errorf("graph: snapshot: NaN in the domain of attribute %d", a)
+			}
+			if i > 0 && domainOrder(vals[i-1], v) >= 0 {
+				return nil, fmt.Errorf("graph: snapshot: domain of attribute %d not strictly ascending at value %d", a, i)
+			}
+		}
+		d := &Domain{Attr: attrs.Name(int32(a)), Values: vals}
+		c.irregular[a] = d.summarize()
+		c.doms[a] = d
+	}
+	if sr.err != nil {
+		return nil, fmt.Errorf("graph: snapshot: truncated domains: %w", sr.err)
+	}
+	markNameCollisions(attrs, c.irregular)
+	return c, nil
+}
+
+// cells reads count (attr, code) cells into c and returns the value
+// arena, each value looked up in its attribute's domain. A code must lie
+// in its attribute's range, and every code must be some cell's.
+func (sr *snapReader) cells(c *Codes, count int) ([]AttrValue, error) {
+	used := make([]bool, c.Len())
+	distinct := 0
+	c.cells = make([]AttrCode, 0, minInt(count, maxSnapshotChunk/8))
+	arena := make([]AttrValue, 0, minInt(count, maxSnapshotChunk/8))
+	for len(arena) < count && sr.err == nil {
+		k := minInt(count-len(arena), maxSnapshotChunk/8)
+		p := sr.take(k * 8)
+		if sr.err != nil {
+			break
+		}
+		base := len(arena)
+		c.cells = grown(c.cells, k, count)
+		arena = grown(arena, k, count)
+		for i := 0; i < k; i++ {
+			pair := binary.LittleEndian.Uint64(p[i*8:])
+			attr, code := uint32(pair), uint32(pair>>32)
+			if attr >= uint32(len(c.doms)) {
+				return nil, fmt.Errorf("graph: snapshot: attr id %d out of range", int32(attr))
+			}
+			// One unsigned compare: a code below lo wraps to a huge offset.
+			lo, hi := uint32(c.base[attr]), uint32(c.base[attr+1])
+			if code-lo >= hi-lo {
+				return nil, fmt.Errorf("graph: snapshot: code %d outside attribute %d's range [%d, %d)", int32(code), attr, lo, hi)
+			}
+			if !used[code] {
+				used[code] = true
+				distinct++
+			}
+			c.cells[base+i] = AttrCode{Attr: int32(attr), Code: int32(code)}
+			arena[base+i] = AttrValue{Attr: int32(attr), Val: c.doms[attr].Values[code-lo]}
+		}
+	}
+	if sr.err != nil {
+		return nil, fmt.Errorf("graph: snapshot: truncated body: %w", sr.err)
+	}
+	if distinct != len(used) {
+		return nil, fmt.Errorf("graph: snapshot: %d domain values no cell uses", len(used)-distinct)
+	}
+	return arena, nil
 }
 
 // edges reads count (to, label) pairs, validating ids against the node

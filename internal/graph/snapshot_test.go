@@ -3,7 +3,10 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -164,19 +167,23 @@ func TestSnapshotRejectsTrailingGarbage(t *testing.T) {
 
 func TestSnapshotRejectsVersionSkew(t *testing.T) {
 	full := snapBytes(t, snapGraph(t), nil)
-	mut := append([]byte(nil), full...)
-	binary.LittleEndian.PutUint32(mut[8:12], SnapshotVersion+1)
-	// Re-sign the header so version skew — not the checksum — is what
-	// the reader reports.
-	h := fnv.New64a()
-	hashBytes(h, mut[:48])
-	binary.LittleEndian.PutUint64(mut[48:56], h.Sum64())
-	_, err := ReadSnapshot(bytes.NewReader(mut))
-	if err == nil {
-		t.Fatalf("future version not rejected")
-	}
-	if !strings.Contains(err.Error(), "unsupported format version") {
-		t.Fatalf("version skew error not descriptive: %v", err)
+	// A future version, and version 1, which this build no longer reads:
+	// the error must say how to re-save the file.
+	for _, version := range []uint32{SnapshotVersion + 1, 1} {
+		mut := append([]byte(nil), full...)
+		binary.LittleEndian.PutUint32(mut[8:12], version)
+		// Re-sign the header so version skew — not the checksum — is what
+		// the reader reports.
+		h := fnv.New64a()
+		hashBytes(h, mut[:48])
+		binary.LittleEndian.PutUint64(mut[48:56], h.Sum64())
+		_, err := ReadSnapshot(bytes.NewReader(mut))
+		if err == nil {
+			t.Fatalf("version %d not rejected", version)
+		}
+		if !strings.Contains(err.Error(), "unsupported format version") || !strings.Contains(err.Error(), "-save-snapshot") {
+			t.Fatalf("version skew error not descriptive: %v", err)
+		}
 	}
 }
 
@@ -226,4 +233,135 @@ func FuzzSnapshotReader(f *testing.F) {
 			t.Fatalf("accepted snapshot does not round-trip: %d vs %d bytes", buf.Len(), len(data))
 		}
 	})
+}
+
+// cloneCodes copies c deeply enough that a test may doctor its cells and
+// domains.
+func cloneCodes(c *Codes) *Codes {
+	d := &Codes{off: c.off, cells: slices.Clone(c.cells), base: slices.Clone(c.base),
+		irregular: slices.Clone(c.irregular), doms: make([]*Domain, len(c.doms))}
+	for a, dom := range c.doms {
+		if dom != nil {
+			cp := *dom
+			cp.Values = slices.Clone(dom.Values)
+			d.doms[a] = &cp
+		}
+	}
+	return d
+}
+
+// TestSnapshotRejectsNonCanonical writes snapshots, correctly
+// checksummed, whose code column is not the one the graph's tuples give,
+// and requires the reader to refuse each with the check it breaks.
+func TestSnapshotRejectsNonCanonical(t *testing.T) {
+	b := NewBuilder()
+	for i, x := range []Value{N(0), N(negZero), N(2), N(5), N(2)} {
+		// Interned m, s, x, z: z, the last attribute, holds strings.
+		b.AddNode("P", map[string]Value{
+			"m": []Value{N(1), S("1")}[i%2], "s": S(string(rune('a' + i%3))),
+			"x": x, "z": S(string(rune('p' + i))),
+		})
+	}
+	g := b.Build()
+	attr := func(name string) int32 {
+		a, ok := g.Attrs.Lookup(name)
+		if !ok {
+			t.Fatalf("no attribute %q", name)
+		}
+		return a
+	}
+	x, z := attr("x"), attr("z")
+	if z != int32(g.Attrs.Len()-1) {
+		t.Fatalf("z has id %d, want the last", z)
+	}
+	for _, c := range []struct {
+		name, want string
+		doctor     func(c *Codes)
+	}{
+		{"as built", "", func(c *Codes) {}},
+		{"domain not ascending", "not strictly ascending", func(c *Codes) {
+			v := c.doms[x].Values
+			v[2], v[3] = v[3], v[2]
+		}},
+		{"-0 before 0", "not strictly ascending", func(c *Codes) {
+			v := c.doms[x].Values
+			v[0], v[1] = v[1], v[0]
+		}},
+		{"duplicate domain value", "not strictly ascending", func(c *Codes) {
+			c.doms[x].Values[3] = c.doms[x].Values[2]
+		}},
+		{"NaN in a domain", "NaN", func(c *Codes) {
+			c.doms[x].Values[3] = N(math.NaN())
+		}},
+		{"domain value no cell uses", "no cell uses", func(c *Codes) {
+			c.doms[z].Values = append(c.doms[z].Values, S("zzz"))
+		}},
+		{"domains outnumber the cells", "more values than", func(c *Codes) {
+			for i := 0; i <= len(c.cells); i++ {
+				c.doms[z].Values = append(c.doms[z].Values, S(fmt.Sprintf("zz%04d", i)))
+			}
+		}},
+		{"code outside its attribute's range", "outside attribute", func(c *Codes) {
+			for i := range c.cells {
+				if c.cells[i].Attr == x {
+					c.cells[i].Code = c.base[z]
+					return
+				}
+			}
+		}},
+		{"attr id out of range", "attr id", func(c *Codes) {
+			c.cells[0].Attr = int32(len(c.doms))
+		}},
+		{"unsorted tuple", "not strictly sorted", func(c *Codes) {
+			c.cells[0], c.cells[1] = c.cells[1], c.cells[0]
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			codes := cloneCodes(g.Codes())
+			c.doctor(codes)
+			var buf bytes.Buffer
+			if err := g.writeSnapshot(&buf, nil, codes); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadSnapshot(&buf)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("canonical column rejected: %v", err)
+			case c.want != "" && err == nil:
+				t.Fatalf("accepted")
+			case c.want != "" && !strings.Contains(err.Error(), c.want):
+				t.Fatalf("rejected for %q, want %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestSnapshotStoresValuesAsRead: a cell with payload its kind ignores,
+// or of neither kind, is stored as the value it reads back as — a
+// Number's bits, anything else's Str — even where that makes it equal to
+// another cell of its attribute; the file is canonical, so it re-writes
+// byte-identically.
+func TestSnapshotStoresValuesAsRead(t *testing.T) {
+	b := NewBuilder()
+	for _, v := range []Value{
+		{Kind: Number, Num: 5, Str: "five"}, N(5), {Kind: String, Num: 2, Str: "x"}, S("x"), {Kind: 7, Str: "q"},
+	} {
+		b.AddNode("P", map[string]Value{"v": v})
+	}
+	first := snapBytes(t, b.Build(), nil)
+	snap, err := ReadSnapshot(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, want := range []Value{N(5), N(5), S("x"), S("x"), S("q")} {
+		if got := snap.G.Tuple(NodeID(v))[0].Val; got != want {
+			t.Errorf("node %d reads %#v, want %#v", v, got, want)
+		}
+	}
+	if d := snap.G.ActiveDomain("v"); len(d.Values) != 3 {
+		t.Errorf("domain %v, want 5 q x", d.Values)
+	}
+	if again := snapBytes(t, snap.G, nil); !bytes.Equal(first, again) {
+		t.Fatal("re-written snapshot differs")
+	}
 }
