@@ -31,8 +31,11 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# Shuffled, so a fixture shared by a package's tests cannot come to depend
+# on which test builds it first; a failing run prints the seed to replay
+# with -shuffle=<seed>.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

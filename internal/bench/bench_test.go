@@ -2,6 +2,7 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,17 +11,27 @@ import (
 	"wqe/internal/query"
 )
 
-// microOptions keeps experiment smoke tests fast.
+// microOptions is the smallest size at which every instance set the
+// figures ask for still holds a question and AnsW still reaches its prune
+// branch, so that a defect on either path fails TestExperimentRegistry.
+// At Scale 150 one set comes up empty; at MaxSteps 2 nothing is pruned.
 func microOptions() Options {
-	return Options{Scale: 900, Queries: 2, Seed: 3, MaxSteps: 400}
+	return Options{Scale: 200, Queries: 1, Seed: 3, MaxSteps: 3}
 }
+
+// shared is the one Harness of this test binary, used by every test but
+// TestExperimentRegistry (which fills its own caches), with the products
+// graph and questions they ask for generated up front. It is read-only
+// after it is built: its caches only hit.
+var shared = sync.OnceValue(func() *Harness {
+	h := New(microOptions())
+	h.Instances(InstanceSpec{Dataset: datagen.DatasetProducts})
+	return h
+})
 
 // TestExperimentRegistry: every listed experiment produces a non-empty,
 // well-formed table at micro scale.
 func TestExperimentRegistry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke tests are slow")
-	}
 	h := New(microOptions())
 	for _, e := range Experiments {
 		e := e
@@ -44,6 +55,11 @@ func TestExperimentRegistry(t *testing.T) {
 			}
 		})
 	}
+	for key, set := range h.instances {
+		if len(set) == 0 {
+			t.Errorf("instance set %s is empty: its figure asks nothing at this size", key)
+		}
+	}
 	if _, ok := Lookup("1a"); !ok {
 		t.Error("Lookup(1a) failed")
 	}
@@ -53,9 +69,9 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestHarnessCaching(t *testing.T) {
-	h := New(microOptions())
-	g1 := h.GraphFor(datagen.DatasetProducts, 900)
-	g2 := h.GraphFor(datagen.DatasetProducts, 900)
+	h := shared()
+	g1 := h.GraphFor(datagen.DatasetProducts, h.Opts.Scale)
+	g2 := h.GraphFor(datagen.DatasetProducts, h.Opts.Scale)
 	if g1 != g2 {
 		t.Error("graphs must be cached per dataset+scale")
 	}
@@ -76,8 +92,8 @@ func TestHarnessCaching(t *testing.T) {
 }
 
 func TestRunAlgorithms(t *testing.T) {
-	h := New(microOptions())
-	g := h.GraphFor(datagen.DatasetProducts, 900)
+	h := shared()
+	g := h.GraphFor(datagen.DatasetProducts, h.Opts.Scale)
 	instances := h.Instances(InstanceSpec{Dataset: datagen.DatasetProducts})
 	if len(instances) == 0 {
 		t.Skip("no instances at micro scale")
@@ -144,12 +160,12 @@ func TestTableFprint(t *testing.T) {
 }
 
 func TestInstanceSpecDefaults(t *testing.T) {
-	h := New(microOptions())
+	h := shared()
 	s := InstanceSpec{Dataset: datagen.DatasetMovies}.withDefaults(h)
 	if s.Edges != 2 || s.Tuples != 5 || s.DisturbOps != 3 || s.Shape != query.TopoTree {
 		t.Errorf("defaults wrong: %+v", s)
 	}
-	if s.Scale != 900 {
+	if s.Scale != h.Opts.Scale {
 		t.Errorf("scale default wrong: %d", s.Scale)
 	}
 }

@@ -29,8 +29,8 @@ type BatchJob struct {
 	// empty, any positive Beam runs AnsHeu — the pre-Algo contract.
 	Beam int
 
-	// MaxSteps, when positive, overrides the session config's per-job
-	// step budget.
+	// MaxSteps, when positive, lowers the session config's per-job step
+	// budget to it; it never raises it.
 	MaxSteps int
 
 	// TimeLimit, when positive, overrides the session config's per-job

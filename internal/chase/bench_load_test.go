@@ -3,7 +3,6 @@ package chase_test
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,33 +16,7 @@ import (
 	"wqe/internal/distindex"
 	"wqe/internal/graph"
 	"wqe/internal/graphload"
-	"wqe/internal/match"
-	"wqe/internal/query"
 )
-
-// genWhyOn builds count Why-question instances over an existing graph
-// using the given distance index (genInstances builds its own graph;
-// this variant lets the load bench reuse the one it just generated).
-func genWhyOn(t *testing.T, g *graph.Graph, idx distindex.Index, count int, seed int64) []*datagen.WhyInstance {
-	t.Helper()
-	m := match.NewMatcher(g, idx, nil)
-	rng := rand.New(rand.NewSource(seed + 7))
-	var out []*datagen.WhyInstance
-	for tries := 0; len(out) < count && tries < count*20; tries++ {
-		inst, ok := datagen.GenWhy(g, m, datagen.WhySpec{
-			Query:      datagen.QuerySpec{Shape: query.TopoTree, Edges: 2, MaxPredicates: 2, PathEdgeProb: 0.2},
-			DisturbOps: 3,
-			MaxTuples:  5,
-		}, rng)
-		if ok {
-			out = append(out, inst)
-		}
-	}
-	if len(out) < count {
-		t.Fatalf("only generated %d/%d instances", len(out), count)
-	}
-	return out
-}
 
 // askTranscript runs every job through the session and renders the
 // answers into one comparable string.
@@ -99,7 +72,7 @@ func TestSnapshotRestoredAnswersByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	pll := distindex.NewPLL(g)
-	instances := genWhyOn(t, g, pll, 3, 7)
+	instances := genWhyOn(t, g, pll, 3, 7, whySpec)
 	jobs := make([]chase.BatchJob, len(instances))
 	for i, inst := range instances {
 		jobs[i] = chase.BatchJob{Q: inst.Q, E: inst.E, Beam: 4, MaxSteps: 800}
@@ -349,7 +322,7 @@ func TestEmitLoadBench(t *testing.T) {
 	// The answered workload: identical jobs over the freshly built
 	// session and the snapshot-restored one, compared byte for byte;
 	// the restored run's wall time is the recorded throughput.
-	instances := genWhyOn(t, g, pll, nJobs, 7)
+	instances := genWhyOn(t, g, pll, nJobs, 7, whySpec)
 	jobs := make([]chase.BatchJob, len(instances))
 	for i, inst := range instances {
 		jobs[i] = chase.BatchJob{Q: inst.Q, E: inst.E, Beam: 3, MaxSteps: 50}

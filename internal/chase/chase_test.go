@@ -403,6 +403,14 @@ func TestAnytimeTrajectory(t *testing.T) {
 	}
 }
 
+// whySpec is the question shape most tests ask for: two-edge trees,
+// three disturbing operators, up to five exemplar tuples.
+var whySpec = datagen.WhySpec{
+	Query:      datagen.QuerySpec{Shape: query.TopoTree, Edges: 2, MaxPredicates: 2, PathEdgeProb: 0.2},
+	DisturbOps: 3,
+	MaxTuples:  5,
+}
+
 // genInstancesSpec is genInstances with a custom WhySpec.
 func genInstancesSpec(t *testing.T, dataset string, nodes, count int, seed int64, spec datagen.WhySpec) (*graph.Graph, []*datagen.WhyInstance) {
 	t.Helper()
@@ -410,7 +418,15 @@ func genInstancesSpec(t *testing.T, dataset string, nodes, count int, seed int64
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newTestMatcher(g)
+	return g, genWhyOn(t, g, distindex.NewBFS(g), count, seed, spec)
+}
+
+// genWhyOn builds count Why-question instances of the spec over an
+// existing graph using the given distance index, so that the load tests
+// can reuse the graph they just built.
+func genWhyOn(t *testing.T, g *graph.Graph, idx distindex.Index, count int, seed int64, spec datagen.WhySpec) []*datagen.WhyInstance {
+	t.Helper()
+	m := match.NewMatcher(g, idx, nil)
 	rng := rand.New(rand.NewSource(seed + 7))
 	var out []*datagen.WhyInstance
 	for tries := 0; len(out) < count && tries < count*30; tries++ {
@@ -419,11 +435,7 @@ func genInstancesSpec(t *testing.T, dataset string, nodes, count int, seed int64
 		}
 	}
 	if len(out) < count {
-		t.Skipf("only generated %d/%d instances", len(out), count)
+		t.Fatalf("only generated %d/%d instances", len(out), count)
 	}
-	return g, out
-}
-
-func newTestMatcher(g *graph.Graph) *match.Matcher {
-	return match.NewMatcher(g, distindex.NewBFS(g), nil)
+	return out
 }

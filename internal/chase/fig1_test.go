@@ -1,6 +1,8 @@
 package chase_test
 
 import (
+	"maps"
+	"math"
 	"testing"
 
 	"wqe/internal/chase"
@@ -37,7 +39,8 @@ func answerSet(f *datagen.Fig1, matches []graph.NodeID) map[string]bool {
 }
 
 // TestFig1GroundTruth verifies the pre-chase facts of Examples 2.1/2.3:
-// Q(G), rep(E, V), and the relevance partition.
+// Q(G), also with every edge bound raised to 1000 or math.MaxInt32,
+// rep(E, V), and the relevance partition.
 func TestFig1GroundTruth(t *testing.T) {
 	f, w := newFig1Why(t, chase.Config{})
 
@@ -54,6 +57,15 @@ func TestFig1GroundTruth(t *testing.T) {
 	}
 	if len(ans) != 3 {
 		t.Errorf("Q(G) = %v, want {P1, P2, P5}", ans)
+	}
+	for _, bound := range []int{1000, math.MaxInt32} { // both past every path in G
+		q := f.Q.Clone()
+		for e := range q.Edges {
+			q.Edges[e].Bound = bound
+		}
+		if got := answerSet(f, w.Matcher.Match(q).Answer); !maps.Equal(got, ans) {
+			t.Errorf("Q(G) with every edge bound at %d = %v, want %v", bound, got, ans)
+		}
 	}
 
 	for _, p := range []string{"P3", "P4", "P5"} {

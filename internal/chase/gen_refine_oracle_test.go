@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"wqe/internal/datagen"
-	"wqe/internal/distindex"
 	"wqe/internal/exemplar"
 	"wqe/internal/graph"
 	"wqe/internal/match"
@@ -318,58 +317,20 @@ func checkState(t *testing.T, what string, w *Why, q *query.Query, used map[stri
 // their targets marked used — on instances of every dataset kind.
 func TestGenRefineMatchesOracleOnDatasets(t *testing.T) {
 	total := map[ops.Kind]int{}
-	for _, dataset := range []string{datagen.DatasetKnowledge, datagen.DatasetMovies, datagen.DatasetOffshore, datagen.DatasetProducts} {
-		g, err := datagen.Generate(dataset, 1500, 23)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := match.NewMatcher(g, distindex.NewBFS(g), nil)
-		rng := rand.New(rand.NewSource(29))
-		instances, addLs := 0, 0
-		for tries := 0; instances < 4 && tries < 200; tries++ {
-			inst, ok := datagen.GenWhy(g, m, datagen.WhySpec{
-				Query:      datagen.QuerySpec{Shape: query.TopoTree, Edges: 2, MaxPredicates: 2, PathEdgeProb: 0.2},
-				DisturbOps: 3,
-				MaxTuples:  5,
-			}, rng)
-			if !ok {
-				continue
-			}
-			instances++
-			w, err := NewWhy(g, inst.Q, inst.E, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.maxOpsPerClass = 1 << 20 // compare everything scored, not the capped head
-			type state struct {
-				q   *query.Query
-				seq ops.Sequence
-			}
-			frontier := []state{{q: inst.Q}}
-			for depth := 0; depth < 3; depth++ {
-				var next []state
-				for si, s := range frontier {
-					used := opTargets(s.seq)
-					what := fmt.Sprintf("%s instance %d depth %d state %d", dataset, instances, depth, si)
-					for kind, n := range checkState(t, what, w, s.q, used) {
-						total[kind] += n
-						if kind == ops.AddL {
-							addLs += n
-						}
-					}
-					res := w.Matcher.Match(s.q)
-					pool := append(w.GenRefine(s.q, res, used, 3), w.GenRelax(s.q, res, used, 3)...)
-					for i, o := range pool {
-						if q2, err := o.Op.Apply(s.q); err == nil && i < 3 {
-							next = append(next, state{q: q2, seq: append(slices.Clone(s.seq), o.Op)})
-						}
-					}
+	addLs := map[string]int{}
+	datasetWhys(t, 4, func(dataset, what string, w *Why, q *query.Query) {
+		walkStates(t, w, what, q, 2, func(s walkedState, _ *match.Result) {
+			for kind, n := range checkState(t, s.what, w, s.q, opTargets(s.seq)) {
+				total[kind] += n
+				if kind == ops.AddL {
+					addLs[dataset] += n
 				}
-				frontier = next
 			}
-		}
-		if instances < 4 || addLs == 0 {
-			t.Errorf("%s: %d instances, %d AddL operators compared — the sweep checks nothing", dataset, instances, addLs)
+		})
+	})
+	for _, dataset := range []string{datagen.DatasetKnowledge, datagen.DatasetMovies, datagen.DatasetOffshore, datagen.DatasetProducts} {
+		if addLs[dataset] == 0 {
+			t.Errorf("%s: no AddL operator compared — the sweep checks nothing", dataset)
 		}
 	}
 	for _, kind := range []ops.Kind{ops.RfL, ops.RfE, ops.AddE} {

@@ -9,7 +9,9 @@ import (
 )
 
 // TestMaxStepsRespected: the search stops at the step cap and still
-// returns an answer.
+// returns an answer. A session job's MaxSteps can lower the session's cap
+// but not raise it, with the answer memo on (its flights run detached,
+// bounded by nothing else).
 func TestMaxStepsRespected(t *testing.T) {
 	g, instances := genInstances(t, "watdiv-like", 2000, 1, 91)
 	cfg := chase.DefaultConfig()
@@ -25,6 +27,14 @@ func TestMaxStepsRespected(t *testing.T) {
 	}
 	if a.Query == nil {
 		t.Error("no answer under step cap")
+	}
+
+	cfg.MaxSteps, cfg.AnswerCacheCap = 50, 16
+	s := chase.NewSession(g, cfg)
+	for _, c := range [][2]int{{1_000_000, 50}, {10, 10}} { // job MaxSteps, steps allowed
+		if r := s.Run(chase.BatchJob{Q: instances[0].Q, E: instances[0].E, MaxSteps: c[0]}); r.Err != nil || r.Steps > c[1] {
+			t.Errorf("job MaxSteps %d in a session capped at 50: %d steps (err %v), want at most %d", c[0], r.Steps, r.Err, c[1])
+		}
 	}
 }
 

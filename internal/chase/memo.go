@@ -44,11 +44,13 @@ func (c Search) appendKey(dst []byte) []byte {
 }
 
 // search resolves the Search a job runs under: the session's, with the
-// job's MaxSteps override applied.
+// step cap lowered to the job's MaxSteps when that is smaller. A job can
+// never raise it: a memoized flight runs detached with its Limits
+// cleared, so the session's MaxSteps is all that bounds it.
 func (s *Session) search(j BatchJob) Search {
 	sr := s.Cfg.Search
 	if j.MaxSteps > 0 {
-		sr.MaxSteps = j.MaxSteps
+		sr.MaxSteps = min(sr.MaxSteps, j.MaxSteps)
 	}
 	return sr
 }

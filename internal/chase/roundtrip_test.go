@@ -44,7 +44,7 @@ func TestJSONAndSnapshotAnswersEqual(t *testing.T) {
 					fromJSON.Source, fromJSON.PLLRestored(), fromSnap.Source, fromSnap.PLLRestored())
 			}
 			jsonPLL := distindex.NewPLL(fromJSON.G)
-			instances := genWhyOn(t, fromJSON.G, jsonPLL, 3, 11)
+			instances := genWhyOn(t, fromJSON.G, jsonPLL, 3, 11, whySpec)
 			jobs := make([]chase.BatchJob, len(instances))
 			for i, inst := range instances {
 				jobs[i] = chase.BatchJob{Q: inst.Q, E: inst.E, Beam: 3, MaxSteps: 200}

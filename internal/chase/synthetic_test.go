@@ -1,14 +1,11 @@
 package chase_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"wqe/internal/chase"
 	"wqe/internal/datagen"
-	"wqe/internal/distindex"
 	"wqe/internal/graph"
-	"wqe/internal/match"
 	"wqe/internal/ops"
 	"wqe/internal/query"
 )
@@ -16,27 +13,7 @@ import (
 // genInstances builds n Why-question instances over a dataset.
 func genInstances(t *testing.T, dataset string, nodes, count int, seed int64) (*graph.Graph, []*datagen.WhyInstance) {
 	t.Helper()
-	g, err := datagen.Generate(dataset, nodes, seed)
-	if err != nil {
-		t.Fatalf("generate %s: %v", dataset, err)
-	}
-	m := match.NewMatcher(g, distindex.NewBFS(g), nil)
-	rng := rand.New(rand.NewSource(seed + 7))
-	var out []*datagen.WhyInstance
-	for tries := 0; len(out) < count && tries < count*20; tries++ {
-		inst, ok := datagen.GenWhy(g, m, datagen.WhySpec{
-			Query:      datagen.QuerySpec{Shape: query.TopoTree, Edges: 2, MaxPredicates: 2, PathEdgeProb: 0.2},
-			DisturbOps: 3,
-			MaxTuples:  5,
-		}, rng)
-		if ok {
-			out = append(out, inst)
-		}
-	}
-	if len(out) < count {
-		t.Fatalf("only generated %d/%d instances on %s", len(out), count, dataset)
-	}
-	return g, out
+	return genInstancesSpec(t, dataset, nodes, count, seed, whySpec)
 }
 
 func jaccard(a, b []graph.NodeID) float64 {

@@ -76,6 +76,10 @@ func (g *Graph) Ball(v NodeID, maxHops int, dir Direction) []NodeDist {
 // a plain function because a callback per node costs the traversal a
 // quarter of its speed (see VisitBall).
 func (g *Graph) ball(sc *bfsScratch, out []NodeDist, v NodeID, maxHops int, dir Direction) []NodeDist {
+	// No shortest path is longer than |V|, and a bound past math.MaxInt32
+	// (a star's bound sums edge bounds) would wrap the int32 loop negative.
+	// VisitBall and VisitBalls clamp the same way.
+	maxHops = min(maxHops, g.NumNodes())
 	out = append(out, NodeDist{V: v, D: 0})
 	sc.seen[v] = sc.stamp
 	start := 0
@@ -148,6 +152,7 @@ func (t Traverser) Release() { scratchPool.Put(t.sc) }
 // construction lives on it. TestVisitBallMatchesBall pins the two
 // together on every prefix.
 func (g *Graph) VisitBall(v NodeID, maxHops int, dir Direction, visit func(u NodeID, d int32) bool) {
+	maxHops = min(maxHops, g.NumNodes())
 	sc := g.scratch()
 	queue := sc.queue[:0]
 	defer func() {
@@ -252,6 +257,7 @@ func (sc *ballsScratch) arrive(edges []Edge, m uint64) {
 // costs O(nodes reached + edges scanned) and allocates nothing once
 // warm. See ballsScratch for its size.
 func (g *Graph) VisitBalls(srcs []NodeID, maxHops int, dir Direction, visit func(n NodeID, d int32, mask uint64) (retire uint64)) (taken int) {
+	maxHops = min(maxHops, g.NumNodes())
 	taken = min(len(srcs), MaxBallSources)
 	sc := ballsPool.Get().(*ballsScratch)
 	if len(sc.seen) < g.NumNodes() {

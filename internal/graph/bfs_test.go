@@ -2,6 +2,7 @@ package graph
 
 import (
 	"maps"
+	"math"
 	"math/bits"
 	"runtime/debug"
 	"slices"
@@ -13,14 +14,15 @@ import (
 // radius 0–4 and stop point k, the nodes visited before the callback
 // declines are exactly the first k entries of the ball, distances
 // included. VisitBall keeps its own copy of the loop (see its comment),
-// so this is what stops the two drifting apart.
+// so this is what stops the two drifting apart. Radius math.MaxInt
+// (past math.MaxInt32 where int has 64 bits) reaches what |V| does.
 func TestVisitBallMatchesBall(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomGraph(40, 110, seed).Build()
 		for _, dir := range []Direction{Forward, Backward, Both} {
-			for hops := 0; hops <= 4; hops++ {
+			for _, hops := range []int{0, 1, 2, 3, 4, math.MaxInt} {
 				for _, src := range []NodeID{0, NodeID(seed + 3), NodeID(g.NumNodes() - 1)} {
-					ball := g.Ball(src, hops, dir)
+					ball := g.Ball(src, min(hops, g.NumNodes()), dir)
 					// k == len(ball)+1 never stops: the full traversal.
 					for k := 1; k <= len(ball)+1; k++ {
 						var got []NodeDist
@@ -44,14 +46,14 @@ func TestVisitBallMatchesBall(t *testing.T) {
 // direction, radius 0–4 and source, on one traverser reused throughout:
 // a ball stays valid while the other two directions are asked, and the
 // epoch stamp wrapping around mid-run (the scratch's hard reset) changes
-// nothing.
+// nothing. Both reach as far at radius math.MaxInt as at radius |V|.
 func TestTraverserMatchesBall(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		g := randomGraph(40, 110, seed).Build()
 		tr := g.Traverser()
 		tr.sc.stamp = ^uint32(0) - 20 // wraps within the first few dozen balls
 		wrapped := false
-		for hops := 0; hops <= 4; hops++ {
+		for _, hops := range []int{0, 1, 2, 3, 4, math.MaxInt} {
 			for src := NodeID(0); int(src) < g.NumNodes(); src++ {
 				before := tr.sc.stamp
 				var got [3][]NodeDist
@@ -60,7 +62,7 @@ func TestTraverserMatchesBall(t *testing.T) {
 				}
 				wrapped = wrapped || tr.sc.stamp < before
 				for _, dir := range []Direction{Forward, Backward, Both} {
-					if want := g.Ball(src, hops, dir); !slices.Equal(got[dir], want) {
+					if want := g.Ball(src, min(hops, g.NumNodes()), dir); !slices.Equal(got[dir], want) {
 						t.Fatalf("seed %d dir %d hops %d src %d:\n got %v\nwant %v", seed, dir, hops, src, got[dir], want)
 					}
 				}
@@ -166,8 +168,9 @@ func ballsSources(g *Graph, start, size int, dup bool) []NodeID {
 // TestVisitBallsMatchesBall pins the batched sweep to Ball: bit i is
 // reported for node n at level d exactly when Ball(srcs[i]) contains
 // (n, d), each (source, node) pair once, levels in order, for every
-// direction, radius 0–4 and source lists below, at and above the batch
-// width, with and without a repeated source.
+// direction, radius 0–4 (and math.MaxInt, which reaches what |V| does)
+// and source lists below, at and above the batch width, with and without
+// a repeated source.
 func TestVisitBallsMatchesBall(t *testing.T) {
 	type pair struct {
 		src int
@@ -176,7 +179,7 @@ func TestVisitBallsMatchesBall(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		g := randomGraph(90, 200, seed).Build()
 		for _, dir := range []Direction{Forward, Backward, Both} {
-			for hops := 0; hops <= 4; hops++ {
+			for _, hops := range []int{0, 1, 2, 3, 4, math.MaxInt} {
 				for _, size := range []int{0, 1, 2, 63, 64, 65} {
 					for _, dup := range []bool{false, true} {
 						srcs := ballsSources(g, int(seed)*7, size, dup)
@@ -204,7 +207,7 @@ func TestVisitBallsMatchesBall(t *testing.T) {
 						}
 						want := map[pair]int32{}
 						for i, s := range srcs[:taken] {
-							for _, nd := range g.Ball(s, hops, dir) {
+							for _, nd := range g.Ball(s, min(hops, g.NumNodes()), dir) {
 								want[pair{i, nd.V}] = nd.D
 							}
 						}

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -111,10 +112,14 @@ func diffMarks(t *testing.T, want, got []mark) {
 
 const fixtureRoot = "testdata/src"
 
+// corpus loads the fixture module once per test binary. The tests share
+// it read-only: RunAll only reads a Module.
+var corpus = sync.OnceValues(func() (*Module, error) { return Load(fixtureRoot) })
+
 // TestFixtureCorpus runs every analyzer over the fixture module and
 // compares the findings against the // want markers, exactly.
 func TestFixtureCorpus(t *testing.T) {
-	mod, err := Load(fixtureRoot)
+	mod, err := corpus()
 	if err != nil {
 		t.Fatalf("loading fixture corpus: %v", err)
 	}
@@ -129,7 +134,7 @@ func TestFixtureCorpus(t *testing.T) {
 // reports exactly the markers carrying its rule name — i.e. no analyzer
 // leaks findings into another's scope.
 func TestAnalyzersIndividually(t *testing.T) {
-	mod, err := Load(fixtureRoot)
+	mod, err := corpus()
 	if err != nil {
 		t.Fatalf("loading fixture corpus: %v", err)
 	}

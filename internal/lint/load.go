@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"wqe/internal/par"
 )
@@ -96,15 +97,12 @@ func Load(root string) (*Module, error) {
 		return nil, err
 	}
 
-	imp := &moduleImporter{
-		local:    make(map[string]*types.Package),
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
+	imp := moduleImporter{}
 	for _, pkg := range order {
 		if err := typeCheck(pkg, imp); err != nil {
 			return nil, err
 		}
-		imp.local[pkg.PkgPath] = pkg.Types
+		imp[pkg.PkgPath] = pkg.Types
 		m.Pkgs = append(m.Pkgs, pkg)
 	}
 	return m, nil
@@ -256,18 +254,27 @@ func topoOrder(pkgs map[string]*Package) ([]*Package, error) {
 	return order, nil
 }
 
-// moduleImporter serves module-internal packages from the current Load
-// and everything else from the stdlib source importer.
-type moduleImporter struct {
-	local    map[string]*types.Package
-	fallback types.Importer
-}
+// The standard library is type-checked from source once per process and
+// shared by every Load: its packages are read-only once checked. The
+// importer has its own FileSet, since no finding points into the standard
+// library, and a mutex, since the source importer is not safe for
+// concurrent use.
+var (
+	stdlibMu  sync.Mutex
+	stdlibImp = importer.ForCompiler(token.NewFileSet(), "source", nil) // guarded by stdlibMu
+)
 
-func (im *moduleImporter) Import(path string) (*types.Package, error) {
-	if p, ok := im.local[path]; ok {
+// moduleImporter serves module-internal packages from the current Load
+// and everything else from the shared standard-library importer.
+type moduleImporter map[string]*types.Package
+
+func (im moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im[path]; ok {
 		return p, nil
 	}
-	return im.fallback.Import(path)
+	stdlibMu.Lock()
+	defer stdlibMu.Unlock()
+	return stdlibImp.Import(path)
 }
 
 // typeCheck runs go/types over one parsed package.

@@ -131,6 +131,9 @@ func (q *Query) Validate() error {
 		if e.Bound < 1 {
 			return fmt.Errorf("query: edge %d has non-positive bound", i)
 		}
+		if e.Bound > math.MaxInt32 {
+			return fmt.Errorf("query: edge %d bound %d exceeds %d", i, e.Bound, math.MaxInt32)
+		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"wqe/internal/graph"
@@ -68,6 +69,12 @@ func TestValidate(t *testing.T) {
 	if err := q.Validate(); err != nil {
 		t.Errorf("valid query rejected: %v", err)
 	}
+	past := int64(math.MaxInt32) + 1 // with a 32-bit int it wraps negative: refused all the same
+	q.Edges[0].Bound = int(past)
+	if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "edge 0") {
+		t.Errorf("bound past math.MaxInt32: %v, want a refusal naming edge 0", err)
+	}
+	q.Edges[0].Bound = 1
 	q.Focus = 7
 	if q.Validate() == nil {
 		t.Error("out-of-range focus must not validate")
