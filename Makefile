@@ -4,9 +4,9 @@
 GO ?= go
 
 # Packages with shared mutable state (the cache core and its two
-# instances, lazy graph caches, chase sessions, the worker pool,
-# parallel PLL construction) that must stay clean under the race
-# detector. The cache stripes, singleflight, and eviction paths all live
+# instances, the graph's lazy diameter and key ranks, chase sessions,
+# the worker pool, parallel PLL construction) that must stay clean under
+# the race detector. The cache stripes, singleflight, and eviction paths all live
 # in internal/anscache; internal/match and internal/chase race the star
 # cache and the answer memo built on it.
 # A clean run here is also what enforces the `// guarded by <mu>` field
@@ -77,7 +77,8 @@ fuzz:
 # the parent's table; B/cell), BenchmarkAsk (one whole question per
 # algorithm, what `make profile` profiles; generating its workload-sized
 # question pools takes about a second), the two graph loaders,
-# BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s),
+# BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s, and heap-B/node:
+# the live heap the loaded graph holds),
 # BenchmarkCachePutFull (an evicting Put on a full cache core), and
 # BenchmarkDecodeAsk (one /askfast body to a compiled job, through the
 # encoding/json path it replaced and through chase.DecodeJob as

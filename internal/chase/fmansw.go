@@ -66,10 +66,10 @@ func (w *Why) FMAnsW() Answer {
 		if w.Eval.InRep(v) {
 			weight = 3 // lean the mined features toward desired entities
 		}
-		for _, av := range w.G.Tuple(v) {
-			attr := w.G.Attrs.Name(av.Attr)
-			key = av.Val.AppendKey(graph.AppendKeyString(append(key[:0], 'a'), attr))
-			bump(feature{attr: attr, val: av.Val})
+		for _, c := range w.G.Tuple(v) {
+			attr, val := w.G.Attrs.Name(c.Attr), w.G.Value(c)
+			key = val.AppendKey(graph.AppendKeyString(append(key[:0], 'a'), attr))
+			bump(feature{attr: attr, val: val})
 		}
 		for _, nd := range w.G.Ball(v, 2, graph.Forward) {
 			if nd.D > 0 {

@@ -63,10 +63,10 @@ func (w *Why) GenRandom(q *query.Query, used map[string]bool, budgetLeft float64
 			if len(tuple) == 0 {
 				continue
 			}
-			av := tuple[w.rng.Intn(len(tuple))]
-			attr := w.G.Attrs.Name(av.Attr)
+			cell := tuple[w.rng.Intn(len(tuple))]
+			attr := w.G.Attrs.Name(cell.Attr)
 			consider(ops.Op{Kind: ops.AddL, U: u,
-				Lit: query.Literal{Attr: attr, Op: graph.EQ, Val: av.Val}})
+				Lit: query.Literal{Attr: attr, Op: graph.EQ, Val: w.G.Value(cell)}})
 		}
 	}
 

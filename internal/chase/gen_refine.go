@@ -296,17 +296,17 @@ type addLCand struct {
 	// candidate is — cells rendering alike are one candidate — and its
 	// byte order breaks count ties.
 	rank int32
-	// code is the value proposed, attr the attribute it belongs to.
-	code, attr int32
+	// cell is the value proposed: its attribute and code.
+	cell graph.AttrCode
 }
 
 // addLCount is addL's scratch for one value code; all zero between uses.
 type addLCount struct {
 	n int32 // RM partner cells counted
-	// last is the code of the latest cell counted here: the code
-	// counted, except where several codes of irregular attributes render
-	// alike and are counted as one. The latest cell is the value proposed.
-	last int32
+	// last is the latest cell counted here, the value proposed. Its code
+	// is the code counted, except where several codes of irregular
+	// attributes render alike and are counted as one.
+	last graph.AttrCode
 }
 
 // addLScratch is addL's per-code state, kept on the Why because zeroing
@@ -403,7 +403,7 @@ func (g *refineGen) addL() {
 		for i, vrm := range g.rm {
 			parts[nIM+i] = g.partners(vrm, u)
 			for _, p := range parts[nIM+i] {
-				for _, t := range codes.Tuple(p) {
+				for _, t := range G.Tuple(p) {
 					state := slots[t.Attr].state
 					if state == slotNew {
 						state = g.openSlot(u, t.Attr)
@@ -422,13 +422,13 @@ func (g *refineGen) addL() {
 						touched = append(touched, code)
 					}
 					c.n++
-					c.last = t.Code
+					c.last = t
 				}
 			}
 		}
 		for _, code := range touched {
 			c := &counts[code]
-			cands = append(cands, addLCand{count: c.n, rank: rank[code], code: c.last, attr: codes.Attr(c.last)})
+			cands = append(cands, addLCand{count: c.n, rank: rank[code], cell: c.last})
 			*c = addLCount{}
 		}
 
@@ -442,19 +442,19 @@ func (g *refineGen) addL() {
 		kept := cands[:0]
 		irregular := false
 		for _, c := range cands {
-			slot := &slots[c.attr]
+			slot := &slots[c.cell.Attr]
 			if slot.nKept == maxValuesPerAttr {
 				continue
 			}
 			if slot.state == slotIrregular {
 				irregular = true
 			} else {
-				keptOf[c.code] = slot.nKept + 1
+				keptOf[c.cell.Code] = slot.nKept + 1
 			}
 			slot.kept[slot.nKept] = int32(len(kept))
 			slot.nKept++
 			kept = append(kept, c)
-			vals = append(vals, codes.Value(c.code))
+			vals = append(vals, G.Value(c.cell))
 		}
 		if len(kept) == 0 {
 			continue
@@ -467,11 +467,11 @@ func (g *refineGen) addL() {
 		survives = append(survives[:0], make([]bool, len(kept)*len(parts))...)
 		for i, ps := range parts {
 			for _, p := range ps {
-				for j, t := range codes.Tuple(p) {
+				for _, t := range G.Tuple(p) {
 					if at := keptOf[t.Code]; at != 0 {
 						survives[int(slots[t.Attr].kept[at-1])*len(parts)+i] = true
 					} else if irregular && slots[t.Attr].state == slotIrregular {
-						val, slot := G.Tuple(p)[j].Val, &slots[t.Attr]
+						val, slot := G.Value(t), &slots[t.Attr]
 						for _, k := range slot.kept[:slot.nKept] {
 							if sameValue(val, vals[k]) {
 								survives[int(k)*len(parts)+i] = true
@@ -482,7 +482,7 @@ func (g *refineGen) addL() {
 			}
 		}
 		for k, c := range kept {
-			keptOf[c.code] = 0
+			keptOf[c.cell.Code] = 0
 			alive := survives[k*len(parts) : (k+1)*len(parts)]
 			var imOut, rmOut []graph.NodeID
 			for i, v := range g.im {
@@ -495,7 +495,7 @@ func (g *refineGen) addL() {
 					rmOut = append(rmOut, v)
 				}
 			}
-			lit := query.Literal{Attr: G.Attrs.Name(c.attr), Op: graph.EQ, Val: vals[k]}
+			lit := query.Literal{Attr: G.Attrs.Name(c.cell.Attr), Op: graph.EQ, Val: vals[k]}
 			g.add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
 		}
 	}
@@ -542,7 +542,7 @@ func (g *refineGen) rfL() {
 			touched = touched[:0]
 			for _, vrm := range g.rm {
 				for _, p := range g.partners(vrm, u) {
-					for _, t := range g.codes.Tuple(p) {
+					for _, t := range G.Tuple(p) {
 						if t.Attr < aid {
 							continue
 						}
@@ -557,7 +557,7 @@ func (g *refineGen) rfL() {
 			vals = vals[:0]
 			for _, code := range touched {
 				counts[code].n = 0
-				if a := g.codes.Value(code).Num; !math.IsNaN(a) {
+				if a := G.Value(graph.AttrCode{Attr: aid, Code: code}).Num; !math.IsNaN(a) {
 					vals = append(vals, a)
 				}
 			}

@@ -113,13 +113,13 @@ func (o *oracleGen) addL() {
 					if used[fmt.Sprintf("L:%d:%s", u, attr)] {
 						continue
 					}
-					kind := "#s"
-					if t.Val.Kind == graph.Number {
+					val, kind := w.G.Value(t), "#s"
+					if val.Kind == graph.Number {
 						kind = "#n"
 					}
-					key := attr + "=" + t.Val.String() + kind
+					key := attr + "=" + val.String() + kind
 					counts[key]++
-					reprs[key] = av{attr: attr, val: t.Val}
+					reprs[key] = av{attr: attr, val: val}
 				}
 			}
 		}

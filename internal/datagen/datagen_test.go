@@ -63,7 +63,7 @@ func TestGenerateDeterminism(t *testing.T) {
 				t.Fatalf("%s: tuples differ at node %d", name, i)
 			}
 			for j := range ta {
-				if !ta[j].Val.Equal(tb[j].Val) {
+				if !a.Value(ta[j]).Equal(b.Value(tb[j])) {
 					t.Fatalf("%s: attr values differ at node %d", name, i)
 				}
 			}
@@ -82,7 +82,7 @@ func TestGenerateDeterminism(t *testing.T) {
 					break
 				}
 				for j := range ta {
-					if !ta[j].Val.Equal(tc[j].Val) {
+					if !a.Value(ta[j]).Equal(c.Value(tc[j])) {
 						same = false
 						break
 					}

@@ -196,8 +196,8 @@ func abstract(g *graph.Graph, spec QuerySpec, rng *rand.Rand, images []graph.Nod
 			if nPred == 0 {
 				break
 			}
-			av := tuple[ti]
-			attr := g.Attrs.Name(av.Attr)
+			cell := tuple[ti]
+			attr, val := g.Attrs.Name(cell.Attr), g.Value(cell)
 			if q.FindLiteral(u, attr, graph.EQ) >= 0 ||
 				q.FindLiteral(u, attr, graph.GE) >= 0 ||
 				q.FindLiteral(u, attr, graph.LE) >= 0 {
@@ -206,20 +206,20 @@ func abstract(g *graph.Graph, spec QuerySpec, rng *rand.Rand, images []graph.Nod
 			// Near-unique string attributes (names, ids) make degenerate
 			// equality predicates; realistic benchmark queries select on
 			// categorical or numeric attributes.
-			if av.Val.Kind == graph.String {
+			if val.Kind == graph.String {
 				if dom := g.ActiveDomain(attr); len(dom.Values) > 100 {
 					continue
 				}
 			}
 			var lit query.Literal
-			if av.Val.Kind == graph.Number {
+			if val.Kind == graph.Number {
 				if rng.Intn(2) == 0 {
-					lit = query.Literal{Attr: attr, Op: graph.GE, Val: av.Val}
+					lit = query.Literal{Attr: attr, Op: graph.GE, Val: val}
 				} else {
-					lit = query.Literal{Attr: attr, Op: graph.LE, Val: av.Val}
+					lit = query.Literal{Attr: attr, Op: graph.LE, Val: val}
 				}
 			} else {
-				lit = query.Literal{Attr: attr, Op: graph.EQ, Val: av.Val}
+				lit = query.Literal{Attr: attr, Op: graph.EQ, Val: val}
 			}
 			q.Nodes[u].Literals = append(q.Nodes[u].Literals, lit)
 			nPred--

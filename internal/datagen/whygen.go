@@ -130,8 +130,8 @@ func TupleAttrs(g *graph.Graph, qstar *query.Query) []string {
 		if i >= 50 {
 			break
 		}
-		for _, av := range g.Tuple(v) {
-			counts[g.Attrs.Name(av.Attr)] = true
+		for _, c := range g.Tuple(v) {
+			counts[g.Attrs.Name(c.Attr)] = true
 		}
 	}
 	names := make([]string, 0, len(counts))
@@ -237,9 +237,9 @@ func randomRefine(g *graph.Graph, q *query.Query, spec WhySpec, rng *rand.Rand) 
 		if len(tuple) == 0 {
 			return ops.Op{}, false
 		}
-		av := tuple[rng.Intn(len(tuple))]
+		cell := tuple[rng.Intn(len(tuple))]
 		return ops.Op{Kind: ops.AddL, U: u,
-			Lit: query.Literal{Attr: g.Attrs.Name(av.Attr), Op: graph.EQ, Val: av.Val}}, true
+			Lit: query.Literal{Attr: g.Attrs.Name(cell.Attr), Op: graph.EQ, Val: g.Value(cell)}}, true
 	default: // RfE: tighten an edge bound
 		if len(q.Edges) == 0 {
 			return ops.Op{}, false

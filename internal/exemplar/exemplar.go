@@ -160,8 +160,8 @@ func FromEntities(g *graph.Graph, entities []graph.NodeID, attrs []string) *Exem
 	for _, v := range entities {
 		t := TuplePattern{}
 		if len(attrs) == 0 {
-			for _, av := range g.Tuple(v) {
-				t[g.Attrs.Name(av.Attr)] = C(av.Val)
+			for _, c := range g.Tuple(v) {
+				t[g.Attrs.Name(c.Attr)] = C(g.Value(c))
 			}
 		} else {
 			for _, a := range attrs {

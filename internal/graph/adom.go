@@ -36,17 +36,9 @@ func (d *Domain) Range() float64 {
 	return d.NumMax - d.NumMin
 }
 
-// Contains reports whether v appears in the domain.
-func (d *Domain) Contains(v Value) bool {
-	i := sort.Search(len(d.Values), func(i int) bool {
-		return d.Values[i].Compare(v) >= 0
-	})
-	return i < len(d.Values) && d.Values[i].Equal(v)
-}
-
-// ActiveDomain returns adom(A, G) for the attribute name, computing and
-// caching it on first use. The result is shared; callers must not
-// mutate it.
+// ActiveDomain returns adom(A, G) for the attribute name: the
+// dictionary its cells' codes index (Graph.Value). The result is shared;
+// callers must not mutate it.
 func (g *Graph) ActiveDomain(name string) *Domain {
 	if aid, ok := g.Attrs.Lookup(name); ok {
 		if d := g.Codes().Domain(aid); d != nil {
@@ -56,30 +48,29 @@ func (g *Graph) ActiveDomain(name string) *Domain {
 	return &Domain{Attr: name}
 }
 
-// WarmCaches eagerly computes the diameter, active domains and code
-// column, which are otherwise built on first use: call it once after
-// construction so no reader stalls behind a full domain scan.
+// WarmCaches computes the diameter, the one derived structure a Graph
+// builds lazily: call it once after construction so no reader stalls
+// behind the double BFS sweep.
 func (g *Graph) WarmCaches() {
 	g.Diameter()
-	g.Codes()
 }
 
-// AttrCode is one cell of the code column: the 8-byte image of an
+// AttrCode is one cell of the attribute column: the 8-byte image of an
 // AttrValue, its value replaced by the value's code.
 type AttrCode struct {
 	Attr int32
 	Code int32
 }
 
-// Codes is the dictionary-coded view of a graph's attribute tuples. The
-// active domains are the dictionary: the code of a cell is its
-// attribute's base plus the index of its value in Domain.Values, so one
-// attribute's codes are contiguous, ordered as its domain is, and equal
-// codes mean equal cells. The column is 8 bytes per cell, and it is the
-// wire form of the attribute column: a snapshot stores the domains in
-// code order and the cells as (attr, code) pairs, so ReadSnapshot hands
-// the graph its Codes ready-made. A graph built any other way builds them
-// on first use, in one pass over the tuples.
+// Codes is a graph's attribute column, the only place its tuples are
+// stored: every cell as a value code, and the active domains as the
+// dictionary. The code of a cell is its attribute's base plus the index
+// of its value in Domain.Values, so one attribute's codes are
+// contiguous, ordered as its domain is, and equal codes mean equal
+// cells. The column is 8 bytes per cell, and it is also the wire form: a
+// snapshot stores the domains in code order and the cells as (attr,
+// code) pairs, so ReadSnapshot reads the column as it is, and
+// Builder.Build codes the builder's tuples in one pass (buildCodes).
 //
 // Code identity is exactly the engine's equality test (same kind,
 // Compare == 0) and code order exactly Compare's order on every
@@ -92,8 +83,8 @@ type AttrCode struct {
 // "=" begins another's). Readers test the cells of an irregular
 // attribute by value.
 type Codes struct {
-	off       []int32    // the graph's attrOff
-	cells     []AttrCode // parallel to the graph's attrArena
+	off       []int32    // len NumNodes()+1; tuple of v is cells[off[v]:off[v+1]]
+	cells     []AttrCode // all node tuples, each sorted by Attr
 	base      []int32    // by attribute id, one extra: codes of a are [base[a], base[a+1])
 	doms      []*Domain  // by attribute id; nil when no node carries it
 	irregular []bool     // by attribute id
@@ -104,17 +95,9 @@ type Codes struct {
 	}
 }
 
-// Codes returns the coded view of the graph's tuples, building it (and
-// the active domains) on first use unless the graph was read from a
-// snapshot. The result is shared and immutable.
-func (g *Graph) Codes() *Codes {
-	g.codesOnce.Do(func() { g.codes = g.buildCodes() })
-	return g.codes
-}
-
-// Tuple returns the coded tuple of node v, cell for cell parallel to
-// Graph.Tuple. The caller must not mutate it.
-func (c *Codes) Tuple(v NodeID) []AttrCode { return c.cells[c.off[v]:c.off[v+1]] }
+// Codes returns the graph's attribute column. The result is shared and
+// immutable.
+func (g *Graph) Codes() *Codes { return g.codes }
 
 // Len returns the number of codes: the domains' sizes summed.
 func (c *Codes) Len() int { return int(c.base[len(c.base)-1]) }
@@ -123,7 +106,7 @@ func (c *Codes) Len() int { return int(c.base[len(c.base)-1]) }
 // node carries it.
 func (c *Codes) Domain(attr int32) *Domain {
 	if int(attr) >= len(c.doms) {
-		return nil // interned after the view was built
+		return nil // interned after the column was built
 	}
 	return c.doms[attr]
 }
@@ -131,17 +114,6 @@ func (c *Codes) Domain(attr int32) *Domain {
 // Irregular reports whether the cells of attribute id attr must be
 // tested by value (see Codes).
 func (c *Codes) Irregular(attr int32) bool { return c.irregular[attr] }
-
-// Attr returns the attribute id a code belongs to.
-func (c *Codes) Attr(code int32) int32 {
-	return int32(sort.Search(len(c.base)-1, func(a int) bool { return c.base[a+1] > code }))
-}
-
-// Value returns the domain value a code stands for.
-func (c *Codes) Value(code int32) Value {
-	a := c.Attr(code)
-	return c.doms[a].Values[code-c.base[a]]
-}
 
 // NumberCodes returns the codes [lo, hi) of attribute id attr's numeric
 // values, NaN included.
@@ -199,7 +171,7 @@ func (c *Codes) Interval(attr int32, op Op, k Value) (lo, hi int32, ok bool) {
 // some codes of irregular attributes. This is the order picky-operator
 // generation has always broken count ties by, and the text the identity
 // it has always grouped AddL candidates under; ranking every code once
-// per view lets it compare integers instead of rendering per question.
+// per column lets it compare integers instead of rendering per question.
 // Built on first call (rendering is too slow for WarmCaches) and shared;
 // the caller must not mutate either slice.
 func (c *Codes) KeyRanks() (rank, group []int32) {
@@ -322,13 +294,14 @@ func markNameCollisions(attrs *Interner, irregular []bool) {
 	}
 }
 
-// buildCodes scans the attribute arena once and materializes all active
-// domains and the code column.
-func (g *Graph) buildCodes() *Codes {
-	nAttrs := g.Attrs.Len()
+// buildCodes scans the builder's tuples once and codes them: the
+// active domains and the code column. It is the one place values become
+// codes.
+func (b *Builder) buildCodes() *Codes {
+	nAttrs := b.Attrs.Len()
 	c := &Codes{
-		off:       g.attrOff,
-		cells:     make([]AttrCode, len(g.attrArena)),
+		off:       b.attrOff,
+		cells:     make([]AttrCode, len(b.attrArena)),
 		base:      make([]int32, nAttrs+1),
 		doms:      make([]*Domain, nAttrs),
 		irregular: make([]bool, nAttrs),
@@ -339,7 +312,7 @@ func (g *Graph) buildCodes() *Codes {
 	seen := make(map[cellKey]int32)
 	var vals []Value                  // by first-appearance number
 	byAttr := make([][]int32, nAttrs) // the numbers of each attribute's values
-	for i, av := range g.attrArena {
+	for i, av := range b.attrArena {
 		k := cellKey{av.Attr, av.Val.Kind, math.Float64bits(av.Val.Num), av.Val.Str}
 		if av.Val.Num != av.Val.Num {
 			k.bits = canonicalNaN
@@ -360,7 +333,7 @@ func (g *Graph) buildCodes() *Codes {
 			continue
 		}
 		slices.SortFunc(ns, func(x, y int32) int { return domainOrder(vals[x], vals[y]) })
-		d := &Domain{Attr: g.Attrs.Name(int32(a)), Values: make([]Value, len(ns))}
+		d := &Domain{Attr: b.Attrs.Name(int32(a)), Values: make([]Value, len(ns))}
 		for i, n := range ns {
 			d.Values[i] = vals[n]
 			codeOf[n] = c.base[a] + int32(i)
@@ -371,6 +344,6 @@ func (g *Graph) buildCodes() *Codes {
 	for i := range c.cells {
 		c.cells[i].Code = codeOf[c.cells[i].Code]
 	}
-	markNameCollisions(g.Attrs, c.irregular)
+	markNameCollisions(b.Attrs, c.irregular)
 	return c
 }

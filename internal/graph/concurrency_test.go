@@ -29,8 +29,9 @@ func TestConcurrentReads(t *testing.T) {
 }
 
 // TestConcurrentLazyBuilds hits a cold graph from many goroutines
-// without WarmCaches: the lazy diameter/domain builders would race each
-// other unless their sync.Onces serialize them.
+// without WarmCaches: the lazy diameter sweeps would race each other
+// unless its sync.Once serializes them, and the domains are read beside
+// them.
 func TestConcurrentLazyBuilds(t *testing.T) {
 	g := randomGraph(150, 450, 11).Build()
 	var wg sync.WaitGroup

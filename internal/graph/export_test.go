@@ -6,10 +6,6 @@ import (
 	"slices"
 )
 
-// BuildCodes returns the code column built from g's tuples, the way a
-// graph not read from a snapshot builds it on first use.
-func (g *Graph) BuildCodes() *Codes { return g.buildCodes() }
-
 // Eccentricity exposes the sweep Diameter runs.
 func (g *Graph) Eccentricity(v NodeID) (int, NodeID) { return g.eccentricity(v) }
 

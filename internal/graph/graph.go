@@ -29,7 +29,8 @@ type rawEdge struct {
 	Label    int32
 }
 
-// AttrValue is one attribute-value pair of a node tuple f_A(v).
+// AttrValue is one attribute-value pair of a node tuple f_A(v), as a
+// Builder takes it; a Graph stores it as an AttrCode.
 type AttrValue struct {
 	Attr int32 // interned attribute name
 	Val  Value
@@ -44,16 +45,16 @@ type AttrValue struct {
 //
 // A Graph is made once, by Builder.Build or ReadSnapshot, and has no
 // mutators, so every method is safe for concurrent use and every read is
-// flat array indexing. The diameter and the coded view are derived on
-// first use, each under its own sync.Once.
+// flat array indexing. The attribute tuples are stored once, as value
+// codes (adom.go); a value is read through its code. The diameter is
+// derived lazily, under a sync.Once.
 type Graph struct {
 	// Labels interns node and edge labels; Attrs interns attribute names.
 	Labels *Interner
 	Attrs  *Interner
 
 	labels     []int32            // node label, indexed by NodeID
-	attrOff    []int32            // len NumNodes()+1; tuple of v is attrArena[attrOff[v]:attrOff[v+1]]
-	attrArena  []AttrValue        // all node tuples, each sorted by Attr
+	codes      *Codes             // the attribute column: coded tuples and the domains that decode them
 	outOff     []int32            // len NumNodes()+1
 	outEdges   []Edge             // out-adjacency arena, grouped by source
 	inOff      []int32            // len NumNodes()+1
@@ -61,10 +62,8 @@ type Graph struct {
 	byLabel    map[int32][]NodeID // label id → ascending-ID run of byLabelAll
 	byLabelAll []NodeID           // runs concatenated in label-id order
 
-	diamOnce  sync.Once
-	diam      int
-	codesOnce sync.Once
-	codes     *Codes // the active domains and the code column (adom.go)
+	diamOnce sync.Once
+	diam     int
 
 	uid uint64
 }
@@ -168,20 +167,20 @@ func (b *Builder) AddEdge(from, to NodeID, label string) {
 	b.edgeLog = append(b.edgeLog, rawEdge{From: from, To: to, Label: b.Labels.Intern(label)})
 }
 
-// Build lays out what was added as a Graph: the edge log counting-sorts
-// into both adjacency arenas (stably, so per-node edge order is
-// insertion order), and the by-label index is built as ascending-ID runs
-// over one backing slice. The Graph takes over the node arenas and the
-// interners, and b is reset to an empty builder, so nothing added to b
-// afterwards reaches the Graph.
+// Build lays out what was added as a Graph: the tuples are coded once
+// into the attribute column (buildCodes) and dropped, the edge log
+// counting-sorts into both adjacency arenas (stably, so per-node edge
+// order is insertion order), and the by-label index is built as
+// ascending-ID runs over one backing slice. The Graph takes over the
+// label arena and the interners, and b is reset to an empty builder, so
+// nothing added to b afterwards reaches the Graph.
 func (b *Builder) Build() *Graph {
 	g := &Graph{
-		Labels:    b.Labels,
-		Attrs:     b.Attrs,
-		labels:    b.labels,
-		attrOff:   b.attrOff,
-		attrArena: b.attrArena,
-		uid:       graphUID.Add(1),
+		Labels: b.Labels,
+		Attrs:  b.Attrs,
+		labels: b.labels,
+		codes:  b.buildCodes(),
+		uid:    graphUID.Add(1),
 	}
 	log := b.edgeLog
 	*b = *NewBuilder()
@@ -263,11 +262,10 @@ func (g *Graph) Attr(v NodeID, name string) (Value, bool) {
 // stops at the first id not below aid beats a binary search's closure
 // calls.
 func (g *Graph) AttrByID(v NodeID, aid int32) (Value, bool) {
-	tuple := g.Tuple(v)
-	for i := range tuple {
-		if a := tuple[i].Attr; a >= aid {
-			if a == aid {
-				return tuple[i].Val, true
+	for _, c := range g.Tuple(v) {
+		if c.Attr >= aid {
+			if c.Attr == aid {
+				return g.Value(c), true
 			}
 			break
 		}
@@ -275,10 +273,18 @@ func (g *Graph) AttrByID(v NodeID, aid int32) (Value, bool) {
 	return Value{}, false
 }
 
-// Tuple returns the attribute tuple f_A(v), sorted by attribute id.
-// The caller must not mutate the returned slice.
-func (g *Graph) Tuple(v NodeID) []AttrValue {
-	return g.attrArena[g.attrOff[v]:g.attrOff[v+1]]
+// Tuple returns the attribute tuple f_A(v) as value codes, sorted by
+// attribute id; Value reads a cell's value. The caller must not mutate
+// the returned slice.
+func (g *Graph) Tuple(v NodeID) []AttrCode {
+	c := g.codes
+	return c.cells[c.off[v]:c.off[v+1]]
+}
+
+// Value returns the value a cell of the graph stands for: its code's
+// entry in its attribute's active domain.
+func (g *Graph) Value(c AttrCode) Value {
+	return g.codes.doms[c.Attr].Values[c.Code-g.codes.base[c.Attr]]
 }
 
 // Out returns the out-adjacency of v. The caller must not mutate it.

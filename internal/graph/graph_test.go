@@ -254,8 +254,8 @@ func TestActiveDomain(t *testing.T) {
 	if d.Range() != 20 {
 		t.Errorf("price range = %v, want 20", d.Range())
 	}
-	if !d.Contains(N(30)) || d.Contains(N(20)) {
-		t.Error("Contains wrong")
+	if d.Values[0] != N(10) || d.Values[1] != N(30) {
+		t.Errorf("price domain = %v, want 10 30", d.Values)
 	}
 	if got := g.ActiveDomain("tag").Range(); got != 1 {
 		t.Errorf("string attr range = %v, want fallback 1", got)
@@ -290,10 +290,10 @@ func TestJSONRoundtrip(t *testing.T) {
 		if g.Label(v) != g2.Label(v) {
 			t.Fatalf("label mismatch at %d", i)
 		}
-		for _, av := range g.Tuple(v) {
-			name := g.Attrs.Name(av.Attr)
+		for _, c := range g.Tuple(v) {
+			name := g.Attrs.Name(c.Attr)
 			got, ok := g2.Attr(v, name)
-			if !ok || !got.Equal(av.Val) {
+			if !ok || !got.Equal(g.Value(c)) {
 				t.Fatalf("attr %q mismatch at node %d", name, i)
 			}
 		}

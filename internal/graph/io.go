@@ -45,19 +45,19 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		v := NodeID(i)
 		tuple := g.Tuple(v)
 		attrs := make(map[string]json.RawMessage, len(tuple))
-		for _, av := range tuple {
+		for _, c := range tuple {
 			var raw []byte
 			var err error
-			if av.Val.Kind == Number {
-				raw, err = json.Marshal(av.Val.Num)
+			if val := g.Value(c); val.Kind == Number {
+				raw, err = json.Marshal(val.Num)
 			} else {
-				raw, err = json.Marshal(av.Val.Str)
+				raw, err = json.Marshal(val.Str)
 			}
 			if err != nil {
 				return fmt.Errorf("graph: marshal attr %q of node %d: %w",
-					g.Attrs.Name(av.Attr), i, err)
+					g.Attrs.Name(c.Attr), i, err)
 			}
-			attrs[g.Attrs.Name(av.Attr)] = raw
+			attrs[g.Attrs.Name(c.Attr)] = raw
 		}
 		enc, err := json.Marshal(jsonNode{ID: i, Label: g.Label(v), Attrs: attrs})
 		if err != nil {

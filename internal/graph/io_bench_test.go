@@ -6,6 +6,8 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"wqe/internal/jsonscan"
 )
 
 // benchGraph is sized so loader costs dominate fixed overheads while
@@ -16,22 +18,45 @@ func benchGraph(b *testing.B) *Graph {
 	return randomGraph(20000, 60000, 7).Build()
 }
 
+// liveHeap returns the bytes the heap holds after two GCs.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// reportHeapPerNode stops the timer and reports heap-B/node: the live
+// heap the last loaded graph *g holds, per node — the heap with it less
+// the heap once *g is dropped.
+func reportHeapPerNode(b *testing.B, g **Graph) {
+	b.StopTimer()
+	n := (*g).NumNodes()
+	with := liveHeap()
+	*g = nil
+	b.ReportMetric((float64(with)-float64(liveHeap()))/float64(n), "heap-B/node")
+}
+
 // BenchmarkReadJSON measures the JSON loader in MB/s of WriteJSON
-// output. The scanner allocates the arenas (sized by the meta header),
-// interned names once each and attribute strings, and nothing per token:
-// the encoding/json walk it replaced made 420 058 allocations for this
-// graph's 20 000 nodes and ≈ 60 000 edges.
+// output, and the heap the loaded graph holds (heap-B/node). The scanner
+// allocates the arenas (sized by the meta header), interned names once
+// each and attribute strings, and nothing per token: the encoding/json
+// walk it replaced made 420 058 allocations for this graph's 20 000
+// nodes and ≈ 60 000 edges.
 func BenchmarkReadJSON(b *testing.B) {
 	var buf bytes.Buffer
 	if err := benchGraph(b).WriteJSON(&buf); err != nil {
 		b.Fatalf("WriteJSON: %v", err)
 	}
 	data := buf.Bytes()
+	var g *Graph
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := ReadJSON(bytes.NewReader(data))
+		var err error
+		g, err = ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			b.Fatalf("ReadJSON: %v", err)
 		}
@@ -39,14 +64,17 @@ func BenchmarkReadJSON(b *testing.B) {
 			b.Fatalf("decoded %d nodes", g.NumNodes())
 		}
 	}
+	reportHeapPerNode(b, &g)
 }
 
+// BenchmarkReadSnapshot is BenchmarkReadJSON for the binary snapshot.
 func BenchmarkReadSnapshot(b *testing.B) {
 	var buf bytes.Buffer
 	if err := benchGraph(b).WriteSnapshot(&buf, nil); err != nil {
 		b.Fatalf("WriteSnapshot: %v", err)
 	}
 	data := buf.Bytes()
+	var g *Graph
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -55,10 +83,11 @@ func BenchmarkReadSnapshot(b *testing.B) {
 		if err != nil {
 			b.Fatalf("ReadSnapshot: %v", err)
 		}
-		if snap.G.NumNodes() != 20000 {
-			b.Fatalf("decoded %d nodes", snap.G.NumNodes())
+		if g = snap.G; g.NumNodes() != 20000 {
+			b.Fatalf("decoded %d nodes", g.NumNodes())
 		}
 	}
+	reportHeapPerNode(b, &g)
 }
 
 func BenchmarkWriteSnapshot(b *testing.B) {
@@ -138,9 +167,9 @@ func TestReadJSONDistrustsMeta(t *testing.T) {
 }
 
 // TestReadJSONGrowsToHonestMeta: an honest header larger than the first
-// reservation still ends with arenas of exactly the claimed size, and a
-// header claiming less than the input holds only stops the reserving;
-// either way the graph is the one the oracle reads.
+// reservation still ends with the builder's arenas of exactly the
+// claimed size, and a header claiming less than the input holds only
+// stops the reserving; either way the graph is the one the oracle reads.
 func TestReadJSONGrowsToHonestMeta(t *testing.T) {
 	var buf bytes.Buffer
 	if err := randomGraph(jsonFirstReserve+5, jsonFirstReserve+7, 3).Build().WriteJSON(&buf); err != nil {
@@ -162,9 +191,16 @@ func TestReadJSONGrowsToHonestMeta(t *testing.T) {
 		if !bytes.Equal(snapBytes(t, got, nil), snapBytes(t, want, nil)) {
 			t.Fatalf("document %d: ReadJSON's graph differs from the oracle's", i)
 		}
-		if i == 0 && (cap(got.labels) != got.NumNodes() || cap(got.attrArena) != len(got.attrArena)) {
-			t.Errorf("arena capacities %d/%d, want the claimed %d/%d", cap(got.labels), cap(got.attrArena),
-				got.NumNodes(), len(got.attrArena))
+		if i > 0 {
+			continue
+		}
+		d := &jsonReader{sc: *jsonscan.NewReader(bytes.NewReader(doc)), b: NewBuilder()}
+		if err := d.document(); err != nil {
+			t.Fatalf("document: %v", err)
+		}
+		if b := d.b; cap(b.labels) != len(b.labels) || cap(b.attrArena) != len(b.attrArena) {
+			t.Errorf("arena capacities %d/%d, want the claimed %d/%d", cap(b.labels), cap(b.attrArena),
+				len(b.labels), len(b.attrArena))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary snapshot format (see DESIGN.md §15 for the field-width table).
@@ -26,8 +27,8 @@ import (
 // The attribute column travels in coded form (adom.go): the domains, in
 // attribute-id order, each as numbers:u32 strings:u32, the numbers'
 // float64 bits and the length-prefixed strings, in domain order; then
-// one attr:u32 code:u32 cell per tuple entry. The reader builds Codes
-// from them directly and looks every cell's value up in its domain.
+// one attr:u32 code:u32 cell per tuple entry. The reader keeps them as
+// the graph's Codes, as read.
 //
 // The writer iterates arenas in index order, interner tables in id
 // order and domains in code order, so the encoding of a given graph is a
@@ -92,7 +93,7 @@ func (g *Graph) writeSnapshot(w io.Writer, aux []byte, codes *Codes) error {
 	binary.LittleEndian.PutUint32(hdr[12:16], flags)
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(g.NumEdges()))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(g.attrArena)))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(len(codes.cells)))
 	binary.LittleEndian.PutUint64(hdr[40:48], uint64(len(aux)))
 	hh := fnv.New64a()
 	hashBytes(hh, hdr[:48])
@@ -125,7 +126,7 @@ func (g *Graph) writeSnapshot(w io.Writer, aux []byte, codes *Codes) error {
 	for _, l := range g.labels {
 		sw.u32(uint32(l))
 	}
-	for _, o := range g.attrOff {
+	for _, o := range codes.off {
 		sw.u32(uint32(o))
 	}
 	for _, c := range codes.cells {
@@ -230,13 +231,15 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := validateOffsets("attr", attrOff, n, attrEntries); err != nil {
 		return nil, errOr(sr.err, err)
 	}
-	attrArena, err := sr.cells(codes, attrEntries)
-	if err != nil {
+	if err := sr.cells(codes, attrEntries); err != nil {
 		return nil, err
 	}
-	// Tuples must be strictly sorted by attr id — AttrByID binary-searches.
+	codes.off = attrOff
+	// Tuples must be strictly sorted by attr id: AttrByID stops at the
+	// first id not below the one it looks for, and NodeCheck.literals
+	// meets its sorted literals in one forward scan.
 	for v := 0; v+1 <= n && sr.err == nil; v++ {
-		seg := attrArena[attrOff[v]:attrOff[v+1]]
+		seg := codes.cells[attrOff[v]:attrOff[v+1]]
 		for i := 1; i < len(seg); i++ {
 			if seg[i-1].Attr >= seg[i].Attr {
 				return nil, fmt.Errorf("graph: snapshot: tuple of node %d not strictly sorted by attr id", v)
@@ -293,30 +296,26 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 
 	g := &Graph{
-		Labels:    labelsIn,
-		Attrs:     attrsIn,
-		labels:    labels,
-		attrOff:   attrOff,
-		attrArena: attrArena,
-		outOff:    outOff,
-		outEdges:  outEdges,
-		inOff:     inOff,
-		inEdges:   inEdges,
-		uid:       graphUID.Add(1),
+		Labels:   labelsIn,
+		Attrs:    attrsIn,
+		labels:   labels,
+		codes:    codes,
+		outOff:   outOff,
+		outEdges: outEdges,
+		inOff:    inOff,
+		inEdges:  inEdges,
+		uid:      graphUID.Add(1),
 	}
-	codes.off = attrOff
-	g.codes = codes
-	g.codesOnce.Do(func() {})
 	g.buildByLabel()
 	return &Snapshot{G: g, Aux: aux, Version: version}, nil
 }
 
 // wireCodes returns the code column WriteSnapshot stores. The wire form
 // of a value is a Number's bits or anything else's Str, as it has always
-// been, so a cell with payload its kind ignores, or of neither kind, is
-// stored as the value it reads back as; when any cell is, the codes are
-// built afresh over the values as stored. No graph read from a file has
-// such a cell.
+// been, so a value with payload its kind ignores, or of neither kind, is
+// stored as the value it reads back as; when a domain holds one, the
+// tuples are coded afresh over the values as stored. No graph read from
+// a file has such a value.
 func (g *Graph) wireCodes() *Codes {
 	stored := func(v Value) Value {
 		if v.Kind == Number {
@@ -324,17 +323,20 @@ func (g *Graph) wireCodes() *Codes {
 		}
 		return S(v.Str)
 	}
-	for _, av := range g.attrArena {
-		if (av.Val.Kind == Number && av.Val.Str == "") || (av.Val.Kind == String && math.Float64bits(av.Val.Num) == 0) {
+	ignored := func(v Value) bool {
+		return !(v.Kind == Number && v.Str == "") && !(v.Kind == String && math.Float64bits(v.Num) == 0)
+	}
+	for _, d := range g.codes.doms {
+		if d == nil || !slices.ContainsFunc(d.Values, ignored) {
 			continue
 		}
-		arena := make([]AttrValue, len(g.attrArena))
-		for i, av := range g.attrArena {
-			arena[i] = AttrValue{Attr: av.Attr, Val: stored(av.Val)}
+		b := &Builder{Attrs: g.Attrs, attrOff: g.codes.off, attrArena: make([]AttrValue, len(g.codes.cells))}
+		for i, c := range g.codes.cells {
+			b.attrArena[i] = AttrValue{Attr: c.Attr, Val: stored(g.Value(c))}
 		}
-		return (&Graph{Attrs: g.Attrs, attrOff: g.attrOff, attrArena: arena}).buildCodes()
+		return b.buildCodes()
 	}
-	return g.Codes()
+	return g.codes
 }
 
 // snapWriter hashes everything it writes; errors are sticky.
@@ -573,49 +575,45 @@ func (sr *snapReader) domains(attrs *Interner, cells int) (*Codes, error) {
 	return c, nil
 }
 
-// cells reads count (attr, code) cells into c and returns the value
-// arena, each value looked up in its attribute's domain. A code must lie
-// in its attribute's range, and every code must be some cell's.
-func (sr *snapReader) cells(c *Codes, count int) ([]AttrValue, error) {
+// cells reads count (attr, code) cells into c. A code must lie in its
+// attribute's range, and every code must be some cell's.
+func (sr *snapReader) cells(c *Codes, count int) error {
 	used := make([]bool, c.Len())
 	distinct := 0
 	c.cells = make([]AttrCode, 0, minInt(count, maxSnapshotChunk/8))
-	arena := make([]AttrValue, 0, minInt(count, maxSnapshotChunk/8))
-	for len(arena) < count && sr.err == nil {
-		k := minInt(count-len(arena), maxSnapshotChunk/8)
+	for len(c.cells) < count && sr.err == nil {
+		k := minInt(count-len(c.cells), maxSnapshotChunk/8)
 		p := sr.take(k * 8)
 		if sr.err != nil {
 			break
 		}
-		base := len(arena)
+		base := len(c.cells)
 		c.cells = grown(c.cells, k, count)
-		arena = grown(arena, k, count)
 		for i := 0; i < k; i++ {
 			pair := binary.LittleEndian.Uint64(p[i*8:])
 			attr, code := uint32(pair), uint32(pair>>32)
 			if attr >= uint32(len(c.doms)) {
-				return nil, fmt.Errorf("graph: snapshot: attr id %d out of range", int32(attr))
+				return fmt.Errorf("graph: snapshot: attr id %d out of range", int32(attr))
 			}
 			// One unsigned compare: a code below lo wraps to a huge offset.
 			lo, hi := uint32(c.base[attr]), uint32(c.base[attr+1])
 			if code-lo >= hi-lo {
-				return nil, fmt.Errorf("graph: snapshot: code %d outside attribute %d's range [%d, %d)", int32(code), attr, lo, hi)
+				return fmt.Errorf("graph: snapshot: code %d outside attribute %d's range [%d, %d)", int32(code), attr, lo, hi)
 			}
 			if !used[code] {
 				used[code] = true
 				distinct++
 			}
 			c.cells[base+i] = AttrCode{Attr: int32(attr), Code: int32(code)}
-			arena[base+i] = AttrValue{Attr: int32(attr), Val: c.doms[attr].Values[code-lo]}
 		}
 	}
 	if sr.err != nil {
-		return nil, fmt.Errorf("graph: snapshot: truncated body: %w", sr.err)
+		return fmt.Errorf("graph: snapshot: truncated body: %w", sr.err)
 	}
 	if distinct != len(used) {
-		return nil, fmt.Errorf("graph: snapshot: %d domain values no cell uses", len(used)-distinct)
+		return fmt.Errorf("graph: snapshot: %d domain values no cell uses", len(used)-distinct)
 	}
-	return arena, nil
+	return nil
 }
 
 // edges reads count (to, label) pairs, validating ids against the node

@@ -49,7 +49,7 @@ func assertGraphsEqual(t *testing.T, want, got *Graph) {
 			t.Fatalf("tuple length mismatch at node %d", i)
 		}
 		for j := range wt {
-			if want.Attrs.Name(wt[j].Attr) != got.Attrs.Name(gt[j].Attr) || !wt[j].Val.Equal(gt[j].Val) {
+			if want.Attrs.Name(wt[j].Attr) != got.Attrs.Name(gt[j].Attr) || !want.Value(wt[j]).Equal(got.Value(gt[j])) {
 				t.Fatalf("tuple entry %d of node %d differs", j, i)
 			}
 		}
@@ -354,7 +354,7 @@ func TestSnapshotStoresValuesAsRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, want := range []Value{N(5), N(5), S("x"), S("x"), S("q")} {
-		if got := snap.G.Tuple(NodeID(v))[0].Val; got != want {
+		if got := snap.G.Value(snap.G.Tuple(NodeID(v))[0]); got != want {
 			t.Errorf("node %d reads %#v, want %#v", v, got, want)
 		}
 	}

@@ -35,15 +35,14 @@ func coldSnapshot(b *testing.B, nodes int) []byte {
 // BenchmarkColdStart times what a cold start pays, from snapshot bytes
 // in memory to a warmed graph, stage by stage, on products graphs of
 // about 2k, 20k and 180k nodes: reading the snapshot (open-ms), restoring
-// the embedded PLL (restore-ms), the diameter sweep (diameter-ms) and the
-// code column (codes-ms, which a graph read from a snapshot already
-// holds). Each reported figure is the mean over b.N cold starts; run
+// the embedded PLL (restore-ms) and the diameter sweep (diameter-ms).
+// Each reported figure is the mean over b.N cold starts; run
 // with -benchtime 9x.
 func BenchmarkColdStart(b *testing.B) {
 	for _, nodes := range []int{2000, 20000, 200000} {
 		b.Run(fmt.Sprintf("products-%d", nodes), func(b *testing.B) {
 			data := coldSnapshot(b, nodes)
-			var open, restore, diam, codes time.Duration
+			var open, restore, diam time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
@@ -58,15 +57,12 @@ func BenchmarkColdStart(b *testing.B) {
 				t2 := time.Now()
 				snap.G.Diameter()
 				t3 := time.Now()
-				snap.G.Codes()
-				t4 := time.Now()
-				open, restore, diam, codes = open+t1.Sub(t0), restore+t2.Sub(t1), diam+t3.Sub(t2), codes+t4.Sub(t3)
+				open, restore, diam = open+t1.Sub(t0), restore+t2.Sub(t1), diam+t3.Sub(t2)
 			}
 			ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
 			b.ReportMetric(ms(open), "open-ms")
 			b.ReportMetric(ms(restore), "restore-ms")
 			b.ReportMetric(ms(diam), "diameter-ms")
-			b.ReportMetric(ms(codes), "codes-ms")
 		})
 	}
 }

@@ -428,10 +428,10 @@ func BenchmarkBuildStarTable(b *testing.B) {
 			if v < 0 || u == inst.Q.Focus || len(g.Tuple(v)) == 0 {
 				continue
 			}
-			av := g.Tuple(v)[0]
+			cell := g.Tuple(v)[0]
 			q2 := inst.Q.Clone()
 			q2.Nodes[u].Literals = append(q2.Nodes[u].Literals,
-				query.Literal{Attr: g.Attrs.Name(av.Attr), Op: graph.EQ, Val: av.Val})
+				query.Literal{Attr: g.Attrs.Name(cell.Attr), Op: graph.EQ, Val: g.Value(cell)})
 			for _, s2 := range match.Decompose(q2) {
 				if s2.Center == s.Center {
 					tightened = append(tightened, star{q2, s2})

@@ -493,7 +493,6 @@ type NodeCheck struct {
 	// attribute, is absent from G).
 	label int32
 	lits  []compiledLit
-	codes *graph.Codes // the view lo/hi index
 }
 
 // Labels are interned from 0, so no node carries a negative one.
@@ -542,14 +541,14 @@ func compile(g *graph.Graph, label string, literals []Literal) NodeCheck {
 	if len(literals) == 0 {
 		return c
 	}
-	c.codes = g.Codes()
+	codes := g.Codes()
 	c.lits = make([]compiledLit, 0, len(literals))
 	for _, l := range literals {
 		aid, ok := g.Attrs.Lookup(l.Attr)
 		if !ok {
 			return NodeCheck{label: noLabel}
 		}
-		lo, hi, coded := c.codes.Interval(aid, l.Op, l.Val)
+		lo, hi, coded := codes.Interval(aid, l.Op, l.Val)
 		c.lits = append(c.lits, compiledLit{aid: aid, lo: lo, hi: hi, byValue: !coded, op: l.Op, val: l.Val})
 	}
 	slices.SortFunc(c.lits, func(a, b compiledLit) int { return int(a.aid - b.aid) })
@@ -569,7 +568,7 @@ func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
 	}
 	// Tuples are a handful of cells sorted by attribute id, as lits is:
 	// one forward scan meets every literal's cell.
-	cells := c.codes.Tuple(v)
+	cells := g.Tuple(v)
 	j := 0
 	for i := range c.lits {
 		l := &c.lits[i]
@@ -580,16 +579,10 @@ func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
 			return false
 		}
 		if code := cells[j].Code; code < l.lo || code > l.hi {
-			if !l.byValue || !l.holds(g, v) {
+			if !l.byValue || !l.op.Holds(g.Value(cells[j]), l.val) {
 				return false
 			}
 		}
 	}
 	return true
-}
-
-// holds is Literal.Sat on the interned attribute id.
-func (l *compiledLit) holds(g *graph.Graph, v graph.NodeID) bool {
-	val, ok := g.AttrByID(v, l.aid)
-	return ok && l.op.Holds(val, l.val)
 }
