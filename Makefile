@@ -96,7 +96,11 @@ bench-smoke:
 # cumulative time and then the top allocation sites of the heap profile by
 # bytes allocated over the run (add -sample_index=alloc_objects for
 # counts); `go tool pprof -list <func> .bench_build/chase.test
-# .bench_build/ask-heu.cpu.prof` for more.
+# .bench_build/ask-heu.cpu.prof` for more. Last, per algorithm, it prints
+# the share of the search's CPU (beamSearch for heu, TopK for answ) spent
+# in runtime map code, MAPCODE: pprof shows only those frames and the
+# search's own, so the search's flat time is what no map frame lies under.
+MAPCODE = ^(runtime\.(map|makemap|memhash|strhash|aeshash|f64hash|typehash|interhash|nilinterhash)|internal/runtime/maps\.|aeshashbody|type:\.hash\.)
 profile:
 	mkdir -p .bench_build
 	for a in heu answ; do \
@@ -105,6 +109,12 @@ profile:
 			-cpuprofile ask-$$a.cpu.prof -memprofile ask-$$a.mem.prof ./internal/chase || exit 1; \
 		$(GO) tool pprof -top -cum -nodecount 40 .bench_build/chase.test .bench_build/ask-$$a.cpu.prof || exit 1; \
 		$(GO) tool pprof -sample_index=alloc_space -top -nodecount 15 .bench_build/chase.test .bench_build/ask-$$a.mem.prof || exit 1; \
+	done
+	for a in heu answ; do \
+		$(GO) tool pprof -top -unit=ms -focus 'beamSearch|TopK' -show '$(MAPCODE)|\.\(\*Why\)\.(beamSearch|TopK)$$' \
+			.bench_build/chase.test .bench_build/ask-$$a.cpu.prof 2>/dev/null | \
+			awk -v a=$$a '/\.\(\*Why\)\.(beamSearch|TopK)$$/ { f = $$1; c = $$4; sub("ms", "", f); sub("ms", "", c); \
+				printf "%s: runtime map code %.1f%% of search CPU (%d of %d ms)\n", a, 100 * (c - f) / c, c - f, c }'; \
 	done
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four

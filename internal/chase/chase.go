@@ -186,9 +186,10 @@ type Why struct {
 
 	// FocusCands is V_{u_o}: the label-based candidate pool of the
 	// original focus, fixed across the chase (it normalizes closeness).
+	// It is ascending, as every answer is.
 	FocusCands []graph.NodeID
-	// focusSet mirrors FocusCands for O(1) membership.
-	focusSet map[graph.NodeID]bool
+	// focusRep reports, per entry of FocusCands, membership in rep(E, V).
+	focusRep []bool
 	// ClStar is the theoretically optimal closeness cl*.
 	ClStar float64
 
@@ -296,9 +297,9 @@ func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 	g.WarmCaches()
 	w.Matcher = match.NewMatcher(g, w.Dist, s.cache)
 	w.FocusCands = g.NodesByLabel(q.Nodes[q.Focus].Label)
-	w.focusSet = make(map[graph.NodeID]bool, len(w.FocusCands))
-	for _, v := range w.FocusCands {
-		w.focusSet[v] = true
+	w.focusRep = make([]bool, len(w.FocusCands))
+	for i, v := range w.FocusCands {
+		w.focusRep[i] = ev.InRep(v)
 	}
 	w.ClStar = ev.ClStar(w.FocusCands)
 	return w, nil
@@ -320,17 +321,24 @@ func (w *Why) Classify(v graph.NodeID, answer *match.Result) Relevance {
 	return IC
 }
 
-// Partition splits the focus candidates into the four relevance sets.
+// Partition splits the focus candidates into the four relevance sets,
+// each ascending. FocusCands and the answer are both ascending, so one
+// walk over the two classifies every candidate.
 func (w *Why) Partition(answer *match.Result) (rm, im, rc, ic []graph.NodeID) {
-	for _, v := range w.FocusCands {
-		switch w.Classify(v, answer) {
-		case RM:
+	ans, j := answer.Answer, 0
+	for i, v := range w.FocusCands {
+		for j < len(ans) && ans[j] < v {
+			j++
+		}
+		inAns := j < len(ans) && ans[j] == v
+		switch inRep := w.focusRep[i]; {
+		case inAns && inRep:
 			rm = append(rm, v)
-		case IM:
+		case inAns:
 			im = append(im, v)
-		case RC:
+		case inRep:
 			rc = append(rc, v)
-		case IC:
+		default:
 			ic = append(ic, v)
 		}
 	}

@@ -40,34 +40,37 @@ func (d DiffEntry) String() string {
 	return b.String()
 }
 
-// diffEntry computes the answer delta of one step.
+// diffEntry computes the answer delta of one step: the nodes that
+// entered the answer, then those that left it, each in ascending order.
 func (w *Why) diffEntry(op ops.Op, pickyEdge int, before, after []graph.NodeID) DiffEntry {
-	prev := make(map[graph.NodeID]bool, len(before))
-	for _, v := range before {
-		prev[v] = true
-	}
-	next := make(map[graph.NodeID]bool, len(after))
-	for _, v := range after {
-		next[v] = true
-	}
 	e := DiffEntry{Op: op, PickyEdge: pickyEdge}
-	for _, v := range after {
-		if !prev[v] {
-			rel := IM
-			if w.Eval.InRep(v) {
-				rel = RM
-			}
-			e.Delta = append(e.Delta, DiffNode{V: v, Rel: rel, Added: true})
+	eachMissing(after, before, func(v graph.NodeID) {
+		rel := IM
+		if w.Eval.InRep(v) {
+			rel = RM
 		}
-	}
-	for _, v := range before {
-		if !next[v] {
-			rel := IC
-			if w.Eval.InRep(v) {
-				rel = RC
-			}
-			e.Delta = append(e.Delta, DiffNode{V: v, Rel: rel, Added: false})
+		e.Delta = append(e.Delta, DiffNode{V: v, Rel: rel, Added: true})
+	})
+	eachMissing(before, after, func(v graph.NodeID) {
+		rel := IC
+		if w.Eval.InRep(v) {
+			rel = RC
 		}
-	}
+		e.Delta = append(e.Delta, DiffNode{V: v, Rel: rel, Added: false})
+	})
 	return e
+}
+
+// eachMissing calls fn, in order, on every node of a that b lacks. Both
+// are ascending, as answers are, so one merge walk finds them.
+func eachMissing(a, b []graph.NodeID, fn func(graph.NodeID)) {
+	j := 0
+	for _, v := range a {
+		for j < len(b) && b[j] < v {
+			j++
+		}
+		if j == len(b) || b[j] != v {
+			fn(v)
+		}
+	}
 }

@@ -1,8 +1,12 @@
 package chase
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"wqe/internal/graph"
 	"wqe/internal/match"
@@ -83,15 +87,16 @@ type rcBlame struct {
 	v graph.NodeID
 	// failedLits are the focus literals v itself violates.
 	failedLits []query.Literal
-	// edgeFail records, per focus-incident pattern edge index, how far
-	// the nearest candidate partner is (graph.Unreachable when none
-	// within b_m).
-	edgeFail map[int]int
+	// edgeFail records, per pattern edge index, how far the nearest
+	// candidate partner is when the edge fails v (graph.Unreachable when
+	// none within b_m), and 0 when it does not: it holds, or is not
+	// focus-incident.
+	edgeFail []int
 	// litBlock records partner-side literal blocking: pattern edges
 	// whose bound is satisfiable by a correctly-labeled neighbor that
-	// fails literals of the other endpoint. Keyed by edge index; values
-	// are the blocking literals with the nearest unblocking value.
-	litBlock map[int][]blockedLit
+	// fails literals of the other endpoint. Indexed by failing edge;
+	// entries are the blocking literals with the nearest unblocking value.
+	litBlock [][]blockedLit
 	// deep is set when no local failure explains the miss (the node
 	// fails a non-focus-local constraint or injectivity).
 	deep bool
@@ -103,9 +108,13 @@ type blockedLit struct {
 	val graph.Value // a nearby value that would satisfy a relaxed literal
 }
 
-// analyzeRC inspects why RC node v fails q locally.
-func (w *Why) analyzeRC(q *query.Query, v graph.NodeID) rcBlame {
-	b := rcBlame{v: v, edgeFail: map[int]int{}, litBlock: map[int][]blockedLit{}}
+// analyzeRC inspects why RC node v fails q locally, into b; the slices
+// of b are reused from the node it analyzed before.
+func (w *Why) analyzeRC(q *query.Query, v graph.NodeID, b *rcBlame) {
+	b.v, b.failedLits, b.deep = v, b.failedLits[:0], false
+	b.edgeFail = append(b.edgeFail[:0], make([]int, len(q.Edges))...)
+	b.litBlock = append(b.litBlock[:0], make([][]blockedLit, len(q.Edges))...)
+	failed := false
 	focus := q.Focus
 
 	for _, l := range q.Nodes[focus].Literals {
@@ -173,16 +182,14 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID) rcBlame {
 		}
 		if nearestCand > e.Bound {
 			b.edgeFail[ei] = nearestCand
-			if len(blocked) > 0 {
-				b.litBlock[ei] = blocked
-			}
+			b.litBlock[ei] = blocked
+			failed = true
 		}
 	}
 
-	if len(b.failedLits) == 0 && len(b.edgeFail) == 0 {
+	if len(b.failedLits) == 0 && !failed {
 		b.deep = true
 	}
-	return b
 }
 
 // GenRelax implements GenRx (§5.3 + Appendix B): it analyzes every RC
@@ -209,23 +216,27 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 	// (highest-closeness first) so generation stays within the bounded
 	// delay of §5.4. Pickiness then scores against the sample.
 	rc = sampleByCl(w, rc, w.Cfg.MaxAnalysis)
+	cls := make([]float64, len(rc))
+	for i, v := range rc {
+		cls[i] = w.Eval.Cl(v)
+	}
 
 	// acc accumulates RC̄ per candidate operator, keyed by the
-	// operator's identity.
-	acc := map[opIdent]*accum{}
-	add := func(o ops.Op, pickyEdge int, v graph.NodeID) {
+	// operator's identity, as a bitset over the sample: add's i is an
+	// index into rc.
+	var acc accums
+	words := (len(rc) + 63) / 64
+	add := func(o ops.Op, pickyEdge int, i int) {
 		if !o.Applicable(q, w.params) || o.Cost(w.G) > budgetLeft {
 			return
 		}
-		key := identOf(o)
-		a := acc[key]
-		if a == nil {
-			a = &accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}, gain: map[graph.NodeID]bool{}}
-			acc[key] = a
+		a, fresh := acc.at(keyOf(q, o, -1))
+		if fresh {
+			*a = accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}, gain: make([]uint64, words)}
 		}
-		if !a.gain[v] {
-			a.gain[v] = true
-			a.total += w.Eval.Cl(v)
+		if bit := uint64(1) << (i % 64); a.gain[i/64]&bit == 0 {
+			a.gain[i/64] |= bit
+			a.total += cls[i]
 		}
 	}
 
@@ -235,69 +246,67 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 		u    query.NodeID
 		attr string
 	}
-	failVals := map[litKey]map[float64][]graph.NodeID{}
-	noteVal := func(u query.NodeID, attr string, val graph.Value, v graph.NodeID) {
+	failVals := map[litKey]map[float64][]int{}
+	noteVal := func(u query.NodeID, attr string, val graph.Value, i int) {
 		if val.Kind != graph.Number {
 			return
 		}
 		k := litKey{u, attr}
 		if failVals[k] == nil {
-			failVals[k] = map[float64][]graph.NodeID{}
+			failVals[k] = map[float64][]int{}
 		}
-		failVals[k][val.Num] = append(failVals[k][val.Num], v)
+		failVals[k][val.Num] = append(failVals[k][val.Num], i)
 	}
 
-	var deepRC []graph.NodeID
-	for _, v := range rc {
-		blame := w.analyzeRC(q, v)
+	var deepRC []int
+	var blame rcBlame
+	for i, v := range rc {
+		w.analyzeRC(q, v, &blame)
 
 		for _, l := range blame.failedLits {
 			if !used[litTarget(focus, l.Attr)] {
-				add(ops.Op{Kind: ops.RmL, U: focus, Lit: l}, -1, v)
+				add(ops.Op{Kind: ops.RmL, U: focus, Lit: l}, -1, i)
 				if val, ok := w.G.Attr(v, l.Attr); ok {
-					noteVal(focus, l.Attr, val, v)
+					noteVal(focus, l.Attr, val, i)
 				}
 			}
 		}
-		// Iterate failed edges in index order: operator insertion order
-		// decides identOf-map accumulation and, downstream, tie-broken
-		// top-k output.
-		failedEdges := make([]int, 0, len(blame.edgeFail))
-		for ei := range blame.edgeFail {
-			failedEdges = append(failedEdges, ei)
-		}
-		sort.Ints(failedEdges)
-		for _, ei := range failedEdges {
-			nearest := blame.edgeFail[ei]
+		// Failed edges in index order: operator insertion order decides
+		// identOf-map accumulation and, downstream, tie-broken top-k
+		// output.
+		for ei, nearest := range blame.edgeFail {
+			if nearest == 0 {
+				continue
+			}
 			e := q.Edges[ei]
 			if !used[edgeTarget(e.From, e.To)] {
-				add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, v)
+				add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, i)
 				// Step-wise bound relaxation (Appendix B); the RC node
 				// only counts when one step suffices.
 				if e.Bound < w.Cfg.MaxBound && nearest <= e.Bound+1 {
-					add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound + 1}, ei, v)
+					add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound + 1}, ei, i)
 				}
 				// Direct relaxation to the needed bound when farther.
 				if nearest != graph.Unreachable && nearest > e.Bound+1 && nearest <= w.Cfg.MaxBound {
-					add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: nearest}, ei, v)
+					add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: nearest}, ei, i)
 				}
 			}
 			for _, bl := range blame.litBlock[ei] {
 				if used[litTarget(bl.u, bl.lit.Attr)] {
 					continue
 				}
-				add(ops.Op{Kind: ops.RmL, U: bl.u, Lit: bl.lit}, ei, v)
-				noteVal(bl.u, bl.lit.Attr, bl.val, v)
+				add(ops.Op{Kind: ops.RmL, U: bl.u, Lit: bl.lit}, ei, i)
+				noteVal(bl.u, bl.lit.Attr, bl.val, i)
 			}
 		}
 		if blame.deep {
-			deepRC = append(deepRC, v)
+			deepRC = append(deepRC, i)
 		}
 	}
 
 	// Deep failures blame every non-focus-incident edge (the paper's
 	// rule (2): paths {(u,u'),(u',u_o)} — an overestimate).
-	for _, v := range deepRC {
+	for _, i := range deepRC {
 		for ei, e := range q.Edges {
 			if e.From == focus || e.To == focus {
 				continue
@@ -305,9 +314,9 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 			if used[edgeTarget(e.From, e.To)] {
 				continue
 			}
-			add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, v)
+			add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, i)
 			if e.Bound < w.Cfg.MaxBound {
-				add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound + 1}, ei, v)
+				add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound + 1}, ei, i)
 			}
 		}
 	}
@@ -362,8 +371,8 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 					NewLit: query.Literal{Attr: k.attr, Op: graph.GE, Val: graph.N(a)}}
 				for _, n := range nums[i:] {
 					if n >= a && n < l.Val.Num {
-						for _, v := range vals[n] {
-							add(o, -1, v)
+						for _, i := range vals[n] {
+							add(o, -1, i)
 						}
 					}
 				}
@@ -382,8 +391,8 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 					NewLit: query.Literal{Attr: k.attr, Op: graph.LE, Val: graph.N(a)}}
 				for _, n := range nums[:i+1] {
 					if n <= a && n > l.Val.Num {
-						for _, v := range vals[n] {
-							add(o, -1, v)
+						for _, i := range vals[n] {
+							add(o, -1, i)
 						}
 					}
 				}
@@ -392,12 +401,12 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 		}
 	}
 
-	return w.finishScored(acc)
+	return w.finishScored(&acc, rc)
 }
 
-// opIdent is a comparable operator identity used as a map key (cheaper
-// than rendering operator strings in hot loops). AddE-with-fresh-node
-// operators are identified by their label.
+// opIdent is a comparable operator identity (cheaper than rendering
+// operator strings in hot loops). AddE-with-fresh-node operators are
+// identified by their label.
 type opIdent struct {
 	kind            ops.Kind
 	u, u2           query.NodeID
@@ -420,34 +429,79 @@ func identOf(o ops.Op) opIdent {
 	return id
 }
 
-// sortIdents orders operator identities deterministically.
-func sortIdents(ids []opIdent) {
-	sort.Slice(ids, func(i, j int) bool { return identLess(ids[i], ids[j]) })
+// identCompare orders operator identities deterministically.
+func identCompare(a, b opIdent) int {
+	return cmp.Or(
+		cmp.Compare(a.kind, b.kind),
+		cmp.Compare(a.u, b.u),
+		cmp.Compare(a.u2, b.u2),
+		a.lit.Compare(b.lit),
+		a.newLit.Compare(b.newLit),
+		cmp.Compare(a.bound, b.bound),
+		cmp.Compare(a.newBound, b.newBound),
+		strings.Compare(a.newLabel, b.newLabel),
+	)
 }
 
-func identLess(a, b opIdent) bool {
-	if a.kind != b.kind {
-		return a.kind < b.kind
+// opKey is an operator's identity without strings, what the generators'
+// accumulators key on: for two operators one generator call builds on q,
+// it is equal exactly when their opIdents are, and a map keyed on it
+// hashes a few words instead of five strings. Literals are numbered, not
+// spelled: Lit by the position of the first literal of q.Nodes[U] equal
+// to it, or for AddL, whose literal is not q's, by valueRef. NewLit,
+// which only RxL and RfL carry, has Lit's attribute and a Number
+// constant, so its operator and number stand for it. A NaN in either
+// literal makes the key unequal to itself, as it makes the opIdent.
+type opKey struct {
+	kind            ops.Kind
+	newOp           graph.Op
+	u, u2           query.NodeID
+	lit, label      int32
+	bound, newBound int
+	newNum          float64
+}
+
+// keyOf returns o's opKey. ref is what a literal of q cannot number: an
+// AddL's valueRef, an AddE's fresh node's label id; -1 for the others.
+func keyOf(q *query.Query, o ops.Op, ref int32) opKey {
+	k := opKey{kind: o.Kind, newOp: o.NewLit.Op, u: o.U, u2: o.U2, lit: -1, label: -1,
+		bound: o.Bound, newBound: o.NewBound, newNum: o.NewLit.Val.Num}
+	switch o.Kind {
+	case ops.RmL, ops.RxL, ops.RfL:
+		k.lit = int32(slices.Index(q.Nodes[o.U].Literals, o.Lit))
+		if k.lit < 0 {
+			k.newNum = math.NaN() // a literal equal to none, itself included
+		}
+	case ops.AddL:
+		k.lit = ref
+	case ops.AddE:
+		if o.NewNode != nil {
+			k.label = ref
+		}
 	}
-	if a.u != b.u {
-		return a.u < b.u
+	return k
+}
+
+// accums is the operators one generator call scores, in order of first
+// generation, and the index that finds an operator generated again.
+type accums struct {
+	index map[opKey]int
+	list  []accum
+}
+
+// at returns the accumulator of the operator keyed k, and whether it is
+// new: a new one is appended zero, for the caller to fill. The pointer is
+// good until the next call.
+func (as *accums) at(k opKey) (*accum, bool) {
+	if i, ok := as.index[k]; ok {
+		return &as.list[i], false
 	}
-	if a.u2 != b.u2 {
-		return a.u2 < b.u2
+	if as.index == nil {
+		as.index = map[opKey]int{}
 	}
-	if c := a.lit.Compare(b.lit); c != 0 {
-		return c < 0
-	}
-	if c := a.newLit.Compare(b.newLit); c != 0 {
-		return c < 0
-	}
-	if a.bound != b.bound {
-		return a.bound < b.bound
-	}
-	if a.newBound != b.newBound {
-		return a.newBound < b.newBound
-	}
-	return a.newLabel < b.newLabel
+	as.index[k] = len(as.list)
+	as.list = append(as.list, accum{})
+	return &as.list[len(as.list)-1], true
 }
 
 // maxOpsPerClass is how many picky operators one state generates per
@@ -456,23 +510,22 @@ const maxOpsPerClass = 64
 
 // finishScored converts accumulated operators into a pickiness-sorted,
 // per-class-capped slice. An accumulator with a gain set (GenRelax's)
-// has it flattened into op.Gain; one without (GenRefine's) keeps the
-// op.Gain its generator stored.
-func (w *Why) finishScored(acc map[opIdent]*accum) []scoredOp {
-	out := make([]scoredOp, 0, len(acc))
-	keys := make([]opIdent, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sortIdents(keys) // determinism
-	for _, k := range keys {
-		a := acc[k]
+// has it flattened into op.Gain, the nodes of sample its bits index; one
+// without (GenRefine's) keeps the op.Gain its generator stored.
+func (w *Why) finishScored(acc *accums, sample []graph.NodeID) []scoredOp {
+	out := make([]scoredOp, 0, len(acc.list))
+	slices.SortStableFunc(acc.list, func(a, b accum) int { // determinism
+		return identCompare(identOf(a.op.Op), identOf(b.op.Op))
+	})
+	for i := range acc.list {
+		a := &acc.list[i]
 		a.op.Pick = a.total / float64(len(w.FocusCands))
 		a.op.Cost = a.op.Op.Cost(w.G)
 		if a.gain != nil {
-			a.op.Gain = make([]graph.NodeID, 0, len(a.gain))
-			for v := range a.gain {
-				a.op.Gain = append(a.op.Gain, v)
+			for i, v := range sample {
+				if a.gain[i/64]&(1<<(i%64)) != 0 {
+					a.op.Gain = append(a.op.Gain, v)
+				}
 			}
 			sortNodes(a.op.Gain)
 		}
@@ -491,37 +544,48 @@ func (w *Why) finishScored(acc map[opIdent]*accum) []scoredOp {
 }
 
 // accum is one operator being scored. GenRelax accumulates gain across
-// its add calls and finishScored flattens it into op.Gain; GenRefine
-// scores an operator in one call, writes op.Gain directly and leaves
-// gain nil.
+// its add calls, a bitset over its RC sample, and finishScored flattens
+// it into op.Gain; GenRefine scores an operator in one call, writes
+// op.Gain directly and leaves gain nil.
 type accum struct {
 	op    scoredOp
-	gain  map[graph.NodeID]bool
+	gain  []uint64
 	total float64
 }
 
 // sampleByCl keeps at most n nodes, preferring higher closeness (ties
-// break by id for determinism).
+// break by id for determinism). It reads each node's closeness once.
 func sampleByCl(w *Why, nodes []graph.NodeID, n int) []graph.NodeID {
 	if n <= 0 || len(nodes) <= n {
 		return nodes
 	}
-	out := append([]graph.NodeID(nil), nodes...)
-	sort.SliceStable(out, func(i, j int) bool {
-		switch ci, cj := w.Eval.Cl(out[i]), w.Eval.Cl(out[j]); {
-		case ci > cj:
-			return true
-		case ci < cj:
-			return false
+	type scored struct {
+		v  graph.NodeID
+		cl float64
+	}
+	s := make([]scored, len(nodes))
+	for i, v := range nodes {
+		s[i] = scored{v, w.Eval.Cl(v)}
+	}
+	slices.SortFunc(s, func(a, b scored) int {
+		switch {
+		case a.cl > b.cl:
+			return -1
+		case a.cl < b.cl:
+			return 1
 		}
-		return out[i] < out[j]
+		return cmp.Compare(a.v, b.v)
 	})
-	return out[:n]
+	out := make([]graph.NodeID, n)
+	for i := range out {
+		out[i] = s[i].v
+	}
+	return out
 }
 
 // capPerClass keeps at most n operators of each class, preserving order.
 func capPerClass(in []scoredOp, n int) []scoredOp {
-	count := map[ops.Kind]int{}
+	var count [ops.RfE + 1]int
 	out := in[:0]
 	for _, s := range in {
 		if count[s.Op.Kind] >= n {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"wqe/internal/graph"
 	"wqe/internal/match"
@@ -24,13 +23,13 @@ const maxPartnerHops = 4
 // not correctness guards).
 const maxPartnersScored = 96
 
-// partnerCacheKey identifies a partner set: focus match, radius, and
-// the pattern node's matching signature (as numbered by Why.sigID, so
-// a lookup hashes three integers rather than the signature text).
-type partnerCacheKey struct {
-	v   graph.NodeID
-	pd  int
-	sig int32
+// partnerCacheKey identifies a partner set, packed into one integer: the
+// focus match in the high 32 bits, and in the low 32 the id Why.sigID
+// gave the pattern node's matching signature and partner radius.
+type partnerCacheKey uint64
+
+func partnerKey(v graph.NodeID, sig int32) partnerCacheKey {
+	return partnerCacheKey(uint64(uint32(v))<<32 | uint64(uint32(sig)))
 }
 
 // sigID numbers matching signatures in order of first use.
@@ -53,12 +52,12 @@ type refineGen struct {
 	rm, im     []graph.NodeID
 	used       map[string]bool
 	budgetLeft float64
-	acc        map[opIdent]*accum
+	acc        accums
 	// pd, indexed by pattern node: PatternDist(u_o, u), capped at
 	// maxPartnerHops (ball sizes explode on power-law graphs).
 	pd []int
 	// sig, indexed by pattern node: the Why-level id of the node's
-	// matching signature, the partner-cache key component.
+	// matching signature and pd, the partner-cache key component.
 	sig []int32
 }
 
@@ -70,7 +69,6 @@ func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string
 		// (highest closeness first) to keep generation within bounded delay.
 		rm:  sampleByCl(w, rm, w.Cfg.MaxAnalysis),
 		im:  sampleByCl(w, im, w.Cfg.MaxAnalysis),
-		acc: map[opIdent]*accum{},
 		pd:  make([]int, len(q.Nodes)),
 		sig: make([]int32, len(q.Nodes)),
 	}
@@ -81,7 +79,8 @@ func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string
 			d = maxPartnerHops
 		}
 		g.pd[u] = d
-		sig = query.AppendNodeSig(sig[:0], &q.Nodes[u])
+		// The radius is the last byte, so distinct pairs number apart.
+		sig = append(query.AppendNodeSig(sig[:0], &q.Nodes[u]), byte(d))
 		g.sig[u] = w.sigID(sig)
 	}
 	return g
@@ -106,7 +105,7 @@ func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 	if u == g.q.Focus {
 		return []graph.NodeID{v}
 	}
-	key := partnerCacheKey{v: v, pd: g.pd[u], sig: g.sig[u]}
+	key := partnerKey(v, g.sig[u])
 	if p, ok := g.w.partnerCache[key]; ok {
 		return p
 	}
@@ -148,12 +147,10 @@ func (g *refineGen) fillPartners() {
 		if u == g.q.Focus {
 			continue
 		}
-		key := partnerCacheKey{pd: g.pd[u], sig: g.sig[u]}
 		miss = miss[:0]
 		for _, side := range [2][]graph.NodeID{g.im, g.rm} {
 			for _, v := range side {
-				key.v = v
-				if _, ok := g.w.partnerCache[key]; !ok {
+				if _, ok := g.w.partnerCache[partnerKey(v, g.sig[u])]; !ok {
 					miss = append(miss, v)
 				}
 			}
@@ -188,13 +185,12 @@ func (g *refineGen) fillPartners() {
 					g.partners(v, u)
 					continue
 				}
-				key.v = v
 				var set []graph.NodeID // nil when empty, as partners leaves it
 				if n[i] > 0 {
 					set = slices.Clone(buf[i*maxPartnersScored : i*maxPartnersScored+n[i]])
 					sortNodes(set)
 				}
-				g.w.partnerCache[key] = set
+				g.w.partnerCache[partnerKey(v, g.sig[u])] = set
 			}
 			batch = batch[taken:]
 		}
@@ -227,28 +223,28 @@ func (w *Why) genRefine(q *query.Query, rm, im []graph.NodeID, used map[string]b
 	g.rfL()
 	g.rfE()
 	g.addE()
-	return w.finishScored(g.acc)
+	return w.finishScored(&g.acc, nil)
 }
 
 // add records refinement o, certainly removing the given irrelevant and
 // relevant matches, unless it cannot help, cannot be applied or
-// afforded, or was already generated.
-func (g *refineGen) add(o ops.Op, pickyEdge int, removedIM, removedRM []graph.NodeID) {
+// afforded, or was already generated. ref is keyOf's.
+func (g *refineGen) add(o ops.Op, ref int32, pickyEdge int, removedIM, removedRM []graph.NodeID) {
 	if len(removedIM) == 0 {
 		return // no hope of improving closeness
 	}
 	if math.IsNaN(o.Lit.Val.Num) || math.IsNaN(o.NewLit.Val.Num) {
 		// A NaN constant compares equal to every number, so the literal
-		// says nothing; and an identity holding NaN is a map key that
-		// can be stored but never found again.
+		// says nothing; and a key holding NaN can be stored but never
+		// found again.
 		return
 	}
 	w := g.w
 	if !o.Applicable(g.q, w.params) || o.Cost(w.G) > g.budgetLeft {
 		return
 	}
-	key := identOf(o)
-	if g.acc[key] != nil {
+	a, fresh := g.acc.at(keyOf(g.q, o, ref))
+	if !fresh {
 		return
 	}
 	var rmLoss float64
@@ -258,7 +254,7 @@ func (g *refineGen) add(o ops.Op, pickyEdge int, removedIM, removedRM []graph.No
 	// removedIM is distinct (a subset of the sample) and an operator is
 	// recorded once, so its gain is the list itself, sorted.
 	gain := sortNodes(slices.Clone(removedIM))
-	g.acc[key] = &accum{
+	*a = accum{
 		op:    scoredOp{Op: o, PickyEdge: pickyEdge, Gain: gain},
 		total: w.Cfg.Lambda*float64(len(removedIM)) - rmLoss,
 	}
@@ -496,9 +492,33 @@ func (g *refineGen) addL() {
 				}
 			}
 			lit := query.Literal{Attr: G.Attrs.Name(c.cell.Attr), Op: graph.EQ, Val: vals[k]}
-			g.add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
+			g.add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, valueRef(G, c.cell), -1, imOut, rmOut)
 		}
 	}
+}
+
+// valueRef numbers cell c's value for AddL's opKey: the first code of
+// its attribute whose value is == to it. Distinct codes of one attribute
+// hold values that == tells apart, except -0 and 0 with the same Str,
+// which a domain keeps next to each other; so that first code is c's own
+// unless c holds a zero.
+func valueRef(G *graph.Graph, c graph.AttrCode) int32 {
+	v := G.Value(c)
+	if v.Kind != graph.Number || v.Num != 0 {
+		return c.Code
+	}
+	ref := c.Code
+	lo, _ := G.Codes().NumberCodes(c.Attr)
+	for k := c.Code - 1; k >= lo; k-- {
+		u := G.Value(graph.AttrCode{Attr: c.Attr, Code: k})
+		if u.Num != 0 {
+			break
+		}
+		if u == v {
+			ref = k
+		}
+	}
+	return ref
 }
 
 // sameValue is graph.EQ.Holds(a, b) — same kind and Compare == 0 —
@@ -567,7 +587,7 @@ func (g *refineGen) rfL() {
 				newLit := query.Literal{Attr: l.Attr, Op: op, Val: graph.N(a)}
 				sat := newLit.Check(G)
 				imOut, rmOut := g.removedBy(u, func(p graph.NodeID) bool { return sat.Candidate(G, p) })
-				g.add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, imOut, rmOut)
+				g.add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, -1, imOut, rmOut)
 			}
 			switch l.Op {
 			case graph.LE, graph.LT:
@@ -613,7 +633,7 @@ func (g *refineGen) rfE() {
 			other, dir = e.From, graph.Backward
 		default:
 			// Non-focus edge: certainty is unavailable locally.
-			g.add(o, ei, g.im, nil)
+			g.add(o, -1, ei, g.im, nil)
 			continue
 		}
 		// certainlyCut: no candidate of the other endpoint lies within
@@ -638,7 +658,7 @@ func (g *refineGen) rfE() {
 				rmOut = append(rmOut, v)
 			}
 		}
-		g.add(o, ei, imOut, rmOut)
+		g.add(o, -1, ei, imOut, rmOut)
 	}
 }
 
@@ -654,26 +674,30 @@ func (g *refineGen) addE() {
 	focus := q.Focus
 	bm := w.Cfg.MaxBound
 
-	// nearest returns the hop distance from v to the nearest node
-	// satisfying pred, within bm, in the given direction. Balls are
-	// memoized per (node, direction) — AddE generation probes the same
-	// neighborhoods for many predicates.
-	type ballKey struct {
-		v   graph.NodeID
-		dir graph.Direction
-	}
-	ballMemo := map[ballKey][]graph.NodeDist{}
-	ballOf := func(v graph.NodeID, dir graph.Direction) []graph.NodeDist {
-		k := ballKey{v, dir}
-		if b, ok := ballMemo[k]; ok {
-			return b
+	// nearest returns the hop distance from sampled match i to the
+	// nearest node satisfying pred, within bm, in the given direction.
+	// The matches are numbered rm first, then im. Balls are memoized per
+	// match and direction, forward at 2i and backward at 2i+1 — AddE
+	// generation probes the same neighborhoods for many predicates.
+	balls := make([][]graph.NodeDist, 2*(len(rm)+len(im)))
+	ballOf := func(i int, dir graph.Direction) []graph.NodeDist {
+		slot := 2 * i
+		if dir == graph.Backward {
+			slot++
 		}
-		b := w.G.Ball(v, bm, dir)
-		ballMemo[k] = b
-		return b
+		if balls[slot] == nil {
+			var v graph.NodeID
+			if i < len(rm) {
+				v = rm[i]
+			} else {
+				v = im[i-len(rm)]
+			}
+			balls[slot] = w.G.Ball(v, bm, dir)
+		}
+		return balls[slot]
 	}
-	nearest := func(v graph.NodeID, dir graph.Direction, pred func(graph.NodeID) bool) int {
-		for _, nd := range ballOf(v, dir) {
+	nearest := func(i int, dir graph.Direction, pred func(graph.NodeID) bool) int {
+		for _, nd := range ballOf(i, dir) {
 			if nd.D > 0 && pred(nd.V) {
 				return int(nd.D) // BFS order: first hit is nearest
 			}
@@ -694,8 +718,8 @@ func (g *refineGen) addE() {
 		for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
 			k := 0
 			feasible := true
-			for _, vrm := range rm {
-				d := nearest(vrm, dir, isCand)
+			for i := range rm {
+				d := nearest(i, dir, isCand)
 				if d == graph.Unreachable {
 					feasible = false
 					break
@@ -714,83 +738,62 @@ func (g *refineGen) addE() {
 				o = ops.Op{Kind: ops.AddE, U: u, U2: focus, Bound: k}
 			}
 			var imOut []graph.NodeID
-			for _, v := range im {
-				if nearest(v, dir, isCand) > k {
+			for j, v := range im {
+				if nearest(len(rm)+j, dir, isCand) > k {
 					imOut = append(imOut, v)
 				}
 			}
-			add(o, -1, imOut, nil)
+			add(o, -1, -1, imOut, nil)
 		}
 	}
 
 	// (2) Fresh labeled node adjacent to the focus: collect labels near
 	// relevant matches, keep those every RM can reach, rank by how many
-	// irrelevant matches lack them.
+	// irrelevant matches lack them. Both tables are indexed by label id.
 	type labelInfo struct {
-		k        int
-		feasible bool
+		k        int  // the farthest RM's hop distance to its nearest node of the label
+		feasible bool // every RM so far reaches the label
 	}
-	sortedIDs := func(m map[int32]*labelInfo) []int32 {
-		ids := make([]int32, 0, len(m))
-		for lid := range m {
-			ids = append(ids, lid)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids
-	}
-	labels := map[int32]*labelInfo{}
-	for i, vrm := range rm {
-		found := map[int32]int{}
-		for _, nd := range ballOf(vrm, graph.Forward) {
-			if nd.D == 0 {
-				continue
-			}
-			lid := w.G.LabelID(nd.V)
-			if _, ok := found[lid]; !ok {
+	labels := make([]labelInfo, w.G.Labels.Len())
+	found := make([]int, len(labels)) // one RM's nearest hop distance per label, 0 for none
+	for i := range rm {
+		clear(found)
+		for _, nd := range ballOf(i, graph.Forward) {
+			if lid := w.G.LabelID(nd.V); nd.D > 0 && found[lid] == 0 {
 				found[lid] = int(nd.D) // BFS order: first is nearest
 			}
 		}
-		if i == 0 {
-			foundIDs := make([]int32, 0, len(found))
-			for lid := range found {
-				foundIDs = append(foundIDs, lid)
-			}
-			sort.Slice(foundIDs, func(a, b int) bool { return foundIDs[a] < foundIDs[b] })
-			for _, lid := range foundIDs {
-				labels[lid] = &labelInfo{k: found[lid], feasible: true}
-			}
-			continue
-		}
-		for _, lid := range sortedIDs(labels) {
-			info := labels[lid]
-			d, ok := found[lid]
-			if !ok {
+		for lid, d := range found {
+			info := &labels[lid]
+			switch {
+			case i == 0:
+				*info = labelInfo{k: d, feasible: d > 0}
+			case !info.feasible:
+			case d == 0:
 				info.feasible = false
-				continue
-			}
-			if d > info.k {
+			case d > info.k:
 				info.k = d
 			}
 		}
 	}
 	const maxNewLabels = 8
 	generated := 0
-	for _, lid := range sortedIDs(labels) {
+	for l, info := range labels {
 		if generated >= maxNewLabels {
 			break
 		}
-		info := labels[lid]
 		if !info.feasible {
 			continue
 		}
+		lid := int32(l)
 		name := w.G.Labels.Name(lid)
 		if name == "" {
 			continue
 		}
 		hasLabel := func(nb graph.NodeID) bool { return w.G.LabelID(nb) == lid }
 		var imOut []graph.NodeID
-		for _, v := range im {
-			if nearest(v, graph.Forward, hasLabel) > info.k {
+		for j, v := range im {
+			if nearest(len(rm)+j, graph.Forward, hasLabel) > info.k {
 				imOut = append(imOut, v)
 			}
 		}
@@ -798,7 +801,7 @@ func (g *refineGen) addE() {
 			continue
 		}
 		add(ops.Op{Kind: ops.AddE, U: focus, Bound: info.k,
-			NewNode: &ops.NewNodeSpec{Label: name}}, -1, imOut, nil)
+			NewNode: &ops.NewNodeSpec{Label: name}}, lid, -1, imOut, nil)
 		generated++
 	}
 }

@@ -142,9 +142,17 @@ func (o *oracleGen) addL() {
 			perAttr[x.attr]++
 			lit := query.Literal{Attr: x.attr, Op: graph.EQ, Val: x.val}
 			imOut, rmOut := removedBy(u, func(p graph.NodeID) bool { return lit.Sat(w.G, p) })
-			add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, -1, imOut, rmOut)
+			add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, oracleValueRef(w.G, x.attr, x.val), -1, imOut, rmOut)
 		}
 	}
+}
+
+// oracleValueRef is valueRef as its definition reads: the first code of
+// the attribute whose value is == to val.
+func oracleValueRef(g *graph.Graph, attr string, val graph.Value) int32 {
+	aid, _ := g.Attrs.Lookup(attr)
+	base, _ := g.Codes().NumberCodes(aid)
+	return base + int32(slices.Index(g.Codes().Domain(aid).Values, val))
 }
 
 // rfL is the former genRfL.
@@ -174,7 +182,7 @@ func (o *oracleGen) rfL() {
 			sort.Float64s(vals)
 			gen := func(newLit query.Literal) {
 				imOut, rmOut := removedBy(u, func(p graph.NodeID) bool { return newLit.Sat(w.G, p) })
-				add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, imOut, rmOut)
+				add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, -1, imOut, rmOut)
 			}
 			switch l.Op {
 			case graph.LE, graph.LT:
@@ -215,7 +223,7 @@ func (o *oracleGen) rfE() {
 		case e.To:
 			other, out = e.From, false
 		default:
-			add(o, ei, im, nil)
+			add(o, -1, ei, im, nil)
 			continue
 		}
 		certainlyCut := func(v graph.NodeID) bool {
@@ -241,7 +249,7 @@ func (o *oracleGen) rfE() {
 				rmOut = append(rmOut, v)
 			}
 		}
-		add(o, ei, imOut, rmOut)
+		add(o, -1, ei, imOut, rmOut)
 	}
 }
 
@@ -258,7 +266,7 @@ func oracleGenRefine(w *Why, q *query.Query, res *match.Result, used map[string]
 	o.rfL()
 	o.rfE()
 	g.addE()
-	return w.finishScored(g.acc)
+	return w.finishScored(&g.acc, nil)
 }
 
 // sameOps compares two scored lists field by field. Values compare by
@@ -565,7 +573,7 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 	w, pm := state("all hubs", build(maxPartnersScored+5, 40))
 	for v := graph.NodeID(0); v < nF; v++ {
 		for _, u := range []query.NodeID{p, r} {
-			set, ok := w.partnerCache[partnerCacheKey{v: v, pd: pm.pd[u], sig: pm.sig[u]}]
+			set, ok := w.partnerCache[partnerKey(v, pm.sig[u])]
 			if !ok || len(set) != maxPartnersScored {
 				t.Fatalf("all hubs: match %d keeps %d partners at u%d (cached: %v), want the cap %d", v, len(set), u, ok, maxPartnersScored)
 			}
@@ -574,10 +582,10 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 
 	// One set missing: the fill sweeps a single source and restores it.
 	w, pm = state("plain", build(1, 4))
-	key := partnerCacheKey{v: 33, pd: pm.pd[r], sig: pm.sig[r]}
+	key := partnerKey(33, pm.sig[r])
 	want := w.partnerCache[key]
 	if len(want) == 0 || len(want) >= maxPartnersScored {
-		t.Fatalf("single miss: match %d keeps %d partners at u%d, want a full, non-empty set", key.v, len(want), r)
+		t.Fatalf("single miss: match %d keeps %d partners at u%d, want a full, non-empty set", 33, len(want), r)
 	}
 	delete(w.partnerCache, key)
 	checkState(t, "single miss", w, q, map[string]bool{})

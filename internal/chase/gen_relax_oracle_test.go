@@ -26,8 +26,10 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 	rc = sampleByCl(w, rc, w.Cfg.MaxAnalysis)
 
 	// acc accumulates RC̄ per candidate operator, keyed by the
-	// operator's identity.
+	// operator's identity. The gain sets are kept beside it, as node
+	// sets, and flattened into op.Gain at the end.
 	acc := map[opIdent]*accum{}
+	gain := map[*accum]map[graph.NodeID]bool{}
 	add := func(o ops.Op, pickyEdge int, v graph.NodeID) {
 		if !o.Applicable(q, w.params) || o.Cost(w.G) > budgetLeft {
 			return
@@ -35,11 +37,12 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 		key := identOf(o)
 		a := acc[key]
 		if a == nil {
-			a = &accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}, gain: map[graph.NodeID]bool{}}
+			a = &accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}}
 			acc[key] = a
+			gain[a] = map[graph.NodeID]bool{}
 		}
-		if !a.gain[v] {
-			a.gain[v] = true
+		if !gain[a][v] {
+			gain[a][v] = true
 			a.total += w.Eval.Cl(v)
 		}
 	}
@@ -63,8 +66,9 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 	}
 
 	var deepRC []graph.NodeID
+	var blame rcBlame
 	for _, v := range rc {
-		blame := w.analyzeRC(q, v)
+		w.analyzeRC(q, v, &blame)
 
 		for _, l := range blame.failedLits {
 			if !used[litTarget(focus, l.Attr)] {
@@ -78,8 +82,10 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 		// decides identOf-map accumulation and, downstream, tie-broken
 		// top-k output.
 		failedEdges := make([]int, 0, len(blame.edgeFail))
-		for ei := range blame.edgeFail {
-			failedEdges = append(failedEdges, ei)
+		for ei, nearest := range blame.edgeFail {
+			if nearest != 0 {
+				failedEdges = append(failedEdges, ei)
+			}
 		}
 		sort.Ints(failedEdges)
 		for _, ei := range failedEdges {
@@ -207,5 +213,13 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 		}
 	}
 
-	return w.finishScored(acc)
+	var scored accums
+	for a, set := range gain {
+		for v := range set {
+			a.op.Gain = append(a.op.Gain, v)
+		}
+		sortNodes(a.op.Gain)
+		scored.list = append(scored.list, *a)
+	}
+	return w.finishScored(&scored, nil)
 }

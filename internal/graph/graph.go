@@ -61,6 +61,7 @@ type Graph struct {
 	inEdges    []Edge             // in-adjacency arena, grouped by target
 	byLabel    map[int32][]NodeID // label id → ascending-ID run of byLabelAll
 	byLabelAll []NodeID           // runs concatenated in label-id order
+	allNodes   []NodeID           // every node, ascending: the wildcard's run
 
 	diamOnce sync.Once
 	diam     int
@@ -203,8 +204,9 @@ func (b *Builder) Build() *Graph {
 }
 
 // buildByLabel builds the by-label index: ascending-ID runs per label
-// id, concatenated in label-id order over one backing slice. Called by
-// Build and by the snapshot reader.
+// id, concatenated in label-id order over one backing slice, and the run
+// of all nodes the wildcard label reads. Called by Build and by the
+// snapshot reader.
 func (g *Graph) buildByLabel() {
 	n := len(g.labels)
 	numLabels := g.Labels.Len()
@@ -220,6 +222,10 @@ func (g *Graph) buildByLabel() {
 	for v, l := range g.labels {
 		g.byLabelAll[cur[l]] = NodeID(v)
 		cur[l]++
+	}
+	g.allNodes = make([]NodeID, n)
+	for v := range g.allNodes {
+		g.allNodes[v] = NodeID(v)
 	}
 	g.byLabel = make(map[int32][]NodeID, numLabels)
 	for l := 0; l < numLabels; l++ {
@@ -303,15 +309,12 @@ func (g *Graph) Degree(v NodeID) int {
 }
 
 // NodesByLabel returns all nodes carrying the given label, or every node
-// when label is the empty wildcard. The caller must not mutate the
-// returned slice (except for the wildcard case, which is fresh).
+// when label is the empty wildcard, in ascending order. The slice is the
+// graph's own index, shared by every caller: the caller must not mutate
+// it.
 func (g *Graph) NodesByLabel(label string) []NodeID {
 	if label == "" {
-		all := make([]NodeID, g.NumNodes())
-		for i := range all {
-			all[i] = NodeID(i)
-		}
-		return all
+		return g.allNodes
 	}
 	lid, ok := g.Labels.Lookup(label)
 	if !ok {

@@ -573,3 +573,49 @@ func TestFreshBuildAllocsIndependentOfCandidates(t *testing.T) {
 		t.Errorf("a build allocates %v times among 100 center candidates and %v among 1600", few, many)
 	}
 }
+
+// TestFocusCandidatesAscending: the focus pool MatchFrom starts from is
+// ascending, without repeats, on each of focusCandidates' paths — the
+// label's run, the wildcard's run, the parent's list, the parent's list
+// filtered — for MatchFrom's cursors into each table's focus list rely on
+// it. The walks include one below a wildcard focus.
+func TestFocusCandidatesAscending(t *testing.T) {
+	paths := map[string]int{}
+	sweep := func(what string, w *chase.Why) {
+		walkRewrites(w, what, func(what string, parent *match.Result, q *query.Query) *match.Result {
+			res := w.Matcher.MatchFrom(parent, q)
+			pool := res.Candidates[q.Focus]
+			for i := 1; i < len(pool); i++ {
+				if pool[i-1] >= pool[i] {
+					t.Fatalf("%s: focus pool not ascending at %d: %d then %d", what, i, pool[i-1], pool[i])
+				}
+			}
+			path := "label run"
+			switch {
+			case parent != nil && len(pool) > 0 && len(parent.Candidates[q.Focus]) > 0 && &pool[0] == &parent.Candidates[q.Focus][0]:
+				path = "parent's list"
+			case parent != nil && len(q.Nodes[q.Focus].Literals) > len(parent.Query.Nodes[q.Focus].Literals):
+				path = "parent's list filtered"
+			case q.Nodes[q.Focus].Label == "":
+				path = "wildcard run"
+			}
+			paths[path]++
+			return res
+		})
+	}
+	datasetWhys(t, 1, func(what string, w *chase.Why) {
+		sweep(what, w)
+		wild := w.Q.Clone()
+		wild.Nodes[wild.Focus].Label = ""
+		ww, err := chase.NewWhy(w.G, wild, w.E, w.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep(what+" wildcard focus", ww)
+	})
+	for _, p := range []string{"label run", "wildcard run", "parent's list", "parent's list filtered"} {
+		if paths[p] < 10 {
+			t.Errorf("%d focus pools came by the %s: want at least 10 (%v)", paths[p], p, paths)
+		}
+	}
+}

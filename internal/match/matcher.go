@@ -127,7 +127,9 @@ func (m *Matcher) MatchFrom(parent *Result, q *query.Query) *Result {
 	}
 
 	// Focus pool: the candidates under the current focus literals that
-	// every star has at a focus position.
+	// every star has at a focus position. The pool is ascending
+	// (focusCandidates), as each table's focus list is, so one cursor per
+	// table walks it forward, and the answer comes out ascending.
 	pool := res.Candidates[q.Focus]
 	v := m.vpool.Get().(*verifier)
 	v.q, v.cands, v.stars = q, res.Candidates, res.Stars
@@ -135,8 +137,8 @@ func (m *Matcher) MatchFrom(parent *Result, q *query.Query) *Result {
 	var verified []graph.NodeID
 outer:
 	for _, cand := range pool {
-		for _, inst := range res.Stars {
-			if !inst.Table.SupportsFocus(cand) {
+		for si, inst := range res.Stars {
+			if !inst.Table.supportsFocusFrom(cand, &v.focusAt[si]) {
 				continue outer
 			}
 		}
@@ -144,7 +146,6 @@ outer:
 			verified = append(verified, cand)
 		}
 	}
-	slices.Sort(verified) // already ascending when the candidates are; cheap then
 	res.Answer = verified
 	m.release(v)
 	return res
@@ -215,6 +216,9 @@ type verifier struct {
 
 	// seen is prepare's BFS visited set, reused across Match calls.
 	seen []bool
+	// focusAt holds, per star, Match's cursor into the star table's focus
+	// list (StarTable.supportsFocusFrom).
+	focusAt []int
 	// cons holds one edge-constraint buffer per search depth: extend at
 	// depth d fills cons[d] while the frames below it still hold theirs.
 	cons [][]edgeConstraint
@@ -294,6 +298,11 @@ func (v *verifier) prepare() {
 		v.dmemo = map[int64]int32{}
 	} else {
 		clear(v.dmemo)
+	}
+
+	v.focusAt = v.focusAt[:0]
+	for range v.stars {
+		v.focusAt = append(v.focusAt, 0)
 	}
 
 	v.colFor = v.colFor[:0]

@@ -222,10 +222,20 @@ func (t *StarTable) focusFree() bool {
 // label only, so the caller vouches for v's literals (Match asks about
 // candidates of the focus only).
 func (t *StarTable) SupportsFocus(v graph.NodeID) bool {
+	at := 0
+	return t.supportsFocusFrom(v, &at)
+}
+
+// supportsFocusFrom is SupportsFocus for a caller asking about
+// ascending nodes: *at is where the previous ask left off in the focus
+// list (0 before the first), and the search covers only what lies past
+// it.
+func (t *StarTable) supportsFocusFrom(v graph.NodeID, at *int) bool {
 	if t.focusFree() {
 		return true
 	}
-	_, ok := slices.BinarySearch(t.focus, v)
+	j, ok := slices.BinarySearch(t.focus[*at:], v)
+	*at += j
 	return ok
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"wqe/internal/graph"
@@ -219,21 +218,17 @@ func (q *Query) IncidentEdges(u NodeID) []int {
 // Neighbors returns the pattern nodes adjacent to u, either direction,
 // deduplicated, in ascending order.
 func (q *Query) Neighbors(u NodeID) []NodeID {
-	seen := map[NodeID]bool{}
+	out := []NodeID{}
 	for _, e := range q.Edges {
 		switch u {
 		case e.From:
-			seen[e.To] = true
+			out = append(out, e.To)
 		case e.To:
-			seen[e.From] = true
+			out = append(out, e.From)
 		}
 	}
-	out := make([]NodeID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Candidates returns V_u: the graph nodes whose label matches u's label
