@@ -99,7 +99,9 @@ bench-smoke:
 # .bench_build/ask-heu.cpu.prof` for more. Last, per algorithm, it prints
 # the share of the search's CPU (beamSearch for heu, TopK for answ) spent
 # in runtime map code, MAPCODE: pprof shows only those frames and the
-# search's own, so the search's flat time is what no map frame lies under.
+# search's own, so the search's flat time is what no map frame lies under;
+# and the share of all CPU samples under runtime.mallocgc and under the GC
+# mark workers (runtime.gcBgMarkWorker), what allocation costs.
 MAPCODE = ^(runtime\.(map|makemap|memhash|strhash|aeshash|f64hash|typehash|interhash|nilinterhash)|internal/runtime/maps\.|aeshashbody|type:\.hash\.)
 profile:
 	mkdir -p .bench_build
@@ -115,6 +117,9 @@ profile:
 			.bench_build/chase.test .bench_build/ask-$$a.cpu.prof 2>/dev/null | \
 			awk -v a=$$a '/\.\(\*Why\)\.(beamSearch|TopK)$$/ { f = $$1; c = $$4; sub("ms", "", f); sub("ms", "", c); \
 				printf "%s: runtime map code %.1f%% of search CPU (%d of %d ms)\n", a, 100 * (c - f) / c, c - f, c }'; \
+		$(GO) tool pprof -top -cum -nodecount 1000 .bench_build/chase.test .bench_build/ask-$$a.cpu.prof 2>/dev/null | \
+			awk -v a=$$a '$$NF == "runtime.mallocgc" { m = $$5 } $$NF == "runtime.gcBgMarkWorker" { g = $$5 } \
+				END { printf "%s: runtime.mallocgc %s of CPU samples, GC mark workers %s\n", a, m, g }'; \
 	done
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four

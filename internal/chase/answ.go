@@ -2,6 +2,7 @@ package chase
 
 import (
 	"container/heap"
+	"slices"
 
 	"wqe/internal/match"
 	"wqe/internal/ops"
@@ -78,15 +79,24 @@ func (s *state) ensure(w *Why, kthBestCl float64) {
 		return
 	}
 	used := opTargets(s.seq)
-	rm, im, rc, _ := w.Partition(s.res)
+	rm, im, rc, _ := w.partition(s.res, &w.scratch().parts)
+	var refine, relax []scoredOp
 	if refineCond {
-		s.queue = append(s.queue, w.genRefine(s.q, rm, im, used, budgetLeft)...)
+		refine = w.genRefine(s.q, rm, im, used, budgetLeft)
 	}
 	if relaxCond {
-		s.queue = append(s.queue, w.genRelax(s.q, rc, used, budgetLeft)...)
+		relax = w.genRelax(s.q, rc, used, budgetLeft)
 	}
 	// Merge keeps each generator's order; globally re-rank by
 	// pickiness (stable, so equal scores keep generator priority).
+	switch {
+	case len(relax) == 0:
+		s.queue = refine
+	case len(refine) == 0:
+		s.queue = relax
+	default:
+		s.queue = slices.Concat(refine, relax)
+	}
 	sortScored(s.queue)
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -210,8 +211,10 @@ type Why struct {
 	// partnerSigs numbers the matching signatures partnerCache keys
 	// refer to (see sigID).
 	partnerSigs map[string]int32
-	// addL is AddL generation's per-value-code scratch (gen_refine.go).
-	addL addLScratch
+	// gs is operator generation's working memory, borrowed from gens, the
+	// session's pool, for the length of a run (genScratch).
+	gs   *genScratch
+	gens *sync.Pool
 	// maxOpsPerClass caps how many picky operators one state generates
 	// per operator class: the constant maxOpsPerClass, which tests lift
 	// to compare everything scored.
@@ -288,6 +291,7 @@ func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		partnerCache: map[partnerCacheKey][]graph.NodeID{},
 		partnerSigs:  map[string]int32{},
+		gens:         &s.gens,
 		clock:        s.clock,
 
 		maxOpsPerClass: maxOpsPerClass,
@@ -325,6 +329,14 @@ func (w *Why) Classify(v graph.NodeID, answer *match.Result) Relevance {
 // each ascending. FocusCands and the answer are both ascending, so one
 // walk over the two classifies every candidate.
 func (w *Why) Partition(answer *match.Result) (rm, im, rc, ic []graph.NodeID) {
+	var lists [4][]graph.NodeID
+	return w.partition(answer, &lists)
+}
+
+// partition is Partition into the four lists of p, which it empties
+// first and leaves holding the result.
+func (w *Why) partition(answer *match.Result, p *[4][]graph.NodeID) (rm, im, rc, ic []graph.NodeID) {
+	rm, im, rc, ic = p[0][:0], p[1][:0], p[2][:0], p[3][:0]
 	ans, j := answer.Answer, 0
 	for i, v := range w.FocusCands {
 		for j < len(ans) && ans[j] < v {
@@ -342,6 +354,7 @@ func (w *Why) Partition(answer *match.Result) (rm, im, rc, ic []graph.NodeID) {
 			ic = append(ic, v)
 		}
 	}
+	*p = [4][]graph.NodeID{rm, im, rc, ic}
 	return
 }
 
@@ -415,20 +428,33 @@ func (w *Why) answerFor(q *query.Query, seq ops.Sequence, res *match.Result) Ans
 	}
 }
 
-// beginRun resets per-run statistics. Every algorithm entry point calls
-// it before its first evaluation.
+// beginRun resets per-run statistics and borrows a generation scratch
+// from the session. Every algorithm entry point calls it before its
+// first evaluation.
 func (w *Why) beginRun() {
 	w.Stats = Stats{}
 	w.steps.Store(0)
+	if w.gs == nil {
+		w.gs = w.gens.Get().(*genScratch)
+	}
 }
 
 // endRun folds the atomic step counter and cache statistics into Stats
 // and stamps the elapsed wall-clock. Runs on the algorithm goroutine
-// after all evaluation workers have joined.
+// after all evaluation workers have joined. It gives the run's scratch
+// back to the session unless a generator call on it never returned: a
+// run that panicked (endRun is deferred) drops a busy scratch, so no
+// later question meets its half-reset tables.
 func (w *Why) endRun(start time.Time) {
 	w.Stats.Steps = int(w.steps.Load())
 	w.Stats.Elapsed = w.clock().Sub(start)
 	w.Stats.CacheHits, w.Stats.CacheMiss = cacheStats(w.Matcher.Cache)
+	if sc := w.gs; sc != nil {
+		w.gs = nil
+		if !sc.busy {
+			w.gens.Put(sc)
+		}
+	}
 }
 
 // stepsUsed reads the current run's evaluation count (for MaxSteps

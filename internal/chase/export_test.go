@@ -14,3 +14,15 @@ func NewSessionWithShards(g *graph.Graph, cfg Config, shards int) *Session {
 	s.cache = anscache.New[*match.StarTable](cfg.CacheCap, shards)
 	return s
 }
+
+// PanicMidAddL makes addL, at the n-th pattern node from now on where it
+// counts any value, panic before it resets the counts.
+// undo takes the panic out.
+func PanicMidAddL(n int) (undo func()) {
+	addLCounted = func() {
+		if n--; n == 0 {
+			panic("chase test: panic mid-addL")
+		}
+	}
+	return func() { addLCounted = nil }
+}

@@ -3,8 +3,8 @@ package chase
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -68,7 +68,18 @@ func litTarget(u query.NodeID, attr string) string {
 }
 
 func edgeTarget(a, b query.NodeID) string {
-	return "E:" + strconv.Itoa(int(a)) + ":" + strconv.Itoa(int(b))
+	return string(appendEdgeTarget(nil, a, b))
+}
+
+func appendEdgeTarget(dst []byte, a, b query.NodeID) []byte {
+	dst = strconv.AppendInt(append(dst, "E:"...), int64(a), 10)
+	return strconv.AppendInt(append(dst, ':'), int64(b), 10)
+}
+
+// usedEdge is used[edgeTarget(a, b)], without building a string.
+func usedEdge(used map[string]bool, a, b query.NodeID) bool {
+	var buf [48]byte
+	return used[string(appendEdgeTarget(buf[:0], a, b))]
 }
 
 // expandable reports whether a state with budgetLeft = B − c(O) can
@@ -92,14 +103,22 @@ type rcBlame struct {
 	// none within b_m), and 0 when it does not: it holds, or is not
 	// focus-incident.
 	edgeFail []int
-	// litBlock records partner-side literal blocking: pattern edges
-	// whose bound is satisfiable by a correctly-labeled neighbor that
-	// fails literals of the other endpoint. Indexed by failing edge;
-	// entries are the blocking literals with the nearest unblocking value.
-	litBlock [][]blockedLit
+	// blocked records partner-side literal blocking: for a failing
+	// pattern edge whose bound is satisfiable by a correctly-labeled
+	// neighbor that fails literals of the other endpoint, the blocking
+	// literals with the nearest unblocking value. The failing edges' runs
+	// lie one after another; litBlock[ei] locates edge ei's (see blocking).
+	blocked  []blockedLit
+	litBlock [][2]int32
 	// deep is set when no local failure explains the miss (the node
 	// fails a non-focus-local constraint or injectivity).
 	deep bool
+}
+
+// blocking returns the literals blocking pattern edge ei.
+func (b *rcBlame) blocking(ei int) []blockedLit {
+	span := b.litBlock[ei]
+	return b.blocked[span[0]:span[1]]
 }
 
 type blockedLit struct {
@@ -111,9 +130,9 @@ type blockedLit struct {
 // analyzeRC inspects why RC node v fails q locally, into b; the slices
 // of b are reused from the node it analyzed before.
 func (w *Why) analyzeRC(q *query.Query, v graph.NodeID, b *rcBlame) {
-	b.v, b.failedLits, b.deep = v, b.failedLits[:0], false
+	b.v, b.failedLits, b.blocked, b.deep = v, b.failedLits[:0], b.blocked[:0], false
 	b.edgeFail = append(b.edgeFail[:0], make([]int, len(q.Edges))...)
-	b.litBlock = append(b.litBlock[:0], make([][]blockedLit, len(q.Edges))...)
+	b.litBlock = append(b.litBlock[:0], make([][2]int32, len(q.Edges))...)
 	failed := false
 	focus := q.Focus
 
@@ -153,7 +172,7 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID, b *rcBlame) {
 			continue
 		}
 		nearestCand := graph.Unreachable
-		var blocked []blockedLit
+		lo := len(b.blocked)
 		otherLabel := q.Nodes[other].Label
 		for _, nd := range ballFor(dir) {
 			if nd.D == 0 {
@@ -175,15 +194,17 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID, b *rcBlame) {
 						if val, ok := w.G.Attr(nb, l.Attr); ok {
 							bl.val = val
 						}
-						blocked = append(blocked, bl)
+						b.blocked = append(b.blocked, bl)
 					}
 				}
 			}
 		}
 		if nearestCand > e.Bound {
 			b.edgeFail[ei] = nearestCand
-			b.litBlock[ei] = blocked
+			b.litBlock[ei] = [2]int32{int32(lo), int32(len(b.blocked))}
 			failed = true
+		} else {
+			b.blocked = b.blocked[:lo]
 		}
 	}
 
@@ -202,7 +223,7 @@ func (w *Why) GenRelax(q *query.Query, res *match.Result, used map[string]bool, 
 	if !expandable(budgetLeft) {
 		return nil
 	}
-	_, _, rc, _ := w.Partition(res)
+	_, _, rc, _ := w.partition(res, &w.scratch().parts)
 	return w.genRelax(q, rc, used, budgetLeft)
 }
 
@@ -212,56 +233,55 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 	if len(rc) == 0 {
 		return nil
 	}
+	sc := w.scratch()
+	sc.busy = true
 	// Blame analysis runs bounded BFS per RC node; cap the analyzed set
 	// (highest-closeness first) so generation stays within the bounded
 	// delay of §5.4. Pickiness then scores against the sample.
-	rc = sampleByCl(w, rc, w.Cfg.MaxAnalysis)
-	cls := make([]float64, len(rc))
-	for i, v := range rc {
-		cls[i] = w.Eval.Cl(v)
+	rc = sampleByCl(w, rc, w.Cfg.MaxAnalysis, &sc.rc)
+	cls := sc.cls[:0]
+	for _, v := range rc {
+		cls = append(cls, w.Eval.Cl(v))
 	}
+	sc.cls = cls
 
 	// acc accumulates RC̄ per candidate operator, keyed by the
 	// operator's identity, as a bitset over the sample: add's i is an
 	// index into rc.
-	var acc accums
-	words := (len(rc) + 63) / 64
+	acc := &sc.acc
+	acc.reset()
+	words := int32((len(rc) + 63) / 64)
 	add := func(o ops.Op, pickyEdge int, i int) {
 		if !o.Applicable(q, w.params) || o.Cost(w.G) > budgetLeft {
 			return
 		}
 		a, fresh := acc.at(keyOf(q, o, -1))
 		if fresh {
-			*a = accum{op: scoredOp{Op: o, PickyEdge: pickyEdge}, gain: make([]uint64, words)}
+			a.op = scoredOp{Op: o, PickyEdge: pickyEdge}
+			a.bitsAt = int32(len(acc.bits))
+			acc.bits = append(acc.bits, make([]uint64, words)...)
 		}
-		if bit := uint64(1) << (i % 64); a.gain[i/64]&bit == 0 {
-			a.gain[i/64] |= bit
+		gain := acc.bits[a.bitsAt : a.bitsAt+words]
+		if bit := uint64(1) << (i % 64); gain[i/64]&bit == 0 {
+			gain[i/64] |= bit
 			a.total += cls[i]
 		}
 	}
 
 	focus := q.Focus
-	// Per-literal failing-value pools for the RxL discretization rule.
-	type litKey struct {
-		u    query.NodeID
-		attr string
-	}
-	failVals := map[litKey]map[float64][]int{}
+	// The failing values of blamed literals, for the RxL discretization
+	// rule.
+	notes := sc.notes[:0]
 	noteVal := func(u query.NodeID, attr string, val graph.Value, i int) {
-		if val.Kind != graph.Number {
-			return
+		if val.Kind == graph.Number {
+			notes = append(notes, failNote{u: u, attr: attr, num: val.Num, i: int32(i)})
 		}
-		k := litKey{u, attr}
-		if failVals[k] == nil {
-			failVals[k] = map[float64][]int{}
-		}
-		failVals[k][val.Num] = append(failVals[k][val.Num], i)
 	}
 
-	var deepRC []int
-	var blame rcBlame
+	deepRC := sc.deepRC[:0]
+	blame := &sc.blame
 	for i, v := range rc {
-		w.analyzeRC(q, v, &blame)
+		w.analyzeRC(q, v, blame)
 
 		for _, l := range blame.failedLits {
 			if !used[litTarget(focus, l.Attr)] {
@@ -279,7 +299,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 				continue
 			}
 			e := q.Edges[ei]
-			if !used[edgeTarget(e.From, e.To)] {
+			if !usedEdge(used, e.From, e.To) {
 				add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, i)
 				// Step-wise bound relaxation (Appendix B); the RC node
 				// only counts when one step suffices.
@@ -291,7 +311,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 					add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: nearest}, ei, i)
 				}
 			}
-			for _, bl := range blame.litBlock[ei] {
+			for _, bl := range blame.blocking(ei) {
 				if used[litTarget(bl.u, bl.lit.Attr)] {
 					continue
 				}
@@ -304,6 +324,8 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 		}
 	}
 
+	sc.deepRC = deepRC
+
 	// Deep failures blame every non-focus-incident edge (the paper's
 	// rule (2): paths {(u,u'),(u',u_o)} — an overestimate).
 	for _, i := range deepRC {
@@ -311,7 +333,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 			if e.From == focus || e.To == focus {
 				continue
 			}
-			if used[edgeTarget(e.From, e.To)] {
+			if usedEdge(used, e.From, e.To) {
 				continue
 			}
 			add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, i)
@@ -324,22 +346,24 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 	// RxL discretization: for each blamed numeric literal (in pattern-node
 	// then attribute order, for deterministic generation), sort the
 	// failing values and generate one RxL per distinct value — relaxing
-	// up to that value admits every RC node at or before it.
-	blamedLits := make([]litKey, 0, len(failVals))
-	for k := range failVals {
-		blamedLits = append(blamedLits, k)
-	}
-	sort.Slice(blamedLits, func(i, j int) bool {
-		if blamedLits[i].u != blamedLits[j].u {
-			return blamedLits[i].u < blamedLits[j].u
-		}
-		return blamedLits[i].attr < blamedLits[j].attr
+	// up to that value admits every RC node at or before it. The stable
+	// sort keeps each value's notes in the order they were taken; NaNs
+	// sort first.
+	slices.SortStableFunc(notes, func(a, b failNote) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), strings.Compare(a.attr, b.attr), cmp.Compare(a.num, b.num))
 	})
-	for _, k := range blamedLits {
-		vals := failVals[k]
+	sc.notes = notes
+	for len(notes) > 0 {
+		n := 1
+		for n < len(notes) && notes[n].u == notes[0].u && notes[n].attr == notes[0].attr {
+			n++
+		}
+		lit := notes[:n]
+		notes = notes[n:]
+		u, attr := lit[0].u, lit[0].attr
 		li := -1
 		for _, op := range []graph.Op{graph.GE, graph.GT, graph.LE, graph.LT, graph.EQ} {
-			if i := q.FindLiteral(k.u, k.attr, op); i >= 0 {
+			if i := q.FindLiteral(u, attr, op); i >= 0 {
 				li = i
 				break
 			}
@@ -347,15 +371,28 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 		if li < 0 {
 			continue
 		}
-		l := q.Nodes[k.u].Literals[li]
+		l := q.Nodes[u].Literals[li]
 		if l.Val.Kind != graph.Number {
 			continue
 		}
-		nums := make([]float64, 0, len(vals))
-		for n := range vals {
-			nums = append(nums, n)
+		// The distinct values, ascending: runs of == numbers, so -0 and 0
+		// are one and each NaN is one of its own, standing for their last
+		// note's number, as a map keyed by number keeps the key stored last.
+		nums := sc.nums[:0]
+		for a := 0; a < len(lit); {
+			b := a + 1
+			for b < len(lit) && lit[b].num == lit[a].num {
+				b++
+			}
+			nums = append(nums, failRun{num: lit[b-1].num, lo: int32(a), hi: int32(b)})
+			a = b
 		}
-		sort.Float64s(nums)
+		sc.nums = nums
+		addRun := func(o ops.Op, r failRun) {
+			for _, note := range lit[r.lo:r.hi] {
+				add(o, -1, int(note.i))
+			}
+		}
 		const maxRxLValues = 8
 		switch l.Op {
 		case graph.GE, graph.GT, graph.EQ:
@@ -363,17 +400,15 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 			// nearest first.
 			count := 0
 			for i := len(nums) - 1; i >= 0 && count < maxRxLValues; i-- {
-				a := nums[i]
+				a := nums[i].num
 				if a >= l.Val.Num {
 					continue
 				}
-				o := ops.Op{Kind: ops.RxL, U: k.u, Lit: l,
-					NewLit: query.Literal{Attr: k.attr, Op: graph.GE, Val: graph.N(a)}}
-				for _, n := range nums[i:] {
-					if n >= a && n < l.Val.Num {
-						for _, i := range vals[n] {
-							add(o, -1, i)
-						}
+				o := ops.Op{Kind: ops.RxL, U: u, Lit: l,
+					NewLit: query.Literal{Attr: attr, Op: graph.GE, Val: graph.N(a)}}
+				for _, r := range nums[i:] {
+					if n := r.num; n >= a && n < l.Val.Num {
+						addRun(o, r)
 					}
 				}
 				count++
@@ -383,17 +418,15 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 		case graph.LE, graph.LT, graph.EQ:
 			count := 0
 			for i := 0; i < len(nums) && count < maxRxLValues; i++ {
-				a := nums[i]
+				a := nums[i].num
 				if a <= l.Val.Num {
 					continue
 				}
-				o := ops.Op{Kind: ops.RxL, U: k.u, Lit: l,
-					NewLit: query.Literal{Attr: k.attr, Op: graph.LE, Val: graph.N(a)}}
-				for _, n := range nums[:i+1] {
-					if n <= a && n > l.Val.Num {
-						for _, i := range vals[n] {
-							add(o, -1, i)
-						}
+				o := ops.Op{Kind: ops.RxL, U: u, Lit: l,
+					NewLit: query.Literal{Attr: attr, Op: graph.LE, Val: graph.N(a)}}
+				for _, r := range nums[:i+1] {
+					if n := r.num; n <= a && n > l.Val.Num {
+						addRun(o, r)
 					}
 				}
 				count++
@@ -401,7 +434,37 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 		}
 	}
 
-	return w.finishScored(&acc, rc)
+	// Each gain set becomes the sorted run of sample nodes its bits index.
+	for k := range acc.list {
+		a := &acc.list[k]
+		a.lo = int32(len(acc.nodes))
+		for wi, word := range acc.bits[a.bitsAt : a.bitsAt+words] {
+			for ; word != 0; word &= word - 1 {
+				acc.nodes = append(acc.nodes, rc[wi*64+bits.TrailingZeros64(word)])
+			}
+		}
+		a.hi = int32(len(acc.nodes))
+		sortNodes(acc.nodes[a.lo:a.hi])
+	}
+	out := w.finishScored(acc)
+	sc.busy = false
+	return out
+}
+
+// failNote is a failing value genRelax noted: RC sample node i carries
+// num at attribute attr of pattern node u, where a literal blames it.
+type failNote struct {
+	u    query.NodeID
+	attr string
+	num  float64
+	i    int32
+}
+
+// failRun is one distinct failing value of a literal: the notes [lo, hi)
+// of its sorted run, and the number standing for them.
+type failRun struct {
+	num    float64
+	lo, hi int32
 }
 
 // opIdent is a comparable operator identity (cheaper than rendering
@@ -483,10 +546,21 @@ func keyOf(q *query.Query, o ops.Op, ref int32) opKey {
 }
 
 // accums is the operators one generator call scores, in order of first
-// generation, and the index that finds an operator generated again.
+// generation, the index that finds an operator generated again, and the
+// gain sets: sorted runs of nodes, and GenRelax's bitsets over its
+// sample, which it turns into runs when done. It lives in a genScratch,
+// and reset empties it for the next call.
 type accums struct {
 	index map[opKey]int
 	list  []accum
+	nodes []graph.NodeID
+	bits  []uint64
+	perm  []int32 // finishScored's order of list
+}
+
+func (as *accums) reset() {
+	clear(as.index)
+	as.list, as.bits, as.nodes = as.list[:0], as.bits[:0], as.nodes[:0]
 }
 
 // at returns the accumulator of the operator keyed k, and whether it is
@@ -504,70 +578,111 @@ func (as *accums) at(k opKey) (*accum, bool) {
 	return &as.list[len(as.list)-1], true
 }
 
+// keep stores gain, sorted, as a's gain set.
+func (as *accums) keep(a *accum, gain []graph.NodeID) {
+	a.lo = int32(len(as.nodes))
+	as.nodes = append(as.nodes, gain...)
+	a.hi = int32(len(as.nodes))
+	sortNodes(as.nodes[a.lo:a.hi])
+}
+
 // maxOpsPerClass is how many picky operators one state generates per
 // operator class.
 const maxOpsPerClass = 64
 
 // finishScored converts accumulated operators into a pickiness-sorted,
-// per-class-capped slice. An accumulator with a gain set (GenRelax's)
-// has it flattened into op.Gain, the nodes of sample its bits index; one
-// without (GenRefine's) keeps the op.Gain its generator stored.
-func (w *Why) finishScored(acc *accums, sample []graph.NodeID) []scoredOp {
-	out := make([]scoredOp, 0, len(acc.list))
-	slices.SortStableFunc(acc.list, func(a, b accum) int { // determinism
-		return identCompare(identOf(a.op.Op), identOf(b.op.Op))
-	})
-	for i := range acc.list {
-		a := &acc.list[i]
+// per-class-capped slice, each operator's gain set the run of acc.nodes
+// its accumulator locates.
+//
+// One sort of an index permutation orders the operators by pickiness
+// (descending), then cost, then identity, then generation order: the
+// order that a stable sort by identity followed by a stable sort by
+// pickiness and cost gives. No pick is NaN unless every pick of the call
+// is (λ = NaN makes every refinement's), and then both orders are by
+// cost. Only what the class cap keeps is copied out, into a slice of
+// its exact length, and the gain sets into one allocation beside it.
+func (w *Why) finishScored(acc *accums) []scoredOp {
+	list, perm := acc.list, acc.perm[:0]
+	for i := range list {
+		a := &list[i]
 		a.op.Pick = a.total / float64(len(w.FocusCands))
 		a.op.Cost = a.op.Op.Cost(w.G)
-		if a.gain != nil {
-			for i, v := range sample {
-				if a.gain[i/64]&(1<<(i%64)) != 0 {
-					a.op.Gain = append(a.op.Gain, v)
-				}
-			}
-			sortNodes(a.op.Gain)
-		}
-		out = append(out, a.op)
+		perm = append(perm, int32(i))
 	}
-	sort.SliceStable(out, func(i, j int) bool {
+	slices.SortFunc(perm, func(i, j int32) int {
+		a, b := &list[i].op, &list[j].op
 		switch {
-		case out[i].Pick > out[j].Pick:
-			return true
-		case out[i].Pick < out[j].Pick:
-			return false
+		case a.Pick > b.Pick:
+			return -1
+		case a.Pick < b.Pick:
+			return 1
+		case a.Cost < b.Cost:
+			return -1
+		case a.Cost > b.Cost:
+			return 1
 		}
-		return out[i].Cost < out[j].Cost
+		return cmp.Or(identCompare(identOf(a.Op), identOf(b.Op)), cmp.Compare(i, j))
 	})
-	return capPerClass(out, w.maxOpsPerClass)
+	var count [ops.RfE + 1]int
+	kept, size := perm[:0], 0
+	for _, i := range perm {
+		a := &list[i]
+		if count[a.op.Op.Kind] >= w.maxOpsPerClass {
+			continue
+		}
+		count[a.op.Op.Kind]++
+		kept = append(kept, i)
+		size += int(a.hi - a.lo)
+	}
+	acc.perm = perm
+
+	out := make([]scoredOp, len(kept))
+	slab := make([]graph.NodeID, 0, size)
+	for k, i := range kept {
+		a := &list[i]
+		out[k] = a.op
+		if a.hi > a.lo {
+			lo := len(slab)
+			slab = append(slab, acc.nodes[a.lo:a.hi]...)
+			out[k].Gain = slab[lo:len(slab):len(slab)]
+		}
+	}
+	return out
 }
 
-// accum is one operator being scored. GenRelax accumulates gain across
-// its add calls, a bitset over its RC sample, and finishScored flattens
-// it into op.Gain; GenRefine scores an operator in one call, writes
-// op.Gain directly and leaves gain nil.
+// accum is one operator being scored: its pickiness total, and its gain
+// set, nodes[lo:hi] of the accums. GenRelax accumulates the set across
+// its add calls, as a bitset from bits[bitsAt] of the accums.
 type accum struct {
-	op    scoredOp
-	gain  []uint64
-	total float64
+	op     scoredOp
+	total  float64
+	lo, hi int32
+	bitsAt int32
+}
+
+// clSample is sampleByCl's storage.
+type clSample struct {
+	out  []graph.NodeID
+	byCl []clNode
+}
+
+type clNode struct {
+	v  graph.NodeID
+	cl float64
 }
 
 // sampleByCl keeps at most n nodes, preferring higher closeness (ties
-// break by id for determinism). It reads each node's closeness once.
-func sampleByCl(w *Why, nodes []graph.NodeID, n int) []graph.NodeID {
+// break by id for determinism); a sample it draws lives in s. It reads
+// each node's closeness once.
+func sampleByCl(w *Why, nodes []graph.NodeID, n int, s *clSample) []graph.NodeID {
 	if n <= 0 || len(nodes) <= n {
 		return nodes
 	}
-	type scored struct {
-		v  graph.NodeID
-		cl float64
+	byCl := s.byCl[:0]
+	for _, v := range nodes {
+		byCl = append(byCl, clNode{v, w.Eval.Cl(v)})
 	}
-	s := make([]scored, len(nodes))
-	for i, v := range nodes {
-		s[i] = scored{v, w.Eval.Cl(v)}
-	}
-	slices.SortFunc(s, func(a, b scored) int {
+	slices.SortFunc(byCl, func(a, b clNode) int {
 		switch {
 		case a.cl > b.cl:
 			return -1
@@ -576,10 +691,11 @@ func sampleByCl(w *Why, nodes []graph.NodeID, n int) []graph.NodeID {
 		}
 		return cmp.Compare(a.v, b.v)
 	})
-	out := make([]graph.NodeID, n)
-	for i := range out {
-		out[i] = s[i].v
+	out := s.out[:0]
+	for _, c := range byCl[:n] {
+		out = append(out, c.v)
 	}
+	s.byCl, s.out = byCl, out
 	return out
 }
 
@@ -595,4 +711,56 @@ func capPerClass(in []scoredOp, n int) []scoredOp {
 		out = append(out, s)
 	}
 	return out
+}
+
+// genScratch is operator generation's working memory: everything a
+// generator call needs only until it returns. A run borrows one from
+// its Session when it begins and gives it back when it returns
+// (beginRun, endRun); a call resets what it uses and grows what is too
+// small, so on a warmed scratch a call allocates only what it returns —
+// the scored operators and their gain sets — and the partner sets it
+// stores on the Why. Nothing a call returns points into it.
+type genScratch struct {
+	// busy is set while a generator call runs. A panic leaves it set, and
+	// a busy scratch is dropped, never reused: addL's counts may be
+	// half-reset.
+	busy bool
+
+	acc   accums
+	parts [4][]graph.NodeID // Partition's lists: rm, im, rc, ic
+
+	// genRelax's sample, closeness column, blame, deep failures and
+	// failing values.
+	rc     clSample
+	cls    []float64
+	blame  rcBlame
+	deepRC []int
+	notes  []failNote
+	nums   []failRun
+
+	// GenRefine's: the generator, its samples and partner-set buffers,
+	// the removal sets of the operator being scored, and addL's and
+	// addE's tables.
+	refine       refineGen
+	rm, im       clSample
+	sig          []byte
+	miss, part   []graph.NodeID
+	buf          []graph.NodeID // fillPartners' sets, maxPartnersScored per source
+	imOut, rmOut []graph.NodeID
+	addL         addLScratch
+	balls        []graph.NodeDist // addE's balls, located by ballAt
+	ballAt       [][2]int32
+	labels       []labelInfo
+	found        []int
+}
+
+// scratch returns the generation scratch of the Why's run, or outside a
+// run (the exported generators, which tests call directly) one of its
+// own. A scratch still busy when a call begins was left so by a panic,
+// and is replaced.
+func (w *Why) scratch() *genScratch {
+	if w.gs == nil || w.gs.busy {
+		w.gs = new(genScratch)
+	}
+	return w.gs
 }

@@ -44,15 +44,17 @@ func (w *Why) sigID(sig []byte) int32 {
 
 // refineGen is the working state of one GenRefine call: the sampled
 // relevant and irrelevant matches, what locates their partner sets,
-// and the operators accumulated so far.
+// and the operators accumulated so far. It lives in a genScratch, as
+// does all it points to but the Why and the question.
 type refineGen struct {
 	w          *Why
+	sc         *genScratch
 	q          *query.Query
 	codes      *graph.Codes // w.G's tuples as value codes
 	rm, im     []graph.NodeID
 	used       map[string]bool
 	budgetLeft float64
-	acc        accums
+	acc        *accums
 	// pd, indexed by pattern node: PatternDist(u_o, u), capped at
 	// maxPartnerHops (ball sizes explode on power-law graphs).
 	pd []int
@@ -62,17 +64,21 @@ type refineGen struct {
 }
 
 // newRefineGen samples the relevant and irrelevant matches and resolves
-// each pattern node's partner radius and signature.
-func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string]bool, budgetLeft float64) *refineGen {
-	g := &refineGen{w: w, q: q, codes: w.G.Codes(), used: used, budgetLeft: budgetLeft,
+// each pattern node's partner radius and signature, into sc, whose
+// accumulators it empties. The generator is good until sc's next call.
+func newRefineGen(sc *genScratch, w *Why, q *query.Query, rm, im []graph.NodeID, used map[string]bool, budgetLeft float64) *refineGen {
+	g := &sc.refine
+	*g = refineGen{w: w, sc: sc, q: q, codes: w.G.Codes(), used: used, budgetLeft: budgetLeft,
 		// Neighborhood analysis is per-node bounded BFS; cap both sets
 		// (highest closeness first) to keep generation within bounded delay.
-		rm:  sampleByCl(w, rm, w.Cfg.MaxAnalysis),
-		im:  sampleByCl(w, im, w.Cfg.MaxAnalysis),
-		pd:  make([]int, len(q.Nodes)),
-		sig: make([]int32, len(q.Nodes)),
+		rm:  sampleByCl(w, rm, w.Cfg.MaxAnalysis, &sc.rm),
+		im:  sampleByCl(w, im, w.Cfg.MaxAnalysis, &sc.im),
+		pd:  sized(g.pd, len(q.Nodes)),
+		sig: sized(g.sig, len(q.Nodes)),
+		acc: &sc.acc,
 	}
-	var sig []byte
+	sc.acc.reset()
+	sig := sc.sig
 	for u := range q.Nodes {
 		d := q.PatternDist(q.Focus, query.NodeID(u))
 		if d == graph.Unreachable || d > maxPartnerHops {
@@ -83,7 +89,17 @@ func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string
 		sig = append(query.AppendNodeSig(sig[:0], &q.Nodes[u]), byte(d))
 		g.sig[u] = w.sigID(sig)
 	}
+	sc.sig = sig
 	return g
+}
+
+// sized returns s resliced to n elements, or a new slice when s cannot
+// hold them; the elements hold whatever they held.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // partners returns the candidate partners of focus match v at pattern
@@ -103,6 +119,11 @@ func newRefineGen(w *Why, q *query.Query, rm, im []graph.NodeID, used map[string
 // radius-4 ball of a hub is most of the graph.
 func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 	if u == g.q.Focus {
+		// A match partners itself alone there: a one-node window on
+		// FocusCands, which holds every match.
+		if i, ok := slices.BinarySearch(g.w.FocusCands, v); ok {
+			return g.w.FocusCands[i : i+1 : i+1]
+		}
 		return []graph.NodeID{v}
 	}
 	key := partnerKey(v, g.sig[u])
@@ -111,16 +132,20 @@ func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 	}
 	G := g.w.G
 	check := g.q.Check(G, u)
-	var out []graph.NodeID
+	out := g.sc.part[:0]
 	G.VisitBall(v, g.pd[u], graph.Both, func(n graph.NodeID, d int32) bool {
 		if d > 0 && check.Candidate(G, n) {
 			out = append(out, n)
 		}
 		return len(out) < maxPartnersScored
 	})
-	sortNodes(out)
-	g.w.partnerCache[key] = out
-	return out
+	g.sc.part = out
+	var set []graph.NodeID // nil when empty
+	if len(out) > 0 {
+		set = sortNodes(slices.Clone(out))
+	}
+	g.w.partnerCache[key] = set
+	return set
 }
 
 // fillPartners computes the partner sets the sampled matches still lack,
@@ -134,13 +159,14 @@ func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 // whole candidate ball, which has no order to respect, and the sweep
 // stores it. One that does is a prefix of the ball in BFS order, which
 // only the single-source traversal defines: its match is retired from
-// the sweep and left to partners.
+// the sweep and left to partners. The sets one sweep stores share one
+// allocation.
 func (g *refineGen) fillPartners() {
-	G := g.w.G
-	var miss []graph.NodeID
+	G, sc := g.w.G, g.sc
+	miss := sc.miss
 	// buf holds the sets being collected, maxPartnersScored slots per
 	// source; n counts what each source has met.
-	var buf []graph.NodeID
+	buf := sc.buf
 	var n [graph.MaxBallSources]int
 	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
@@ -160,6 +186,7 @@ func (g *refineGen) fillPartners() {
 		}
 		if buf == nil {
 			buf = make([]graph.NodeID, graph.MaxBallSources*maxPartnersScored)
+			sc.buf = buf
 		}
 		check := g.q.Check(G, u)
 		for batch := miss; len(batch) > 0; {
@@ -180,6 +207,13 @@ func (g *refineGen) fillPartners() {
 				}
 				return over
 			})
+			size := 0
+			for i := range batch[:taken] {
+				if over&(1<<i) == 0 {
+					size += n[i]
+				}
+			}
+			slab := make([]graph.NodeID, 0, size)
 			for i, v := range batch[:taken] {
 				if over&(1<<i) != 0 {
 					g.partners(v, u)
@@ -187,14 +221,16 @@ func (g *refineGen) fillPartners() {
 				}
 				var set []graph.NodeID // nil when empty, as partners leaves it
 				if n[i] > 0 {
-					set = slices.Clone(buf[i*maxPartnersScored : i*maxPartnersScored+n[i]])
-					sortNodes(set)
+					lo := len(slab)
+					slab = append(slab, buf[i*maxPartnersScored:i*maxPartnersScored+n[i]]...)
+					set = sortNodes(slab[lo:len(slab):len(slab)])
 				}
 				g.w.partnerCache[partnerKey(v, g.sig[u])] = set
 			}
 			batch = batch[taken:]
 		}
 	}
+	sc.miss = miss
 }
 
 // GenRefine implements GenRf (§5.3 + Appendix B): it derives picky
@@ -207,7 +243,7 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 	if !expandable(budgetLeft) {
 		return nil
 	}
-	rm, im, _, _ := w.Partition(res)
+	rm, im, _, _ := w.partition(res, &w.scratch().parts)
 	return w.genRefine(q, rm, im, used, budgetLeft)
 }
 
@@ -217,13 +253,17 @@ func (w *Why) genRefine(q *query.Query, rm, im []graph.NodeID, used map[string]b
 	if len(im) == 0 {
 		return nil
 	}
-	g := newRefineGen(w, q, rm, im, used, budgetLeft)
+	sc := w.scratch()
+	sc.busy = true
+	g := newRefineGen(sc, w, q, rm, im, used, budgetLeft)
 	g.fillPartners()
 	g.addL()
 	g.rfL()
 	g.rfE()
 	g.addE()
-	return w.finishScored(&g.acc, nil)
+	out := w.finishScored(g.acc)
+	sc.busy = false
+	return out
 }
 
 // add records refinement o, certainly removing the given irrelevant and
@@ -251,21 +291,21 @@ func (g *refineGen) add(o ops.Op, ref int32, pickyEdge int, removedIM, removedRM
 	for _, v := range removedRM {
 		rmLoss += w.Eval.Cl(v)
 	}
+	a.op = scoredOp{Op: o, PickyEdge: pickyEdge}
+	a.total = w.Cfg.Lambda*float64(len(removedIM)) - rmLoss
 	// removedIM is distinct (a subset of the sample) and an operator is
 	// recorded once, so its gain is the list itself, sorted.
-	gain := sortNodes(slices.Clone(removedIM))
-	*a = accum{
-		op:    scoredOp{Op: o, PickyEdge: pickyEdge, Gain: gain},
-		total: w.Cfg.Lambda*float64(len(removedIM)) - rmLoss,
-	}
+	g.acc.keep(a, removedIM)
 }
 
 // removedBy returns the sampled irrelevant and relevant matches that
-// keep no partner at u satisfying pred.
+// keep no partner at u satisfying pred, in the scratch's removal
+// buffers.
 func (g *refineGen) removedBy(u query.NodeID, pred func(graph.NodeID) bool) (imOut, rmOut []graph.NodeID) {
 	survives := func(v graph.NodeID) bool {
 		return slices.ContainsFunc(g.partners(v, u), pred)
 	}
+	imOut, rmOut = g.sc.imOut[:0], g.sc.rmOut[:0]
 	for _, v := range g.im {
 		if !survives(v) {
 			imOut = append(imOut, v)
@@ -276,6 +316,7 @@ func (g *refineGen) removedBy(u query.NodeID, pred func(graph.NodeID) bool) (imO
 			rmOut = append(rmOut, v)
 		}
 	}
+	g.sc.imOut, g.sc.rmOut = imOut, rmOut
 	return
 }
 
@@ -305,24 +346,38 @@ type addLCount struct {
 	last graph.AttrCode
 }
 
-// addLScratch is addL's per-code state, kept on the Why because zeroing
-// it per call would cost more than the counting. Every user leaves it
-// zero, resetting only the codes it touched.
+// addLScratch is addL's working memory. The per-code tables are kept
+// because zeroing them per call would cost more than the counting:
+// every user leaves them zero, resetting only the codes it touched.
+// The rest is addL's per-node lists, whatever their last call left.
 type addLScratch struct {
 	counts []addLCount
 	// keptOf is nonzero for the codes of kept candidates of regular
 	// attributes: one more than the candidate's index in its attribute's
 	// attrSlot.kept.
 	keptOf []uint8
+
+	slots          []attrSlot
+	attrs, touched []int32
+	parts          [][]graph.NodeID
+	cands          []addLCand
+	vals           []graph.Value
+	nums           []float64 // rfL's
+	survives       []bool
 }
 
-// scratchFor returns the Why's scratch, sized for codes.
-func (w *Why) scratchFor(codes *graph.Codes) *addLScratch {
-	if n := codes.Len(); len(w.addL.counts) != n {
-		w.addL = addLScratch{counts: make([]addLCount, n), keptOf: make([]uint8, n)}
+// sizedFor grows the per-code tables to hold codes. They only grow, so
+// they fit the largest graph the scratch has served, and they stay zero.
+func (sc *addLScratch) sizedFor(codes *graph.Codes) *addLScratch {
+	if n := codes.Len(); len(sc.counts) < n {
+		sc.counts, sc.keptOf = make([]addLCount, n), make([]uint8, n)
 	}
-	return &w.addL
+	return sc
 }
+
+// addLCounted, when set, runs in addL while the counts it took at a
+// pattern node, some, are not yet reset. Tests panic in it.
+var addLCounted func()
 
 // attrSlot is addL's per-attribute state at the current pattern node.
 type attrSlot struct {
@@ -377,16 +432,18 @@ func (g *refineGen) openSlot(u query.NodeID, a int32) uint8 {
 func (g *refineGen) addL() {
 	G, codes := g.w.G, g.codes
 	rank, group := codes.KeyRanks()
-	sc := g.w.scratchFor(codes)
+	sc := g.sc.addL.sizedFor(codes)
 	counts, keptOf := sc.counts, sc.keptOf
-	slots := make([]attrSlot, G.Attrs.Len())
-	var attrs []int32   // slots to reset before the next pattern node
-	var touched []int32 // codes counted at this pattern node
+	slots := sized(sc.slots, G.Attrs.Len())
+	clear(slots)
+	attrs := sc.attrs[:0]     // slots to reset before the next pattern node
+	touched := sc.touched[:0] // codes counted at this pattern node
 	nIM := len(g.im)
-	parts := make([][]graph.NodeID, nIM+len(g.rm)) // partner sets, im then rm
-	var cands []addLCand
-	var vals []graph.Value // the kept candidates' values
-	var survives []bool    // candidate-major: survives[k*len(parts)+i]
+	parts := sized(sc.parts, nIM+len(g.rm)) // partner sets, im then rm
+	cands := sc.cands
+	vals := sc.vals         // the kept candidates' values
+	survives := sc.survives // candidate-major: survives[k*len(parts)+i]
+	imOut, rmOut := g.sc.imOut, g.sc.rmOut
 
 	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
@@ -421,6 +478,9 @@ func (g *refineGen) addL() {
 					c.last = t
 				}
 			}
+		}
+		if addLCounted != nil && len(touched) > 0 {
+			addLCounted()
 		}
 		for _, code := range touched {
 			c := &counts[code]
@@ -480,7 +540,7 @@ func (g *refineGen) addL() {
 		for k, c := range kept {
 			keptOf[c.cell.Code] = 0
 			alive := survives[k*len(parts) : (k+1)*len(parts)]
-			var imOut, rmOut []graph.NodeID
+			imOut, rmOut = imOut[:0], rmOut[:0]
 			for i, v := range g.im {
 				if !alive[i] {
 					imOut = append(imOut, v)
@@ -495,6 +555,9 @@ func (g *refineGen) addL() {
 			g.add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, valueRef(G, c.cell), -1, imOut, rmOut)
 		}
 	}
+	sc.slots, sc.attrs, sc.touched, sc.parts = slots, attrs, touched, parts
+	sc.cands, sc.vals, sc.survives = cands, vals, survives
+	g.sc.imOut, g.sc.rmOut = imOut, rmOut
 }
 
 // valueRef numbers cell c's value for AddL's opKey: the first code of
@@ -541,9 +604,9 @@ func sameValue(a, b graph.Value) bool {
 func (g *refineGen) rfL() {
 	const maxValues = 6
 	G := g.w.G
-	counts := g.w.scratchFor(g.codes).counts // n marks the codes met
-	var touched []int32
-	var vals []float64
+	sc := g.sc.addL.sizedFor(g.codes)
+	counts := sc.counts // n marks the codes met
+	touched, vals := sc.touched, sc.nums
 	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
 		for _, l := range g.q.Nodes[u].Literals {
@@ -611,6 +674,7 @@ func (g *refineGen) rfL() {
 			}
 		}
 	}
+	sc.touched, sc.nums = touched, vals
 }
 
 // rfE (genRfE): tighten edge bounds by one (Appendix B: RfE(e, b, b−1)).
@@ -620,7 +684,7 @@ func (g *refineGen) rfL() {
 func (g *refineGen) rfE() {
 	G := g.w.G
 	for ei, e := range g.q.Edges {
-		if e.Bound <= 1 || g.used[edgeTarget(e.From, e.To)] {
+		if e.Bound <= 1 || usedEdge(g.used, e.From, e.To) {
 			continue
 		}
 		o := ops.Op{Kind: ops.RfE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound - 1}
@@ -647,7 +711,7 @@ func (g *refineGen) rfE() {
 			})
 			return cut
 		}
-		var imOut, rmOut []graph.NodeID
+		imOut, rmOut := g.sc.imOut[:0], g.sc.rmOut[:0]
 		for _, v := range g.im {
 			if certainlyCut(v) {
 				imOut = append(imOut, v)
@@ -659,6 +723,7 @@ func (g *refineGen) rfE() {
 			}
 		}
 		g.add(o, -1, ei, imOut, rmOut)
+		g.sc.imOut, g.sc.rmOut = imOut, rmOut
 	}
 }
 
@@ -678,23 +743,32 @@ func (g *refineGen) addE() {
 	// nearest node satisfying pred, within bm, in the given direction.
 	// The matches are numbered rm first, then im. Balls are memoized per
 	// match and direction, forward at 2i and backward at 2i+1 — AddE
-	// generation probes the same neighborhoods for many predicates.
-	balls := make([][]graph.NodeDist, 2*(len(rm)+len(im)))
+	// generation probes the same neighborhoods for many predicates. They
+	// lie one after another in the scratch's balls, ballAt locating each
+	// (a ball holds its origin, so an empty span is one not yet taken).
+	sc := g.sc
+	tr := w.G.Traverser()
+	defer tr.Release()
+	balls := sc.balls[:0]
+	ballAt := sized(sc.ballAt, 2*(len(rm)+len(im)))
+	clear(ballAt)
 	ballOf := func(i int, dir graph.Direction) []graph.NodeDist {
 		slot := 2 * i
 		if dir == graph.Backward {
 			slot++
 		}
-		if balls[slot] == nil {
+		if ballAt[slot][1] == 0 {
 			var v graph.NodeID
 			if i < len(rm) {
 				v = rm[i]
 			} else {
 				v = im[i-len(rm)]
 			}
-			balls[slot] = w.G.Ball(v, bm, dir)
+			lo := len(balls)
+			balls = append(balls, tr.Ball(v, bm, dir)...)
+			ballAt[slot] = [2]int32{int32(lo), int32(len(balls))}
 		}
-		return balls[slot]
+		return balls[ballAt[slot][0]:ballAt[slot][1]]
 	}
 	nearest := func(i int, dir graph.Direction, pred func(graph.NodeID) bool) int {
 		for _, nd := range ballOf(i, dir) {
@@ -711,7 +785,7 @@ func (g *refineGen) addE() {
 		if u == focus || q.FindEdge(focus, u) >= 0 || q.FindEdge(u, focus) >= 0 {
 			continue
 		}
-		if used[edgeTarget(focus, u)] && used[edgeTarget(u, focus)] {
+		if usedEdge(used, focus, u) && usedEdge(used, u, focus) {
 			continue
 		}
 		isCand := func(nb graph.NodeID) bool { return q.IsCandidate(w.G, u, nb) }
@@ -737,25 +811,23 @@ func (g *refineGen) addE() {
 			} else {
 				o = ops.Op{Kind: ops.AddE, U: u, U2: focus, Bound: k}
 			}
-			var imOut []graph.NodeID
+			imOut := sc.imOut[:0]
 			for j, v := range im {
 				if nearest(len(rm)+j, dir, isCand) > k {
 					imOut = append(imOut, v)
 				}
 			}
 			add(o, -1, -1, imOut, nil)
+			sc.imOut = imOut
 		}
 	}
 
 	// (2) Fresh labeled node adjacent to the focus: collect labels near
 	// relevant matches, keep those every RM can reach, rank by how many
 	// irrelevant matches lack them. Both tables are indexed by label id.
-	type labelInfo struct {
-		k        int  // the farthest RM's hop distance to its nearest node of the label
-		feasible bool // every RM so far reaches the label
-	}
-	labels := make([]labelInfo, w.G.Labels.Len())
-	found := make([]int, len(labels)) // one RM's nearest hop distance per label, 0 for none
+	labels := sized(sc.labels, w.G.Labels.Len())
+	found := sized(sc.found, len(labels)) // one RM's nearest hop distance per label, 0 for none
+	sc.labels, sc.found = labels, found
 	for i := range rm {
 		clear(found)
 		for _, nd := range ballOf(i, graph.Forward) {
@@ -791,12 +863,13 @@ func (g *refineGen) addE() {
 			continue
 		}
 		hasLabel := func(nb graph.NodeID) bool { return w.G.LabelID(nb) == lid }
-		var imOut []graph.NodeID
+		imOut := sc.imOut[:0]
 		for j, v := range im {
 			if nearest(len(rm)+j, graph.Forward, hasLabel) > info.k {
 				imOut = append(imOut, v)
 			}
 		}
+		sc.imOut = imOut
 		if len(imOut) == 0 {
 			continue
 		}
@@ -804,4 +877,11 @@ func (g *refineGen) addE() {
 			NewNode: &ops.NewNodeSpec{Label: name}}, lid, -1, imOut, nil)
 		generated++
 	}
+	sc.balls, sc.ballAt = balls, ballAt
+}
+
+// labelInfo is addE's per-label state.
+type labelInfo struct {
+	k        int  // the farthest RM's hop distance to its nearest node of the label
+	feasible bool // every RM so far reaches the label
 }

@@ -260,13 +260,13 @@ func oracleGenRefine(w *Why, q *query.Query, res *match.Result, used map[string]
 	if len(im) == 0 {
 		return nil
 	}
-	g := newRefineGen(w, q, rm, im, used, budgetLeft)
+	g := newRefineGen(w.scratch(), w, q, rm, im, used, budgetLeft)
 	o := newOracleGen(g)
 	o.addL()
 	o.rfL()
 	o.rfE()
 	g.addE()
-	return w.finishScored(&g.acc, nil)
+	return w.finishScored(g.acc)
 }
 
 // sameOps compares two scored lists field by field. Values compare by
@@ -304,7 +304,7 @@ func checkState(t *testing.T, what string, w *Why, q *query.Query, used map[stri
 
 	// Partner sets are level-order prefixes of the ball either way.
 	rm, im, _, _ := w.Partition(res)
-	pm := newRefineGen(w, q, rm, im, used, 3)
+	pm := newRefineGen(w.scratch(), w, q, rm, im, used, 3)
 	byBall := &oraclePartners{pm: pm, memo: map[string][]graph.NodeID{}}
 	for _, v := range append(rm, im...) {
 		for u := range q.Nodes {
@@ -456,7 +456,7 @@ func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm, im, _, _ := w.Partition(w.Matcher.Match(cases[0].q))
-	if n := len(newRefineGen(w, cases[0].q, rm, im, nil, 3).partners(0, 1)); n != maxPartnersScored {
+	if n := len(newRefineGen(w.scratch(), w, cases[0].q, rm, im, nil, 3).partners(0, 1)); n != maxPartnersScored {
 		t.Errorf("hub 0 keeps %d partners, want the cap %d", n, maxPartnersScored)
 	}
 	if len(rm) <= 64 || len(im) <= 64 {
@@ -480,7 +480,7 @@ func TestPartnerSetsDistinguishLiteralKind(t *testing.T) {
 		q := cases[0].q.Clone()
 		lit := query.Literal{Attr: "a", Op: graph.EQ, Val: val}
 		q.Nodes[p].Literals = append(q.Nodes[p].Literals, lit)
-		sets[i] = newRefineGen(w, q, nil, nil, nil, 3).partners(hub, p)
+		sets[i] = newRefineGen(w.scratch(), w, q, nil, nil, nil, 3).partners(hub, p)
 		if len(sets[i]) == 0 {
 			t.Fatalf("%v: hub %d has no partner", lit, hub)
 		}
@@ -567,7 +567,7 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 		if len(rm)+len(im) != nF || len(rm) == 0 || len(im) == 0 {
 			t.Fatalf("%s: |RM| = %d, |IM| = %d, want all %d F nodes on two sides", what, len(rm), len(im), nF)
 		}
-		return w, newRefineGen(w, q, rm, im, nil, 3)
+		return w, newRefineGen(w.scratch(), w, q, rm, im, nil, 3)
 	}
 
 	w, pm := state("all hubs", build(maxPartnersScored+5, 40))

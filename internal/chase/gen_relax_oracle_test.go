@@ -1,8 +1,13 @@
 package chase
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"sort"
+	"testing"
 
+	"wqe/internal/exemplar"
 	"wqe/internal/graph"
 	"wqe/internal/match"
 	"wqe/internal/ops"
@@ -23,7 +28,7 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 	// Blame analysis runs bounded BFS per RC node; cap the analyzed set
 	// (highest-closeness first) so generation stays within the bounded
 	// delay of §5.4. Pickiness then scores against the sample.
-	rc = sampleByCl(w, rc, w.Cfg.MaxAnalysis)
+	rc = sampleByCl(w, rc, w.Cfg.MaxAnalysis, new(clSample))
 
 	// acc accumulates RC̄ per candidate operator, keyed by the
 	// operator's identity. The gain sets are kept beside it, as node
@@ -103,7 +108,7 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 					add(ops.Op{Kind: ops.RxE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: nearest}, ei, v)
 				}
 			}
-			for _, bl := range blame.litBlock[ei] {
+			for _, bl := range blame.blocking(ei) {
 				if used[litTarget(bl.u, bl.lit.Attr)] {
 					continue
 				}
@@ -215,11 +220,75 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 
 	var scored accums
 	for a, set := range gain {
+		var nodes []graph.NodeID
 		for v := range set {
-			a.op.Gain = append(a.op.Gain, v)
+			nodes = append(nodes, v)
 		}
-		sortNodes(a.op.Gain)
+		scored.keep(a, nodes)
 		scored.list = append(scored.list, *a)
 	}
-	return w.finishScored(&scored, nil)
+	return w.finishScored(&scored)
+}
+
+// TestGenRelaxFailingValuesMatchOracle holds the RxL discretization's
+// sorted failing values to the map of numbers the oracle keeps them in,
+// where the partners that block a literal carry 0 and -0 (one map key,
+// which keeps the sign stored last), NaN (a key per note, each taking a
+// place among the eight values relaxed to) and plain numbers. Closeness
+// varies (θ = 0.5 over two exemplar cells), so a capped sample is not in
+// node order and gain sets must be sorted.
+func TestGenRelaxFailingValuesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	gb := graph.NewBuilder()
+	const nF, nP = 120, 200
+	for i := 0; i < nF; i++ {
+		gb.AddNode("F", map[string]graph.Value{"good": graph.N(float64(i % 2)), "tier": graph.N(float64(i % 5))})
+	}
+	nan := math.NaN()
+	vals := []float64{0, math.Copysign(0, -1), nan, nan, nan, nan, 1, 2, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
+	for i := 0; i < nP; i++ {
+		gb.AddNode("P", map[string]graph.Value{"a": graph.N(vals[rng.Intn(len(vals))])})
+	}
+	for i := 0; i < nF; i++ {
+		for _, p := range rng.Perm(nP)[:1+rng.Intn(4)] {
+			gb.AddEdge(graph.NodeID(i), graph.NodeID(nF+p), "has")
+		}
+	}
+	g := gb.Build()
+	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"good": exemplar.C(graph.N(1)), "tier": exemplar.C(graph.N(0))}}}
+	zeros := 0
+	for _, lit := range []query.Literal{
+		{Attr: "a", Op: graph.GE, Val: graph.N(3)},
+		{Attr: "a", Op: graph.GT, Val: graph.N(1)},
+		{Attr: "a", Op: graph.LE, Val: graph.N(-1)},
+		{Attr: "a", Op: graph.LT, Val: graph.N(-1)}, // NaN fails it, and its notes come first
+		{Attr: "a", Op: graph.EQ, Val: graph.N(4)},
+	} {
+		for _, analysis := range []int{7, 20, 1000} {
+			q := query.New()
+			f := q.AddNode("F")
+			q.AddEdge(f, q.AddNode("P", lit), 1)
+			q.Focus = f
+			cfg := DefaultConfig()
+			cfg.MaxAnalysis = analysis
+			cfg.Theta = 0.5
+			w, err := NewWhy(g, q, e, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.maxOpsPerClass = 1 << 20
+			res := w.Matcher.Match(q)
+			what := fmt.Sprintf("%s, %d analyzed", lit.String(), analysis)
+			got := w.GenRelax(q, res, map[string]bool{}, 3)
+			sameOps(t, what, got, oracleGenRelax(w, q, res, map[string]bool{}, 3))
+			for _, o := range got {
+				if o.Op.Kind == ops.RxL && o.Op.NewLit.Val.Num == 0 {
+					zeros++
+				}
+			}
+		}
+	}
+	if zeros == 0 {
+		t.Error("no RxL relaxed to a zero: the merged key checked nothing")
+	}
 }

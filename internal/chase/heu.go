@@ -73,6 +73,9 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 	frontier := []*state{root}
 	deadline := w.deadline(w.clock())
 	workers := w.workers()
+	// pool is one state's operators, dropped once it has claimed: the
+	// claims copy what they keep.
+	var pool []scoredOp
 
 	for len(frontier) > 0 {
 		// Phase 1 — claim. simSteps predicts the step counter as if the
@@ -88,7 +91,6 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 			}
 			budgetLeft := w.Cfg.Budget - s.cost
 
-			var pool []scoredOp
 			if random {
 				// Not skipped for a state that can afford nothing: building
 				// the pool draws from w.rng, and a skipped call would shift
@@ -99,10 +101,11 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 					continue
 				}
 				used := opTargets(s.seq)
-				rm, im, rc, _ := w.Partition(s.res)
+				rm, im, rc, _ := w.partition(s.res, &w.scratch().parts)
 				// Relaxations come first so that, on pickiness ties, the
 				// beam follows the normal form (relax before refine);
 				// refinements with strictly higher pickiness still win.
+				pool = pool[:0]
 				if !s.refineOnly {
 					pool = append(pool, capPerClass(w.genRelax(s.q, rc, used, budgetLeft), beam)...)
 				}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,6 +39,10 @@ type Session struct {
 	dist   distindex.Index
 	cache  *match.Cache
 	budget *par.Budget
+
+	// gens pools operator generation's scratch (genScratch): a running
+	// question holds one, and a finished one gives it back for the next.
+	gens sync.Pool
 
 	// ans is the answer memo (Engine.AnswerCacheCap): finished batch-job
 	// results keyed by canonical question digest, with singleflight
@@ -79,6 +84,7 @@ func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Sessi
 		//lint:ignore detsource injectable-clock default; only stats and anytime deadline cutoffs read it, never ranking
 		clock: time.Now,
 	}
+	s.gens.New = func() any { return new(genScratch) }
 	if cfg.CacheCap > 0 {
 		s.cache = anscache.New[*match.StarTable](cfg.CacheCap, 0)
 	}
