@@ -257,6 +257,7 @@ type askResponse struct {
 	Matches   []int64  `json:"matches"`
 	Steps     int      `json:"steps"`
 	States    int      `json:"states"`
+	Stop      string   `json:"stop"`
 	ElapsedMS float64  `json:"elapsed_ms"`
 	// Diff and Explanation are filled on the explaining endpoints
 	// (/why, /whyempty, /whymany).
@@ -352,6 +353,7 @@ func answerJSON(h *graphHandle, job chase.BatchJob, res chase.BatchResult, expla
 		Matches:   []int64{},
 		Steps:     res.Steps,
 		States:    res.States,
+		Stop:      res.Stop,
 		ElapsedMS: float64(res.Elapsed) / float64(time.Millisecond),
 	}
 	for _, o := range a.Ops {

@@ -196,9 +196,43 @@ func TestCancelledClientStopsChase(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
 		t.Fatalf("cancelled response decode: %v (body %q)", err, rec.Body.String())
 	}
-	if r.Steps >= baseline.Steps {
-		t.Errorf("cancelled chase ran %d steps, baseline %d — cancel channel not wired through",
-			r.Steps, baseline.Steps)
+	if r.Steps >= baseline.Steps || r.Stop != "cancelled" {
+		t.Errorf("cancelled chase ran %d steps and stopped %q, baseline %d — cancel channel not wired through",
+			r.Steps, r.Stop, baseline.Steps)
+	}
+}
+
+// TestStopOnTheWire: an answer says why its search ended. Every
+// algorithm wqe-serve reaches stops at a one-step cap after the root
+// evaluation and says so; uncapped, the Fig 1 searches run out of work.
+func TestStopOnTheWire(t *testing.T) {
+	_, ts := newTestServer(t, 2, 8, false)
+	for _, ep := range []string{"/ask", "/askfast", "/whymany", "/whyempty"} {
+		for _, c := range []struct {
+			maxSteps int
+			stop     string
+		}{{1, "steps"}, {0, "done"}} {
+			body, err := json.Marshal(map[string]interface{}{
+				"graph":     "fig1",
+				"query":     json.RawMessage(smokeQueryJSON),
+				"exemplar":  json.RawMessage(smokeExemplarJSON),
+				"max_steps": c.maxSteps,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			status, b, err := smokePost(ts.URL+ep, body)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("%s: status %d, err %v: %s", ep, status, err, b)
+			}
+			var r askResponse
+			if err := json.Unmarshal(b, &r); err != nil {
+				t.Fatalf("%s: decode: %v", ep, err)
+			}
+			if r.Stop != c.stop || c.maxSteps == 1 && r.Steps != 1 {
+				t.Errorf("%s max_steps %d: stop %q after %d steps, want %q", ep, c.maxSteps, r.Stop, r.Steps, c.stop)
+			}
+		}
 	}
 }
 

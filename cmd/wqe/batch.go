@@ -101,7 +101,7 @@ func runBatch(cfg chase.Config, graphPath, batchPath string, workers int) error 
 			continue
 		}
 		printAnswer(g, r.Answer)
-		fmt.Printf("job search: %d chase steps, %d states\n\n", r.Steps, r.States)
+		fmt.Printf("job search: %d chase steps, %d states, stop %s\n\n", r.Steps, r.States, r.Stop)
 	}
 	printBatchStats(stats)
 	return nil

@@ -32,7 +32,7 @@ type state struct {
 	// idle workers prefetch the next few siblings' Match results. A
 	// Match result depends only on the rewrite (the key), never on which
 	// operator produced it, so consuming a cached entry is exact — and
-	// entries that are never consumed never count as steps, so the
+	// entries that are never consumed never claim steps, so the
 	// MaxSteps schedule matches the sequential one candidate-for-
 	// candidate.
 	spec map[string]*match.Result
@@ -209,24 +209,11 @@ func (w *Why) TopK(k int) []Answer {
 	if k < 1 {
 		k = 1
 	}
-	start := w.clock()
-	w.beginRun()
-	defer w.endRun(start)
+	r := w.startRun()
+	defer r.end()
 	workers := w.workers()
 
-	rootAns, rootRes := w.evaluate(nil, w.Q, nil)
-	root := &state{
-		q:      w.Q,
-		res:    rootRes,
-		cl:     rootAns.Closeness,
-		clPlus: w.ClPlus(rootRes.Answer),
-	}
-
-	best := newTopList(k, rootAns)
-	if rootAns.Satisfied {
-		best.offer(rootAns)
-	}
-
+	root, best := r.rootState(k)
 	visited := map[string]bool{w.Q.Key(): true}
 	var pq stateHeap
 	heap.Init(&pq)
@@ -234,15 +221,7 @@ func (w *Why) TopK(k int) []Answer {
 	w.Stats.States++
 	nextID := 1
 
-	deadline := w.deadline(w.clock())
-
-	for pq.Len() > 0 {
-		if w.stepsUsed() >= w.Cfg.MaxSteps {
-			break
-		}
-		if w.stop(deadline) {
-			break
-		}
+	for pq.Len() > 0 && r.more() {
 		s := pq[0] // peek
 		op, ok := s.next(w, best.kthCl())
 		if !ok {
@@ -260,6 +239,9 @@ func (w *Why) TopK(k int) []Answer {
 		key := q2.Key()
 		if visited[key] {
 			continue
+		}
+		if !r.claim() {
+			break
 		}
 		visited[key] = true
 
@@ -289,11 +271,7 @@ func (w *Why) TopK(k int) []Answer {
 		}
 
 		if best.offer(ans2) {
-			w.Stats.Trajectory = append(w.Stats.Trajectory,
-				Sample{At: w.clock().Sub(start), Closeness: best.bestCl()})
-			if w.Cfg.OnImprove != nil {
-				w.Cfg.OnImprove(best.list[0])
-			}
+			r.improve(best.list[0])
 		}
 
 		// Theoretically optimal: stop (line 13 of Fig 5; for k > 1 the
@@ -316,13 +294,12 @@ func (w *Why) TopK(k int) []Answer {
 // visited screens the search applies at consumption time are Matched on
 // idle workers and parked in s.spec, keyed by rewrite key. Control flow
 // never depends on speculative results — they are a pure evaluation
-// cache, consumed (and only then counted as a step) if and when the
-// search pops that sibling — so the traversal is byte-identical to the
+// cache, consumed if and when the search pops that sibling, and only
+// that pop claims a step — so the traversal is byte-identical to the
 // sequential one.
 func (w *Why) evaluateTop(s *state, op scoredOp, key string, q2 *query.Query,
 	seq2 ops.Sequence, visited map[string]bool, workers int) (Answer, *match.Result) {
 	if res, ok := s.spec[key]; ok {
-		w.steps.Add(1) // consumption is the step, not the prefetch
 		return w.answerFor(q2, seq2, res), res
 	}
 	if workers <= 1 {
@@ -358,7 +335,7 @@ func (w *Why) evaluateTop(s *state, op scoredOp, key string, q2 *query.Query,
 			c.ans, c.res = w.evaluate(s.res, c.q2, c.seq2)
 			return
 		}
-		// Uncounted, and no Answer assembled: a prefetch thrown away
+		// Unclaimed, and no Answer assembled: a prefetch thrown away
 		// unread must not perturb the MaxSteps schedule, and answerFor
 		// runs at consumption.
 		c.res = w.Matcher.MatchFrom(s.res, c.q2)
@@ -384,8 +361,18 @@ type topList struct {
 }
 
 func newTopList(k int, root Answer) *topList {
-	t := &topList{k: k, root: root, fallback: root}
-	return t
+	return &topList{k: k, root: root, fallback: root}
+}
+
+// rootState evaluates the question's own query (run.root) as a search's
+// first state, and starts the list of the k best answers with it.
+func (r *run) rootState(k int) (*state, *topList) {
+	ans, res := r.root()
+	best := newTopList(k, ans)
+	if ans.Satisfied {
+		best.offer(ans)
+	}
+	return &state{q: r.w.Q, res: res, cl: ans.Closeness, clPlus: r.w.ClPlus(res.Answer)}, best
 }
 
 // offer inserts a satisfied answer; it returns whether the best entry
@@ -427,13 +414,6 @@ func (t *topList) kthCl() float64 {
 		return t.list[t.k-1].Closeness
 	}
 	return t.root.Closeness
-}
-
-func (t *topList) bestCl() float64 {
-	if len(t.list) > 0 {
-		return t.list[0].Closeness
-	}
-	return t.fallback.Closeness
 }
 
 func (t *topList) full() bool { return len(t.list) == t.k }

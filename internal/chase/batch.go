@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -161,12 +162,14 @@ func (j BatchJob) AlgoName() string {
 // BatchResult is one job's outcome, reported in submission order.
 // Answer, Steps, and States are deterministic — byte-identical to
 // running the same job alone, for any worker count — while Elapsed is
-// wall-clock and carries no determinism contract.
+// wall-clock and carries no determinism contract. Stop is the run's
+// Stats.Stop: why the search ended.
 type BatchResult struct {
 	Answer  Answer
 	Err     error
 	Steps   int
 	States  int
+	Stop    string
 	Elapsed time.Duration
 }
 
@@ -235,7 +238,7 @@ func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, Batc
 	results := make([]BatchResult, len(jobs))
 	workers := par.Workers(opt.Workers)
 	par.ForEachIn(s.budget, workers, len(jobs), func(i int) {
-		if cancelledJob(jobs[i], opt.Cancel) {
+		if cancelled(cmp.Or(jobs[i].Cancel, opt.Cancel)) { // the job's own Cancel wins
 			results[i] = BatchResult{Err: ErrCancelled}
 			return
 		}
@@ -274,9 +277,6 @@ func (s *Session) Run(j BatchJob) BatchResult {
 
 // cancelled polls a cancel channel without blocking; nil never cancels.
 func cancelled(ch <-chan struct{}) bool {
-	if ch == nil {
-		return false
-	}
 	select {
 	case <-ch:
 		return true
@@ -287,7 +287,7 @@ func cancelled(ch <-chan struct{}) bool {
 
 // limits resolves the Limits a job runs under: the session's, with the
 // job's overrides applied and a relative time limit converted into an
-// absolute deadline anchored at submission. Why.deadline gives Deadline
+// absolute deadline anchored at submission. A run gives Deadline
 // precedence over TimeLimit, so a queued job's wait is not free time.
 func (j BatchJob) limits(l Limits, submit time.Time, batchCancel <-chan struct{}) Limits {
 	if j.TimeLimit > 0 {
@@ -299,21 +299,8 @@ func (j BatchJob) limits(l Limits, submit time.Time, batchCancel <-chan struct{}
 	case l.TimeLimit > 0:
 		l.Deadline = submit.Add(l.TimeLimit)
 	}
-	if j.Cancel != nil {
-		l.Cancel = j.Cancel
-	} else if batchCancel != nil {
-		l.Cancel = batchCancel
-	}
+	l.Cancel = cmp.Or(j.Cancel, batchCancel, l.Cancel)
 	return l
-}
-
-// cancelledJob resolves whether a not-yet-started job is cancelled: its
-// own Cancel wins when set, otherwise the batch-level signal applies.
-func cancelledJob(j BatchJob, batch <-chan struct{}) bool {
-	if j.Cancel != nil {
-		return cancelled(j.Cancel)
-	}
-	return cancelled(batch)
 }
 
 // runJob compiles and runs one batch job against the session's shared
@@ -356,12 +343,12 @@ func (s *Session) runJob(j BatchJob, submit time.Time, batchCancel <-chan struct
 	case "fmansw":
 		a = w.FMAnsW()
 	}
-	s.questions.Add(1)
-	s.steps.Add(int64(w.Stats.Steps))
+	s.countRun(w)
 	return BatchResult{
 		Answer:  a,
 		Steps:   w.Stats.Steps,
 		States:  w.Stats.States,
+		Stop:    w.Stats.Stop,
 		Elapsed: w.Stats.Elapsed,
 	}
 }

@@ -47,10 +47,10 @@ func TestCancelStopsSearchEarly(t *testing.T) {
 		if ans.Query == nil {
 			t.Errorf("%s: anytime contract broken: cancelled run returned no answer", algo.name)
 		}
-		// The poll sits at the top of each algorithm's claim/selection
-		// loop, so a pre-cancelled run gets its setup evaluations in
-		// (the root; for ApxWhyM/FMAnsW also the seed pool) but never
-		// reaches the search proper.
+		// Every step after the root is claimed from the run, which
+		// refuses it once the question is cancelled, so a pre-cancelled
+		// run gets its root evaluation in but never reaches the search
+		// proper.
 		if w.Stats.Steps >= full.Stats.Steps {
 			t.Errorf("%s: cancelled run took %d steps, uncancelled %d — cancellation did not cut the search",
 				algo.name, w.Stats.Steps, full.Stats.Steps)

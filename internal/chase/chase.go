@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wqe/internal/distindex"
@@ -62,8 +61,8 @@ type Config struct {
 // search is a pure function of the question and these fields.
 type Search struct {
 	// MaxSteps caps the number of simulated Q-Chase steps (query
-	// evaluations); the anytime algorithms return the best rewrite found
-	// so far when exhausted. 0 means the default (100000).
+	// evaluations) of every algorithm, which returns the best rewrite
+	// found so far when exhausted. 0 means the default (100000).
 	MaxSteps int
 	// Budget is the operator cost bound B. Default 3 (the paper's
 	// default experimental budget).
@@ -124,8 +123,8 @@ type Limits struct {
 	Deadline time.Time
 	// Cancel, when non-nil, stops the search as soon as the channel is
 	// closed: the anytime algorithms return the best rewrite found so
-	// far, exactly as a deadline expiry would. The signal is polled once
-	// per claim iteration (never inside an evaluation), so a cancelled
+	// far, exactly as a deadline expiry would. The run polls it before
+	// every step it grants (never inside an evaluation), so a cancelled
 	// chase stops within one claim step, its evaluation workers join,
 	// and any helper-budget tokens it held are released. Servers wire a
 	// disconnected client's done-channel here.
@@ -220,16 +219,10 @@ type Why struct {
 	// to compare everything scored.
 	maxOpsPerClass int
 
-	// Stats accumulates search effort across one algorithm run. It is
-	// written only by the algorithm goroutine (beginRun/endRun and the
-	// sequential commit phases); parallel evaluation workers touch only
-	// the atomic steps counter below, so Stats aggregation is race-free.
+	// Stats accumulates search effort across one algorithm run. Only
+	// the algorithm goroutine writes it (the run, and the sequential
+	// commit phases); evaluation workers count nothing.
 	Stats Stats
-
-	// steps counts query evaluations for the current run. It is the one
-	// statistic bumped inside evaluate, which runs concurrently on
-	// worker goroutines — hence atomic rather than a Stats field.
-	steps atomic.Int64
 
 	// clock supplies the time for TimeLimit deadline checks. It is
 	// time.Now outside tests; deadline tests substitute a fake clock to
@@ -243,6 +236,7 @@ type Stats struct {
 	States     int           // states pushed into the frontier
 	Pruned     int           // states cut by the cl⁺ bound
 	Elapsed    time.Duration // wall-clock of the last algorithm run
+	Stop       string        // why the run ended: StopDone, StopSteps, StopDeadline or StopCancelled
 	CacheHits  int64
 	CacheMiss  int64
 	Trajectory []Sample // best-closeness-over-time curve (anytime)
@@ -401,12 +395,11 @@ func (a Answer) String() string {
 // parent is the evaluation of the state q was rewritten from, nil for a
 // question's own query: the matcher takes from it what q left unchanged
 // (match.Matcher.MatchFrom) and returns what it would without it. It
-// counts one Q-Chase step and is safe to call from evaluation workers:
-// the step counter is atomic and everything else it touches is either
-// read-only — parents included — or internally synchronized (see
+// runs one Q-Chase step, which the caller has claimed (run.claim), and
+// is safe to call from evaluation workers: everything it touches is
+// either read-only — parents included — or internally synchronized (see
 // match.Matcher).
 func (w *Why) evaluate(parent *match.Result, q *query.Query, seq ops.Sequence) (Answer, *match.Result) {
-	w.steps.Add(1)
 	res := w.Matcher.MatchFrom(parent, q)
 	return w.answerFor(q, seq, res), res
 }
@@ -428,39 +421,6 @@ func (w *Why) answerFor(q *query.Query, seq ops.Sequence, res *match.Result) Ans
 	}
 }
 
-// beginRun resets per-run statistics and borrows a generation scratch
-// from the session. Every algorithm entry point calls it before its
-// first evaluation.
-func (w *Why) beginRun() {
-	w.Stats = Stats{}
-	w.steps.Store(0)
-	if w.gs == nil {
-		w.gs = w.gens.Get().(*genScratch)
-	}
-}
-
-// endRun folds the atomic step counter and cache statistics into Stats
-// and stamps the elapsed wall-clock. Runs on the algorithm goroutine
-// after all evaluation workers have joined. It gives the run's scratch
-// back to the session unless a generator call on it never returned: a
-// run that panicked (endRun is deferred) drops a busy scratch, so no
-// later question meets its half-reset tables.
-func (w *Why) endRun(start time.Time) {
-	w.Stats.Steps = int(w.steps.Load())
-	w.Stats.Elapsed = w.clock().Sub(start)
-	w.Stats.CacheHits, w.Stats.CacheMiss = cacheStats(w.Matcher.Cache)
-	if sc := w.gs; sc != nil {
-		w.gs = nil
-		if !sc.busy {
-			w.gens.Put(sc)
-		}
-	}
-}
-
-// stepsUsed reads the current run's evaluation count (for MaxSteps
-// budget checks on the algorithm goroutine).
-func (w *Why) stepsUsed() int { return int(w.steps.Load()) }
-
 // workers resolves Config.Workers to a concrete pool size.
 func (w *Why) workers() int { return par.Workers(w.Cfg.Workers) }
 
@@ -469,49 +429,6 @@ func (w *Why) workers() int { return par.Workers(w.Cfg.Workers) }
 // claim order whatever the realized parallelism was.
 func (w *Why) forEach(workers, n int, fn func(i int)) {
 	par.ForEachIn(w.budget, workers, n, fn)
-}
-
-// deadline resolves the run's absolute deadline (zero when unlimited).
-// An explicit Config.Deadline wins; otherwise Config.TimeLimit anchors
-// at the run's start on w.clock. The precedence is the queue-wait
-// bugfix: a relative limit anchored at algorithm start cannot charge
-// for time spent queued, an absolute deadline fixed at submission can.
-func (w *Why) deadline(start time.Time) time.Time {
-	if !w.Cfg.Deadline.IsZero() {
-		return w.Cfg.Deadline
-	}
-	if w.Cfg.TimeLimit <= 0 {
-		return time.Time{}
-	}
-	return start.Add(w.Cfg.TimeLimit)
-}
-
-// expired reports whether the run's deadline has passed. A zero
-// deadline never expires.
-func (w *Why) expired(deadline time.Time) bool {
-	return !deadline.IsZero() && w.clock().After(deadline)
-}
-
-// cancelled polls Config.Cancel without blocking. A nil channel means
-// the question is not cancellable and the poll is free.
-func (w *Why) cancelled() bool {
-	if w.Cfg.Cancel == nil {
-		return false
-	}
-	select {
-	case <-w.Cfg.Cancel:
-		return true
-	default:
-		return false
-	}
-}
-
-// stop reports whether the current run must cut off: the deadline
-// passed or the question was cancelled. Every claim loop polls it once
-// per iteration, which bounds how long a cancelled chase keeps running
-// to a single claim step plus the evaluations already in flight.
-func (w *Why) stop(deadline time.Time) bool {
-	return w.expired(deadline) || w.cancelled()
 }
 
 // sortNodes sorts a node slice in place and returns it.

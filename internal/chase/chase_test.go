@@ -379,27 +379,44 @@ func TestTrivialExemplarRejected(t *testing.T) {
 	}
 }
 
-// TestAnytimeTrajectory: improvements are recorded monotonically.
+// TestAnytimeTrajectory: every algorithm reports its improvements, the
+// same way and monotonically: one trajectory sample per OnImprove call,
+// the last of them the answer returned.
 func TestAnytimeTrajectory(t *testing.T) {
 	f := datagen.NewFig1()
-	cfg := chase.DefaultConfig()
-	cfg.Budget = 4
-	var improvements []float64
-	cfg.OnImprove = func(best chase.Answer) {
-		improvements = append(improvements, best.Closeness)
-	}
-	w, _ := chase.NewWhy(f.G, f.Q, f.E, cfg)
-	w.AnsW()
-	if len(improvements) == 0 {
-		t.Fatal("no improvements reported")
-	}
-	for i := 1; i < len(improvements); i++ {
-		if improvements[i] < improvements[i-1] {
-			t.Error("anytime improvements must be monotone")
+	for _, algo := range []struct {
+		name string
+		run  func(*chase.Why) chase.Answer
+	}{
+		{"AnsW", (*chase.Why).AnsW},
+		{"AnsHeu", func(w *chase.Why) chase.Answer { return w.AnsHeu(3) }},
+		{"ApxWhyM", (*chase.Why).ApxWhyM},
+		{"AnsWE", (*chase.Why).AnsWE},
+		{"FMAnsW", (*chase.Why).FMAnsW},
+	} {
+		cfg := chase.DefaultConfig()
+		cfg.Budget = 4
+		var improvements []float64
+		cfg.OnImprove = func(best chase.Answer) {
+			improvements = append(improvements, best.Closeness)
 		}
-	}
-	if len(w.Stats.Trajectory) != len(improvements) {
-		t.Errorf("trajectory length %d vs callbacks %d", len(w.Stats.Trajectory), len(improvements))
+		w, _ := chase.NewWhy(f.G, f.Q, f.E, cfg)
+		ans := algo.run(w)
+		n := len(improvements)
+		if n == 0 {
+			t.Fatalf("%s: no improvements reported", algo.name)
+		}
+		for i := 1; i < n; i++ {
+			if improvements[i] < improvements[i-1] {
+				t.Errorf("%s: anytime improvements must be monotone", algo.name)
+			}
+		}
+		if improvements[n-1] != ans.Closeness {
+			t.Errorf("%s: last improvement %v, answer %v", algo.name, improvements[n-1], ans.Closeness)
+		}
+		if len(w.Stats.Trajectory) != n {
+			t.Errorf("%s: trajectory length %d vs callbacks %d", algo.name, len(w.Stats.Trajectory), n)
+		}
 	}
 }
 

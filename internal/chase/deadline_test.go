@@ -188,10 +188,11 @@ func TestTopKDeadlineDeterministic(t *testing.T) {
 // TestRunTimesReadTheInjectedClock pins the one-clock bugfix: a run's
 // origin is w.clock(), so Stats.Elapsed and every trajectory sample must
 // be differences on that clock, never the wall clock's distance from a
-// fake origin. With no deadline set the only reads are the origin, the
-// deadline anchor, one per trajectory sample and the final stamp, so
-// under a clock that advances one step per read the expected values are
-// exact.
+// fake origin. It also pins the one deadline anchor: the run reads the
+// clock once at its start, for the origin and the deadline alike. With
+// no deadline set the only reads are the origin, one per trajectory
+// sample and the final stamp, so under a clock that advances one step
+// per read the expected values are exact.
 func TestRunTimesReadTheInjectedClock(t *testing.T) {
 	const step = time.Millisecond
 	f := datagen.NewFig1()
@@ -203,6 +204,9 @@ func TestRunTimesReadTheInjectedClock(t *testing.T) {
 	}{
 		{"AnsW", func(w *Why) { w.AnsW() }},
 		{"AnsHeu", func(w *Why) { w.AnsHeu(3) }},
+		{"ApxWhyM", func(w *Why) { w.ApxWhyM() }},
+		{"AnsWE", func(w *Why) { w.AnsWE() }},
+		{"FMAnsW", func(w *Why) { w.FMAnsW() }},
 	} {
 		name := tc.name
 		w, err := NewWhy(f.G, f.Q, f.E, cfg)
@@ -216,13 +220,47 @@ func TestRunTimesReadTheInjectedClock(t *testing.T) {
 			t.Fatalf("%s: empty trajectory, the test checks nothing", name)
 		}
 		for i, s := range w.Stats.Trajectory {
-			// Reads before sample i: origin, deadline anchor, i samples.
-			if want := time.Duration(i+2) * step; s.At != want {
+			// Reads before sample i: the origin, i samples.
+			if want := time.Duration(i+1) * step; s.At != want {
 				t.Errorf("%s: Trajectory[%d].At = %v, want %v", name, i, s.At, want)
 			}
 		}
-		if want := time.Duration(n+2) * step; w.Stats.Elapsed != want {
+		if want := time.Duration(n+1) * step; w.Stats.Elapsed != want {
 			t.Errorf("%s: Elapsed = %v, want %v", name, w.Stats.Elapsed, want)
+		}
+	}
+}
+
+// TestCandidateLoopsPollTheRun pins the per-candidate polls of the work
+// that evaluates nothing: AnsWE's plan building (a ball per pattern node
+// and relevant candidate) and FMAnsW's feature mining (two balls per
+// candidate). The fake clock advances 4ms per read against a 6ms limit
+// anchored at the first read, so the second read is in time and the
+// third is not. The first candidate's poll takes the second read, and
+// whatever comes next — the next candidate's poll or the first claim —
+// the third: the run stops after its root. Without those polls the
+// first evaluation's claim would take the second read, in time, and
+// would run.
+func TestCandidateLoopsPollTheRun(t *testing.T) {
+	f := datagen.NewFig1()
+	cfg := DefaultConfig()
+	cfg.Budget = 4
+	cfg.TimeLimit = 6 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		run  func(*Why)
+	}{
+		{"AnsWE", func(w *Why) { w.AnsWE() }},
+		{"FMAnsW", func(w *Why) { w.FMAnsW() }},
+	} {
+		w, err := NewWhy(f.G, f.Q, f.E, cfg)
+		if err != nil {
+			t.Fatalf("NewWhy: %v", err)
+		}
+		w.clock = fakeClock(4 * time.Millisecond)
+		tc.run(w)
+		if w.Stats.Steps != 1 || w.Stats.Stop != StopDeadline {
+			t.Errorf("%s: stopped %q after %d steps, want %q after the root", tc.name, w.Stats.Stop, w.Stats.Steps, StopDeadline)
 		}
 	}
 }

@@ -16,12 +16,10 @@ import (
 // queries rather than rewrites (Ops is empty) and serves as the slow,
 // example-agnostic baseline.
 func (w *Why) FMAnsW() Answer {
-	start := w.clock()
-	w.beginRun()
-	defer w.endRun(start)
-	deadline := w.deadline(start)
+	r := w.startRun()
+	defer r.end()
 
-	rootAns, _ := w.evaluate(nil, w.Q, nil)
+	rootAns, _ := r.root()
 	focusLabel := w.Q.Nodes[w.Q.Focus].Label
 
 	// Mine features "around V_{u_o}" (§7): the whole focus candidate
@@ -62,6 +60,9 @@ func (w *Why) FMAnsW() Answer {
 		bump(feature{label: l, dist: int(nd.D), out: side == 'o'})
 	}
 	for _, v := range pool {
+		if !r.more() {
+			break
+		}
 		weight = 1
 		if w.Eval.InRep(v) {
 			weight = 3 // lean the mined features toward desired entities
@@ -120,29 +121,26 @@ func (w *Why) FMAnsW() Answer {
 	}
 
 	best := rootAns
-	consider := func(subset []*feature) {
-		q := build(subset)
-		ans, _ := w.evaluate(nil, q, nil)
+	// consider evaluates one candidate query; it reports false once the
+	// run refuses the step.
+	consider := func(subset ...*feature) bool {
+		if !r.claim() {
+			return false
+		}
+		ans, _ := w.evaluate(nil, build(subset), nil)
 		ans.Ops = nil
 		if ans.Closeness > best.Closeness {
 			best = ans
+			r.improve(best)
 		}
+		return true
 	}
-	const maxQueries = 200
-	evaluatedQ := 0
+	// At most maxFeatures features make at most 175 subsets. A refused
+	// claim stays refused, so each loop ends at its next condition.
 	n := len(feats)
-	for i := 0; i < n && evaluatedQ < maxQueries; i++ {
-		if w.stop(deadline) {
-			break
-		}
-		consider([]*feature{feats[i]})
-		evaluatedQ++
-		for j := i + 1; j < n && evaluatedQ < maxQueries && !w.stop(deadline); j++ {
-			consider([]*feature{feats[i], feats[j]})
-			evaluatedQ++
-			for k := j + 1; k < n && evaluatedQ < maxQueries && !w.stop(deadline); k++ {
-				consider([]*feature{feats[i], feats[j], feats[k]})
-				evaluatedQ++
+	for i := 0; i < n && consider(feats[i]); i++ {
+		for j := i + 1; j < n && consider(feats[i], feats[j]); j++ {
+			for k := j + 1; k < n && consider(feats[i], feats[j], feats[k]); k++ {
 			}
 		}
 	}

@@ -715,8 +715,8 @@ func capPerClass(in []scoredOp, n int) []scoredOp {
 
 // genScratch is operator generation's working memory: everything a
 // generator call needs only until it returns. A run borrows one from
-// its Session when it begins and gives it back when it returns
-// (beginRun, endRun); a call resets what it uses and grows what is too
+// its Session when it starts and gives it back when it ends (startRun,
+// run.end); a call resets what it uses and grows what is too
 // small, so on a warmed scratch a call allocates only what it returns —
 // the scored operators and their gain sets — and the partner sets it
 // stores on the Why. Nothing a call returns points into it.

@@ -41,8 +41,8 @@ type beamCand struct {
 //
 //  1. claim — walk the frontier in order, generate each state's
 //     operator pool, and claim up to beam candidates per state exactly
-//     as the sequential search would (budget, visited, MaxSteps, and
-//     TimeLimit checks all happen here, per candidate);
+//     as the sequential search would (budget and visited checks, and
+//     the run's step claims, all happen here, per candidate);
 //  2. evaluate — fan the claimed candidates' Match calls out over the
 //     worker pool;
 //  3. commit — fold results back in claim order (best-list offers,
@@ -54,39 +54,24 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 	if beam < 1 {
 		beam = 1
 	}
-	start := w.clock()
-	w.beginRun()
-	defer w.endRun(start)
+	r := w.startRun()
+	defer r.end()
 
-	rootAns, rootRes := w.evaluate(nil, w.Q, nil)
-	root := &state{
-		q:      w.Q,
-		res:    rootRes,
-		cl:     rootAns.Closeness,
-		clPlus: w.ClPlus(rootRes.Answer),
-	}
-	best := newTopList(1, rootAns)
-	if rootAns.Satisfied {
-		best.offer(rootAns)
-	}
+	root, best := r.rootState(1)
 	visited := map[string]bool{w.Q.Key(): true}
 	frontier := []*state{root}
-	deadline := w.deadline(w.clock())
 	workers := w.workers()
 	// pool is one state's operators, dropped once it has claimed: the
 	// claims copy what they keep.
 	var pool []scoredOp
 
 	for len(frontier) > 0 {
-		// Phase 1 — claim. simSteps predicts the step counter as if the
-		// claimed evaluations had already run (each candidate costs
-		// exactly one), so MaxSteps cuts off at the same candidate the
-		// sequential schedule would stop at.
-		simSteps := w.stepsUsed()
+		// Phase 1 — claim. Each candidate claims its step before the
+		// level is evaluated: MaxSteps cuts where a sequential run would.
 		var cands []*beamCand
 	claim:
 		for _, s := range frontier {
-			if simSteps >= w.Cfg.MaxSteps || w.stop(deadline) {
+			if !r.more() {
 				break
 			}
 			budgetLeft := w.Cfg.Budget - s.cost
@@ -118,12 +103,10 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 				if expanded >= beam {
 					break
 				}
-				// The deadline (and the cancel signal) is re-checked per
-				// claimed candidate, not just per frontier state: one
-				// state's pool can be large enough to blow far past
-				// TimeLimit otherwise, and a cancelled chase must stop
-				// claiming mid-beam, not finish the level.
-				if simSteps >= w.Cfg.MaxSteps || w.stop(deadline) {
+				// Polled per candidate, not just per state: one state's
+				// pool can blow far past TimeLimit, and a cancelled chase
+				// must stop mid-beam, not finish the level.
+				if !r.more() {
 					break claim
 				}
 				if s.cost+op.Op.Cost(w.G) > w.Cfg.Budget+1e-9 {
@@ -137,9 +120,11 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 				if visited[key] {
 					continue
 				}
+				if !r.claim() {
+					break claim
+				}
 				visited[key] = true
 				expanded++
-				simSteps++
 				cands = append(cands, &beamCand{
 					parent: s,
 					op:     op,
@@ -173,11 +158,7 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 				w.diffEntry(c.op.Op, c.op.PickyEdge, s.res.Answer, res2.Answer))
 			ans2.Diff = s2.diff
 			if best.offer(ans2) {
-				w.Stats.Trajectory = append(w.Stats.Trajectory,
-					Sample{At: w.clock().Sub(start), Closeness: best.bestCl()})
-				if w.Cfg.OnImprove != nil {
-					w.Cfg.OnImprove(best.list[0])
-				}
+				r.improve(best.list[0])
 			}
 			children = append(children, s2)
 			w.Stats.States++

@@ -21,12 +21,10 @@ import (
 // star queries exactly; for deeper shapes the chosen rewrite is
 // verified by evaluation and the next candidate is tried on failure.
 func (w *Why) AnsWE() Answer {
-	start := w.clock()
-	w.beginRun()
-	defer w.endRun(start)
-	deadline := w.deadline(start)
+	r := w.startRun()
+	defer r.end()
 
-	rootAns, _ := w.evaluate(nil, w.Q, nil)
+	rootAns, _ := r.root()
 	q := w.Q
 	focus := q.Focus
 
@@ -53,6 +51,10 @@ func (w *Why) AnsWE() Answer {
 	}
 	var plans []plan
 	for _, v := range rc {
+		// A plan takes a ball per pattern node: poll per candidate.
+		if !r.more() {
+			break
+		}
 		var seq ops.Sequence
 		seen := map[opIdent]bool{}
 		addOp := func(o ops.Op) {
@@ -134,11 +136,6 @@ func (w *Why) AnsWE() Answer {
 		if p.cost > w.Cfg.Budget {
 			break
 		}
-		// One verification evaluation per plan: this is the loop a
-		// cancelled or deadline-expired Why-Empty question must leave.
-		if w.stop(deadline) {
-			break
-		}
 		if len(p.ops) == 0 {
 			continue // already a match locally but not globally: skip
 		}
@@ -146,8 +143,14 @@ func (w *Why) AnsWE() Answer {
 		if err != nil {
 			continue
 		}
+		// One verification evaluation per plan: this is the loop a
+		// cancelled or deadline-expired Why-Empty question must leave.
+		if !r.claim() {
+			break
+		}
 		ans2, res2 := w.evaluate(nil, q2, p.ops) // removals only: nothing to take from the root
 		if res2.Has(p.v) {
+			r.improve(ans2)
 			return ans2
 		}
 	}

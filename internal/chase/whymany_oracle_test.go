@@ -8,15 +8,14 @@ import (
 )
 
 // oracleApxWhyM is ApxWhyM as it stood while its cover sets were maps,
-// verbatim apart from its name and its lint directives, which the linter,
-// skipping test files, never reads.
+// verbatim apart from its name, its lint directives, which the linter,
+// skipping test files, never reads, and its calls on the run, which
+// follow ApxWhyM's.
 func oracleApxWhyM(w *Why) Answer {
-	start := w.clock()
-	w.beginRun()
-	defer w.endRun(start)
-	deadline := w.deadline(start)
+	r := w.startRun()
+	defer r.end()
 
-	rootAns, rootRes := w.evaluate(nil, w.Q, nil)
+	rootAns, rootRes := r.root()
 	if !hasIM(w, rootRes) {
 		return rootAns // nothing to remove
 	}
@@ -30,10 +29,10 @@ func oracleApxWhyM(w *Why) Answer {
 	// which irrelevant (and relevant) matches it removes. This "ensures
 	// the removal of IM(o)" as the paper requires of SeedRf. The seed
 	// evaluations are independent of one another, so they run on the
-	// worker pool: applicability is decided sequentially first, and the
-	// coverage sets are committed in seed order, keeping the greedy
-	// selection's input — and hence the result — byte-identical for any
-	// worker count.
+	// worker pool: applicability is decided and the steps are claimed
+	// sequentially first, and the coverage sets are committed in seed
+	// order, keeping the greedy selection's input — and hence the
+	// result — byte-identical for any worker count.
 	type seedCand struct {
 		op  ops.Op
 		q2  *query.Query
@@ -45,6 +44,9 @@ func oracleApxWhyM(w *Why) Answer {
 		q2, err := s.Op.Apply(w.Q)
 		if err != nil {
 			continue // seed op no longer fits Q
+		}
+		if !r.claim() {
+			break
 		}
 		pending = append(pending, &seedCand{op: s.Op, q2: q2})
 	}
@@ -126,7 +128,7 @@ func oracleApxWhyM(w *Why) Answer {
 		// evaluations, but each round scans every seed; poll the cutoff
 		// so a cancelled or expired question returns its best-so-far
 		// cover instead of finishing the set-cover loop.
-		if w.stop(deadline) {
+		if !r.more() {
 			break
 		}
 		bestIdx, bestRatio := -1, 0.0
@@ -173,15 +175,17 @@ func oracleApxWhyM(w *Why) Answer {
 		for _, i := range o1 {
 			seq = append(seq, evaluated[i].op)
 		}
-		if q1, err := seq.Apply(w.Q, w.params); err == nil {
+		if q1, err := seq.Apply(w.Q, w.params); err == nil && r.claim() {
 			ans1, _ := w.evaluate(rootRes, q1, seq)
 			if ans1.Closeness > result.Closeness {
 				result = ans1
+				r.improve(result)
 			}
 		}
 	}
 	if best2 >= 0 && evaluated[best2].single.Closeness > result.Closeness {
 		result = evaluated[best2].single
+		r.improve(result)
 	}
 	return result
 }
