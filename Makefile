@@ -128,11 +128,14 @@ profile:
 benchmark:
 	$(GO) run ./benchmark -seed 7
 
-# One short traced pass of one workload as a correctness gate: every
-# answer is re-derived by a cache-less matcher over BFS distances, and
-# the run exits non-zero on `correct: false`. About 12 s.
+# Short traced passes of the two library workloads as a correctness
+# gate: the beam (explore_heu), and AnsW/TopK with cl⁺ pruning and star
+# cache eviction (explore_answ). Every answer is re-derived by a
+# cache-less matcher over BFS distances, and each run exits non-zero on
+# `correct: false`. About 20 s.
 benchmark-check:
 	$(GO) run ./benchmark --workload explore_heu --seed 7 --seconds 3 --trace 1
+	$(GO) run ./benchmark --workload explore_answ --seed 7 --seconds 3 --trace 1
 
 # Everything a PR must pass, without the benchmark regeneration.
 check: build vet fmt-check test race lint examples bench-smoke benchmark-check

@@ -2,7 +2,6 @@ package chase
 
 import (
 	"container/heap"
-	"slices"
 
 	"wqe/internal/match"
 	"wqe/internal/ops"
@@ -63,41 +62,14 @@ func (s *state) ensure(w *Why, kthBestCl float64) {
 		return
 	}
 	s.generated = true
-	budgetLeft := w.Cfg.Budget - s.cost
-	if !expandable(budgetLeft) {
-		return
-	}
-
-	refineCond, relaxCond := true, !s.refineOnly
+	refine, relax := true, true
 	if w.Cfg.Prune {
 		// Lemma 5.5: refine only when removing IM can still beat the
 		// best known rewrite; relax only while cl⁺ can still grow.
-		refineCond = s.clPlus > kthBestCl
-		relaxCond = relaxCond && s.clPlus < w.ClStar-1e-12
+		refine = s.clPlus > kthBestCl
+		relax = s.clPlus < w.ClStar-1e-12
 	}
-	if !refineCond && !relaxCond {
-		return
-	}
-	used := opTargets(s.seq)
-	rm, im, rc, _ := w.partition(s.res, &w.scratch().parts)
-	var refine, relax []scoredOp
-	if refineCond {
-		refine = w.genRefine(s.q, rm, im, used, budgetLeft)
-	}
-	if relaxCond {
-		relax = w.genRelax(s.q, rc, used, budgetLeft)
-	}
-	// Merge keeps each generator's order; globally re-rank by
-	// pickiness (stable, so equal scores keep generator priority).
-	switch {
-	case len(relax) == 0:
-		s.queue = refine
-	case len(refine) == 0:
-		s.queue = relax
-	default:
-		s.queue = slices.Concat(refine, relax)
-	}
-	sortScored(s.queue)
+	s.queue = w.expand(s, refine, relax, 0)
 }
 
 // next pops the best pending operator. It returns ok=false when the
@@ -229,48 +201,26 @@ func (w *Why) TopK(k int) []Answer {
 			continue
 		}
 		heap.Fix(&pq, 0) // popping an op lowered s's lookahead priority
-		if s.cost+op.Op.Cost(w.G) > w.Cfg.Budget+1e-9 {
+		st, ok := w.screen(s, op, visited)
+		if !ok {
 			continue
 		}
-		q2, err := op.Op.Apply(s.q)
-		if err != nil {
-			continue // generator emitted an op that no longer fits s.q
-		}
-		key := q2.Key()
-		if visited[key] {
-			continue
-		}
-		if !r.claim() {
+		if !r.claimStep(&st, visited) {
 			break
 		}
-		visited[key] = true
-
-		seq2 := append(append(ops.Sequence{}, s.seq...), op.Op)
-		ans2, res2 := w.evaluateTop(s, op, key, q2, seq2, visited, workers)
-		s2 := &state{
-			q:          q2,
-			seq:        seq2,
-			cost:       ans2.Cost,
-			res:        res2,
-			cl:         ans2.Closeness,
-			clPlus:     w.ClPlus(res2.Answer),
-			refineOnly: s.refineOnly || op.Op.Kind.IsRefine(),
-			id:         nextID,
-		}
+		w.evaluateTop(&st, visited, workers)
+		s2 := w.child(&st, nextID)
 		nextID++
-		s2.diff = append(append([]DiffEntry{}, s.diff...),
-			w.diffEntry(op.Op, op.PickyEdge, s.res.Answer, res2.Answer))
-		ans2.Diff = s2.diff
 
 		// Prune: a refinement-only subtree can never exceed its cl⁺
 		// (Lemma 5.5(2)).
 		if w.Cfg.Prune && s2.refineOnly && s2.clPlus <= best.kthCl()+1e-12 {
 			w.Stats.Pruned++
-			best.offerUnsat(ans2)
+			best.offerUnsat(st.ans)
 			continue
 		}
 
-		if best.offer(ans2) {
+		if best.offer(st.ans) {
 			r.improve(best.list[0])
 		}
 
@@ -288,51 +238,45 @@ func (w *Why) TopK(k int) []Answer {
 	return best.results()
 }
 
-// evaluateTop evaluates the operator the best-first search just popped
-// from state s. With a parallel pool it additionally prefetches s's next
-// pending siblings: whichever sibling rewrites pass the same budget/
-// visited screens the search applies at consumption time are Matched on
-// idle workers and parked in s.spec, keyed by rewrite key. Control flow
-// never depends on speculative results — they are a pure evaluation
-// cache, consumed if and when the search pops that sibling, and only
-// that pop claims a step — so the traversal is byte-identical to the
-// sequential one.
-func (w *Why) evaluateTop(s *state, op scoredOp, key string, q2 *query.Query,
-	seq2 ops.Sequence, visited map[string]bool, workers int) (Answer, *match.Result) {
-	if res, ok := s.spec[key]; ok {
-		return w.answerFor(q2, seq2, res), res
+// evaluateTop evaluates the step the best-first search just claimed
+// from its parent s. With a parallel pool it additionally prefetches s's
+// next pending siblings: whichever sibling steps pass the screen the
+// search applies at consumption time are Matched on idle workers and
+// parked in s.spec, keyed by rewrite key. Control flow never depends on
+// speculative results — they are a pure evaluation cache, consumed if
+// and when the search pops that sibling, and only that pop claims a
+// step — so the traversal is byte-identical to the sequential one.
+func (w *Why) evaluateTop(st *step, visited map[string]bool, workers int) {
+	s := st.parent
+	if res, ok := s.spec[st.key]; ok {
+		st.ans, st.res = w.answerFor(st.q2, st.seq2, res), res
+		return
 	}
 	if workers <= 1 {
-		return w.evaluate(s.res, q2, seq2)
+		w.evaluateStep(st)
+		return
 	}
 
-	batch := []*beamCand{{q2: q2, seq2: seq2, key: key}}
-	seen := map[string]bool{key: true}
+	batch := []step{*st}
+	seen := map[string]bool{st.key: true}
 	for _, sib := range s.queue {
 		if len(batch) >= workers {
 			break
 		}
-		if s.cost+sib.Op.Cost(w.G) > w.Cfg.Budget+1e-9 {
+		c, ok := w.screen(s, sib, visited)
+		if !ok || seen[c.key] {
 			continue
 		}
-		qs, err := sib.Op.Apply(s.q)
-		if err != nil {
+		if _, ok := s.spec[c.key]; ok {
 			continue
 		}
-		ks := qs.Key()
-		if seen[ks] || visited[ks] {
-			continue
-		}
-		if _, ok := s.spec[ks]; ok {
-			continue
-		}
-		seen[ks] = true
-		batch = append(batch, &beamCand{q2: qs, key: ks})
+		seen[c.key] = true
+		batch = append(batch, c)
 	}
 	w.forEach(workers, len(batch), func(i int) {
-		c := batch[i]
+		c := &batch[i]
 		if i == 0 {
-			c.ans, c.res = w.evaluate(s.res, c.q2, c.seq2)
+			w.evaluateStep(c)
 			return
 		}
 		// Unclaimed, and no Answer assembled: a prefetch thrown away
@@ -348,7 +292,7 @@ func (w *Why) evaluateTop(s *state, op scoredOp, key string, q2 *query.Query,
 			s.spec[c.key] = c.res
 		}
 	}
-	return batch[0].ans, batch[0].res
+	*st = batch[0]
 }
 
 // topList maintains the k best satisfying answers plus a fallback for

@@ -51,7 +51,7 @@ func BenchmarkGenRelax(b *testing.B) {
 	res := w.Matcher.Match(inst.Q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.GenRelax(inst.Q, res, map[string]bool{}, 3)
+		w.GenRelax(inst.Q, res, nil, 3)
 	}
 }
 
@@ -87,11 +87,11 @@ func BenchmarkGenRefine(b *testing.B) {
 	warm := func(b *testing.B, g *graph.Graph) {
 		w := newWhy(g)
 		res := w.Matcher.Match(inst.Q)
-		w.GenRefine(inst.Q, res, map[string]bool{}, 3)
+		w.GenRefine(inst.Q, res, nil, 3)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.GenRefine(inst.Q, res, map[string]bool{}, 3)
+			w.GenRefine(inst.Q, res, nil, 3)
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
@@ -101,7 +101,7 @@ func BenchmarkGenRefine(b *testing.B) {
 			b.StopTimer()
 			w := newWhy(g)
 			b.StartTimer()
-			w.GenRefine(inst.Q, res, map[string]bool{}, 3)
+			w.GenRefine(inst.Q, res, nil, 3)
 		}
 	})
 	b.Run("warm", func(b *testing.B) { warm(b, g) })

@@ -50,7 +50,7 @@ func walkStates(t *testing.T, w *Why, what string, q *query.Query, maxDepth int,
 			}
 			// Children come from the full budget: the walk must reach the
 			// states a search rejects as too expensive only afterwards.
-			used := opTargets(s.seq)
+			used := s.seq.Targets()
 			pool := append(w.GenRefine(s.q, res, used, w.Cfg.Budget), w.GenRelax(s.q, res, used, w.Cfg.Budget)...)
 			for i, o := range pool {
 				if i == 3 || len(next) >= 12 {
@@ -120,10 +120,10 @@ func datasetWhys(t *testing.T, n int, visit func(dataset, what string, w *Why, q
 // hand-built edge cases (NaN, -0 and Number-with-Str constants among
 // them) and visits each under its own remaining budget and, on each
 // walk's root, under a NaN budget, which lets every operator through.
-func walkBudgetStates(t *testing.T, visit func(w *Why, s walkedState, res *match.Result, used map[string]bool, budgetLeft float64)) {
+func walkBudgetStates(t *testing.T, visit func(w *Why, s walkedState, res *match.Result, used ops.Targets, budgetLeft float64)) {
 	t.Helper()
 	state := func(w *Why, s walkedState, res *match.Result) {
-		used := opTargets(s.seq)
+		used := s.seq.Targets()
 		visit(w, s, res, used, w.Cfg.Budget-s.cost)
 		if len(s.seq) == 0 {
 			visit(w, s, res, used, math.NaN())
@@ -155,7 +155,7 @@ func TestGeneratedOperatorsCostAtLeastMinCost(t *testing.T) {
 		}
 		emitted[gen] += len(pool)
 	}
-	walkBudgetStates(t, func(w *Why, s walkedState, res *match.Result, used map[string]bool, budgetLeft float64) {
+	walkBudgetStates(t, func(w *Why, s walkedState, res *match.Result, used ops.Targets, budgetLeft float64) {
 		what := fmt.Sprintf("%s budget left %v", s.what, budgetLeft)
 		check(what, "GenRelax", w, w.GenRelax(s.q, res, used, budgetLeft), budgetLeft)
 		check(what, "GenRefine", w, w.GenRefine(s.q, res, used, budgetLeft), budgetLeft)
@@ -179,7 +179,7 @@ func TestTerminalStatesGeneratedNothing(t *testing.T) {
 		}
 	}
 	terminal, affording := 0, 0
-	walkBudgetStates(t, func(w *Why, s walkedState, res *match.Result, used map[string]bool, budgetLeft float64) {
+	walkBudgetStates(t, func(w *Why, s walkedState, res *match.Result, used ops.Targets, budgetLeft float64) {
 		what := fmt.Sprintf("%s budget left %v", s.what, budgetLeft)
 		wantRelax := oracleGenRelax(w, s.q, res, used, budgetLeft)
 		wantRefine := oracleGenRefine(w, s.q, res, used, budgetLeft)

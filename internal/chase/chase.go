@@ -382,7 +382,12 @@ type Answer struct {
 	// Satisfied reports Q'(G) ⊨ E.
 	Satisfied bool
 	// Diff is the differential-table lineage for the applied operators.
+	// The searches record it; ApxWhyM and AnsWE, which evaluate no
+	// operator by itself, leave it empty.
 	Diff []DiffEntry
+	// Replaced reports that Query replaces the question's query rather
+	// than rewriting it (FMAnsW's mined queries): Ops is then empty.
+	Replaced bool
 }
 
 // String renders the answer headline.

@@ -10,12 +10,15 @@ import (
 
 // Explain renders the answer's lineage as a human-readable
 // why-provenance report (§5.4): one paragraph per applied operator
-// describing what it did and which entities it brought in or pushed
-// out, with entity names resolved from the graph's "Name" attribute
-// when present.
+// describing what it did and, where the answer carries its lineage
+// (Diff), which entities it brought in or pushed out, with entity names
+// resolved from the graph's "Name" attribute when present.
 func (a Answer) Explain(g *graph.Graph) string {
 	var b strings.Builder
-	if len(a.Ops) == 0 {
+	switch {
+	case a.Replaced:
+		fmt.Fprintf(&b, "Replaced the query with a mined one: %s.\n", a.Query)
+	case len(a.Ops) == 0:
 		b.WriteString("The original query was kept unchanged")
 		if a.Satisfied {
 			b.WriteString("; its answers already satisfy the exemplar.\n")
@@ -23,10 +26,19 @@ func (a Answer) Explain(g *graph.Graph) string {
 			b.WriteString("; no affordable rewrite satisfied the exemplar.\n")
 		}
 		return b.String()
+	default:
+		fmt.Fprintf(&b, "Rewrote the query with %d operator(s), total cost %.2f:\n",
+			len(a.Ops), a.Cost)
 	}
-	fmt.Fprintf(&b, "Rewrote the query with %d operator(s), total cost %.2f:\n",
-		len(a.Ops), a.Cost)
-	for _, d := range a.Diff {
+	// The searches' lineage holds every operator in the order applied,
+	// with its answer delta; without it, the operators are named alone.
+	lineage := len(a.Diff) == len(a.Ops)
+	for i, o := range a.Ops {
+		if !lineage {
+			fmt.Fprintf(&b, "  • %s — %s.\n", o, describeOp(o))
+			continue
+		}
+		d := a.Diff[i]
 		fmt.Fprintf(&b, "  • %s — %s", d.Op, describeOp(d.Op))
 		var added, removed []string
 		for _, n := range d.Delta {

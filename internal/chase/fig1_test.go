@@ -213,3 +213,34 @@ func TestFig1TopK(t *testing.T) {
 		}
 	}
 }
+
+// TestFig1Explanations pins what the algorithms without a search
+// lineage explain on Fig 1 at the default budget: ApxWhyM and AnsWE name
+// every operator they applied, and FMAnsW says that it replaced the
+// query.
+func TestFig1Explanations(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*chase.Why) chase.Answer
+		want string
+	}{
+		{"ApxWhyM", (*chase.Why).ApxWhyM, `Rewrote the query with 1 operator(s), total cost 1.00:
+  • AddL(u0, Display = 6.2) — required "Display = 6.2" on node u0.
+Final answers: 1 entities, closeness 0.1667.
+`},
+		{"AnsWE", (*chase.Why).AnsWE, `Rewrote the query with 2 operator(s), total cost 2.33:
+  • RmL(u0, Price >= 840) — dropped the condition "Price >= 840" on node u0.
+  • RmE((u0,u2), 2) — no longer requires u0 to connect to u2.
+Final answers: 5 entities, closeness 0.1667.
+`},
+		{"FMAnsW", (*chase.Why).FMAnsW, `Replaced the query with a mined one: u0:Cellphone*[RAM = 4]; u1:Carrier; (u1)-1->(u0).
+Final answers: 2 entities, closeness 0.3333.
+`},
+	} {
+		f, w := newFig1Why(t, chase.Config{Search: chase.Search{Budget: 3}})
+		a := tc.run(w)
+		if got := a.Explain(f.G); got != tc.want {
+			t.Errorf("%s explains\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+	}
+}

@@ -127,7 +127,7 @@ func TestFinishScoredMatchesTwoStableSortsOnDatasets(t *testing.T) {
 	compared := 0
 	datasetWhys(t, 2, func(dataset, what string, w *Why, q *query.Query) {
 		walkStates(t, w, what, q, 2, func(s walkedState, res *match.Result) {
-			used := opTargets(s.seq)
+			used := s.seq.Targets()
 			for _, n := range []int{1 << 20, 2} {
 				w.maxOpsPerClass = n
 				// A generator that returns nil never reached finishScored.

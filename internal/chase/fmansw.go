@@ -13,8 +13,8 @@ import (
 // neighbors within two hops — around the desired entities, assembles
 // candidate star queries from frequent feature combinations, evaluates
 // each, and returns the one with the best closeness. It suggests whole
-// queries rather than rewrites (Ops is empty) and serves as the slow,
-// example-agnostic baseline.
+// queries rather than rewrites (Ops is empty, Replaced set) and serves
+// as the slow, example-agnostic baseline.
 func (w *Why) FMAnsW() Answer {
 	r := w.startRun()
 	defer r.end()
@@ -128,7 +128,7 @@ func (w *Why) FMAnsW() Answer {
 			return false
 		}
 		ans, _ := w.evaluate(nil, build(subset), nil)
-		ans.Ops = nil
+		ans.Ops, ans.Replaced = nil, true
 		if ans.Closeness > best.Closeness {
 			best = ans
 			r.improve(best)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strconv"
 	"strings"
 
 	"wqe/internal/graph"
@@ -29,57 +28,6 @@ type scoredOp struct {
 	Gain []graph.NodeID
 	// PickyEdge is the pattern edge that induced the operator, or -1.
 	PickyEdge int
-}
-
-// opTarget returns the cancel-out target key an operator occupies: its
-// literal's ("L:<node>:<attr>") or its edge's ("E:<from>:<to>"). An AddE
-// that adds a new node occupies none. Generated chase sequences stay
-// canonical by touching each target at most once.
-func opTarget(o ops.Op) (key string, ok bool) {
-	switch o.Kind {
-	case ops.RmL, ops.AddL, ops.RxL, ops.RfL:
-		return litTarget(o.U, o.Lit.Attr), true
-	case ops.RmE, ops.RxE, ops.RfE:
-		return edgeTarget(o.U, o.U2), true
-	case ops.AddE:
-		if o.NewNode == nil {
-			return edgeTarget(o.U, o.U2), true
-		}
-	}
-	return "", false
-}
-
-// opTargets returns the targets a sequence occupies.
-func opTargets(seq ops.Sequence) map[string]bool {
-	t := map[string]bool{}
-	for _, o := range seq {
-		if k, ok := opTarget(o); ok {
-			t[k] = true
-		}
-	}
-	return t
-}
-
-// litTarget and edgeTarget render the target keys the generators test
-// against opTargets' set; they sit inside every generator loop, hence
-// strconv rather than fmt.
-func litTarget(u query.NodeID, attr string) string {
-	return "L:" + strconv.Itoa(int(u)) + ":" + attr
-}
-
-func edgeTarget(a, b query.NodeID) string {
-	return string(appendEdgeTarget(nil, a, b))
-}
-
-func appendEdgeTarget(dst []byte, a, b query.NodeID) []byte {
-	dst = strconv.AppendInt(append(dst, "E:"...), int64(a), 10)
-	return strconv.AppendInt(append(dst, ':'), int64(b), 10)
-}
-
-// usedEdge is used[edgeTarget(a, b)], without building a string.
-func usedEdge(used map[string]bool, a, b query.NodeID) bool {
-	var buf [48]byte
-	return used[string(appendEdgeTarget(buf[:0], a, b))]
 }
 
 // expandable reports whether a state with budgetLeft = B − c(O) can
@@ -219,7 +167,7 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID, b *rcBlame) {
 // operator by pickiness p(o) = Σ_{v ∈ RC̄(o)} cl(v, E) / |V_{u_o}|
 // (Lemma 5.2), and returns them best-first. It is the test entry point:
 // the searches call genRelax on states they have already partitioned.
-func (w *Why) GenRelax(q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
+func (w *Why) GenRelax(q *query.Query, res *match.Result, used ops.Targets, budgetLeft float64) []scoredOp {
 	if !expandable(budgetLeft) {
 		return nil
 	}
@@ -229,7 +177,7 @@ func (w *Why) GenRelax(q *query.Query, res *match.Result, used map[string]bool, 
 
 // genRelax is GenRelax over the relevant candidates of a state the
 // caller has partitioned and found expandable.
-func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, budgetLeft float64) []scoredOp {
+func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budgetLeft float64) []scoredOp {
 	if len(rc) == 0 {
 		return nil
 	}
@@ -284,7 +232,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 		w.analyzeRC(q, v, blame)
 
 		for _, l := range blame.failedLits {
-			if !used[litTarget(focus, l.Attr)] {
+			if !used.Has(ops.LitTarget(focus, l.Attr)) {
 				add(ops.Op{Kind: ops.RmL, U: focus, Lit: l}, -1, i)
 				if val, ok := w.G.Attr(v, l.Attr); ok {
 					noteVal(focus, l.Attr, val, i)
@@ -299,7 +247,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 				continue
 			}
 			e := q.Edges[ei]
-			if !usedEdge(used, e.From, e.To) {
+			if !used.Has(ops.EdgeTarget(e.From, e.To)) {
 				add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, i)
 				// Step-wise bound relaxation (Appendix B); the RC node
 				// only counts when one step suffices.
@@ -312,7 +260,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 				}
 			}
 			for _, bl := range blame.blocking(ei) {
-				if used[litTarget(bl.u, bl.lit.Attr)] {
+				if used.Has(ops.LitTarget(bl.u, bl.lit.Attr)) {
 					continue
 				}
 				add(ops.Op{Kind: ops.RmL, U: bl.u, Lit: bl.lit}, ei, i)
@@ -333,7 +281,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used map[string]bool, 
 			if e.From == focus || e.To == focus {
 				continue
 			}
-			if usedEdge(used, e.From, e.To) {
+			if used.Has(ops.EdgeTarget(e.From, e.To)) {
 				continue
 			}
 			add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, i)

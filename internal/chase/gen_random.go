@@ -12,10 +12,10 @@ import (
 // of pickiness — the uninformed generator behind AnsHeuB. The pool
 // covers every operator class: structural operators are enumerated
 // exhaustively, literal operators sample constants from active domains.
-func (w *Why) GenRandom(q *query.Query, used map[string]bool, budgetLeft float64) []scoredOp {
+func (w *Why) GenRandom(q *query.Query, used ops.Targets, budgetLeft float64) []scoredOp {
 	var pool []ops.Op
 	consider := func(o ops.Op) {
-		if k, ok := opTarget(o); ok && used[k] {
+		if t, ok := o.Target(); ok && used.Has(t) {
 			return
 		}
 		if o.Applicable(q, w.params) && o.Cost(w.G) <= budgetLeft {

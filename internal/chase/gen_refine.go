@@ -52,7 +52,7 @@ type refineGen struct {
 	q          *query.Query
 	codes      *graph.Codes // w.G's tuples as value codes
 	rm, im     []graph.NodeID
-	used       map[string]bool
+	used       ops.Targets
 	budgetLeft float64
 	acc        *accums
 	// pd, indexed by pattern node: PatternDist(u_o, u), capped at
@@ -66,7 +66,7 @@ type refineGen struct {
 // newRefineGen samples the relevant and irrelevant matches and resolves
 // each pattern node's partner radius and signature, into sc, whose
 // accumulators it empties. The generator is good until sc's next call.
-func newRefineGen(sc *genScratch, w *Why, q *query.Query, rm, im []graph.NodeID, used map[string]bool, budgetLeft float64) *refineGen {
+func newRefineGen(sc *genScratch, w *Why, q *query.Query, rm, im []graph.NodeID, used ops.Targets, budgetLeft float64) *refineGen {
 	g := &sc.refine
 	*g = refineGen{w: w, sc: sc, q: q, codes: w.G.Codes(), used: used, budgetLeft: budgetLeft,
 		// Neighborhood analysis is per-node bounded BFS; cap both sets
@@ -239,7 +239,7 @@ func (g *refineGen) fillPartners() {
 // p'(o) = (λ·|IM̄(o)| − Σ_{v∈RM̲(o)} cl(v,E)) / |V_{u_o}|, where IM̄ is
 // the certainly-removed irrelevant-match set and RM̲ the
 // certainly-removed relevant-match set under partner overestimation.
-func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
+func (w *Why) GenRefine(q *query.Query, res *match.Result, used ops.Targets, budgetLeft float64) []scoredOp {
 	if !expandable(budgetLeft) {
 		return nil
 	}
@@ -249,7 +249,7 @@ func (w *Why) GenRefine(q *query.Query, res *match.Result, used map[string]bool,
 
 // genRefine is GenRefine over the matches of a state the caller has
 // partitioned and found expandable.
-func (w *Why) genRefine(q *query.Query, rm, im []graph.NodeID, used map[string]bool, budgetLeft float64) []scoredOp {
+func (w *Why) genRefine(q *query.Query, rm, im []graph.NodeID, used ops.Targets, budgetLeft float64) []scoredOp {
 	if len(im) == 0 {
 		return nil
 	}
@@ -402,7 +402,7 @@ const (
 func (g *refineGen) openSlot(u query.NodeID, a int32) uint8 {
 	attr := g.w.G.Attrs.Name(a)
 	switch {
-	case g.q.FindLiteral(u, attr, graph.EQ) >= 0 || g.used[litTarget(u, attr)]:
+	case g.q.FindLiteral(u, attr, graph.EQ) >= 0 || g.used.Has(ops.LitTarget(u, attr)):
 		return slotClosed
 	case g.codes.Irregular(a):
 		return slotIrregular
@@ -610,7 +610,7 @@ func (g *refineGen) rfL() {
 	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
 		for _, l := range g.q.Nodes[u].Literals {
-			if l.Val.Kind != graph.Number || g.used[litTarget(u, l.Attr)] {
+			if l.Val.Kind != graph.Number || g.used.Has(ops.LitTarget(u, l.Attr)) {
 				continue
 			}
 			aid, ok := G.Attrs.Lookup(l.Attr)
@@ -684,7 +684,7 @@ func (g *refineGen) rfL() {
 func (g *refineGen) rfE() {
 	G := g.w.G
 	for ei, e := range g.q.Edges {
-		if e.Bound <= 1 || usedEdge(g.used, e.From, e.To) {
+		if e.Bound <= 1 || g.used.Has(ops.EdgeTarget(e.From, e.To)) {
 			continue
 		}
 		o := ops.Op{Kind: ops.RfE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound - 1}
@@ -785,7 +785,7 @@ func (g *refineGen) addE() {
 		if u == focus || q.FindEdge(focus, u) >= 0 || q.FindEdge(u, focus) >= 0 {
 			continue
 		}
-		if usedEdge(used, focus, u) && usedEdge(used, u, focus) {
+		if used.Has(ops.EdgeTarget(focus, u)) && used.Has(ops.EdgeTarget(u, focus)) {
 			continue
 		}
 		isCand := func(nb graph.NodeID) bool { return q.IsCandidate(w.G, u, nb) }

@@ -110,7 +110,7 @@ func (o *oracleGen) addL() {
 					if q.FindLiteral(u, attr, graph.EQ) >= 0 {
 						continue
 					}
-					if used[fmt.Sprintf("L:%d:%s", u, attr)] {
+					if used.Has(ops.LitTarget(u, attr)) {
 						continue
 					}
 					val, kind := w.G.Value(t), "#s"
@@ -163,7 +163,7 @@ func (o *oracleGen) rfL() {
 	for ui := range q.Nodes {
 		u := query.NodeID(ui)
 		for _, l := range q.Nodes[u].Literals {
-			if l.Val.Kind != graph.Number || used[fmt.Sprintf("L:%d:%s", u, l.Attr)] {
+			if l.Val.Kind != graph.Number || used.Has(ops.LitTarget(u, l.Attr)) {
 				continue
 			}
 			// RM-supporting values of this attribute at u.
@@ -211,7 +211,7 @@ func (o *oracleGen) rfE() {
 	w, q, rm, im, used, add := o.w, o.q, o.rm, o.im, o.used, o.add
 
 	for ei, e := range q.Edges {
-		if e.Bound <= 1 || used[fmt.Sprintf("E:%d:%d", e.From, e.To)] {
+		if e.Bound <= 1 || used.Has(ops.EdgeTarget(e.From, e.To)) {
 			continue
 		}
 		o := ops.Op{Kind: ops.RfE, U: e.From, U2: e.To, Bound: e.Bound, NewBound: e.Bound - 1}
@@ -255,7 +255,7 @@ func (o *oracleGen) rfE() {
 
 // oracleGenRefine is GenRefine with the three rewritten generators
 // replaced by their former selves.
-func oracleGenRefine(w *Why, q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
+func oracleGenRefine(w *Why, q *query.Query, res *match.Result, used ops.Targets, budgetLeft float64) []scoredOp {
 	rm, im, _, _ := w.Partition(res)
 	if len(im) == 0 {
 		return nil
@@ -296,7 +296,7 @@ func sameOps(t *testing.T, what string, got, want []scoredOp) {
 
 // checkState compares GenRefine with the oracle on one chase state and
 // returns how many operators of each refinement class the state yielded.
-func checkState(t *testing.T, what string, w *Why, q *query.Query, used map[string]bool) map[ops.Kind]int {
+func checkState(t *testing.T, what string, w *Why, q *query.Query, used ops.Targets) map[ops.Kind]int {
 	t.Helper()
 	res := w.Matcher.Match(q)
 	want := oracleGenRefine(w, q, res, used, 3)
@@ -328,7 +328,7 @@ func TestGenRefineMatchesOracleOnDatasets(t *testing.T) {
 	addLs := map[string]int{}
 	datasetWhys(t, 4, func(dataset, what string, w *Why, q *query.Query) {
 		walkStates(t, w, what, q, 2, func(s walkedState, _ *match.Result) {
-			for kind, n := range checkState(t, s.what, w, s.q, opTargets(s.seq)) {
+			for kind, n := range checkState(t, s.what, w, s.q, s.seq.Targets()) {
 				total[kind] += n
 				if kind == ops.AddL {
 					addLs[dataset] += n
@@ -352,7 +352,7 @@ func TestGenRefineMatchesOracleOnDatasets(t *testing.T) {
 type edgeCase struct {
 	name     string
 	q        *query.Query
-	used     map[string]bool
+	used     ops.Targets
 	analysis int
 	wantOps  bool
 }
@@ -412,16 +412,16 @@ func edgeCases() (*graph.Graph, *exemplar.Exemplar, []edgeCase) {
 	}
 	g := gb.Build()
 	return g, e, []edgeCase{
-		{"plain", base(nil, nil), map[string]bool{}, 0, true},
-		{"all sampled matches kept (150 per side)", base(nil, nil), map[string]bool{}, 1000, true},
-		{"used target", base(nil, nil), map[string]bool{litTarget(1, "a"): true, litTarget(0, "size"): true}, 0, true},
-		{"existing = literal", base(nil, []query.Literal{eq("b", graph.N(3))}), map[string]bool{}, 0, true},
-		{"existing >= literal", base(nil, []query.Literal{{Attr: "b", Op: graph.GE, Val: graph.N(2)}}), map[string]bool{}, 0, true},
-		{"partner constrained to -0", base(nil, []query.Literal{eq("a", graph.N(math.Copysign(0, -1)))}), map[string]bool{}, 0, true},
-		{"partner bounded on the NaN attribute", base(nil, []query.Literal{{Attr: "c", Op: graph.GE, Val: graph.N(1)}}), map[string]bool{}, 0, true},
-		{"partner constrained to NaN", base(nil, []query.Literal{{Attr: "c", Op: graph.LE, Val: graph.N(math.NaN())}}), map[string]bool{}, 0, true},
-		{"partner bounded on the Number-with-Str attribute", base(nil, []query.Literal{{Attr: "d", Op: graph.LE, Val: graph.N(6)}}), map[string]bool{}, 0, true},
-		{"empty RM", base([]query.Literal{eq("good", graph.N(0))}, nil), map[string]bool{}, 0, false},
+		{"plain", base(nil, nil), nil, 0, true},
+		{"all sampled matches kept (150 per side)", base(nil, nil), nil, 1000, true},
+		{"used target", base(nil, nil), ops.Targets{ops.LitTarget(1, "a"), ops.LitTarget(0, "size")}, 0, true},
+		{"existing = literal", base(nil, []query.Literal{eq("b", graph.N(3))}), nil, 0, true},
+		{"existing >= literal", base(nil, []query.Literal{{Attr: "b", Op: graph.GE, Val: graph.N(2)}}), nil, 0, true},
+		{"partner constrained to -0", base(nil, []query.Literal{eq("a", graph.N(math.Copysign(0, -1)))}), nil, 0, true},
+		{"partner bounded on the NaN attribute", base(nil, []query.Literal{{Attr: "c", Op: graph.GE, Val: graph.N(1)}}), nil, 0, true},
+		{"partner constrained to NaN", base(nil, []query.Literal{{Attr: "c", Op: graph.LE, Val: graph.N(math.NaN())}}), nil, 0, true},
+		{"partner bounded on the Number-with-Str attribute", base(nil, []query.Literal{{Attr: "d", Op: graph.LE, Val: graph.N(6)}}), nil, 0, true},
+		{"empty RM", base([]query.Literal{eq("good", graph.N(0))}, nil), nil, 0, false},
 	}
 }
 
@@ -560,7 +560,7 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.maxOpsPerClass = 1 << 20
-		if n := checkState(t, what, w, q, map[string]bool{})[ops.AddL]; n == 0 {
+		if n := checkState(t, what, w, q, nil)[ops.AddL]; n == 0 {
 			t.Errorf("%s: no AddL operator compared", what)
 		}
 		rm, im, _, _ := w.Partition(w.Matcher.Match(q))
@@ -588,7 +588,7 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 		t.Fatalf("single miss: match %d keeps %d partners at u%d, want a full, non-empty set", 33, len(want), r)
 	}
 	delete(w.partnerCache, key)
-	checkState(t, "single miss", w, q, map[string]bool{})
+	checkState(t, "single miss", w, q, nil)
 	if got, ok := w.partnerCache[key]; !ok || !slices.Equal(got, want) {
 		t.Errorf("single miss: the fill left %v (cached: %v), want %v", got, ok, want)
 	}

@@ -20,7 +20,7 @@ import (
 // "Cost > budgetLeft" test. The terminal-state test checks that on a
 // state with budgetLeft < ops.MinCost it finds nothing to emit, and that
 // elsewhere GenRelax still emits exactly what it does.
-func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]bool, budgetLeft float64) []scoredOp {
+func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used ops.Targets, budgetLeft float64) []scoredOp {
 	_, _, rc, _ := w.Partition(res)
 	if len(rc) == 0 {
 		return nil
@@ -76,7 +76,7 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 		w.analyzeRC(q, v, &blame)
 
 		for _, l := range blame.failedLits {
-			if !used[litTarget(focus, l.Attr)] {
+			if !used.Has(ops.LitTarget(focus, l.Attr)) {
 				add(ops.Op{Kind: ops.RmL, U: focus, Lit: l}, -1, v)
 				if val, ok := w.G.Attr(v, l.Attr); ok {
 					noteVal(focus, l.Attr, val, v)
@@ -96,7 +96,7 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 		for _, ei := range failedEdges {
 			nearest := blame.edgeFail[ei]
 			e := q.Edges[ei]
-			if !used[edgeTarget(e.From, e.To)] {
+			if !used.Has(ops.EdgeTarget(e.From, e.To)) {
 				add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, v)
 				// Step-wise bound relaxation (Appendix B); the RC node
 				// only counts when one step suffices.
@@ -109,7 +109,7 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 				}
 			}
 			for _, bl := range blame.blocking(ei) {
-				if used[litTarget(bl.u, bl.lit.Attr)] {
+				if used.Has(ops.LitTarget(bl.u, bl.lit.Attr)) {
 					continue
 				}
 				add(ops.Op{Kind: ops.RmL, U: bl.u, Lit: bl.lit}, ei, v)
@@ -128,7 +128,7 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used map[string]b
 			if e.From == focus || e.To == focus {
 				continue
 			}
-			if used[edgeTarget(e.From, e.To)] {
+			if used.Has(ops.EdgeTarget(e.From, e.To)) {
 				continue
 			}
 			add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, v)
@@ -279,8 +279,8 @@ func TestGenRelaxFailingValuesMatchOracle(t *testing.T) {
 			w.maxOpsPerClass = 1 << 20
 			res := w.Matcher.Match(q)
 			what := fmt.Sprintf("%s, %d analyzed", lit.String(), analysis)
-			got := w.GenRelax(q, res, map[string]bool{}, 3)
-			sameOps(t, what, got, oracleGenRelax(w, q, res, map[string]bool{}, 3))
+			got := w.GenRelax(q, res, nil, 3)
+			sameOps(t, what, got, oracleGenRelax(w, q, res, nil, 3))
 			for _, o := range got {
 				if o.Op.Kind == ops.RxL && o.Op.NewLit.Val.Num == 0 {
 					zeros++

@@ -122,7 +122,7 @@ func TestGeneratorsOnUsedScratch(t *testing.T) {
 	shared := new(genScratch)
 	compared := 0
 	check := func(w *Why, s walkedState, res *match.Result) {
-		used := opTargets(s.seq)
+		used := s.seq.Targets()
 		for _, gen := range []struct {
 			name string
 			run  func() []scoredOp
@@ -177,7 +177,7 @@ func TestGeneratorAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		walkStates(t, w, fmt.Sprintf("question %d", i), inst.Q, 2, func(s walkedState, res *match.Result) {
-			used := opTargets(s.seq)
+			used := s.seq.Targets()
 			budgetLeft := w.Cfg.Budget - s.cost
 			for _, gen := range []struct {
 				name string

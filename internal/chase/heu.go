@@ -1,12 +1,6 @@
 package chase
 
-import (
-	"sort"
-
-	"wqe/internal/match"
-	"wqe/internal/ops"
-	"wqe/internal/query"
-)
+import "sort"
 
 // AnsHeu is the faster tunable heuristic of §5.5: a breadth-first beam
 // search with beam size k. Each state expands through its top-k picky
@@ -23,30 +17,15 @@ func (w *Why) AnsHeuB(beam int) Answer {
 	return w.beamSearch(beam, true)
 }
 
-// beamCand is one claimed beam expansion: the rewrite to evaluate plus
-// the slots the evaluation phase fills in. Claiming (operator choice,
-// budget check, visited marking) is sequential; only the evaluation
-// runs on worker goroutines.
-type beamCand struct {
-	parent *state
-	op     scoredOp
-	q2     *query.Query
-	seq2   ops.Sequence
-	key    string // rewrite key (AnsW speculation indexes spec by it)
-	ans    Answer
-	res    *match.Result
-}
-
 // beamSearch runs one beam level at a time in three phases:
 //
-//  1. claim — walk the frontier in order, generate each state's
-//     operator pool, and claim up to beam candidates per state exactly
-//     as the sequential search would (budget and visited checks, and
-//     the run's step claims, all happen here, per candidate);
-//  2. evaluate — fan the claimed candidates' Match calls out over the
+//  1. claim — walk the frontier in order, expand each state, and
+//     screen and claim up to beam steps per state exactly as the
+//     sequential search would;
+//  2. evaluate — fan the claimed steps' Match calls out over the
 //     worker pool;
-//  3. commit — fold results back in claim order (best-list offers,
-//     diff lineage, Stats.States, beam eviction).
+//  3. commit — build the children in claim order (best-list offers,
+//     lineage, Stats.States, beam eviction).
 //
 // Because no claim decision reads a same-level evaluation result, the
 // output is byte-identical for every Config.Workers setting.
@@ -61,41 +40,24 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 	visited := map[string]bool{w.Q.Key(): true}
 	frontier := []*state{root}
 	workers := w.workers()
-	// pool is one state's operators, dropped once it has claimed: the
-	// claims copy what they keep.
-	var pool []scoredOp
 
 	for len(frontier) > 0 {
 		// Phase 1 — claim. Each candidate claims its step before the
 		// level is evaluated: MaxSteps cuts where a sequential run would.
-		var cands []*beamCand
+		var cands []step
 	claim:
 		for _, s := range frontier {
 			if !r.more() {
 				break
 			}
-			budgetLeft := w.Cfg.Budget - s.cost
-
+			var pool []scoredOp
 			if random {
 				// Not skipped for a state that can afford nothing: building
 				// the pool draws from w.rng, and a skipped call would shift
 				// every later draw.
-				pool = w.GenRandom(s.q, opTargets(s.seq), budgetLeft)
+				pool = w.GenRandom(s.q, s.seq.Targets(), w.Cfg.Budget-s.cost)
 			} else {
-				if !expandable(budgetLeft) {
-					continue
-				}
-				used := opTargets(s.seq)
-				rm, im, rc, _ := w.partition(s.res, &w.scratch().parts)
-				// Relaxations come first so that, on pickiness ties, the
-				// beam follows the normal form (relax before refine);
-				// refinements with strictly higher pickiness still win.
-				pool = pool[:0]
-				if !s.refineOnly {
-					pool = append(pool, capPerClass(w.genRelax(s.q, rc, used, budgetLeft), beam)...)
-				}
-				pool = append(pool, capPerClass(w.genRefine(s.q, rm, im, used, budgetLeft), beam)...)
-				sortScored(pool)
+				pool = w.expand(s, true, true, beam)
 			}
 
 			expanded := 0
@@ -109,55 +71,26 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 				if !r.more() {
 					break claim
 				}
-				if s.cost+op.Op.Cost(w.G) > w.Cfg.Budget+1e-9 {
+				st, ok := w.screen(s, op, visited)
+				if !ok {
 					continue
 				}
-				q2, err := op.Op.Apply(s.q)
-				if err != nil {
-					continue // generator emitted an op that no longer fits s.q
-				}
-				key := q2.Key()
-				if visited[key] {
-					continue
-				}
-				if !r.claim() {
+				if !r.claimStep(&st, visited) {
 					break claim
 				}
-				visited[key] = true
 				expanded++
-				cands = append(cands, &beamCand{
-					parent: s,
-					op:     op,
-					q2:     q2,
-					seq2:   append(append(ops.Sequence{}, s.seq...), op.Op),
-				})
+				cands = append(cands, st)
 			}
 		}
 
 		// Phase 2 — evaluate the whole level concurrently.
-		w.forEach(workers, len(cands), func(i int) {
-			c := cands[i]
-			c.ans, c.res = w.evaluate(c.parent.res, c.q2, c.seq2)
-		})
+		w.forEach(workers, len(cands), func(i int) { w.evaluateStep(&cands[i]) })
 
 		// Phase 3 — commit in claim order.
 		var children []*state
-		for _, c := range cands {
-			s, ans2, res2 := c.parent, c.ans, c.res
-			s2 := &state{
-				q:          c.q2,
-				seq:        c.seq2,
-				cost:       ans2.Cost,
-				res:        res2,
-				cl:         ans2.Closeness,
-				clPlus:     w.ClPlus(res2.Answer),
-				sat:        ans2.Satisfied,
-				refineOnly: s.refineOnly || c.op.Op.Kind.IsRefine(),
-			}
-			s2.diff = append(append([]DiffEntry{}, s.diff...),
-				w.diffEntry(c.op.Op, c.op.PickyEdge, s.res.Answer, res2.Answer))
-			ans2.Diff = s2.diff
-			if best.offer(ans2) {
+		for i := range cands {
+			s2 := w.child(&cands[i], 0)
+			if best.offer(cands[i].ans) {
 				r.improve(best.list[0])
 			}
 			children = append(children, s2)

@@ -138,7 +138,7 @@ func TestOpKeyMatchesOpIdent(t *testing.T) {
 		return v
 	}
 	compared, classes := 0, 0
-	walkBudgetStates(t, func(w *Why, s walkedState, res *match.Result, used map[string]bool, budgetLeft float64) {
+	walkBudgetStates(t, func(w *Why, s walkedState, res *match.Result, used ops.Targets, budgetLeft float64) {
 		if !math.IsNaN(budgetLeft) && len(s.seq) > 1 {
 			return // every operator is emitted under the NaN budget of the walk's root
 		}

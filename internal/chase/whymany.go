@@ -131,7 +131,7 @@ func (w *Why) ApxWhyM() Answer {
 
 	// O1: greedy marginal-gain-per-cost selection (lines 4-8).
 	var o1 []int
-	usedTargets := map[string]bool{}
+	var usedTargets ops.Targets
 	coveredIM, coveredRM := make([]uint64, words), make([]uint64, words)
 	im2, rm2 := make([]uint64, words), make([]uint64, words)
 	cost1 := 0.0
@@ -153,7 +153,7 @@ func (w *Why) ApxWhyM() Answer {
 			if !remaining[i] || cost1+s.cost > w.Cfg.Budget {
 				continue
 			}
-			if k, ok := opTarget(s.op); ok && usedTargets[k] {
+			if t, ok := s.op.Target(); ok && usedTargets.Has(t) {
 				continue
 			}
 			for k := range im2 {
@@ -172,8 +172,8 @@ func (w *Why) ApxWhyM() Answer {
 		remaining[bestIdx] = false
 		o1 = append(o1, bestIdx)
 		cost1 += s.cost
-		if k, ok := opTarget(s.op); ok {
-			usedTargets[k] = true
+		if t, ok := s.op.Target(); ok {
+			usedTargets = append(usedTargets, t)
 		}
 		for k := range coveredIM {
 			coveredIM[k] |= s.removedIM[k]
@@ -212,7 +212,7 @@ func (w *Why) ApxWhyM() Answer {
 // matches for AddE and value-based AddL/RfL, so it serves as SeedRf
 // with a wider cap.
 func (w *Why) seedRf(res *match.Result) []scoredOp {
-	pool := w.GenRefine(w.Q, res, map[string]bool{}, w.Cfg.Budget)
+	pool := w.GenRefine(w.Q, res, nil, w.Cfg.Budget)
 	const maxSeeds = 48
 	if len(pool) > maxSeeds {
 		pool = pool[:maxSeeds]

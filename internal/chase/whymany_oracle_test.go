@@ -115,7 +115,7 @@ func oracleApxWhyM(w *Why) Answer {
 
 	// O1: greedy marginal-gain-per-cost selection (lines 4-8).
 	var o1 []int
-	usedTargets := map[string]bool{}
+	var usedTargets ops.Targets
 	coveredIM := map[graph.NodeID]bool{}
 	coveredRM := map[graph.NodeID]bool{}
 	cost1 := 0.0
@@ -137,7 +137,7 @@ func oracleApxWhyM(w *Why) Answer {
 			if !remaining[i] || cost1+s.cost > w.Cfg.Budget {
 				continue
 			}
-			if k, ok := opTarget(s.op); ok && usedTargets[k] {
+			if t, ok := s.op.Target(); ok && usedTargets.Has(t) {
 				continue
 			}
 			im2 := oracleUnionSet(coveredIM, s.removedIM)
@@ -154,8 +154,8 @@ func oracleApxWhyM(w *Why) Answer {
 		remaining[bestIdx] = false
 		o1 = append(o1, bestIdx)
 		cost1 += s.cost
-		if k, ok := opTarget(s.op); ok {
-			usedTargets[k] = true
+		if t, ok := s.op.Target(); ok {
+			usedTargets = append(usedTargets, t)
 		}
 		for v := range s.removedIM {
 			coveredIM[v] = true

@@ -3,7 +3,7 @@ package loadgen
 import "encoding/json"
 
 // The paper's Fig 1 cellphone fixture payload, shared by wqe-serve's
-// -smoke, wqe-loadgen's -fig1, and the serving benchmark: the example
+// smoke test and wqe-loadgen's -fig1: the example
 // query (cellphones ≥ $840 with ≥ 4GB RAM, sold by a carrier, with a
 // sensor within 2 hops) and the exemplar preferring 6.2"/6.3" phones
 // under $800.

@@ -1,5 +1,6 @@
 // Package loadgen is the closed-loop HTTP load generator behind
-// cmd/wqe-loadgen and the serving benchmark: N concurrent clients each
+// cmd/wqe-loadgen (the repo benchmark's serving workloads drive
+// wqe-serve with clients of their own): N concurrent clients each
 // issue one request, wait for the response, and immediately issue the
 // next (the closed-loop discipline of the FalkorDB benchmark harness —
 // offered load adapts to server capacity instead of piling up).

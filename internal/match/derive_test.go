@@ -46,8 +46,8 @@ func walkRewrites(w *chase.Why, what string, visit func(what string, parent *mat
 				u    query.NodeID
 			}
 			taken := map[slot]int{}
-			pool := w.GenRefine(s.q, s.res, map[string]bool{}, w.Cfg.Budget)
-			pool = append(pool, w.GenRelax(s.q, s.res, map[string]bool{}, w.Cfg.Budget)...)
+			pool := w.GenRefine(s.q, s.res, nil, w.Cfg.Budget)
+			pool = append(pool, w.GenRelax(s.q, s.res, nil, w.Cfg.Budget)...)
 			for i, o := range pool {
 				k := slot{o.Op.Kind, o.Op.U}
 				if taken[k] == 2 || len(next) >= 60 {

@@ -370,18 +370,15 @@ func randomCanonicalSequence(q *query.Query, rng *rand.Rand) Sequence {
 	}
 	perm := rng.Perm(len(pool))
 	var seq Sequence
-	used := map[string]bool{}
 	n := 1 + rng.Intn(4)
 	for _, i := range perm {
 		if len(seq) == n {
 			break
 		}
 		o := pool[i]
-		tgt := o.target(i)
-		if o.Kind != Empty && used[tgt] {
+		if t, ok := o.Target(); ok && seq.Targets().Has(t) {
 			continue
 		}
-		used[tgt] = true
 		seq = append(seq, o)
 	}
 	return seq

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wqe/internal/graph"
@@ -37,27 +38,55 @@ func (s Sequence) Apply(q *query.Query, p Params) (*query.Query, error) {
 	return cur, nil
 }
 
-// target identifies what an operator touches, for cancel-out detection.
-// Literal operators on the same (node, attribute) share a target; edge
-// operators on the same endpoint pair share a target. AddE with a fresh
-// node gets a unique target (it can never cancel against prior ops).
-func (o Op) target(seq int) string {
+// Target is what an operator touches, for cancel-out detection (§4): a
+// literal operator touches its node's attribute, an edge operator the
+// edge between its endpoints. The operators of a canonical sequence
+// touch pairwise distinct targets.
+type Target struct {
+	Edge  bool
+	U, U2 query.NodeID // U2 only for an edge
+	Attr  string       // only for a literal
+}
+
+// LitTarget is the target of the literal operators on attribute attr of
+// node u.
+func LitTarget(u query.NodeID, attr string) Target { return Target{U: u, Attr: attr} }
+
+// EdgeTarget is the target of the edge operators on the edge a→b.
+func EdgeTarget(a, b query.NodeID) Target { return Target{Edge: true, U: a, U2: b} }
+
+// Target returns the target o touches. ok is false for Empty and for an
+// AddE to a fresh node: neither can cancel against another operator.
+func (o Op) Target() (t Target, ok bool) {
 	switch o.Kind {
-	case Empty:
-		return fmt.Sprintf("empty:%d", seq)
-	case RmL, AddL:
-		return fmt.Sprintf("L:%d:%s", o.U, o.Lit.Attr)
-	case RxL, RfL:
-		return fmt.Sprintf("L:%d:%s", o.U, o.Lit.Attr)
+	case RmL, AddL, RxL, RfL:
+		return LitTarget(o.U, o.Lit.Attr), true
 	case RmE, RxE, RfE:
-		return fmt.Sprintf("E:%d:%d", o.U, o.U2)
+		return EdgeTarget(o.U, o.U2), true
 	case AddE:
-		if o.NewNode != nil {
-			return fmt.Sprintf("E:new:%d", seq)
+		if o.NewNode == nil {
+			return EdgeTarget(o.U, o.U2), true
 		}
-		return fmt.Sprintf("E:%d:%d", o.U, o.U2)
 	}
-	return "?"
+	return Target{}, false
+}
+
+// Targets is a set of targets: a sequence's, one per operator at most,
+// so it is scanned rather than hashed.
+type Targets []Target
+
+// Has reports whether t is in the set.
+func (ts Targets) Has(t Target) bool { return slices.Contains(ts, t) }
+
+// Targets returns the targets the sequence touches.
+func (s Sequence) Targets() Targets {
+	var ts Targets
+	for _, o := range s {
+		if t, ok := o.Target(); ok {
+			ts = append(ts, t)
+		}
+	}
+	return ts
 }
 
 // Canonical reports whether the sequence is canonical (§4): no target is
@@ -65,16 +94,11 @@ func (o Op) target(seq int) string {
 // and no target is touched twice by the same class (redundant — a
 // single operator expresses the combined effect).
 func (s Sequence) Canonical() bool {
-	kinds := map[string]Kind{}
-	for i, o := range s {
-		if o.Kind == Empty {
-			continue
-		}
-		t := o.target(i)
-		if _, seen := kinds[t]; seen {
+	ts := s.Targets()
+	for i, t := range ts {
+		if ts[:i].Has(t) {
 			return false
 		}
-		kinds[t] = o.Kind
 	}
 	return true
 }
