@@ -79,10 +79,12 @@ fuzz:
 # question pools takes about a second), the two graph loaders,
 # BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s, and heap-B/node:
 # the live heap the loaded graph holds),
-# BenchmarkCachePutFull (an evicting Put on a full cache core), and
+# BenchmarkCachePutFull (an evicting Put on a full cache core),
 # BenchmarkDecodeAsk (one /askfast body to a compiled job, through the
 # encoding/json path it replaced and through chase.DecodeJob as
-# wqe-serve reaches it; allocs reported).
+# wqe-serve reaches it; allocs reported), and BenchmarkAskHit (one
+# answer-memo hit on /askfast and on /why through wqe-serve's mux, in
+# process: decode to stored body; allocs reported).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot|CachePutFull' -benchtime 1x ./internal/chase ./internal/graph ./internal/match ./internal/anscache ./cmd/wqe-serve
 
@@ -132,10 +134,14 @@ benchmark:
 # gate: the beam (explore_heu), and AnsW/TopK with cl⁺ pruning and star
 # cache eviction (explore_answ). Every answer is re-derived by a
 # cache-less matcher over BFS distances, and each run exits non-zero on
-# `correct: false`. About 20 s.
+# `correct: false`. Then a short untraced serve_repeat pass: wqe-serve
+# answering from its memo, each hit body compared with the body its
+# question got in the warm-up, which guards the response bodies memo
+# entries store. About 25 s.
 benchmark-check:
 	$(GO) run ./benchmark --workload explore_heu --seed 7 --seconds 3 --trace 1
 	$(GO) run ./benchmark --workload explore_answ --seed 7 --seconds 3 --trace 1
+	$(GO) run ./benchmark --workload serve_repeat --seed 7 --seconds 3 --trace 0
 
 # Everything a PR must pass, without the benchmark regeneration.
 check: build vet fmt-check test race lint examples bench-smoke benchmark-check

@@ -269,6 +269,10 @@ type askResponse struct {
 // forceAlgo overrides the payload's algo ("" keeps it); explain adds
 // the differential table and rendered explanation to the response.
 func (s *server) askHandler(forceAlgo string, explain bool) http.HandlerFunc {
+	variant := chase.BodyPlain
+	if explain {
+		variant = chase.BodyExplained
+	}
 	return func(rw http.ResponseWriter, r *http.Request) {
 		submit := s.clock()
 		var req askRequest
@@ -292,13 +296,21 @@ func (s *server) askHandler(forceAlgo string, explain bool) http.HandlerFunc {
 		defer release()
 		s.stats.admitted.Add(1)
 
-		res := h.session.Run(job)
+		// A memo hit sends the body its entry keeps for this variant,
+		// rendered on the entry's first hit; anything else renders here.
+		res, body := h.session.RunBody(job, variant, func(res chase.BatchResult) []byte {
+			return encodeJSON(answerJSON(h, job, res, explain))
+		})
 		if res.Err != nil {
 			s.stats.jobErrors.Add(1)
 			s.writeError(rw, http.StatusUnprocessableEntity, res.Err.Error())
 			return
 		}
 		s.stats.completed.Add(1)
+		if body != nil {
+			s.send(rw, http.StatusOK, body.Bytes, body.Length)
+			return
+		}
 		s.writeJSON(rw, answerJSON(h, job, res, explain))
 	}
 }
@@ -339,7 +351,10 @@ func (s *server) handleFor(name string) (*graphHandle, error) {
 	return h, nil
 }
 
-// answerJSON renders the result of one batch job.
+// answerJSON renders the result of one batch job. It reads only the
+// result, the job's resolved algorithm, the handle's name and graph, and
+// explain, so the body a memo entry keeps for a variant is the same for
+// every request that hits the entry.
 func answerJSON(h *graphHandle, job chase.BatchJob, res chase.BatchResult, explain bool) askResponse {
 	a := res.Answer
 	out := askResponse{
@@ -666,8 +681,7 @@ var jsonContentType = []string{"application/json"}
 // Content-Length. Encoder.Encode appends a trailing newline, preserving
 // the body bytes of the old Marshal-plus-newline path. An encode
 // failure is effectively dead code (every value the server encodes is a
-// plain struct/map of encodable fields) but stays handled. A failed
-// write means the client vanished mid-response, only worth counting.
+// plain struct/map of encodable fields) but stays handled.
 func (s *server) respond(rw http.ResponseWriter, status int, v interface{}) {
 	jb := jsonBufs.Get().(*jsonBuf)
 	defer jsonBufs.Put(jb)
@@ -676,13 +690,31 @@ func (s *server) respond(rw http.ResponseWriter, status int, v interface{}) {
 		jb.buf.Reset()
 		jb.buf.WriteString("{\"error\":\"encode response\"}\n")
 	}
+	s.send(rw, status, jb.buf.Bytes(), []string{strconv.Itoa(jb.buf.Len())})
+}
+
+// encodeJSON renders v as respond sends it, into a new slice: the bytes
+// a memo entry keeps. An encode failure returns nil, which a memo entry
+// does not store.
+func encodeJSON(v interface{}) []byte {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil
+	}
+	return buf.Bytes()
+}
+
+// send writes one JSON body with its Content-Length header value. A
+// failed write means the client vanished mid-response, only worth
+// counting.
+func (s *server) send(rw http.ResponseWriter, status int, body []byte, length []string) {
 	h := rw.Header()
 	h["Content-Type"] = jsonContentType
-	h["Content-Length"] = []string{strconv.Itoa(jb.buf.Len())}
+	h["Content-Length"] = length
 	if status != http.StatusOK {
 		rw.WriteHeader(status)
 	}
-	if _, err := rw.Write(jb.buf.Bytes()); err != nil {
+	if _, err := rw.Write(body); err != nil {
 		s.stats.writeErrs.Add(1)
 	}
 }

@@ -4,9 +4,10 @@
 // replacement"). It is instantiated twice: as the star-view cache
 // (match.Cache = Cache[*match.StarTable], keyed by structural star key,
 // shared by every question of a session) and as the serving-path answer
-// memo (Cache[chase.BatchResult], keyed by a canonical question digest,
-// so N concurrent identical requests run exactly one chase and finished
-// answers stay resident for later identical requests).
+// memo (a Cache of chase's memo entries, keyed by a canonical question
+// digest, so N concurrent identical requests run exactly one chase and
+// finished answers, with the response bodies rendered from them, stay
+// resident for later identical requests).
 //
 // Keys hash (FNV-1a) onto a power-of-two number of shards; each shard
 // owns its own mutex, logical tick clock, entry map, and in-flight

@@ -242,7 +242,7 @@ func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, Batc
 			results[i] = BatchResult{Err: ErrCancelled}
 			return
 		}
-		results[i] = s.runMemo(jobs[i], submit, opt.Cancel)
+		results[i], _ = s.runMemo(jobs[i], submit, opt.Cancel)
 	})
 
 	stats := BatchStats{Jobs: len(jobs), Workers: workers}
@@ -272,7 +272,8 @@ func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, Batc
 // jobs are served from the answer memo (see memo.go): hits skip the
 // chase entirely and concurrent identical requests coalesce onto one.
 func (s *Session) Run(j BatchJob) BatchResult {
-	return s.runMemo(j, s.clock(), nil)
+	res, _ := s.runMemo(j, s.clock(), nil)
+	return res
 }
 
 // cancelled polls a cancel channel without blocking; nil never cancels.

@@ -4,7 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
+	"sync"
 	"time"
+
+	"wqe/internal/anscache"
 )
 
 // This file is the session's answer memo: the serving-path cache that
@@ -86,29 +89,106 @@ func jobDigest(uid uint64, algo string, beam int, sr Search, j BatchJob) string 
 	return string(hx[:])
 }
 
+// Body variants: the two ways a server sends one answer, plain or with
+// its explanation. Each answer-memo entry holds at most one body per
+// variant.
+const (
+	BodyPlain = iota
+	BodyExplained
+	numBodies
+)
+
+// A Body is a rendered response kept with the answer-memo entry it was
+// rendered from, so every later hit sends it as it is. Bytes is an
+// exact-size copy of what the renderer returned; Length is its length
+// in decimal, a one-element header value made once. Both are read-only:
+// every hit on the entry shares them.
+type Body struct {
+	Bytes  []byte
+	Length []string
+}
+
+// memoEntry is one answer-memo value: the job's result and the bodies
+// rendered from it. A body is a pure function of the entry plus
+// constants of the session (the graph, the name a server gives it) and
+// the variant, so it lives and dies with the entry: eviction drops both.
+type memoEntry struct {
+	res    BatchResult
+	bodies [numBodies]bodySlot
+}
+
+// bodySlot holds one variant's body, rendered at most once: the first
+// hit on the entry that asks for the variant renders it under once,
+// and every later hit reads body after once.Do returns. body stays nil
+// when the render failed.
+type bodySlot struct {
+	once sync.Once
+	body *Body
+}
+
+// body returns the entry's stored body for variant, rendering it from
+// the entry's result on the variant's first call. A nil render result
+// stores nothing, and no later call renders again.
+func (e *memoEntry) body(s *Session, variant int, render func(BatchResult) []byte) *Body {
+	sl := &e.bodies[variant]
+	sl.once.Do(func() {
+		b := render(e.res)
+		if b == nil {
+			return
+		}
+		kept := make([]byte, len(b))
+		copy(kept, b)
+		sl.body = &Body{Bytes: kept, Length: []string{strconv.Itoa(len(kept))}}
+		s.bodies.Add(1)
+	})
+	return sl.body
+}
+
+// RunBody is Run for a caller that sends each answer as rendered bytes,
+// as wqe-serve's single-question endpoints do. On an answer-memo hit it
+// returns the hit entry's body for variant (BodyPlain or BodyExplained),
+// which render makes from the entry's result on the variant's first hit
+// and the entry keeps until it is evicted. render must be a pure
+// function of the result plus constants of the session and the variant,
+// since every later hit gets its bytes; it returns nil when it cannot
+// render, and then the entry stores nothing. body is nil on a miss, a
+// coalesced wait, an error or with the memo off: the caller renders res
+// itself, so a question asked once never stores a body.
+func (s *Session) RunBody(j BatchJob, variant int, render func(BatchResult) []byte) (res BatchResult, body *Body) {
+	res, hit := s.runMemo(j, s.clock(), nil)
+	if hit != nil {
+		body = hit.body(s, variant, render)
+	}
+	return res, body
+}
+
 // runMemo is the memo-aware front of runJob. With the answer cache off
 // (or for jobs the memo cannot key) it is runJob verbatim. With it on,
 // identical jobs coalesce onto one detached chase and hits return the
 // stored result without touching the search at all — the session's
 // Questions counter therefore counts *chases executed*, which is the
-// counting oracle the coalescing tests assert against.
-func (s *Session) runMemo(j BatchJob, submit time.Time, batchCancel <-chan struct{}) BatchResult {
+// counting oracle the coalescing tests assert against. hit is the
+// memo entry when the result was resident, nil otherwise.
+func (s *Session) runMemo(j BatchJob, submit time.Time, batchCancel <-chan struct{}) (res BatchResult, hit *memoEntry) {
 	if s.ans == nil || j.Q == nil || j.E == nil || s.Cfg.OnImprove != nil {
 		// No memo, unanswerable job (runJob reports errNilJob), or a
 		// streaming OnImprove hook that must observe every improvement.
-		return s.runJob(j, submit, batchCancel, false)
+		return s.runJob(j, submit, batchCancel, false), nil
 	}
 	key, ok := s.answerKey(j)
 	if !ok {
-		return s.runJob(j, submit, batchCancel, false)
+		return s.runJob(j, submit, batchCancel, false), nil
 	}
-	res, _ := s.ans.GetOrCompute(key, func() (BatchResult, bool) {
+	e, outcome := s.ans.GetOrCompute(key, func() (*memoEntry, bool) {
 		// Detached flight: Limits cleared (see file comment), so the
 		// stored answer is complete and deterministic. Errors are
 		// delivered to every coalesced waiter but never stored — the
 		// next identical request retries.
 		r := s.runJob(j, submit, nil, true)
-		return r, r.Err == nil
+		return &memoEntry{res: r}, r.Err == nil
 	})
-	return res
+	if outcome == anscache.Hit {
+		hit = e
+	}
+	return e.res, hit
 }

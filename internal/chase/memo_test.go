@@ -1,7 +1,10 @@
 package chase_test
 
 import (
+	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"wqe/internal/chase"
 	"wqe/internal/datagen"
@@ -255,6 +258,115 @@ func TestMemoSeparatesExemplarCells(t *testing.T) {
 		}
 		if renderAnswer(got.Answer) != renderAnswer(alone.Answer) {
 			t.Errorf("%s: second question answered\n%s\nasked alone\n%s", tc.name, renderAnswer(got.Answer), renderAnswer(alone.Answer))
+		}
+	}
+}
+
+// TestRunBodyStoresOnFirstHit pins the body slots of answer-memo
+// entries: a miss stores nothing, the first hit for a variant renders
+// once and keeps an exact-size copy, later hits share it, the two
+// variants keep separate bodies, a failed render stores nothing and is
+// not retried, and a session without the memo never renders.
+func TestRunBodyStoresOnFirstHit(t *testing.T) {
+	f := datagen.NewFig1()
+	cfg := memoConfig()
+	cfg.Budget = 4
+	sess := chase.NewSession(f.G, cfg)
+	job := chase.BatchJob{Q: f.Q, E: f.E}
+
+	calls := 0
+	var last []byte
+	render := func(tag string) func(chase.BatchResult) []byte {
+		return func(res chase.BatchResult) []byte {
+			calls++
+			last = append(make([]byte, 0, 64), tag+renderAnswer(res.Answer)...)
+			return last
+		}
+	}
+	run := func(variant int, r func(chase.BatchResult) []byte) *chase.Body {
+		t.Helper()
+		res, body := sess.RunBody(job, variant, r)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		return body
+	}
+
+	if b := run(chase.BodyPlain, render("plain:")); b != nil || calls != 0 {
+		t.Fatalf("miss: body %v after %d renders, want none", b, calls)
+	}
+	first := run(chase.BodyPlain, render("plain:"))
+	if first == nil || calls != 1 {
+		t.Fatalf("first hit: body %v after %d renders, want one render", first, calls)
+	}
+	want := "plain:" + renderAnswer(sess.Run(job).Answer)
+	if string(first.Bytes) != want || cap(first.Bytes) != len(first.Bytes) ||
+		len(first.Length) != 1 || first.Length[0] != strconv.Itoa(len(want)) {
+		t.Fatalf("stored body %q (cap %d), length %q; want an exact-size %q", first.Bytes, cap(first.Bytes), first.Length, want)
+	}
+	last[0] = 'X' // the renderer's buffer is not the stored copy
+	if again := run(chase.BodyPlain, render("plain:")); again != first || calls != 1 || string(again.Bytes) != want {
+		t.Fatalf("second hit: body %p (%q) after %d renders, want the stored %p", again, again.Bytes, calls, first)
+	}
+	expl := run(chase.BodyExplained, render("explained:"))
+	if expl == nil || calls != 2 || string(expl.Bytes) != "explained:"+want[len("plain:"):] {
+		t.Fatalf("explained variant: body %v after %d renders", expl, calls)
+	}
+	if got := sess.Counters().AnswerBodies; got != 2 {
+		t.Fatalf("AnswerBodies = %d, want 2", got)
+	}
+
+	// A failed render stores nothing, and the entry does not render again.
+	job.MaxSteps = 7
+	failing := func(chase.BatchResult) []byte { calls++; return nil }
+	calls = 0
+	for i := 0; i < 3; i++ {
+		if b := run(chase.BodyPlain, failing); b != nil {
+			t.Fatalf("request %d: failed render stored %q", i+1, b.Bytes)
+		}
+	}
+	if calls != 1 || sess.Counters().AnswerBodies != 2 {
+		t.Fatalf("failed render: %d renders, %d bodies; want 1 and 2", calls, sess.Counters().AnswerBodies)
+	}
+
+	// Concurrent first hits render once and all get the stored body; the
+	// slow render keeps the other hits arriving while it runs.
+	job.MaxSteps = 8
+	run(chase.BodyPlain, nil)
+	var renders atomic.Int32
+	slow := func(res chase.BatchResult) []byte {
+		renders.Add(1)
+		time.Sleep(20 * time.Millisecond)
+		return []byte(renderAnswer(res.Answer))
+	}
+	const K = 8
+	got := make([]*chase.Body, K)
+	start := make(chan struct{})
+	var grp par.Group
+	for i := 0; i < K; i++ {
+		grp.Go(func() {
+			<-start
+			_, got[i] = sess.RunBody(job, chase.BodyPlain, slow)
+		})
+	}
+	close(start)
+	grp.Wait()
+	for i, b := range got {
+		if b == nil || b != got[0] {
+			t.Fatalf("concurrent hit %d: body %p, want the one stored %p", i, b, got[0])
+		}
+	}
+	if n := renders.Load(); n != 1 {
+		t.Fatalf("%d concurrent first hits rendered %d times, want once", K, n)
+	}
+
+	off := memoConfig()
+	off.AnswerCacheCap = 0
+	sess = chase.NewSession(f.G, off)
+	calls = 0
+	for i := 0; i < 3; i++ {
+		if b := run(chase.BodyPlain, render("plain:")); b != nil || calls != 0 {
+			t.Fatalf("memo off, request %d: body %v after %d renders", i+1, b, calls)
 		}
 	}
 }

@@ -46,14 +46,17 @@ type Session struct {
 
 	// ans is the answer memo (Engine.AnswerCacheCap): finished batch-job
 	// results keyed by canonical question digest, with singleflight
-	// coalescing. nil when disabled. See memo.go.
-	ans *anscache.Cache[BatchResult]
+	// coalescing, each entry with the response bodies rendered from it.
+	// nil when disabled. See memo.go.
+	ans *anscache.Cache[*memoEntry]
 
 	// questions/steps accumulate across every question the session ran
 	// to completion (Ask, AskFast, Run, AskAll jobs, AskMultiFocus
 	// foci). They feed serving-layer stats; ranking never reads them.
 	questions atomic.Int64
 	steps     atomic.Int64
+	// bodies counts response bodies stored in answer-memo entries.
+	bodies atomic.Int64
 
 	// clock feeds batch wall-clock statistics and submission-anchored
 	// deadlines; tests substitute a fake to pin time plumbing.
@@ -89,7 +92,7 @@ func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Sessi
 		s.cache = anscache.New[*match.StarTable](cfg.CacheCap, 0)
 	}
 	if cfg.AnswerCacheCap > 0 {
-		s.ans = anscache.New[BatchResult](cfg.AnswerCacheCap, 0)
+		s.ans = anscache.New[*memoEntry](cfg.AnswerCacheCap, 0)
 	}
 	return s
 }
@@ -170,13 +173,19 @@ type SessionCounters struct {
 	// number of memo-eligible jobs served; Questions above counts only
 	// the chases actually executed (the misses).
 	AnswerCache anscache.Counters `json:"answer_cache"`
+	// AnswerBodies counts the response bodies stored in answer-memo
+	// entries (RunBody), at most one per entry and variant, each on the
+	// entry's first hit for its variant. It only grows: an evicted
+	// entry's bodies go with it, uncounted.
+	AnswerBodies int64 `json:"answer_bodies"`
 }
 
 // Counters snapshots the session's cumulative counters lock-free.
 func (s *Session) Counters() SessionCounters {
 	c := SessionCounters{
-		Questions: s.questions.Load(),
-		Steps:     s.steps.Load(),
+		Questions:    s.questions.Load(),
+		Steps:        s.steps.Load(),
+		AnswerBodies: s.bodies.Load(),
 	}
 	if s.cache != nil {
 		c.Cache = s.cache.Counters()
