@@ -76,7 +76,9 @@ fuzz:
 # BenchmarkBuildStarTable (the same stars built fresh and derived from
 # the parent's table; B/cell), BenchmarkAsk (one whole question per
 # algorithm, what `make profile` profiles; generating its workload-sized
-# question pools takes about a second), the two graph loaders,
+# question pools takes about a second; and the scaling curve's heu_2k and
+# heu_18k, with heu_180k, whose graph takes seconds to build, skipped by
+# -short), the two graph loaders,
 # BenchmarkReadJSON and BenchmarkReadSnapshot (MB/s, and heap-B/node:
 # the live heap the loaded graph holds),
 # BenchmarkCachePutFull (an evicting Put on a full cache core),
@@ -86,7 +88,7 @@ fuzz:
 # answer-memo hit on /askfast and on /why through wqe-serve's mux, in
 # process: decode to stored body; allocs reported).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot|CachePutFull' -benchtime 1x ./internal/chase ./internal/graph ./internal/match ./internal/anscache ./cmd/wqe-serve
+	$(GO) test -short -run '^$$' -bench 'GenRe|Ball|StarTable|Ask|ReadJSON|ReadSnapshot|CachePutFull' -benchtime 1x ./internal/chase ./internal/graph ./internal/match ./internal/anscache ./cmd/wqe-serve
 
 # Where a question's time goes: BenchmarkAsk asks whole Why-questions the
 # way the benchmark's explore_heu and explore_answ workloads do (seeded
@@ -103,12 +105,14 @@ bench-smoke:
 # in runtime map code, MAPCODE: pprof shows only those frames and the
 # search's own, so the search's flat time is what no map frame lies under;
 # and the share of all CPU samples under runtime.mallocgc and under the GC
-# mark workers (runtime.gcBgMarkWorker), what allocation costs.
+# mark workers (runtime.gcBgMarkWorker), what allocation costs, and under
+# Session.Why, what compiling a question (exemplar, rep(E, V), focus
+# candidates) costs before its search.
 MAPCODE = ^(runtime\.(map|makemap|memhash|strhash|aeshash|f64hash|typehash|interhash|nilinterhash)|internal/runtime/maps\.|aeshashbody|type:\.hash\.)
 profile:
 	mkdir -p .bench_build
 	for a in heu answ; do \
-		$(GO) test -run '^$$' -bench "Ask/$$a" -benchtime 1200x \
+		$(GO) test -run '^$$' -bench "Ask/^$$a$$" -benchtime 1200x \
 			-o .bench_build/chase.test -outputdir $(abspath .bench_build) \
 			-cpuprofile ask-$$a.cpu.prof -memprofile ask-$$a.mem.prof ./internal/chase || exit 1; \
 		$(GO) tool pprof -top -cum -nodecount 40 .bench_build/chase.test .bench_build/ask-$$a.cpu.prof || exit 1; \
@@ -121,7 +125,9 @@ profile:
 				printf "%s: runtime map code %.1f%% of search CPU (%d of %d ms)\n", a, 100 * (c - f) / c, c - f, c }'; \
 		$(GO) tool pprof -top -cum -nodecount 1000 .bench_build/chase.test .bench_build/ask-$$a.cpu.prof 2>/dev/null | \
 			awk -v a=$$a '$$NF == "runtime.mallocgc" { m = $$5 } $$NF == "runtime.gcBgMarkWorker" { g = $$5 } \
-				END { printf "%s: runtime.mallocgc %s of CPU samples, GC mark workers %s\n", a, m, g }'; \
+				/chase\.\(\*Session\)\.Why( \(inline\))?$$/ { w += $$5 } \
+				END { printf "%s: runtime.mallocgc %s of CPU samples, GC mark workers %s\n", a, m, g; \
+					printf "%s: Session.Why %.1f%% of CPU samples\n", a, w }'; \
 	done
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four

@@ -282,7 +282,6 @@ func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 		Dist:         s.dist,
 		budget:       s.budget,
 		params:       ops.Params{MaxBound: cfg.MaxBound},
-		rng:          rand.New(rand.NewSource(cfg.Seed + 1)),
 		partnerCache: map[partnerCacheKey][]graph.NodeID{},
 		partnerSigs:  map[string]int32{},
 		gens:         &s.gens,
@@ -295,12 +294,18 @@ func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 	g.WarmCaches()
 	w.Matcher = match.NewMatcher(g, w.Dist, s.cache)
 	w.FocusCands = g.NodesByLabel(q.Nodes[q.Focus].Label)
-	w.focusRep = make([]bool, len(w.FocusCands))
-	for i, v := range w.FocusCands {
-		w.focusRep[i] = ev.InRep(v)
-	}
-	w.ClStar = ev.ClStar(w.FocusCands)
+	w.focusRep, w.ClStar = ev.RepAmong(w.FocusCands)
 	return w, nil
+}
+
+// random returns the question's random source, seeded on first use:
+// only GenRandom draws from it, and seeding a source is about a fifth of
+// what compiling a question costs once its exemplar reads postings.
+func (w *Why) random() *rand.Rand {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.Cfg.Seed + 1))
+	}
+	return w.rng
 }
 
 // Classify returns the relevance class of focus candidate v given an

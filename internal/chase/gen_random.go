@@ -13,6 +13,7 @@ import (
 // covers every operator class: structural operators are enumerated
 // exhaustively, literal operators sample constants from active domains.
 func (w *Why) GenRandom(q *query.Query, used ops.Targets, budgetLeft float64) []scoredOp {
+	rng := w.random()
 	var pool []ops.Op
 	consider := func(o ops.Op) {
 		if t, ok := o.Target(); ok && used.Has(t) {
@@ -30,7 +31,7 @@ func (w *Why) GenRandom(q *query.Query, used ops.Targets, budgetLeft float64) []
 			if l.Val.Kind == graph.Number {
 				dom := w.G.ActiveDomain(l.Attr)
 				for tries := 0; tries < 3 && dom.Numbers > 0; tries++ {
-					v := dom.Values[w.rng.Intn(len(dom.Values))]
+					v := dom.Values[rng.Intn(len(dom.Values))]
 					if v.Kind != graph.Number {
 						continue
 					}
@@ -58,12 +59,12 @@ func (w *Why) GenRandom(q *query.Query, used ops.Targets, budgetLeft float64) []
 		// Random AddL: sample attribute values from candidates of u.
 		cands := q.Candidates(w.G, u)
 		for tries := 0; tries < 3 && len(cands) > 0; tries++ {
-			c := cands[w.rng.Intn(len(cands))]
+			c := cands[rng.Intn(len(cands))]
 			tuple := w.G.Tuple(c)
 			if len(tuple) == 0 {
 				continue
 			}
-			cell := tuple[w.rng.Intn(len(tuple))]
+			cell := tuple[rng.Intn(len(tuple))]
 			attr := w.G.Attrs.Name(cell.Attr)
 			consider(ops.Op{Kind: ops.AddL, U: u,
 				Lit: query.Literal{Attr: attr, Op: graph.EQ, Val: w.G.Value(cell)}})
@@ -88,20 +89,20 @@ func (w *Why) GenRandom(q *query.Query, used ops.Targets, budgetLeft float64) []
 			if a == b || q.FindEdge(a, b) >= 0 {
 				continue
 			}
-			consider(ops.Op{Kind: ops.AddE, U: a, U2: b, Bound: 1 + w.rng.Intn(w.Cfg.MaxBound)})
+			consider(ops.Op{Kind: ops.AddE, U: a, U2: b, Bound: 1 + rng.Intn(w.Cfg.MaxBound)})
 		}
 	}
 	if n := w.G.Labels.Len(); n > 1 {
-		name := w.G.Labels.Name(int32(1 + w.rng.Intn(n-1)))
+		name := w.G.Labels.Name(int32(1 + rng.Intn(n-1)))
 		if name != "" {
-			consider(ops.Op{Kind: ops.AddE, U: q.Focus, Bound: 1 + w.rng.Intn(w.Cfg.MaxBound),
+			consider(ops.Op{Kind: ops.AddE, U: q.Focus, Bound: 1 + rng.Intn(w.Cfg.MaxBound),
 				NewNode: &ops.NewNodeSpec{Label: name}})
 		}
 	}
 
 	out := make([]scoredOp, len(pool))
 	for i, o := range pool {
-		out[i] = scoredOp{Op: o, Pick: w.rng.Float64(), Cost: o.Cost(w.G), PickyEdge: -1}
+		out[i] = scoredOp{Op: o, Pick: rng.Float64(), Cost: o.Cost(w.G), PickyEdge: -1}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Pick > out[j].Pick })
 	return capPerClass(out, w.maxOpsPerClass)

@@ -1,6 +1,11 @@
 package exemplar
 
 import (
+	"math"
+	"sort"
+	"strings"
+	"unicode/utf8"
+
 	"wqe/internal/graph"
 )
 
@@ -146,4 +151,80 @@ func (cp compiledPattern) closeness(g *graph.Graph, v graph.NodeID) float64 {
 		}
 	}
 	return total / float64(len(cp))
+}
+
+// boundSlack widens bound's credit floor past the rounding of
+// closeness's sum and of θ·len(cp): it can only add candidates, each of
+// which closeness then scores exactly.
+const boundSlack = 1e-9
+
+// bound returns the codes [lo, hi] whose postings hold every node whose
+// closeness to the pattern reaches theta (lo > hi when no node's does),
+// and false when the postings cannot bound the pattern. Every cell
+// credits a node at most 1, so a node reaching theta earns at least
+// need = θ·len − (len−1) from each cell; when need is positive, a Const
+// cell admits only the codes whose similarity reaches need
+// (compiledCell.reach), and the range is that of the cell admitting the
+// fewest nodes. Var and wildcard cells admit every node, and so do
+// string cells below θ = 1.
+func (cp compiledPattern) bound(codes *graph.Codes, theta float64) (lo, hi int32, ok bool) {
+	if len(cp) == 0 {
+		return 0, -1, theta > 0 // closeness is 0
+	}
+	need := theta*float64(len(cp)) - float64(len(cp)-1) - boundSlack
+	if !(need > 0) {
+		return 0, -1, false
+	}
+	for _, c := range cp {
+		if c.kind != Const {
+			continue
+		}
+		l, h, reached := c.reach(codes, theta, need)
+		if reached && (!ok || len(codes.Postings(l, h)) < len(codes.Postings(lo, hi))) {
+			ok, lo, hi = true, l, h
+		}
+	}
+	return lo, hi, ok
+}
+
+// reach returns the codes [lo, hi] of the values whose cellSim against
+// the cell's constant reaches need (lo > hi when none does), and false
+// when they are not one code range that can be found.
+//
+// A string scores 1 only when equal to the constant — given that the
+// constant is valid UTF-8 free of U+FFFD, so that no other byte string
+// decodes to its runes — and below 1 by at least 1/len, which no
+// rounding of a sum hides; so under θ ≥ 1 its codes are Interval's
+// equality run, and below θ = 1 the cell bounds nothing. A number's
+// cellSim falls as |v − c| grows, so with c and the domain's range
+// finite (no NaN arises) the numbers reaching need are one run of the
+// ascending numeric codes around c, found by binary search with cellSim
+// itself.
+func (c compiledCell) reach(codes *graph.Codes, theta, need float64) (lo, hi int32, ok bool) {
+	if !c.known {
+		return 0, -1, true // the cell credits nothing
+	}
+	switch c.val.Kind {
+	case graph.String:
+		if theta < 1 || !utf8.ValidString(c.val.Str) || strings.ContainsRune(c.val.Str, utf8.RuneError) {
+			return 0, -1, false
+		}
+		return codes.Interval(c.aid, graph.EQ, c.val)
+	case graph.Number:
+		rng := c.dom.Range()
+		if math.IsNaN(c.val.Num) || math.IsInf(c.val.Num, 0) || math.IsInf(rng, 0) {
+			return 0, -1, false
+		}
+		vals := c.dom.Values[:c.dom.Numbers]
+		for len(vals) > 0 && math.IsNaN(vals[len(vals)-1].Num) {
+			vals = vals[:len(vals)-1] // NaNs sort last and score NaN
+		}
+		reaches := func(i int) bool { return cellSim(vals[i], c.val, c.dom) >= need }
+		at := sort.Search(len(vals), func(i int) bool { return vals[i].Num >= c.val.Num })
+		first := sort.Search(at, reaches)
+		end := at + sort.Search(len(vals)-at, func(i int) bool { return !reaches(at + i) })
+		base, _ := codes.NumberCodes(c.aid)
+		return base + int32(first), base + int32(end) - 1, true
+	}
+	return 0, -1, false
 }

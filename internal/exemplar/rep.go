@@ -8,7 +8,8 @@ import (
 )
 
 // Eval is a compiled exemplar evaluator over one graph. Construction
-// scans the graph once to find all tuple-pattern matches; afterwards
+// finds all tuple-pattern matches once, reading the candidates off the
+// graph's value-code postings where the patterns allow it; afterwards
 // rep computations over arbitrary node sets (Lemma 2.2) are cheap.
 //
 // The matches are kept as columns in ascending node order: node[i]
@@ -34,18 +35,84 @@ type Eval struct {
 // patterns is limited to 64 (a bitmask width; the paper's workloads use
 // at most 25).
 func NewEval(g *graph.Graph, e *Exemplar, opts Options) (*Eval, error) {
-	if err := e.Validate(); err != nil {
-		return nil, err
-	}
-	binds, err := e.bindings()
+	ev, patterns, err := newEval(g, e, opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(e.Tuples) > 64 {
-		return nil, errTooManyTuples
+	if cands, ok := candidates(g, patterns, opts.Theta); ok {
+		for _, c := range cands {
+			ev.score(patterns, c.v, c.pats)
+		}
+	} else {
+		ev.scan(patterns)
 	}
-	ev := &Eval{G: g, E: e, Opts: opts, binds: binds}
-	ev.scan()
+	ev.fillRep()
+	return ev, nil
+}
+
+// newEval validates e and compiles its tuple patterns against g,
+// returning an Eval whose columns are still to be filled: by score, in
+// ascending node order, then fillRep.
+func newEval(g *graph.Graph, e *Exemplar, opts Options) (*Eval, []compiledPattern, error) {
+	if err := e.Validate(); err != nil {
+		return nil, nil, err
+	}
+	binds, err := e.bindings()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(e.Tuples) > 64 {
+		return nil, nil, errTooManyTuples
+	}
+	patterns := make([]compiledPattern, len(e.Tuples))
+	for ti, t := range e.Tuples {
+		patterns[ti] = compilePattern(g, t)
+	}
+	return &Eval{G: g, E: e, Opts: opts, binds: binds}, patterns, nil
+}
+
+type evalError string
+
+func (e evalError) Error() string { return string(e) }
+
+const errTooManyTuples = evalError("exemplar: more than 64 tuple patterns")
+
+// scan scores every node of the graph against every pattern.
+func (ev *Eval) scan(patterns []compiledPattern) {
+	for v := range ev.G.NumNodes() {
+		ev.score(patterns, graph.NodeID(v), ^uint64(0))
+	}
+}
+
+// score appends v to the match columns if it matches at least one of
+// the patterns whose bits are set in pats; the caller vouches that v
+// matches none of the others. Nodes must come in ascending order. With
+// the default θ = 1 matches are exact; with θ < 1 they are similarity
+// matches.
+func (ev *Eval) score(patterns []compiledPattern, v graph.NodeID, pats uint64) {
+	var mask uint64
+	best := 0.0
+	for ti, p := range patterns {
+		if pats&(1<<uint(ti)) == 0 {
+			continue
+		}
+		cl := p.closeness(ev.G, v)
+		if cl >= ev.Opts.Theta {
+			mask |= 1 << uint(ti)
+			if cl > best {
+				best = cl
+			}
+		}
+	}
+	if mask != 0 {
+		ev.node = append(ev.node, v)
+		ev.mask = append(ev.mask, mask)
+		ev.cl = append(ev.cl, best)
+	}
+}
+
+// fillRep computes rep(E, V) over the match columns.
+func (ev *Eval) fillRep() {
 	all := make([]int32, len(ev.node))
 	for i := range all {
 		all[i] = int32(i)
@@ -60,43 +127,66 @@ func NewEval(g *graph.Graph, e *Exemplar, opts Options) (*Eval, error) {
 			ev.nRep++
 		}
 	}
-	return ev, nil
 }
 
-type evalError string
+// candidate is a node that may match some tuple pattern, and the
+// patterns it may match: bit t of pats for pattern t.
+type candidate struct {
+	v    graph.NodeID
+	pats uint64
+}
 
-func (e evalError) Error() string { return string(e) }
-
-const errTooManyTuples = evalError("exemplar: more than 64 tuple patterns")
-
-// scan finds every node matching at least one tuple pattern. With the
-// default θ = 1 this enumerates exact matches; with θ < 1 it scores
-// similarity matches.
-func (ev *Eval) scan() {
-	patterns := make([]compiledPattern, len(ev.E.Tuples))
-	for ti, t := range ev.E.Tuples {
-		patterns[ti] = compilePattern(ev.G, t)
+// candidates returns, ascending, a superset of the nodes matching some
+// pattern at threshold theta: the postings of one code range per pattern
+// (compiledPattern.bound), each node with the patterns whose range holds
+// it — a node outside a pattern's range is below theta on it. It reports
+// false, and every node must be scored, when some pattern has no such
+// range or the ranges together hold no fewer nodes than the graph.
+func candidates(g *graph.Graph, patterns []compiledPattern, theta float64) ([]candidate, bool) {
+	codes := g.Codes()
+	type run struct {
+		lo, hi int32
+		pats   uint64
 	}
-	n := ev.G.NumNodes()
-	for i := 0; i < n; i++ {
-		v := graph.NodeID(i)
-		var mask uint64
-		best := 0.0
-		for ti, p := range patterns {
-			cl := p.closeness(ev.G, v)
-			if cl >= ev.Opts.Theta {
-				mask |= 1 << uint(ti)
-				if cl > best {
-					best = cl
-				}
-			}
+	var runs []run // distinct and non-empty: rows often repeat a value
+	total := 0
+	for ti, p := range patterns {
+		lo, hi, ok := p.bound(codes, theta)
+		if !ok {
+			return nil, false
 		}
-		if mask != 0 {
-			ev.node = append(ev.node, v)
-			ev.mask = append(ev.mask, mask)
-			ev.cl = append(ev.cl, best)
+		if lo > hi {
+			continue
+		}
+		if k := slices.IndexFunc(runs, func(r run) bool { return r.lo == lo && r.hi == hi }); k >= 0 {
+			runs[k].pats |= 1 << uint(ti)
+			continue
+		}
+		runs = append(runs, run{lo, hi, 1 << uint(ti)})
+		total += len(codes.Postings(lo, hi))
+	}
+	if total >= g.NumNodes() {
+		return nil, false
+	}
+	// Sort the nodes with their run's index in the low six bits (there
+	// are at most 64 runs), then fold each node's runs into one entry.
+	keys := make([]uint64, 0, total)
+	for k, r := range runs {
+		for _, v := range codes.Postings(r.lo, r.hi) {
+			keys = append(keys, uint64(v)<<6|uint64(k))
 		}
 	}
+	slices.Sort(keys)
+	out := make([]candidate, 0, len(keys))
+	for _, key := range keys {
+		v, pats := graph.NodeID(key>>6), runs[key&63].pats
+		if n := len(out); n > 0 && out[n-1].v == v {
+			out[n-1].pats |= pats
+			continue
+		}
+		out = append(out, candidate{v, pats})
+	}
+	return out, true
 }
 
 // find returns v's position in the match columns, if v matches.
@@ -443,6 +533,45 @@ func (ev *Eval) ClPlus(answer []graph.NodeID, nFocusCands int) float64 {
 		}
 	}
 	return gain / float64(nFocusCands)
+}
+
+// RepAmong reports, per node of the ascending cands, membership in
+// rep(E, V), and returns ClStar(cands) beside it: one walk of rep(E, V)
+// that gallops through cands, summing in the order ClStar does.
+func (ev *Eval) RepAmong(cands []graph.NodeID) (in []bool, clStar float64) {
+	in = make([]bool, len(cands))
+	if len(cands) == 0 {
+		return in, 0
+	}
+	var gain float64
+	at := 0 // cands[:at] lie below every rep node still to come
+	for i, v := range ev.node {
+		if !ev.inRep[i] {
+			continue
+		}
+		at = gallop(cands, at, v)
+		if at == len(cands) {
+			break
+		}
+		if cands[at] == v {
+			in[at] = true
+			gain += ev.cl[i]
+		}
+	}
+	return in, gain / float64(len(cands))
+}
+
+// gallop returns the first index at or after from of a value not below
+// v in the ascending s: doubling steps from from, then a binary search
+// of the last step, so a walk of ascending v costs the log of each gap.
+func gallop(s []graph.NodeID, from int, v graph.NodeID) int {
+	step := 1
+	for from+step < len(s) && s[from+step] < v {
+		from += step
+		step *= 2
+	}
+	k, _ := slices.BinarySearch(s[from:min(from+step, len(s))], v)
+	return from + k
 }
 
 // ClStar computes the theoretically optimal closeness cl* =

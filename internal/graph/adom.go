@@ -72,6 +72,12 @@ type AttrCode struct {
 // code) pairs, so ReadSnapshot reads the column as it is, and
 // Builder.Build codes the builder's tuples in one pass (buildCodes).
 //
+// Beside the column sit its postings, derived from it and never stored:
+// for each code, the ascending ids of the nodes whose cell carries it
+// (Postings). They cost one 4-byte id per cell and one offset per code,
+// and let a reader that knows which codes it wants visit only the nodes
+// that carry them.
+//
 // Code identity is exactly the engine's equality test (same kind,
 // Compare == 0) and code order exactly Compare's order on every
 // attribute that is not Irregular. An attribute is irregular when its
@@ -88,6 +94,8 @@ type Codes struct {
 	base      []int32    // by attribute id, one extra: codes of a are [base[a], base[a+1])
 	doms      []*Domain  // by attribute id; nil when no node carries it
 	irregular []bool     // by attribute id
+	post      []NodeID   // the cells' node ids grouped by code, ascending within a code
+	postOff   []int32    // len Len()+1; the nodes carrying code c are post[postOff[c]:postOff[c+1]]
 
 	keys struct { // see KeyRanks
 		once        sync.Once
@@ -122,6 +130,38 @@ func (c *Codes) NumberCodes(attr int32) (lo, hi int32) {
 		return c.base[attr], c.base[attr] + int32(d.Numbers)
 	}
 	return 0, 0
+}
+
+// Postings returns the nodes whose cell carries one of the codes
+// [lo, hi], grouped by code in code order and ascending within each
+// code, so ascending when lo == hi; nil when lo > hi. The result is
+// shared; the caller must not mutate it.
+func (c *Codes) Postings(lo, hi int32) []NodeID {
+	if lo > hi {
+		return nil
+	}
+	return c.post[c.postOff[lo]:c.postOff[hi+1]]
+}
+
+// buildPostings derives the postings from the cells and offsets by one
+// counting sort: the nodes are visited in id order, so each code's run
+// comes out ascending.
+func (c *Codes) buildPostings() {
+	c.postOff = make([]int32, c.Len()+1)
+	for _, cell := range c.cells {
+		c.postOff[cell.Code+1]++
+	}
+	for i := 1; i < len(c.postOff); i++ {
+		c.postOff[i] += c.postOff[i-1]
+	}
+	c.post = make([]NodeID, len(c.cells))
+	next := slices.Clone(c.postOff[:len(c.postOff)-1])
+	for v := 0; v+1 < len(c.off); v++ {
+		for _, cell := range c.cells[c.off[v]:c.off[v+1]] {
+			c.post[next[cell.Code]] = NodeID(v)
+			next[cell.Code]++
+		}
+	}
 }
 
 // Interval returns the codes [lo, hi] of the values v of attribute id
@@ -345,5 +385,6 @@ func (b *Builder) buildCodes() *Codes {
 		c.cells[i].Code = codeOf[c.cells[i].Code]
 	}
 	markNameCollisions(b.Attrs, c.irregular)
+	c.buildPostings()
 	return c
 }

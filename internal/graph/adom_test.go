@@ -197,7 +197,8 @@ func TestCodesMirrorTuples(t *testing.T) {
 // mirrorTuples checks g's column against the tuples its nodes were
 // given, under the attribute ids the Builder interned and each value as
 // want maps it: cell for cell the attribute id, the kind, the float bits
-// (all NaNs being one) and the string; then the codes' equality and
+// (all NaNs being one) and the string; then the postings, code by code
+// the ascending nodes whose cell carries it; then the codes' equality and
 // order on every regular attribute.
 func mirrorTuples(t *testing.T, g *Graph, attrs *Interner, nodes []map[string]Value, want func(Value) Value) {
 	t.Helper()
@@ -236,6 +237,20 @@ func mirrorTuples(t *testing.T, g *Graph, attrs *Interner, nodes []map[string]Va
 			}
 			byAttr[cl.Attr] = append(byAttr[cl.Attr], cell{cl.Code, got})
 		}
+	}
+	carriers := make([][]NodeID, c.Len())
+	for v := range nodes {
+		for _, cl := range g.Tuple(NodeID(v)) {
+			carriers[cl.Code] = append(carriers[cl.Code], NodeID(v))
+		}
+	}
+	for code, want := range carriers {
+		if got := c.Postings(int32(code), int32(code)); !slices.Equal(got, want) {
+			t.Fatalf("postings of code %d: %v, carried by %v", code, got, want)
+		}
+	}
+	if all := c.Postings(0, int32(c.Len()-1)); len(all) != len(c.cells) {
+		t.Fatalf("postings hold %d ids, the column %d cells", len(all), len(c.cells))
 	}
 	for a, cells := range byAttr {
 		if c.Irregular(a) {

@@ -11,7 +11,8 @@ func (g *Graph) Eccentricity(v NodeID) (int, NodeID) { return g.eccentricity(v) 
 
 // CodesDiff describes the first difference between two code columns, or
 // returns "" when they are equal part for part: offsets, cells, bases,
-// domains (values by bit pattern), irregular flags and KeyRanks.
+// domains (values by bit pattern), irregular flags, postings and
+// KeyRanks.
 func CodesDiff(a, b *Codes) string {
 	switch {
 	case !slices.Equal(a.off, b.off):
@@ -22,6 +23,8 @@ func CodesDiff(a, b *Codes) string {
 		return fmt.Sprintf("bases differ: %v vs %v", a.base, b.base)
 	case !slices.Equal(a.irregular, b.irregular):
 		return fmt.Sprintf("irregular flags differ: %v vs %v", a.irregular, b.irregular)
+	case !slices.Equal(a.postOff, b.postOff) || !slices.Equal(a.post, b.post):
+		return "postings differ"
 	case len(a.doms) != len(b.doms):
 		return "domain counts differ"
 	}

@@ -246,6 +246,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			}
 		}
 	}
+	if sr.err == nil {
+		codes.buildPostings()
+	}
 
 	outOff := sr.int32s(n + 1)
 	if err := validateOffsets("out", outOff, n, edges); err != nil {

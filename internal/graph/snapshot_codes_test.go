@@ -42,7 +42,7 @@ type namedGraph struct {
 // TestSnapshotCodesEqualBuilt: the code column a snapshot read hands the
 // graph is the one a Builder codes from the graph's tuples, read back
 // value by value, and the one the written graph holds, part for part,
-// KeyRanks included.
+// postings and KeyRanks included; so is the column a JSON load codes.
 func TestSnapshotCodesEqualBuilt(t *testing.T) {
 	irregular := 0
 	for _, c := range codesGraphs(t) {
@@ -72,6 +72,17 @@ func TestSnapshotCodesEqualBuilt(t *testing.T) {
 			}
 			if msg := graph.CodesDiff(read, g.Codes()); msg != "" {
 				t.Fatalf("read column differs from the written graph's: %s", msg)
+			}
+			var js bytes.Buffer
+			if err := g.WriteJSON(&js); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := graph.ReadJSON(&js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := graph.CodesDiff(loaded.Codes(), g.Codes()); msg != "" {
+				t.Fatalf("JSON-loaded column differs from the written graph's: %s", msg)
 			}
 			for a := int32(0); a < int32(g.Attrs.Len()); a++ {
 				if read.Irregular(a) {

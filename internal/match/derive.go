@@ -144,7 +144,7 @@ func deriveStarTable(g *graph.Graph, parent *Result, q *query.Query, s *StarQuer
 		return pt
 	}
 
-	t := newStarTable(s)
+	t, sc := newStarTable(s)
 	for r, vc := range pt.centers {
 		if c := checks[s.Center]; c != nil && !c.Candidate(g, vc) {
 			continue
@@ -177,6 +177,6 @@ func deriveStarTable(g *graph.Graph, parent *Result, q *query.Query, s *StarQuer
 		}
 		t.centers = append(t.centers, vc)
 	}
-	t.finish(q)
+	t.finish(q, sc)
 	return t
 }

@@ -2,6 +2,7 @@ package match
 
 import (
 	"slices"
+	"sync"
 
 	"wqe/internal/graph"
 	"wqe/internal/query"
@@ -75,7 +76,7 @@ func (t *StarTable) Col(r, c int) []graph.NodeID {
 // of the other endpoint. Focus positions are filtered by label only
 // (see StarTable).
 func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
-	t := newStarTable(s)
+	t, sc := newStarTable(s)
 	checks := starChecks(g, q, s)
 
 	// The center's candidates, ascending: its by-label run, filtered below
@@ -145,35 +146,51 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 		}
 		t.centers = append(t.centers, vc)
 	}
-	t.finish(q)
+	t.finish(q, sc)
 	return t
 }
 
-// newStarTable returns the empty table of star s, ready for rows: its
-// width counts the augmented column when the star has one.
-func newStarTable(s *StarQuery) *StarTable {
-	t := &StarTable{Star: s, width: len(s.Edges), off: []int{0}}
+// tableScratch is the storage a table grows its arenas and focus list
+// in while it is built, borrowed from tableScratches: a table is copied
+// out of it at its exact size once its rows are in (finish), so the
+// growth of one build is reused by the next instead of left to the GC.
+type tableScratch struct {
+	centers, cells, focus []graph.NodeID
+	off                   []int
+}
+
+var tableScratches = sync.Pool{New: func() any { return new(tableScratch) }}
+
+// newStarTable returns the empty table of star s, ready for rows, and
+// the scratch its arenas grow in until finish: its width counts the
+// augmented column when the star has one.
+func newStarTable(s *StarQuery) (*StarTable, *tableScratch) {
+	sc := tableScratches.Get().(*tableScratch)
+	t := &StarTable{Star: s, width: len(s.Edges),
+		centers: sc.centers[:0], cells: sc.cells[:0], off: append(sc.off[:0], 0)}
 	if !s.HasFocus && s.AugDist > 0 {
 		t.width++
 	}
-	return t
+	return t, sc
 }
 
 // augmented reports whether the table's last column is the augmented one.
 func (t *StarTable) augmented() bool { return t.width > len(t.Star.Edges) }
 
 // finish is the common tail of buildStarTable and deriveStarTable, run
-// once the rows are in: it trims the arenas (tables outlive the build in
-// the cache), lists the focus positions and signs the columns.
-func (t *StarTable) finish(q *query.Query) {
+// once the rows are in: it copies the arenas out of the scratch at their
+// exact size (tables outlive the build in the cache) and returns the
+// scratch, lists the focus positions and signs the columns.
+func (t *StarTable) finish(q *query.Query, sc *tableScratch) {
 	s := t.Star
-	t.centers, t.off, t.cells = slices.Clone(t.centers), slices.Clone(t.off), slices.Clone(t.cells)
+	sc.centers, sc.off, sc.cells = t.centers, t.off, t.cells
+	t.centers, t.off, t.cells = exact(t.centers), exact(t.off), exact(t.cells)
 	if s.Center == q.Focus {
 		t.focus = t.centers
 	} else {
 		// The columns holding focus matches: the star edges whose other
 		// endpoint is the focus, else the augmented column.
-		var focus []graph.NodeID
+		focus := sc.focus[:0]
 		for r := range t.centers {
 			for c, e := range s.Edges {
 				if e.Other == q.Focus {
@@ -185,12 +202,23 @@ func (t *StarTable) finish(q *query.Query) {
 			}
 		}
 		slices.Sort(focus)
-		t.focus = slices.Clone(slices.Compact(focus))
+		t.focus = exact(slices.Compact(focus))
+		sc.focus = focus
 	}
+	tableScratches.Put(sc)
 	t.ColSigs = make([]string, len(s.Edges))
 	for i, e := range s.Edges {
 		t.ColSigs[i] = edgeSig(q, e)
 	}
+}
+
+// exact returns a copy of s of exactly its length, nil when s is empty,
+// so that no table keeps a scratch array alive.
+func exact[S ~[]E, E any](s S) S {
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make(S, 0, len(s)), s...)
 }
 
 // starChecks compiles, indexed by pattern node, the filter of every
