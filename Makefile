@@ -143,11 +143,14 @@ benchmark:
 # `correct: false`. Then a short untraced serve_repeat pass: wqe-serve
 # answering from its memo, each hit body compared with the body its
 # question got in the warm-up, which guards the response bodies memo
-# entries store. About 25 s.
+# entries store. Last a short untraced serve_distinct pass: the one
+# workload whose AnsW runs at Workers > 1, and whose /whymany and
+# /whyempty answers are compared with the library's. About 25 s.
 benchmark-check:
 	$(GO) run ./benchmark --workload explore_heu --seed 7 --seconds 3 --trace 1
 	$(GO) run ./benchmark --workload explore_answ --seed 7 --seconds 3 --trace 1
 	$(GO) run ./benchmark --workload serve_repeat --seed 7 --seconds 3 --trace 0
+	$(GO) run ./benchmark --workload serve_distinct --seed 7 --seconds 3 --trace 0
 
 # Everything a PR must pass, without the benchmark regeneration.
 check: build vet fmt-check test race lint examples bench-smoke benchmark-check

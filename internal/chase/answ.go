@@ -25,16 +25,6 @@ type state struct {
 	generated  bool
 	diff       []DiffEntry
 	id         int // insertion order, for deterministic tie-breaking
-
-	// spec caches speculative sibling evaluations by rewrite key: when
-	// the best-first search evaluates this state's top pending operator,
-	// idle workers prefetch the next few siblings' Match results. A
-	// Match result depends only on the rewrite (the key), never on which
-	// operator produced it, so consuming a cached entry is exact — and
-	// entries that are never consumed never claim steps, so the
-	// MaxSteps schedule matches the sequential one candidate-for-
-	// candidate.
-	spec map[string]*match.Result
 }
 
 // prio is the frontier priority: the state's closeness plus the
@@ -176,14 +166,15 @@ func (w *Why) AnsW() Answer {
 // always has k entries; when fewer satisfying rewrites exist, the
 // remaining entries hold the best-closeness rewrites found (their
 // Satisfied field reports the difference), falling back to the original
-// query.
+// query. Each pop depends on every earlier result, so the search
+// evaluates each step it claims, and no other, on the calling goroutine
+// at every Config.Workers setting.
 func (w *Why) TopK(k int) []Answer {
 	if k < 1 {
 		k = 1
 	}
 	r := w.startRun()
 	defer r.end()
-	workers := w.workers()
 
 	root, best := r.rootState(k)
 	visited := map[string]bool{w.Q.Key(): true}
@@ -208,7 +199,7 @@ func (w *Why) TopK(k int) []Answer {
 		if !r.claimStep(&st, visited) {
 			break
 		}
-		w.evaluateTop(&st, visited, workers)
+		w.evaluateStep(&st)
 		s2 := w.child(&st, nextID)
 		nextID++
 
@@ -236,63 +227,6 @@ func (w *Why) TopK(k int) []Answer {
 		w.Stats.States++
 	}
 	return best.results()
-}
-
-// evaluateTop evaluates the step the best-first search just claimed
-// from its parent s. With a parallel pool it additionally prefetches s's
-// next pending siblings: whichever sibling steps pass the screen the
-// search applies at consumption time are Matched on idle workers and
-// parked in s.spec, keyed by rewrite key. Control flow never depends on
-// speculative results — they are a pure evaluation cache, consumed if
-// and when the search pops that sibling, and only that pop claims a
-// step — so the traversal is byte-identical to the sequential one.
-func (w *Why) evaluateTop(st *step, visited map[string]bool, workers int) {
-	s := st.parent
-	if res, ok := s.spec[st.key]; ok {
-		st.ans, st.res = w.answerFor(st.q2, st.seq2, res), res
-		return
-	}
-	if workers <= 1 {
-		w.evaluateStep(st)
-		return
-	}
-
-	batch := []step{*st}
-	seen := map[string]bool{st.key: true}
-	for _, sib := range s.queue {
-		if len(batch) >= workers {
-			break
-		}
-		c, ok := w.screen(s, sib, visited)
-		if !ok || seen[c.key] {
-			continue
-		}
-		if _, ok := s.spec[c.key]; ok {
-			continue
-		}
-		seen[c.key] = true
-		batch = append(batch, c)
-	}
-	w.forEach(workers, len(batch), func(i int) {
-		c := &batch[i]
-		if i == 0 {
-			w.evaluateStep(c)
-			return
-		}
-		// Unclaimed, and no Answer assembled: a prefetch thrown away
-		// unread must not perturb the MaxSteps schedule, and answerFor
-		// runs at consumption.
-		c.res = w.Matcher.MatchFrom(s.res, c.q2)
-	})
-	if len(batch) > 1 {
-		if s.spec == nil {
-			s.spec = make(map[string]*match.Result, len(batch)-1)
-		}
-		for _, c := range batch[1:] {
-			s.spec[c.key] = c.res
-		}
-	}
-	*st = batch[0]
 }
 
 // topList maintains the k best satisfying answers plus a fallback for

@@ -86,11 +86,13 @@ type Search struct {
 // Engine sizes the machinery a search runs on. Output is byte-identical
 // for every setting.
 type Engine struct {
-	// Workers bounds the evaluation worker pool the parallel algorithms
-	// fan rewrite evaluations out over: 0 (the default) uses one worker
-	// per logical CPU, 1 forces fully sequential evaluation. Candidates
-	// are claimed and committed in sequential order; only the Match calls
-	// in between run concurrently (see DESIGN.md "Concurrency model").
+	// Workers bounds the evaluation worker pool of a question's two
+	// fan-outs, a beam level's steps (AnsHeu, AnsHeuB) and ApxWhyM's
+	// seeds: 0 (the default) uses one worker per logical CPU, 1 forces
+	// fully sequential evaluation. Candidates are claimed and committed
+	// in sequential order; only the Match calls in between run
+	// concurrently. AnsW and TopK evaluate on the calling goroutine at
+	// every setting (see DESIGN.md "Concurrency model").
 	Workers int
 	// CacheCap bounds the star-view cache (§5.2) in tables; 0 runs
 	// without one. A cached table is a pure function of its key, so the
@@ -411,12 +413,6 @@ func (a Answer) String() string {
 // match.Matcher).
 func (w *Why) evaluate(parent *match.Result, q *query.Query, seq ops.Sequence) (Answer, *match.Result) {
 	res := w.Matcher.MatchFrom(parent, q)
-	return w.answerFor(q, seq, res), res
-}
-
-// answerFor assembles the Answer envelope around an existing evaluation
-// result (used when the Match came from the speculative cache).
-func (w *Why) answerFor(q *query.Query, seq ops.Sequence, res *match.Result) Answer {
 	norm, err := seq.NormalForm()
 	if err != nil {
 		norm = seq
@@ -428,17 +424,14 @@ func (w *Why) answerFor(q *query.Query, seq ops.Sequence, res *match.Result) Ans
 		Closeness: w.Closeness(res.Answer),
 		Matches:   res.Answer,
 		Satisfied: w.Satisfied(res.Answer),
-	}
+	}, res
 }
 
-// workers resolves Config.Workers to a concrete pool size.
-func (w *Why) workers() int { return par.Workers(w.Cfg.Workers) }
-
-// forEach fans fn out over the evaluation pool, gated by the session's
-// helper budget. Output never depends on the gate: callers commit in
-// claim order whatever the realized parallelism was.
-func (w *Why) forEach(workers, n int, fn func(i int)) {
-	par.ForEachIn(w.budget, workers, n, fn)
+// forEach fans fn out over the evaluation pool (Config.Workers), gated by
+// the session's helper budget. Output never depends on the gate: callers
+// commit in claim order whatever the realized parallelism was.
+func (w *Why) forEach(n int, fn func(i int)) {
+	par.ForEachIn(w.budget, par.Workers(w.Cfg.Workers), n, fn)
 }
 
 // sortNodes sorts a node slice in place and returns it.

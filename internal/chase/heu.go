@@ -39,7 +39,6 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 	root, best := r.rootState(1)
 	visited := map[string]bool{w.Q.Key(): true}
 	frontier := []*state{root}
-	workers := w.workers()
 
 	for len(frontier) > 0 {
 		// Phase 1 — claim. Each candidate claims its step before the
@@ -84,7 +83,7 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 		}
 
 		// Phase 2 — evaluate the whole level concurrently.
-		w.forEach(workers, len(cands), func(i int) { w.evaluateStep(&cands[i]) })
+		w.forEach(len(cands), func(i int) { w.evaluateStep(&cands[i]) })
 
 		// Phase 3 — commit in claim order.
 		var children []*state

@@ -1,6 +1,7 @@
 package chase_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +70,7 @@ func TestParallelMatchesSequentialFig1(t *testing.T) {
 
 // TestParallelMatchesSequentialSynthetic repeats the byte-identity check
 // on generated Why-questions over a synthetic dataset, where operator
-// pools are larger and plateaus give speculative evaluation far more
+// pools and beam levels are larger and give the fan-outs far more
 // opportunities to misorder work if the commit discipline were wrong.
 func TestParallelMatchesSequentialSynthetic(t *testing.T) {
 	run := func(workers int) string {
@@ -95,6 +96,49 @@ func TestParallelMatchesSequentialSynthetic(t *testing.T) {
 	seq := run(1)
 	if par := run(4); par != seq {
 		t.Fatalf("parallel output diverged from sequential:\n--- workers=1\n%s--- workers=4\n%s", seq, par)
+	}
+}
+
+// TestAnsWEvaluatesOnlyClaimedSteps holds the best-first search to one
+// evaluation path at every worker count: on the four dataset kinds, a
+// pool of AnsW and TopK(2) questions through one Session at Workers=1
+// and at Workers=4 looks the star cache up equally often (Hits, Misses
+// and Coalesced together), with the same answers, Steps and States.
+// Matching a step the search has not claimed, say a sibling evaluated
+// ahead on a spare worker, adds lookups the sequential run never makes.
+func TestAnsWEvaluatesOnlyClaimedSteps(t *testing.T) {
+	for _, kind := range datagen.AllDatasets() {
+		g, instances := genInstances(t, kind, 800, 4, 3)
+		run := func(workers int) (string, int64) {
+			cfg := chase.DefaultConfig()
+			cfg.MaxSteps = 60
+			cfg.Workers = workers
+			s := chase.NewSession(g, cfg)
+			var b strings.Builder
+			for _, inst := range instances {
+				for _, k := range []int{1, 2} {
+					w, err := s.Why(inst.Q, inst.E)
+					if err != nil {
+						t.Fatalf("%s: Why: %v", kind, err)
+					}
+					for _, a := range w.TopK(k) {
+						b.WriteString(renderAnswer(a))
+						b.WriteByte('\n')
+					}
+					fmt.Fprintf(&b, "steps=%d states=%d\n", w.Stats.Steps, w.Stats.States)
+				}
+			}
+			c := s.Counters().Cache
+			return b.String(), c.Hits + c.Misses + c.Coalesced
+		}
+		seq, seqLookups := run(1)
+		par, parLookups := run(4)
+		if par != seq {
+			t.Errorf("%s: Workers=4 answers or counts diverged:\n--- Workers=1\n%s--- Workers=4\n%s", kind, seq, par)
+		}
+		if parLookups != seqLookups {
+			t.Errorf("%s: star cache looked up %d times at Workers=4, %d at Workers=1", kind, parLookups, seqLookups)
+		}
 	}
 }
 

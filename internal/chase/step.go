@@ -11,12 +11,14 @@ import (
 // step is one Q-Chase step, the unit AnsW and the beam searches share:
 // an operator of a parent state's queue, the rewrite it leads to, and,
 // once evaluated, the rewrite's answer. A step goes screen → claim →
-// evaluate → child; only evaluate may run on a worker goroutine.
+// evaluate → child. Only evaluate may run on a worker goroutine, and only
+// the beam puts it on one: AnsW evaluates each step it claims, and
+// nothing else, on its own goroutine.
 type step struct {
 	parent *state
 	op     scoredOp
 	q2     *query.Query
-	key    string       // q2.Key(), what visited and AnsW's prefetch index by
+	key    string       // q2.Key(), the rewrite's identity in visited
 	seq2   ops.Sequence // set by claimStep
 	ans    Answer       // set by evaluation
 	res    *match.Result

@@ -52,7 +52,7 @@ func (w *Why) ApxWhyM() Answer {
 		}
 		pending = append(pending, &seedCand{op: s.Op, q2: q2})
 	}
-	w.forEach(w.workers(), len(pending), func(i int) {
+	w.forEach(len(pending), func(i int) {
 		c := pending[i]
 		c.ans, c.res = w.evaluate(rootRes, c.q2, ops.Sequence{c.op})
 	})

@@ -280,11 +280,10 @@ func (ev *OracleEval) enforceEquality(active map[graph.NodeID]bool, lb, rb bindi
 // v.A op v'.A', and symmetrically. One pass of removals; the caller
 // iterates to the fixpoint.
 //
-// Existence of a partner only depends on the other group's extreme
-// value (its minimum for >/≥, maximum for </≤), with the runner-up
-// covering the self-partnering case, so each pass is linear — the
-// naive pairwise check would make Lemma 2.2's quadratic bound tight on
-// large groups.
+// Existence of a partner only depends on a few witnesses of the other
+// group (see witnessClass), with runners-up covering the
+// self-partnering case, so each pass is linear — the naive pairwise
+// check would make Lemma 2.2's quadratic bound tight on large groups.
 func (ev *OracleEval) enforceInequality(active map[graph.NodeID]bool, op graph.Op, lb, rb binding) bool {
 	type member struct {
 		v   graph.NodeID
@@ -293,8 +292,8 @@ func (ev *OracleEval) enforceInequality(active map[graph.NodeID]bool, op graph.O
 	}
 	collect := func(b binding) []member {
 		var out []member
-		// Tied extreme witnesses carry equal values, so pruning decisions
-		// depend only on values, not collection order.
+		// Tied extreme witnesses partner the same probes, so pruning
+		// decisions depend only on values, not collection order.
 		for v := range active {
 			if ev.match[v].mask&(1<<uint(b.tuple)) == 0 {
 				continue
@@ -304,70 +303,73 @@ func (ev *OracleEval) enforceInequality(active map[graph.NodeID]bool, op graph.O
 		}
 		return out
 	}
-	// extremes returns the two best partner witnesses of a group: the
-	// members whose values are most likely to satisfy the other side
-	// (minimum for >/≥, maximum for </≤); the runner-up covers the case
-	// where the best witness is the probing node itself.
+	// extremes returns a group's partner witnesses: per witness class,
+	// the two members whose values are most likely to satisfy the other
+	// side (minimum for >/≥, maximum for </≤); the runner-up covers the
+	// case where the best witness is the probing node itself.
 	type witness struct {
 		v   graph.NodeID
 		val graph.Value
 		ok  bool
 	}
-	extremes := func(ms []member, wantMin bool) (first, second witness) {
+	type witnesses [witnessClasses][2]witness
+	extremes := func(ms []member, wantMin bool) (ws witnesses) {
 		for _, m := range ms {
 			if !m.has {
 				continue
 			}
-			better := func(a graph.Value, w witness) bool {
+			better := func(w witness) bool {
 				if !w.ok {
 					return true
 				}
 				if wantMin {
-					return a.Compare(w.val) < 0
+					return m.val.Compare(w.val) < 0
 				}
-				return a.Compare(w.val) > 0
+				return m.val.Compare(w.val) > 0
 			}
+			c := &ws[witnessClass(m.val)]
 			switch {
-			case better(m.val, first):
-				second = first
-				first = witness{m.v, m.val, true}
-			case better(m.val, second):
-				second = witness{m.v, m.val, true}
+			case better(c[0]):
+				c[1] = c[0]
+				c[0] = witness{m.v, m.val, true}
+			case better(c[1]):
+				c[1] = witness{m.v, m.val, true}
 			}
 		}
 		return
 	}
 	removed := false
-	prune := func(ms []member, o graph.Op, w1, w2 witness) {
+	prune := func(ms []member, o graph.Op, ws *witnesses) {
+	probe:
 		for _, m := range ms {
 			if !active[m.v] {
 				continue
 			}
-			if !m.has {
-				delete(active, m.v)
-				removed = true
-				continue
+			if m.has {
+				for _, c := range ws {
+					w := c[0]
+					if w.ok && w.v == m.v {
+						w = c[1]
+					}
+					if w.ok && o.Holds(m.val, w.val) {
+						continue probe
+					}
+				}
 			}
-			w := w1
-			if w.ok && w.v == m.v {
-				w = w2
-			}
-			if !w.ok || !o.Holds(m.val, w.val) {
-				delete(active, m.v)
-				removed = true
-			}
+			delete(active, m.v)
+			removed = true
 		}
 	}
 
 	wantMinRight := op == graph.GT || op == graph.GE // v op w favors small w
-	r1, r2 := extremes(collect(rb), wantMinRight)
-	prune(collect(lb), op, r1, r2)
+	r := extremes(collect(rb), wantMinRight)
+	prune(collect(lb), op, &r)
 
 	// Re-collect after the left pass: removed nodes must not witness.
 	flip := op.Flip()
 	wantMinLeft := flip == graph.GT || flip == graph.GE
-	l1, l2 := extremes(collect(lb), wantMinLeft)
-	prune(collect(rb), flip, l1, l2)
+	l := extremes(collect(lb), wantMinLeft)
+	prune(collect(rb), flip, &l)
 	return removed
 }
 
