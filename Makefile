@@ -5,8 +5,9 @@ GO ?= go
 
 # Packages with shared mutable state (the cache core and its two
 # instances, the graph's lazy diameter and key ranks, chase sessions,
-# the worker pool, parallel PLL construction) that must stay clean under
-# the race detector. The cache stripes, singleflight, and eviction paths all live
+# whose questions AskAll and wqe-serve run side by side, the worker
+# pool, parallel PLL construction) that must stay clean under the race
+# detector. The cache stripes, singleflight, and eviction paths all live
 # in internal/anscache; internal/match and internal/chase race the star
 # cache and the answer memo built on it.
 # A clean run here is also what enforces the `// guarded by <mu>` field
@@ -143,8 +144,8 @@ benchmark:
 # `correct: false`. Then a short untraced serve_repeat pass: wqe-serve
 # answering from its memo, each hit body compared with the body its
 # question got in the warm-up, which guards the response bodies memo
-# entries store. Last a short untraced serve_distinct pass: the one
-# workload whose AnsW runs at Workers > 1, and whose /whymany and
+# entries store. Last a short untraced serve_distinct pass: the
+# memo-miss path, two questions side by side, whose /whymany and
 # /whyempty answers are compared with the library's. About 25 s.
 benchmark-check:
 	$(GO) run ./benchmark --workload explore_heu --seed 7 --seconds 3 --trace 1

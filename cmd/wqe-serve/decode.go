@@ -31,12 +31,13 @@ type askRequest struct {
 
 // askAllRequest is the /askall payload: one resident graph, many jobs.
 //
-//	{"graph": "fig1", "workers": 0, "jobs": [<askRequest>, ...]}
+//	{"graph": "fig1", "jobs": [<askRequest>, ...]}
+//
+// How many jobs run at once is the server's -workers, not the client's:
+// any other key, "workers" included, is skipped.
 type askAllRequest struct {
 	Graph string
-	// Workers bounds the cross-question fan-out (0 = one per CPU).
-	Workers int
-	Jobs    []askRequest
+	Jobs  []askRequest
 }
 
 // decodeAsk reads one question from r, as chase.DecodeJob reads a job
@@ -67,8 +68,6 @@ func decodeAskAll(r *jsonscan.Reader, req *askAllRequest) error {
 		switch {
 		case jsonscan.FieldIs(key, "graph"):
 			return types.Keep(r.String(&req.Graph))
-		case jsonscan.FieldIs(key, "workers"):
-			return types.Keep(r.Int(&req.Workers))
 		case jsonscan.FieldIs(key, "jobs"):
 			req.Jobs = nil
 			return types.Keep(r.List(func(int) error {

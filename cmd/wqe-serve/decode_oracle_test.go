@@ -39,11 +39,10 @@ type oracleAskRequest struct {
 }
 
 // oracleAskAllRequest is the /askall payload: one resident graph, many jobs.
+// "workers" is an unknown key, skipped, as askAllRequest skips it.
 type oracleAskAllRequest struct {
-	Graph string `json:"graph"`
-	// Workers bounds the cross-question fan-out (0 = one per CPU).
-	Workers int                `json:"workers,omitempty"`
-	Jobs    []oracleAskRequest `json:"jobs"`
+	Graph string             `json:"graph"`
+	Jobs  []oracleAskRequest `json:"jobs"`
 }
 
 // oracleAsk is askHandler's path up to admission.

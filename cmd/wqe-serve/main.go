@@ -1,6 +1,6 @@
 // Command wqe-serve is the long-lived Why-question server: it loads one
 // or more attributed graphs, builds a chase.Session per graph (shared
-// distance oracle, sharded star-view cache, helper-token budget), and
+// distance oracle, sharded star-view cache), and
 // serves Ask/AskFast/AskAll/Why/WhyEmpty/WhyMany over HTTP+JSON.
 //
 //	wqe-serve -addr :8080 -graph products=g.json
@@ -91,7 +91,7 @@ func run(args []string) int {
 		theta       = fs.Float64("theta", 1, "vsim closeness threshold θ")
 		lambda      = fs.Float64("lambda", 1, "irrelevant-match penalty λ")
 		maxBound    = fs.Int("maxbound", 3, "edge bound cap b_m")
-		workers     = fs.Int("workers", 0, "per-question evaluation workers for a beam level's steps and Why-Many's seeds (0 = one per logical CPU)")
+		workers     = fs.Int("workers", 0, "how many of one /askall request's jobs run at once (0 = one per logical CPU); a question runs on one goroutine")
 		answerCache = fs.Int("answer-cache", 4096, "answer memo capacity in entries: identical requests are served from cache and identical concurrent requests coalesce onto one chase (0 disables)")
 		debugAddr   = fs.String("debug", "", "serve net/http/pprof on this address, on a listener of its own (empty: off)")
 	)

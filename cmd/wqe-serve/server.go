@@ -29,7 +29,7 @@ var askEndpoints = []string{"/ask", "/askall", "/askfast", "/why", "/whyempty", 
 const statusClientGone = 499
 
 // graphHandle is one resident graph: its long-lived session (shared
-// distance oracle, star-view cache, helper budget) plus the residency
+// distance oracle, star-view cache) plus the residency
 // metadata /graphs and /stats report.
 type graphHandle struct {
 	name    string
@@ -424,9 +424,8 @@ func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// One admission slot covers the whole batch: AskAll schedules its
-	// jobs through the session's shared helper budget, so batch-inner
-	// parallelism is already machine-bounded.
+	// One admission slot covers the whole batch: AskAll runs at most
+	// -workers of its jobs at once, each on one goroutine.
 	release, status := s.queue.acquire(r.Context())
 	if status != 0 {
 		s.reject(rw, status)
@@ -435,10 +434,7 @@ func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.stats.admitted.Add(1)
 
-	results, stats := h.session.AskAll(jobs, chase.BatchOptions{
-		Workers: req.Workers,
-		Cancel:  r.Context().Done(),
-	})
+	results, stats := h.session.AskAll(jobs, chase.BatchOptions{Cancel: r.Context().Done()})
 	out := askAllResponse{
 		Graph:   h.name,
 		Results: make([]askAllResult, len(results)),

@@ -236,6 +236,45 @@ func TestStopOnTheWire(t *testing.T) {
 	}
 }
 
+// TestAskAllWidthIsTheServers: how many of an /askall request's jobs run
+// at once is the server's -workers, whatever the body says. A client's
+// "workers" key is skipped like any other unknown key, so it cannot
+// choose how many goroutines its request starts. Two jobs keep the run
+// at two goroutines at most.
+func TestAskAllWidthIsTheServers(t *testing.T) {
+	f := datagen.NewFig1()
+	cfg := chase.DefaultConfig()
+	cfg.Budget = 4
+	cfg.Workers = 2 // what -workers 2 sets
+	handles := []*graphHandle{{name: "fig1", g: f.G, session: chase.NewSession(f.G, cfg)}}
+	ts := httptest.NewServer(newServer(handles, 2, 8, 30*time.Second).mux())
+	t.Cleanup(ts.Close)
+
+	body, err := json.Marshal(map[string]interface{}{
+		"graph":   "fig1",
+		"workers": 1000000,
+		"jobs":    []json.RawMessage{smokeAskBody(""), smokeAskBody("heu")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all askAllResponse
+	if err := smokePostJSON(ts.URL+"/askall", body, &all); err != nil {
+		t.Fatalf("/askall: %v", err)
+	}
+	if len(all.Results) != 2 || all.Stats.Failed != 0 {
+		t.Fatalf("/askall answered %d jobs, %d failed: %+v", len(all.Results), all.Stats.Failed, all.Results)
+	}
+	for i, r := range all.Results {
+		if r.Answer == nil || r.Answer.Closeness != 0.5 {
+			t.Errorf("job %d: %+v, want the Fig 1 optimum (closeness 0.5)", i, r)
+		}
+	}
+	if all.Stats.Workers != 2 {
+		t.Errorf("stats.workers = %d, want the server's 2", all.Stats.Workers)
+	}
+}
+
 // TestDrainStress is the graceful-shutdown race check (run under
 // -race): concurrent clients hammer /ask, and a poller /stats, while
 // the server drains mid-flight. Invariants: every response is a

@@ -71,9 +71,9 @@ func loadJobs(path string) ([]chase.BatchJob, error) {
 // runBatch answers every job in the jobs file concurrently over one
 // shared session (graph, star-view cache, distance oracle) and prints
 // the results in submission order followed by the aggregate statistics.
-// workers bounds how many jobs run at once. The jobs file is read before
-// the graph, so a mistake in it shows before the graph's load time.
-func runBatch(cfg chase.Config, graphPath, batchPath string, workers int) error {
+// cfg.Workers bounds how many jobs run at once. The jobs file is read
+// before the graph, so a mistake in it shows before the graph's load time.
+func runBatch(cfg chase.Config, graphPath, batchPath string) error {
 	jobs, err := loadJobs(batchPath)
 	if err != nil {
 		return err
@@ -93,7 +93,7 @@ func runBatch(cfg chase.Config, graphPath, batchPath string, workers int) error 
 
 	fmt.Println("graph:", g)
 	fmt.Printf("batch: %d jobs over shared session\n\n", len(jobs))
-	results, stats := sess.AskAll(jobs, chase.BatchOptions{Workers: workers})
+	results, stats := sess.AskAll(jobs, chase.BatchOptions{})
 	for i, r := range results {
 		fmt.Printf("— job #%d (%s) —\n", i+1, cmp.Or(jobs[i].AlgoName(), jobs[i].Algo))
 		if r.Err != nil {

@@ -64,13 +64,14 @@ func main() {
 	cfg.Theta = *theta
 	cfg.Lambda = *lambda
 	cfg.MaxBound = *maxBound
+	cfg.Workers = *workers
 
 	var err error
 	if *batchPath != "" {
 		if *saveSnapshot != "" {
 			err = fmt.Errorf("-save-snapshot does not combine with -batch")
 		} else {
-			err = runBatch(cfg, *graphPath, *batchPath, *workers)
+			err = runBatch(cfg, *graphPath, *batchPath)
 		}
 	} else {
 		err = run(cfg, question{

@@ -215,17 +215,19 @@ func TestRunBatch(t *testing.T) {
 	if j := jobs[2]; jobs[1].Algo != "whymany" || j.Beam != 2 || j.MaxSteps != 5 || j.TimeLimit != 50*time.Millisecond {
 		t.Errorf("jobs #2 and #3 = %+v, %+v: the overrides were not read", jobs[1], j)
 	}
-	results, _ := chase.NewSession(f.G, testConfig()).AskAll(jobs, chase.BatchOptions{Workers: 2})
+	cfg := testConfig()
+	cfg.Workers = 2
+	results, _ := chase.NewSession(f.G, cfg).AskAll(jobs, chase.BatchOptions{})
 	for i, r := range results {
 		if (r.Err != nil) != (i == 3) {
 			t.Errorf("job #%d (algo %q): error %v", i+1, jobs[i].Algo, r.Err)
 		}
 	}
-	if err := runBatch(testConfig(), gPath, jobsPath, 2); err != nil {
+	if err := runBatch(cfg, gPath, jobsPath); err != nil {
 		t.Fatalf("runBatch: %v", err)
 	}
 
-	if err := runBatch(testConfig(), "", jobsPath, 0); err == nil {
+	if err := runBatch(testConfig(), "", jobsPath); err == nil {
 		t.Error("batch without -graph must error")
 	}
 	for _, tc := range []struct{ name, body string }{
@@ -242,7 +244,7 @@ func TestRunBatch(t *testing.T) {
 		}
 		// The graph path is missing too: the jobs file's error must come
 		// first.
-		err := runBatch(testConfig(), filepath.Join(dir, "nograph.json"), p, 0)
+		err := runBatch(testConfig(), filepath.Join(dir, "nograph.json"), p)
 		if err == nil || !strings.Contains(err.Error(), p) {
 			t.Errorf("%s: error %v, want one naming the jobs file", tc.name, err)
 		}

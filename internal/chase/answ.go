@@ -166,9 +166,8 @@ func (w *Why) AnsW() Answer {
 // always has k entries; when fewer satisfying rewrites exist, the
 // remaining entries hold the best-closeness rewrites found (their
 // Satisfied field reports the difference), falling back to the original
-// query. Each pop depends on every earlier result, so the search
-// evaluates each step it claims, and no other, on the calling goroutine
-// at every Config.Workers setting.
+// query. Each pop depends on every earlier result; the search evaluates
+// each step it claims, and no other.
 func (w *Why) TopK(k int) []Answer {
 	if k < 1 {
 		k = 1

@@ -178,7 +178,7 @@ type BatchStats struct {
 	Jobs      int   // jobs submitted
 	Failed    int   // jobs that returned an error
 	Cancelled int   // jobs that never started because the batch was cancelled
-	Workers   int   // resolved outer worker count
+	Workers   int   // resolved Config.Workers: the bound on jobs run at once
 	Steps     int64 // total simulated Q-Chase steps across all jobs
 	States    int64 // total frontier states pushed across all jobs
 
@@ -191,22 +191,14 @@ type BatchStats struct {
 	Elapsed time.Duration // wall-clock of the whole batch
 }
 
-// BatchOptions tunes AskAll's outer scheduling.
+// BatchOptions tunes one AskAll call. How many jobs run at once is the
+// session's Config.Workers.
 type BatchOptions struct {
-	// Workers bounds the cross-question fan-out: how many jobs may be in
-	// flight at once. 0 means one per logical CPU; 1 runs the jobs
-	// strictly in submission order. Inner per-question parallelism
-	// (Config.Workers) composes with this through the shared token
-	// budget, so Workers×Config.Workers never oversubscribes the
-	// machine.
-	Workers int
-
 	// Cancel, when non-nil, cancels the whole batch when closed: jobs
 	// that have not started yet fail fast with ErrCancelled in their
-	// slots, and running jobs stop within one claim iteration and
-	// return their best rewrite so far (releasing any helper-budget
-	// tokens they held). A per-job BatchJob.Cancel overrides this for
-	// that job's running phase.
+	// slots, and running jobs stop within one step and return their best
+	// rewrite so far. A per-job BatchJob.Cancel overrides this for that
+	// job's running phase.
 	Cancel <-chan struct{}
 }
 
@@ -216,7 +208,9 @@ type BatchOptions struct {
 const ErrCancelled = chaseError("chase: job cancelled before start")
 
 // AskAll answers a batch of Why-questions concurrently over the
-// session's shared graph, star-view cache, and distance oracle.
+// session's shared graph, star-view cache, and distance oracle. It runs
+// up to Config.Workers jobs at once (0: one per logical CPU), never more
+// than there are jobs, each on one goroutine.
 //
 // Jobs are claimed dynamically, but results commit into submission-
 // order slots: results[i] is jobs[i]'s outcome no matter which worker
@@ -236,8 +230,8 @@ func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, Batc
 	h0, m0 := s.CacheStats()
 
 	results := make([]BatchResult, len(jobs))
-	workers := par.Workers(opt.Workers)
-	par.ForEachIn(s.budget, workers, len(jobs), func(i int) {
+	workers := par.Workers(s.Cfg.Workers)
+	par.ForEach(workers, len(jobs), func(i int) {
 		if cancelled(cmp.Or(jobs[i].Cancel, opt.Cancel)) { // the job's own Cancel wins
 			results[i] = BatchResult{Err: ErrCancelled}
 			return

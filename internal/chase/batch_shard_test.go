@@ -32,8 +32,9 @@ func TestBatchIdenticalAcrossShardCounts(t *testing.T) {
 	run := func(shards, workers int) []rendered {
 		cfg := chase.DefaultConfig()
 		cfg.MaxSteps = 400
+		cfg.Workers = workers
 		sess := chase.NewSessionWithShards(g, cfg, shards)
-		results, stats := sess.AskAll(jobs, chase.BatchOptions{Workers: workers})
+		results, stats := sess.AskAll(jobs, chase.BatchOptions{})
 		out := make([]rendered, len(results))
 		for i, r := range results {
 			if r.Err != nil {

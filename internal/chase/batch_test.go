@@ -42,16 +42,19 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 
 	// Reference: a fresh session answering the jobs one at a time.
-	refSess := chase.NewSession(g, cfg)
-	refResults, refStats := refSess.AskAll(jobs, chase.BatchOptions{Workers: 1})
+	refCfg := cfg
+	refCfg.Workers = 1
+	refSess := chase.NewSession(g, refCfg)
+	refResults, refStats := refSess.AskAll(jobs, chase.BatchOptions{})
 	ref := render(refResults)
 	if refStats.Jobs != len(jobs) || refStats.Failed != 0 || refStats.Workers != 1 {
 		t.Fatalf("reference stats: %+v", refStats)
 	}
 
 	for _, workers := range []int{1, 4, 8} {
+		cfg.Workers = workers
 		sess := chase.NewSession(g, cfg)
-		results, stats := sess.AskAll(jobs, chase.BatchOptions{Workers: workers})
+		results, stats := sess.AskAll(jobs, chase.BatchOptions{})
 		got := render(results)
 		for i := range ref {
 			if got[i] != ref[i] {
@@ -73,13 +76,14 @@ func TestBatchMatchesSequential(t *testing.T) {
 func TestBatchJobOverrides(t *testing.T) {
 	g, instances := genInstances(t, datagen.DatasetProducts, 800, 2, 3)
 	cfg := chase.DefaultConfig()
+	cfg.Workers = 2
 	sess := chase.NewSession(g, cfg)
 
 	jobs := []chase.BatchJob{
 		{Q: instances[0].Q, E: instances[0].E, MaxSteps: 1},
 		{Q: instances[1].Q, E: instances[1].E, MaxSteps: 500, TimeLimit: time.Minute},
 	}
-	results, stats := sess.AskAll(jobs, chase.BatchOptions{Workers: 2})
+	results, stats := sess.AskAll(jobs, chase.BatchOptions{})
 	if stats.Failed != 0 {
 		t.Fatalf("no job should fail: %+v", stats)
 	}
@@ -95,13 +99,15 @@ func TestBatchJobOverrides(t *testing.T) {
 // submission-order slot and the rest of the batch is unaffected.
 func TestBatchReportsErrors(t *testing.T) {
 	g, instances := genInstances(t, datagen.DatasetProducts, 800, 2, 9)
-	sess := chase.NewSession(g, chase.DefaultConfig())
+	cfg := chase.DefaultConfig()
+	cfg.Workers = 3
+	sess := chase.NewSession(g, cfg)
 	jobs := []chase.BatchJob{
 		{Q: instances[0].Q, E: instances[0].E},
 		{Q: nil, E: instances[1].E}, // compilation must fail
 		{Q: instances[1].Q, E: instances[1].E},
 	}
-	results, stats := sess.AskAll(jobs, chase.BatchOptions{Workers: 3})
+	results, stats := sess.AskAll(jobs, chase.BatchOptions{})
 	if results[1].Err == nil {
 		t.Error("nil query must surface an error in slot 1")
 	}
@@ -164,7 +170,7 @@ func TestSessionConcurrentStress(t *testing.T) {
 			}
 			got[i] = renderAnswer(w.AnsW())
 		default:
-			results, _ := sess.AskAll([]chase.BatchJob{{Q: inst.Q, E: inst.E}}, chase.BatchOptions{Workers: 2})
+			results, _ := sess.AskAll([]chase.BatchJob{{Q: inst.Q, E: inst.E}}, chase.BatchOptions{})
 			if results[0].Err != nil {
 				panic(results[0].Err)
 			}

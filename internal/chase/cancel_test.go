@@ -5,7 +5,6 @@ import (
 
 	"wqe/internal/datagen"
 	"wqe/internal/exemplar"
-	"wqe/internal/par"
 	"wqe/internal/query"
 )
 
@@ -61,17 +60,13 @@ func TestCancelStopsSearchEarly(t *testing.T) {
 	}
 }
 
-// TestCancelMidBeamReleasesBudgetTokens cancels a chase *while it is
-// running* — the OnImprove anytime hook fires mid-search, on the
-// algorithm goroutine, making the cancellation point deterministic —
-// and proves that (a) the search stops before its uncancelled step
-// count and (b) every helper token the question's evaluation fan-out
-// held is back in the budget when the algorithm returns: a cancelled
-// chase cannot strand capacity other questions need.
-func TestCancelMidBeamReleasesBudgetTokens(t *testing.T) {
+// TestCancelMidBeamCutsSteps cancels a chase *while it is running* —
+// the OnImprove anytime hook fires mid-search, on the algorithm
+// goroutine, making the cancellation point deterministic — and proves
+// that the search stops before its uncancelled step count and still
+// returns its best rewrite so far.
+func TestCancelMidBeamCutsSteps(t *testing.T) {
 	f := datagen.NewFig1()
-	const tokens = 3
-	budget := par.NewBudget(tokens)
 
 	fullCfg := DefaultConfig()
 	fullCfg.Budget = 4
@@ -84,7 +79,6 @@ func TestCancelMidBeamReleasesBudgetTokens(t *testing.T) {
 	cancel := make(chan struct{})
 	cfg := DefaultConfig()
 	cfg.Budget = 4
-	cfg.Workers = 4 // fan evaluations out so helpers actually draw tokens
 	cfg.Cancel = cancel
 	improved := 0
 	cfg.OnImprove = func(Answer) {
@@ -93,9 +87,7 @@ func TestCancelMidBeamReleasesBudgetTokens(t *testing.T) {
 			close(cancel) // cancel at the first improvement: mid-search by construction
 		}
 	}
-	s := NewSession(f.G, cfg)
-	s.budget = budget
-	w, err := s.Why(f.Q, f.E)
+	w, err := NewSession(f.G, cfg).Why(f.Q, f.E)
 	if err != nil {
 		t.Fatalf("Why: %v", err)
 	}
@@ -110,16 +102,6 @@ func TestCancelMidBeamReleasesBudgetTokens(t *testing.T) {
 		t.Errorf("cancellation did not cut the search: %d steps vs %d uncancelled",
 			w.Stats.Steps, full.Stats.Steps)
 	}
-
-	// Every helper token must be free again: the claim loop exited, the
-	// evaluation workers joined, ForEachIn released what it acquired.
-	got := 0
-	for budget.TryAcquire() {
-		got++
-	}
-	if got != tokens {
-		t.Errorf("budget leaked: %d of %d tokens free after cancelled chase", got, tokens)
-	}
 }
 
 // TestAskAllCancelFailsQueuedJobsFast: a batch cancelled before its
@@ -129,6 +111,7 @@ func TestAskAllCancelFailsQueuedJobsFast(t *testing.T) {
 	f := datagen.NewFig1()
 	cfg := DefaultConfig()
 	cfg.Budget = 4
+	cfg.Workers = 1
 	s := NewSession(f.G, cfg)
 
 	done := make(chan struct{})
@@ -137,7 +120,7 @@ func TestAskAllCancelFailsQueuedJobsFast(t *testing.T) {
 		{Q: f.Q, E: f.E},
 		{Q: f.Q, E: f.E, Beam: 3},
 	}
-	results, stats := s.AskAll(jobs, BatchOptions{Workers: 1, Cancel: done})
+	results, stats := s.AskAll(jobs, BatchOptions{Cancel: done})
 	for i, r := range results {
 		if r.Err != ErrCancelled {
 			t.Errorf("job %d: err = %v, want ErrCancelled", i, r.Err)

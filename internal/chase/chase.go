@@ -24,7 +24,6 @@ import (
 	"wqe/internal/graph"
 	"wqe/internal/match"
 	"wqe/internal/ops"
-	"wqe/internal/par"
 	"wqe/internal/query"
 )
 
@@ -86,13 +85,10 @@ type Search struct {
 // Engine sizes the machinery a search runs on. Output is byte-identical
 // for every setting.
 type Engine struct {
-	// Workers bounds the evaluation worker pool of a question's two
-	// fan-outs, a beam level's steps (AnsHeu, AnsHeuB) and ApxWhyM's
-	// seeds: 0 (the default) uses one worker per logical CPU, 1 forces
-	// fully sequential evaluation. Candidates are claimed and committed
-	// in sequential order; only the Match calls in between run
-	// concurrently. AnsW and TopK evaluate on the calling goroutine at
-	// every setting (see DESIGN.md "Concurrency model").
+	// Workers bounds how many jobs Session.AskAll runs at once: 0 (the
+	// default) runs one per logical CPU, 1 runs them in submission
+	// order. A question itself always runs on one goroutine (see
+	// DESIGN.md "Concurrency model").
 	Workers int
 	// CacheCap bounds the star-view cache (§5.2) in tables; 0 runs
 	// without one. A cached table is a pure function of its key, so the
@@ -127,9 +123,8 @@ type Limits struct {
 	// closed: the anytime algorithms return the best rewrite found so
 	// far, exactly as a deadline expiry would. The run polls it before
 	// every step it grants (never inside an evaluation), so a cancelled
-	// chase stops within one claim step, its evaluation workers join,
-	// and any helper-budget tokens it held are released. Servers wire a
-	// disconnected client's done-channel here.
+	// chase stops within one step. Servers wire a disconnected client's
+	// done-channel here.
 	Cancel <-chan struct{}
 	// OnImprove, when non-nil, is invoked every time the best rewrite
 	// improves — the paper's "return Q* upon request" anytime hook.
@@ -198,12 +193,6 @@ type Why struct {
 	params ops.Params
 	rng    *rand.Rand
 
-	// budget gates this Why's evaluation fan-out on the session's
-	// helper-token budget (see par.Budget): inside a batch, inner
-	// per-question parallelism and outer cross-question parallelism draw
-	// from the same pool, so nesting never oversubscribes the machine.
-	budget *par.Budget
-
 	// partnerCache memoizes refinement partner sets across chase states:
 	// the partners of a focus match at a pattern node depend only on the
 	// node's matching signature and the exploration radius, not on the
@@ -221,9 +210,8 @@ type Why struct {
 	// to compare everything scored.
 	maxOpsPerClass int
 
-	// Stats accumulates search effort across one algorithm run. Only
-	// the algorithm goroutine writes it (the run, and the sequential
-	// commit phases); evaluation workers count nothing.
+	// Stats accumulates search effort across one algorithm run, on the
+	// one goroutine the run is on.
 	Stats Stats
 
 	// clock supplies the time for TimeLimit deadline checks. It is
@@ -260,7 +248,7 @@ func NewWhy(g *graph.Graph, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 
 // newWhyWith compiles a Why-question under cfg over the per-graph
 // resources s owns: the distance oracle, the star-view cache (nil runs
-// uncached), the helper-token budget, and the clock — deadlines and
+// uncached), the generation scratch pool, and the clock — deadlines and
 // elapsed stats must read the clock the session anchors submissions on.
 func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*Why, error) {
 	g := s.G
@@ -282,7 +270,6 @@ func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 		Cfg:          cfg,
 		Eval:         ev,
 		Dist:         s.dist,
-		budget:       s.budget,
 		params:       ops.Params{MaxBound: cfg.MaxBound},
 		partnerCache: map[partnerCacheKey][]graph.NodeID{},
 		partnerSigs:  map[string]int32{},
@@ -407,10 +394,7 @@ func (a Answer) String() string {
 // parent is the evaluation of the state q was rewritten from, nil for a
 // question's own query: the matcher takes from it what q left unchanged
 // (match.Matcher.MatchFrom) and returns what it would without it. It
-// runs one Q-Chase step, which the caller has claimed (run.claim), and
-// is safe to call from evaluation workers: everything it touches is
-// either read-only — parents included — or internally synchronized (see
-// match.Matcher).
+// runs one Q-Chase step, which the caller has claimed (run.claim).
 func (w *Why) evaluate(parent *match.Result, q *query.Query, seq ops.Sequence) (Answer, *match.Result) {
 	res := w.Matcher.MatchFrom(parent, q)
 	norm, err := seq.NormalForm()
@@ -425,13 +409,6 @@ func (w *Why) evaluate(parent *match.Result, q *query.Query, seq ops.Sequence) (
 		Matches:   res.Answer,
 		Satisfied: w.Satisfied(res.Answer),
 	}, res
-}
-
-// forEach fans fn out over the evaluation pool (Config.Workers), gated by
-// the session's helper budget. Output never depends on the gate: callers
-// commit in claim order whatever the realized parallelism was.
-func (w *Why) forEach(n int, fn func(i int)) {
-	par.ForEachIn(w.budget, par.Workers(w.Cfg.Workers), n, fn)
 }
 
 // sortNodes sorts a node slice in place and returns it.

@@ -120,11 +120,13 @@ func TestAbsoluteDeadlineWinsOverTimeLimit(t *testing.T) {
 // so it must get strictly fewer steps in before the shared deadline.
 func TestAskAllAnchorsTimeLimitAtSubmission(t *testing.T) {
 	f := datagen.NewFig1()
-	s := NewSession(f.G, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	s := NewSession(f.G, cfg)
 	s.clock = fakeClock(time.Millisecond)
 
 	job := BatchJob{Q: f.Q, E: f.E, TimeLimit: 10 * time.Millisecond}
-	results, stats := s.AskAll([]BatchJob{job, job}, BatchOptions{Workers: 1})
+	results, stats := s.AskAll([]BatchJob{job, job}, BatchOptions{})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
@@ -145,7 +147,7 @@ func TestAskAllAnchorsTimeLimitAtSubmission(t *testing.T) {
 	// with a far-future deadline the same queued job runs unclamped.
 	free := job
 	free.Deadline = time.Unix(0, 0).Add(time.Hour)
-	results2, _ := s.AskAll([]BatchJob{job, free}, BatchOptions{Workers: 1})
+	results2, _ := s.AskAll([]BatchJob{job, free}, BatchOptions{})
 	if results2[1].Err != nil {
 		t.Fatalf("free job: %v", results2[1].Err)
 	}

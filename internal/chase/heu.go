@@ -17,18 +17,16 @@ func (w *Why) AnsHeuB(beam int) Answer {
 	return w.beamSearch(beam, true)
 }
 
-// beamSearch runs one beam level at a time in three phases:
+// beamSearch runs one beam level at a time in two phases:
 //
 //  1. claim — walk the frontier in order, expand each state, and
-//     screen and claim up to beam steps per state exactly as the
-//     sequential search would;
-//  2. evaluate — fan the claimed steps' Match calls out over the
-//     worker pool;
-//  3. commit — build the children in claim order (best-list offers,
+//     screen, claim and evaluate up to beam steps per state;
+//  2. commit — build the children in claim order (best-list offers,
 //     lineage, Stats.States, beam eviction).
 //
-// Because no claim decision reads a same-level evaluation result, the
-// output is byte-identical for every Config.Workers setting.
+// No claim decision reads a same-level evaluation result: the level's
+// claims are those of its frontier alone, and what a level commits
+// decides only the next frontier.
 func (w *Why) beamSearch(beam int, random bool) Answer {
 	if beam < 1 {
 		beam = 1
@@ -41,8 +39,8 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 	frontier := []*state{root}
 
 	for len(frontier) > 0 {
-		// Phase 1 — claim. Each candidate claims its step before the
-		// level is evaluated: MaxSteps cuts where a sequential run would.
+		// Phase 1 — claim. Each candidate claims its step, then is
+		// evaluated at once.
 		var cands []step
 	claim:
 		for _, s := range frontier {
@@ -77,15 +75,13 @@ func (w *Why) beamSearch(beam int, random bool) Answer {
 				if !r.claimStep(&st, visited) {
 					break claim
 				}
+				w.evaluateStep(&st)
 				expanded++
 				cands = append(cands, st)
 			}
 		}
 
-		// Phase 2 — evaluate the whole level concurrently.
-		w.forEach(len(cands), func(i int) { w.evaluateStep(&cands[i]) })
-
-		// Phase 3 — commit in claim order.
+		// Phase 2 — commit in claim order.
 		var children []*state
 		for i := range cands {
 			s2 := w.child(&cands[i], 0)

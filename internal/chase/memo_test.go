@@ -200,11 +200,14 @@ func TestMemoAskAll(t *testing.T) {
 
 	off := memoConfig()
 	off.AnswerCacheCap = 0
-	refResults, _ := chase.NewSession(g, off).AskAll(jobs, chase.BatchOptions{Workers: 1})
+	off.Workers = 1
+	refResults, _ := chase.NewSession(g, off).AskAll(jobs, chase.BatchOptions{})
 
 	for _, workers := range []int{1, 4} {
-		sess := chase.NewSession(g, memoConfig())
-		results, stats := sess.AskAll(jobs, chase.BatchOptions{Workers: workers})
+		cfg := memoConfig()
+		cfg.Workers = workers
+		sess := chase.NewSession(g, cfg)
+		results, stats := sess.AskAll(jobs, chase.BatchOptions{})
 		if stats.Failed != 0 {
 			t.Fatalf("workers=%d: %d failed jobs", workers, stats.Failed)
 		}

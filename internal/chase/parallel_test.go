@@ -8,10 +8,11 @@ import (
 
 	"wqe/internal/chase"
 	"wqe/internal/datagen"
+	"wqe/internal/par"
 )
 
-// parAlgos are the algorithms with parallel evaluation paths, each
-// rendered to a byte-comparable transcript.
+// parAlgos are the searches a question can run, each rendered to a
+// byte-comparable transcript.
 var parAlgos = []struct {
 	name string
 	run  func(w *chase.Why) string
@@ -30,38 +31,43 @@ var parAlgos = []struct {
 	{"ApxWhyM", func(w *chase.Why) string { return renderAnswer(w.ApxWhyM()) }},
 }
 
-// TestParallelMatchesSequentialFig1 is the core determinism contract of
-// the parallel evaluation engine: for every algorithm, any worker count
-// must produce byte-identical output — and an identical step count — to
-// the fully sequential run, because candidates are claimed and committed
-// in sequential order and only the evaluations in between run
-// concurrently.
+// TestParallelMatchesSequentialFig1 is the determinism contract of the
+// one level of parallelism, questions side by side: for every search,
+// copies of one question asked on one Session, up to width of them at
+// once as AskAll runs its jobs (AnsHeuB and TopK are not batch
+// algorithms), each produce byte-identical output — and an identical
+// step count — to the copy asked alone.
 func TestParallelMatchesSequentialFig1(t *testing.T) {
+	const copies = 4
 	for _, al := range parAlgos {
 		al := al
 		t.Run(al.name, func(t *testing.T) {
 			var base string
 			var baseSteps int
-			for _, workers := range []int{1, 2, 4, 0} {
+			for _, width := range []int{1, 2, 4, 0} {
 				f := datagen.NewFig1()
-				cfg := chase.DefaultConfig()
-				cfg.Workers = workers
-				w, err := chase.NewWhy(f.G, f.Q, f.E, cfg)
-				if err != nil {
-					t.Fatalf("NewWhy: %v", err)
+				s := chase.NewSession(f.G, chase.DefaultConfig())
+				got := make([]string, copies)
+				steps := make([]int, copies)
+				par.ForEach(par.Workers(width), copies, func(i int) {
+					w, err := s.Why(f.Q, f.E)
+					if err != nil {
+						panic(err)
+					}
+					got[i], steps[i] = al.run(w), w.Stats.Steps
+				})
+				if width == 1 {
+					base, baseSteps = got[0], steps[0]
 				}
-				got := al.run(w)
-				if workers == 1 {
-					base, baseSteps = got, w.Stats.Steps
-					continue
-				}
-				if got != base {
-					t.Errorf("workers=%d output diverged from sequential:\nseq: %s\npar: %s",
-						workers, base, got)
-				}
-				if w.Stats.Steps != baseSteps {
-					t.Errorf("workers=%d step schedule diverged: %d steps, sequential %d",
-						workers, w.Stats.Steps, baseSteps)
+				for i := range got {
+					if got[i] != base {
+						t.Errorf("width=%d copy %d output diverged from sequential:\nseq: %s\npar: %s",
+							width, i, base, got[i])
+					}
+					if steps[i] != baseSteps {
+						t.Errorf("width=%d copy %d step schedule diverged: %d steps, sequential %d",
+							width, i, steps[i], baseSteps)
+					}
 				}
 			}
 		})
@@ -69,27 +75,28 @@ func TestParallelMatchesSequentialFig1(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialSynthetic repeats the byte-identity check
-// on generated Why-questions over a synthetic dataset, where operator
-// pools and beam levels are larger and give the fan-outs far more
-// opportunities to misorder work if the commit discipline were wrong.
+// on generated Why-questions over a synthetic dataset, through AskAll:
+// beam, exact and Why-Many jobs over one Session, four at a time against
+// one at a time.
 func TestParallelMatchesSequentialSynthetic(t *testing.T) {
+	g, instances := genInstances(t, datagen.DatasetProducts, 1500, 3, 9)
+	var jobs []chase.BatchJob
+	for _, inst := range instances {
+		for _, algo := range []string{"heu", "answ", "whymany"} {
+			jobs = append(jobs, chase.BatchJob{Q: inst.Q, E: inst.E, Algo: algo})
+		}
+	}
 	run := func(workers int) string {
-		g, instances := genInstances(t, datagen.DatasetProducts, 1500, 3, 9)
+		cfg := chase.DefaultConfig()
+		cfg.MaxSteps = 800
+		cfg.Workers = workers
+		results, _ := chase.NewSession(g, cfg).AskAll(jobs, chase.BatchOptions{})
 		var b strings.Builder
-		for _, inst := range instances {
-			cfg := chase.DefaultConfig()
-			cfg.MaxSteps = 800
-			cfg.Workers = workers
-			w, err := chase.NewWhy(g, inst.Q, inst.E, cfg)
-			if err != nil {
-				t.Fatalf("NewWhy: %v", err)
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
 			}
-			b.WriteString(renderAnswer(w.AnsHeu(3)))
-			b.WriteByte('\n')
-			b.WriteString(renderAnswer(w.AnsW()))
-			b.WriteByte('\n')
-			b.WriteString(renderAnswer(w.ApxWhyM()))
-			b.WriteByte('\n')
+			fmt.Fprintf(&b, "%s steps=%d states=%d\n", renderAnswer(r.Answer), r.Steps, r.States)
 		}
 		return b.String()
 	}
@@ -142,21 +149,31 @@ func TestAnsWEvaluatesOnlyClaimedSteps(t *testing.T) {
 	}
 }
 
-// TestParallelRaceStress drives every parallel path with a wide worker
-// pool; under -race it dynamically checks the engine's sharing contract
-// (read-only Why state, atomic step counter, lock-guarded cache with
-// singleflight builds).
+// TestParallelRaceStress runs every batch algorithm side by side, eight
+// jobs at a time over one Session; under -race it dynamically checks the
+// sharing contract (immutable graph and distance index, lock-guarded
+// star cache with singleflight builds, the pooled generation scratch).
 func TestParallelRaceStress(t *testing.T) {
 	f := datagen.NewFig1()
 	cfg := chase.DefaultConfig()
 	cfg.Workers = 8
-	w, err := chase.NewWhy(f.G, f.Q, f.E, cfg)
-	if err != nil {
-		t.Fatalf("NewWhy: %v", err)
+	var jobs []chase.BatchJob
+	for range 2 {
+		jobs = append(jobs,
+			chase.BatchJob{Q: f.Q, E: f.E, Algo: "heu", Beam: 4},
+			chase.BatchJob{Q: f.Q, E: f.E, Algo: "answ"},
+			chase.BatchJob{Q: f.Q, E: f.E, Algo: "whymany"},
+			chase.BatchJob{Q: f.Q, E: f.E, Algo: "whyempty"})
 	}
-	w.AnsHeu(4)
-	w.AnsW()
-	w.ApxWhyM()
+	results, stats := chase.NewSession(f.G, cfg).AskAll(jobs, chase.BatchOptions{})
+	for i, r := range results {
+		if r.Err != nil {
+			t.Errorf("job %d: %v", i, r.Err)
+		}
+	}
+	if stats.Workers != 8 {
+		t.Errorf("stats.Workers = %d, want 8", stats.Workers)
+	}
 }
 
 // TestConcurrentWhyQuestionsSharedGraph runs independent parallel
@@ -169,9 +186,7 @@ func TestConcurrentWhyQuestionsSharedGraph(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfg := chase.DefaultConfig()
-			cfg.Workers = 4
-			w, err := chase.NewWhy(f.G, f.Q, f.E, cfg)
+			w, err := chase.NewWhy(f.G, f.Q, f.E, chase.DefaultConfig())
 			if err != nil {
 				t.Errorf("NewWhy: %v", err)
 				return

@@ -18,8 +18,8 @@ const (
 // starts, stops and reports by: it claims the steps, polls the deadline
 // and cancel signal, records why it stopped, reports improvements, and
 // holds the generation scratch borrowed from the session. Every
-// algorithm entry point starts one and defers its end. Only the
-// algorithm goroutine uses it, so Stats, which it writes, needs no lock.
+// algorithm entry point starts one and defers its end. A run is on one
+// goroutine, so Stats, which it writes, needs no lock.
 type run struct {
 	w        *Why
 	start    time.Time
@@ -72,10 +72,8 @@ func (r *run) more() bool {
 	return false
 }
 
-// claim claims one Q-Chase step (one evaluation) before it runs, on the
-// algorithm goroutine and in claim order, so a parallel search is cut
-// at the candidate a sequential one would be. It is refused once the
-// run has stopped (more).
+// claim claims one Q-Chase step (one evaluation) before it runs. It is
+// refused once the run has stopped (more).
 func (r *run) claim() bool {
 	if !r.more() {
 		return false
@@ -94,11 +92,11 @@ func (r *run) improve(best Answer) {
 	}
 }
 
-// end closes the run once its evaluation workers have joined: a run
-// nothing stopped is done. It stamps the elapsed time and cache
-// counters, and gives the scratch back unless a generator call on it
-// never returned: a run that panicked (end is deferred) drops a busy
-// scratch, so no later question meets its half-reset tables.
+// end closes the run: a run nothing stopped is done. It stamps the
+// elapsed time and cache counters, and gives the scratch back unless a
+// generator call on it never returned: a run that panicked (end is
+// deferred) drops a busy scratch, so no later question meets its
+// half-reset tables.
 func (r *run) end() {
 	w := r.w
 	if w.Stats.Stop == "" {

@@ -10,7 +10,6 @@ import (
 	"wqe/internal/exemplar"
 	"wqe/internal/graph"
 	"wqe/internal/match"
-	"wqe/internal/par"
 	"wqe/internal/query"
 )
 
@@ -25,20 +24,18 @@ import (
 // A Session is safe for concurrent use: any number of goroutines may
 // call Ask/AskFast/Why/Run/AskAll on one Session. The shared pieces are
 // each internally synchronized (the star-view cache) or immutable after
-// construction (the distance oracle, the warmed graph), and every
-// question compiled through the session draws its evaluation fan-out
-// from the shared helper-token budget, so concurrent questions compose
-// without oversubscribing the machine.
+// construction (the distance oracle, the warmed graph). Each question
+// runs on the goroutine that asks it; AskAll runs up to Config.Workers
+// of them side by side.
 //
 // A graph.Graph has no mutators, as the paper asks every question of
 // one fixed G: star tables, memoized answers and the distance index are
 // pure functions of it, and none of them is ever invalidated.
 type Session struct {
-	G      *graph.Graph
-	Cfg    Config
-	dist   distindex.Index
-	cache  *match.Cache
-	budget *par.Budget
+	G     *graph.Graph
+	Cfg   Config
+	dist  distindex.Index
+	cache *match.Cache
 
 	// gens pools operator generation's scratch (genScratch): a running
 	// question holds one, and a finished one gives it back for the next.
@@ -80,10 +77,9 @@ func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Sessi
 		idx = distindex.Auto(g)
 	}
 	s := &Session{
-		G:      g,
-		Cfg:    cfg,
-		dist:   idx,
-		budget: par.SharedBudget(),
+		G:    g,
+		Cfg:  cfg,
+		dist: idx,
 		//lint:ignore detsource injectable-clock default; only stats and anytime deadline cutoffs read it, never ranking
 		clock: time.Now,
 	}
@@ -98,8 +94,7 @@ func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Sessi
 }
 
 // Why compiles one Why-question against the session's shared state: the
-// prebuilt distance oracle, the shared star-view cache, and the helper
-// budget.
+// prebuilt distance oracle and the shared star-view cache.
 func (s *Session) Why(q *query.Query, e *exemplar.Exemplar) (*Why, error) {
 	return newWhyWith(s, q, e, s.Cfg)
 }
@@ -209,8 +204,8 @@ type MultiFocusAnswer struct {
 // per-focus rewrites are returned together. foci and exemplars are
 // parallel slices.
 //
-// Every focus compiles through the session's shared distance oracle,
-// star-view cache, and helper budget: the foci share star tables the
+// The foci run one after another, each compiled through the session's
+// shared distance oracle and star-view cache: they share star tables the
 // same way consecutive session questions do, instead of rebuilding the
 // oracle once per focus as the old standalone path did.
 func (s *Session) AskMultiFocus(q *query.Query, foci []query.NodeID,

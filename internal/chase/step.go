@@ -11,9 +11,9 @@ import (
 // step is one Q-Chase step, the unit AnsW and the beam searches share:
 // an operator of a parent state's queue, the rewrite it leads to, and,
 // once evaluated, the rewrite's answer. A step goes screen → claim →
-// evaluate → child. Only evaluate may run on a worker goroutine, and only
-// the beam puts it on one: AnsW evaluates each step it claims, and
-// nothing else, on its own goroutine.
+// evaluate → child, all on the question's one goroutine: each search
+// evaluates a step right after claiming it, and no step it has not
+// claimed.
 type step struct {
 	parent *state
 	op     scoredOp
@@ -54,8 +54,8 @@ func (r *run) claimStep(st *step, visited map[string]bool) bool {
 	return true
 }
 
-// evaluateStep evaluates a claimed step beside its parent's result. It is
-// safe on evaluation workers (Why.evaluate).
+// evaluateStep evaluates a claimed step beside its parent's result
+// (Why.evaluate).
 func (w *Why) evaluateStep(st *step) {
 	st.ans, st.res = w.evaluate(st.parent.res, st.q2, st.seq2)
 }

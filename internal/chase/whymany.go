@@ -5,7 +5,6 @@ import (
 
 	"wqe/internal/match"
 	"wqe/internal/ops"
-	"wqe/internal/query"
 )
 
 // ApxWhyM answers Why-Many questions (§6.1, Fig 9): refine Q with
@@ -27,36 +26,6 @@ func (w *Why) ApxWhyM() Answer {
 		return rootAns
 	}
 
-	// Exact per-seed coverage: evaluate Q ⊕ {o} once per seed and record
-	// which irrelevant (and relevant) matches it removes. This "ensures
-	// the removal of IM(o)" as the paper requires of SeedRf. The seed
-	// evaluations are independent of one another, so they run on the
-	// worker pool: applicability is decided and the steps are claimed
-	// sequentially first, and the coverage sets are committed in seed
-	// order, keeping the greedy selection's input — and hence the
-	// result — byte-identical for any worker count.
-	type seedCand struct {
-		op  ops.Op
-		q2  *query.Query
-		ans Answer
-		res *match.Result
-	}
-	var pending []*seedCand
-	for _, s := range seeds {
-		q2, err := s.Op.Apply(w.Q)
-		if err != nil {
-			continue // seed op no longer fits Q
-		}
-		if !r.claim() {
-			break
-		}
-		pending = append(pending, &seedCand{op: s.Op, q2: q2})
-	}
-	w.forEach(len(pending), func(i int) {
-		c := pending[i]
-		c.ans, c.res = w.evaluate(rootRes, c.q2, ops.Sequence{c.op})
-	})
-
 	// Cover sets are bitsets over the root answer: bit i stands for
 	// root[i]. The answer is ascending, so bit order is node order.
 	root := rootRes.Answer
@@ -73,12 +42,24 @@ func (w *Why) ApxWhyM() Answer {
 		removedRM []uint64
 		single    Answer
 	}
+	// Exact per-seed coverage: evaluate Q ⊕ {o} once per seed, in seed
+	// order, and record which irrelevant (and relevant) matches it
+	// removes. This "ensures the removal of IM(o)" as the paper requires
+	// of SeedRf.
 	var evaluated []seed
-	for _, c := range pending {
-		sd := seed{op: c.op, cost: c.op.Cost(w.G), single: c.ans,
+	for _, s := range seeds {
+		q2, err := s.Op.Apply(w.Q)
+		if err != nil {
+			continue // seed op no longer fits Q
+		}
+		if !r.claim() {
+			break
+		}
+		single, res := w.evaluate(rootRes, q2, ops.Sequence{s.Op})
+		sd := seed{op: s.Op, cost: s.Op.Cost(w.G), single: single,
 			removedIM: make([]uint64, words), removedRM: make([]uint64, words)}
 		covers := false
-		ans, j := c.res.Answer, 0
+		ans, j := res.Answer, 0
 		for i, v := range root {
 			for j < len(ans) && ans[j] < v {
 				j++

@@ -4,13 +4,12 @@ import (
 	"wqe/internal/graph"
 	"wqe/internal/match"
 	"wqe/internal/ops"
-	"wqe/internal/query"
 )
 
 // oracleApxWhyM is ApxWhyM as it stood while its cover sets were maps,
 // verbatim apart from its name, its lint directives, which the linter,
-// skipping test files, never reads, and its calls on the run, which
-// follow ApxWhyM's.
+// skipping test files, never reads, and its calls on the run and its
+// seed evaluations, which follow ApxWhyM's.
 func oracleApxWhyM(w *Why) Answer {
 	r := w.startRun()
 	defer r.end()
@@ -25,21 +24,16 @@ func oracleApxWhyM(w *Why) Answer {
 		return rootAns
 	}
 
-	// Exact per-seed coverage: evaluate Q ⊕ {o} once per seed and record
-	// which irrelevant (and relevant) matches it removes. This "ensures
-	// the removal of IM(o)" as the paper requires of SeedRf. The seed
-	// evaluations are independent of one another, so they run on the
-	// worker pool: applicability is decided and the steps are claimed
-	// sequentially first, and the coverage sets are committed in seed
-	// order, keeping the greedy selection's input — and hence the
-	// result — byte-identical for any worker count.
+	// Exact per-seed coverage: evaluate Q ⊕ {o} once per seed, in seed
+	// order, and record which irrelevant (and relevant) matches it
+	// removes. This "ensures the removal of IM(o)" as the paper requires
+	// of SeedRf.
 	type seedCand struct {
 		op  ops.Op
-		q2  *query.Query
 		ans Answer
 		res *match.Result
 	}
-	var pending []*seedCand
+	var pending []seedCand
 	for _, s := range seeds {
 		q2, err := s.Op.Apply(w.Q)
 		if err != nil {
@@ -48,12 +42,9 @@ func oracleApxWhyM(w *Why) Answer {
 		if !r.claim() {
 			break
 		}
-		pending = append(pending, &seedCand{op: s.Op, q2: q2})
+		ans, res := w.evaluate(rootRes, q2, ops.Sequence{s.Op})
+		pending = append(pending, seedCand{op: s.Op, ans: ans, res: res})
 	}
-	w.forEach(len(pending), func(i int) {
-		c := pending[i]
-		c.ans, c.res = w.evaluate(rootRes, c.q2, ops.Sequence{c.op})
-	})
 
 	type seed struct {
 		op        ops.Op

@@ -1,79 +1,9 @@
 // Package par is a lint fixture for gobound's exemption: the worker
 // pool itself is the one place allowed to spawn goroutines — both the
-// fixed-size pool and the semaphore-gated budget path.
+// fork-join pool and the group of long-lived goroutines.
 package par
 
 import "sync"
-
-// Budget is a helper-token semaphore mirroring the real pool's
-// module-wide budget.
-type Budget struct{ sem chan struct{} }
-
-// NewBudget fills the semaphore with tokens.
-func NewBudget(tokens int) *Budget {
-	b := &Budget{sem: make(chan struct{}, tokens)}
-	for i := 0; i < tokens; i++ {
-		b.sem <- struct{}{}
-	}
-	return b
-}
-
-// TryAcquire takes a helper token without blocking.
-func (b *Budget) TryAcquire() bool {
-	select {
-	case <-b.sem:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a helper token.
-func (b *Budget) Release() { b.sem <- struct{}{} }
-
-// ForEachIn spawns helpers only for tokens the budget grants — the
-// semaphore-gated spawn path is still inside the approved pool package:
-// not flagged by gobound, and clean for every other analyzer.
-func ForEachIn(b *Budget, workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	helpers := 0
-	for helpers < workers-1 && b.TryAcquire() {
-		helpers++
-	}
-	if helpers == 0 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := 0
-	var mu sync.Mutex
-	loop := func() {
-		for {
-			mu.Lock()
-			i := next
-			next++
-			mu.Unlock()
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer b.Release()
-			loop()
-		}()
-	}
-	loop()
-	wg.Wait()
-}
 
 // ForEach spawns workers inside the approved pool package: not flagged.
 func ForEach(workers, n int, fn func(i int)) {
@@ -107,3 +37,20 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	wg.Wait()
 }
+
+// Group tracks long-lived goroutines until Wait, mirroring the real
+// package's Group.
+type Group struct{ wg sync.WaitGroup }
+
+// Go spawns fn inside the approved pool package, from a method: not
+// flagged.
+func (g *Group) Go(fn func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		fn()
+	}()
+}
+
+// Wait joins every goroutine Go started.
+func (g *Group) Wait() { g.wg.Wait() }

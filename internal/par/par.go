@@ -3,12 +3,14 @@
 // machine's cores.
 //
 // Every goroutine in the module is spawned here — the gobound analyzer
-// (internal/lint) rejects `go` statements anywhere else. Concentrating
-// the spawns buys three properties the Q-Chase engines rely on:
+// (internal/lint) rejects `go` statements anywhere else. Parallelism is
+// one level deep: a Why-question runs on one goroutine, and only whole
+// questions (chase.Session.AskAll's jobs) run side by side. Concentrating
+// the spawns buys three properties the callers rely on:
 //
 //   - Bounded parallelism: ForEach never runs more than the requested
-//     number of workers, so a beam level with 10,000 candidates cannot
-//     start 10,000 goroutines.
+//     number of workers, nor more than it has items, so a batch of
+//     10,000 jobs cannot start 10,000 goroutines.
 //   - Structured lifetime: ForEach returns only after every item
 //     finished; no goroutine outlives its call, so callers never leak
 //     workers or race with their own commit phase.
@@ -97,152 +99,4 @@ func rethrow(v interface{}) {
 	if v != nil {
 		panic(v)
 	}
-}
-
-// Budget is a token budget for composing nested parallelism: an outer
-// batch of Why-questions and the per-question candidate fan-out inside
-// each of them draw helper tokens from one shared Budget, so the total
-// number of concurrently running goroutines stays bounded no matter how
-// the two levels nest.
-//
-// Tokens gate *helpers only*. The goroutine that calls ForEachIn always
-// participates in its own loop without holding a token, which makes the
-// scheme deadlock-free by construction: a caller that finds the budget
-// drained simply runs its items sequentially — it never blocks waiting
-// for a token that an ancestor of its own call stack is holding.
-type Budget struct {
-	// sem holds the free helper tokens. Buffered-channel semantics give
-	// TryAcquire/Release without any state of our own to guard.
-	sem chan struct{}
-}
-
-// NewBudget returns a budget with the given number of helper tokens.
-// Zero (or negative) tokens is valid and means "no helpers anywhere":
-// every ForEachIn against it degrades to a sequential loop.
-func NewBudget(tokens int) *Budget {
-	if tokens < 0 {
-		tokens = 0
-	}
-	b := &Budget{sem: make(chan struct{}, tokens)}
-	for i := 0; i < tokens; i++ {
-		b.sem <- struct{}{}
-	}
-	return b
-}
-
-// TryAcquire takes one helper token if one is free. It never blocks —
-// blocking here is exactly the nested-parallelism deadlock the Budget
-// exists to prevent.
-func (b *Budget) TryAcquire() bool {
-	select {
-	case <-b.sem:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a token taken by TryAcquire. Callers must pair it
-// with a successful TryAcquire exactly once.
-func (b *Budget) Release() {
-	b.sem <- struct{}{}
-}
-
-// Cap reports the budget's total token count.
-func (b *Budget) Cap() int { return cap(b.sem) }
-
-var (
-	sharedOnce   sync.Once
-	sharedBudget *Budget
-)
-
-// SharedBudget returns the process-wide helper budget, sized
-// GOMAXPROCS−1: with every submitting goroutine running for free and at
-// most GOMAXPROCS−1 token-holding helpers beside it, the module's total
-// runnable parallelism tracks the machine instead of multiplying outer
-// (cross-question) by inner (per-question) worker counts. chase
-// sessions schedule through it; a single-CPU machine gets a zero-token
-// budget and therefore runs everything sequentially.
-func SharedBudget() *Budget {
-	sharedOnce.Do(func() {
-		sharedBudget = NewBudget(runtime.GOMAXPROCS(0) - 1)
-	})
-	return sharedBudget
-}
-
-// ForEachIn is ForEach gated by a helper budget: fn(i) runs for every
-// i in [0, n), on the calling goroutine plus up to workers−1 helper
-// goroutines — but each helper must win a token from b, and releases it
-// when the loop drains. A nil budget means ungated: plain ForEach.
-//
-// Like ForEach, items are claimed from an atomic cursor, so fn must not
-// depend on execution order; determinism stays the callers' business
-// (index-addressed slots, ordered commit). Helper panics are re-raised
-// on the calling goroutine after all helpers joined; a panic in the
-// caller's own fn unwinds only after the helpers joined too, so no
-// goroutine ever outlives the call.
-func ForEachIn(b *Budget, workers, n int, fn func(i int)) {
-	if b == nil {
-		ForEach(workers, n, fn)
-		return
-	}
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	helpers := 0
-	if workers > 1 {
-		for helpers < workers-1 && b.TryAcquire() {
-			helpers++
-		}
-	}
-	if helpers == 0 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-
-	var (
-		cursor  atomic.Int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  interface{}
-	)
-	loop := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer b.Release()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			loop()
-		}()
-	}
-	func() {
-		// Join the helpers even when the caller's own fn panics: the
-		// deferred Wait runs while that panic unwinds, so ForEachIn keeps
-		// the structured-lifetime guarantee on every path.
-		defer wg.Wait()
-		loop()
-	}()
-	rethrow(panicV)
 }

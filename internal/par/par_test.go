@@ -67,149 +67,6 @@ func TestForEachSequentialOrder(t *testing.T) {
 	}
 }
 
-func TestBudgetTokens(t *testing.T) {
-	b := NewBudget(2)
-	if b.Cap() != 2 {
-		t.Fatalf("Cap = %d, want 2", b.Cap())
-	}
-	if !b.TryAcquire() || !b.TryAcquire() {
-		t.Fatal("two tokens should be available")
-	}
-	if b.TryAcquire() {
-		t.Fatal("third TryAcquire should fail on a drained budget")
-	}
-	b.Release()
-	if !b.TryAcquire() {
-		t.Fatal("released token should be reacquirable")
-	}
-
-	zero := NewBudget(0)
-	if zero.TryAcquire() {
-		t.Fatal("zero-token budget must never grant a token")
-	}
-	neg := NewBudget(-5)
-	if neg.Cap() != 0 {
-		t.Fatalf("negative tokens should clamp to 0, got cap %d", neg.Cap())
-	}
-}
-
-// TestForEachInCoversEveryIndexOnce mirrors the ForEach coverage
-// contract across budget sizes, including a drained budget (sequential
-// fallback) and a nil budget (plain ForEach).
-func TestForEachInCoversEveryIndexOnce(t *testing.T) {
-	budgets := []*Budget{nil, NewBudget(0), NewBudget(1), NewBudget(7)}
-	for bi, b := range budgets {
-		for _, workers := range []int{1, 2, 8} {
-			for _, n := range []int{0, 1, 3, 250} {
-				hits := make([]atomic.Int32, n)
-				ForEachIn(b, workers, n, func(i int) { hits[i].Add(1) })
-				for i := range hits {
-					if got := hits[i].Load(); got != 1 {
-						t.Fatalf("budget#%d workers=%d n=%d: index %d ran %d times",
-							bi, workers, n, i, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestForEachInSequentialWhenDrained pins the deadlock-freedom design:
-// with no tokens free, the caller runs everything itself, in order.
-func TestForEachInSequentialWhenDrained(t *testing.T) {
-	b := NewBudget(0)
-	var order []int
-	ForEachIn(b, 8, 5, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if i != v {
-			t.Fatalf("drained budget ran out of order: %v", order)
-		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("ran %d of 5 items", len(order))
-	}
-}
-
-// TestForEachInBoundsConcurrency proves the token budget caps helpers:
-// caller + tokens is the concurrency ceiling regardless of workers.
-func TestForEachInBoundsConcurrency(t *testing.T) {
-	const tokens, n = 3, 400
-	b := NewBudget(tokens)
-	var cur, max atomic.Int32
-	ForEachIn(b, 16, n, func(int) {
-		c := cur.Add(1)
-		for {
-			m := max.Load()
-			if c <= m || max.CompareAndSwap(m, c) {
-				break
-			}
-		}
-		cur.Add(-1)
-	})
-	if m := max.Load(); m > tokens+1 {
-		t.Fatalf("observed %d concurrent runners, want ≤ caller+%d tokens", m, tokens)
-	}
-}
-
-// TestForEachInReleasesTokens: after the loop drains, every helper
-// token is back in the budget.
-func TestForEachInReleasesTokens(t *testing.T) {
-	b := NewBudget(4)
-	ForEachIn(b, 8, 100, func(int) {})
-	got := 0
-	for b.TryAcquire() {
-		got++
-	}
-	if got != 4 {
-		t.Fatalf("budget holds %d tokens after the loop, want 4", got)
-	}
-}
-
-// TestForEachInNestedComposes: inner ForEachIn calls inside an outer
-// one share the budget without deadlocking and still cover every item.
-func TestForEachInNestedComposes(t *testing.T) {
-	b := NewBudget(3)
-	const outer, inner = 10, 50
-	hits := make([]atomic.Int32, outer*inner)
-	ForEachIn(b, 4, outer, func(o int) {
-		ForEachIn(b, 4, inner, func(i int) {
-			hits[o*inner+i].Add(1)
-		})
-	})
-	for i := range hits {
-		if got := hits[i].Load(); got != 1 {
-			t.Fatalf("item %d ran %d times", i, got)
-		}
-	}
-}
-
-// TestForEachInPanicPropagates: a panic in fn (whether a helper or the
-// caller hits it) resurfaces on the caller, helpers join, and the
-// tokens all come back.
-func TestForEachInPanicPropagates(t *testing.T) {
-	b := NewBudget(3)
-	func() {
-		defer func() {
-			if r := recover(); r != "bang" {
-				t.Fatalf("recovered %v, want \"bang\"", r)
-			}
-		}()
-		ForEachIn(b, 4, 64, func(i int) {
-			if i == 11 {
-				panic("bang")
-			}
-		})
-		t.Fatal("ForEachIn returned instead of panicking")
-	}()
-	got := 0
-	for b.TryAcquire() {
-		got++
-	}
-	if got != 3 {
-		t.Fatalf("budget holds %d tokens after panic, want 3", got)
-	}
-}
-
 // TestForEachPanicPropagates checks a worker panic resurfaces on the
 // caller and does not deadlock the pool.
 func TestForEachPanicPropagates(t *testing.T) {
