@@ -70,8 +70,8 @@ fuzz:
 	$(GO) test ./cmd/wqe-serve -run '^$$' -fuzz FuzzDecodeAsk -fuzztime 10s
 
 # Run the generation, BFS and star-table micro-benchmarks once each, so
-# they cannot rot: BenchmarkGenRefine (cold and warm partner sets, and
-# warm with every attribute irregular), the Ball/VisitBall pair,
+# they cannot rot: BenchmarkGenRefine (cold and warm partner sets), the
+# Ball/VisitBall pair,
 # BenchmarkTraverserBall (small balls by Ball vs by one Traverser),
 # BenchmarkVisitBalls (64 single visits vs one batched sweep),
 # BenchmarkBuildStarTable (the same stars built fresh and derived from

@@ -62,7 +62,10 @@ func ExampleWhy_AnsWE() {
 	e := &wqe.Exemplar{Tuples: []wqe.TuplePattern{{
 		"Model": wqe.ConstCell(wqe.S("MR942CH/A")),
 	}}}
-	g := gb.Build()
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
 	w, _ := wqe.NewWhy(g, q, e, wqe.DefaultConfig())
 	a := w.AnsWE()
 	fmt.Println(a.Ops)

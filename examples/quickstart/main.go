@@ -43,7 +43,10 @@ func main() {
 	for _, p := range []wqe.NodeID{p1, p2, p5} {
 		b.AddEdge(p, wear, "pairs")
 	}
-	g := b.Build()
+	g, err := b.Build()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// ── 2. The original query Q: pricey cellphones with a carrier and
 	//       a sensor within two hops ──────────────────────────────────

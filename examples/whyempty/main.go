@@ -13,7 +13,10 @@ import (
 )
 
 func main() {
-	g := buildStore()
+	g, err := buildStore()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("computer store graph:", g)
 
 	// Q_b-style query: recent laptops with a big screen, lots of RAM,
@@ -61,7 +64,7 @@ func main() {
 // buildStore creates a small laptop catalog in which nothing satisfies
 // all four constraints at once: the NVidia machines are older or
 // smaller, and the desired MacBooks ship AMD or Intel GPUs.
-func buildStore() *wqe.Graph {
+func buildStore() (*wqe.Graph, error) {
 	b := wqe.NewGraphBuilder()
 	apple := b.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Apple")})
 	dell := b.AddNode("Brand", map[string]wqe.Value{"Name": wqe.S("Dell")})

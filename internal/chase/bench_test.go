@@ -1,7 +1,6 @@
 package chase_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -61,10 +60,6 @@ func BenchmarkGenRelax(b *testing.B) {
 // first that meets the same matches) — AddL counting and survivor
 // marking above all; "cold" gives each iteration a fresh Why, built
 // outside the timer, and so times the partner BFS too.
-// "warm-irregular" is warm on the same graph plus one isolated node
-// carrying NaN under every attribute, which makes every attribute
-// irregular (graph.Codes): the same operators through AddL's
-// compare-by-value branch and NodeCheck's value path.
 func BenchmarkGenRefine(b *testing.B) {
 	g, _ := datagen.Generate(datagen.DatasetKnowledge, 4000, 5)
 	m := match.NewMatcher(g, distindex.NewBFS(g), nil)
@@ -77,15 +72,25 @@ func BenchmarkGenRefine(b *testing.B) {
 	if !ok {
 		b.Skip("no instance")
 	}
-	newWhy := func(g *graph.Graph) *chase.Why {
+	newWhy := func() *chase.Why {
 		w, err := chase.NewWhy(g, inst.Q, inst.E, chase.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		return w
 	}
-	warm := func(b *testing.B, g *graph.Graph) {
-		w := newWhy(g)
+	b.Run("cold", func(b *testing.B) {
+		res := newWhy().Matcher.Match(inst.Q)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			w := newWhy()
+			b.StartTimer()
+			w.GenRefine(inst.Q, res, nil, 3)
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		w := newWhy()
 		res := w.Matcher.Match(inst.Q)
 		w.GenRefine(inst.Q, res, nil, 3)
 		b.ReportAllocs()
@@ -93,26 +98,6 @@ func BenchmarkGenRefine(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			w.GenRefine(inst.Q, res, nil, 3)
 		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		res := newWhy(g).Matcher.Match(inst.Q)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			w := newWhy(g)
-			b.StartTimer()
-			w.GenRefine(inst.Q, res, nil, 3)
-		}
-	})
-	b.Run("warm", func(b *testing.B) { warm(b, g) })
-	b.Run("warm-irregular", func(b *testing.B) {
-		gb := datagen.Knowledge(4000, 5)
-		nan := map[string]graph.Value{}
-		for a := 1; a < gb.Attrs.Len(); a++ {
-			nan[gb.Attrs.Name(int32(a))] = graph.N(math.NaN())
-		}
-		gb.AddNode("irregular", nan)
-		warm(b, gb.Build())
 	})
 }
 

@@ -117,8 +117,8 @@ func datasetWhys(t *testing.T, n int, visit func(dataset, what string, w *Why, q
 }
 
 // walkBudgetStates walks the states of the dataset questions and of the
-// hand-built edge cases (NaN, -0 and Number-with-Str constants among
-// them) and visits each under its own remaining budget and, on each
+// hand-built edge cases (-0 and Number-with-Str constants among them)
+// and visits each under its own remaining budget and, on each
 // walk's root, under a NaN budget, which lets every operator through.
 func walkBudgetStates(t *testing.T, visit func(w *Why, s walkedState, res *match.Result, used ops.Targets, budgetLeft float64)) {
 	t.Helper()

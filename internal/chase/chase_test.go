@@ -305,7 +305,10 @@ func TestAnsWE(t *testing.T) {
 		"RAM": exemplar.C(graph.N(32)),
 	}}}
 
-	g := gb.Build()
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := chase.NewWhy(g, q, e, chase.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

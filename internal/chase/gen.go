@@ -295,8 +295,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budg
 	// then attribute order, for deterministic generation), sort the
 	// failing values and generate one RxL per distinct value — relaxing
 	// up to that value admits every RC node at or before it. The stable
-	// sort keeps each value's notes in the order they were taken; NaNs
-	// sort first.
+	// sort keeps each value's notes in the order they were taken.
 	slices.SortStableFunc(notes, func(a, b failNote) int {
 		return cmp.Or(cmp.Compare(a.u, b.u), strings.Compare(a.attr, b.attr), cmp.Compare(a.num, b.num))
 	})
@@ -323,9 +322,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budg
 		if l.Val.Kind != graph.Number {
 			continue
 		}
-		// The distinct values, ascending: runs of == numbers, so -0 and 0
-		// are one and each NaN is one of its own, standing for their last
-		// note's number, as a map keyed by number keeps the key stored last.
+		// The distinct values, ascending: runs of equal numbers.
 		nums := sc.nums[:0]
 		for a := 0; a < len(lit); {
 			b := a + 1
@@ -459,8 +456,8 @@ func identCompare(a, b opIdent) int {
 // it is equal exactly when their opIdents are, and a map keyed on it
 // hashes a few words instead of five strings. Literals are numbered, not
 // spelled: Lit by the position of the first literal of q.Nodes[U] equal
-// to it, or for AddL, whose literal is not q's, by valueRef. NewLit,
-// which only RxL and RfL carry, has Lit's attribute and a Number
+// to it, or for AddL, whose literal is not q's, by its value's code.
+// NewLit, which only RxL and RfL carry, has Lit's attribute and a Number
 // constant, so its operator and number stand for it. A NaN in either
 // literal makes the key unequal to itself, as it makes the opIdent.
 type opKey struct {
@@ -473,7 +470,7 @@ type opKey struct {
 }
 
 // keyOf returns o's opKey. ref is what a literal of q cannot number: an
-// AddL's valueRef, an AddE's fresh node's label id; -1 for the others.
+// AddL's value code, an AddE's fresh node's label id; -1 for the others.
 func keyOf(q *query.Query, o ops.Op, ref int32) opKey {
 	k := opKey{kind: o.Kind, newOp: o.NewLit.Op, u: o.U, u2: o.U2, lit: -1, label: -1,
 		bound: o.Bound, newBound: o.NewBound, newNum: o.NewLit.Val.Num}

@@ -1,8 +1,6 @@
 package chase
 
 import (
-	"cmp"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -273,12 +271,6 @@ func (g *refineGen) add(o ops.Op, ref int32, pickyEdge int, removedIM, removedRM
 	if len(removedIM) == 0 {
 		return // no hope of improving closeness
 	}
-	if math.IsNaN(o.Lit.Val.Num) || math.IsNaN(o.NewLit.Val.Num) {
-		// A NaN constant compares equal to every number, so the literal
-		// says nothing; and a key holding NaN can be stored but never
-		// found again.
-		return
-	}
 	w := g.w
 	if !o.Applicable(g.q, w.params) || o.Cost(w.G) > g.budgetLeft {
 		return
@@ -329,9 +321,8 @@ const maxValuesPerAttr = 6
 type addLCand struct {
 	count int32
 	// rank is the place of the value's rendered key "attr=val#kind"
-	// among all of the graph's (graph.Codes.KeyRanks). The key is what a
-	// candidate is — cells rendering alike are one candidate — and its
-	// byte order breaks count ties.
+	// among all of the graph's (graph.Codes.KeyRanks), whose byte order
+	// breaks count ties.
 	rank int32
 	// cell is the value proposed: its attribute and code.
 	cell graph.AttrCode
@@ -339,11 +330,8 @@ type addLCand struct {
 
 // addLCount is addL's scratch for one value code; all zero between uses.
 type addLCount struct {
-	n int32 // RM partner cells counted
-	// last is the latest cell counted here, the value proposed. Its code
-	// is the code counted, except where several codes of irregular
-	// attributes render alike and are counted as one.
-	last graph.AttrCode
+	n    int32          // RM partner cells counted
+	cell graph.AttrCode // the cell counted: the value proposed
 }
 
 // addLScratch is addL's working memory. The per-code tables are kept
@@ -352,9 +340,8 @@ type addLCount struct {
 // The rest is addL's per-node lists, whatever their last call left.
 type addLScratch struct {
 	counts []addLCount
-	// keptOf is nonzero for the codes of kept candidates of regular
-	// attributes: one more than the candidate's index in its attribute's
-	// attrSlot.kept.
+	// keptOf is nonzero for the codes of kept candidates: one more than
+	// the candidate's index in its attribute's attrSlot.kept.
 	keptOf []uint8
 
 	slots          []attrSlot
@@ -382,8 +369,8 @@ var addLCounted func()
 // attrSlot is addL's per-attribute state at the current pattern node.
 type attrSlot struct {
 	// state: whether AddL may constrain the attribute here (no "="
-	// literal on it yet, target not used) and how its cells are told
-	// apart, settled once per (node, attribute) rather than per cell.
+	// literal on it yet, target not used), settled once per (node,
+	// attribute) rather than per cell.
 	state uint8
 	// kept lists this attribute's kept candidates, as indexes of the
 	// survivor table's rows.
@@ -392,20 +379,16 @@ type attrSlot struct {
 }
 
 const (
-	slotNew       uint8 = iota
-	slotClosed          // AddL may not constrain the attribute
-	slotOpen            // equal cells have equal codes
-	slotIrregular       // graph.Codes.Irregular: cells compare by value
+	slotNew    uint8 = iota
+	slotClosed       // AddL may not constrain the attribute
+	slotOpen
 )
 
 // openSlot settles whether AddL may constrain attribute a at u.
 func (g *refineGen) openSlot(u query.NodeID, a int32) uint8 {
 	attr := g.w.G.Attrs.Name(a)
-	switch {
-	case g.q.FindLiteral(u, attr, graph.EQ) >= 0 || g.used.Has(ops.LitTarget(u, attr)):
+	if g.q.FindLiteral(u, attr, graph.EQ) >= 0 || g.used.Has(ops.LitTarget(u, attr)) {
 		return slotClosed
-	case g.codes.Irregular(a):
-		return slotIrregular
 	}
 	return slotOpen
 }
@@ -422,16 +405,12 @@ func (g *refineGen) openSlot(u query.NodeID, a int32) uint8 {
 // partner carrying the value. Rather than rescanning every partner once
 // per candidate, one pass over the partners' coded tuples marks, for
 // every kept candidate at once, which sampled matches survive it;
-// removal sets are the complements, read in im/rm order.
-//
-// A cell marks a candidate under exactly Literal.Sat's test (same
-// attribute, same kind, Compare == 0). On a regular attribute that is
-// "same code". On an irregular one it is not — -0 and 0 are two
-// candidates, and a partner carrying either survives both; a NaN cell
-// survives every numeric candidate — and the pass compares values.
+// removal sets are the complements, read in im/rm order. A cell marks a
+// candidate under exactly Literal.Sat's test (same attribute, same kind,
+// Compare == 0), which on a graph's canonical values is "same code".
 func (g *refineGen) addL() {
 	G, codes := g.w.G, g.codes
-	rank, group := codes.KeyRanks()
+	rank := codes.KeyRanks()
 	sc := g.sc.addL.sizedFor(codes)
 	counts, keptOf := sc.counts, sc.keptOf
 	slots := sized(sc.slots, G.Attrs.Len())
@@ -466,16 +445,12 @@ func (g *refineGen) addL() {
 					if state == slotClosed {
 						continue
 					}
-					code := t.Code
-					if state == slotIrregular {
-						code = group[code]
-					}
-					c := &counts[code]
+					c := &counts[t.Code]
 					if c.n == 0 {
-						touched = append(touched, code)
+						touched = append(touched, t.Code)
 					}
 					c.n++
-					c.last = t
+					c.cell = t
 				}
 			}
 		}
@@ -484,7 +459,7 @@ func (g *refineGen) addL() {
 		}
 		for _, code := range touched {
 			c := &counts[code]
-			cands = append(cands, addLCand{count: c.n, rank: rank[code], cell: c.last})
+			cands = append(cands, addLCand{count: c.n, rank: rank[code], cell: c.cell})
 			*c = addLCount{}
 		}
 
@@ -496,17 +471,12 @@ func (g *refineGen) addL() {
 			return int(a.rank - b.rank)
 		})
 		kept := cands[:0]
-		irregular := false
 		for _, c := range cands {
 			slot := &slots[c.cell.Attr]
 			if slot.nKept == maxValuesPerAttr {
 				continue
 			}
-			if slot.state == slotIrregular {
-				irregular = true
-			} else {
-				keptOf[c.cell.Code] = slot.nKept + 1
-			}
+			keptOf[c.cell.Code] = slot.nKept + 1
 			slot.kept[slot.nKept] = int32(len(kept))
 			slot.nKept++
 			kept = append(kept, c)
@@ -526,13 +496,6 @@ func (g *refineGen) addL() {
 				for _, t := range G.Tuple(p) {
 					if at := keptOf[t.Code]; at != 0 {
 						survives[int(slots[t.Attr].kept[at-1])*len(parts)+i] = true
-					} else if irregular && slots[t.Attr].state == slotIrregular {
-						val, slot := G.Value(t), &slots[t.Attr]
-						for _, k := range slot.kept[:slot.nKept] {
-							if sameValue(val, vals[k]) {
-								survives[int(k)*len(parts)+i] = true
-							}
-						}
 					}
 				}
 			}
@@ -552,50 +515,12 @@ func (g *refineGen) addL() {
 				}
 			}
 			lit := query.Literal{Attr: G.Attrs.Name(c.cell.Attr), Op: graph.EQ, Val: vals[k]}
-			g.add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, valueRef(G, c.cell), -1, imOut, rmOut)
+			g.add(ops.Op{Kind: ops.AddL, U: u, Lit: lit}, c.cell.Code, -1, imOut, rmOut)
 		}
 	}
 	sc.slots, sc.attrs, sc.touched, sc.parts = slots, attrs, touched, parts
 	sc.cands, sc.vals, sc.survives = cands, vals, survives
 	g.sc.imOut, g.sc.rmOut = imOut, rmOut
-}
-
-// valueRef numbers cell c's value for AddL's opKey: the first code of
-// its attribute whose value is == to it. Distinct codes of one attribute
-// hold values that == tells apart, except -0 and 0 with the same Str,
-// which a domain keeps next to each other; so that first code is c's own
-// unless c holds a zero.
-func valueRef(G *graph.Graph, c graph.AttrCode) int32 {
-	v := G.Value(c)
-	if v.Kind != graph.Number || v.Num != 0 {
-		return c.Code
-	}
-	ref := c.Code
-	lo, _ := G.Codes().NumberCodes(c.Attr)
-	for k := c.Code - 1; k >= lo; k-- {
-		u := G.Value(graph.AttrCode{Attr: c.Attr, Code: k})
-		if u.Num != 0 {
-			break
-		}
-		if u == v {
-			ref = k
-		}
-	}
-	return ref
-}
-
-// sameValue is graph.EQ.Holds(a, b) — same kind and Compare == 0 —
-// spelled out because Holds does not inline. Written as Compare orders
-// numbers (neither below nor above), so it agrees with Literal.Sat on
-// every input, -0 and NaN included.
-func sameValue(a, b graph.Value) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Kind == graph.Number {
-		return !(a.Num < b.Num) && !(a.Num > b.Num)
-	}
-	return a.Str == b.Str
 }
 
 // rfL (genRfL): tighten existing numeric literals toward the
@@ -618,9 +543,7 @@ func (g *refineGen) rfL() {
 				continue // no node carries the attribute: nothing to tighten toward
 			}
 			// RM-supporting values of this attribute at u: the distinct
-			// number codes met, in order of first meeting. NaN orders
-			// against nothing and tightens nothing; of -0 and 0 the one
-			// met first stands for both.
+			// number codes met, in order of first meeting.
 			lo, hi := g.codes.NumberCodes(aid)
 			touched = touched[:0]
 			for _, vrm := range g.rm {
@@ -640,12 +563,9 @@ func (g *refineGen) rfL() {
 			vals = vals[:0]
 			for _, code := range touched {
 				counts[code].n = 0
-				if a := G.Value(graph.AttrCode{Attr: aid, Code: code}).Num; !math.IsNaN(a) {
-					vals = append(vals, a)
-				}
+				vals = append(vals, G.Value(graph.AttrCode{Attr: aid, Code: code}).Num)
 			}
-			slices.SortStableFunc(vals, cmp.Compare[float64])
-			vals = slices.Compact(vals)
+			slices.Sort(vals)
 			gen := func(op graph.Op, a float64) {
 				newLit := query.Literal{Attr: l.Attr, Op: op, Val: graph.N(a)}
 				sat := newLit.Check(G)

@@ -233,7 +233,10 @@ func TestMemoSeparatesExemplarCells(t *testing.T) {
 	for _, x := range []graph.Value{graph.N(1), graph.S("1"), graph.S("y"), graph.S("_")} {
 		gb.AddNode("R", map[string]graph.Value{"x": x, "size": graph.N(3)})
 	}
-	g := gb.Build()
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := query.New()
 	q.Focus = q.AddNode("R", query.Literal{Attr: "size", Op: graph.GE, Val: graph.N(5)})
 	for _, tc := range []struct {

@@ -109,7 +109,10 @@ func TestSessionStarCacheSeparatesLiteralKinds(t *testing.T) {
 	rStr := gb.AddNode("R", map[string]graph.Value{"tag": graph.N(1)})
 	gb.AddEdge(rNum, pNum, "has")
 	gb.AddEdge(rStr, pStr, "has")
-	g := gb.Build()
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"tag": exemplar.C(graph.N(1))}}}
 	ask := func(code graph.Value) *query.Query {
 		q := query.New()

@@ -98,7 +98,7 @@ func TestGenerateDeterminism(t *testing.T) {
 // TestGenQueryWitness: generated queries carry a witness image that is
 // a real match, so Q*(G) is never empty (the benchmark guarantee).
 func TestGenQueryWitness(t *testing.T) {
-	g := Products(2000, 7).Build()
+	g := mustBuild(Products(2000, 7))
 	m := match.NewMatcher(g, distindex.NewBFS(g), nil)
 	rng := rand.New(rand.NewSource(3))
 	generated := 0
@@ -135,7 +135,7 @@ func TestGenQueryWitness(t *testing.T) {
 }
 
 func TestGenQueryFocusLabel(t *testing.T) {
-	g := Products(1500, 9).Build()
+	g := mustBuild(Products(1500, 9))
 	rng := rand.New(rand.NewSource(5))
 	found := 0
 	for trial := 0; trial < 30; trial++ {
@@ -154,7 +154,7 @@ func TestGenQueryFocusLabel(t *testing.T) {
 }
 
 func TestGenQueryMinFocusPredicates(t *testing.T) {
-	g := Movies(1500, 9).Build()
+	g := mustBuild(Movies(1500, 9))
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
 		q, _, ok := GenQuery(g, QuerySpec{Edges: 2, MaxPredicates: 3, MinFocusPredicates: 2}, rng)
@@ -171,7 +171,7 @@ func TestGenQueryMinFocusPredicates(t *testing.T) {
 // construction — the injected sequence is applicable, T is nonempty,
 // and the exemplar matches the ground-truth answers it samples.
 func TestGenWhyInvariants(t *testing.T) {
-	g := Knowledge(2500, 11).Build()
+	g := mustBuild(Knowledge(2500, 11))
 	m := match.NewMatcher(g, distindex.NewBFS(g), nil)
 	rng := rand.New(rand.NewSource(13))
 	params := ops.Params{MaxBound: 3}
@@ -212,7 +212,7 @@ func TestGenWhyInvariants(t *testing.T) {
 }
 
 func TestGenWhyRelaxOnly(t *testing.T) {
-	g := Offshore(2500, 17).Build()
+	g := mustBuild(Offshore(2500, 17))
 	m := match.NewMatcher(g, distindex.NewBFS(g), nil)
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 30; trial++ {
@@ -246,7 +246,7 @@ func TestFig1Deterministic(t *testing.T) {
 }
 
 func TestTupleAttrs(t *testing.T) {
-	g := Products(1000, 21).Build()
+	g := mustBuild(Products(1000, 21))
 	q := query.New()
 	u := q.AddNode("Product",
 		query.Literal{Attr: "Price", Op: graph.GE, Val: graph.N(100)},

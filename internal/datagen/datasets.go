@@ -21,13 +21,13 @@ const (
 func Generate(name string, n int, seed int64) (*graph.Graph, error) {
 	switch name {
 	case DatasetKnowledge:
-		return Knowledge(n, seed).Build(), nil
+		return Knowledge(n, seed).Build()
 	case DatasetMovies:
-		return Movies(n, seed).Build(), nil
+		return Movies(n, seed).Build()
 	case DatasetOffshore:
-		return Offshore(n, seed).Build(), nil
+		return Offshore(n, seed).Build()
 	case DatasetProducts:
-		return Products(n, seed).Build(), nil
+		return Products(n, seed).Build()
 	}
 	return nil, fmt.Errorf("datagen: unknown dataset %q", name)
 }

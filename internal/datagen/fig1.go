@@ -115,7 +115,7 @@ func NewFig1() *Fig1 {
 	}
 
 	return &Fig1{
-		G: b.Build(), Q: q, E: e,
+		G: mustBuild(b), Q: q, E: e,
 		Phones: map[string]graph.NodeID{
 			"P1": p1, "P2": p2, "P3": p3, "P4": p4, "P5": p5, "P6": p6,
 		},
@@ -123,4 +123,16 @@ func NewFig1() *Fig1 {
 			"Sprint": sprint, "ATT": att, "TMobile": tmobile,
 		},
 	}
+}
+
+// mustBuild returns b's graph.
+//
+// invariant: b holds one of this package's graphs, whose values and
+// attribute names are all ones Build admits, so Build cannot refuse it.
+func mustBuild(b *graph.Builder) *graph.Graph {
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

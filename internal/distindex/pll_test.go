@@ -20,7 +20,7 @@ func randomGraph(n, m int, seed int64) *graph.Graph {
 			gb.AddEdge(a, b, "")
 		}
 	}
-	return gb.Build()
+	return mustBuild(gb)
 }
 
 // TestPLLMatchesBFS cross-checks the pruned-landmark index against the
@@ -61,7 +61,7 @@ func TestPLLChain(t *testing.T) {
 	for i := 0; i+1 < 8; i++ {
 		gb.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "")
 	}
-	g := gb.Build()
+	g := mustBuild(gb)
 	pll := NewPLL(g)
 	for a := 0; a < 8; a++ {
 		for b := 0; b < 8; b++ {
@@ -201,7 +201,7 @@ func TestPLLChainParallel(t *testing.T) {
 	for i := 0; i+1 < n; i++ {
 		gb.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "")
 	}
-	g := gb.Build()
+	g := mustBuild(gb)
 	if !labelsEqual(t, NewPLL(g), NewPLLParallel(g, 3)) {
 		t.Fatal("chain labels differ between sequential and parallel builds")
 	}
@@ -241,4 +241,14 @@ func BenchmarkBFSQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bfs.Dist(graph.NodeID(i%2000), graph.NodeID((i*7)%2000))
 	}
+}
+
+// mustBuild returns gb's graph; the tests' graphs hold only values the
+// door admits.
+func mustBuild(gb *graph.Builder) *graph.Graph {
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

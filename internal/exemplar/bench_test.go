@@ -17,7 +17,7 @@ func benchGraph(n int) *graph.Graph {
 			"Price":   graph.N(float64(300 + 50*rng.Intn(14))),
 		})
 	}
-	return gb.Build()
+	return mustBuild(gb)
 }
 
 func benchExemplar() *Exemplar {

@@ -197,9 +197,8 @@ func (cp compiledPattern) bound(codes *graph.Codes, theta float64) (lo, hi int32
 // rounding of a sum hides; so under θ ≥ 1 its codes are Interval's
 // equality run, and below θ = 1 the cell bounds nothing. A number's
 // cellSim falls as |v − c| grows, so with c and the domain's range
-// finite (no NaN arises) the numbers reaching need are one run of the
-// ascending numeric codes around c, found by binary search with cellSim
-// itself.
+// finite the numbers reaching need are one run of the ascending numeric
+// codes around c, found by binary search with cellSim itself.
 func (c compiledCell) reach(codes *graph.Codes, theta, need float64) (lo, hi int32, ok bool) {
 	if !c.known {
 		return 0, -1, true // the cell credits nothing
@@ -209,16 +208,13 @@ func (c compiledCell) reach(codes *graph.Codes, theta, need float64) (lo, hi int
 		if theta < 1 || !utf8.ValidString(c.val.Str) || strings.ContainsRune(c.val.Str, utf8.RuneError) {
 			return 0, -1, false
 		}
-		return codes.Interval(c.aid, graph.EQ, c.val)
+		lo, hi := codes.Interval(c.aid, graph.EQ, c.val)
+		return lo, hi, true
 	case graph.Number:
-		rng := c.dom.Range()
-		if math.IsNaN(c.val.Num) || math.IsInf(c.val.Num, 0) || math.IsInf(rng, 0) {
+		if math.IsInf(c.val.Num, 0) || math.IsInf(c.dom.Range(), 0) {
 			return 0, -1, false
 		}
 		vals := c.dom.Values[:c.dom.Numbers]
-		for len(vals) > 0 && math.IsNaN(vals[len(vals)-1].Num) {
-			vals = vals[:len(vals)-1] // NaNs sort last and score NaN
-		}
 		reaches := func(i int) bool { return cellSim(vals[i], c.val, c.dom) >= need }
 		at := sort.Search(len(vals), func(i int) bool { return vals[i].Num >= c.val.Num })
 		first := sort.Search(at, reaches)

@@ -111,10 +111,28 @@ func (e *Exemplar) bindings() (map[string]binding, error) {
 	return b, nil
 }
 
-// Validate checks the exemplar for well-formedness.
+// Validate checks the exemplar for well-formedness: tuple patterns,
+// every variable bound once, and constants a graph could hold (no NaN,
+// no value of neither kind; graph.Value.Canonical).
 func (e *Exemplar) Validate() error {
 	if len(e.Tuples) == 0 {
 		return fmt.Errorf("exemplar: no tuple patterns")
+	}
+	for ti, t := range e.Tuples {
+		for _, attr := range t.SortedAttrs() {
+			if cell := t[attr]; cell.Kind == Const {
+				if _, err := cell.Val.Canonical(); err != nil {
+					return fmt.Errorf("exemplar: cell t%d.%s: %w", ti, attr, err)
+				}
+			}
+		}
+	}
+	for _, c := range e.Constraints {
+		if !c.IsVar {
+			if _, err := c.Val.Canonical(); err != nil {
+				return fmt.Errorf("exemplar: constraint %s: %w", c, err)
+			}
+		}
 	}
 	_, err := e.bindings()
 	return err

@@ -2,6 +2,7 @@ package exemplar
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,17 @@ func phones(rows [][3]float64) *graph.Graph {
 			"Price":   graph.N(r[2]),
 		})
 	}
-	return gb.Build()
+	return mustBuild(gb)
+}
+
+// mustBuild returns gb's graph; the tests' graphs hold only values the
+// door admits.
+func mustBuild(gb *graph.Builder) *graph.Graph {
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 func mustEval(t *testing.T, g *graph.Graph, e *Exemplar) *Eval {
@@ -47,6 +58,16 @@ func TestValidate(t *testing.T) {
 	}
 	if unbound.Validate() == nil {
 		t.Error("constraint on unbound variable must not validate")
+	}
+	for _, c := range []graph.Value{graph.N(math.NaN()), {Kind: 7, Str: "x"}} {
+		cell := &Exemplar{Tuples: []TuplePattern{{"a": C(c)}}}
+		cons := &Exemplar{
+			Tuples:      []TuplePattern{{"a": V("x")}},
+			Constraints: []Constraint{{Left: "x", Op: graph.LE, Val: c}},
+		}
+		if cell.Validate() == nil || cons.Validate() == nil {
+			t.Errorf("constant %#v validates", c)
+		}
 	}
 }
 
@@ -194,7 +215,7 @@ func TestRepEqualityClass(t *testing.T) {
 		},
 		Constraints: []Constraint{{Left: "x", Op: graph.EQ, IsVar: true, Right: "y"}},
 	}
-	g := gb.Build()
+	g := mustBuild(gb)
 	ev := mustEval(t, g, e)
 	want := map[graph.NodeID]bool{0: true, 1: true, 3: true}
 	for v := graph.NodeID(0); v < 5; v++ {
@@ -359,7 +380,7 @@ func TestFromEntities(t *testing.T) {
 	kindsB := graph.NewBuilder()
 	num := kindsB.AddNode("P", map[string]graph.Value{"code": graph.N(5)})
 	str := kindsB.AddNode("P", map[string]graph.Value{"code": graph.S("5")})
-	kinds := kindsB.Build()
+	kinds := mustBuild(kindsB)
 	if e := FromEntities(kinds, []graph.NodeID{num, str}, nil); len(e.Tuples) != 2 {
 		t.Errorf("tuples differing in a value's kind merged: %v", e)
 	}
@@ -478,7 +499,7 @@ func TestCompiledPatternMatchesByName(t *testing.T) {
 		}
 		gb.AddNode("N", tuple)
 	}
-	g := gb.Build()
+	g := mustBuild(gb)
 	cellFor := func() Cell {
 		switch rng.Intn(4) {
 		case 0:

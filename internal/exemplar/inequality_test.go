@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"wqe/internal/exemplar"
@@ -30,7 +31,7 @@ func ineqExemplar(yAttr string, cs []exemplar.Constraint) *exemplar.Exemplar {
 	}
 }
 
-func ineqGraph(nodes []ineqNode) *graph.Graph {
+func ineqGraph(nodes []ineqNode) (*graph.Graph, error) {
 	b := graph.NewBuilder()
 	for _, n := range nodes {
 		attrs := map[string]graph.Value{}
@@ -51,11 +52,17 @@ func ineqGraph(nodes []ineqNode) *graph.Graph {
 	return b.Build()
 }
 
-// pairwiseRep is rep(E, U) by the definition, over the nodes of U (in):
-// the greatest subset in which every member of a constraint's group has
-// a partner other than itself in the other group, with a value
-// satisfying the constraint pairwise, and which keeps a member of both
-// tuples. It returns nil when no such subset exists.
+// pairwiseRep is rep(E, U) by the definition, over the nodes of U (in),
+// and nil when it keeps no member of one of the tuples. Under x op y
+// with op ∈ {<, ≤, >, ≥} every member of a group needs a partner other
+// than itself in the other group, with a value satisfying the
+// constraint pairwise. Under x = y every pair across the groups agrees,
+// so all members share one value: the value class keeping the most
+// members wins, ties going to the smallest value key (DESIGN.md §6).
+// The constraints are enforced in Eval's schedule, since the class an
+// equality keeps depends on what was removed before it: in order, each
+// inequality by one removal from the x group and then one from the y
+// group, until nothing changes.
 func pairwiseRep(nodes []ineqNode, in []bool, yAttr string, cs []exemplar.Constraint) []graph.NodeID {
 	val := func(i int, v string) *graph.Value {
 		attr := nodes[i].a
@@ -82,19 +89,62 @@ func pairwiseRep(nodes []ineqNode, in []bool, yAttr string, cs []exemplar.Constr
 		}
 		return false
 	}
+	drop := func(out []int) bool {
+		for _, i := range out {
+			active[i] = false
+		}
+		return len(out) > 0
+	}
+	unpartnered := func(from, to string, op graph.Op) (out []int) {
+		for i := range nodes {
+			if active[i] && inGroup(i, from) && !partnered(i, from, to, op) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	outsideBestClass := func(c exemplar.Constraint) (out []int) {
+		class := map[int]string{} // by member; "" for a member whose own two values differ
+		count := map[string]int{}
+		for i := range nodes {
+			l, r := inGroup(i, c.Left), inGroup(i, c.Right)
+			if !active[i] || !l && !r {
+				continue
+			}
+			v := val(i, c.Right)
+			if l {
+				v = val(i, c.Left)
+			}
+			if l && r && !v.Equal(*val(i, c.Right)) {
+				class[i] = ""
+				continue
+			}
+			canon, _ := v.Canonical() // the values are admitted
+			class[i] = string(canon.AppendKey(nil))
+			count[class[i]]++
+		}
+		best := ""
+		for key, n := range count {
+			if n > count[best] || n == count[best] && key < best {
+				best = key
+			}
+		}
+		for i, key := range class {
+			if key != best || key == "" {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
 	for changed := true; changed; {
 		changed = false
 		for _, c := range cs {
-			for i := range nodes {
-				if !active[i] {
-					continue
-				}
-				if inGroup(i, c.Left) && !partnered(i, c.Left, c.Right, c.Op) ||
-					inGroup(i, c.Right) && !partnered(i, c.Right, c.Left, c.Op.Flip()) {
-					active[i] = false
-					changed = true
-				}
+			if c.Op == graph.EQ {
+				changed = drop(outsideBestClass(c)) || changed
+				continue
 			}
+			changed = drop(unpartnered(c.Left, c.Right, c.Op)) || changed
+			changed = drop(unpartnered(c.Right, c.Left, c.Op.Flip())) || changed
 		}
 	}
 	var rep []graph.NodeID
@@ -123,11 +173,13 @@ func every(n int) []bool {
 
 // TestInequalityMatchesPairwise holds Eval and OracleEval, which find a
 // partner through a few witnesses per group, to the pairwise definition
-// of rep(E, V) under x op y: on crafted cases where one total order over
-// the witnesses fails (a number before a string, NaN beside numbers),
-// and on small random graphs of numbers, NaN, ±Inf, −0 and strings, each
-// built in three node orders. RepNodes, and SatisfiedBy on random node
-// subsets, must agree with the brute force.
+// of rep(E, V) under x op y and x = y: on crafted cases where one total
+// order over the witnesses fails (a number before a string), and on
+// small random graphs of the values the graph's door admits — numbers,
+// −0 (stored as 0), ±Inf, subnormals and strings — each built in three
+// node orders. RepNodes, and SatisfiedBy on random node subsets, must
+// agree with the brute force. The graphs NaN once made disagree are
+// refused.
 func TestInequalityMatchesPairwise(t *testing.T) {
 	v := func(x graph.Value) *graph.Value { return &x }
 	l := func(a graph.Value) ineqNode { return ineqNode{left: true, a: v(a)} }
@@ -137,7 +189,10 @@ func TestInequalityMatchesPairwise(t *testing.T) {
 	}
 	check := func(t *testing.T, name string, nodes []ineqNode, yAttr string, cs []exemplar.Constraint, rng *rand.Rand) {
 		t.Helper()
-		g := ineqGraph(nodes)
+		g, err := ineqGraph(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
 		e := ineqExemplar(yAttr, cs)
 		ev, err := exemplar.NewEval(g, e, exemplar.Options{Theta: 1, Lambda: 1})
 		if err != nil {
@@ -171,7 +226,6 @@ func TestInequalityMatchesPairwise(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(1))
-	nan := graph.N(math.NaN())
 	for _, tc := range []struct {
 		name  string
 		nodes []ineqNode
@@ -180,23 +234,35 @@ func TestInequalityMatchesPairwise(t *testing.T) {
 		// Compare puts the number 1 before "a", but only "a" can partner "b".
 		{"number before string", []ineqNode{l(graph.S("b")), r(graph.N(1)), r(graph.S("a"))}, cons(graph.GT)},
 		{"string after number", []ineqNode{l(graph.N(0)), r(graph.S("a")), r(graph.N(1))}, cons(graph.LT)},
-		// Compare calls NaN equal to 5, but only 5 can partner 7 under >.
-		{"NaN first", []ineqNode{l(graph.N(7)), r(nan), r(graph.N(5))}, cons(graph.GT)},
-		{"NaN last", []ineqNode{l(graph.N(7)), r(graph.N(5)), r(nan)}, cons(graph.GT)},
-		{"NaN partners ≥", []ineqNode{l(graph.N(-1)), r(graph.N(5)), r(nan)}, cons(graph.GE)},
-		{"NaN probes <", []ineqNode{l(nan), r(graph.N(5)), l(graph.N(1))}, cons(graph.LT)},
+		{"-0 equals 0", []ineqNode{l(graph.N(math.Copysign(0, -1))), r(graph.N(0)), r(graph.N(1))}, cons(graph.EQ)},
 	} {
 		check(t, tc.name, tc.nodes, "A", tc.cs, rng)
 		slices.Reverse(tc.nodes)
 		check(t, tc.name+" reversed", tc.nodes, "A", tc.cs, rng)
 	}
 
+	// NaN, which Compare called equal to every number and Equal to none,
+	// is refused: with it x = y once kept neither node of the first two
+	// graphs, where the pairwise reading keeps both.
+	nan := graph.N(math.NaN())
+	for _, nodes := range [][]ineqNode{
+		{l(nan), r(nan)},
+		{l(nan), r(graph.N(5))},
+		{l(graph.N(7)), r(nan), r(graph.N(5))},
+		{l(graph.N(-1)), r(graph.N(5)), r(nan)},
+		{l(nan), r(graph.N(5)), l(graph.N(1))},
+	} {
+		if _, err := ineqGraph(nodes); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%v: a NaN cell built, %v", nodes, err)
+		}
+	}
+
 	pool := []graph.Value{
-		graph.N(math.NaN()), graph.N(math.Inf(1)), graph.N(math.Inf(-1)),
+		graph.N(math.Inf(1)), graph.N(math.Inf(-1)), graph.N(math.SmallestNonzeroFloat64),
 		graph.N(math.Copysign(0, -1)), graph.N(0), graph.N(1), graph.N(2),
 		graph.S("a"), graph.S("b"), graph.S(""),
 	}
-	ops := []graph.Op{graph.LT, graph.LE, graph.GT, graph.GE}
+	ops := []graph.Op{graph.LT, graph.LE, graph.GT, graph.GE, graph.EQ}
 	draw := func() *graph.Value {
 		if rng.Intn(8) == 0 {
 			return nil

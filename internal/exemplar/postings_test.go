@@ -123,7 +123,7 @@ func craftedGraph() *graph.Graph {
 	ws := []float64{0, spread, c, math.Nextafter(c, 2000), math.Nextafter(c, 0),
 		c + 3e-13, c - 3e-13, c + spread*0x1p-50, c - spread*0x1p-50, c + 1, c - 1e-3}
 	ss := []string{"abc", "abd", "\xff", "�", "a\xffb", "a�b", "", "ab"}
-	infs := []float64{math.Inf(-1), 0, 5, math.Inf(1), math.NaN()}
+	infs := []float64{math.Inf(-1), 0, 5, math.Inf(1)}
 	for i := 0; i < 60; i++ {
 		attrs := map[string]graph.Value{"w": graph.N(ws[i%len(ws)])}
 		if i%3 != 0 {
@@ -134,7 +134,11 @@ func craftedGraph() *graph.Graph {
 		}
 		b.AddNode([]string{"A", "B"}[i%2], attrs)
 	}
-	return b.Build()
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // craftedExemplars ask craftedGraph for the values next to its constants.
@@ -149,7 +153,7 @@ func craftedExemplars() []*exemplar.Exemplar {
 		{"s": exemplar.C(graph.S("a�b")), "w": exemplar.W()},
 		{"inf": exemplar.C(graph.N(5))},
 		{"inf": exemplar.C(graph.N(math.Inf(1)))},
-		{"inf": exemplar.C(graph.N(math.NaN())), "w": exemplar.C(graph.N(1000))},
+		{"inf": exemplar.C(graph.N(math.Inf(-1))), "w": exemplar.C(graph.N(1000))},
 		{"w": exemplar.C(graph.S("1000"))},
 	}
 	for _, r := range rows {

@@ -411,9 +411,9 @@ func (ev *Eval) enforceEquality(at []int32, active []bool, lb, rb binding) bool 
 // iterates to the fixpoint.
 //
 // Existence of a partner only depends on a few witnesses of the other
-// group (see witnessClass), with runners-up covering the
-// self-partnering case, so each pass is linear — the naive pairwise
-// check would make Lemma 2.2's quadratic bound tight on large groups.
+// group, with runners-up covering the self-partnering case, so each pass
+// is linear — the naive pairwise check would make Lemma 2.2's quadratic
+// bound tight on large groups.
 func (ev *Eval) enforceInequality(at []int32, active []bool, op graph.Op, lb, rb binding) bool {
 	type member struct {
 		k   int // position in at
@@ -431,18 +431,20 @@ func (ev *Eval) enforceInequality(at []int32, active []bool, op graph.Op, lb, rb
 		}
 		return out
 	}
-	// extremes returns a group's partner witnesses: per witness class,
+	// extremes returns a group's partner witnesses: per kind of value,
 	// the two members whose values are most likely to satisfy the other
 	// side (minimum for >/≥, maximum for </≤); the runner-up covers the
-	// case where the best witness is the probing node itself. Tied
-	// witnesses partner the same probes, so which of them comes first
-	// decides nothing.
+	// case where the best witness is the probing node itself. Op.Holds is
+	// false across kinds, while within a kind Compare is a total order,
+	// so a kind's extreme member partners a probe if any member does.
+	// Tied witnesses partner the same probes, so which of them comes
+	// first decides nothing.
 	type witness struct {
 		k   int
 		val graph.Value
 		ok  bool
 	}
-	type witnesses [witnessClasses][2]witness
+	type witnesses [2][2]witness // by kind: Number, String
 	extremes := func(ms []member, wantMin bool) (ws witnesses) {
 		for _, m := range ms {
 			if !m.has {
@@ -457,7 +459,7 @@ func (ev *Eval) enforceInequality(at []int32, active []bool, op graph.Op, lb, rb
 				}
 				return m.val.Compare(w.val) > 0
 			}
-			c := &ws[witnessClass(m.val)]
+			c := &ws[m.val.Kind]
 			switch {
 			case better(c[0]):
 				c[1] = c[0]
@@ -501,27 +503,6 @@ func (ev *Eval) enforceInequality(at []int32, active []bool, op graph.Op, lb, rb
 	l := extremes(collect(lb), wantMinLeft)
 	prune(collect(rb), flip, &l)
 	return removed
-}
-
-// witnessClasses is the number of witnessClass values.
-const witnessClasses = 3
-
-// witnessClass sorts a partner value into one of three classes that no
-// one Compare order ranks as partners: numbers other than NaN (0), NaN
-// (1) and strings (2). Op.Holds is false across kinds, while Compare puts every number
-// before every string; and Compare calls NaN equal to every number, so
-// against a NaN partner ≤ and ≥ hold for every number and < and > for
-// none. Within the first and the last class Compare is a total
-// preorder, so a class's extreme member partners a probe if any member
-// does; within NaN every member partners the same probes.
-func witnessClass(v graph.Value) int {
-	switch {
-	case v.Kind != graph.Number:
-		return 2
-	case math.IsNaN(v.Num):
-		return 1
-	}
-	return 0
 }
 
 // Closeness computes cl(answer, E) = (Σ_{v∈RM} cl(v,E) − λ·|IM|) /

@@ -281,9 +281,9 @@ func (ev *OracleEval) enforceEquality(active map[graph.NodeID]bool, lb, rb bindi
 // iterates to the fixpoint.
 //
 // Existence of a partner only depends on a few witnesses of the other
-// group (see witnessClass), with runners-up covering the
-// self-partnering case, so each pass is linear — the naive pairwise
-// check would make Lemma 2.2's quadratic bound tight on large groups.
+// group, with runners-up covering the self-partnering case, so each pass
+// is linear — the naive pairwise check would make Lemma 2.2's quadratic
+// bound tight on large groups.
 func (ev *OracleEval) enforceInequality(active map[graph.NodeID]bool, op graph.Op, lb, rb binding) bool {
 	type member struct {
 		v   graph.NodeID
@@ -303,7 +303,7 @@ func (ev *OracleEval) enforceInequality(active map[graph.NodeID]bool, op graph.O
 		}
 		return out
 	}
-	// extremes returns a group's partner witnesses: per witness class,
+	// extremes returns a group's partner witnesses: per kind of value,
 	// the two members whose values are most likely to satisfy the other
 	// side (minimum for >/≥, maximum for </≤); the runner-up covers the
 	// case where the best witness is the probing node itself.
@@ -312,7 +312,7 @@ func (ev *OracleEval) enforceInequality(active map[graph.NodeID]bool, op graph.O
 		val graph.Value
 		ok  bool
 	}
-	type witnesses [witnessClasses][2]witness
+	type witnesses [2][2]witness // by kind: Number, String
 	extremes := func(ms []member, wantMin bool) (ws witnesses) {
 		for _, m := range ms {
 			if !m.has {
@@ -327,7 +327,7 @@ func (ev *OracleEval) enforceInequality(active map[graph.NodeID]bool, op graph.O
 				}
 				return m.val.Compare(w.val) > 0
 			}
-			c := &ws[witnessClass(m.val)]
+			c := &ws[m.val.Kind]
 			switch {
 			case better(c[0]):
 				c[1] = c[0]

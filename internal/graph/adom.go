@@ -1,8 +1,7 @@
 package graph
 
 import (
-	"cmp"
-	"math"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -15,13 +14,10 @@ import (
 // (Table 1: cost of RxL/RfL is 1 + |c'−c| / range(A)).
 type Domain struct {
 	Attr string
-	// Values holds the distinct values: Numbers before Strings, numbers
-	// ascending with NaN last, strings ascending. Wherever Value.Compare
-	// tells two values apart it agrees with this order; the values it
-	// cannot tell apart (0 and -0, payload a kind ignores) sit next to
-	// each other.
+	// Values holds the distinct values, strictly ascending by
+	// Value.Compare: Numbers before Strings.
 	Values  []Value
-	NumMin  float64 // over the non-NaN numbers
+	NumMin  float64
 	NumMax  float64
 	Numbers int // how many of Values are numeric: Values[:Numbers]
 }
@@ -78,28 +74,21 @@ type AttrCode struct {
 // and let a reader that knows which codes it wants visit only the nodes
 // that carry them.
 //
-// Code identity is exactly the engine's equality test (same kind,
-// Compare == 0) and code order exactly Compare's order on every
-// attribute that is not Irregular. An attribute is irregular when its
-// domain holds two values Compare calls equal — -0 beside 0, a NaN
-// (which Compare cannot order against any number), two Numbers differing
-// only in Str or two Strings differing only in Num — or a value of
-// neither kind, or when its "name=value" renderings can collide with
-// another attribute's (a name containing "=", or a name that followed by
-// "=" begins another's). Readers test the cells of an irregular
-// attribute by value.
+// A graph admits only canonical values (Value.Canonical) and attribute
+// names free of "=", so code identity is exactly the engine's equality
+// test (same kind, Compare == 0), code order exactly Compare's order,
+// and no two codes render alike as "name=value" (KeyRanks).
 type Codes struct {
-	off       []int32    // len NumNodes()+1; tuple of v is cells[off[v]:off[v+1]]
-	cells     []AttrCode // all node tuples, each sorted by Attr
-	base      []int32    // by attribute id, one extra: codes of a are [base[a], base[a+1])
-	doms      []*Domain  // by attribute id; nil when no node carries it
-	irregular []bool     // by attribute id
-	post      []NodeID   // the cells' node ids grouped by code, ascending within a code
-	postOff   []int32    // len Len()+1; the nodes carrying code c are post[postOff[c]:postOff[c+1]]
+	off     []int32    // len NumNodes()+1; tuple of v is cells[off[v]:off[v+1]]
+	cells   []AttrCode // all node tuples, each sorted by Attr
+	base    []int32    // by attribute id, one extra: codes of a are [base[a], base[a+1])
+	doms    []*Domain  // by attribute id; nil when no node carries it
+	post    []NodeID   // the cells' node ids grouped by code, ascending within a code
+	postOff []int32    // len Len()+1; the nodes carrying code c are post[postOff[c]:postOff[c+1]]
 
 	keys struct { // see KeyRanks
-		once        sync.Once
-		rank, group []int32
+		once sync.Once
+		rank []int32
 	}
 }
 
@@ -119,12 +108,8 @@ func (c *Codes) Domain(attr int32) *Domain {
 	return c.doms[attr]
 }
 
-// Irregular reports whether the cells of attribute id attr must be
-// tested by value (see Codes).
-func (c *Codes) Irregular(attr int32) bool { return c.irregular[attr] }
-
 // NumberCodes returns the codes [lo, hi) of attribute id attr's numeric
-// values, NaN included.
+// values.
 func (c *Codes) NumberCodes(attr int32) (lo, hi int32) {
 	if d := c.Domain(attr); d != nil {
 		return c.base[attr], c.base[attr] + int32(d.Numbers)
@@ -165,22 +150,17 @@ func (c *Codes) buildPostings() {
 }
 
 // Interval returns the codes [lo, hi] of the values v of attribute id
-// attr for which op.Holds(v, k); lo > hi when there are none. ok is
-// false when the attribute is irregular, or k of neither kind, and the
-// test cannot be made on codes.
+// attr for which op.Holds(v, k); lo > hi when there are none.
 //
 // Holds is false across kinds, so the interval lies inside the run of
-// k's kind; inside that run values ascend strictly by Compare (the
-// attribute being regular), so the values below, equal to and above k
+// k's kind (empty for a k of neither kind); inside that run values
+// ascend strictly by Compare, so the values below, equal to and above k
 // are three consecutive runs, found by searching k with the same
 // Compare that Holds calls.
-func (c *Codes) Interval(attr int32, op Op, k Value) (lo, hi int32, ok bool) {
+func (c *Codes) Interval(attr int32, op Op, k Value) (lo, hi int32) {
 	d := c.Domain(attr)
-	if d == nil {
-		return 0, -1, true
-	}
-	if c.irregular[attr] || k.Kind > String {
-		return 0, -1, false
+	if d == nil || k.Kind > String {
+		return 0, -1
 	}
 	first, vals := c.base[attr], d.Values[:d.Numbers]
 	if k.Kind == String {
@@ -191,30 +171,29 @@ func (c *Codes) Interval(attr int32, op Op, k Value) (lo, hi int32, ok bool) {
 	last := first + int32(len(vals)) - 1
 	switch op {
 	case EQ:
-		return first + below, first + through - 1, true
+		return first + below, first + through - 1
 	case LT:
-		return first, first + below - 1, true
+		return first, first + below - 1
 	case LE:
-		return first, first + through - 1, true
+		return first, first + through - 1
 	case GT:
-		return first + through, last, true
+		return first + through, last
 	case GE:
-		return first + below, last, true
+		return first + below, last
 	}
-	return 0, -1, true
+	return 0, -1
 }
 
 // KeyRanks orders the codes by the text "attr=value#n" (a Number) or
-// "attr=value#s" (anything else) of the cells they stand for: rank[c] is
-// the dense rank of c's text among all codes' texts, in byte order, and
-// group[c] the smallest code whose text is c's — c itself, except for
-// some codes of irregular attributes. This is the order picky-operator
-// generation has always broken count ties by, and the text the identity
-// it has always grouped AddL candidates under; ranking every code once
-// per column lets it compare integers instead of rendering per question.
-// Built on first call (rendering is too slow for WarmCaches) and shared;
-// the caller must not mutate either slice.
-func (c *Codes) KeyRanks() (rank, group []int32) {
+// "attr=value#s" (a String) of the cells they stand for: rank[c] is the
+// place of c's text among all codes' texts, in byte order. No two codes
+// render alike: names hold no "=", and canonical values of one kind
+// render apart. This is the order picky-operator generation has always
+// broken count ties by; ranking every code once per column lets it
+// compare integers instead of rendering per question. Built on first
+// call (rendering is too slow for WarmCaches) and shared; the caller
+// must not mutate the slice.
+func (c *Codes) KeyRanks() []int32 {
 	c.keys.once.Do(func() {
 		n := c.Len()
 		texts := make([]string, n)
@@ -234,134 +213,74 @@ func (c *Codes) KeyRanks() (rank, group []int32) {
 		for i := range order {
 			order[i] = int32(i)
 		}
-		slices.SortFunc(order, func(x, y int32) int {
-			if c := strings.Compare(texts[x], texts[y]); c != 0 {
-				return c
-			}
-			return int(x - y)
-		})
-		rank, group := make([]int32, n), make([]int32, n)
+		slices.SortFunc(order, func(x, y int32) int { return strings.Compare(texts[x], texts[y]) })
+		rank := make([]int32, n)
 		for i, code := range order {
-			if i > 0 && texts[code] == texts[order[i-1]] {
-				rank[code], group[code] = rank[order[i-1]], group[order[i-1]]
-			} else {
-				rank[code], group[code] = int32(i), code
-			}
+			rank[code] = int32(i)
 		}
-		c.keys.rank, c.keys.group = rank, group
+		c.keys.rank = rank
 	})
-	return c.keys.rank, c.keys.group
-}
-
-// cellKey is the identity a cell is de-duplicated under: every bit of
-// the value, except that all NaNs are one (no two NaN cells are == as
-// floats, so a float-keyed map would give each its own entry).
-type cellKey struct {
-	attr int32
-	kind ValueKind
-	bits uint64
-	str  string
-}
-
-var canonicalNaN = math.Float64bits(math.NaN())
-
-// domainOrder is the total order of Domain.Values: Compare's, with NaN
-// after every number, and the values Compare cannot tell apart in a
-// fixed order of their own.
-func domainOrder(a, b Value) int {
-	if a.Kind != b.Kind {
-		return cmp.Compare(a.Kind, b.Kind)
-	}
-	var c int
-	if a.Kind == Number {
-		if aNaN, bNaN := a.Num != a.Num, b.Num != b.Num; aNaN != bNaN {
-			if aNaN {
-				return 1
-			}
-			return -1
-		}
-		c = cmp.Compare(a.Num, b.Num)
-	} else {
-		c = strings.Compare(a.Str, b.Str)
-	}
-	if c != 0 {
-		return c
-	}
-	if c := cmp.Compare(math.Float64bits(a.Num), math.Float64bits(b.Num)); c != 0 {
-		return c
-	}
-	return strings.Compare(a.Str, b.Str)
+	return c.keys.rank
 }
 
 // summarize fills in Numbers, NumMin and NumMax from d.Values, which
-// are in domain order, and reports whether the values alone make the
-// attribute irregular (see Codes).
-func (d *Domain) summarize() (irregular bool) {
-	for i, v := range d.Values {
+// ascend by Compare.
+func (d *Domain) summarize() {
+	for _, v := range d.Values {
 		if v.Kind == Number {
 			d.Numbers++
 		}
-		if v.Kind > String || (v.Kind == Number && v.Num != v.Num) ||
-			(i > 0 && v.Compare(d.Values[i-1]) == 0) {
-			irregular = true
-		}
 	}
-	// The numbers ascend with the NaNs last.
-	finite := d.Values[:d.Numbers]
-	for len(finite) > 0 && finite[len(finite)-1].Num != finite[len(finite)-1].Num {
-		finite = finite[:len(finite)-1]
+	if d.Numbers > 0 {
+		d.NumMin, d.NumMax = d.Values[0].Num, d.Values[d.Numbers-1].Num
 	}
-	if len(finite) > 0 {
-		d.NumMin, d.NumMax = finite[0].Num, finite[len(finite)-1].Num
-	}
-	return irregular
 }
 
-// markNameCollisions marks irregular the attributes whose "name=value"
-// renderings can collide: "k=v"="w" and "k"="v=w" render alike.
-func markNameCollisions(attrs *Interner, irregular []bool) {
+// checkAttrNames refuses an attribute name holding "=", whose
+// "name=value" renderings could collide with another attribute's:
+// "k=v"="w" and "k"="v=w" render alike.
+func checkAttrNames(attrs *Interner) error {
 	for a := 1; a < attrs.Len(); a++ {
-		name := attrs.Name(int32(a))
-		for i := range name {
-			if name[i] != '=' {
-				continue
-			}
-			irregular[a] = true
-			if p, ok := attrs.Lookup(name[:i]); ok {
-				irregular[p] = true
-			}
+		if name := attrs.Name(int32(a)); strings.Contains(name, "=") {
+			return fmt.Errorf("attribute name %q holds \"=\"", name)
 		}
 	}
+	return nil
 }
 
-// buildCodes scans the builder's tuples once and codes them: the
-// active domains and the code column. It is the one place values become
-// codes.
-func (b *Builder) buildCodes() *Codes {
+// buildCodes canonicalizes the builder's tuples and codes them in one
+// scan: the active domains and the code column. It is the one place
+// values become codes, and it refuses what Value.Canonical and
+// checkAttrNames refuse.
+func (b *Builder) buildCodes() (*Codes, error) {
+	if err := checkAttrNames(b.Attrs); err != nil {
+		return nil, fmt.Errorf("graph: %w", err)
+	}
 	nAttrs := b.Attrs.Len()
 	c := &Codes{
-		off:       b.attrOff,
-		cells:     make([]AttrCode, len(b.attrArena)),
-		base:      make([]int32, nAttrs+1),
-		doms:      make([]*Domain, nAttrs),
-		irregular: make([]bool, nAttrs),
+		off:   b.attrOff,
+		cells: make([]AttrCode, len(b.attrArena)),
+		base:  make([]int32, nAttrs+1),
+		doms:  make([]*Domain, nAttrs),
 	}
 	// One hashing pass numbers the distinct cells in order of first
 	// appearance; the column holds those numbers until the domains are
 	// sorted and each number has its code.
-	seen := make(map[cellKey]int32)
+	seen := make(map[AttrValue]int32)
 	var vals []Value                  // by first-appearance number
 	byAttr := make([][]int32, nAttrs) // the numbers of each attribute's values
 	for i, av := range b.attrArena {
-		k := cellKey{av.Attr, av.Val.Kind, math.Float64bits(av.Val.Num), av.Val.Str}
-		if av.Val.Num != av.Val.Num {
-			k.bits = canonicalNaN
+		val, err := av.Val.Canonical()
+		if err != nil {
+			v, _ := slices.BinarySearch(b.attrOff, int32(i+1))
+			return nil, fmt.Errorf("graph: attribute %q of node %d: %w", b.Attrs.Name(av.Attr), v-1, err)
 		}
-		n, dup := seen[k]
+		av.Val = val
+		n, dup := seen[av]
 		if !dup {
 			n = int32(len(vals))
-			seen[k] = n
-			vals = append(vals, av.Val)
+			seen[av] = n
+			vals = append(vals, val)
 			byAttr[av.Attr] = append(byAttr[av.Attr], n)
 		}
 		c.cells[i] = AttrCode{Attr: av.Attr, Code: n}
@@ -372,19 +291,18 @@ func (b *Builder) buildCodes() *Codes {
 		if len(ns) == 0 {
 			continue
 		}
-		slices.SortFunc(ns, func(x, y int32) int { return domainOrder(vals[x], vals[y]) })
+		slices.SortFunc(ns, func(x, y int32) int { return vals[x].Compare(vals[y]) })
 		d := &Domain{Attr: b.Attrs.Name(int32(a)), Values: make([]Value, len(ns))}
 		for i, n := range ns {
 			d.Values[i] = vals[n]
 			codeOf[n] = c.base[a] + int32(i)
 		}
-		c.irregular[a] = d.summarize()
+		d.summarize()
 		c.doms[a] = d
 	}
 	for i := range c.cells {
 		c.cells[i].Code = codeOf[c.cells[i].Code]
 	}
-	markNameCollisions(b.Attrs, c.irregular)
 	c.buildPostings()
-	return c
+	return c, nil
 }

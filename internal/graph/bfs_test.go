@@ -18,7 +18,7 @@ import (
 // (past math.MaxInt32 where int has 64 bits) reaches what |V| does.
 func TestVisitBallMatchesBall(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		g := randomGraph(40, 110, seed).Build()
+		g := MustBuild(randomGraph(40, 110, seed))
 		for _, dir := range []Direction{Forward, Backward, Both} {
 			for _, hops := range []int{0, 1, 2, 3, 4, math.MaxInt} {
 				for _, src := range []NodeID{0, NodeID(seed + 3), NodeID(g.NumNodes() - 1)} {
@@ -49,7 +49,7 @@ func TestVisitBallMatchesBall(t *testing.T) {
 // nothing. Both reach as far at radius math.MaxInt as at radius |V|.
 func TestTraverserMatchesBall(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		g := randomGraph(40, 110, seed).Build()
+		g := MustBuild(randomGraph(40, 110, seed))
 		tr := g.Traverser()
 		tr.sc.stamp = ^uint32(0) - 20 // wraps within the first few dozen balls
 		wrapped := false
@@ -81,7 +81,7 @@ func TestTraverserAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the scratch never stays warm")
 	}
-	g := randomGraph(2000, 6000, 3).Build()
+	g := MustBuild(randomGraph(2000, 6000, 3))
 	run := func() {
 		tr := g.Traverser()
 		for v := NodeID(0); v < 50; v++ {
@@ -99,7 +99,7 @@ func TestTraverserAllocs(t *testing.T) {
 
 // TestVisitBallNested: the callback may traverse the graph itself.
 func TestVisitBallNested(t *testing.T) {
-	g := randomGraph(30, 90, 1).Build()
+	g := MustBuild(randomGraph(30, 90, 1))
 	want := g.Ball(2, 3, Both)
 	var got []NodeDist
 	g.VisitBall(2, 3, Both, func(u NodeID, d int32) bool {
@@ -119,7 +119,7 @@ func TestVisitBallAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the scratch never stays warm")
 	}
-	g := randomGraph(2000, 6000, 3).Build()
+	g := MustBuild(randomGraph(2000, 6000, 3))
 	visitAll := func(limit int) {
 		for v := NodeID(0); v < 20; v++ {
 			n := 0
@@ -177,7 +177,7 @@ func TestVisitBallsMatchesBall(t *testing.T) {
 		n   NodeID
 	}
 	for seed := int64(0); seed < 4; seed++ {
-		g := randomGraph(90, 200, seed).Build()
+		g := MustBuild(randomGraph(90, 200, seed))
 		for _, dir := range []Direction{Forward, Backward, Both} {
 			for _, hops := range []int{0, 1, 2, 3, 4, math.MaxInt} {
 				for _, size := range []int{0, 1, 2, 63, 64, 65} {
@@ -226,7 +226,7 @@ func TestVisitBallsMatchesBall(t *testing.T) {
 // level it was retired in, whichever level and source that is, and
 // every other source still reports its whole ball.
 func TestVisitBallsRetire(t *testing.T) {
-	g := randomGraph(90, 200, 2).Build()
+	g := MustBuild(randomGraph(90, 200, 2))
 	srcs := ballsSources(g, 5, 40, false)
 	const hops = 4
 	for _, retireAt := range []int32{0, 1, 2, 3} {
@@ -263,7 +263,7 @@ func TestVisitBallsRetire(t *testing.T) {
 // TestVisitBallsNested: visit may run traversals of its own, a sweep
 // included, and the scratch comes back clean for the next call.
 func TestVisitBallsNested(t *testing.T) {
-	g := randomGraph(60, 150, 1).Build()
+	g := MustBuild(randomGraph(60, 150, 1))
 	srcs := ballsSources(g, 0, 10, false)
 	count := func(nested bool) int {
 		n := 0
@@ -291,7 +291,7 @@ func TestVisitBallsAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the scratch never stays warm")
 	}
-	g := randomGraph(2000, 6000, 3).Build()
+	g := MustBuild(randomGraph(2000, 6000, 3))
 	srcs := ballsSources(g, 0, MaxBallSources, false)
 	n := 0
 	visit := func(_ NodeID, _ int32, mask uint64) uint64 {
@@ -308,7 +308,7 @@ func TestVisitBallsAllocs(t *testing.T) {
 // (under -race in CI): the pooled scratch must never be shared, and a
 // scratch left dirty by one sweep would corrupt the next.
 func TestVisitBallsConcurrent(t *testing.T) {
-	g := randomGraph(300, 900, 9).Build()
+	g := MustBuild(randomGraph(300, 900, 9))
 	g.WarmCaches()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -343,7 +343,7 @@ func TestVisitBallsConcurrent(t *testing.T) {
 var ballSink int
 
 func BenchmarkBall(b *testing.B) {
-	g := randomGraph(2000, 5000, 7).Build()
+	g := MustBuild(randomGraph(2000, 5000, 7))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -355,7 +355,7 @@ func BenchmarkBall(b *testing.B) {
 // of a handful of nodes, one after another and dropped, by Ball and by
 // one Traverser.
 func BenchmarkTraverserBall(b *testing.B) {
-	g := randomGraph(2000, 5000, 7).Build()
+	g := MustBuild(randomGraph(2000, 5000, 7))
 	b.Run("ball", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -373,7 +373,7 @@ func BenchmarkTraverserBall(b *testing.B) {
 }
 
 func BenchmarkVisitBall(b *testing.B) {
-	g := randomGraph(2000, 5000, 7).Build()
+	g := MustBuild(randomGraph(2000, 5000, 7))
 	for _, limit := range []int{0, 96} {
 		name := "full"
 		if limit > 0 {

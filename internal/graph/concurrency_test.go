@@ -8,7 +8,7 @@ import (
 // TestConcurrentReads exercises parallel Ball/Dist/domain reads under
 // the race detector (the scratch pool and warmed caches must be safe).
 func TestConcurrentReads(t *testing.T) {
-	g := randomGraph(200, 600, 7).Build()
+	g := MustBuild(randomGraph(200, 600, 7))
 	g.WarmCaches()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -33,7 +33,7 @@ func TestConcurrentReads(t *testing.T) {
 // unless its sync.Once serializes them, and the domains are read beside
 // them.
 func TestConcurrentLazyBuilds(t *testing.T) {
-	g := randomGraph(150, 450, 11).Build()
+	g := MustBuild(randomGraph(150, 450, 11))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

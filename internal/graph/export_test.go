@@ -9,10 +9,19 @@ import (
 // Eccentricity exposes the sweep Diameter runs.
 func (g *Graph) Eccentricity(v NodeID) (int, NodeID) { return g.eccentricity(v) }
 
+// MustBuild returns b's graph, for inputs the door admits by
+// construction; it panics where Build refuses.
+func MustBuild(b *Builder) *Graph {
+	g, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // CodesDiff describes the first difference between two code columns, or
 // returns "" when they are equal part for part: offsets, cells, bases,
-// domains (values by bit pattern), irregular flags, postings and
-// KeyRanks.
+// domains (values by bit pattern), postings and KeyRanks.
 func CodesDiff(a, b *Codes) string {
 	switch {
 	case !slices.Equal(a.off, b.off):
@@ -21,8 +30,6 @@ func CodesDiff(a, b *Codes) string {
 		return "cells differ"
 	case !slices.Equal(a.base, b.base):
 		return fmt.Sprintf("bases differ: %v vs %v", a.base, b.base)
-	case !slices.Equal(a.irregular, b.irregular):
-		return fmt.Sprintf("irregular flags differ: %v vs %v", a.irregular, b.irregular)
 	case !slices.Equal(a.postOff, b.postOff) || !slices.Equal(a.post, b.post):
 		return "postings differ"
 	case len(a.doms) != len(b.doms):
@@ -33,9 +40,7 @@ func CodesDiff(a, b *Codes) string {
 			return fmt.Sprintf("attribute %d: %s", i, msg)
 		}
 	}
-	ar, ag := a.KeyRanks()
-	br, bg := b.KeyRanks()
-	if !slices.Equal(ar, br) || !slices.Equal(ag, bg) {
+	if !slices.Equal(a.KeyRanks(), b.KeyRanks()) {
 		return "KeyRanks differ"
 	}
 	return ""

@@ -168,23 +168,24 @@ func (b *Builder) AddEdge(from, to NodeID, label string) {
 	b.edgeLog = append(b.edgeLog, rawEdge{From: from, To: to, Label: b.Labels.Intern(label)})
 }
 
-// Build lays out what was added as a Graph: the tuples are coded once
-// into the attribute column (buildCodes) and dropped, the edge log
-// counting-sorts into both adjacency arenas (stably, so per-node edge
-// order is insertion order), and the by-label index is built as
-// ascending-ID runs over one backing slice. The Graph takes over the
-// label arena and the interners, and b is reset to an empty builder, so
-// nothing added to b afterwards reaches the Graph.
-func (b *Builder) Build() *Graph {
-	g := &Graph{
-		Labels: b.Labels,
-		Attrs:  b.Attrs,
-		labels: b.labels,
-		codes:  b.buildCodes(),
-		uid:    graphUID.Add(1),
-	}
+// Build lays out what was added as a Graph: the tuples are canonicalized
+// and coded once into the attribute column (buildCodes) and dropped, the
+// edge log counting-sorts into both adjacency arenas (stably, so
+// per-node edge order is insertion order), and the by-label index is
+// built as ascending-ID runs over one backing slice. It refuses a NaN
+// cell, a value of neither kind and an attribute name holding "=". The
+// Graph takes over the label arena and the interners, and b is reset to
+// an empty builder, refused or not, so nothing added to b afterwards
+// reaches the Graph.
+func (b *Builder) Build() (*Graph, error) {
+	codes, err := b.buildCodes()
+	g := &Graph{Labels: b.Labels, Attrs: b.Attrs, labels: b.labels, codes: codes}
 	log := b.edgeLog
 	*b = *NewBuilder()
+	if err != nil {
+		return nil, err
+	}
+	g.uid = graphUID.Add(1)
 
 	n := len(g.labels)
 	g.outOff = offsetsFor(n, log, func(e rawEdge) NodeID { return e.From })
@@ -200,7 +201,7 @@ func (b *Builder) Build() *Graph {
 		inCur[e.To]++
 	}
 	g.buildByLabel()
-	return g
+	return g, nil
 }
 
 // buildByLabel builds the by-label index: ascending-ID runs per label

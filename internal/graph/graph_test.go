@@ -19,7 +19,7 @@ func chain(n int) *Graph {
 	for i := 0; i+1 < n; i++ {
 		b.AddEdge(NodeID(i), NodeID(i+1), "next")
 	}
-	return b.Build()
+	return MustBuild(b)
 }
 
 // randomGraph adds a seeded random directed graph to a new builder.
@@ -49,7 +49,7 @@ func TestGraphBasics(t *testing.T) {
 	c := gb.AddNode("City", nil)
 	gb.AddEdge(a, c, "lives")
 	gb.AddEdge(b, c, "lives")
-	g := gb.Build()
+	g := MustBuild(gb)
 
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("size = (%d,%d), want (3,2)", g.NumNodes(), g.NumEdges())
@@ -91,12 +91,12 @@ func TestGraphBasics(t *testing.T) {
 // next Build alone.
 func TestBuildDetachesBuilder(t *testing.T) {
 	b := randomGraph(30, 60, 5)
-	g1 := b.Build()
+	g1 := MustBuild(b)
 	before := snapBytes(t, g1, nil)
 	x := b.AddNode("Fresh", map[string]Value{"x": N(1), "new": S("v")})
 	y := b.AddNode("A", nil)
 	b.AddEdge(x, y, "late")
-	g2 := b.Build()
+	g2 := MustBuild(b)
 	if !bytes.Equal(snapBytes(t, g1, nil), before) {
 		t.Fatal("adding to the builder after Build changed the built graph")
 	}
@@ -113,7 +113,7 @@ func TestBuildDetachesBuilder(t *testing.T) {
 
 func TestTupleSortedProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		g := randomGraph(20, 30, seed).Build()
+		g := MustBuild(randomGraph(20, 30, seed))
 		for i := 0; i < g.NumNodes(); i++ {
 			tuple := g.Tuple(NodeID(i))
 			for j := 1; j < len(tuple); j++ {
@@ -176,7 +176,7 @@ func naiveDist(g *Graph, from, to NodeID, dir Direction) int {
 // three directions.
 func TestBallMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		g := randomGraph(25, 50, seed).Build()
+		g := MustBuild(randomGraph(25, 50, seed))
 		for _, dir := range []Direction{Forward, Backward, Both} {
 			src := NodeID(int(seed) % g.NumNodes())
 			ball := g.Ball(src, 4, dir)
@@ -205,7 +205,7 @@ func TestBallMatchesNaive(t *testing.T) {
 // TestDistMatchesNaive cross-checks the bounded Dist.
 func TestDistMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		g := randomGraph(20, 40, seed).Build()
+		g := MustBuild(randomGraph(20, 40, seed))
 		for a := 0; a < g.NumNodes(); a += 3 {
 			for b := 0; b < g.NumNodes(); b += 3 {
 				want := naiveDist(g, NodeID(a), NodeID(b), Forward)
@@ -235,7 +235,7 @@ func TestDiameter(t *testing.T) {
 	if d := g.Diameter(); d != 6 {
 		t.Errorf("cached diameter = %d, want 6", d)
 	}
-	if d := NewBuilder().Build().Diameter(); d != 1 {
+	if d := MustBuild(NewBuilder()).Diameter(); d != 1 {
 		t.Errorf("empty graph diameter = %d, want 1 (cost-normalization floor)", d)
 	}
 }
@@ -245,7 +245,7 @@ func TestActiveDomain(t *testing.T) {
 	b.AddNode("P", map[string]Value{"price": N(10), "tag": S("a")})
 	b.AddNode("P", map[string]Value{"price": N(30), "tag": S("b")})
 	b.AddNode("P", map[string]Value{"price": N(10), "tag": S("a")})
-	g := b.Build()
+	g := MustBuild(b)
 
 	d := g.ActiveDomain("price")
 	if len(d.Values) != 2 {
@@ -272,7 +272,7 @@ func TestActiveDomain(t *testing.T) {
 }
 
 func TestJSONRoundtrip(t *testing.T) {
-	g := randomGraph(15, 25, 99).Build()
+	g := MustBuild(randomGraph(15, 25, 99))
 	var buf bytes.Buffer
 	if err := g.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

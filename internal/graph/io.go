@@ -147,7 +147,9 @@ func (sw *stickyWriter) raw(b []byte) {
 // converted with strconv. The one difference from the encoding/json walk
 // this reader replaced: null is an error for an id, an edge's src or
 // dst, and an attribute value, where the walk read it as 0 (when a later
-// duplicate key overrides the null, it is not an error).
+// duplicate key overrides the null, it is not an error). The graph is
+// made by Builder.Build, so it refuses what Build refuses (an attribute
+// name holding "=") and stores -0 as 0.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	d := &jsonReader{sc: *jsonscan.NewReader(r), b: NewBuilder()}
 	if err := d.document(); err != nil {
@@ -160,7 +162,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		}
 		return nil, fmt.Errorf("graph: decode: %w", err)
 	}
-	return d.b.Build(), nil
+	return d.b.Build()
 }
 
 // jsonFirstReserve caps what a "meta" count reserves when the first

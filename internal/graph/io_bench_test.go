@@ -15,7 +15,7 @@ import (
 // live in internal/chase's TestEmitLoadBench.
 func benchGraph(b *testing.B) *Graph {
 	b.Helper()
-	return randomGraph(20000, 60000, 7).Build()
+	return MustBuild(randomGraph(20000, 60000, 7))
 }
 
 // liveHeap returns the bytes the heap holds after two GCs.
@@ -172,7 +172,7 @@ func TestReadJSONDistrustsMeta(t *testing.T) {
 // stops the reserving; either way the graph is the one the oracle reads.
 func TestReadJSONGrowsToHonestMeta(t *testing.T) {
 	var buf bytes.Buffer
-	if err := randomGraph(jsonFirstReserve+5, jsonFirstReserve+7, 3).Build().WriteJSON(&buf); err != nil {
+	if err := MustBuild(randomGraph(jsonFirstReserve+5, jsonFirstReserve+7, 3)).WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	want, err := ReadJSONOracle(bytes.NewReader(buf.Bytes()))

@@ -102,7 +102,7 @@ func ReadJSONOracle(r io.Reader) (*Graph, error) {
 			return nil, err
 		}
 	}
-	return g.Build(), nil
+	return g.Build()
 }
 
 // readNodes consumes the "nodes" array one element at a time.

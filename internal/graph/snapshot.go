@@ -8,7 +8,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"slices"
 )
 
 // Binary snapshot format (see DESIGN.md §15 for the field-width table).
@@ -28,7 +27,8 @@ import (
 // attribute-id order, each as numbers:u32 strings:u32, the numbers'
 // float64 bits and the length-prefixed strings, in domain order; then
 // one attr:u32 code:u32 cell per tuple entry. The reader keeps them as
-// the graph's Codes, as read.
+// the graph's Codes, as read, and refuses what Builder.Build refuses or
+// would store otherwise: a NaN, a -0, an attribute name holding "=".
 //
 // The writer iterates arenas in index order, interner tables in id
 // order and domains in code order, so the encoding of a given graph is a
@@ -76,7 +76,7 @@ type Snapshot struct {
 // in the binary snapshot format. The output is deterministic: the same
 // graph contents always produce the same bytes.
 func (g *Graph) WriteSnapshot(w io.Writer, aux []byte) error {
-	return g.writeSnapshot(w, aux, g.wireCodes())
+	return g.writeSnapshot(w, aux, g.codes)
 }
 
 // writeSnapshot writes g with codes as its code column.
@@ -215,6 +215,9 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := checkAttrNames(attrsIn); err != nil {
+		return nil, fmt.Errorf("graph: snapshot: %w", err)
+	}
 
 	codes, err := sr.domains(attrsIn, attrEntries)
 	if err != nil {
@@ -311,35 +314,6 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	g.buildByLabel()
 	return &Snapshot{G: g, Aux: aux, Version: version}, nil
-}
-
-// wireCodes returns the code column WriteSnapshot stores. The wire form
-// of a value is a Number's bits or anything else's Str, as it has always
-// been, so a value with payload its kind ignores, or of neither kind, is
-// stored as the value it reads back as; when a domain holds one, the
-// tuples are coded afresh over the values as stored. No graph read from
-// a file has such a value.
-func (g *Graph) wireCodes() *Codes {
-	stored := func(v Value) Value {
-		if v.Kind == Number {
-			return N(v.Num)
-		}
-		return S(v.Str)
-	}
-	ignored := func(v Value) bool {
-		return !(v.Kind == Number && v.Str == "") && !(v.Kind == String && math.Float64bits(v.Num) == 0)
-	}
-	for _, d := range g.codes.doms {
-		if d == nil || !slices.ContainsFunc(d.Values, ignored) {
-			continue
-		}
-		b := &Builder{Attrs: g.Attrs, attrOff: g.codes.off, attrArena: make([]AttrValue, len(g.codes.cells))}
-		for i, c := range g.codes.cells {
-			b.attrArena[i] = AttrValue{Attr: c.Attr, Val: stored(g.Value(c))}
-		}
-		return b.buildCodes()
-	}
-	return g.codes
 }
 
 // snapWriter hashes everything it writes; errors are sticky.
@@ -527,16 +501,15 @@ func (sr *snapReader) uint64s(count int) []uint64 {
 }
 
 // domains reads the domain table into a Codes that lacks only its cells
-// and offsets. Each attribute's values must ascend strictly in domain
-// order and hold no NaN, and all of them together may not outnumber the
-// cells, each of which uses one. Numbers, NumMin, NumMax and the
-// irregular flags are recomputed, never read.
+// and offsets. Each attribute's values must be canonical as the writer
+// writes them — no NaN, no -0 — and ascend strictly by Compare, and all
+// of them together may not outnumber the cells, each of which uses one.
+// Numbers, NumMin and NumMax are recomputed, never read.
 func (sr *snapReader) domains(attrs *Interner, cells int) (*Codes, error) {
 	nAttrs := attrs.Len()
 	c := &Codes{
-		base:      make([]int32, nAttrs+1),
-		doms:      make([]*Domain, nAttrs),
-		irregular: make([]bool, nAttrs),
+		base: make([]int32, nAttrs+1),
+		doms: make([]*Domain, nAttrs),
 	}
 	for a := 0; a < nAttrs; a++ {
 		numbers, strs := int(sr.u32()), int(sr.u32())
@@ -560,21 +533,20 @@ func (sr *snapReader) domains(attrs *Interner, cells int) (*Codes, error) {
 			vals = append(vals, S(str))
 		}
 		for i, v := range vals {
-			if v.Num != v.Num {
-				return nil, fmt.Errorf("graph: snapshot: NaN in the domain of attribute %d", a)
+			if math.IsNaN(v.Num) || v.Num == 0 && math.Signbit(v.Num) {
+				return nil, fmt.Errorf("graph: snapshot: %v in the domain of attribute %d", v, a)
 			}
-			if i > 0 && domainOrder(vals[i-1], v) >= 0 {
+			if i > 0 && vals[i-1].Compare(v) >= 0 {
 				return nil, fmt.Errorf("graph: snapshot: domain of attribute %d not strictly ascending at value %d", a, i)
 			}
 		}
 		d := &Domain{Attr: attrs.Name(int32(a)), Values: vals}
-		c.irregular[a] = d.summarize()
+		d.summarize()
 		c.doms[a] = d
 	}
 	if sr.err != nil {
 		return nil, fmt.Errorf("graph: snapshot: truncated domains: %w", sr.err)
 	}
-	markNameCollisions(attrs, c.irregular)
 	return c, nil
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // codesGraphs are the graphs the code column is checked on: a 1k graph
-// of each dataset kind, one holding both zeros, and one whose attribute
-// names collide when rendered "name=value".
+// of each dataset kind, one given both zeros, and one whose values hold
+// "=" where KeyRanks renders "name=value".
 func codesGraphs(t *testing.T) []namedGraph {
 	t.Helper()
 	var out []namedGraph
@@ -26,11 +26,11 @@ func codesGraphs(t *testing.T) []namedGraph {
 	for _, v := range []graph.Value{graph.N(0), graph.N(math.Copysign(0, -1)), graph.N(2), graph.S("0"), graph.N(0)} {
 		zeros.AddNode("Z", map[string]graph.Value{"x": v, "y": graph.N(1)})
 	}
-	out = append(out, namedGraph{"zeros", zeros.Build()})
+	out = append(out, namedGraph{"zeros", graph.MustBuild(zeros)})
 	eq := graph.NewBuilder()
-	eq.AddNode("E", map[string]graph.Value{"k=v": graph.S("w"), "k": graph.S("v=w"), "j": graph.N(3)})
+	eq.AddNode("E", map[string]graph.Value{"kv": graph.S("=w"), "k": graph.S("v=w"), "j": graph.N(3)})
 	eq.AddNode("E", map[string]graph.Value{"k": graph.S("u"), "j": graph.N(-1)})
-	out = append(out, namedGraph{"equals-in-name", eq.Build()})
+	out = append(out, namedGraph{"equals-in-value", graph.MustBuild(eq)})
 	return out
 }
 
@@ -44,7 +44,6 @@ type namedGraph struct {
 // value by value, and the one the written graph holds, part for part,
 // postings and KeyRanks included; so is the column a JSON load codes.
 func TestSnapshotCodesEqualBuilt(t *testing.T) {
-	irregular := 0
 	for _, c := range codesGraphs(t) {
 		g := c.g
 		t.Run(c.name, func(t *testing.T) {
@@ -67,7 +66,7 @@ func TestSnapshotCodesEqualBuilt(t *testing.T) {
 				}
 				b.AddNodeTuple(snap.G.Label(v), tuple)
 			}
-			if msg := graph.CodesDiff(read, b.Build().Codes()); msg != "" {
+			if msg := graph.CodesDiff(read, graph.MustBuild(b).Codes()); msg != "" {
 				t.Fatalf("read column differs from the one its values build: %s", msg)
 			}
 			if msg := graph.CodesDiff(read, g.Codes()); msg != "" {
@@ -84,16 +83,7 @@ func TestSnapshotCodesEqualBuilt(t *testing.T) {
 			if msg := graph.CodesDiff(loaded.Codes(), g.Codes()); msg != "" {
 				t.Fatalf("JSON-loaded column differs from the written graph's: %s", msg)
 			}
-			for a := int32(0); a < int32(g.Attrs.Len()); a++ {
-				if read.Irregular(a) {
-					irregular++
-				}
-			}
 		})
-	}
-	// x of "zeros", and k and k=v of "equals-in-name".
-	if irregular < 3 {
-		t.Fatalf("%d irregular attributes read, want at least 3", irregular)
 	}
 }
 

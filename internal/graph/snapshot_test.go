@@ -21,7 +21,7 @@ func snapGraph(t testing.TB) *Graph {
 	d := b.AddNode("D", map[string]Value{"name": S("dup"), "alias": S("dup"), "z": N(-7.25)})
 	b.AddEdge(0, d, "")
 	b.AddEdge(0, d, "") // parallel edge
-	return b.Build()
+	return MustBuild(b)
 }
 
 func snapBytes(t testing.TB, g *Graph, aux []byte) []byte {
@@ -128,7 +128,7 @@ func TestSnapshotAuxRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotEmptyGraph(t *testing.T) {
-	g := NewBuilder().Build()
+	g := MustBuild(NewBuilder())
 	snap, err := ReadSnapshot(bytes.NewReader(snapBytes(t, g, nil)))
 	if err != nil {
 		t.Fatalf("ReadSnapshot(empty): %v", err)
@@ -203,7 +203,7 @@ func TestSnapshotRejectsForeignFile(t *testing.T) {
 }
 
 func TestSniffSnapshot(t *testing.T) {
-	full := snapBytes(t, NewBuilder().Build(), nil)
+	full := snapBytes(t, MustBuild(NewBuilder()), nil)
 	if !SniffSnapshot(full) || !SniffSnapshot(full[:8]) {
 		t.Error("valid snapshot prefix should sniff true")
 	}
@@ -214,7 +214,7 @@ func TestSniffSnapshot(t *testing.T) {
 
 func FuzzSnapshotReader(f *testing.F) {
 	f.Add(snapBytes(f, snapGraph(f), []byte("aux")))
-	f.Add(snapBytes(f, NewBuilder().Build(), nil))
+	f.Add(snapBytes(f, MustBuild(NewBuilder()), nil))
 	f.Add(snapBytes(f, chain(5), nil))
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte("not a snapshot at all"))
@@ -222,6 +222,22 @@ func FuzzSnapshotReader(f *testing.F) {
 		snap, err := ReadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return // rejected input: the only requirement is no panic/OOM
+		}
+		// Accepted input is a graph Build admits, coded as Build codes it.
+		b := NewBuilder()
+		b.Attrs = snap.G.Attrs
+		var tuple []AttrValue
+		for v := NodeID(0); int(v) < snap.G.NumNodes(); v++ {
+			tuple = tuple[:0]
+			for _, c := range snap.G.Tuple(v) {
+				tuple = append(tuple, AttrValue{Attr: c.Attr, Val: snap.G.Value(c)})
+			}
+			b.AddNodeTuple("", tuple)
+		}
+		if built, err := b.Build(); err != nil {
+			t.Fatalf("accepted a snapshot Build refuses: %v", err)
+		} else if msg := CodesDiff(built.Codes(), snap.G.Codes()); msg != "" {
+			t.Fatalf("accepted a snapshot Build codes otherwise: %s", msg)
 		}
 		// Accepted input must satisfy the determinism contract:
 		// re-encoding the graph reproduces the input exactly.
@@ -238,8 +254,7 @@ func FuzzSnapshotReader(f *testing.F) {
 // cloneCodes copies c deeply enough that a test may doctor its cells and
 // domains.
 func cloneCodes(c *Codes) *Codes {
-	d := &Codes{off: c.off, cells: slices.Clone(c.cells), base: slices.Clone(c.base),
-		irregular: slices.Clone(c.irregular), doms: make([]*Domain, len(c.doms))}
+	d := &Codes{off: c.off, cells: slices.Clone(c.cells), base: slices.Clone(c.base), doms: make([]*Domain, len(c.doms))}
 	for a, dom := range c.doms {
 		if dom != nil {
 			cp := *dom
@@ -255,14 +270,14 @@ func cloneCodes(c *Codes) *Codes {
 // and requires the reader to refuse each with the check it breaks.
 func TestSnapshotRejectsNonCanonical(t *testing.T) {
 	b := NewBuilder()
-	for i, x := range []Value{N(0), N(negZero), N(2), N(5), N(2)} {
+	for i, x := range []Value{N(0), N(1), N(2), N(5), N(negZero)} {
 		// Interned m, s, x, z: z, the last attribute, holds strings.
 		b.AddNode("P", map[string]Value{
 			"m": []Value{N(1), S("1")}[i%2], "s": S(string(rune('a' + i%3))),
 			"x": x, "z": S(string(rune('p' + i))),
 		})
 	}
-	g := b.Build()
+	g := MustBuild(b)
 	attr := func(name string) int32 {
 		a, ok := g.Attrs.Lookup(name)
 		if !ok {
@@ -283,9 +298,10 @@ func TestSnapshotRejectsNonCanonical(t *testing.T) {
 			v := c.doms[x].Values
 			v[2], v[3] = v[3], v[2]
 		}},
-		{"-0 before 0", "not strictly ascending", func(c *Codes) {
-			v := c.doms[x].Values
-			v[0], v[1] = v[1], v[0]
+		{"-0 before 0", "-0 in the domain", func(c *Codes) {
+			d := c.doms[x]
+			d.Values = slices.Insert(d.Values, 0, N(negZero))
+			d.Numbers++
 		}},
 		{"duplicate domain value", "not strictly ascending", func(c *Codes) {
 			c.doms[x].Values[3] = c.doms[x].Values[2]
@@ -336,19 +352,18 @@ func TestSnapshotRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// TestSnapshotStoresValuesAsRead: a cell with payload its kind ignores,
-// or of neither kind, is stored as the value it reads back as — a
-// Number's bits, anything else's Str — even where that makes it equal to
-// another cell of its attribute; the file is canonical, so it re-writes
-// byte-identically.
+// TestSnapshotStoresValuesAsRead: a cell with payload its kind ignores
+// is stored canonical — a Number's bits, a String's Str — even where
+// that makes it equal to another cell of its attribute; the file is
+// canonical, so it re-writes byte-identically.
 func TestSnapshotStoresValuesAsRead(t *testing.T) {
 	b := NewBuilder()
 	for _, v := range []Value{
-		{Kind: Number, Num: 5, Str: "five"}, N(5), {Kind: String, Num: 2, Str: "x"}, S("x"), {Kind: 7, Str: "q"},
+		{Kind: Number, Num: 5, Str: "five"}, N(5), {Kind: String, Num: 2, Str: "x"}, S("x"), S("q"),
 	} {
 		b.AddNode("P", map[string]Value{"v": v})
 	}
-	first := snapBytes(t, b.Build(), nil)
+	first := snapBytes(t, MustBuild(b), nil)
 	snap, err := ReadSnapshot(bytes.NewReader(first))
 	if err != nil {
 		t.Fatal(err)

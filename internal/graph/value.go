@@ -8,6 +8,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -28,6 +29,11 @@ const (
 )
 
 // Value is a typed attribute value. The zero Value is the number 0.
+//
+// A graph admits a value only in canonical form (Canonical): a Number
+// or a String, no NaN, -0 stored as 0, and the field its kind ignores
+// zero. On canonical values Equal, Compare == 0 and EQ.Holds are one
+// test, and Compare is a total order.
 type Value struct {
 	Kind ValueKind
 	Num  float64
@@ -43,18 +49,37 @@ func S(v string) Value { return Value{Kind: String, Str: v} }
 // ParseValue interprets s as a Value. Numeric strings — optionally
 // decorated with a leading currency symbol, a trailing percent sign, or
 // thousands separators — become Number values ("$800" → 800, "25%" → 25,
-// "6.2" → 6.2). Everything else stays a String.
+// "6.2" → 6.2). Everything else stays a String, "NaN" included: a graph
+// admits no NaN.
 func ParseValue(s string) Value {
 	t := strings.TrimSpace(s)
 	t = strings.TrimPrefix(t, "$")
 	t = strings.TrimSuffix(t, "%")
 	t = strings.ReplaceAll(t, ",", "")
 	if t != "" {
-		if f, err := strconv.ParseFloat(t, 64); err == nil {
+		if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsNaN(f) {
 			return N(f)
 		}
 	}
 	return S(s)
+}
+
+// Canonical returns v as a graph stores it: -0 as 0, and the field v's
+// kind ignores (a Number's Str, a String's Num) zeroed. It refuses a NaN,
+// which Compare cannot order against any number, and a value of neither
+// kind.
+func (v Value) Canonical() (Value, error) {
+	switch {
+	case v.Kind == String:
+		return S(v.Str), nil
+	case v.Kind != Number:
+		return Value{}, fmt.Errorf("value of neither kind (%d)", v.Kind)
+	case math.IsNaN(v.Num):
+		return Value{}, errors.New("NaN value")
+	case v.Num == 0:
+		return N(0), nil // -0 too
+	}
+	return N(v.Num), nil
 }
 
 // Equal reports value equality. A Number never equals a String even if
@@ -95,9 +120,9 @@ func (v Value) Compare(w Value) int {
 // of a Number or, behind its length, the Str of anything else. Two values
 // with equal keys are the same operand to every Op; String is for display
 // and tells N(5) from S("5") no better than the reader can. Numbers are
-// told apart by bit pattern, so -0 and 0, and two NaNs of different
-// payload, have keys of their own although Compare calls them equal:
-// a key may separate what matches alike, never merge what does not.
+// told apart by bit pattern, so a query constant -0 has a key of its own
+// beside 0: a key may separate what matches alike, never merge what does
+// not.
 func (v Value) AppendKey(dst []byte) []byte {
 	dst = append(dst, byte(v.Kind))
 	if v.Kind == Number {

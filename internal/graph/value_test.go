@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -22,9 +23,15 @@ func TestParseValue(t *testing.T) {
 		{"", S("")},
 		{"6.2inch", S("6.2inch")},
 		{"$", S("$")},
+		{"NaN", S("NaN")}, // a graph admits no NaN
+		{"nan", S("nan")},
+		{"$NaN", S("$NaN")},
+		{"nan%", S("nan%")},
+		{"Inf", N(math.Inf(1))},
+		{"-infinity", N(math.Inf(-1))},
 	}
 	for _, c := range cases {
-		if got := ParseValue(c.in); !got.Equal(c.want) {
+		if got := ParseValue(c.in); got != c.want {
 			t.Errorf("ParseValue(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
@@ -145,6 +152,42 @@ func TestCompareTotalOrder(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestValueOrder: on the values a graph admits (edgeValues) Equal,
+// Compare == 0 and EQ.Holds are one test and Compare a total order; and
+// in a graph built of them, and read back from its snapshot, codes are
+// ordered as Compare orders the values and equal exactly where they are
+// Equal (mirrorTuples).
+func TestValueOrder(t *testing.T) {
+	vals := edgeValues()
+	for _, a := range vals {
+		for _, b := range vals {
+			c := a.Compare(b)
+			if a.Equal(b) != (c == 0) || EQ.Holds(a, b) != (c == 0) || c != -b.Compare(a) {
+				t.Fatalf("%#v vs %#v: Equal %v, Compare %d (%d reversed), EQ.Holds %v",
+					a, b, a.Equal(b), c, b.Compare(a), EQ.Holds(a, b))
+			}
+			for _, d := range vals {
+				if c <= 0 && b.Compare(d) <= 0 && a.Compare(d) > 0 {
+					t.Fatalf("%#v <= %#v <= %#v, but not the first <= the last", a, b, d)
+				}
+			}
+		}
+	}
+	b := NewBuilder()
+	nodes := make([]map[string]Value, len(vals))
+	for i, v := range vals {
+		nodes[i] = map[string]Value{"v": v}
+		b.AddNode("V", nodes[i])
+	}
+	built := MustBuild(b)
+	snap, err := ReadSnapshot(bytes.NewReader(snapBytes(t, built, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirrorTuples(t, built, built.Attrs, nodes)
+	mirrorTuples(t, snap.G, built.Attrs, nodes)
 }
 
 func TestInterner(t *testing.T) {

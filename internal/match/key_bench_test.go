@@ -26,7 +26,7 @@ func keyFixture() (*graph.Graph, *query.Query) {
 		gb.AddEdge(maker, phones[i], "makes")
 		gb.AddEdge(phones[i], phones[i+1], "rel")
 	}
-	g := gb.Build()
+	g := mustBuild(gb)
 	g.WarmCaches()
 
 	q := query.New()

@@ -24,7 +24,7 @@ func randomGraph(n, m int, seed int64) *graph.Graph {
 			gb.AddEdge(a, b, "")
 		}
 	}
-	return gb.Build()
+	return mustBuild(gb)
 }
 
 func randomQuery(g *graph.Graph, rng *rand.Rand) *query.Query {
@@ -158,7 +158,7 @@ func TestMatcherIgnoresIsolated(t *testing.T) {
 	q.AddNode("Z") // isolated; no Z exists in the graph
 	q.Focus = fa
 
-	g := gb.Build()
+	g := mustBuild(gb)
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	got := m.Match(q).Answer
 	if len(got) != 1 || got[0] != a {
@@ -182,7 +182,7 @@ func TestMatcherInjective(t *testing.T) {
 	q.AddEdge(v, w, 1)
 	q.Focus = u
 
-	g := gb.Build()
+	g := mustBuild(gb)
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	if got := m.Match(q).Answer; len(got) != 0 {
 		t.Errorf("three injective A-nodes cannot fit in two: got %v", got)
@@ -206,7 +206,7 @@ func TestEdgeToPathMatching(t *testing.T) {
 		q.Focus = u
 		return q
 	}
-	g := gb.Build()
+	g := mustBuild(gb)
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	if got := m.Match(build(1)).Answer; len(got) != 0 {
 		t.Errorf("bound 1 should not match a 2-hop path: %v", got)
@@ -376,4 +376,14 @@ func BenchmarkMatchCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Match(q)
 	}
+}
+
+// mustBuild returns gb's graph; the tests' graphs hold only values the
+// door admits.
+func mustBuild(gb *graph.Builder) *graph.Graph {
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

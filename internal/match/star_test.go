@@ -57,7 +57,7 @@ func TestAugmentedStarConstrains(t *testing.T) {
 	gb.AddEdge(f2, a2, "")
 
 	q := chainQuery(1, 1)
-	g := gb.Build()
+	g := mustBuild(gb)
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	got := m.Match(q).Answer
 	if len(got) != 1 || got[0] != f1 {
@@ -94,7 +94,7 @@ func TestDisconnectedStarSupportsAll(t *testing.T) {
 	y := gb.AddNode("B", nil)
 	gb.AddEdge(x, y, "")
 
-	g := gb.Build()
+	g := mustBuild(gb)
 	m := NewMatcher(g, distindex.NewBFS(g), nil)
 	res := m.Match(q)
 	if len(res.Answer) != 1 {
@@ -135,7 +135,7 @@ func TestColumnMapOnCachedTable(t *testing.T) {
 		return q
 	}
 	cache := NewCache(16, 0.95)
-	g := gb.Build()
+	g := mustBuild(gb)
 	m := NewMatcher(g, distindex.NewBFS(g), cache)
 	if got := m.Match(build(true)).Answer; len(got) != 1 || got[0] != c {
 		t.Fatalf("first order: %v", got)

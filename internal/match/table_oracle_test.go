@@ -315,7 +315,7 @@ func TestFlatStarTableMatchesRowOracle(t *testing.T) {
 	for _, e := range [][2]graph.NodeID{{a0, b0}, {b0, c0}, {c0, d0}, {a1, b1}, {b2, c2}, {a0, b2}} {
 		gb.AddEdge(e[0], e[1], "e")
 	}
-	g := gb.Build()
+	g := mustBuild(gb)
 	chain := func(labels ...string) *query.Query {
 		q := query.New()
 		prev := q.AddNode(labels[0])

@@ -35,7 +35,11 @@ func fixture() (*graph.Graph, *query.Query) {
 	q.AddEdge(car, cell, 1)
 	q.AddEdge(cell, sen, 2)
 	q.Focus = cell
-	return gb.Build(), q
+	g, err := gb.Build()
+	if err != nil {
+		panic(err)
+	}
+	return g, q
 }
 
 func lit(attr string, op graph.Op, v float64) query.Literal {

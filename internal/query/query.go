@@ -111,7 +111,8 @@ func (q *Query) AddEdge(from, to NodeID, bound int) {
 }
 
 // Validate checks structural sanity: a focus in range, edges in range,
-// positive bounds, no self-loops.
+// positive bounds, no self-loops, and constants a graph could hold (no
+// NaN, no value of neither kind; graph.Value.Canonical).
 func (q *Query) Validate() error {
 	n := len(q.Nodes)
 	if n == 0 {
@@ -119,6 +120,13 @@ func (q *Query) Validate() error {
 	}
 	if int(q.Focus) < 0 || int(q.Focus) >= n {
 		return fmt.Errorf("query: focus %d out of range [0,%d)", q.Focus, n)
+	}
+	for u, node := range q.Nodes {
+		for _, l := range node.Literals {
+			if _, err := l.Val.Canonical(); err != nil {
+				return fmt.Errorf("query: literal %s of node %d: %w", l, u, err)
+			}
+		}
 	}
 	for i, e := range q.Edges {
 		if int(e.From) < 0 || int(e.From) >= n || int(e.To) < 0 || int(e.To) >= n {
@@ -500,13 +508,8 @@ type compiledLit struct {
 	aid int32
 	// lo, hi: the codes of the attribute's values that satisfy the
 	// literal (graph.Codes.Interval), so "lo <= code <= hi" is
-	// Literal.Sat; lo > hi when none does, and when byValue.
+	// Literal.Sat; lo > hi when none does.
 	lo, hi int32
-	// byValue: the attribute is irregular — code order or identity is
-	// not Compare's — and op.Holds decides on the value.
-	byValue bool
-	op      graph.Op
-	val     graph.Value
 }
 
 // Check compiles the candidate predicate of pattern node u against g.
@@ -543,8 +546,8 @@ func compile(g *graph.Graph, label string, literals []Literal) NodeCheck {
 		if !ok {
 			return NodeCheck{label: noLabel}
 		}
-		lo, hi, coded := codes.Interval(aid, l.Op, l.Val)
-		c.lits = append(c.lits, compiledLit{aid: aid, lo: lo, hi: hi, byValue: !coded, op: l.Op, val: l.Val})
+		lo, hi := codes.Interval(aid, l.Op, l.Val)
+		c.lits = append(c.lits, compiledLit{aid: aid, lo: lo, hi: hi})
 	}
 	slices.SortFunc(c.lits, func(a, b compiledLit) int { return int(a.aid - b.aid) })
 	return c
@@ -574,9 +577,7 @@ func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
 			return false
 		}
 		if code := cells[j].Code; code < l.lo || code > l.hi {
-			if !l.byValue || !l.op.Holds(g.Value(cells[j]), l.val) {
-				return false
-			}
+			return false
 		}
 	}
 	return true

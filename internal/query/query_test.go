@@ -19,7 +19,7 @@ func sampleGraph() *graph.Graph {
 	gb.AddNode("Person", map[string]graph.Value{"Age": graph.N(41)})                        // 3
 	gb.AddEdge(0, 2, "lives")
 	gb.AddEdge(1, 2, "lives")
-	return gb.Build()
+	return mustBuild(gb)
 }
 
 func TestLiteralSat(t *testing.T) {
@@ -83,6 +83,13 @@ func TestValidate(t *testing.T) {
 	q.Edges = append(q.Edges, Edge{From: a, To: a, Bound: 1})
 	if q.Validate() == nil {
 		t.Error("self-loop must not validate")
+	}
+	q.Edges = q.Edges[:1]
+	for _, c := range []graph.Value{graph.N(math.NaN()), {Kind: 7, Str: "x"}} {
+		q.Nodes[b].Literals = []Literal{{Attr: "x", Op: graph.LE, Val: c}}
+		if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "node 1") {
+			t.Errorf("constant %#v: %v, want a refusal naming node 1", c, err)
+		}
 	}
 }
 

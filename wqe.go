@@ -16,7 +16,8 @@
 //	b.AddNode("Cellphone", map[string]wqe.Value{
 //	    "Price": wqe.N(840),
 //	})
-//	g := b.Build()
+//	g, err := b.Build()
+//	if err != nil { ... }
 //	q := wqe.NewQuery()
 //	u := q.AddNode("Cellphone", wqe.Literal{Attr: "Price", Op: wqe.GE, Val: wqe.N(840)})
 //	q.Focus = u
@@ -70,8 +71,8 @@ func N(v float64) Value { return graph.N(v) }
 // S returns a string attribute value.
 func S(v string) Value { return graph.S(v) }
 
-// ParseValue parses "$800", "25%", "6.2" as numbers and anything else
-// as a string.
+// ParseValue parses "$800", "25%", "6.2" as numbers and anything else,
+// "NaN" included, as a string.
 func ParseValue(s string) Value { return graph.ParseValue(s) }
 
 // Comparison operators for literals and constraints.

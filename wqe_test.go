@@ -47,7 +47,10 @@ func TestPublicGraphAndValues(t *testing.T) {
 		"price": wqe.ParseValue("$42"),
 		"name":  wqe.S("widget"),
 	})
-	g := gb.Build()
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, _ := g.Attr(v, "price"); !got.Equal(wqe.N(42)) {
 		t.Errorf("ParseValue($42) = %v", got)
 	}
