@@ -46,7 +46,7 @@ func (s *server) askAll(body []byte, submit time.Time) ([]chase.BatchJob, error)
 	if err := decodeAskAll(&sc, &req); err != nil {
 		return nil, fmt.Errorf("decode request: %v", err)
 	}
-	_, jobs, err := s.compileAll(&req, submit)
+	_, jobs, err := s.compileAll(&req, submit, nil)
 	return jobs, err
 }
 

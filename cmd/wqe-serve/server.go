@@ -418,7 +418,7 @@ func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(rw, r, func(sc *jsonscan.Reader) error { return decodeAskAll(sc, &req) }) {
 		return
 	}
-	h, jobs, err := s.compileAll(&req, submit)
+	h, jobs, err := s.compileAll(&req, submit, r.Context().Done())
 	if err != nil {
 		s.badRequestf(rw, "%v", err)
 		return
@@ -434,7 +434,7 @@ func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.stats.admitted.Add(1)
 
-	results, stats := h.session.AskAll(jobs, chase.BatchOptions{Cancel: r.Context().Done()})
+	results, stats := h.session.AskAll(jobs)
 	out := askAllResponse{
 		Graph:   h.name,
 		Results: make([]askAllResult, len(results)),
@@ -464,8 +464,8 @@ func (s *server) handleAskAll(rw http.ResponseWriter, r *http.Request) {
 }
 
 // compileAll resolves an /askall payload's graph and compiles each of
-// its jobs over it.
-func (s *server) compileAll(req *askAllRequest, submit time.Time) (*graphHandle, []chase.BatchJob, error) {
+// its jobs over it, each with cancel: a client gone mid-batch stops all.
+func (s *server) compileAll(req *askAllRequest, submit time.Time, cancel <-chan struct{}) (*graphHandle, []chase.BatchJob, error) {
 	if len(req.Jobs) == 0 {
 		return nil, nil, fmt.Errorf("askall needs a non-empty \"jobs\" array")
 	}
@@ -476,7 +476,7 @@ func (s *server) compileAll(req *askAllRequest, submit time.Time) (*graphHandle,
 	jobs := make([]chase.BatchJob, len(req.Jobs))
 	for i := range req.Jobs {
 		req.Jobs[i].Graph = h.name
-		_, job, err := s.compileJob(&req.Jobs[i], submit, nil)
+		_, job, err := s.compileJob(&req.Jobs[i], submit, cancel)
 		if err != nil {
 			return nil, nil, fmt.Errorf("job #%d: %w", i+1, err)
 		}

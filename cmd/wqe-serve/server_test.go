@@ -202,6 +202,58 @@ func TestCancelledClientStopsChase(t *testing.T) {
 	}
 }
 
+// TestClientLeavingAskAllStopsBatch: a client that leaves /askall
+// mid-batch stops the batch, since its request's done channel is every
+// job's Cancel. The running job stops within a step with its best
+// rewrite so far, and the jobs still queued behind it (one worker)
+// report ErrCancelled. The session's OnImprove hook plays the client:
+// it cancels at the first job's first improvement, mid-search by
+// construction.
+func TestClientLeavingAskAllStopsBatch(t *testing.T) {
+	body, err := json.Marshal(map[string]interface{}{
+		"graph": "fig1",
+		"jobs":  []json.RawMessage{smokeAskBody("heu"), smokeAskBody("heu"), smokeAskBody("")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, 2, 8, false)
+	var full askAllResponse
+	if err := smokePostJSON(ts.URL+"/askall", body, &full); err != nil || full.Stats.Failed != 0 {
+		t.Fatalf("uncancelled /askall: %v %+v", err, full.Stats)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f := datagen.NewFig1()
+	cfg := chase.DefaultConfig()
+	cfg.Budget = 4
+	cfg.Workers = 1
+	var once sync.Once
+	cfg.OnImprove = func(chase.Answer) { once.Do(cancel) }
+	handles := []*graphHandle{{name: "fig1", g: f.G, session: chase.NewSession(f.G, cfg)}}
+	rec := httptest.NewRecorder()
+	newServer(handles, 2, 8, 30*time.Second).mux().ServeHTTP(rec,
+		httptest.NewRequest("POST", "/askall", bytes.NewReader(body)).WithContext(ctx))
+
+	var got askAllResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || len(got.Results) != 3 {
+		t.Fatalf("cancelled /askall: %v (body %q)", err, rec.Body.String())
+	}
+	if a, base := got.Results[0].Answer, full.Results[0].Answer; a == nil || a.Stop != chase.StopCancelled || a.Steps >= base.Steps {
+		t.Errorf("running job: %+v, want a best-so-far answer stopped %q before the uncancelled %d steps",
+			got.Results[0], chase.StopCancelled, base.Steps)
+	}
+	for i, r := range got.Results[1:] {
+		if r.Error != chase.ErrCancelled.Error() {
+			t.Errorf("queued job %d: %+v, want error %q", i+1, r, chase.ErrCancelled)
+		}
+	}
+	if got.Stats.Cancelled != 2 || got.Stats.Failed != 2 {
+		t.Errorf("stats: %+v, want 2 cancelled and failed", got.Stats)
+	}
+}
+
 // TestStopOnTheWire: an answer says why its search ended. Every
 // algorithm wqe-serve reaches stops at a one-step cap after the root
 // evaluation and says so; uncapped, the Fig 1 searches run out of work.

@@ -93,7 +93,7 @@ func runBatch(cfg chase.Config, graphPath, batchPath string) error {
 
 	fmt.Println("graph:", g)
 	fmt.Printf("batch: %d jobs over shared session\n\n", len(jobs))
-	results, stats := sess.AskAll(jobs, chase.BatchOptions{})
+	results, stats := sess.AskAll(jobs)
 	for i, r := range results {
 		fmt.Printf("— job #%d (%s) —\n", i+1, cmp.Or(jobs[i].AlgoName(), jobs[i].Algo))
 		if r.Err != nil {

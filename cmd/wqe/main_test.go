@@ -217,7 +217,7 @@ func TestRunBatch(t *testing.T) {
 	}
 	cfg := testConfig()
 	cfg.Workers = 2
-	results, _ := chase.NewSession(f.G, cfg).AskAll(jobs, chase.BatchOptions{})
+	results, _ := chase.NewSession(f.G, cfg).AskAll(jobs)
 	for i, r := range results {
 		if (r.Err != nil) != (i == 3) {
 			t.Errorf("job #%d (algo %q): error %v", i+1, jobs[i].Algo, r.Err)

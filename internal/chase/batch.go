@@ -48,9 +48,10 @@ type BatchJob struct {
 	Deadline time.Time
 
 	// Cancel, when non-nil, stops this job's search when closed (the
-	// job reports ErrCancelled if it never started, or its best-so-far
-	// answer if it was already running). It overrides any batch-level
-	// cancel signal for this job.
+	// job reports ErrCancelled if AskAll had not started it, or its
+	// best-so-far answer if it was already running). It overrides the
+	// session config's Limits.Cancel. A batch is cancelled by giving
+	// each of its jobs the one channel.
 	Cancel <-chan struct{}
 }
 
@@ -191,17 +192,6 @@ type BatchStats struct {
 	Elapsed time.Duration // wall-clock of the whole batch
 }
 
-// BatchOptions tunes one AskAll call. How many jobs run at once is the
-// session's Config.Workers.
-type BatchOptions struct {
-	// Cancel, when non-nil, cancels the whole batch when closed: jobs
-	// that have not started yet fail fast with ErrCancelled in their
-	// slots, and running jobs stop within one step and return their best
-	// rewrite so far. A per-job BatchJob.Cancel overrides this for that
-	// job's running phase.
-	Cancel <-chan struct{}
-}
-
 // ErrCancelled marks a batch job that was cancelled before its search
 // started. A job cancelled *mid-search* is not an error: it returns its
 // best-so-far rewrite like any other anytime cutoff.
@@ -224,19 +214,22 @@ const ErrCancelled = chaseError("chase: job cancelled before start")
 // Per-job TimeLimits anchor at the batch's submission instant (the
 // AskAll call), not at each job's own start: a job that waits behind
 // others in the slot queue pays for the wait. Jobs that need a shared
-// wall-clock budget across the whole batch set Deadline instead.
-func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, BatchStats) {
+// wall-clock budget across the whole batch set Deadline instead. A job
+// whose Cancel is closed before a worker claims it fails fast with
+// ErrCancelled in its slot; one closed while it runs stops it within
+// one step with its best rewrite so far.
+func (s *Session) AskAll(jobs []BatchJob) ([]BatchResult, BatchStats) {
 	submit := s.clock()
 	h0, m0 := s.CacheStats()
 
 	results := make([]BatchResult, len(jobs))
 	workers := par.Workers(s.Cfg.Workers)
 	par.ForEach(workers, len(jobs), func(i int) {
-		if cancelled(cmp.Or(jobs[i].Cancel, opt.Cancel)) { // the job's own Cancel wins
+		if cancelled(jobs[i].Cancel) {
 			results[i] = BatchResult{Err: ErrCancelled}
 			return
 		}
-		results[i], _ = s.runMemo(jobs[i], submit, opt.Cancel)
+		results[i], _ = s.runMemo(jobs[i], submit)
 	})
 
 	stats := BatchStats{Jobs: len(jobs), Workers: workers}
@@ -261,12 +254,13 @@ func (s *Session) AskAll(jobs []BatchJob, opt BatchOptions) ([]BatchResult, Batc
 // Run answers one job immediately against the session's shared state,
 // with the job's cancel signal and deadline applied and its TimeLimit
 // anchored now — the single-question entry point a server calls per
-// request. Queue wait before this call is the caller's to account for
-// (set Deadline at admission). With Engine.AnswerCacheCap set, identical
-// jobs are served from the answer memo (see memo.go): hits skip the
-// chase entirely and concurrent identical requests coalesce onto one.
+// request, and the one Ask, AskFast and AskMultiFocus call. Queue wait
+// before this call is the caller's to account for (set Deadline at
+// admission). With Engine.AnswerCacheCap set, identical jobs are served
+// from the answer memo (see memo.go): hits skip the chase entirely and
+// concurrent identical requests coalesce onto one.
 func (s *Session) Run(j BatchJob) BatchResult {
-	res, _ := s.runMemo(j, s.clock(), nil)
+	res, _ := s.runMemo(j, s.clock())
 	return res
 }
 
@@ -284,7 +278,7 @@ func cancelled(ch <-chan struct{}) bool {
 // job's overrides applied and a relative time limit converted into an
 // absolute deadline anchored at submission. A run gives Deadline
 // precedence over TimeLimit, so a queued job's wait is not free time.
-func (j BatchJob) limits(l Limits, submit time.Time, batchCancel <-chan struct{}) Limits {
+func (j BatchJob) limits(l Limits, submit time.Time) Limits {
 	if j.TimeLimit > 0 {
 		l.TimeLimit = j.TimeLimit
 	}
@@ -294,19 +288,21 @@ func (j BatchJob) limits(l Limits, submit time.Time, batchCancel <-chan struct{}
 	case l.TimeLimit > 0:
 		l.Deadline = submit.Add(l.TimeLimit)
 	}
-	l.Cancel = cmp.Or(j.Cancel, batchCancel, l.Cancel)
+	l.Cancel = cmp.Or(j.Cancel, l.Cancel)
 	return l
 }
 
 // runJob compiles and runs one batch job against the session's shared
-// state. submit is the instant the job was handed over (the AskAll
-// call or the server's admission), anchoring relative time limits so
-// queue wait is charged to the job. detached clears the Limits
+// state; it is the only code in Session that does, whichever front door
+// the job came in by, and it counts the question. submit is the instant
+// the job was handed over (the AskAll call or the server's admission),
+// anchoring relative time limits so queue wait is charged to the job.
+// detached clears the Limits
 // (MaxSteps still bounds the search) — the answer memo runs its
 // singleflight chases detached so the stored answer is a pure function
 // of the question, not of whichever waiter's deadline happened to own
 // the flight.
-func (s *Session) runJob(j BatchJob, submit time.Time, batchCancel <-chan struct{}, detached bool) BatchResult {
+func (s *Session) runJob(j BatchJob, submit time.Time, detached bool) BatchResult {
 	if j.Q == nil || j.E == nil {
 		return BatchResult{Err: errNilJob}
 	}
@@ -315,7 +311,7 @@ func (s *Session) runJob(j BatchJob, submit time.Time, batchCancel <-chan struct
 	if detached {
 		cfg.Limits = Limits{}
 	} else {
-		cfg.Limits = j.limits(cfg.Limits, submit, batchCancel)
+		cfg.Limits = j.limits(cfg.Limits, submit)
 	}
 	w, err := newWhyWith(s, j.Q, j.E, cfg)
 	if err != nil {
@@ -338,7 +334,8 @@ func (s *Session) runJob(j BatchJob, submit time.Time, batchCancel <-chan struct
 	case "fmansw":
 		a = w.FMAnsW()
 	}
-	s.countRun(w)
+	s.questions.Add(1)
+	s.steps.Add(int64(w.Stats.Steps))
 	return BatchResult{
 		Answer:  a,
 		Steps:   w.Stats.Steps,

@@ -34,7 +34,7 @@ func TestBatchIdenticalAcrossShardCounts(t *testing.T) {
 		cfg.MaxSteps = 400
 		cfg.Workers = workers
 		sess := chase.NewSessionWithShards(g, cfg, shards)
-		results, stats := sess.AskAll(jobs, chase.BatchOptions{})
+		results, stats := sess.AskAll(jobs)
 		out := make([]rendered, len(results))
 		for i, r := range results {
 			if r.Err != nil {

@@ -41,31 +41,39 @@ func TestBatchMatchesSequential(t *testing.T) {
 		return out
 	}
 
-	// Reference: a fresh session answering the jobs one at a time.
-	refCfg := cfg
-	refCfg.Workers = 1
-	refSess := chase.NewSession(g, refCfg)
-	refResults, refStats := refSess.AskAll(jobs, chase.BatchOptions{})
-	ref := render(refResults)
-	if refStats.Jobs != len(jobs) || refStats.Failed != 0 || refStats.Workers != 1 {
-		t.Fatalf("reference stats: %+v", refStats)
+	// Reference: a fresh session compiling the questions one at a time
+	// and calling the algorithms itself, off the job path.
+	refSess := chase.NewSession(g, cfg)
+	ref := make([]rendered, len(jobs))
+	var refSteps int64
+	for i, j := range jobs {
+		w, err := refSess.Why(j.Q, j.E)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		a := w.AnsW()
+		if j.Beam > 0 {
+			a = w.AnsHeu(j.Beam)
+		}
+		ref[i] = rendered{renderAnswer(a), w.Stats.Steps, w.Stats.States}
+		refSteps += int64(w.Stats.Steps)
 	}
 
 	for _, workers := range []int{1, 4, 8} {
 		cfg.Workers = workers
 		sess := chase.NewSession(g, cfg)
-		results, stats := sess.AskAll(jobs, chase.BatchOptions{})
+		results, stats := sess.AskAll(jobs)
 		got := render(results)
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Errorf("workers=%d job %d diverged:\nref %+v\ngot %+v", workers, i, ref[i], got[i])
 			}
 		}
-		if stats.Steps != refStats.Steps {
-			t.Errorf("workers=%d total steps %d, want %d", workers, stats.Steps, refStats.Steps)
+		if stats.Steps != refSteps {
+			t.Errorf("workers=%d total steps %d, want %d", workers, stats.Steps, refSteps)
 		}
-		if stats.Workers != workers {
-			t.Errorf("resolved workers = %d, want %d", stats.Workers, workers)
+		if stats.Jobs != len(jobs) || stats.Failed != 0 || stats.Workers != workers {
+			t.Errorf("workers=%d stats: %+v", workers, stats)
 		}
 	}
 }
@@ -83,7 +91,7 @@ func TestBatchJobOverrides(t *testing.T) {
 		{Q: instances[0].Q, E: instances[0].E, MaxSteps: 1},
 		{Q: instances[1].Q, E: instances[1].E, MaxSteps: 500, TimeLimit: time.Minute},
 	}
-	results, stats := sess.AskAll(jobs, chase.BatchOptions{})
+	results, stats := sess.AskAll(jobs)
 	if stats.Failed != 0 {
 		t.Fatalf("no job should fail: %+v", stats)
 	}
@@ -107,7 +115,7 @@ func TestBatchReportsErrors(t *testing.T) {
 		{Q: nil, E: instances[1].E}, // compilation must fail
 		{Q: instances[1].Q, E: instances[1].E},
 	}
-	results, stats := sess.AskAll(jobs, chase.BatchOptions{})
+	results, stats := sess.AskAll(jobs)
 	if results[1].Err == nil {
 		t.Error("nil query must surface an error in slot 1")
 	}
@@ -128,21 +136,21 @@ func TestSessionConcurrentStress(t *testing.T) {
 	cfg := chase.DefaultConfig()
 	cfg.MaxSteps = 300
 
-	// Single-threaded reference answers.
+	// Single-threaded reference answers, compiled and run off the job
+	// path that Ask and AskFast share with AskAll.
 	refSess := chase.NewSession(g, cfg)
 	ref := make([]string, len(instances))
 	refFast := make([]string, len(instances))
 	for i, inst := range instances {
-		a, err := refSess.Ask(inst.Q, inst.E)
+		w, err := refSess.Why(inst.Q, inst.E)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref[i] = renderAnswer(a)
-		f, err := refSess.AskFast(inst.Q, inst.E, 3)
-		if err != nil {
+		ref[i] = renderAnswer(w.AnsW())
+		if w, err = refSess.Why(inst.Q, inst.E); err != nil {
 			t.Fatal(err)
 		}
-		refFast[i] = renderAnswer(f)
+		refFast[i] = renderAnswer(w.AnsHeu(3))
 	}
 
 	sess := chase.NewSession(g, cfg)
@@ -170,7 +178,7 @@ func TestSessionConcurrentStress(t *testing.T) {
 			}
 			got[i] = renderAnswer(w.AnsW())
 		default:
-			results, _ := sess.AskAll([]chase.BatchJob{{Q: inst.Q, E: inst.E}}, chase.BatchOptions{})
+			results, _ := sess.AskAll([]chase.BatchJob{{Q: inst.Q, E: inst.E}})
 			if results[0].Err != nil {
 				panic(results[0].Err)
 			}

@@ -22,7 +22,7 @@ import (
 // answers into one comparable string.
 func askTranscript(t *testing.T, sess *chase.Session, jobs []chase.BatchJob) string {
 	t.Helper()
-	results, _ := sess.AskAll(jobs, chase.BatchOptions{})
+	results, _ := sess.AskAll(jobs)
 	var b strings.Builder
 	for i, r := range results {
 		if r.Err != nil {

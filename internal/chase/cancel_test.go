@@ -117,10 +117,10 @@ func TestAskAllCancelFailsQueuedJobsFast(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	jobs := []BatchJob{
-		{Q: f.Q, E: f.E},
-		{Q: f.Q, E: f.E, Beam: 3},
+		{Q: f.Q, E: f.E, Cancel: done},
+		{Q: f.Q, E: f.E, Beam: 3, Cancel: done},
 	}
-	results, stats := s.AskAll(jobs, BatchOptions{Cancel: done})
+	results, stats := s.AskAll(jobs)
 	for i, r := range results {
 		if r.Err != ErrCancelled {
 			t.Errorf("job %d: err = %v, want ErrCancelled", i, r.Err)

@@ -113,11 +113,12 @@ type Limits struct {
 	// limit and returns the best rewrite so far (anytime behavior).
 	TimeLimit time.Duration
 	// Deadline, when non-zero, is an absolute cutoff (read against the
-	// question's clock) that wins over TimeLimit. TimeLimit anchors at
-	// algorithm start, so time a job spends queued — in AskAll slots or
-	// a server's admission queue — is free; callers that meter the whole
-	// request convert their limit to a Deadline at submission time
-	// instead (Session.AskAll and cmd/wqe-serve both do).
+	// question's clock) that wins over TimeLimit. On a Why run directly,
+	// TimeLimit anchors at algorithm start. Every Session door converts
+	// it to a Deadline at submission instead — AskAll at the batch call,
+	// Run (and so Ask, AskFast, AskMultiFocus) at its call, and
+	// cmd/wqe-serve at a request's arrival — so time a job spends queued
+	// or compiling is not free.
 	Deadline time.Time
 	// Cancel, when non-nil, stops the search as soon as the channel is
 	// closed: the anytime algorithms return the best rewrite found so

@@ -126,7 +126,7 @@ func TestAskAllAnchorsTimeLimitAtSubmission(t *testing.T) {
 	s.clock = fakeClock(time.Millisecond)
 
 	job := BatchJob{Q: f.Q, E: f.E, TimeLimit: 10 * time.Millisecond}
-	results, stats := s.AskAll([]BatchJob{job, job}, BatchOptions{})
+	results, stats := s.AskAll([]BatchJob{job, job})
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
@@ -147,7 +147,7 @@ func TestAskAllAnchorsTimeLimitAtSubmission(t *testing.T) {
 	// with a far-future deadline the same queued job runs unclamped.
 	free := job
 	free.Deadline = time.Unix(0, 0).Add(time.Hour)
-	results2, _ := s.AskAll([]BatchJob{job, free}, BatchOptions{})
+	results2, _ := s.AskAll([]BatchJob{job, free})
 	if results2[1].Err != nil {
 		t.Fatalf("free job: %v", results2[1].Err)
 	}

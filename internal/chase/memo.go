@@ -12,11 +12,12 @@ import (
 
 // This file is the session's answer memo: the serving-path cache that
 // stops identical Why-questions from recomputing identical chases.
-// Session.Run and AskAll route batch jobs through runMemo, which keys
-// each job by a canonical digest of everything that determines its
-// answer — graph identity, resolved algorithm, query, exemplar, and the
-// job's Search — and shares one singleflight chase among identical
-// concurrent requests (internal/anscache holds the stripe discipline).
+// Every question a Session runs (Run, RunBody, AskAll, and the Ask
+// doors, which call Run) goes through runMemo, which keys each job by a
+// canonical digest of everything that determines its answer — graph
+// identity, resolved algorithm, query, exemplar, and the job's Search —
+// and shares one singleflight chase among identical concurrent requests
+// (internal/anscache holds the stripe discipline).
 //
 // The key is the Search by construction: Engine knobs cannot change an
 // answer, and a memoized chase runs with its Limits cleared (bounded
@@ -155,7 +156,7 @@ func (e *memoEntry) body(s *Session, variant int, render func(BatchResult) []byt
 // coalesced wait, an error or with the memo off: the caller renders res
 // itself, so a question asked once never stores a body.
 func (s *Session) RunBody(j BatchJob, variant int, render func(BatchResult) []byte) (res BatchResult, body *Body) {
-	res, hit := s.runMemo(j, s.clock(), nil)
+	res, hit := s.runMemo(j, s.clock())
 	if hit != nil {
 		body = hit.body(s, variant, render)
 	}
@@ -169,22 +170,22 @@ func (s *Session) RunBody(j BatchJob, variant int, render func(BatchResult) []by
 // Questions counter therefore counts *chases executed*, which is the
 // counting oracle the coalescing tests assert against. hit is the
 // memo entry when the result was resident, nil otherwise.
-func (s *Session) runMemo(j BatchJob, submit time.Time, batchCancel <-chan struct{}) (res BatchResult, hit *memoEntry) {
+func (s *Session) runMemo(j BatchJob, submit time.Time) (res BatchResult, hit *memoEntry) {
 	if s.ans == nil || j.Q == nil || j.E == nil || s.Cfg.OnImprove != nil {
 		// No memo, unanswerable job (runJob reports errNilJob), or a
 		// streaming OnImprove hook that must observe every improvement.
-		return s.runJob(j, submit, batchCancel, false), nil
+		return s.runJob(j, submit, false), nil
 	}
 	key, ok := s.answerKey(j)
 	if !ok {
-		return s.runJob(j, submit, batchCancel, false), nil
+		return s.runJob(j, submit, false), nil
 	}
 	e, outcome := s.ans.GetOrCompute(key, func() (*memoEntry, bool) {
 		// Detached flight: Limits cleared (see file comment), so the
 		// stored answer is complete and deterministic. Errors are
 		// delivered to every coalesced waiter but never stored — the
 		// next identical request retries.
-		r := s.runJob(j, submit, nil, true)
+		r := s.runJob(j, submit, true)
 		return &memoEntry{res: r}, r.Err == nil
 	})
 	if outcome == anscache.Hit {

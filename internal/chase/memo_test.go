@@ -201,13 +201,13 @@ func TestMemoAskAll(t *testing.T) {
 	off := memoConfig()
 	off.AnswerCacheCap = 0
 	off.Workers = 1
-	refResults, _ := chase.NewSession(g, off).AskAll(jobs, chase.BatchOptions{})
+	refResults, _ := chase.NewSession(g, off).AskAll(jobs)
 
 	for _, workers := range []int{1, 4} {
 		cfg := memoConfig()
 		cfg.Workers = workers
 		sess := chase.NewSession(g, cfg)
-		results, stats := sess.AskAll(jobs, chase.BatchOptions{})
+		results, stats := sess.AskAll(jobs)
 		if stats.Failed != 0 {
 			t.Fatalf("workers=%d: %d failed jobs", workers, stats.Failed)
 		}

@@ -90,7 +90,7 @@ func TestParallelMatchesSequentialSynthetic(t *testing.T) {
 		cfg := chase.DefaultConfig()
 		cfg.MaxSteps = 800
 		cfg.Workers = workers
-		results, _ := chase.NewSession(g, cfg).AskAll(jobs, chase.BatchOptions{})
+		results, _ := chase.NewSession(g, cfg).AskAll(jobs)
 		var b strings.Builder
 		for i, r := range results {
 			if r.Err != nil {
@@ -165,7 +165,7 @@ func TestParallelRaceStress(t *testing.T) {
 			chase.BatchJob{Q: f.Q, E: f.E, Algo: "whymany"},
 			chase.BatchJob{Q: f.Q, E: f.E, Algo: "whyempty"})
 	}
-	results, stats := chase.NewSession(f.G, cfg).AskAll(jobs, chase.BatchOptions{})
+	results, stats := chase.NewSession(f.G, cfg).AskAll(jobs)
 	for i, r := range results {
 		if r.Err != nil {
 			t.Errorf("job %d: %v", i, r.Err)

@@ -48,8 +48,8 @@ type Session struct {
 	ans *anscache.Cache[*memoEntry]
 
 	// questions/steps accumulate across every question the session ran
-	// to completion (Ask, AskFast, Run, AskAll jobs, AskMultiFocus
-	// foci). They feed serving-layer stats; ranking never reads them.
+	// to completion: every chase runJob finished, whichever front door
+	// asked it. They feed serving-layer stats; ranking never reads them.
 	questions atomic.Int64
 	steps     atomic.Int64
 	// bodies counts response bodies stored in answer-memo entries.
@@ -100,35 +100,20 @@ func (s *Session) Why(q *query.Query, e *exemplar.Exemplar) (*Why, error) {
 }
 
 // Ask answers one Why-question with AnsW. It is public API, as
-// wqe.Session's Ask; nothing in the module but tests calls it. The
-// returned Answer's Diff carries the lineage to present to the user.
+// wqe.Session's Ask; nothing in the module but tests calls it. It is
+// Run of the bare job, so it shares Run's rules: the answer memo when
+// Engine.AnswerCacheCap is set, and a TimeLimit anchored at the call.
+// The returned Answer's Diff carries the lineage to present to the user.
 func (s *Session) Ask(q *query.Query, e *exemplar.Exemplar) (Answer, error) {
-	w, err := s.Why(q, e)
-	if err != nil {
-		return Answer{}, err
-	}
-	a := w.AnsW()
-	s.countRun(w)
-	return a, nil
+	res := s.Run(BatchJob{Q: q, E: e})
+	return res.Answer, res.Err
 }
 
 // AskFast is Ask with the beam heuristic, for interactive response
-// times.
+// times. A beam below 1 searches with beam 1.
 func (s *Session) AskFast(q *query.Query, e *exemplar.Exemplar, beam int) (Answer, error) {
-	w, err := s.Why(q, e)
-	if err != nil {
-		return Answer{}, err
-	}
-	a := w.AnsHeu(beam)
-	s.countRun(w)
-	return a, nil
-}
-
-// countRun folds one completed question's effort into the session's
-// cumulative counters.
-func (s *Session) countRun(w *Why) {
-	s.questions.Add(1)
-	s.steps.Add(int64(w.Stats.Steps))
+	res := s.Run(BatchJob{Q: q, E: e, Algo: "heu", Beam: max(beam, 1)})
+	return res.Answer, res.Err
 }
 
 // CacheStats reports the session star cache's cumulative hits and
@@ -204,10 +189,10 @@ type MultiFocusAnswer struct {
 // per-focus rewrites are returned together. foci and exemplars are
 // parallel slices.
 //
-// The foci run one after another, each compiled through the session's
+// The foci run one after another, each a Run through the session's
 // shared distance oracle and star-view cache: they share star tables the
-// same way consecutive session questions do, instead of rebuilding the
-// oracle once per focus as the old standalone path did.
+// same way consecutive session questions do, and an OnImprove hook is
+// never called from two goroutines at once.
 func (s *Session) AskMultiFocus(q *query.Query, foci []query.NodeID,
 	exemplars []*exemplar.Exemplar) ([]MultiFocusAnswer, error) {
 
@@ -218,13 +203,11 @@ func (s *Session) AskMultiFocus(q *query.Query, foci []query.NodeID,
 	for i, u := range foci {
 		qi := q.Clone()
 		qi.Focus = u
-		w, err := s.Why(qi, exemplars[i])
-		if err != nil {
-			return nil, err
+		res := s.Run(BatchJob{Q: qi, E: exemplars[i]})
+		if res.Err != nil {
+			return nil, res.Err
 		}
-		a := w.AnsW()
-		s.countRun(w)
-		out = append(out, MultiFocusAnswer{Focus: u, Answer: a})
+		out = append(out, MultiFocusAnswer{Focus: u, Answer: res.Answer})
 	}
 	return out, nil
 }

@@ -45,6 +45,48 @@ func TestSessionReusesCache(t *testing.T) {
 	}
 }
 
+// TestAskSharesTheJobPath: Ask and AskFast are Run of a job, so with
+// the answer memo on, Run of the same job after them is a hit on the
+// entry they filled and each pair runs one chase.
+func TestAskSharesTheJobPath(t *testing.T) {
+	f := datagen.NewFig1()
+	cfg := chase.DefaultConfig()
+	cfg.Budget = 4
+	cfg.AnswerCacheCap = 16
+	s := chase.NewSession(f.G, cfg)
+
+	pairs := []struct {
+		name string
+		ask  func() (chase.Answer, error)
+		job  chase.BatchJob
+	}{
+		{"Ask", func() (chase.Answer, error) { return s.Ask(f.Q, f.E) },
+			chase.BatchJob{Q: f.Q, E: f.E}},
+		{"AskFast", func() (chase.Answer, error) { return s.AskFast(f.Q, f.E, 3) },
+			chase.BatchJob{Q: f.Q, E: f.E, Algo: "heu"}},
+		{"AskFast beam 0", func() (chase.Answer, error) { return s.AskFast(f.Q, f.E, 0) },
+			chase.BatchJob{Q: f.Q, E: f.E, Algo: "heu", Beam: 1}},
+	}
+	for i, p := range pairs {
+		a, err := p.ask()
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		res := s.Run(p.job)
+		if res.Err != nil {
+			t.Fatalf("%s: Run: %v", p.name, res.Err)
+		}
+		if got, want := renderAnswer(res.Answer), renderAnswer(a); got != want {
+			t.Errorf("%s: Run answered %s, want %s", p.name, got, want)
+		}
+		c := s.Counters()
+		if c.Questions != int64(i+1) || c.AnswerCache.Hits != int64(i+1) {
+			t.Errorf("after %s: %d questions and %d memo hits, want %d of each",
+				p.name, c.Questions, c.AnswerCache.Hits, i+1)
+		}
+	}
+}
+
 func TestSessionRejectsTrivialExemplar(t *testing.T) {
 	f := datagen.NewFig1()
 	s := chase.NewSession(f.G, chase.DefaultConfig())

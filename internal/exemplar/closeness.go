@@ -1,7 +1,6 @@
 package exemplar
 
 import (
-	"math"
 	"sort"
 	"strings"
 	"unicode/utf8"
@@ -24,18 +23,14 @@ type Options struct {
 func DefaultOptions() Options { return Options{Theta: 1, Lambda: 1} }
 
 // cellSim computes cl(v.A, t.A) ∈ [0,1] for a constant cell: numeric
-// values score 1 − |a−c| / range(A); strings score by normalized edit
+// values score 1 − |a−c| / range(A) (Domain.Distance); strings score by normalized edit
 // similarity (1 when equal).
 func cellSim(have, want graph.Value, dom *graph.Domain) float64 {
 	if have.Kind != want.Kind {
 		return 0
 	}
 	if have.Kind == graph.Number {
-		diff := have.Num - want.Num
-		if diff < 0 {
-			diff = -diff
-		}
-		s := 1 - diff/dom.Range()
+		s := 1 - dom.Distance(have.Num, want.Num)
 		if s < 0 {
 			return 0
 		}
@@ -196,9 +191,9 @@ func (cp compiledPattern) bound(codes *graph.Codes, theta float64) (lo, hi int32
 // decodes to its runes — and below 1 by at least 1/len, which no
 // rounding of a sum hides; so under θ ≥ 1 its codes are Interval's
 // equality run, and below θ = 1 the cell bounds nothing. A number's
-// cellSim falls as |v − c| grows, so with c and the domain's range
-// finite the numbers reaching need are one run of the ascending numeric
-// codes around c, found by binary search with cellSim itself.
+// cellSim falls as |v − c| grows (Domain.Distance, overflowing ranges
+// included), so the numbers reaching need are one run of the ascending
+// numeric codes around c, found by binary search with cellSim itself.
 func (c compiledCell) reach(codes *graph.Codes, theta, need float64) (lo, hi int32, ok bool) {
 	if !c.known {
 		return 0, -1, true // the cell credits nothing
@@ -211,9 +206,6 @@ func (c compiledCell) reach(codes *graph.Codes, theta, need float64) (lo, hi int
 		lo, hi := codes.Interval(c.aid, graph.EQ, c.val)
 		return lo, hi, true
 	case graph.Number:
-		if math.IsInf(c.val.Num, 0) || math.IsInf(c.dom.Range(), 0) {
-			return 0, -1, false
-		}
 		vals := c.dom.Values[:c.dom.Numbers]
 		reaches := func(i int) bool { return cellSim(vals[i], c.val, c.dom) >= need }
 		at := sort.Search(len(vals), func(i int) bool { return vals[i].Num >= c.val.Num })

@@ -59,7 +59,7 @@ func TestValidate(t *testing.T) {
 	if unbound.Validate() == nil {
 		t.Error("constraint on unbound variable must not validate")
 	}
-	for _, c := range []graph.Value{graph.N(math.NaN()), {Kind: 7, Str: "x"}} {
+	for _, c := range []graph.Value{graph.N(math.NaN()), graph.N(math.Inf(1)), graph.N(math.Inf(-1)), {Kind: 7, Str: "x"}} {
 		cell := &Exemplar{Tuples: []TuplePattern{{"a": C(c)}}}
 		cons := &Exemplar{
 			Tuples:      []TuplePattern{{"a": V("x")}},
@@ -97,6 +97,48 @@ func TestTupleCloseness(t *testing.T) {
 	}
 	if cl := TupleCloseness(g, v, TuplePattern{}); cl != 0 {
 		t.Errorf("empty tuple: cl = %v, want 0", cl)
+	}
+}
+
+// TestCellSimOnOverflowingRanges: cl(v.A, c) of numbers stays in
+// [0, 1], and is the ratio exact arithmetic gives, where the spread of A
+// or |v − c| overflows float64 (values near ±MaxFloat64).
+func TestCellSimOnOverflowingRanges(t *testing.T) {
+	const m = math.MaxFloat64
+	domOf := func(xs ...float64) *graph.Domain {
+		gb := graph.NewBuilder()
+		for _, x := range xs {
+			gb.AddNode("P", map[string]graph.Value{"x": graph.N(x)})
+		}
+		return mustBuild(gb).ActiveDomain("x")
+	}
+	wide, half := domOf(-m, 0, 5, m), domOf(0, 5, m)
+	for _, c := range []struct {
+		dom             *graph.Domain
+		have, want, sim float64
+	}{
+		{wide, 0, -m, 0.5},
+		{wide, 0, m, 0.5},
+		{wide, m / 2, m, 0.75},
+		{wide, m, -m, 0},
+		{wide, -m, m, 0},
+		{wide, m, m, 1},
+		{half, 0, m, 0},
+		{half, m, -m, 0},
+	} {
+		if got := cellSim(graph.N(c.have), graph.N(c.want), c.dom); got != c.sim {
+			t.Errorf("cellSim(%g, %g) over %v = %v, want %v", c.have, c.want, c.dom.Values, got, c.sim)
+		}
+	}
+	nums := []float64{-m, -m / 2, -1, 0, 5, m / 3, m}
+	for _, dom := range []*graph.Domain{wide, half} {
+		for _, a := range nums {
+			for _, b := range nums {
+				if s := cellSim(graph.N(a), graph.N(b), dom); !(s >= 0 && s <= 1) {
+					t.Errorf("cellSim(%g, %g) over %v = %v, outside [0, 1]", a, b, dom.Values, s)
+				}
+			}
+		}
 	}
 }
 

@@ -176,10 +176,10 @@ func every(n int) []bool {
 // of rep(E, V) under x op y and x = y: on crafted cases where one total
 // order over the witnesses fails (a number before a string), and on
 // small random graphs of the values the graph's door admits — numbers,
-// −0 (stored as 0), ±Inf, subnormals and strings — each built in three
-// node orders. RepNodes, and SatisfiedBy on random node subsets, must
-// agree with the brute force. The graphs NaN once made disagree are
-// refused.
+// −0 (stored as 0), ±MaxFloat64, subnormals and strings — each built in
+// three node orders. RepNodes, and SatisfiedBy on random node subsets,
+// must agree with the brute force. The graphs NaN once made disagree
+// are refused, and so are those holding ±Inf.
 func TestInequalityMatchesPairwise(t *testing.T) {
 	v := func(x graph.Value) *graph.Value { return &x }
 	l := func(a graph.Value) ineqNode { return ineqNode{left: true, a: v(a)} }
@@ -243,22 +243,23 @@ func TestInequalityMatchesPairwise(t *testing.T) {
 
 	// NaN, which Compare called equal to every number and Equal to none,
 	// is refused: with it x = y once kept neither node of the first two
-	// graphs, where the pairwise reading keeps both.
-	nan := graph.N(math.NaN())
-	for _, nodes := range [][]ineqNode{
-		{l(nan), r(nan)},
-		{l(nan), r(graph.N(5))},
-		{l(graph.N(7)), r(nan), r(graph.N(5))},
-		{l(graph.N(-1)), r(graph.N(5)), r(nan)},
-		{l(nan), r(graph.N(5)), l(graph.N(1))},
-	} {
-		if _, err := ineqGraph(nodes); err == nil || !strings.Contains(err.Error(), "NaN") {
-			t.Errorf("%v: a NaN cell built, %v", nodes, err)
+	// graphs, where the pairwise reading keeps both. ±Inf is refused too.
+	for _, bad := range []graph.Value{graph.N(math.NaN()), graph.N(math.Inf(1)), graph.N(math.Inf(-1))} {
+		for _, nodes := range [][]ineqNode{
+			{l(bad), r(bad)},
+			{l(bad), r(graph.N(5))},
+			{l(graph.N(7)), r(bad), r(graph.N(5))},
+			{l(graph.N(-1)), r(graph.N(5)), r(bad)},
+			{l(bad), r(graph.N(5)), l(graph.N(1))},
+		} {
+			if _, err := ineqGraph(nodes); err == nil || !strings.Contains(err.Error(), bad.String()) {
+				t.Errorf("%v: a %v cell built, %v", nodes, bad, err)
+			}
 		}
 	}
 
 	pool := []graph.Value{
-		graph.N(math.Inf(1)), graph.N(math.Inf(-1)), graph.N(math.SmallestNonzeroFloat64),
+		graph.N(math.MaxFloat64), graph.N(-math.MaxFloat64), graph.N(math.SmallestNonzeroFloat64),
 		graph.N(math.Copysign(0, -1)), graph.N(0), graph.N(1), graph.N(2),
 		graph.S("a"), graph.S("b"), graph.S(""),
 	}

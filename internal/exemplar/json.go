@@ -49,7 +49,7 @@ func (e *Exemplar) WriteJSON(w io.Writer) error {
 			cell := t[attr]
 			switch cell.Kind {
 			case Const:
-				raw, err := marshalValue(cell.Val)
+				raw, err := cell.Val.JSON()
 				if err != nil {
 					return err
 				}
@@ -67,7 +67,7 @@ func (e *Exemplar) WriteJSON(w io.Writer) error {
 		if c.IsVar {
 			jc.Right = c.Right
 		} else {
-			raw, err := marshalValue(c.Val)
+			raw, err := c.Val.JSON()
 			if err != nil {
 				return err
 			}
@@ -282,11 +282,4 @@ func (d *exemplarDecoder) constraint(ci int) error {
 	}
 	d.constraints = append(d.constraints, c)
 	return d.types.Keep(err)
-}
-
-func marshalValue(v graph.Value) (json.RawMessage, error) {
-	if v.Kind == graph.Number {
-		return json.Marshal(v.Num)
-	}
-	return json.Marshal(v.Str)
 }

@@ -87,8 +87,9 @@ func TestEvalPostingsMatchScan(t *testing.T) {
 
 // TestPostingsBoundScope pins which patterns the postings bound at
 // θ = 1: constants do, with an absent attribute's constant bounding to
-// nothing; variable-only and wildcard-only rows, and a constant whose
-// string other byte strings decode to, do not.
+// nothing and a number of an attribute whose range overflows included;
+// variable-only and wildcard-only rows, and a constant whose string
+// other byte strings decode to, do not.
 func TestPostingsBoundScope(t *testing.T) {
 	g := craftedGraph()
 	for _, tc := range []struct {
@@ -103,7 +104,7 @@ func TestPostingsBoundScope(t *testing.T) {
 		{"variable only", exemplar.TuplePattern{"w": exemplar.V("x")}, false},
 		{"wildcard only", exemplar.TuplePattern{"w": exemplar.W()}, false},
 		{"replacement character", exemplar.TuplePattern{"s": exemplar.C(graph.S("a�b"))}, false},
-		{"infinite range", exemplar.TuplePattern{"inf": exemplar.C(graph.N(5))}, false},
+		{"overflowing range", exemplar.TuplePattern{"inf": exemplar.C(graph.N(5))}, true},
 	} {
 		e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{tc.row}}
 		if got := exemplar.PostingsBounded(g, e, 1); got != tc.want {
@@ -116,14 +117,14 @@ func TestPostingsBoundScope(t *testing.T) {
 // numbers of w closer to 1000 than range(w)·2⁻⁵², which cellSim rounds
 // to similarity 1, beside numbers just outside that; strings of s that
 // decode to the same runes ("\xff" and "�"); and an attribute inf
-// whose infinite range makes every similarity NaN or 0.
+// whose range overflows to +Inf (values ±MaxFloat64).
 func craftedGraph() *graph.Graph {
 	b := graph.NewBuilder()
 	const c, spread = 1000.0, 1e6
 	ws := []float64{0, spread, c, math.Nextafter(c, 2000), math.Nextafter(c, 0),
 		c + 3e-13, c - 3e-13, c + spread*0x1p-50, c - spread*0x1p-50, c + 1, c - 1e-3}
 	ss := []string{"abc", "abd", "\xff", "�", "a\xffb", "a�b", "", "ab"}
-	infs := []float64{math.Inf(-1), 0, 5, math.Inf(1)}
+	infs := []float64{-math.MaxFloat64, 0, 5, math.MaxFloat64}
 	for i := 0; i < 60; i++ {
 		attrs := map[string]graph.Value{"w": graph.N(ws[i%len(ws)])}
 		if i%3 != 0 {
@@ -152,8 +153,9 @@ func craftedExemplars() []*exemplar.Exemplar {
 		{"s": exemplar.C(graph.S("\xff"))},
 		{"s": exemplar.C(graph.S("a�b")), "w": exemplar.W()},
 		{"inf": exemplar.C(graph.N(5))},
-		{"inf": exemplar.C(graph.N(math.Inf(1)))},
-		{"inf": exemplar.C(graph.N(math.Inf(-1))), "w": exemplar.C(graph.N(1000))},
+		{"inf": exemplar.C(graph.N(math.MaxFloat64))},
+		{"inf": exemplar.C(graph.N(-math.MaxFloat64)), "w": exemplar.C(graph.N(1000))},
+		{"inf": exemplar.C(graph.N(math.MaxFloat64 / 2))},
 		{"w": exemplar.C(graph.S("1000"))},
 	}
 	for _, r := range rows {

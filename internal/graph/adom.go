@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -24,12 +25,31 @@ type Domain struct {
 
 // Range returns the numeric spread max−min of the domain, or 1 when the
 // domain has fewer than two numeric values, so cost normalization is
-// always well defined.
+// always well defined. It is +Inf when the spread overflows (values near
+// ±MaxFloat64); Distance normalizes by it without overflowing.
 func (d *Domain) Range() float64 {
 	if d == nil || d.Numbers < 2 || d.NumMax <= d.NumMin {
 		return 1
 	}
 	return d.NumMax - d.NumMin
+}
+
+// Distance returns |a−b| / Range(), the normalized difference of two
+// numbers of the attribute that closeness and the RxL/RfL cost read.
+// Where |a−b| or the range overflows, it divides the halves instead:
+// halving a number that large is exact, so the ratio is the one the
+// exact arithmetic gives, up to its last rounding.
+func (d *Domain) Distance(a, b float64) float64 {
+	diff, r := math.Abs(a-b), d.Range()
+	if math.IsInf(diff, 0) || math.IsInf(r, 0) {
+		diff = math.Abs(a/2 - b/2)
+		if math.IsInf(r, 0) {
+			r = d.NumMax/2 - d.NumMin/2
+		} else {
+			r /= 2
+		}
+	}
+	return diff / r
 }
 
 // ActiveDomain returns adom(A, G) for the attribute name: the
@@ -239,7 +259,7 @@ func (d *Domain) summarize() {
 // checkAttrNames refuses an attribute name holding "=", whose
 // "name=value" renderings could collide with another attribute's:
 // "k=v"="w" and "k"="v=w" render alike.
-func checkAttrNames(attrs *Interner) error {
+func checkAttrNames(attrs *Names) error {
 	for a := 1; a < attrs.Len(); a++ {
 		if name := attrs.Name(int32(a)); strings.Contains(name, "=") {
 			return fmt.Errorf("attribute name %q holds \"=\"", name)
@@ -253,7 +273,7 @@ func checkAttrNames(attrs *Interner) error {
 // values become codes, and it refuses what Value.Canonical and
 // checkAttrNames refuse.
 func (b *Builder) buildCodes() (*Codes, error) {
-	if err := checkAttrNames(b.Attrs); err != nil {
+	if err := checkAttrNames(&b.Attrs.Names); err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
 	nAttrs := b.Attrs.Len()

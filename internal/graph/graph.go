@@ -49,9 +49,10 @@ type AttrValue struct {
 // codes (adom.go); a value is read through its code. The diameter is
 // derived lazily, under a sync.Once.
 type Graph struct {
-	// Labels interns node and edge labels; Attrs interns attribute names.
-	Labels *Interner
-	Attrs  *Interner
+	// Labels names node and edge labels; Attrs names attributes. Both
+	// are read-only.
+	Labels *Names
+	Attrs  *Names
 
 	labels     []int32            // node label, indexed by NodeID
 	codes      *Codes             // the attribute column: coded tuples and the domains that decode them
@@ -173,13 +174,13 @@ func (b *Builder) AddEdge(from, to NodeID, label string) {
 // edge log counting-sorts into both adjacency arenas (stably, so
 // per-node edge order is insertion order), and the by-label index is
 // built as ascending-ID runs over one backing slice. It refuses a NaN
-// cell, a value of neither kind and an attribute name holding "=". The
-// Graph takes over the label arena and the interners, and b is reset to
-// an empty builder, refused or not, so nothing added to b afterwards
-// reaches the Graph.
+// or infinite cell, a value of neither kind and an attribute name
+// holding "=". The Graph takes over the label arena and the interners'
+// names, read-only, and b is reset to an empty builder, refused or not,
+// so nothing added to b afterwards reaches the Graph.
 func (b *Builder) Build() (*Graph, error) {
 	codes, err := b.buildCodes()
-	g := &Graph{Labels: b.Labels, Attrs: b.Attrs, labels: b.labels, codes: codes}
+	g := &Graph{Labels: &b.Labels.Names, Attrs: &b.Attrs.Names, labels: b.labels, codes: codes}
 	log := b.edgeLog
 	*b = *NewBuilder()
 	if err != nil {

@@ -28,6 +28,17 @@ type jsonEdge struct {
 	Label string `json:"label,omitempty"`
 }
 
+// JSON is v's JSON text: a Number as a JSON number, anything else as a
+// JSON string of its Str. It is the one encoding of a value in the
+// graph, query and exemplar documents. It fails on a NaN or an infinite
+// number, which JSON cannot hold.
+func (v Value) JSON() (json.RawMessage, error) {
+	if v.Kind == Number {
+		return json.Marshal(v.Num)
+	}
+	return json.Marshal(v.Str)
+}
+
 // WriteJSON serializes the graph. Output is streamed — nodes and edges
 // are encoded one element at a time, so the writer's memory is O(1) in
 // the graph size — and deterministic (json.Marshal sorts map keys). A
@@ -46,13 +57,7 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 		tuple := g.Tuple(v)
 		attrs := make(map[string]json.RawMessage, len(tuple))
 		for _, c := range tuple {
-			var raw []byte
-			var err error
-			if val := g.Value(c); val.Kind == Number {
-				raw, err = json.Marshal(val.Num)
-			} else {
-				raw, err = json.Marshal(val.Str)
-			}
+			raw, err := g.Value(c).JSON()
 			if err != nil {
 				return fmt.Errorf("graph: marshal attr %q of node %d: %w",
 					g.Attrs.Name(c.Attr), i, err)

@@ -28,7 +28,7 @@ import (
 // float64 bits and the length-prefixed strings, in domain order; then
 // one attr:u32 code:u32 cell per tuple entry. The reader keeps them as
 // the graph's Codes, as read, and refuses what Builder.Build refuses or
-// would store otherwise: a NaN, a -0, an attribute name holding "=".
+// would store otherwise: a NaN, ±Inf, a -0, an attribute name holding "=".
 //
 // The writer iterates arenas in index order, interner tables in id
 // order and domains in code order, so the encoding of a given graph is a
@@ -360,7 +360,7 @@ func (sw *snapWriter) str(s string) {
 
 // interner writes one interner table: count, then every name in id
 // order (id 0 is always the empty wildcard).
-func (sw *snapWriter) interner(in *Interner) {
+func (sw *snapWriter) interner(in *Names) {
 	sw.u32(uint32(in.Len()))
 	for i := int32(0); i < int32(in.Len()); i++ {
 		sw.str(in.Name(i))
@@ -505,7 +505,7 @@ func (sr *snapReader) uint64s(count int) []uint64 {
 // writes them — no NaN, no -0 — and ascend strictly by Compare, and all
 // of them together may not outnumber the cells, each of which uses one.
 // Numbers, NumMin and NumMax are recomputed, never read.
-func (sr *snapReader) domains(attrs *Interner, cells int) (*Codes, error) {
+func (sr *snapReader) domains(attrs *Names, cells int) (*Codes, error) {
 	nAttrs := attrs.Len()
 	c := &Codes{
 		base: make([]int32, nAttrs+1),
@@ -533,7 +533,7 @@ func (sr *snapReader) domains(attrs *Interner, cells int) (*Codes, error) {
 			vals = append(vals, S(str))
 		}
 		for i, v := range vals {
-			if math.IsNaN(v.Num) || v.Num == 0 && math.Signbit(v.Num) {
+			if _, err := v.Canonical(); err != nil || v.Num == 0 && math.Signbit(v.Num) {
 				return nil, fmt.Errorf("graph: snapshot: %v in the domain of attribute %d", v, a)
 			}
 			if i > 0 && vals[i-1].Compare(v) >= 0 {
@@ -645,8 +645,8 @@ func grown[T any](s []T, c, count int) []T {
 	return g
 }
 
-// interner reads one interner table and reconstructs the Interner.
-func (sr *snapReader) interner(what string) (*Interner, error) {
+// interner reads one interner table and reconstructs its names.
+func (sr *snapReader) interner(what string) (*Names, error) {
 	count := int(sr.u32())
 	if sr.err != nil {
 		return nil, fmt.Errorf("graph: snapshot: truncated %s interner: %w", what, sr.err)
@@ -671,7 +671,7 @@ func (sr *snapReader) interner(what string) (*Interner, error) {
 			return nil, fmt.Errorf("graph: snapshot: duplicate %s interner entry %q", what, name)
 		}
 	}
-	return in, nil
+	return &in.Names, nil
 }
 
 // maxCountInterner caps interner tables: label/attr name universes are

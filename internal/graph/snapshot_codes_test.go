@@ -57,7 +57,9 @@ func TestSnapshotCodesEqualBuilt(t *testing.T) {
 			}
 			read := snap.G.Codes()
 			b := graph.NewBuilder()
-			b.Attrs = snap.G.Attrs
+			for a := int32(1); a < int32(snap.G.Attrs.Len()); a++ {
+				b.Attrs.Intern(snap.G.Attrs.Name(a))
+			}
 			var tuple []graph.AttrValue
 			for v := graph.NodeID(0); int(v) < snap.G.NumNodes(); v++ {
 				tuple = tuple[:0]

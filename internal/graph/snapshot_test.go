@@ -225,7 +225,9 @@ func FuzzSnapshotReader(f *testing.F) {
 		}
 		// Accepted input is a graph Build admits, coded as Build codes it.
 		b := NewBuilder()
-		b.Attrs = snap.G.Attrs
+		for a := int32(1); a < int32(snap.G.Attrs.Len()); a++ {
+			b.Attrs.Intern(snap.G.Attrs.Name(a))
+		}
 		var tuple []AttrValue
 		for v := NodeID(0); int(v) < snap.G.NumNodes(); v++ {
 			tuple = tuple[:0]

@@ -49,15 +49,15 @@ func S(v string) Value { return Value{Kind: String, Str: v} }
 // ParseValue interprets s as a Value. Numeric strings — optionally
 // decorated with a leading currency symbol, a trailing percent sign, or
 // thousands separators — become Number values ("$800" → 800, "25%" → 25,
-// "6.2" → 6.2). Everything else stays a String, "NaN" included: a graph
-// admits no NaN.
+// "6.2" → 6.2). Everything else stays a String, "NaN", "Inf" and
+// "Infinity" included: a graph admits only finite numbers.
 func ParseValue(s string) Value {
 	t := strings.TrimSpace(s)
 	t = strings.TrimPrefix(t, "$")
 	t = strings.TrimSuffix(t, "%")
 	t = strings.ReplaceAll(t, ",", "")
 	if t != "" {
-		if f, err := strconv.ParseFloat(t, 64); err == nil && !math.IsNaN(f) {
+		if f, err := strconv.ParseFloat(t, 64); err == nil && math.Abs(f) <= math.MaxFloat64 {
 			return N(f)
 		}
 	}
@@ -66,8 +66,9 @@ func ParseValue(s string) Value {
 
 // Canonical returns v as a graph stores it: -0 as 0, and the field v's
 // kind ignores (a Number's Str, a String's Num) zeroed. It refuses a NaN,
-// which Compare cannot order against any number, and a value of neither
-// kind.
+// which Compare cannot order against any number, ±Inf, which no JSON
+// document can hold and whose differences the closeness and cost
+// formulas cannot normalize, and a value of neither kind.
 func (v Value) Canonical() (Value, error) {
 	switch {
 	case v.Kind == String:
@@ -76,6 +77,8 @@ func (v Value) Canonical() (Value, error) {
 		return Value{}, fmt.Errorf("value of neither kind (%d)", v.Kind)
 	case math.IsNaN(v.Num):
 		return Value{}, errors.New("NaN value")
+	case math.IsInf(v.Num, 0):
+		return Value{}, fmt.Errorf("infinite value %v", v.Num)
 	case v.Num == 0:
 		return N(0), nil // -0 too
 	}

@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -27,8 +29,11 @@ func TestParseValue(t *testing.T) {
 		{"nan", S("nan")},
 		{"$NaN", S("$NaN")},
 		{"nan%", S("nan%")},
-		{"Inf", N(math.Inf(1))},
-		{"-infinity", N(math.Inf(-1))},
+		{"Inf", S("Inf")}, // nor ±Inf
+		{"-infinity", S("-infinity")},
+		{"+Infinity", S("+Infinity")},
+		{"1e999", S("1e999")}, // beyond float64's range
+		{"1.7976931348623157e308", N(math.MaxFloat64)},
 	}
 	for _, c := range cases {
 		if got := ParseValue(c.in); got != c.want {
@@ -158,8 +163,19 @@ func TestCompareTotalOrder(t *testing.T) {
 // Compare == 0 and EQ.Holds are one test and Compare a total order; and
 // in a graph built of them, and read back from its snapshot, codes are
 // ordered as Compare orders the values and equal exactly where they are
-// Equal (mirrorTuples).
+// Equal (mirrorTuples). NaN and ±Inf are refused.
 func TestValueOrder(t *testing.T) {
+	for _, v := range []Value{N(math.NaN()), N(math.Inf(1)), N(math.Inf(-1))} {
+		b := NewBuilder()
+		b.AddNode("V", map[string]Value{"v": N(1)})
+		b.AddNode("V", map[string]Value{"v": v})
+		if _, err := v.Canonical(); err == nil {
+			t.Errorf("Canonical admits %v", v)
+		}
+		if g, err := b.Build(); err == nil {
+			t.Errorf("a graph holding %v built: %v", v, g)
+		}
+	}
 	vals := edgeValues()
 	for _, a := range vals {
 		for _, b := range vals {
@@ -188,6 +204,23 @@ func TestValueOrder(t *testing.T) {
 	}
 	mirrorTuples(t, built, built.Attrs, nodes)
 	mirrorTuples(t, snap.G, built.Attrs, nodes)
+}
+
+// TestGraphNamesReadOnly: a built graph's name tables only read names.
+// A name added after Build, which checks them, could write a snapshot
+// that ReadSnapshot refuses ("=" in an attribute name).
+func TestGraphNamesReadOnly(t *testing.T) {
+	g := MustBuild(NewBuilder())
+	for _, names := range []any{g.Labels, g.Attrs} {
+		typ := reflect.TypeOf(names)
+		var methods []string
+		for i := 0; i < typ.NumMethod(); i++ {
+			methods = append(methods, typ.Method(i).Name)
+		}
+		if !slices.Equal(methods, []string{"Len", "Lookup", "Name"}) {
+			t.Errorf("%v has methods %v, want Len, Lookup and Name only", typ, methods)
+		}
+	}
 }
 
 func TestInterner(t *testing.T) {

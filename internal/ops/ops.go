@@ -144,12 +144,7 @@ func (o Op) Cost(g *graph.Graph) float64 {
 		if o.Lit.Val.Kind != graph.Number || o.NewLit.Val.Kind != graph.Number {
 			return 2 // categorical rewrite: maximal relative difference
 		}
-		dom := g.ActiveDomain(o.Lit.Attr)
-		diff := o.NewLit.Val.Num - o.Lit.Val.Num
-		if diff < 0 {
-			diff = -diff
-		}
-		return MinCost + clamp01(diff/dom.Range())
+		return MinCost + clamp01(g.ActiveDomain(o.Lit.Attr).Distance(o.NewLit.Val.Num, o.Lit.Val.Num))
 	}
 	return MinCost
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // checkValues mixes ordinary values with the ones a graph stores
-// canonical: both zeros, a Number carrying a Str.
+// canonical: both zeros, a Number carrying a Str; and MaxFloat64.
 func checkValues() []graph.Value {
 	return []graph.Value{
 		graph.N(-2), graph.N(math.Copysign(0, -1)), graph.N(0), graph.N(1), graph.N(2.5), graph.N(7),
-		graph.N(math.Inf(1)),
+		graph.N(math.MaxFloat64),
 		graph.S(""), graph.S("1"), graph.S("b"), graph.S("d"), graph.S("NaN"),
 		{Kind: graph.Number, Num: 1, Str: "one"},
 	}
@@ -55,11 +55,11 @@ func checkGraph(rng *rand.Rand, n int) *graph.Graph {
 
 // checkConstants are the literal constants tried on every attribute:
 // values in the domains, between them, below and above all of them, of
-// the other kind, and the two Query.Validate refuses, NaN and a value of
-// neither kind, on which the compiled predicate still agrees with Sat.
+// the other kind, and those Query.Validate refuses, NaN, ±Inf and a value
+// of neither kind, on which the compiled predicate still agrees with Sat.
 func checkConstants() []graph.Value {
 	return append(checkValues(),
-		graph.N(-100), graph.N(100), graph.N(3), graph.N(4), graph.N(14), graph.N(math.Inf(-1)),
+		graph.N(-100), graph.N(100), graph.N(3), graph.N(4), graph.N(14), graph.N(math.Inf(-1)), graph.N(math.Inf(1)),
 		graph.S("a"), graph.S("c"), graph.S("zz"), graph.S("4"),
 		graph.N(math.NaN()), graph.Value{Kind: 7, Str: "b"},
 	)

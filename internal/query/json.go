@@ -44,20 +44,13 @@ type jsonEdge struct {
 	Bound int `json:"bound"`
 }
 
-func valueToJSON(v graph.Value) (json.RawMessage, error) {
-	if v.Kind == graph.Number {
-		return json.Marshal(v.Num)
-	}
-	return json.Marshal(v.Str)
-}
-
 // WriteJSON serializes the query.
 func (q *Query) WriteJSON(w io.Writer) error {
 	jq := jsonQuery{Focus: int(q.Focus)}
 	for _, n := range q.Nodes {
 		jn := jsonNode{Label: n.Label}
 		for _, l := range n.Literals {
-			raw, err := valueToJSON(l.Val)
+			raw, err := l.Val.JSON()
 			if err != nil {
 				return err
 			}

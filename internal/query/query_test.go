@@ -85,7 +85,7 @@ func TestValidate(t *testing.T) {
 		t.Error("self-loop must not validate")
 	}
 	q.Edges = q.Edges[:1]
-	for _, c := range []graph.Value{graph.N(math.NaN()), {Kind: 7, Str: "x"}} {
+	for _, c := range []graph.Value{graph.N(math.NaN()), graph.N(math.Inf(1)), graph.N(math.Inf(-1)), {Kind: 7, Str: "x"}} {
 		q.Nodes[b].Literals = []Literal{{Attr: "x", Op: graph.LE, Val: c}}
 		if err := q.Validate(); err == nil || !strings.Contains(err.Error(), "node 1") {
 			t.Errorf("constant %#v: %v, want a refusal naming node 1", c, err)
