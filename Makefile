@@ -108,7 +108,10 @@ bench-smoke:
 # and the share of all CPU samples under runtime.mallocgc and under the GC
 # mark workers (runtime.gcBgMarkWorker), what allocation costs, and under
 # Session.Why, what compiling a question (exemplar, rep(E, V), focus
-# candidates) costs before its search.
+# candidates) costs before its search; and GenRefine's split, shares of
+# all CPU samples: genRefine whole, fillPartners with its bit-parallel
+# sweep (VisitBalls) and its single-source prefixes (partners), addL and
+# rfL.
 MAPCODE = ^(runtime\.(map|makemap|memhash|strhash|aeshash|f64hash|typehash|interhash|nilinterhash)|internal/runtime/maps\.|aeshashbody|type:\.hash\.)
 profile:
 	mkdir -p .bench_build
@@ -129,6 +132,17 @@ profile:
 				/chase\.\(\*Session\)\.Why( \(inline\))?$$/ { w += $$5 } \
 				END { printf "%s: runtime.mallocgc %s of CPU samples, GC mark workers %s\n", a, m, g; \
 					printf "%s: Session.Why %.1f%% of CPU samples\n", a, w }'; \
+		{ $(GO) tool pprof -top -cum -nodecount 1000 .bench_build/chase.test .bench_build/ask-$$a.cpu.prof 2>/dev/null; echo FILL; \
+			$(GO) tool pprof -top -cum -nodecount 1000 -focus 'refineGen\)\.fillPartners' .bench_build/chase.test .bench_build/ask-$$a.cpu.prof 2>/dev/null; } | \
+			awk -v a=$$a '/^FILL$$/ { fill = 1 } { sub(" \\(inline\\)$$", "") } \
+				!fill && $$NF == "wqe/internal/chase.(*Why).genRefine" { g = $$5 } \
+				!fill && $$NF == "wqe/internal/chase.(*refineGen).fillPartners" { f = $$5 } \
+				!fill && $$NF == "wqe/internal/chase.(*refineGen).addL" { l = $$5 } \
+				!fill && $$NF == "wqe/internal/chase.(*refineGen).rfL" { r = $$5 } \
+				fill && $$NF == "wqe/internal/graph.(*Graph).VisitBalls" { s = $$5 } \
+				fill && $$NF == "wqe/internal/chase.(*refineGen).partners" { p = $$5 } \
+				END { printf "%s: genRefine %s of CPU samples: fillPartners %s (sweep %s, single-source %s), addL %s, rfL %s\n", \
+					a, g, f, s, p, l, r }'; \
 	done
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four

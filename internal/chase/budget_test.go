@@ -181,14 +181,14 @@ func TestTerminalStatesGeneratedNothing(t *testing.T) {
 	terminal, affording := 0, 0
 	walkBudgetStates(t, func(w *Why, s walkedState, res *match.Result, used ops.Targets, budgetLeft float64) {
 		what := fmt.Sprintf("%s budget left %v", s.what, budgetLeft)
-		wantRelax := oracleGenRelax(w, s.q, res, used, budgetLeft)
-		wantRefine := oracleGenRefine(w, s.q, res, used, budgetLeft)
-		if budgetLeft < ops.MinCost && len(wantRelax)+len(wantRefine) > 0 {
+		wantRelax := withGains(w, s.q, func() []scoredOp { return oracleGenRelax(w, s.q, res, used, budgetLeft) })
+		wantRefine := withGains(w, s.q, func() []scoredOp { return oracleGenRefine(w, s.q, res, used, budgetLeft) })
+		if budgetLeft < ops.MinCost && len(wantRelax.ops)+len(wantRefine.ops) > 0 {
 			t.Fatalf("%s: the former generators emit %d relaxations and %d refinements: the short-circuit would change answers",
-				what, len(wantRelax), len(wantRefine))
+				what, len(wantRelax.ops), len(wantRefine.ops))
 		}
-		sameOps(t, what+" GenRelax", w.GenRelax(s.q, res, used, budgetLeft), wantRelax)
-		sameOps(t, what+" GenRefine", w.GenRefine(s.q, res, used, budgetLeft), wantRefine)
+		sameOps(t, what+" GenRelax", withGains(w, s.q, func() []scoredOp { return w.GenRelax(s.q, res, used, budgetLeft) }), wantRelax)
+		sameOps(t, what+" GenRefine", withGains(w, s.q, func() []scoredOp { return w.GenRefine(s.q, res, used, budgetLeft) }), wantRefine)
 		switch {
 		case math.IsNaN(budgetLeft):
 		case budgetLeft < ops.MinCost:

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"time"
 
@@ -410,10 +409,4 @@ func (w *Why) evaluate(parent *match.Result, q *query.Query, seq ops.Sequence) (
 		Matches:   res.Answer,
 		Satisfied: w.Satisfied(res.Answer),
 	}, res
-}
-
-// sortNodes sorts a node slice in place and returns it.
-func sortNodes(v []graph.NodeID) []graph.NodeID {
-	slices.Sort(v)
-	return v
 }

@@ -18,9 +18,9 @@ import (
 // oracleFinishScored is finishScored as it stood before it sorted an
 // index permutation once: a stable sort of the accumulators by identity,
 // then a stable sort of the scored operators by pickiness and cost, then
-// the class cap. Verbatim but for where it reads the gain sets (now runs
-// of sorted nodes in the accums) and that it sorts a copy of the list,
-// leaving acc as it found it.
+// the class cap. Verbatim but for the gain sets, which operators no
+// longer carry, and that it sorts a copy of the list, leaving acc as it
+// found it.
 func (w *Why) oracleFinishScored(acc *accums) []scoredOp {
 	list := slices.Clone(acc.list)
 	out := make([]scoredOp, 0, len(list))
@@ -31,7 +31,6 @@ func (w *Why) oracleFinishScored(acc *accums) []scoredOp {
 		a := &list[i]
 		a.op.Pick = a.total / float64(len(w.FocusCands))
 		a.op.Cost = a.op.Op.Cost(w.G)
-		a.op.Gain = slices.Clone(acc.nodes[a.lo:a.hi])
 		out = append(out, a.op)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
@@ -48,7 +47,7 @@ func (w *Why) oracleFinishScored(acc *accums) []scoredOp {
 
 // sameScored compares two scored lists field by field: the operator by
 // identity, PickyEdge (which tells apart equal identities, and so their
-// order), Pick and Cost by bit pattern (NaN included) and the gain sets.
+// order), and Pick and Cost by bit pattern (NaN included).
 func sameScored(t *testing.T, what string, got, want []scoredOp) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -61,9 +60,6 @@ func sameScored(t *testing.T, what string, got, want []scoredOp) {
 		}
 		if math.Float64bits(g.Pick) != math.Float64bits(o.Pick) || math.Float64bits(g.Cost) != math.Float64bits(o.Cost) {
 			t.Fatalf("%s: %s scored pick %v cost %v, oracle %v / %v", what, g.Op, g.Pick, g.Cost, o.Pick, o.Cost)
-		}
-		if !slices.Equal(g.Gain, o.Gain) {
-			t.Fatalf("%s: %s gains %v, oracle %v", what, g.Op, g.Gain, o.Gain)
 		}
 	}
 }
@@ -105,11 +101,6 @@ func TestFinishScoredMatchesTwoStableSorts(t *testing.T) {
 			if allNaN {
 				a.total = math.NaN()
 			}
-			var gain []graph.NodeID
-			for _, v := range rng.Perm(150)[:rng.Intn(8)] {
-				gain = append(gain, graph.NodeID(v))
-			}
-			acc.keep(&a, gain)
 			acc.list = append(acc.list, a)
 		}
 		w.maxOpsPerClass = []int{1, 3, maxOpsPerClass}[trial%3]

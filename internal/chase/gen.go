@@ -3,7 +3,6 @@ package chase
 import (
 	"cmp"
 	"math"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -13,22 +12,21 @@ import (
 	"wqe/internal/query"
 )
 
-// scoredOp is one generated picky operator with its pickiness score and
-// the relevance-delta estimate backing the score (kept for differential
-// tables).
+// scoredOp is one generated picky operator with its pickiness score.
 type scoredOp struct {
 	Op   ops.Op
 	Pick float64
 	// Cost caches c(o); pickiness ties break toward cheaper operators
 	// (same estimated gain, more budget preserved).
 	Cost float64
-	// Gain is RC̄(o) for relaxations (relevant candidates the operator
-	// may convert to matches) or the certainly-removed IM set for
-	// refinements.
-	Gain []graph.NodeID
 	// PickyEdge is the pattern edge that induced the operator, or -1.
 	PickyEdge int
 }
+
+// gainTaken, when set, is told the sampled matches an operator's score
+// counts (a refinement's certainly-removed IM set, a relaxation's RC̄
+// one node at a time), which nothing else keeps. Tests collect them.
+var gainTaken func(k opKey, gain []graph.NodeID)
 
 // expandable reports whether a state with budgetLeft = B − c(O) can
 // still buy an operator. Every operator costs at least ops.MinCost, so
@@ -213,6 +211,9 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budg
 		if bit := uint64(1) << (i % 64); gain[i/64]&bit == 0 {
 			gain[i/64] |= bit
 			a.total += cls[i]
+			if gainTaken != nil {
+				gainTaken(keyOf(q, o, -1), rc[i:i+1])
+			}
 		}
 	}
 
@@ -379,18 +380,6 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budg
 		}
 	}
 
-	// Each gain set becomes the sorted run of sample nodes its bits index.
-	for k := range acc.list {
-		a := &acc.list[k]
-		a.lo = int32(len(acc.nodes))
-		for wi, word := range acc.bits[a.bitsAt : a.bitsAt+words] {
-			for ; word != 0; word &= word - 1 {
-				acc.nodes = append(acc.nodes, rc[wi*64+bits.TrailingZeros64(word)])
-			}
-		}
-		a.hi = int32(len(acc.nodes))
-		sortNodes(acc.nodes[a.lo:a.hi])
-	}
 	out := w.finishScored(acc)
 	sc.busy = false
 	return out
@@ -491,21 +480,19 @@ func keyOf(q *query.Query, o ops.Op, ref int32) opKey {
 }
 
 // accums is the operators one generator call scores, in order of first
-// generation, the index that finds an operator generated again, and the
-// gain sets: sorted runs of nodes, and GenRelax's bitsets over its
-// sample, which it turns into runs when done. It lives in a genScratch,
-// and reset empties it for the next call.
+// generation, the index that finds an operator generated again, and
+// GenRelax's bitsets over its sample. It lives in a genScratch, and
+// reset empties it for the next call.
 type accums struct {
 	index map[opKey]int
 	list  []accum
-	nodes []graph.NodeID
 	bits  []uint64
 	perm  []int32 // finishScored's order of list
 }
 
 func (as *accums) reset() {
 	clear(as.index)
-	as.list, as.bits, as.nodes = as.list[:0], as.bits[:0], as.nodes[:0]
+	as.list, as.bits = as.list[:0], as.bits[:0]
 }
 
 // at returns the accumulator of the operator keyed k, and whether it is
@@ -523,21 +510,12 @@ func (as *accums) at(k opKey) (*accum, bool) {
 	return &as.list[len(as.list)-1], true
 }
 
-// keep stores gain, sorted, as a's gain set.
-func (as *accums) keep(a *accum, gain []graph.NodeID) {
-	a.lo = int32(len(as.nodes))
-	as.nodes = append(as.nodes, gain...)
-	a.hi = int32(len(as.nodes))
-	sortNodes(as.nodes[a.lo:a.hi])
-}
-
 // maxOpsPerClass is how many picky operators one state generates per
 // operator class.
 const maxOpsPerClass = 64
 
 // finishScored converts accumulated operators into a pickiness-sorted,
-// per-class-capped slice, each operator's gain set the run of acc.nodes
-// its accumulator locates.
+// per-class-capped slice.
 //
 // One sort of an index permutation orders the operators by pickiness
 // (descending), then cost, then identity, then generation order: the
@@ -545,7 +523,7 @@ const maxOpsPerClass = 64
 // pickiness and cost gives. No pick is NaN unless every pick of the call
 // is (λ = NaN makes every refinement's), and then both orders are by
 // cost. Only what the class cap keeps is copied out, into a slice of
-// its exact length, and the gain sets into one allocation beside it.
+// its exact length.
 func (w *Why) finishScored(acc *accums) []scoredOp {
 	list, perm := acc.list, acc.perm[:0]
 	for i := range list {
@@ -569,7 +547,7 @@ func (w *Why) finishScored(acc *accums) []scoredOp {
 		return cmp.Or(identCompare(identOf(a.Op), identOf(b.Op)), cmp.Compare(i, j))
 	})
 	var count [ops.RfE + 1]int
-	kept, size := perm[:0], 0
+	kept := perm[:0]
 	for _, i := range perm {
 		a := &list[i]
 		if count[a.op.Op.Kind] >= w.maxOpsPerClass {
@@ -577,31 +555,22 @@ func (w *Why) finishScored(acc *accums) []scoredOp {
 		}
 		count[a.op.Op.Kind]++
 		kept = append(kept, i)
-		size += int(a.hi - a.lo)
 	}
 	acc.perm = perm
 
 	out := make([]scoredOp, len(kept))
-	slab := make([]graph.NodeID, 0, size)
 	for k, i := range kept {
-		a := &list[i]
-		out[k] = a.op
-		if a.hi > a.lo {
-			lo := len(slab)
-			slab = append(slab, acc.nodes[a.lo:a.hi]...)
-			out[k].Gain = slab[lo:len(slab):len(slab)]
-		}
+		out[k] = list[i].op
 	}
 	return out
 }
 
-// accum is one operator being scored: its pickiness total, and its gain
-// set, nodes[lo:hi] of the accums. GenRelax accumulates the set across
-// its add calls, as a bitset from bits[bitsAt] of the accums.
+// accum is one operator being scored: its pickiness total and, for
+// GenRelax, which accumulates the total across its add calls, where its
+// bitset over the sample starts in the accums' bits.
 type accum struct {
 	op     scoredOp
 	total  float64
-	lo, hi int32
 	bitsAt int32
 }
 
@@ -663,8 +632,8 @@ func capPerClass(in []scoredOp, n int) []scoredOp {
 // its Session when it starts and gives it back when it ends (startRun,
 // run.end); a call resets what it uses and grows what is too
 // small, so on a warmed scratch a call allocates only what it returns —
-// the scored operators and their gain sets — and the partner sets it
-// stores on the Why. Nothing a call returns points into it.
+// the scored operators — and the partner sets it stores on the Why.
+// Nothing a call returns points into it.
 type genScratch struct {
 	// busy is set while a generator call runs. A panic leaves it set, and
 	// a busy scratch is dropped, never reused: addL's counts may be

@@ -104,10 +104,11 @@ func sized[T any](s []T, n int) []T {
 // node u: nodes that could serve as h(u) in a valuation sending the
 // focus to v. Partner sets are distance-based overestimates (the first
 // maxPartnersScored candidates of u in BFS order around v within the
-// pattern distance, ignoring direction; returned sorted by id), which
-// is exactly the quality the paper's pickiness estimates need: "no
-// partner satisfies" certifies removal, "some partner satisfies"
-// certifies nothing.
+// pattern distance, ignoring direction), which is exactly the quality
+// the paper's pickiness estimates need: "no partner satisfies"
+// certifies removal, "some partner satisfies" certifies nothing. A set
+// is in the order its candidates were met: its readers, addL and rfL,
+// count and compare codes per partner, in any order.
 //
 // Results are memoized on the Why across chase states: they depend only
 // on v, u's matching signature, and the radius. fillPartners has stored
@@ -138,10 +139,7 @@ func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 		return len(out) < maxPartnersScored
 	})
 	g.sc.part = out
-	var set []graph.NodeID // nil when empty
-	if len(out) > 0 {
-		set = sortNodes(slices.Clone(out))
-	}
+	set := append([]graph.NodeID(nil), out...) // nil when empty
 	g.w.partnerCache[key] = set
 	return set
 }
@@ -158,7 +156,7 @@ func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 // stores it. One that does is a prefix of the ball in BFS order, which
 // only the single-source traversal defines: its match is retired from
 // the sweep and left to partners. The sets one sweep stores share one
-// allocation.
+// allocation, each in the order the sweep met its candidates.
 func (g *refineGen) fillPartners() {
 	G, sc := g.w.G, g.sc
 	miss := sc.miss
@@ -217,13 +215,9 @@ func (g *refineGen) fillPartners() {
 					g.partners(v, u)
 					continue
 				}
-				var set []graph.NodeID // nil when empty, as partners leaves it
-				if n[i] > 0 {
-					lo := len(slab)
-					slab = append(slab, buf[i*maxPartnersScored:i*maxPartnersScored+n[i]]...)
-					set = sortNodes(slab[lo:len(slab):len(slab)])
-				}
-				g.w.partnerCache[partnerKey(v, g.sig[u])] = set
+				lo := len(slab)
+				slab = append(slab, buf[i*maxPartnersScored:i*maxPartnersScored+n[i]]...)
+				g.w.partnerCache[partnerKey(v, g.sig[u])] = slab[lo:len(slab):len(slab)]
 			}
 			batch = batch[taken:]
 		}
@@ -254,9 +248,13 @@ func (w *Why) genRefine(q *query.Query, rm, im []graph.NodeID, used ops.Targets,
 	sc := w.scratch()
 	sc.busy = true
 	g := newRefineGen(sc, w, q, rm, im, used, budgetLeft)
-	g.fillPartners()
-	g.addL()
-	g.rfL()
+	// AddL and RfL, the partner sets' only readers, propose values RM
+	// partners carry: with no RM sampled the sets are not built.
+	if len(g.rm) > 0 {
+		g.fillPartners()
+		g.addL()
+		g.rfL()
+	}
 	g.rfE()
 	g.addE()
 	out := w.finishScored(g.acc)
@@ -285,31 +283,9 @@ func (g *refineGen) add(o ops.Op, ref int32, pickyEdge int, removedIM, removedRM
 	}
 	a.op = scoredOp{Op: o, PickyEdge: pickyEdge}
 	a.total = w.Cfg.Lambda*float64(len(removedIM)) - rmLoss
-	// removedIM is distinct (a subset of the sample) and an operator is
-	// recorded once, so its gain is the list itself, sorted.
-	g.acc.keep(a, removedIM)
-}
-
-// removedBy returns the sampled irrelevant and relevant matches that
-// keep no partner at u satisfying pred, in the scratch's removal
-// buffers.
-func (g *refineGen) removedBy(u query.NodeID, pred func(graph.NodeID) bool) (imOut, rmOut []graph.NodeID) {
-	survives := func(v graph.NodeID) bool {
-		return slices.ContainsFunc(g.partners(v, u), pred)
+	if gainTaken != nil {
+		gainTaken(keyOf(g.q, o, ref), removedIM)
 	}
-	imOut, rmOut = g.sc.imOut[:0], g.sc.rmOut[:0]
-	for _, v := range g.im {
-		if !survives(v) {
-			imOut = append(imOut, v)
-		}
-	}
-	for _, v := range g.rm {
-		if !survives(v) {
-			rmOut = append(rmOut, v)
-		}
-	}
-	g.sc.imOut, g.sc.rmOut = imOut, rmOut
-	return
 }
 
 // maxValuesPerAttr caps how many values of one attribute AddL proposes
@@ -328,6 +304,12 @@ type addLCand struct {
 	cell graph.AttrCode
 }
 
+// before reports whether AddL prefers c to d: more RM partner cells
+// counted, then the lower (distinct) rank.
+func (c addLCand) before(d addLCand) bool {
+	return c.count > d.count || c.count == d.count && c.rank < d.rank
+}
+
 // addLCount is addL's scratch for one value code; all zero between uses.
 type addLCount struct {
 	n    int32          // RM partner cells counted
@@ -337,19 +319,19 @@ type addLCount struct {
 // addLScratch is addL's working memory. The per-code tables are kept
 // because zeroing them per call would cost more than the counting:
 // every user leaves them zero, resetting only the codes it touched.
-// The rest is addL's per-node lists, whatever their last call left.
+// The rest is addL's and rfL's lists, whatever their last call left.
 type addLScratch struct {
 	counts []addLCount
 	// keptOf is nonzero for the codes of kept candidates: one more than
-	// the candidate's index in its attribute's attrSlot.kept.
+	// the candidate's place in its attribute's attrSlot.top.
 	keptOf []uint8
 
 	slots          []attrSlot
 	attrs, touched []int32
 	parts          [][]graph.NodeID
-	cands          []addLCand
+	kept           []addLCand
 	vals           []graph.Value
-	nums           []float64 // rfL's
+	ext            []int32 // rfL's extreme codes, one per sampled match
 	survives       []bool
 }
 
@@ -372,10 +354,26 @@ type attrSlot struct {
 	// literal on it yet, target not used), settled once per (node,
 	// attribute) rather than per cell.
 	state uint8
-	// kept lists this attribute's kept candidates, as indexes of the
-	// survivor table's rows.
+	// top holds the attribute's best candidates so far, best first: the
+	// kept ones, once all are offered, whose survivor rows start at at.
 	nKept uint8
-	kept  [maxValuesPerAttr]int32
+	top   [maxValuesPerAttr]addLCand
+	at    int32
+}
+
+// offer inserts c in its place if it is among the slot's best
+// maxValuesPerAttr candidates so far.
+func (s *attrSlot) offer(c addLCand) {
+	j := min(int(s.nKept), maxValuesPerAttr-1) // a full slot's last gives way
+	if s.nKept < maxValuesPerAttr {
+		s.nKept++
+	} else if !c.before(s.top[j]) {
+		return
+	}
+	for ; j > 0 && c.before(s.top[j-1]); j-- {
+		s.top[j] = s.top[j-1]
+	}
+	s.top[j] = c
 }
 
 const (
@@ -400,14 +398,17 @@ func (g *refineGen) openSlot(u query.NodeID, a int32) uint8 {
 // It works on value codes (graph.Codes): a cell is two small integers,
 // equal cells have equal codes, and the rendered keys that define and
 // order candidates are ranked once per graph, so counting is an array
-// increment per partner cell and choosing the values to keep a sort of
-// integers. Scoring a candidate needs the sampled matches that keep no
-// partner carrying the value. Rather than rescanning every partner once
-// per candidate, one pass over the partners' coded tuples marks, for
-// every kept candidate at once, which sampled matches survive it;
-// removal sets are the complements, read in im/rm order. A cell marks a
-// candidate under exactly Literal.Sat's test (same attribute, same kind,
-// Compare == 0), which on a graph's canonical values is "same code".
+// increment per partner cell and choosing the values to keep a bounded
+// insertion per candidate. Scoring a candidate needs the sampled
+// matches that keep no partner carrying the value. Rather than
+// rescanning every partner once per candidate, one pass over the
+// partners' coded tuples marks, for every kept candidate at once, which
+// sampled matches survive it; removal sets are the complements, read in
+// im/rm order. A cell marks a candidate under exactly Literal.Sat's test
+// (same attribute, same kind, Compare == 0), which on a graph's
+// canonical values is "same code". The order the kept candidates are
+// added in decides nothing: finishScored orders distinct operators by
+// identity.
 func (g *refineGen) addL() {
 	G, codes := g.w.G, g.codes
 	rank := codes.KeyRanks()
@@ -419,7 +420,7 @@ func (g *refineGen) addL() {
 	touched := sc.touched[:0] // codes counted at this pattern node
 	nIM := len(g.im)
 	parts := sized(sc.parts, nIM+len(g.rm)) // partner sets, im then rm
-	cands := sc.cands
+	kept := sc.kept
 	vals := sc.vals         // the kept candidates' values
 	survives := sc.survives // candidate-major: survives[k*len(parts)+i]
 	imOut, rmOut := g.sc.imOut, g.sc.rmOut
@@ -429,7 +430,7 @@ func (g *refineGen) addL() {
 		for _, a := range attrs {
 			slots[a] = attrSlot{}
 		}
-		attrs, touched, cands, vals = attrs[:0], touched[:0], cands[:0], vals[:0]
+		attrs, touched, kept, vals = attrs[:0], touched[:0], kept[:0], vals[:0]
 
 		// Count attribute values over RM partners at u.
 		for i, vrm := range g.rm {
@@ -457,30 +458,21 @@ func (g *refineGen) addL() {
 		if addLCounted != nil && len(touched) > 0 {
 			addLCounted()
 		}
-		for _, code := range touched {
-			c := &counts[code]
-			cands = append(cands, addLCand{count: c.n, rank: rank[code], cell: c.cell})
-			*c = addLCount{}
-		}
 
 		// Keep the most frequent values of each attribute.
-		slices.SortFunc(cands, func(a, b addLCand) int {
-			if a.count != b.count {
-				return int(b.count - a.count)
+		for _, code := range touched {
+			c := &counts[code]
+			slots[c.cell.Attr].offer(addLCand{count: c.n, rank: rank[code], cell: c.cell})
+			*c = addLCount{}
+		}
+		for _, a := range attrs {
+			slot := &slots[a]
+			slot.at = int32(len(kept))
+			for j, c := range slot.top[:slot.nKept] {
+				keptOf[c.cell.Code] = uint8(j + 1)
+				kept = append(kept, c)
+				vals = append(vals, G.Value(c.cell))
 			}
-			return int(a.rank - b.rank)
-		})
-		kept := cands[:0]
-		for _, c := range cands {
-			slot := &slots[c.cell.Attr]
-			if slot.nKept == maxValuesPerAttr {
-				continue
-			}
-			keptOf[c.cell.Code] = slot.nKept + 1
-			slot.kept[slot.nKept] = int32(len(kept))
-			slot.nKept++
-			kept = append(kept, c)
-			vals = append(vals, G.Value(c.cell))
 		}
 		if len(kept) == 0 {
 			continue
@@ -495,7 +487,7 @@ func (g *refineGen) addL() {
 			for _, p := range ps {
 				for _, t := range G.Tuple(p) {
 					if at := keptOf[t.Code]; at != 0 {
-						survives[int(slots[t.Attr].kept[at-1])*len(parts)+i] = true
+						survives[int(slots[t.Attr].at+int32(at)-1)*len(parts)+i] = true
 					}
 				}
 			}
@@ -519,22 +511,35 @@ func (g *refineGen) addL() {
 		}
 	}
 	sc.slots, sc.attrs, sc.touched, sc.parts = slots, attrs, touched, parts
-	sc.cands, sc.vals, sc.survives = cands, vals, survives
+	sc.kept, sc.vals, sc.survives = kept, vals, survives
 	g.sc.imOut, g.sc.rmOut = imOut, rmOut
 }
 
 // rfL (genRfL): tighten existing numeric literals toward the
 // RM-supporting values (Appendix B rules, using ≤/≥ so the nearest
 // relevant value keeps matching).
+//
+// It works on number codes, which ascend with value (graph.Codes). A
+// tightening value a is an RM partner's, so it has a code, and a sampled
+// match survives "A ≤ a" exactly when the least number code of A among
+// its partners is at most a's ("A ≥ a": the greatest, at least). The
+// extreme codes are read once per literal, on its first tightening.
 func (g *refineGen) rfL() {
 	const maxValues = 6
-	G := g.w.G
+	G, nIM := g.w.G, len(g.im)
 	sc := g.sc.addL.sizedFor(g.codes)
 	counts := sc.counts // n marks the codes met
-	touched, vals := sc.touched, sc.nums
+	touched, ext := sc.touched, sc.ext
 	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
 		for _, l := range g.q.Nodes[u].Literals {
+			op := graph.GE // the tightened literal's
+			if l.Op == graph.LE || l.Op == graph.LT {
+				op = graph.LE
+			} else if l.Op != graph.GE && l.Op != graph.GT {
+				continue // an "=" has nothing to tighten
+			}
+			least := op == graph.LE
 			if l.Val.Kind != graph.Number || g.used.Has(ops.LitTarget(u, l.Attr)) {
 				continue
 			}
@@ -543,58 +548,84 @@ func (g *refineGen) rfL() {
 				continue // no node carries the attribute: nothing to tighten toward
 			}
 			// RM-supporting values of this attribute at u: the distinct
-			// number codes met, in order of first meeting.
+			// number codes met, the bound's side first — tightening an
+			// upper bound down takes the largest first (loses no RM
+			// support), then a few tighter steps.
 			lo, hi := g.codes.NumberCodes(aid)
 			touched = touched[:0]
 			for _, vrm := range g.rm {
 				for _, p := range g.partners(vrm, u) {
-					for _, t := range G.Tuple(p) {
-						if t.Attr < aid {
-							continue
-						}
-						if t.Attr == aid && lo <= t.Code && t.Code < hi && counts[t.Code].n == 0 {
-							counts[t.Code].n = 1
-							touched = append(touched, t.Code)
-						}
-						break
+					if c, ok := g.numCode(p, aid, lo, hi); ok && counts[c].n == 0 {
+						counts[c].n = 1
+						touched = append(touched, c)
 					}
 				}
 			}
-			vals = vals[:0]
-			for _, code := range touched {
-				counts[code].n = 0
-				vals = append(vals, G.Value(graph.AttrCode{Attr: aid, Code: code}).Num)
+			slices.Sort(touched)
+			if least {
+				slices.Reverse(touched)
 			}
-			slices.Sort(vals)
-			gen := func(op graph.Op, a float64) {
-				newLit := query.Literal{Attr: l.Attr, Op: op, Val: graph.N(a)}
-				sat := newLit.Check(G)
-				imOut, rmOut := g.removedBy(u, func(p graph.NodeID) bool { return sat.Candidate(G, p) })
+			ext = ext[:0] // read on the first tightening; im is never empty
+			count := 0
+			for _, c := range touched {
+				counts[c].n = 0
+				a := G.Value(graph.AttrCode{Attr: aid, Code: c})
+				if count == maxValues || !(least && a.Num < l.Val.Num || !least && a.Num > l.Val.Num) {
+					continue
+				}
+				count++
+				if len(ext) == 0 {
+					ext = g.extremes(ext, u, aid, lo, hi, least)
+				}
+				imOut, rmOut := g.sc.imOut[:0], g.sc.rmOut[:0]
+				for i, e := range ext {
+					switch {
+					case least && e <= c || !least && e >= c: // survives
+					case i < nIM:
+						imOut = append(imOut, g.im[i])
+					default:
+						rmOut = append(rmOut, g.rm[i-nIM])
+					}
+				}
+				g.sc.imOut, g.sc.rmOut = imOut, rmOut
+				newLit := query.Literal{Attr: l.Attr, Op: op, Val: a}
 				g.add(ops.Op{Kind: ops.RfL, U: u, Lit: l, NewLit: newLit}, -1, -1, imOut, rmOut)
-			}
-			switch l.Op {
-			case graph.LE, graph.LT:
-				// Tighten the upper bound down toward RM values, largest
-				// first (loses no RM support), then a few tighter steps.
-				count := 0
-				for i := len(vals) - 1; i >= 0 && count < maxValues; i-- {
-					if a := vals[i]; a < l.Val.Num {
-						gen(graph.LE, a)
-						count++
-					}
-				}
-			case graph.GE, graph.GT:
-				count := 0
-				for i := 0; i < len(vals) && count < maxValues; i++ {
-					if a := vals[i]; a > l.Val.Num {
-						gen(graph.GE, a)
-						count++
-					}
-				}
 			}
 		}
 	}
-	sc.touched, sc.nums = touched, vals
+	sc.touched, sc.ext = touched, ext
+}
+
+// numCode returns p's code of attribute aid when it is a number: one of
+// the codes [lo, hi).
+func (g *refineGen) numCode(p graph.NodeID, aid, lo, hi int32) (int32, bool) {
+	for _, t := range g.w.G.Tuple(p) { // sorted by attribute
+		if t.Attr >= aid {
+			return t.Code, t.Attr == aid && lo <= t.Code && t.Code < hi
+		}
+	}
+	return 0, false
+}
+
+// extremes appends, for each sampled match (im, then rm), the least
+// (least set) or the greatest number code of attribute aid among its
+// partners at u; hi or lo−1, which no tightening lets survive, for none.
+func (g *refineGen) extremes(dst []int32, u query.NodeID, aid, lo, hi int32, least bool) []int32 {
+	for _, side := range [2][]graph.NodeID{g.im, g.rm} {
+		for _, v := range side {
+			e := lo - 1
+			if least {
+				e = hi
+			}
+			for _, p := range g.partners(v, u) {
+				if c, ok := g.numCode(p, aid, lo, hi); ok && (least && c < e || !least && c > e) {
+					e = c
+				}
+			}
+			dst = append(dst, e)
+		}
+	}
+	return dst
 }
 
 // rfE (genRfE): tighten edge bounds by one (Appendix B: RfE(e, b, b−1)).

@@ -269,11 +269,47 @@ func oracleGenRefine(w *Why, q *query.Query, res *match.Result, used ops.Targets
 	return w.finishScored(g.acc)
 }
 
-// sameOps compares two scored lists field by field. Values compare by
-// bit pattern: AddL(a = -0) and AddL(a = 0) are equal as map keys, and
-// which of the two a state proposes is part of the contract.
-func sameOps(t *testing.T, what string, got, want []scoredOp) {
+// genOut is a generator call's operators beside their gain sets,
+// sorted: what gainTaken was told about each.
+type genOut struct {
+	ops   []scoredOp
+	gains [][]graph.NodeID
+}
+
+// withGains runs one generator call with gainTaken collecting, and
+// returns its operators with their gain sets. q is the query the call
+// generates on, which keys its operators.
+func withGains(w *Why, q *query.Query, gen func() []scoredOp) genOut {
+	sets := map[opKey][]graph.NodeID{}
+	gainTaken = func(k opKey, gain []graph.NodeID) { sets[k] = append(sets[k], gain...) }
+	defer func() { gainTaken = nil }()
+	out := genOut{ops: gen()}
+	for _, o := range out.ops {
+		out.gains = append(out.gains, sortedNodes(sets[keyOf(q, o.Op, opRef(w.G, o.Op))]))
+	}
+	return out
+}
+
+// opRef is the ref keyOf takes for o: an AddL's value code, an AddE's
+// fresh label id, -1 for the others.
+func opRef(g *graph.Graph, o ops.Op) int32 {
+	switch {
+	case o.Kind == ops.AddL:
+		return oracleValueRef(g, o.Lit.Attr, o.Lit.Val)
+	case o.Kind == ops.AddE && o.NewNode != nil:
+		id, _ := g.Labels.Lookup(o.NewNode.Label)
+		return id
+	}
+	return -1
+}
+
+// sameOps compares two scored lists field by field, and their gain sets.
+// Values compare by bit pattern: AddL(a = -0) and AddL(a = 0) are equal
+// as map keys, and which of the two a state proposes is part of the
+// contract.
+func sameOps(t *testing.T, what string, gotOut, wantOut genOut) {
 	t.Helper()
+	got, want := gotOut.ops, wantOut.ops
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d operators, oracle has %d", what, len(got), len(want))
 	}
@@ -288,8 +324,8 @@ func sameOps(t *testing.T, what string, got, want []scoredOp) {
 			t.Fatalf("%s: %s scored pick %v cost %v edge %d, oracle %v / %v / %d",
 				what, g.Op, g.Pick, g.Cost, g.PickyEdge, o.Pick, o.Cost, o.PickyEdge)
 		}
-		if !slices.Equal(g.Gain, o.Gain) {
-			t.Fatalf("%s: %s gains %v, oracle %v", what, g.Op, g.Gain, o.Gain)
+		if !slices.Equal(gotOut.gains[i], wantOut.gains[i]) {
+			t.Fatalf("%s: %s gains %v, oracle %v", what, g.Op, gotOut.gains[i], wantOut.gains[i])
 		}
 	}
 }
@@ -299,25 +335,33 @@ func sameOps(t *testing.T, what string, got, want []scoredOp) {
 func checkState(t *testing.T, what string, w *Why, q *query.Query, used ops.Targets) map[ops.Kind]int {
 	t.Helper()
 	res := w.Matcher.Match(q)
-	want := oracleGenRefine(w, q, res, used, 3)
-	sameOps(t, what, w.GenRefine(q, res, used, 3), want)
+	want := withGains(w, q, func() []scoredOp { return oracleGenRefine(w, q, res, used, 3) })
+	sameOps(t, what, withGains(w, q, func() []scoredOp { return w.GenRefine(q, res, used, 3) }), want)
 
-	// Partner sets are level-order prefixes of the ball either way.
+	// Partner sets hold the level-order prefixes of the ball either way,
+	// in no set order.
 	rm, im, _, _ := w.Partition(res)
 	pm := newRefineGen(w.scratch(), w, q, rm, im, used, 3)
 	byBall := &oraclePartners{pm: pm, memo: map[string][]graph.NodeID{}}
 	for _, v := range append(rm, im...) {
 		for u := range q.Nodes {
-			if got, want := pm.partners(v, query.NodeID(u)), byBall.partners(v, query.NodeID(u)); !slices.Equal(got, want) {
+			if got, want := sortedNodes(pm.partners(v, query.NodeID(u))), byBall.partners(v, query.NodeID(u)); !slices.Equal(got, want) {
 				t.Fatalf("%s: partners(%d, u%d) = %v, over Ball %v", what, v, u, got, want)
 			}
 		}
 	}
 	n := map[ops.Kind]int{}
-	for _, o := range want {
+	for _, o := range want.ops {
 		n[o.Op.Kind]++
 	}
 	return n
+}
+
+// sortedNodes returns a sorted copy of a node set.
+func sortedNodes(set []graph.NodeID) []graph.NodeID {
+	set = slices.Clone(set)
+	slices.Sort(set)
+	return set
 }
 
 // TestGenRefineMatchesOracleOnDatasets walks a few chase states — the
@@ -466,6 +510,96 @@ func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 	}
 }
 
+// TestGenRefineIgnoresPartnerOrder: partner sets are stored in the order
+// their candidates were met, so no reader may depend on it. At every
+// walked state of every dataset kind, GenRefine emits the same
+// operators, scores, order and gain sets after every cached partner set
+// is reversed as before.
+func TestGenRefineIgnoresPartnerOrder(t *testing.T) {
+	reversed, compared := map[string]int{}, map[string]int{}
+	datasetWhys(t, 2, func(dataset, what string, w *Why, q *query.Query) {
+		walkStates(t, w, what, q, 2, func(s walkedState, res *match.Result) {
+			used := s.seq.Targets()
+			gen := func() []scoredOp { return w.GenRefine(s.q, res, used, 3) }
+			want := withGains(w, s.q, gen) // fills the state's partner sets
+			for _, set := range w.partnerCache {
+				if len(set) > 1 {
+					slices.Reverse(set)
+					reversed[dataset]++
+				}
+			}
+			sameOps(t, s.what+" reversed partner sets", withGains(w, s.q, gen), want)
+			for _, o := range want.ops {
+				if o.Op.Kind == ops.AddL || o.Op.Kind == ops.RfL {
+					compared[dataset]++
+				}
+			}
+		})
+	})
+	for _, dataset := range []string{datagen.DatasetKnowledge, datagen.DatasetMovies, datagen.DatasetOffshore, datagen.DatasetProducts} {
+		if reversed[dataset] == 0 || compared[dataset] == 0 {
+			t.Errorf("%s: %d partner sets reversed, %d AddL and RfL operators compared: the test checks nothing",
+				dataset, reversed[dataset], compared[dataset])
+		}
+	}
+}
+
+// TestNoPartnerSetsWithoutRelevantMatch: only AddL and RfL read partner
+// sets, and with no relevant match they propose nothing, so a state
+// whose matches are all irrelevant builds none. It still gets the
+// oracle's operators, among them an RfE with certain removals.
+func TestNoPartnerSetsWithoutRelevantMatch(t *testing.T) {
+	// Even Fs of the first nF reach a P in one hop, odd ones in two,
+	// through an M.
+	gb := graph.NewBuilder()
+	const nF = 40
+	for i := 0; i < nF; i++ {
+		gb.AddNode("F", map[string]graph.Value{"good": graph.N(0)})
+	}
+	for i := 0; i < nF; i++ {
+		gb.AddNode("P", map[string]graph.Value{"b": graph.N(float64(i % 7))})
+		gb.AddNode("M", nil)
+	}
+	for i := 0; i < 3; i++ { // what the exemplar asks for, which the query excludes
+		gb.AddNode("F", map[string]graph.Value{"good": graph.N(1)})
+	}
+	for i := 0; i < nF; i++ {
+		p, m := graph.NodeID(nF+2*i), graph.NodeID(nF+2*i+1)
+		if i%2 == 0 {
+			gb.AddEdge(graph.NodeID(i), p, "has")
+		} else {
+			gb.AddEdge(graph.NodeID(i), m, "via")
+			gb.AddEdge(m, p, "has")
+		}
+	}
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &exemplar.Exemplar{Tuples: []exemplar.TuplePattern{{"good": exemplar.C(graph.N(1))}}}
+	q := query.New()
+	f := q.AddNode("F", query.Literal{Attr: "good", Op: graph.EQ, Val: graph.N(0)})
+	q.AddEdge(f, q.AddNode("P", query.Literal{Attr: "b", Op: graph.LE, Val: graph.N(5)}), 2)
+	q.Focus = f
+	w, err := NewWhy(g, q, e, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := w.Matcher.Match(q)
+	if rm, im, _, _ := w.Partition(res); len(rm) != 0 || len(im) == 0 {
+		t.Fatalf("|RM| = %d, |IM| = %d: want only irrelevant matches", len(rm), len(im))
+	}
+	want := withGains(w, q, func() []scoredOp { return oracleGenRefine(w, q, res, nil, 3) })
+	got := withGains(w, q, func() []scoredOp { return w.GenRefine(q, res, nil, 3) })
+	sameOps(t, "no relevant match", got, want)
+	if n := len(w.partnerCache); n != 0 {
+		t.Errorf("GenRefine built %d partner sets without a relevant match", n)
+	}
+	if !slices.ContainsFunc(got.ops, func(o scoredOp) bool { return o.Op.Kind == ops.RfE }) {
+		t.Errorf("no RfE emitted: %v", got.ops)
+	}
+}
+
 // TestPartnerSetsDistinguishLiteralKind asks one Why for the partners of
 // one match under a = 5 (number) and under a = "5" (string): both
 // literals render "a = 5", and the sets memoized on the Why must not be
@@ -492,7 +626,7 @@ func TestPartnerSetsDistinguishLiteralKind(t *testing.T) {
 			}
 		}
 	}
-	if slices.Equal(sets[0], sets[1]) {
+	if slices.Equal(sortedNodes(sets[0]), sortedNodes(sets[1])) {
 		t.Errorf("number and string literal share the partner set %v", sets[0])
 	}
 }
@@ -579,7 +713,7 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 	}
 	delete(w.partnerCache, key)
 	checkState(t, "single miss", w, q, nil)
-	if got, ok := w.partnerCache[key]; !ok || !slices.Equal(got, want) {
+	if got, ok := w.partnerCache[key]; !ok || !slices.Equal(sortedNodes(got), sortedNodes(want)) {
 		t.Errorf("single miss: the fill left %v (cached: %v), want %v", got, ok, want)
 	}
 }

@@ -32,7 +32,7 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used ops.Targets,
 
 	// acc accumulates RC̄ per candidate operator, keyed by the
 	// operator's identity. The gain sets are kept beside it, as node
-	// sets, and flattened into op.Gain at the end.
+	// sets, each node told to gainTaken when it joins one.
 	acc := map[opIdent]*accum{}
 	gain := map[*accum]map[graph.NodeID]bool{}
 	add := func(o ops.Op, pickyEdge int, v graph.NodeID) {
@@ -49,6 +49,9 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used ops.Targets,
 		if !gain[a][v] {
 			gain[a][v] = true
 			a.total += w.Eval.Cl(v)
+			if gainTaken != nil {
+				gainTaken(keyOf(q, o, -1), []graph.NodeID{v})
+			}
 		}
 	}
 
@@ -219,12 +222,7 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used ops.Targets,
 	}
 
 	var scored accums
-	for a, set := range gain {
-		var nodes []graph.NodeID
-		for v := range set {
-			nodes = append(nodes, v)
-		}
-		scored.keep(a, nodes)
+	for a := range gain {
 		scored.list = append(scored.list, *a)
 	}
 	return w.finishScored(&scored)
@@ -280,9 +278,9 @@ func TestGenRelaxFailingValuesMatchOracle(t *testing.T) {
 			w.maxOpsPerClass = 1 << 20
 			res := w.Matcher.Match(q)
 			what := fmt.Sprintf("%s, %d analyzed", lit.String(), analysis)
-			got := w.GenRelax(q, res, nil, 3)
-			sameOps(t, what, got, oracleGenRelax(w, q, res, nil, 3))
-			for _, o := range got {
+			got := withGains(w, q, func() []scoredOp { return w.GenRelax(q, res, nil, 3) })
+			sameOps(t, what, got, withGains(w, q, func() []scoredOp { return oracleGenRelax(w, q, res, nil, 3) }))
+			for _, o := range got.ops {
 				if o.Op.Kind == ops.RxL && o.Op.NewLit.Val.Num == 0 {
 					zeros++
 				}

@@ -1,6 +1,8 @@
 package chase
 
 import (
+	"slices"
+
 	"wqe/internal/graph"
 	"wqe/internal/match"
 	"wqe/internal/ops"
@@ -85,7 +87,7 @@ func oracleApxWhyM(w *Why) Answer {
 		for v := range rm {
 			ids = append(ids, v)
 		}
-		sortNodes(ids)
+		slices.Sort(ids)
 		var loss float64
 		for _, v := range ids {
 			loss += w.Eval.Cl(v)

@@ -376,6 +376,9 @@ func TestClosenessMeasures(t *testing.T) {
 	}
 }
 
+// isFinite reports whether f is neither NaN nor infinite.
+func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // TestClBounds property: for random answers, cl ≤ cl⁺, and cl⁺ of a
 // subset of the pool never exceeds cl*·(pool size)/normalizer scaling.
 func TestClBounds(t *testing.T) {

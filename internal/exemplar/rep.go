@@ -1,7 +1,6 @@
 package exemplar
 
 import (
-	"math"
 	"slices"
 
 	"wqe/internal/graph"
@@ -594,7 +593,3 @@ func (ev *Eval) ClStar(cands []graph.NodeID) float64 {
 	}
 	return gain / float64(len(cands))
 }
-
-// Infinity guards: closeness values are finite by construction; this
-// assertion helps catch NaNs from bad λ/θ configurations in tests.
-func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
