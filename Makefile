@@ -111,7 +111,11 @@ bench-smoke:
 # candidates) costs before its search; and GenRefine's split, shares of
 # all CPU samples: genRefine whole, fillPartners with its bit-parallel
 # sweep (VisitBalls) and its single-source prefixes (partners), addL and
-# rfL.
+# rfL; genRelax whole with its blame analysis (analyzeRC); and what name
+# lookups and compiled checks cost wherever they run: the interned-name
+# map (Names.Lookup), attribute reads by name (Graph.Attr), one pattern
+# node's check compiled (query.compile) and a whole pattern compiled
+# (Compiled.Compile). A frame the profile never met reads 0%.
 MAPCODE = ^(runtime\.(map|makemap|memhash|strhash|aeshash|f64hash|typehash|interhash|nilinterhash)|internal/runtime/maps\.|aeshashbody|type:\.hash\.)
 profile:
 	mkdir -p .bench_build
@@ -134,15 +138,22 @@ profile:
 					printf "%s: Session.Why %.1f%% of CPU samples\n", a, w }'; \
 		{ $(GO) tool pprof -top -cum -nodecount 1000 .bench_build/chase.test .bench_build/ask-$$a.cpu.prof 2>/dev/null; echo FILL; \
 			$(GO) tool pprof -top -cum -nodecount 1000 -focus 'refineGen\)\.fillPartners' .bench_build/chase.test .bench_build/ask-$$a.cpu.prof 2>/dev/null; } | \
-			awk -v a=$$a '/^FILL$$/ { fill = 1 } { sub(" \\(inline\\)$$", "") } \
+			awk -v a=$$a 'function z(x) { return x == "" ? "0%" : x } \
+				/^FILL$$/ { fill = 1 } { sub(" \\(inline\\)$$", "") } \
 				!fill && $$NF == "wqe/internal/chase.(*Why).genRefine" { g = $$5 } \
 				!fill && $$NF == "wqe/internal/chase.(*refineGen).fillPartners" { f = $$5 } \
 				!fill && $$NF == "wqe/internal/chase.(*refineGen).addL" { l = $$5 } \
 				!fill && $$NF == "wqe/internal/chase.(*refineGen).rfL" { r = $$5 } \
 				fill && $$NF == "wqe/internal/graph.(*Graph).VisitBalls" { s = $$5 } \
 				fill && $$NF == "wqe/internal/chase.(*refineGen).partners" { p = $$5 } \
-				END { printf "%s: genRefine %s of CPU samples: fillPartners %s (sweep %s, single-source %s), addL %s, rfL %s\n", \
-					a, g, f, s, p, l, r }'; \
+				!fill && $$NF == "wqe/internal/chase.(*Why).genRelax" { x = $$5 } \
+				!fill && $$NF == "wqe/internal/chase.(*Why).analyzeRC" { y = $$5 } \
+				!fill && $$NF == "wqe/internal/graph.(*Names).Lookup" { nl = $$5 } \
+				!fill && $$NF == "wqe/internal/graph.(*Graph).Attr" { at = $$5 } \
+				!fill && $$NF == "wqe/internal/query.compile" { qc = $$5 } \
+				!fill && $$NF == "wqe/internal/query.(*Compiled).Compile" { cc = $$5 } \
+				END { printf "%s: genRefine %s of CPU samples: fillPartners %s (sweep %s, single-source %s), addL %s, rfL %s; genRelax %s (analyzeRC %s); Names.Lookup %s, Graph.Attr %s, query.compile %s, Compiled.Compile %s\n", \
+					a, z(g), z(f), z(s), z(p), z(l), z(r), z(x), z(y), z(nl), z(at), z(qc), z(cc) }'; \
 	done
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): all four

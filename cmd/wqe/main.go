@@ -95,7 +95,12 @@ type question struct {
 	saveSnapshot           string
 }
 
+// run answers one question: as a job through Session.Run, like -batch,
+// but for topk, which returns k rewrites.
 func run(cfg chase.Config, a question) error {
+	if a.algo != "topk" && (chase.BatchJob{Algo: a.algo}).AlgoName() == "" {
+		return fmt.Errorf("unknown -algo %q", a.algo)
+	}
 	var (
 		g   *graph.Graph
 		q   *query.Query
@@ -143,7 +148,8 @@ func run(cfg chase.Config, a question) error {
 		}
 	}
 
-	w, err := chase.NewSessionWithIndex(g, cfg, idx).Why(q, e)
+	sess := chase.NewSessionWithIndex(g, cfg, idx)
+	w, err := sess.Why(q, e)
 	if err != nil {
 		return err
 	}
@@ -158,21 +164,14 @@ func run(cfg chase.Config, a question) error {
 		len(rm), len(im), len(rc), len(ic), w.ClStar)
 
 	var answers []chase.Answer
-	switch a.algo {
-	case "answ":
-		answers = []chase.Answer{w.AnsW()}
-	case "topk":
+	var r chase.BatchResult // the search's outcome; topk's is read off the Why it ran on
+	if a.algo == "topk" {
 		answers = w.TopK(a.k)
-	case "heu":
-		answers = []chase.Answer{w.AnsHeu(a.beam)}
-	case "whymany":
-		answers = []chase.Answer{w.ApxWhyM()}
-	case "whyempty":
-		answers = []chase.Answer{w.AnsWE()}
-	case "fmansw":
-		answers = []chase.Answer{w.FMAnsW()}
-	default:
-		return fmt.Errorf("unknown -algo %q", a.algo)
+		r = chase.BatchResult{Steps: w.Stats.Steps, States: w.Stats.States, Elapsed: w.Stats.Elapsed}
+	} else if r = sess.Run(chase.BatchJob{Q: q, E: e, Algo: a.algo, Beam: a.beam}); r.Err != nil {
+		return r.Err
+	} else {
+		answers = []chase.Answer{r.Answer}
 	}
 
 	for i, ans := range answers {
@@ -181,8 +180,7 @@ func run(cfg chase.Config, a question) error {
 		}
 		printAnswer(g, ans)
 	}
-	fmt.Printf("search: %d chase steps, %d states, %v elapsed\n",
-		w.Stats.Steps, w.Stats.States, w.Stats.Elapsed.Round(1000))
+	fmt.Printf("search: %d chase steps, %d states, %v elapsed\n", r.Steps, r.States, r.Elapsed.Round(1000))
 	return nil
 }
 

@@ -234,15 +234,14 @@ func TestRunTimesReadTheInjectedClock(t *testing.T) {
 }
 
 // TestCandidateLoopsPollTheRun pins the per-candidate polls of the work
-// that evaluates nothing: AnsWE's plan building (a ball per pattern node
-// and relevant candidate) and FMAnsW's feature mining (two balls per
-// candidate). The fake clock advances 4ms per read against a 6ms limit
-// anchored at the first read, so the second read is in time and the
-// third is not. The first candidate's poll takes the second read, and
-// whatever comes next — the next candidate's poll or the first claim —
-// the third: the run stops after its root. Without those polls the
-// first evaluation's claim would take the second read, in time, and
-// would run.
+// that evaluates nothing: AnsWE's plan building (a ball per relevant
+// candidate) and FMAnsW's feature mining (two balls per candidate). The
+// fake clock advances 4ms per read against a 6ms limit anchored at the
+// first read, so the second read is in time and the third is not. The
+// first candidate's poll takes the second read, and whatever comes next
+// — the next candidate's poll or the first claim — the third: the run
+// stops after its root. Without those polls the first evaluation's claim
+// would take the second read, in time, and would run.
 func TestCandidateLoopsPollTheRun(t *testing.T) {
 	f := datagen.NewFig1()
 	cfg := DefaultConfig()

@@ -1,11 +1,13 @@
 package chase
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"wqe/internal/datagen"
@@ -14,6 +16,46 @@ import (
 	"wqe/internal/ops"
 	"wqe/internal/query"
 )
+
+// opIdent is the comparable operator identity the generators keyed and
+// ordered operators by before opKey and opCompare, kept verbatim as the
+// reference both are held to. AddE-with-fresh-node operators are
+// identified by their label.
+type opIdent struct {
+	kind            ops.Kind
+	u, u2           query.NodeID
+	lit, newLit     query.Literal
+	bound, newBound int
+	newLabel        string
+	hasNew          bool
+}
+
+func identOf(o ops.Op) opIdent {
+	id := opIdent{
+		kind: o.Kind, u: o.U, u2: o.U2,
+		lit: o.Lit, newLit: o.NewLit,
+		bound: o.Bound, newBound: o.NewBound,
+	}
+	if o.NewNode != nil {
+		id.hasNew = true
+		id.newLabel = o.NewNode.Label
+	}
+	return id
+}
+
+// identCompare orders operator identities deterministically.
+func identCompare(a, b opIdent) int {
+	return cmp.Or(
+		cmp.Compare(a.kind, b.kind),
+		cmp.Compare(a.u, b.u),
+		cmp.Compare(a.u2, b.u2),
+		a.lit.Compare(b.lit),
+		a.newLit.Compare(b.newLit),
+		cmp.Compare(a.bound, b.bound),
+		cmp.Compare(a.newBound, b.newBound),
+		strings.Compare(a.newLabel, b.newLabel),
+	)
+}
 
 // oracleFinishScored is finishScored as it stood before it sorted an
 // index permutation once: a stable sort of the accumulators by identity,

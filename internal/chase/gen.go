@@ -41,9 +41,9 @@ func expandable(budgetLeft float64) bool {
 // rcBlame is the per-RC-node failure analysis that drives picky
 // relaxation: which local conditions of Q keep the node out of Q(G).
 type rcBlame struct {
-	v graph.NodeID
-	// failedLits are the focus literals v itself violates.
-	failedLits []query.Literal
+	// failedLits are the focus literals v itself violates, by their
+	// place in the focus's list.
+	failedLits []int
 	// edgeFail records, per pattern edge index, how far the nearest
 	// candidate partner is when the edge fails v (graph.Unreachable when
 	// none within b_m), and 0 when it does not: it holds, or is not
@@ -73,38 +73,27 @@ type blockedLit struct {
 	val graph.Value // a nearby value that would satisfy a relaxed literal
 }
 
-// analyzeRC inspects why RC node v fails q locally, into b; the slices
-// of b are reused from the node it analyzed before.
-func (w *Why) analyzeRC(q *query.Query, v graph.NodeID, b *rcBlame) {
-	b.v, b.failedLits, b.blocked, b.deep = v, b.failedLits[:0], b.blocked[:0], false
+// analyzeRC inspects why RC node v fails q, compiled as pat, locally,
+// into b; the slices of b are reused from the node it analyzed before.
+func (w *Why) analyzeRC(q *query.Query, pat *query.Compiled, v graph.NodeID, b *rcBlame) {
+	b.failedLits, b.blocked = b.failedLits[:0], b.blocked[:0]
 	b.edgeFail = append(b.edgeFail[:0], make([]int, len(q.Edges))...)
 	b.litBlock = append(b.litBlock[:0], make([][2]int32, len(q.Edges))...)
 	failed := false
 	focus := q.Focus
 
-	for _, l := range q.Nodes[focus].Literals {
+	for li, l := range pat.Nodes[focus].Lits {
 		if !l.Sat(w.G, v) {
-			b.failedLits = append(b.failedLits, l)
+			b.failedLits = append(b.failedLits, li)
 		}
 	}
 
-	// The two balls are scanned and dropped: a traverser's storage serves
-	// them (each direction keeps its own until it is asked again).
+	// The two balls, forward and backward, are taken on first use,
+	// scanned and dropped: a traverser's storage serves them (each
+	// direction keeps its own until it is asked again).
 	tr := w.G.Traverser()
 	defer tr.Release()
-	var fwd, bwd []graph.NodeDist
-	ballFor := func(dir graph.Direction) []graph.NodeDist {
-		if dir == graph.Forward {
-			if fwd == nil {
-				fwd = tr.Ball(v, w.Cfg.MaxBound, graph.Forward)
-			}
-			return fwd
-		}
-		if bwd == nil {
-			bwd = tr.Ball(v, w.Cfg.MaxBound, graph.Backward)
-		}
-		return bwd
-	}
+	var balls [2][]graph.NodeDist
 
 	for ei, e := range q.Edges {
 		var other query.NodeID
@@ -119,27 +108,23 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID, b *rcBlame) {
 		}
 		nearestCand := graph.Unreachable
 		lo := len(b.blocked)
-		otherLabel := q.Nodes[other].Label
-		for _, nd := range ballFor(dir) {
-			if nd.D == 0 {
-				continue
-			}
+		oc := &pat.Nodes[other]
+		if balls[dir] == nil {
+			balls[dir] = tr.Ball(v, w.Cfg.MaxBound, dir)
+		}
+		for _, nd := range balls[dir][1:] { // v itself is no partner
 			nb, d := nd.V, int(nd.D)
-			if q.IsCandidate(w.G, other, nb) {
-				if d < nearestCand {
-					nearestCand = d
-				}
+			if oc.Check.Candidate(w.G, nb) {
+				nearestCand = min(nearestCand, d)
 				continue
 			}
 			// A correctly-labeled neighbor within the current bound that
 			// fails literals of the other endpoint blames those literals.
-			if d <= e.Bound && (otherLabel == "" || w.G.Label(nb) == otherLabel) {
-				for _, l := range q.Nodes[other].Literals {
+			if d <= e.Bound && oc.Label.Candidate(w.G, nb) {
+				for li, l := range oc.Lits {
 					if !l.Sat(w.G, nb) {
-						bl := blockedLit{u: other, lit: l}
-						if val, ok := w.G.Attr(nb, l.Attr); ok {
-							bl.val = val
-						}
+						bl := blockedLit{u: other, lit: q.Nodes[other].Literals[li]}
+						bl.val, _ = w.G.AttrByID(nb, l.Attr) // the zero Value when nb lacks it
 						b.blocked = append(b.blocked, bl)
 					}
 				}
@@ -154,9 +139,7 @@ func (w *Why) analyzeRC(q *query.Query, v graph.NodeID, b *rcBlame) {
 		}
 	}
 
-	if len(b.failedLits) == 0 && !failed {
-		b.deep = true
-	}
+	b.deep = len(b.failedLits) == 0 && !failed
 }
 
 // GenRelax implements GenRx (§5.3 + Appendix B): it analyzes every RC
@@ -181,6 +164,8 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budg
 	}
 	sc := w.scratch()
 	sc.busy = true
+	pat := &sc.pat
+	pat.Compile(w.G, q)
 	// Blame analysis runs bounded BFS per RC node; cap the analyzed set
 	// (highest-closeness first) so generation stays within the bounded
 	// delay of §5.4. Pickiness then scores against the sample.
@@ -230,19 +215,19 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budg
 	deepRC := sc.deepRC[:0]
 	blame := &sc.blame
 	for i, v := range rc {
-		w.analyzeRC(q, v, blame)
+		w.analyzeRC(q, pat, v, blame)
 
-		for _, l := range blame.failedLits {
+		for _, li := range blame.failedLits {
+			l := q.Nodes[focus].Literals[li]
 			if !used.Has(ops.LitTarget(focus, l.Attr)) {
 				add(ops.Op{Kind: ops.RmL, U: focus, Lit: l}, -1, i)
-				if val, ok := w.G.Attr(v, l.Attr); ok {
+				if val, ok := w.G.AttrByID(v, pat.Nodes[focus].Lits[li].Attr); ok {
 					noteVal(focus, l.Attr, val, i)
 				}
 			}
 		}
 		// Failed edges in index order: operator insertion order decides
-		// identOf-map accumulation and, downstream, tie-broken top-k
-		// output.
+		// accumulation and, downstream, tie-broken top-k output.
 		for ei, nearest := range blame.edgeFail {
 			if nearest == 0 {
 				continue
@@ -279,10 +264,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budg
 	// rule (2): paths {(u,u'),(u',u_o)} — an overestimate).
 	for _, i := range deepRC {
 		for ei, e := range q.Edges {
-			if e.From == focus || e.To == focus {
-				continue
-			}
-			if used.Has(ops.EdgeTarget(e.From, e.To)) {
+			if e.From == focus || e.To == focus || used.Has(ops.EdgeTarget(e.From, e.To)) {
 				continue
 			}
 			add(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound}, ei, i)
@@ -401,54 +383,39 @@ type failRun struct {
 	lo, hi int32
 }
 
-// opIdent is a comparable operator identity (cheaper than rendering
-// operator strings in hot loops). AddE-with-fresh-node operators are
-// identified by their label.
-type opIdent struct {
-	kind            ops.Kind
-	u, u2           query.NodeID
-	lit, newLit     query.Literal
-	bound, newBound int
-	newLabel        string
-	hasNew          bool
-}
-
-func identOf(o ops.Op) opIdent {
-	id := opIdent{
-		kind: o.Kind, u: o.U, u2: o.U2,
-		lit: o.Lit, newLit: o.NewLit,
-		bound: o.Bound, newBound: o.NewBound,
-	}
-	if o.NewNode != nil {
-		id.hasNew = true
-		id.newLabel = o.NewNode.Label
-	}
-	return id
-}
-
-// identCompare orders operator identities deterministically.
-func identCompare(a, b opIdent) int {
+// opCompare orders operators deterministically: by kind, nodes,
+// literals (Literal.Compare), bounds, then a fresh node's label.
+func opCompare(a, b ops.Op) int {
 	return cmp.Or(
-		cmp.Compare(a.kind, b.kind),
-		cmp.Compare(a.u, b.u),
-		cmp.Compare(a.u2, b.u2),
-		a.lit.Compare(b.lit),
-		a.newLit.Compare(b.newLit),
-		cmp.Compare(a.bound, b.bound),
-		cmp.Compare(a.newBound, b.newBound),
-		strings.Compare(a.newLabel, b.newLabel),
+		cmp.Compare(a.Kind, b.Kind),
+		cmp.Compare(a.U, b.U),
+		cmp.Compare(a.U2, b.U2),
+		a.Lit.Compare(b.Lit),
+		a.NewLit.Compare(b.NewLit),
+		cmp.Compare(a.Bound, b.Bound),
+		cmp.Compare(a.NewBound, b.NewBound),
+		strings.Compare(newLabel(a), newLabel(b)),
 	)
 }
 
+// newLabel is the label of o's fresh node, "" when it adds none.
+func newLabel(o ops.Op) string {
+	if o.NewNode == nil {
+		return ""
+	}
+	return o.NewNode.Label
+}
+
 // opKey is an operator's identity without strings, what the generators'
-// accumulators key on: for two operators one generator call builds on q,
-// it is equal exactly when their opIdents are, and a map keyed on it
-// hashes a few words instead of five strings. Literals are numbered, not
+// accumulators and AnsWE's plans key on: for two operators one call
+// builds on q, it is equal exactly when the operators are field by field
+// (== on each, a fresh node by its label), and a map keyed on it hashes
+// a few words instead of five strings. Literals are numbered, not
 // spelled: Lit by the position of the first literal of q.Nodes[U] equal
 // to it, or for AddL, whose literal is not q's, by its value's code.
 // NewLit, which only RxL and RfL carry, has Lit's attribute and a Number
 // constant, so its operator and number stand for it. A NaN in either
-// literal makes the key unequal to itself, as it makes the opIdent.
+// literal makes the key unequal to itself, as it makes the literal.
 type opKey struct {
 	kind            ops.Kind
 	newOp           graph.Op
@@ -544,7 +511,7 @@ func (w *Why) finishScored(acc *accums) []scoredOp {
 		case a.Cost > b.Cost:
 			return 1
 		}
-		return cmp.Or(identCompare(identOf(a.Op), identOf(b.Op)), cmp.Compare(i, j))
+		return cmp.Or(opCompare(a.Op, b.Op), cmp.Compare(i, j))
 	})
 	var count [ops.RfE + 1]int
 	kept := perm[:0]
@@ -642,6 +609,9 @@ type genScratch struct {
 
 	acc   accums
 	parts [4][]graph.NodeID // Partition's lists: rm, im, rc, ic
+	// pat is the call's pattern compiled against the graph: every test
+	// of a node against it goes through these checks.
+	pat query.Compiled
 
 	// genRelax's sample, closeness column, blame, deep failures and
 	// failing values.

@@ -49,11 +49,12 @@ type refineGen struct {
 	sc         *genScratch
 	q          *query.Query
 	codes      *graph.Codes // w.G's tuples as value codes
+	pat        *query.Compiled
 	rm, im     []graph.NodeID
 	used       ops.Targets
 	budgetLeft float64
 	acc        *accums
-	// pd, indexed by pattern node: PatternDist(u_o, u), capped at
+	// pd, indexed by pattern node: its distance from u_o, capped at
 	// maxPartnerHops (ball sizes explode on power-law graphs).
 	pd []int
 	// sig, indexed by pattern node: the Why-level id of the node's
@@ -61,12 +62,14 @@ type refineGen struct {
 	sig []int32
 }
 
-// newRefineGen samples the relevant and irrelevant matches and resolves
-// each pattern node's partner radius and signature, into sc, whose
-// accumulators it empties. The generator is good until sc's next call.
+// newRefineGen samples the relevant and irrelevant matches, compiles q
+// and resolves each pattern node's partner radius and signature, into
+// sc, whose accumulators it empties. The generator is good until sc's
+// next call.
 func newRefineGen(sc *genScratch, w *Why, q *query.Query, rm, im []graph.NodeID, used ops.Targets, budgetLeft float64) *refineGen {
 	g := &sc.refine
-	*g = refineGen{w: w, sc: sc, q: q, codes: w.G.Codes(), used: used, budgetLeft: budgetLeft,
+	sc.pat.Compile(w.G, q)
+	*g = refineGen{w: w, sc: sc, q: q, codes: w.G.Codes(), pat: &sc.pat, used: used, budgetLeft: budgetLeft,
 		// Neighborhood analysis is per-node bounded BFS; cap both sets
 		// (highest closeness first) to keep generation within bounded delay.
 		rm:  sampleByCl(w, rm, w.Cfg.MaxAnalysis, &sc.rm),
@@ -78,10 +81,7 @@ func newRefineGen(sc *genScratch, w *Why, q *query.Query, rm, im []graph.NodeID,
 	sc.acc.reset()
 	sig := sc.sig
 	for u := range q.Nodes {
-		d := q.PatternDist(q.Focus, query.NodeID(u))
-		if d == graph.Unreachable || d > maxPartnerHops {
-			d = maxPartnerHops
-		}
+		d := min(sc.pat.Dist[u], maxPartnerHops) // graph.Unreachable is the largest int
 		g.pd[u] = d
 		// The radius is the last byte, so distinct pairs number apart.
 		sig = append(query.AppendNodeSig(sig[:0], &q.Nodes[u]), byte(d))
@@ -130,7 +130,7 @@ func (g *refineGen) partners(v graph.NodeID, u query.NodeID) []graph.NodeID {
 		return p
 	}
 	G := g.w.G
-	check := g.q.Check(G, u)
+	check := &g.pat.Nodes[u].Check
 	out := g.sc.part[:0]
 	G.VisitBall(v, g.pd[u], graph.Both, func(n graph.NodeID, d int32) bool {
 		if d > 0 && check.Candidate(G, n) {
@@ -184,7 +184,7 @@ func (g *refineGen) fillPartners() {
 			buf = make([]graph.NodeID, graph.MaxBallSources*maxPartnersScored)
 			sc.buf = buf
 		}
-		check := g.q.Check(G, u)
+		check := &g.pat.Nodes[u].Check
 		for batch := miss; len(batch) > 0; {
 			clear(n[:])
 			var over uint64 // sources that met more than they may keep
@@ -532,7 +532,7 @@ func (g *refineGen) rfL() {
 	touched, ext := sc.touched, sc.ext
 	for ui := range g.q.Nodes {
 		u := query.NodeID(ui)
-		for _, l := range g.q.Nodes[u].Literals {
+		for li, l := range g.q.Nodes[u].Literals {
 			op := graph.GE // the tightened literal's
 			if l.Op == graph.LE || l.Op == graph.LT {
 				op = graph.LE
@@ -543,8 +543,8 @@ func (g *refineGen) rfL() {
 			if l.Val.Kind != graph.Number || g.used.Has(ops.LitTarget(u, l.Attr)) {
 				continue
 			}
-			aid, ok := G.Attrs.Lookup(l.Attr)
-			if !ok {
+			aid := g.pat.Nodes[u].Lits[li].Attr
+			if aid < 0 {
 				continue // no node carries the attribute: nothing to tighten toward
 			}
 			// RM-supporting values of this attribute at u: the distinct
@@ -653,7 +653,7 @@ func (g *refineGen) rfE() {
 		}
 		// certainlyCut: no candidate of the other endpoint lies within
 		// the tightened bound of v. The search ends at the first one.
-		check := g.q.Check(G, other)
+		check := &g.pat.Nodes[other].Check
 		certainlyCut := func(v graph.NodeID) bool {
 			cut := true
 			G.VisitBall(v, e.Bound-1, dir, func(n graph.NodeID, d int32) bool {
@@ -739,7 +739,7 @@ func (g *refineGen) addE() {
 		if used.Has(ops.EdgeTarget(focus, u)) && used.Has(ops.EdgeTarget(u, focus)) {
 			continue
 		}
-		isCand := func(nb graph.NodeID) bool { return q.IsCandidate(w.G, u, nb) }
+		isCand := func(nb graph.NodeID) bool { return g.pat.Nodes[u].Check.Candidate(w.G, nb) }
 		for _, dir := range []graph.Direction{graph.Forward, graph.Backward} {
 			k := 0
 			feasible := true

@@ -15,7 +15,8 @@ import (
 )
 
 // oracleGenRelax is GenRelax as it stood before generation became
-// budget-aware, verbatim apart from the receiver: it partitions the
+// budget-aware, verbatim apart from the receiver and its blame, which it
+// takes from oracleAnalyzeRC, the by-value analysis: it partitions the
 // answer itself and asks nothing about the budget before the per-operator
 // "Cost > budgetLeft" test. The terminal-state test checks that on a
 // state with budgetLeft < ops.MinCost it finds nothing to emit, and that
@@ -74,9 +75,9 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used ops.Targets,
 	}
 
 	var deepRC []graph.NodeID
-	var blame rcBlame
+	var blame oracleBlame
 	for _, v := range rc {
-		w.analyzeRC(q, v, &blame)
+		oracleAnalyzeRC(w, q, v, &blame)
 
 		for _, l := range blame.failedLits {
 			if !used.Has(ops.LitTarget(focus, l.Attr)) {
@@ -226,6 +227,123 @@ func oracleGenRelax(w *Why, q *query.Query, res *match.Result, used ops.Targets,
 		scored.list = append(scored.list, *a)
 	}
 	return w.finishScored(&scored)
+}
+
+// oracleBlame is rcBlame as it stood when blame read the pattern by
+// value, verbatim apart from its name.
+type oracleBlame struct {
+	v graph.NodeID
+	// failedLits are the focus literals v itself violates.
+	failedLits []query.Literal
+	// edgeFail records, per pattern edge index, how far the nearest
+	// candidate partner is when the edge fails v (graph.Unreachable when
+	// none within b_m), and 0 when it does not: it holds, or is not
+	// focus-incident.
+	edgeFail []int
+	// blocked records partner-side literal blocking: for a failing
+	// pattern edge whose bound is satisfiable by a correctly-labeled
+	// neighbor that fails literals of the other endpoint, the blocking
+	// literals with the nearest unblocking value. The failing edges' runs
+	// lie one after another; litBlock[ei] locates edge ei's (see blocking).
+	blocked  []blockedLit
+	litBlock [][2]int32
+	// deep is set when no local failure explains the miss (the node
+	// fails a non-focus-local constraint or injectivity).
+	deep bool
+}
+
+// blocking returns the literals blocking pattern edge ei.
+func (b *oracleBlame) blocking(ei int) []blockedLit {
+	span := b.litBlock[ei]
+	return b.blocked[span[0]:span[1]]
+}
+
+// oracleAnalyzeRC is analyzeRC as it stood when blame tested nodes by
+// value — Query.IsCandidate, Literal.Sat, label strings and Graph.Attr
+// by name — verbatim apart from the receiver, so that oracleGenRelax
+// sees any change in what blame finds.
+func oracleAnalyzeRC(w *Why, q *query.Query, v graph.NodeID, b *oracleBlame) {
+	b.v, b.failedLits, b.blocked, b.deep = v, b.failedLits[:0], b.blocked[:0], false
+	b.edgeFail = append(b.edgeFail[:0], make([]int, len(q.Edges))...)
+	b.litBlock = append(b.litBlock[:0], make([][2]int32, len(q.Edges))...)
+	failed := false
+	focus := q.Focus
+
+	for _, l := range q.Nodes[focus].Literals {
+		if !l.Sat(w.G, v) {
+			b.failedLits = append(b.failedLits, l)
+		}
+	}
+
+	// The two balls are scanned and dropped: a traverser's storage serves
+	// them (each direction keeps its own until it is asked again).
+	tr := w.G.Traverser()
+	defer tr.Release()
+	var fwd, bwd []graph.NodeDist
+	ballFor := func(dir graph.Direction) []graph.NodeDist {
+		if dir == graph.Forward {
+			if fwd == nil {
+				fwd = tr.Ball(v, w.Cfg.MaxBound, graph.Forward)
+			}
+			return fwd
+		}
+		if bwd == nil {
+			bwd = tr.Ball(v, w.Cfg.MaxBound, graph.Backward)
+		}
+		return bwd
+	}
+
+	for ei, e := range q.Edges {
+		var other query.NodeID
+		var dir graph.Direction
+		switch focus {
+		case e.From:
+			other, dir = e.To, graph.Forward
+		case e.To:
+			other, dir = e.From, graph.Backward
+		default:
+			continue
+		}
+		nearestCand := graph.Unreachable
+		lo := len(b.blocked)
+		otherLabel := q.Nodes[other].Label
+		for _, nd := range ballFor(dir) {
+			if nd.D == 0 {
+				continue
+			}
+			nb, d := nd.V, int(nd.D)
+			if q.IsCandidate(w.G, other, nb) {
+				if d < nearestCand {
+					nearestCand = d
+				}
+				continue
+			}
+			// A correctly-labeled neighbor within the current bound that
+			// fails literals of the other endpoint blames those literals.
+			if d <= e.Bound && (otherLabel == "" || w.G.Label(nb) == otherLabel) {
+				for _, l := range q.Nodes[other].Literals {
+					if !l.Sat(w.G, nb) {
+						bl := blockedLit{u: other, lit: l}
+						if val, ok := w.G.Attr(nb, l.Attr); ok {
+							bl.val = val
+						}
+						b.blocked = append(b.blocked, bl)
+					}
+				}
+			}
+		}
+		if nearestCand > e.Bound {
+			b.edgeFail[ei] = nearestCand
+			b.litBlock[ei] = [2]int32{int32(lo), int32(len(b.blocked))}
+			failed = true
+		} else {
+			b.blocked = b.blocked[:lo]
+		}
+	}
+
+	if len(b.failedLits) == 0 && !failed {
+		b.deep = true
+	}
 }
 
 // TestGenRelaxFailingValuesMatchOracle holds the RxL discretization's

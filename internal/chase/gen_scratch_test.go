@@ -153,8 +153,9 @@ func TestGeneratorsOnUsedScratch(t *testing.T) {
 
 // genAllocSlack is how many allocations a warmed generator call may make
 // beside its returned slice, whatever the number of operators it
-// returns: what GenRefine compiles of the question per call (pattern
-// distances, matching signatures, rfE's literal checks).
+// returns: what GenRefine builds of the question per call (a matching
+// signature sorts a copy of literals listed out of order). The compiled
+// pattern and its focus distances reuse the scratch.
 const genAllocSlack = 4
 
 // TestGeneratorAllocs counts, not times, what warmed GenRefine and

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"slices"
 	"sort"
 
 	"wqe/internal/graph"
@@ -44,6 +45,21 @@ func (w *Why) AnsWE() Answer {
 		return rootAns
 	}
 
+	// Every node test goes through q compiled once. A non-focus node u
+	// connected to the focus is tested within radius(u) of a candidate:
+	// its pattern distance from the focus, capped at 2·b_m. One ball per
+	// candidate, at the largest radius, serves every node: u's ball is
+	// its BFS-order prefix within radius(u).
+	var pat query.Compiled
+	pat.Compile(w.G, q)
+	radius := func(u int) int { return min(pat.Dist[u], 2*w.Cfg.MaxBound) } // graph.Unreachable is the largest int
+	maxRadius := 0
+	for u, be := range branch {
+		if be >= 0 {
+			maxRadius = max(maxRadius, radius(u))
+		}
+	}
+
 	type plan struct {
 		v    graph.NodeID
 		ops  ops.Sequence
@@ -51,80 +67,49 @@ func (w *Why) AnsWE() Answer {
 	}
 	var plans []plan
 	for _, v := range rc {
-		// A plan takes a ball per pattern node: poll per candidate.
+		// A plan takes a ball: poll per candidate.
 		if !r.more() {
 			break
 		}
 		var seq ops.Sequence
-		seen := map[opIdent]bool{}
-		addOp := func(o ops.Op) {
-			k := identOf(o)
-			if !seen[k] {
-				seen[k] = true
+		addOp := func(o ops.Op) { // once: a detached branch's RmE is met per node
+			k := keyOf(q, o, -1)
+			if !slices.ContainsFunc(seq, func(x ops.Op) bool { return keyOf(q, x, -1) == k }) {
 				seq = append(seq, o)
 			}
 		}
 
 		// Fragment class 1: focus literals.
-		for _, l := range q.Nodes[focus].Literals {
+		for li, l := range pat.Nodes[focus].Lits {
 			if !l.Sat(w.G, v) {
-				addOp(ops.Op{Kind: ops.RmL, U: focus, Lit: l})
+				addOp(ops.Op{Kind: ops.RmL, U: focus, Lit: q.Nodes[focus].Literals[li]})
 			}
 		}
 
 		// Fragment classes 2 and 3: per non-focus node, its connection
 		// and its literals, each evaluated via a bounded neighborhood of
-		// the candidate.
-		detached := map[int]bool{} // edges already scheduled for removal
-		for ui := range q.Nodes {
+		// the candidate, the candidate itself (the ball's first node)
+		// left out.
+		around := w.G.Ball(v, maxRadius, graph.Both)[1:]
+		for ui, be := range branch {
+			if be < 0 {
+				continue // the focus, or already disconnected from it
+			}
 			u := query.NodeID(ui)
-			if u == focus {
-				continue
-			}
-			be, ok := branch[u]
-			if !ok {
-				continue // already disconnected from the focus
-			}
-			pd := q.PatternDist(focus, u)
-			if pd == graph.Unreachable || pd > 2*w.Cfg.MaxBound {
-				pd = 2 * w.Cfg.MaxBound
-			}
-			ball := w.G.Ball(v, pd, graph.Both)
+			ball := around[:sort.Search(len(around), func(i int) bool { return int(around[i].D) > radius(ui) })]
+			node := &pat.Nodes[u]
+			labeled := func(nd graph.NodeDist) bool { return node.Label.Candidate(w.G, nd.V) }
 
 			// Class 2: does any label-compatible node sit within range?
-			label := q.Nodes[u].Label
-			connected := false
-			for _, nd := range ball {
-				if nd.D == 0 {
-					continue
-				}
-				if label == "" || w.G.Label(nd.V) == label {
-					connected = true
-					break
-				}
-			}
-			if !connected {
-				if !detached[be] {
-					detached[be] = true
-					e := q.Edges[be]
-					addOp(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound})
-				}
+			if !slices.ContainsFunc(ball, labeled) {
+				e := q.Edges[be]
+				addOp(ops.Op{Kind: ops.RmE, U: e.From, U2: e.To, Bound: e.Bound})
 				continue // literals on a detached branch are moot
 			}
 			// Class 3: per-literal fragments.
-			for _, l := range q.Nodes[u].Literals {
-				sat := false
-				for _, nd := range ball {
-					if nd.D == 0 {
-						continue
-					}
-					if (label == "" || w.G.Label(nd.V) == label) && l.Sat(w.G, nd.V) {
-						sat = true
-						break
-					}
-				}
-				if !sat {
-					addOp(ops.Op{Kind: ops.RmL, U: u, Lit: l})
+			for li, l := range node.Lits {
+				if !slices.ContainsFunc(ball, func(nd graph.NodeDist) bool { return labeled(nd) && l.Sat(w.G, nd.V) }) {
+					addOp(ops.Op{Kind: ops.RmL, U: u, Lit: q.Nodes[u].Literals[li]})
 				}
 			}
 		}
@@ -157,41 +142,36 @@ func (w *Why) AnsWE() Answer {
 	return rootAns
 }
 
-// branchEdges maps every non-focus pattern node to the edge index that
-// connects its branch toward the focus (BFS tree over the undirected
-// pattern).
-func branchEdges(q *query.Query) map[query.NodeID]int {
-	branch := map[query.NodeID]int{}
-	visited := make([]bool, len(q.Nodes))
-	visited[q.Focus] = true
-	frontier := []query.NodeID{q.Focus}
-	for len(frontier) > 0 {
-		var next []query.NodeID
-		for _, u := range frontier {
-			for ei, e := range q.Edges {
-				var nb query.NodeID
-				switch u {
-				case e.From:
-					nb = e.To
-				case e.To:
-					nb = e.From
-				default:
-					continue
+// branchEdges gives every non-focus pattern node the index of the edge
+// that connects its branch toward the focus (a BFS tree over the
+// undirected pattern); -1 to the focus and to the nodes the pattern does
+// not connect to it.
+func branchEdges(q *query.Query) []int {
+	branch := make([]int, len(q.Nodes))
+	for i := range branch {
+		branch[i] = -1
+	}
+	for queue := []query.NodeID{q.Focus}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		for ei, e := range q.Edges {
+			nb := e.From
+			switch u {
+			case e.From:
+				nb = e.To
+			case e.To:
+			default:
+				continue
+			}
+			if nb != q.Focus && branch[nb] < 0 {
+				// Deeper nodes inherit the root edge of their branch:
+				// removing it detaches them too.
+				branch[nb] = ei
+				if u != q.Focus {
+					branch[nb] = branch[u]
 				}
-				if !visited[nb] {
-					visited[nb] = true
-					if _, hasRoot := branch[u]; hasRoot {
-						// Deeper nodes inherit the root edge of their
-						// branch: removing it detaches them too.
-						branch[nb] = branch[u]
-					} else {
-						branch[nb] = ei
-					}
-					next = append(next, nb)
-				}
+				queue = append(queue, nb)
 			}
 		}
-		frontier = next
 	}
 	return branch
 }

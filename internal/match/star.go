@@ -39,6 +39,7 @@ type StarQuery struct {
 func Decompose(q *query.Query) []*StarQuery {
 	covered := make([]bool, len(q.Edges))
 	nodeCovered := make([]bool, len(q.Nodes))
+	dist := q.FocusDist(nil)
 	var stars []*StarQuery
 
 	uncoveredAt := func(u query.NodeID) int {
@@ -61,7 +62,7 @@ func Decompose(q *query.Query) []*StarQuery {
 		if bestN == 0 {
 			break
 		}
-		stars = append(stars, makeStar(q, best))
+		stars = append(stars, makeStar(q, best, dist))
 		nodeCovered[best] = true
 		for i, e := range q.Edges {
 			if e.From == best || e.To == best {
@@ -77,13 +78,14 @@ func Decompose(q *query.Query) []*StarQuery {
 	for u := range q.Nodes {
 		if !nodeCovered[u] && len(q.IncidentEdges(query.NodeID(u))) == 0 &&
 			query.NodeID(u) == q.Focus {
-			stars = append(stars, makeStar(q, query.NodeID(u)))
+			stars = append(stars, makeStar(q, query.NodeID(u), dist))
 		}
 	}
 	return stars
 }
 
-func makeStar(q *query.Query, center query.NodeID) *StarQuery {
+// makeStar builds the star centered at center; dist is q.FocusDist.
+func makeStar(q *query.Query, center query.NodeID, dist []int) *StarQuery {
 	s := &StarQuery{Center: center}
 	hasFocus := center == q.Focus
 	for i, e := range q.Edges {
@@ -102,7 +104,7 @@ func makeStar(q *query.Query, center query.NodeID) *StarQuery {
 	}
 	s.HasFocus = hasFocus
 	if !hasFocus {
-		d := q.PatternDist(center, q.Focus)
+		d := dist[center]
 		if d == graph.Unreachable {
 			// Disconnected from the focus (possible after RmE): treat as
 			// focus-agnostic; the star then constrains its own nodes only.

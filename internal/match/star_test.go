@@ -32,7 +32,7 @@ func TestAugmentedDistance(t *testing.T) {
 	}
 	if bStar == nil {
 		// B may be covered as a leaf of A's star; force a singleton view.
-		bStar = makeStar(q, 2)
+		bStar = makeStar(q, 2, q.FocusDist(nil))
 	}
 	if bStar.HasFocus {
 		t.Fatal("B's star should not contain the focus directly")

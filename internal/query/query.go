@@ -61,7 +61,9 @@ func (l Literal) AppendKey(dst []byte) []byte {
 }
 
 // Sat reports whether node v of g satisfies the literal: v must carry
-// the attribute and the comparison must hold.
+// the attribute and the comparison must hold. It is the by-value
+// reference the compiled test (LitCheck, NodeCheck) is held to; the
+// engine tests nodes only through the compiled one.
 func (l Literal) Sat(g *graph.Graph, v graph.NodeID) bool {
 	val, ok := g.Attr(v, l.Attr)
 	if !ok {
@@ -168,18 +170,6 @@ func (q *Query) Size() int {
 	return s
 }
 
-// MaxBound returns the largest edge bound b_m appearing in the query
-// (at least 1).
-func (q *Query) MaxBound() int {
-	b := 1
-	for _, e := range q.Edges {
-		if e.Bound > b {
-			b = e.Bound
-		}
-	}
-	return b
-}
-
 // HasLiteral reports whether pattern node u carries literal l.
 func (q *Query) HasLiteral(u NodeID, l Literal) bool {
 	for _, x := range q.Nodes[u].Literals {
@@ -261,7 +251,8 @@ func (q *Query) Candidates(g *graph.Graph, u NodeID) []graph.NodeID {
 }
 
 // IsCandidate reports whether graph node v is a candidate of pattern
-// node u.
+// node u. Like Literal.Sat it is the by-value reference: the engine
+// asks NodeCheck.Candidate, which tests agree with it.
 func (q *Query) IsCandidate(g *graph.Graph, u NodeID, v graph.NodeID) bool {
 	pn := q.Nodes[u]
 	if pn.Label != "" && g.Label(v) != pn.Label {
@@ -275,42 +266,39 @@ func (q *Query) IsCandidate(g *graph.Graph, u NodeID, v graph.NodeID) bool {
 	return true
 }
 
-// PatternDist returns the shortest path length between pattern nodes a
-// and b, treating each pattern edge as undirected with weight equal to
-// its hop bound. This is the "distance between u_i and u_o in Q" used to
-// label augmented star-view edges. Returns graph.Unreachable when the
-// pattern is disconnected between a and b.
-func (q *Query) PatternDist(a, b NodeID) int {
-	if a == b {
-		return 0
+// FocusDist returns, in dst resized to the pattern's node count, every
+// pattern node's distance from the focus, treating each pattern edge as
+// undirected with weight equal to its hop bound: the "distance between
+// u_i and u_o in Q" that labels augmented star-view edges and bounds
+// partner balls. Nodes the pattern does not connect to the focus are
+// graph.Unreachable. One single-source pass serves every node.
+func (q *Query) FocusDist(dst []int) []int {
+	if cap(dst) < len(q.Nodes) {
+		dst = make([]int, len(q.Nodes))
 	}
-	const inf = int(^uint(0) >> 1)
-	dist := make([]int, len(q.Nodes))
+	dist := dst[:len(q.Nodes)]
 	for i := range dist {
-		dist[i] = inf
+		dist[i] = graph.Unreachable
 	}
-	dist[a] = 0
+	if int(q.Focus) < 0 || int(q.Focus) >= len(dist) {
+		return dist
+	}
+	dist[q.Focus] = 0
 	// Bellman-Ford style relaxation: queries are tiny, simplicity wins.
-	for iter := 0; iter < len(q.Nodes); iter++ {
+	for range q.Nodes {
 		changed := false
 		for _, e := range q.Edges {
-			if dist[e.From] != inf && dist[e.From]+e.Bound < dist[e.To] {
-				dist[e.To] = dist[e.From] + e.Bound
-				changed = true
-			}
-			if dist[e.To] != inf && dist[e.To]+e.Bound < dist[e.From] {
-				dist[e.From] = dist[e.To] + e.Bound
-				changed = true
+			for _, end := range [2][2]NodeID{{e.From, e.To}, {e.To, e.From}} {
+				if d := dist[end[0]]; d != graph.Unreachable && d+e.Bound < dist[end[1]] {
+					dist[end[1]], changed = d+e.Bound, true
+				}
 			}
 		}
 		if !changed {
 			break
 		}
 	}
-	if dist[b] == inf {
-		return graph.Unreachable
-	}
-	return dist[b]
+	return dist
 }
 
 // Topology classifies the query shape the way the paper's Exp-1 does.
@@ -495,7 +483,7 @@ type NodeCheck struct {
 	// wildcard, noLabel when no node can pass (the label, or a literal's
 	// attribute, is absent from G).
 	label int32
-	lits  []compiledLit
+	lits  []LitCheck // sorted by attribute
 }
 
 // Labels are interned from 0, so no node carries a negative one.
@@ -504,12 +492,24 @@ const (
 	noLabel  int32 = -2
 )
 
-type compiledLit struct {
-	aid int32
-	// lo, hi: the codes of the attribute's values that satisfy the
-	// literal (graph.Codes.Interval), so "lo <= code <= hi" is
-	// Literal.Sat; lo > hi when none does.
+// LitCheck is one literal compiled against a graph: its attribute's
+// interned id, -1 when no node of the graph carries it, and the codes
+// [lo, hi] of the attribute's values that satisfy the literal
+// (graph.Codes.Interval; lo > hi when none does). Sat is then
+// Literal.Sat without a string lookup.
+type LitCheck struct {
+	Attr   int32
 	lo, hi int32
+}
+
+// Sat reports whether v satisfies the literal.
+func (c LitCheck) Sat(g *graph.Graph, v graph.NodeID) bool {
+	for _, cell := range g.Tuple(v) { // sorted by attribute
+		if cell.Attr >= c.Attr {
+			return cell.Attr == c.Attr && c.lo <= cell.Code && cell.Code <= c.hi
+		}
+	}
+	return false
 }
 
 // Check compiles the candidate predicate of pattern node u against g.
@@ -528,29 +528,44 @@ func (l Literal) Check(g *graph.Graph) NodeCheck {
 }
 
 func compile(g *graph.Graph, label string, literals []Literal) NodeCheck {
-	c := NodeCheck{label: anyLabel}
-	if label != "" {
-		id, ok := g.Labels.Lookup(label)
-		if !ok {
-			return NodeCheck{label: noLabel}
-		}
-		c.label = id
+	lits := make([]LitCheck, len(literals))
+	for i, l := range literals {
+		lits[i] = l.compile(g)
 	}
-	if len(literals) == 0 {
-		return c
+	return nodeCheck(labelID(g, label), lits)
+}
+
+// labelID is label's interned id in g: anyLabel for the wildcard,
+// noLabel when no node carries it.
+func labelID(g *graph.Graph, label string) int32 {
+	if label == "" {
+		return anyLabel
 	}
-	codes := g.Codes()
-	c.lits = make([]compiledLit, 0, len(literals))
-	for _, l := range literals {
-		aid, ok := g.Attrs.Lookup(l.Attr)
-		if !ok {
-			return NodeCheck{label: noLabel}
-		}
-		lo, hi := codes.Interval(aid, l.Op, l.Val)
-		c.lits = append(c.lits, compiledLit{aid: aid, lo: lo, hi: hi})
+	id, ok := g.Labels.Lookup(label)
+	if !ok {
+		return noLabel
 	}
-	slices.SortFunc(c.lits, func(a, b compiledLit) int { return int(a.aid - b.aid) })
-	return c
+	return id
+}
+
+// compile compiles the literal against g.
+func (l Literal) compile(g *graph.Graph) LitCheck {
+	aid, ok := g.Attrs.Lookup(l.Attr)
+	if !ok {
+		return LitCheck{Attr: -1, lo: 0, hi: -1}
+	}
+	lo, hi := g.Codes().Interval(aid, l.Op, l.Val)
+	return LitCheck{Attr: aid, lo: lo, hi: hi}
+}
+
+// nodeCheck assembles a node's predicate from its label's id and its
+// literals' checks, which it sorts by attribute and keeps.
+func nodeCheck(label int32, lits []LitCheck) NodeCheck {
+	if slices.ContainsFunc(lits, func(l LitCheck) bool { return l.Attr < 0 }) {
+		return NodeCheck{label: noLabel}
+	}
+	slices.SortFunc(lits, func(a, b LitCheck) int { return int(a.Attr - b.Attr) })
+	return NodeCheck{label: label, lits: lits}
 }
 
 // Candidate reports whether v satisfies the compiled predicate;
@@ -570,10 +585,10 @@ func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
 	j := 0
 	for i := range c.lits {
 		l := &c.lits[i]
-		for j < len(cells) && cells[j].Attr < l.aid {
+		for j < len(cells) && cells[j].Attr < l.Attr {
 			j++
 		}
-		if j == len(cells) || cells[j].Attr != l.aid {
+		if j == len(cells) || cells[j].Attr != l.Attr {
 			return false
 		}
 		if code := cells[j].Code; code < l.lo || code > l.hi {
@@ -581,4 +596,38 @@ func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
 		}
 	}
 	return true
+}
+
+// Compiled is a pattern compiled against one graph, for a search that
+// asks of many graph nodes whether they are candidates of a pattern
+// node, carry its label, or satisfy one of its literals, and every
+// node's distance from the focus (FocusDist). Compile refills it in
+// place, reusing its storage.
+type Compiled struct {
+	Nodes []CompiledNode
+	Dist  []int
+}
+
+// CompiledNode is one pattern node of a Compiled.
+type CompiledNode struct {
+	Check NodeCheck  // the node's candidate predicate
+	Label NodeCheck  // its label alone
+	Lits  []LitCheck // one per literal, in the node's order
+}
+
+// Compile compiles q against g into c.
+func (c *Compiled) Compile(g *graph.Graph, q *Query) {
+	if cap(c.Nodes) < len(q.Nodes) {
+		c.Nodes = make([]CompiledNode, len(q.Nodes))
+	}
+	c.Nodes = c.Nodes[:len(q.Nodes)]
+	for u := range q.Nodes {
+		n, cn := &q.Nodes[u], &c.Nodes[u]
+		cn.Label, cn.Lits = NodeCheck{label: labelID(g, n.Label)}, cn.Lits[:0]
+		for _, l := range n.Literals {
+			cn.Lits = append(cn.Lits, l.compile(g))
+		}
+		cn.Check = nodeCheck(cn.Label.label, append(cn.Check.lits[:0], cn.Lits...))
+	}
+	c.Dist = q.FocusDist(c.Dist)
 }

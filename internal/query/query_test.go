@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -116,6 +118,10 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestPatternDist: FocusDist sums bounds along the shortest undirected
+// path from the focus and leaves disconnected nodes Unreachable; on
+// random small patterns, some with an edge removed as RmE removes one
+// (the nodes stay), it equals a Floyd–Warshall reference.
 func TestPatternDist(t *testing.T) {
 	q := New()
 	a := q.AddNode("A")
@@ -124,19 +130,76 @@ func TestPatternDist(t *testing.T) {
 	d := q.AddNode("D")
 	q.AddEdge(a, b, 2)
 	q.AddEdge(b, c, 1)
-	q.Focus = a
-	if got := q.PatternDist(a, c); got != 3 {
-		t.Errorf("PatternDist(a,c) = %d, want 3 (bounds sum)", got)
+	q.Focus = c
+	if got, want := q.FocusDist(nil), []int{3, 1, 0, graph.Unreachable}; !slices.Equal(got, want) {
+		t.Errorf("FocusDist = %v, want %v (bounds summed, direction ignored)", got, want)
 	}
-	if got := q.PatternDist(c, a); got != 3 {
-		t.Errorf("PatternDist must ignore direction, got %d", got)
+	q.Focus = d
+	if got, want := q.FocusDist(make([]int, 9)), []int{graph.Unreachable, graph.Unreachable, graph.Unreachable, 0}; !slices.Equal(got, want) {
+		t.Errorf("FocusDist from an isolated focus = %v, want %v", got, want)
 	}
-	if got := q.PatternDist(a, a); got != 0 {
-		t.Errorf("PatternDist(a,a) = %d", got)
+
+	rng := rand.New(rand.NewSource(5))
+	var dst []int
+	disconnected := 0
+	for i := 0; i < 500; i++ {
+		q := New()
+		n := 1 + rng.Intn(6)
+		for j := 0; j < n; j++ {
+			q.AddNode("")
+		}
+		for j := rng.Intn(2 * n); j > 0 && n > 1; j-- {
+			from := NodeID(rng.Intn(n))
+			if to := NodeID(rng.Intn(n)); to != from {
+				q.AddEdge(from, to, 1+rng.Intn(4))
+			}
+		}
+		if len(q.Edges) > 0 && rng.Intn(2) == 0 {
+			k := rng.Intn(len(q.Edges))
+			q.Edges = append(q.Edges[:k:k], q.Edges[k+1:]...)
+		}
+		q.Focus = NodeID(rng.Intn(n))
+		dst = q.FocusDist(dst)
+		want := floydWarshall(q)[q.Focus]
+		if !slices.Equal(dst, want) {
+			t.Fatalf("%s: FocusDist = %v, Floyd–Warshall %v", q, dst, want)
+		}
+		if slices.Contains(want, graph.Unreachable) {
+			disconnected++
+		}
 	}
-	if got := q.PatternDist(a, d); got != graph.Unreachable {
-		t.Errorf("disconnected PatternDist = %d, want Unreachable", got)
+	if disconnected == 0 {
+		t.Error("no pattern left a node disconnected: Unreachable was never checked")
 	}
+}
+
+// floydWarshall returns every pair's undirected bound-weighted distance,
+// graph.Unreachable for pairs no path joins.
+func floydWarshall(q *Query) [][]int {
+	n := len(q.Nodes)
+	d := make([][]int, n)
+	for i := range d {
+		d[i] = make([]int, n)
+		for j := range d[i] {
+			if i != j {
+				d[i][j] = graph.Unreachable
+			}
+		}
+	}
+	for _, e := range q.Edges {
+		d[e.From][e.To] = min(d[e.From][e.To], e.Bound)
+		d[e.To][e.From] = min(d[e.To][e.From], e.Bound)
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if d[i][k] != graph.Unreachable && d[k][j] != graph.Unreachable && d[i][k]+d[k][j] < d[i][j] {
+					d[i][j] = d[i][k] + d[k][j]
+				}
+			}
+		}
+	}
+	return d
 }
 
 func TestShape(t *testing.T) {
@@ -305,9 +368,6 @@ func TestAccessors(t *testing.T) {
 	}
 	if got := q.IncidentEdges(a); len(got) != 2 {
 		t.Errorf("IncidentEdges(a) = %v", got)
-	}
-	if q.MaxBound() != 2 {
-		t.Errorf("MaxBound = %d", q.MaxBound())
 	}
 	if q.Size() != 3+2+1 {
 		t.Errorf("Size = %d, want 6", q.Size())
