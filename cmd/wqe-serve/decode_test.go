@@ -236,6 +236,9 @@ func TestDecodeAskCases(t *testing.T) {
 		{"bad operator", `{"query":{"nodes":[{"literals":[{"attr":"a","op":"~"}]}]},"exemplar":` + e + `}`, false},
 		{"a path names no server file", `{"query":"testdata/fig1/query.json","exemplar":` + e + `}`, false},
 		{"later key wins", `{"query":{"nodes":[{"literals":[{"attr":"a","op":"~","op":"<","value":1}]}]},"exemplar":` + e + `}`, true},
+		{"a pattern at both caps", `{"query":` + patternJSON(chase.MaxJobNodes, chase.MaxJobEdges) + `,"exemplar":` + e + `}`, true},
+		{"a node over the cap", `{"query":` + patternJSON(chase.MaxJobNodes+1, chase.MaxJobNodes) + `,"exemplar":` + e + `}`, false},
+		{"an edge over the cap", `{"query":` + patternJSON(chase.MaxJobNodes, chase.MaxJobEdges+1) + `,"exemplar":` + e + `}`, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := decodeServer()
@@ -256,6 +259,29 @@ func TestDecodeAskCases(t *testing.T) {
 			}
 		})
 	}
+}
+
+// patternJSON is a query document of the given numbers of nodes and
+// edges, no two edges alike and none a self-loop (edges < nodes²).
+func patternJSON(nodes, edges int) string {
+	var b strings.Builder
+	b.WriteString(`{"focus":0,"nodes":[`)
+	for i := range nodes {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`{"label":"Cellphone"}`)
+	}
+	b.WriteString(`],"edges":[`)
+	for i := range edges {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		from := i % nodes
+		fmt.Fprintf(&b, `{"from":%d,"to":%d,"bound":1}`, from, (from+1+i/nodes)%nodes)
+	}
+	b.WriteString(`]}`)
+	return b.String()
 }
 
 // TestBodyTooLarge: a body over maxBodyBytes is answered 413 and counted

@@ -79,8 +79,8 @@ type BatchJob struct {
 //
 // err is the input's own: it is not JSON, or a field holds a value of
 // the wrong kind (kept in types, as encoding/json kept the first). bad is
-// what is wrong with the question: no query or exemplar, or one that does
-// not parse.
+// what is wrong with the question: no query or exemplar, one that does
+// not parse, or a pattern over MaxJobNodes nodes or MaxJobEdges edges.
 func DecodeJob(r *jsonscan.Reader, j *BatchJob, types *jsonscan.Sticky, field func(key []byte) (bool, error)) (bad, err error) {
 	var qErr, eErr error
 	limitMS := int(j.TimeLimit / time.Millisecond)
@@ -117,9 +117,23 @@ func DecodeJob(r *jsonscan.Reader, j *BatchJob, types *jsonscan.Sticky, field fu
 		bad = fmt.Errorf("parse query: %w", qErr)
 	case j.E == nil:
 		bad = fmt.Errorf("parse exemplar: %w", eErr)
+	case len(j.Q.Nodes) > MaxJobNodes || len(j.Q.Edges) > MaxJobEdges:
+		bad = fmt.Errorf("pattern too large: %d nodes and %d edges, at most %d and %d",
+			len(j.Q.Nodes), len(j.Q.Edges), MaxJobNodes, MaxJobEdges)
 	}
 	return bad, types.Keep(err)
 }
+
+// MaxJobNodes and MaxJobEdges cap the pattern of a job read off the wire.
+// Star decomposition is cubic in the pattern's size (a 400-node chain
+// costs tens of milliseconds per evaluation, 800 nodes half a second), no
+// evaluation can be interrupted by the job's time limit, and a body of a
+// few megabytes spells tens of thousands of nodes. The paper's patterns
+// have a handful of nodes; the caps leave room for ten times more.
+const (
+	MaxJobNodes = 64
+	MaxJobEdges = 128
+)
 
 // notJSON passes on the error of a document decoder only when the input
 // is not JSON — the decoders return that *jsonscan.Error unwrapped —: it

@@ -50,7 +50,7 @@ func BenchmarkGenRelax(b *testing.B) {
 	res := w.Matcher.Match(inst.Q)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.GenRelax(inst.Q, res, nil, 3)
+		w.GenRelax(res, nil, 3)
 	}
 }
 
@@ -86,17 +86,17 @@ func BenchmarkGenRefine(b *testing.B) {
 			b.StopTimer()
 			w := newWhy()
 			b.StartTimer()
-			w.GenRefine(inst.Q, res, nil, 3)
+			w.GenRefine(res, nil, 3)
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		w := newWhy()
 		res := w.Matcher.Match(inst.Q)
-		w.GenRefine(inst.Q, res, nil, 3)
+		w.GenRefine(res, nil, 3)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.GenRefine(inst.Q, res, nil, 3)
+			w.GenRefine(res, nil, 3)
 		}
 	})
 }

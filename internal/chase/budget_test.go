@@ -51,7 +51,7 @@ func walkStates(t *testing.T, w *Why, what string, q *query.Query, maxDepth int,
 			// Children come from the full budget: the walk must reach the
 			// states a search rejects as too expensive only afterwards.
 			used := s.seq.Targets()
-			pool := append(w.GenRefine(s.q, res, used, w.Cfg.Budget), w.GenRelax(s.q, res, used, w.Cfg.Budget)...)
+			pool := append(w.GenRefine(res, used, w.Cfg.Budget), w.GenRelax(res, used, w.Cfg.Budget)...)
 			for i, o := range pool {
 				if i == 3 || len(next) >= 12 {
 					break
@@ -157,8 +157,8 @@ func TestGeneratedOperatorsCostAtLeastMinCost(t *testing.T) {
 	}
 	walkBudgetStates(t, func(w *Why, s walkedState, res *match.Result, used ops.Targets, budgetLeft float64) {
 		what := fmt.Sprintf("%s budget left %v", s.what, budgetLeft)
-		check(what, "GenRelax", w, w.GenRelax(s.q, res, used, budgetLeft), budgetLeft)
-		check(what, "GenRefine", w, w.GenRefine(s.q, res, used, budgetLeft), budgetLeft)
+		check(what, "GenRelax", w, w.GenRelax(res, used, budgetLeft), budgetLeft)
+		check(what, "GenRefine", w, w.GenRefine(res, used, budgetLeft), budgetLeft)
 		check(what, "GenRandom", w, w.GenRandom(s.q, used, budgetLeft), budgetLeft)
 	})
 	for _, gen := range []string{"GenRelax", "GenRefine", "GenRandom"} {
@@ -187,8 +187,8 @@ func TestTerminalStatesGeneratedNothing(t *testing.T) {
 			t.Fatalf("%s: the former generators emit %d relaxations and %d refinements: the short-circuit would change answers",
 				what, len(wantRelax.ops), len(wantRefine.ops))
 		}
-		sameOps(t, what+" GenRelax", withGains(w, s.q, func() []scoredOp { return w.GenRelax(s.q, res, used, budgetLeft) }), wantRelax)
-		sameOps(t, what+" GenRefine", withGains(w, s.q, func() []scoredOp { return w.GenRefine(s.q, res, used, budgetLeft) }), wantRefine)
+		sameOps(t, what+" GenRelax", withGains(w, s.q, func() []scoredOp { return w.GenRelax(res, used, budgetLeft) }), wantRelax)
+		sameOps(t, what+" GenRefine", withGains(w, s.q, func() []scoredOp { return w.GenRefine(res, used, budgetLeft) }), wantRefine)
 		switch {
 		case math.IsNaN(budgetLeft):
 		case budgetLeft < ops.MinCost:

@@ -54,7 +54,7 @@ func TestGeneratedOpsApplicable(t *testing.T) {
 	res := w.Matcher.Match(f.Q)
 	params := ops.Params{MaxBound: cfg.MaxBound}
 
-	relax := w.GenRelax(f.Q, res, nil, cfg.Budget)
+	relax := w.GenRelax(res, nil, cfg.Budget)
 	if len(relax) == 0 {
 		t.Fatal("no relaxations generated despite RC nodes")
 	}
@@ -73,7 +73,7 @@ func TestGeneratedOpsApplicable(t *testing.T) {
 		}
 	}
 
-	refine := w.GenRefine(f.Q, res, nil, cfg.Budget)
+	refine := w.GenRefine(res, nil, cfg.Budget)
 	if len(refine) == 0 {
 		t.Fatal("no refinements generated despite IM nodes")
 	}
@@ -88,7 +88,7 @@ func TestGeneratedOpsApplicable(t *testing.T) {
 
 	// Used targets must be honored.
 	used := ops.Targets{ops.LitTarget(0, "Price")}
-	for _, s := range w.GenRelax(f.Q, res, used, cfg.Budget) {
+	for _, s := range w.GenRelax(res, used, cfg.Budget) {
 		if s.Op.U == f.Q.Focus && s.Op.Lit.Attr == "Price" {
 			t.Errorf("generator reused a spent target: %s", s.Op)
 		}
@@ -107,7 +107,7 @@ func TestPickinessBoundsGain(t *testing.T) {
 	}
 	res := w.Matcher.Match(f.Q)
 	base := w.Closeness(res.Answer)
-	for _, s := range w.GenRelax(f.Q, res, nil, cfg.Budget) {
+	for _, s := range w.GenRelax(res, nil, cfg.Budget) {
 		q2 := mustApply(t, s.Op, f.Q)
 		res2 := w.Matcher.Match(q2)
 		gain := w.Closeness(res2.Answer) - base
@@ -128,7 +128,7 @@ func TestPickinessBoundsGainSynthetic(t *testing.T) {
 		}
 		res := w.Matcher.Match(inst.Q)
 		base := w.Closeness(res.Answer)
-		pool := w.GenRelax(inst.Q, res, nil, 3)
+		pool := w.GenRelax(res, nil, 3)
 		for i, s := range pool {
 			if i >= 10 {
 				break // checking the top of the queue suffices

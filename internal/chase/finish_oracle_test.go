@@ -164,11 +164,11 @@ func TestFinishScoredMatchesTwoStableSortsOnDatasets(t *testing.T) {
 			for _, n := range []int{1 << 20, 2} {
 				w.maxOpsPerClass = n
 				// A generator that returns nil never reached finishScored.
-				if got := w.GenRefine(s.q, res, used, w.Cfg.Budget); got != nil {
+				if got := w.GenRefine(res, used, w.Cfg.Budget); got != nil {
 					sameScored(t, s.what+" GenRefine", got, w.oracleFinishScored(&w.gs.acc))
 					compared += len(got)
 				}
-				if got := w.GenRelax(s.q, res, used, w.Cfg.Budget); got != nil {
+				if got := w.GenRelax(res, used, w.Cfg.Budget); got != nil {
 					sameScored(t, s.what+" GenRelax", got, w.oracleFinishScored(&w.gs.acc))
 					compared += len(got)
 				}

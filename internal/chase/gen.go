@@ -73,9 +73,10 @@ type blockedLit struct {
 	val graph.Value // a nearby value that would satisfy a relaxed literal
 }
 
-// analyzeRC inspects why RC node v fails q, compiled as pat, locally,
-// into b; the slices of b are reused from the node it analyzed before.
-func (w *Why) analyzeRC(q *query.Query, pat *query.Compiled, v graph.NodeID, b *rcBlame) {
+// analyzeRC inspects why RC node v fails res's query locally, into b;
+// the slices of b are reused from the node it analyzed before.
+func (w *Why) analyzeRC(res *match.Result, v graph.NodeID, b *rcBlame) {
+	q, pat := res.Query, &res.Pat
 	b.failedLits, b.blocked = b.failedLits[:0], b.blocked[:0]
 	b.edgeFail = append(b.edgeFail[:0], make([]int, len(q.Edges))...)
 	b.litBlock = append(b.litBlock[:0], make([][2]int32, len(q.Edges))...)
@@ -148,24 +149,24 @@ func (w *Why) analyzeRC(q *query.Query, pat *query.Compiled, v graph.NodeID, b *
 // operator by pickiness p(o) = Σ_{v ∈ RC̄(o)} cl(v, E) / |V_{u_o}|
 // (Lemma 5.2), and returns them best-first. It is the test entry point:
 // the searches call genRelax on states they have already partitioned.
-func (w *Why) GenRelax(q *query.Query, res *match.Result, used ops.Targets, budgetLeft float64) []scoredOp {
+// res is the state's evaluation, its query compiled (match.Result.Pat).
+func (w *Why) GenRelax(res *match.Result, used ops.Targets, budgetLeft float64) []scoredOp {
 	if !expandable(budgetLeft) {
 		return nil
 	}
 	_, _, rc, _ := w.partition(res, &w.scratch().parts)
-	return w.genRelax(q, rc, used, budgetLeft)
+	return w.genRelax(res, rc, used, budgetLeft)
 }
 
 // genRelax is GenRelax over the relevant candidates of a state the
 // caller has partitioned and found expandable.
-func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budgetLeft float64) []scoredOp {
+func (w *Why) genRelax(res *match.Result, rc []graph.NodeID, used ops.Targets, budgetLeft float64) []scoredOp {
 	if len(rc) == 0 {
 		return nil
 	}
+	q, pat := res.Query, &res.Pat
 	sc := w.scratch()
 	sc.busy = true
-	pat := &sc.pat
-	pat.Compile(w.G, q)
 	// Blame analysis runs bounded BFS per RC node; cap the analyzed set
 	// (highest-closeness first) so generation stays within the bounded
 	// delay of §5.4. Pickiness then scores against the sample.
@@ -215,7 +216,7 @@ func (w *Why) genRelax(q *query.Query, rc []graph.NodeID, used ops.Targets, budg
 	deepRC := sc.deepRC[:0]
 	blame := &sc.blame
 	for i, v := range rc {
-		w.analyzeRC(q, pat, v, blame)
+		w.analyzeRC(res, v, blame)
 
 		for _, li := range blame.failedLits {
 			l := q.Nodes[focus].Literals[li]
@@ -609,9 +610,6 @@ type genScratch struct {
 
 	acc   accums
 	parts [4][]graph.NodeID // Partition's lists: rm, im, rc, ic
-	// pat is the call's pattern compiled against the graph: every test
-	// of a node against it goes through these checks.
-	pat query.Compiled
 
 	// genRelax's sample, closeness column, blame, deep failures and
 	// failing values.

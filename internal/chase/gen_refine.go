@@ -62,14 +62,13 @@ type refineGen struct {
 	sig []int32
 }
 
-// newRefineGen samples the relevant and irrelevant matches, compiles q
-// and resolves each pattern node's partner radius and signature, into
-// sc, whose accumulators it empties. The generator is good until sc's
-// next call.
-func newRefineGen(sc *genScratch, w *Why, q *query.Query, rm, im []graph.NodeID, used ops.Targets, budgetLeft float64) *refineGen {
-	g := &sc.refine
-	sc.pat.Compile(w.G, q)
-	*g = refineGen{w: w, sc: sc, q: q, codes: w.G.Codes(), pat: &sc.pat, used: used, budgetLeft: budgetLeft,
+// newRefineGen samples the relevant and irrelevant matches of res and
+// resolves each pattern node's partner radius and signature, into sc,
+// whose accumulators it empties. The generator is good until sc's next
+// call.
+func newRefineGen(sc *genScratch, w *Why, res *match.Result, rm, im []graph.NodeID, used ops.Targets, budgetLeft float64) *refineGen {
+	g, q := &sc.refine, res.Query
+	*g = refineGen{w: w, sc: sc, q: q, codes: w.G.Codes(), pat: &res.Pat, used: used, budgetLeft: budgetLeft,
 		// Neighborhood analysis is per-node bounded BFS; cap both sets
 		// (highest closeness first) to keep generation within bounded delay.
 		rm:  sampleByCl(w, rm, w.Cfg.MaxAnalysis, &sc.rm),
@@ -81,7 +80,7 @@ func newRefineGen(sc *genScratch, w *Why, q *query.Query, rm, im []graph.NodeID,
 	sc.acc.reset()
 	sig := sc.sig
 	for u := range q.Nodes {
-		d := min(sc.pat.Dist[u], maxPartnerHops) // graph.Unreachable is the largest int
+		d := min(res.Pat.Dist[u], maxPartnerHops) // graph.Unreachable is the largest int
 		g.pd[u] = d
 		// The radius is the last byte, so distinct pairs number apart.
 		sig = append(query.AppendNodeSig(sig[:0], &q.Nodes[u]), byte(d))
@@ -231,23 +230,24 @@ func (g *refineGen) fillPartners() {
 // p'(o) = (λ·|IM̄(o)| − Σ_{v∈RM̲(o)} cl(v,E)) / |V_{u_o}|, where IM̄ is
 // the certainly-removed irrelevant-match set and RM̲ the
 // certainly-removed relevant-match set under partner overestimation.
-func (w *Why) GenRefine(q *query.Query, res *match.Result, used ops.Targets, budgetLeft float64) []scoredOp {
+// res is the state's evaluation, its query compiled (match.Result.Pat).
+func (w *Why) GenRefine(res *match.Result, used ops.Targets, budgetLeft float64) []scoredOp {
 	if !expandable(budgetLeft) {
 		return nil
 	}
 	rm, im, _, _ := w.partition(res, &w.scratch().parts)
-	return w.genRefine(q, rm, im, used, budgetLeft)
+	return w.genRefine(res, rm, im, used, budgetLeft)
 }
 
 // genRefine is GenRefine over the matches of a state the caller has
 // partitioned and found expandable.
-func (w *Why) genRefine(q *query.Query, rm, im []graph.NodeID, used ops.Targets, budgetLeft float64) []scoredOp {
+func (w *Why) genRefine(res *match.Result, rm, im []graph.NodeID, used ops.Targets, budgetLeft float64) []scoredOp {
 	if len(im) == 0 {
 		return nil
 	}
 	sc := w.scratch()
 	sc.busy = true
-	g := newRefineGen(sc, w, q, rm, im, used, budgetLeft)
+	g := newRefineGen(sc, w, res, rm, im, used, budgetLeft)
 	// AddL and RfL, the partner sets' only readers, propose values RM
 	// partners carry: with no RM sampled the sets are not built.
 	if len(g.rm) > 0 {

@@ -39,13 +39,12 @@ func (op *oraclePartners) partners(v graph.NodeID, u query.NodeID) []graph.NodeI
 	if p, ok := op.memo[key]; ok {
 		return p
 	}
-	check := pm.q.Check(pm.w.G, u)
 	var out []graph.NodeID
 	for _, nd := range pm.w.G.Ball(v, pm.pd[u], graph.Both) {
 		if nd.D == 0 {
 			continue
 		}
-		if check.Candidate(pm.w.G, nd.V) {
+		if pm.q.IsCandidate(pm.w.G, u, nd.V) {
 			out = append(out, nd.V)
 			if len(out) >= maxPartnersScored {
 				break
@@ -260,7 +259,7 @@ func oracleGenRefine(w *Why, q *query.Query, res *match.Result, used ops.Targets
 	if len(im) == 0 {
 		return nil
 	}
-	g := newRefineGen(w.scratch(), w, q, rm, im, used, budgetLeft)
+	g := newRefineGen(w.scratch(), w, res, rm, im, used, budgetLeft)
 	o := newOracleGen(g)
 	o.addL()
 	o.rfL()
@@ -336,12 +335,12 @@ func checkState(t *testing.T, what string, w *Why, q *query.Query, used ops.Targ
 	t.Helper()
 	res := w.Matcher.Match(q)
 	want := withGains(w, q, func() []scoredOp { return oracleGenRefine(w, q, res, used, 3) })
-	sameOps(t, what, withGains(w, q, func() []scoredOp { return w.GenRefine(q, res, used, 3) }), want)
+	sameOps(t, what, withGains(w, q, func() []scoredOp { return w.GenRefine(res, used, 3) }), want)
 
 	// Partner sets hold the level-order prefixes of the ball either way,
 	// in no set order.
 	rm, im, _, _ := w.Partition(res)
-	pm := newRefineGen(w.scratch(), w, q, rm, im, used, 3)
+	pm := newRefineGen(w.scratch(), w, res, rm, im, used, 3)
 	byBall := &oraclePartners{pm: pm, memo: map[string][]graph.NodeID{}}
 	for _, v := range append(rm, im...) {
 		for u := range q.Nodes {
@@ -501,8 +500,9 @@ func TestGenRefineMatchesOracleOnEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm, im, _, _ := w.Partition(w.Matcher.Match(cases[0].q))
-	if n := len(newRefineGen(w.scratch(), w, cases[0].q, rm, im, nil, 3).partners(0, 1)); n != maxPartnersScored {
+	res := w.Matcher.Match(cases[0].q)
+	rm, im, _, _ := w.Partition(res)
+	if n := len(newRefineGen(w.scratch(), w, res, rm, im, nil, 3).partners(0, 1)); n != maxPartnersScored {
 		t.Errorf("hub 0 keeps %d partners, want the cap %d", n, maxPartnersScored)
 	}
 	if len(rm) <= 64 || len(im) <= 64 {
@@ -520,7 +520,7 @@ func TestGenRefineIgnoresPartnerOrder(t *testing.T) {
 	datasetWhys(t, 2, func(dataset, what string, w *Why, q *query.Query) {
 		walkStates(t, w, what, q, 2, func(s walkedState, res *match.Result) {
 			used := s.seq.Targets()
-			gen := func() []scoredOp { return w.GenRefine(s.q, res, used, 3) }
+			gen := func() []scoredOp { return w.GenRefine(res, used, 3) }
 			want := withGains(w, s.q, gen) // fills the state's partner sets
 			for _, set := range w.partnerCache {
 				if len(set) > 1 {
@@ -590,7 +590,7 @@ func TestNoPartnerSetsWithoutRelevantMatch(t *testing.T) {
 		t.Fatalf("|RM| = %d, |IM| = %d: want only irrelevant matches", len(rm), len(im))
 	}
 	want := withGains(w, q, func() []scoredOp { return oracleGenRefine(w, q, res, nil, 3) })
-	got := withGains(w, q, func() []scoredOp { return w.GenRefine(q, res, nil, 3) })
+	got := withGains(w, q, func() []scoredOp { return w.GenRefine(res, nil, 3) })
 	sameOps(t, "no relevant match", got, want)
 	if n := len(w.partnerCache); n != 0 {
 		t.Errorf("GenRefine built %d partner sets without a relevant match", n)
@@ -616,7 +616,7 @@ func TestPartnerSetsDistinguishLiteralKind(t *testing.T) {
 		q := cases[0].q.Clone()
 		lit := query.Literal{Attr: "a", Op: graph.EQ, Val: val}
 		q.Nodes[p].Literals = append(q.Nodes[p].Literals, lit)
-		sets[i] = newRefineGen(w.scratch(), w, q, nil, nil, nil, 3).partners(hub, p)
+		sets[i] = newRefineGen(w.scratch(), w, w.Matcher.Match(q), nil, nil, nil, 3).partners(hub, p)
 		if len(sets[i]) == 0 {
 			t.Fatalf("%v: hub %d has no partner", lit, hub)
 		}
@@ -687,11 +687,12 @@ func TestGenRefineMatchesOracleOnFillShapes(t *testing.T) {
 		if n := checkState(t, what, w, q, nil)[ops.AddL]; n == 0 {
 			t.Errorf("%s: no AddL operator compared", what)
 		}
-		rm, im, _, _ := w.Partition(w.Matcher.Match(q))
+		res := w.Matcher.Match(q)
+		rm, im, _, _ := w.Partition(res)
 		if len(rm)+len(im) != nF || len(rm) == 0 || len(im) == 0 {
 			t.Fatalf("%s: |RM| = %d, |IM| = %d, want all %d F nodes on two sides", what, len(rm), len(im), nF)
 		}
-		return w, newRefineGen(w.scratch(), w, q, rm, im, nil, 3)
+		return w, newRefineGen(w.scratch(), w, res, rm, im, nil, 3)
 	}
 
 	w, pm := state("all hubs", build(maxPartnersScored+5, 40))

@@ -396,7 +396,7 @@ func TestGenRelaxFailingValuesMatchOracle(t *testing.T) {
 			w.maxOpsPerClass = 1 << 20
 			res := w.Matcher.Match(q)
 			what := fmt.Sprintf("%s, %d analyzed", lit.String(), analysis)
-			got := withGains(w, q, func() []scoredOp { return w.GenRelax(q, res, nil, 3) })
+			got := withGains(w, q, func() []scoredOp { return w.GenRelax(res, nil, 3) })
 			sameOps(t, what, got, withGains(w, q, func() []scoredOp { return oracleGenRelax(w, q, res, nil, 3) }))
 			for _, o := range got.ops {
 				if o.Op.Kind == ops.RxL && o.Op.NewLit.Val.Num == 0 {

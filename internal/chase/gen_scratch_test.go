@@ -127,8 +127,8 @@ func TestGeneratorsOnUsedScratch(t *testing.T) {
 			name string
 			run  func() []scoredOp
 		}{
-			{"GenRefine", func() []scoredOp { return w.GenRefine(s.q, res, used, w.Cfg.Budget) }},
-			{"GenRelax", func() []scoredOp { return w.GenRelax(s.q, res, used, w.Cfg.Budget) }},
+			{"GenRefine", func() []scoredOp { return w.GenRefine(res, used, w.Cfg.Budget) }},
+			{"GenRelax", func() []scoredOp { return w.GenRelax(res, used, w.Cfg.Budget) }},
 		} {
 			w.gs = shared
 			got := withGains(w, s.q, gen.run)
@@ -184,8 +184,8 @@ func TestGeneratorAllocs(t *testing.T) {
 				name string
 				run  func() []scoredOp
 			}{
-				{"GenRefine", func() []scoredOp { return w.GenRefine(s.q, res, used, budgetLeft) }},
-				{"GenRelax", func() []scoredOp { return w.GenRelax(s.q, res, used, budgetLeft) }},
+				{"GenRefine", func() []scoredOp { return w.GenRefine(res, used, budgetLeft) }},
+				{"GenRelax", func() []scoredOp { return w.GenRelax(res, used, budgetLeft) }},
 			} {
 				n := len(gen.run()) // warms the scratch and the partner sets
 				allocs := testing.AllocsPerRun(5, func() { gen.run() })

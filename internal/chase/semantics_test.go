@@ -118,7 +118,7 @@ func TestRelaxMonotone(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := w.Matcher.Match(inst.Q)
-		for i, s := range w.GenRelax(inst.Q, res, nil, 3) {
+		for i, s := range w.GenRelax(res, nil, 3) {
 			if i >= 8 {
 				break
 			}
@@ -129,7 +129,7 @@ func TestRelaxMonotone(t *testing.T) {
 				}
 			}
 		}
-		for i, s := range w.GenRefine(inst.Q, res, nil, 3) {
+		for i, s := range w.GenRefine(res, nil, 3) {
 			if i >= 8 {
 				break
 			}

@@ -98,10 +98,10 @@ func (w *Why) expand(s *state, refine, relax bool, perClass int) []scoredOp {
 	rm, im, rc, _ := w.partition(s.res, &w.scratch().parts)
 	var rf, rx []scoredOp
 	if refine {
-		rf = w.genRefine(s.q, rm, im, used, budgetLeft)
+		rf = w.genRefine(s.res, rm, im, used, budgetLeft)
 	}
 	if relax {
-		rx = w.genRelax(s.q, rc, used, budgetLeft)
+		rx = w.genRelax(s.res, rc, used, budgetLeft)
 	}
 	if perClass > 0 {
 		rf, rx = capPerClass(rf, perClass), capPerClass(rx, perClass)

@@ -30,10 +30,10 @@ func oracleEnsureQueue(w *Why, s *state, kthBestCl float64) []scoredOp {
 	rm, im, rc, _ := w.partition(s.res, &w.scratch().parts)
 	var refine, relax []scoredOp
 	if refineCond {
-		refine = w.genRefine(s.q, rm, im, used, budgetLeft)
+		refine = w.genRefine(s.res, rm, im, used, budgetLeft)
 	}
 	if relaxCond {
-		relax = w.genRelax(s.q, rc, used, budgetLeft)
+		relax = w.genRelax(s.res, rc, used, budgetLeft)
 	}
 	var queue []scoredOp
 	switch {
@@ -60,9 +60,9 @@ func oracleBeamPool(w *Why, s *state, beam int) []scoredOp {
 	rm, im, rc, _ := w.partition(s.res, &w.scratch().parts)
 	var pool []scoredOp
 	if !s.refineOnly {
-		pool = append(pool, capPerClass(w.genRelax(s.q, rc, used, budgetLeft), beam)...)
+		pool = append(pool, capPerClass(w.genRelax(s.res, rc, used, budgetLeft), beam)...)
 	}
-	pool = append(pool, capPerClass(w.genRefine(s.q, rm, im, used, budgetLeft), beam)...)
+	pool = append(pool, capPerClass(w.genRefine(s.res, rm, im, used, budgetLeft), beam)...)
 	sortScored(pool)
 	return pool
 }

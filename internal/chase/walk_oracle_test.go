@@ -150,7 +150,7 @@ func TestOpKeyMatchesOpIdent(t *testing.T) {
 			}
 		}
 		seenAttr := map[string]bool{}
-		for _, o := range append(w.GenRelax(s.q, res, used, budgetLeft), w.GenRefine(s.q, res, used, budgetLeft)...) {
+		for _, o := range append(w.GenRelax(res, used, budgetLeft), w.GenRefine(res, used, budgetLeft)...) {
 			op := o.Op
 			all = append(all, op, op)
 			switch op.Kind {

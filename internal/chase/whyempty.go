@@ -25,8 +25,8 @@ func (w *Why) AnsWE() Answer {
 	r := w.startRun()
 	defer r.end()
 
-	rootAns, _ := r.root()
-	q := w.Q
+	rootAns, rootRes := r.root()
+	q, pat := w.Q, &rootRes.Pat
 	focus := q.Focus
 
 	// Branch edges: for every non-focus node, the first pattern edge on
@@ -45,13 +45,11 @@ func (w *Why) AnsWE() Answer {
 		return rootAns
 	}
 
-	// Every node test goes through q compiled once. A non-focus node u
-	// connected to the focus is tested within radius(u) of a candidate:
-	// its pattern distance from the focus, capped at 2·b_m. One ball per
-	// candidate, at the largest radius, serves every node: u's ball is
-	// its BFS-order prefix within radius(u).
-	var pat query.Compiled
-	pat.Compile(w.G, q)
+	// Every node test reads q as the root's evaluation compiled it. A
+	// non-focus node u connected to the focus is tested within radius(u)
+	// of a candidate: its pattern distance from the focus, capped at
+	// 2·b_m. One ball per candidate, at the largest radius, serves every
+	// node: u's ball is its BFS-order prefix within radius(u).
 	radius := func(u int) int { return min(pat.Dist[u], 2*w.Cfg.MaxBound) } // graph.Unreachable is the largest int
 	maxRadius := 0
 	for u, be := range branch {

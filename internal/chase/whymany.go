@@ -193,7 +193,7 @@ func (w *Why) ApxWhyM() Answer {
 // matches for AddE and value-based AddL/RfL, so it serves as SeedRf
 // with a wider cap.
 func (w *Why) seedRf(res *match.Result) []scoredOp {
-	pool := w.GenRefine(w.Q, res, nil, w.Cfg.Budget)
+	pool := w.GenRefine(res, nil, w.Cfg.Budget)
 	const maxSeeds = 48
 	if len(pool) > maxSeeds {
 		pool = pool[:maxSeeds]

@@ -226,7 +226,7 @@ func TestMatchColdStarCoalesces(t *testing.T) {
 		getOrBuild(m.Cache, key, func() *StarTable {
 			close(inBuild)
 			<-release
-			return buildStarTable(g, q, stars[0])
+			return BuildStarTable(g, q, stars[0])
 		})
 	}()
 	<-inBuild

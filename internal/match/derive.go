@@ -38,23 +38,24 @@ func tightened(parent, child []query.Literal) (tight, ok bool) {
 	return false, true
 }
 
-// focusCandidates is q.Candidates(g, q.Focus), read off the parent's list
-// when the focus kept its label and its literals (the list itself) or
-// only gained literals (a filter of it).
-func focusCandidates(g *graph.Graph, parent *Result, q *query.Query) []graph.NodeID {
+// focusCandidates is the candidates of res's focus, read off the
+// parent's list when the focus kept its label and its literals (the list
+// itself) or only gained literals (a filter of it).
+func focusCandidates(g *graph.Graph, parent, res *Result) []graph.NodeID {
+	q := res.Query
 	if parent == nil || parent.Query.Focus != q.Focus {
-		return q.Candidates(g, q.Focus)
+		return res.Pat.Candidates(g, q, q.Focus)
 	}
 	pn, n := parent.Query.Nodes[q.Focus], q.Nodes[q.Focus]
 	tight, ok := tightened(pn.Literals, n.Literals)
 	if !ok || pn.Label != n.Label {
-		return q.Candidates(g, q.Focus)
+		return res.Pat.Candidates(g, q, q.Focus)
 	}
 	pool := parent.Candidates[q.Focus]
 	if !tight {
 		return pool
 	}
-	check := n.Check(g)
+	check := &res.Pat.Nodes[q.Focus].Check
 	out := make([]graph.NodeID, 0, len(pool))
 	for _, v := range pool {
 		if check.Candidate(g, v) {
@@ -64,16 +65,16 @@ func focusCandidates(g *graph.Graph, parent *Result, q *query.Query) []graph.Nod
 	return out
 }
 
-// deriveStarTable returns the table of star s of q built from the table
-// parent holds for the same star under looser literals, or nil when parent
-// holds none. The precondition: a star of parent's query with the same
-// center, the same edges in the same order (other endpoint, direction,
-// bound), the same relation to the focus (the same focus, HasFocus,
-// AugDist) and, node by node, the same label and — on every node but the
-// focus, whose positions ignore literals — literals that contain the
-// parent's.
+// deriveStarTable returns the table of star s of res's query built from
+// the table parent holds for the same star under looser literals, or nil
+// when parent holds none. The precondition: a star of parent's query with
+// the same center, the same edges in the same order (other endpoint,
+// direction, bound), the same relation to the focus (the same focus,
+// HasFocus, AugDist) and, node by node, the same label and — on every node
+// but the focus, whose positions ignore literals — literals that contain
+// the parent's.
 //
-// The result equals buildStarTable(g, q, s) cell for cell. The child's
+// The result equals buildStarTable(g, res, s) cell for cell. The child's
 // check of a node is then the parent's check and the added literals, so
 // filtering a parent column by the child's check leaves exactly the ball
 // nodes the child's check admits, in the same ascending order; a column
@@ -84,11 +85,11 @@ func focusCandidates(g *graph.Graph, parent *Result, q *query.Query) []graph.Nod
 //
 // A star no literal was added to gets the parent's table itself: a hit
 // the cache had evicted, or a key the same literal written twice changed.
-func deriveStarTable(g *graph.Graph, parent *Result, q *query.Query, s *StarQuery) *StarTable {
+func deriveStarTable(g *graph.Graph, parent, res *Result, s *StarQuery) *StarTable {
 	if parent == nil {
 		return nil
 	}
-	pq := parent.Query
+	pq, q := parent.Query, res.Query
 	if pq.Focus != q.Focus || pq.Nodes[pq.Focus].Label != q.Nodes[q.Focus].Label {
 		return nil
 	}
@@ -112,7 +113,7 @@ func deriveStarTable(g *graph.Graph, parent *Result, q *query.Query, s *StarQuer
 		}
 	}
 
-	// checks holds the child's compiled predicate of every tightened node.
+	// checks points at the child's predicate of every tightened node.
 	checks := make([]*query.NodeCheck, len(q.Nodes))
 	anyTight := false
 	admit := func(u query.NodeID) bool {
@@ -125,9 +126,7 @@ func deriveStarTable(g *graph.Graph, parent *Result, q *query.Query, s *StarQuer
 			return false
 		}
 		if tight {
-			c := n.Check(g)
-			checks[u] = &c
-			anyTight = true
+			checks[u], anyTight = &res.Pat.Nodes[u].Check, true
 		}
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -46,8 +47,8 @@ func walkRewrites(w *chase.Why, what string, visit func(what string, parent *mat
 				u    query.NodeID
 			}
 			taken := map[slot]int{}
-			pool := w.GenRefine(s.q, s.res, nil, w.Cfg.Budget)
-			pool = append(pool, w.GenRelax(s.q, s.res, nil, w.Cfg.Budget)...)
+			pool := w.GenRefine(s.res, nil, w.Cfg.Budget)
+			pool = append(pool, w.GenRelax(s.res, nil, w.Cfg.Budget)...)
 			for i, o := range pool {
 				k := slot{o.Op.Kind, o.Op.U}
 				if taken[k] == 2 || len(next) >= 60 {
@@ -615,6 +616,81 @@ func TestFocusCandidatesAscending(t *testing.T) {
 		if paths[p] < 10 {
 			t.Errorf("%d focus pools came by the %s: want at least 10 (%v)", paths[p], p, paths)
 		}
+	}
+}
+
+// TestResultPatIsQueryCompiled: the compiled pattern a result carries is,
+// on every rewrite the walks visit, a fresh compile of the result's
+// query, and it still is once the walk has generated operators from it
+// and evaluated children beside it: it is read, never written. The walks
+// run below each question, below it with a wildcard focus, and below it
+// with a non-focus node that names a label, or an attribute, G lacks;
+// they meet nodes RmE detached.
+func TestResultPatIsQueryCompiled(t *testing.T) {
+	same := func(what string, g *graph.Graph, res *match.Result) {
+		t.Helper()
+		var fresh query.Compiled
+		fresh.Compile(g, res.Query)
+		if !reflect.DeepEqual(res.Pat, fresh) {
+			t.Fatalf("%s: the result's Pat %+v, a fresh compile of %s %+v", what, res.Pat, res.Query, fresh)
+		}
+	}
+	var detached, wildcard, absent, results int
+	sweep := func(what string, w *chase.Why) {
+		var seen []*match.Result
+		walkRewrites(w, what, func(what string, parent *match.Result, q *query.Query) *match.Result {
+			res := w.Matcher.MatchFrom(parent, q)
+			same(what, w.G, res)
+			seen = append(seen, res)
+			for u := range q.Nodes {
+				n := &q.Nodes[u]
+				if q.IsolatedIgnored(query.NodeID(u)) {
+					detached++
+				}
+				if _, ok := w.G.Labels.Lookup(n.Label); n.Label != "" && !ok {
+					absent++
+				}
+				for _, l := range n.Literals {
+					if _, ok := w.G.Attrs.Lookup(l.Attr); !ok {
+						absent++
+					}
+				}
+			}
+			if q.Nodes[q.Focus].Label == "" {
+				wildcard++
+			}
+			return res
+		})
+		for _, res := range seen {
+			same(what+", after the walk", w.G, res)
+		}
+		results += len(seen)
+	}
+	datasetWhys(t, 1, func(what string, w *chase.Why) {
+		sweep(what, w)
+		other := (w.Q.Focus + 1) % query.NodeID(len(w.Q.Nodes))
+		for _, v := range []struct {
+			name string
+			edit func(q *query.Query)
+		}{
+			{"wildcard focus", func(q *query.Query) { q.Nodes[q.Focus].Label = "" }},
+			{"absent label", func(q *query.Query) { q.Nodes[other].Label = "no such label" }},
+			{"absent attribute", func(q *query.Query) {
+				q.Nodes[other].Literals = append(q.Nodes[other].Literals, query.Literal{Attr: "no such attribute", Op: graph.EQ, Val: graph.N(1)})
+			}},
+		} {
+			q := w.Q.Clone()
+			v.edit(q)
+			wv, err := chase.NewWhy(w.G, q, w.E, w.Cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sweep(what+" "+v.name, wv)
+		}
+	})
+	t.Logf("%d results: %d detached nodes, %d wildcard foci, %d absent names", results, detached, wildcard, absent)
+	if detached == 0 || wildcard == 0 || absent == 0 {
+		t.Errorf("%d detached nodes, %d wildcard foci, %d absent labels or attributes: want each", detached, wildcard, absent)
 	}
 }
 

@@ -12,11 +12,21 @@ import (
 // BuildStarTable and DeriveStarTable let the external table tests build
 // and derive tables directly: they draw their queries from
 // internal/datagen and their rewrites from internal/chase, which import
-// this package.
-var (
-	BuildStarTable  = buildStarTable
-	DeriveStarTable = deriveStarTable
-)
+// this package. q is compiled as MatchFrom compiles it.
+func BuildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
+	return buildStarTable(g, compiled(g, q), s)
+}
+
+func DeriveStarTable(g *graph.Graph, parent *Result, q *query.Query, s *StarQuery) *StarTable {
+	return deriveStarTable(g, parent, compiled(g, q), s)
+}
+
+// compiled is what a table build reads of q's result: q and its Pat.
+func compiled(g *graph.Graph, q *query.Query) *Result {
+	res := &Result{Query: q}
+	res.Pat.Compile(g, q)
+	return res
+}
 
 // NewStripedCache returns a star-view cache striped over the given
 // number of locks, for tests whose eviction order must not depend on
@@ -58,10 +68,9 @@ func (t *StarTable) FocusSupport(g *graph.Graph, q *query.Query) map[graph.NodeI
 	if t.focusFree() {
 		return nil
 	}
-	check := q.Check(g, q.Focus)
 	support := map[graph.NodeID]bool{}
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if t.SupportsFocus(v) && check.Candidate(g, v) {
+		if t.SupportsFocus(v) && q.IsCandidate(g, q.Focus, v) {
 			support[v] = true
 		}
 	}

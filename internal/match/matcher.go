@@ -57,11 +57,15 @@ type StarInstance struct {
 	Cols  []int
 }
 
-// Result is one query evaluation: the star view used, the candidate
-// sets the search enumerated from, and the answer Q(G) (the matches of
-// the focus).
+// Result is one query evaluation: the query compiled, the star view
+// used, the candidate sets the search enumerated from, and the answer
+// Q(G) (the matches of the focus).
 type Result struct {
 	Query *query.Query
+	// Pat is Query compiled against the matcher's graph, once, by
+	// MatchFrom: every test of a node against the pattern reads it — the
+	// matcher's, and those of whoever holds the result. It is read-only.
+	Pat   query.Compiled
 	Stars []StarInstance
 	// Candidates, indexed by pattern node, holds the candidate set of
 	// the focus and of each node that starts a component of the pattern
@@ -92,23 +96,25 @@ func (m *Matcher) Match(q *query.Query) *Result {
 // whatever parent is (nil included): the parent only spares work, and
 // what may be taken from it is decided here, from the two queries (see
 // deriveStarTable, focusCandidates). Parents are read, never written, so
-// one may serve many concurrent calls.
+// one may serve many concurrent calls. q is compiled here, once, into the
+// result's Pat.
 func (m *Matcher) MatchFrom(parent *Result, q *query.Query) *Result {
 	res := &Result{
 		Query:      q,
 		Candidates: make([][]graph.NodeID, len(q.Nodes)),
 	}
-	res.Candidates[q.Focus] = focusCandidates(m.G, parent, q)
+	res.Pat.Compile(m.G, q)
+	res.Candidates[q.Focus] = focusCandidates(m.G, parent, res)
 
 	var kb []byte
-	for _, s := range Decompose(q) {
+	for _, s := range decompose(q, res.Pat.Dist) {
 		// A table the cache does not hold is the parent's, filtered, when
 		// the parent has the star under looser literals; else built.
 		compute := func() (*StarTable, bool) {
-			if t := deriveStarTable(m.G, parent, q, s); t != nil {
+			if t := deriveStarTable(m.G, parent, res, s); t != nil {
 				return t, true
 			}
-			return buildStarTable(m.G, q, s), true
+			return buildStarTable(m.G, res, s), true
 		}
 		var t *StarTable
 		if m.Cache != nil {
@@ -132,7 +138,7 @@ func (m *Matcher) MatchFrom(parent *Result, q *query.Query) *Result {
 	// table walks it forward, and the answer comes out ascending.
 	pool := res.Candidates[q.Focus]
 	v := m.vpool.Get().(*verifier)
-	v.q, v.cands, v.stars = q, res.Candidates, res.Stars
+	v.q, v.pat, v.cands, v.stars = q, &res.Pat, res.Candidates, res.Stars
 	v.prepare()
 	var verified []graph.NodeID
 outer:
@@ -155,7 +161,7 @@ outer:
 // would pin a query or result past the Match that made it; the slices
 // and the memo themselves stay allocated for reuse.
 func (m *Matcher) release(v *verifier) {
-	v.q, v.cands, v.stars = nil, nil, nil
+	v.q, v.pat, v.cands, v.stars = nil, nil, nil, nil
 	m.vpool.Put(v)
 }
 
@@ -196,6 +202,7 @@ func columnMap(q *query.Query, s *StarQuery, t *StarTable) []int {
 type verifier struct {
 	m     *Matcher
 	q     *query.Query
+	pat   *query.Compiled // q's, the result's Pat
 	cands [][]graph.NodeID
 	stars []StarInstance
 	order []query.NodeID
@@ -203,11 +210,6 @@ type verifier struct {
 	// graph nodes (valuations are injective): patterns are a handful of
 	// nodes, so a scan beats a map.
 	h []graph.NodeID
-	// checks are the compiled per-pattern-node predicates: the focus's is
-	// compiled by prepare, another node's on first use (compiled marks
-	// which) — only the Ball fallback of extend reads those.
-	checks   []query.NodeCheck
-	compiled []bool
 	// colFor maps a pattern edge seen from one endpoint — index
 	// 2*edge for its From node, 2*edge+1 for its To node — to the column
 	// of the star centered there: the materialized partner list for that
@@ -278,7 +280,7 @@ func (v *verifier) prepare() {
 					v.order = append(v.order, query.NodeID(u))
 					// No assigned neighbor will anchor u: it is the
 					// one kind of node enumerated from its candidates.
-					v.cands[u] = q.Candidates(v.m.G, query.NodeID(u))
+					v.cands[u] = v.pat.Candidates(v.m.G, q, query.NodeID(u))
 					break
 				}
 			}
@@ -288,12 +290,6 @@ func (v *verifier) prepare() {
 	for range q.Nodes {
 		v.h = append(v.h, -1)
 	}
-	v.checks, v.compiled = v.checks[:0], v.compiled[:0]
-	for range q.Nodes {
-		v.checks = append(v.checks, query.NodeCheck{})
-		v.compiled = append(v.compiled, false)
-	}
-	v.check(q.Focus)
 	if v.dmemo == nil {
 		v.dmemo = map[int64]int32{}
 	} else {
@@ -317,14 +313,6 @@ func (v *verifier) prepare() {
 			v.colFor[colIndex(se.EdgeIdx, se.Out)] = enumRef{star: si, col: inst.Cols[k]}
 		}
 	}
-}
-
-// check returns the compiled predicate of pattern node u.
-func (v *verifier) check(u query.NodeID) *query.NodeCheck {
-	if !v.compiled[u] {
-		v.checks[u], v.compiled[u] = v.q.Check(v.m.G, u), true
-	}
-	return &v.checks[u]
 }
 
 // verify reports whether an injective valuation with h(focus) = cand
@@ -469,7 +457,7 @@ func (v *verifier) extend(depth int) bool {
 	if bestList >= 0 {
 		needLitCheck := u == v.q.Focus // focus columns are label-only
 		for _, w := range list {
-			if needLitCheck && !v.check(u).Candidate(v.m.G, w) {
+			if needLitCheck && !v.pat.Nodes[u].Check.Candidate(v.m.G, w) {
 				continue
 			}
 			if v.checkRest(cons, w, bestList) && v.tryAssign(u, w, depth) {
@@ -491,7 +479,7 @@ func (v *verifier) extend(depth int) bool {
 	if !bc.out {
 		dir = graph.Backward
 	}
-	check := v.check(u)
+	check := &v.pat.Nodes[u].Check
 	// The ball is read while deeper frames draw theirs: a copy per depth,
 	// like cons, out of a traverser's storage.
 	for len(v.balls) <= depth {

@@ -37,9 +37,13 @@ type StarQuery struct {
 // focus participates in every star either directly or via an augmented
 // edge.
 func Decompose(q *query.Query) []*StarQuery {
+	return decompose(q, q.FocusDist(nil))
+}
+
+// decompose is Decompose given dist, q.FocusDist.
+func decompose(q *query.Query, dist []int) []*StarQuery {
 	covered := make([]bool, len(q.Edges))
 	nodeCovered := make([]bool, len(q.Nodes))
-	dist := q.FocusDist(nil)
 	var stars []*StarQuery
 
 	uncoveredAt := func(u query.NodeID) int {

@@ -71,13 +71,20 @@ func (t *StarTable) Col(r, c int) []graph.NodeID {
 	return t.cells[t.off[i]:t.off[i+1]]
 }
 
-// buildStarTable materializes a star over g: one row per center
-// candidate whose every star edge has at least one reachable candidate
-// of the other endpoint. Focus positions are filtered by label only
-// (see StarTable).
-func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
+// buildStarTable materializes star s of res's query over g: one row per
+// center candidate whose every star edge has at least one reachable
+// candidate of the other endpoint. Focus positions are filtered by label
+// only (see StarTable), the others by their node's candidate predicate.
+func buildStarTable(g *graph.Graph, res *Result, s *StarQuery) *StarTable {
+	q := res.Query
 	t, sc := newStarTable(s)
-	checks := starChecks(g, q, s)
+	check := func(u query.NodeID) *query.NodeCheck {
+		if u == q.Focus {
+			return &res.Pat.Nodes[u].Label
+		}
+		return &res.Pat.Nodes[u].Check
+	}
+	centerCheck := check(s.Center)
 
 	// The center's candidates, ascending: its by-label run, filtered below
 	// by its literals unless it is the focus.
@@ -113,7 +120,7 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 	tr := g.Traverser()
 	defer tr.Release()
 	for _, vc := range centerCands {
-		if !checks[s.Center].Candidate(g, vc) {
+		if !centerCheck.Candidate(g, vc) {
 			continue
 		}
 		var ballOut, ballIn []graph.NodeDist
@@ -133,12 +140,12 @@ func buildStarTable(g *graph.Graph, q *query.Query, s *StarQuery) *StarTable {
 			if !e.Out {
 				ball = ballIn
 			}
-			if ok = column(ball, e.Bound, &checks[e.Other]); !ok {
+			if ok = column(ball, e.Bound, check(e.Other)); !ok {
 				break
 			}
 		}
 		if ok && t.augmented() {
-			ok = column(tr.Ball(vc, s.AugDist, graph.Both), s.AugDist, &checks[q.Focus])
+			ok = column(tr.Ball(vc, s.AugDist, graph.Both), s.AugDist, check(q.Focus))
 		}
 		if !ok {
 			t.off, t.cells = t.off[:nOff], t.cells[:nCells]
@@ -219,24 +226,6 @@ func exact[S ~[]E, E any](s S) S {
 		return nil
 	}
 	return append(make(S, 0, len(s)), s...)
-}
-
-// starChecks compiles, indexed by pattern node, the filter of every
-// position a table of star s has: the candidate predicate of its
-// non-focus nodes, and for the focus its label and none of its literals
-// (see StarTable).
-func starChecks(g *graph.Graph, q *query.Query, s *StarQuery) []query.NodeCheck {
-	checks := make([]query.NodeCheck, len(q.Nodes))
-	checks[q.Focus] = query.Node{Label: q.Nodes[q.Focus].Label}.Check(g)
-	if s.Center != q.Focus {
-		checks[s.Center] = q.Check(g, s.Center)
-	}
-	for _, e := range s.Edges {
-		if e.Other != q.Focus {
-			checks[e.Other] = q.Check(g, e.Other)
-		}
-	}
-	return checks
 }
 
 // focusFree reports whether the star is disconnected from the focus: it

@@ -55,19 +55,14 @@ func buildOracleTable(g *graph.Graph, q *query.Query, s *match.StarQuery) *oracl
 			t.focusEdges = append(t.focusEdges, i)
 		}
 	}
-	// isCand filters a node for pattern node u via compiled predicates;
-	// the focus is filtered by label only.
+	// isCand filters a node for pattern node u by the by-value reference
+	// (Query.IsCandidate); the focus is filtered by label only.
 	focusLabel := q.Nodes[q.Focus].Label
-	focusLabelID, focusLabelOK := g.Labels.Lookup(focusLabel)
-	checks := make([]query.NodeCheck, len(q.Nodes))
-	for u := range q.Nodes {
-		checks[u] = q.Check(g, query.NodeID(u))
-	}
 	isCand := func(u query.NodeID, v graph.NodeID) bool {
 		if u == q.Focus {
-			return focusLabel == "" || (focusLabelOK && g.LabelID(v) == focusLabelID)
+			return focusLabel == "" || g.Label(v) == focusLabel
 		}
-		return checks[u].Candidate(g, v)
+		return q.IsCandidate(g, u, v)
 	}
 
 	var centerCands []graph.NodeID
@@ -146,13 +141,12 @@ func (t *oracleTable) FocusSupport(g *graph.Graph, q *query.Query) map[graph.Nod
 	if !s.HasFocus && s.AugDist == 0 {
 		return nil
 	}
-	check := q.Check(g, q.Focus)
 	verdict := map[graph.NodeID]bool{}
 	pass := func(v graph.NodeID) bool {
 		if ok, seen := verdict[v]; seen {
 			return ok
 		}
-		ok := check.Candidate(g, v)
+		ok := q.IsCandidate(g, q.Focus, v)
 		verdict[v] = ok
 		return ok
 	}

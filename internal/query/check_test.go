@@ -87,7 +87,7 @@ func TestCandidateAgreesWithIsCandidate(t *testing.T) {
 		}
 		agree := func(q *Query) (passed int) {
 			t.Helper()
-			check := q.Check(g, 0)
+			check := compileNode(g, q.Nodes[0])
 			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 				got, want := check.Candidate(g, v), q.IsCandidate(g, 0, v)
 				if got != want {
@@ -104,7 +104,7 @@ func TestCandidateAgreesWithIsCandidate(t *testing.T) {
 			q := New()
 			q.AddNode([]string{"", "A", "Z"}[rng.Intn(3)], l)
 			passed += agree(q)
-			alone := l.Check(g)
+			alone := compileNode(g, Node{Literals: []Literal{l}})
 			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 				if got, want := alone.Candidate(g, v), l.Sat(g, v); got != want {
 					t.Fatalf("seed %d, %s alone: node %d %v: Candidate = %v, Sat = %v", seed, l, v, g.Tuple(v), got, want)
@@ -120,4 +120,12 @@ func TestCandidateAgreesWithIsCandidate(t *testing.T) {
 			t.Errorf("seed %d: no node passed any predicate", seed)
 		}
 	}
+}
+
+// compileNode compiles the one-node pattern n against g and returns its
+// candidate predicate.
+func compileNode(g *graph.Graph, n Node) NodeCheck {
+	var c Compiled
+	c.Compile(g, &Query{Nodes: []Node{n}})
+	return c.Nodes[0].Check
 }

@@ -100,7 +100,7 @@ func FuzzNodeSig(f *testing.F) {
 		}
 
 		if bytes.Equal(sigA, sigB) {
-			ca, cb := na.Check(g), nb.Check(g)
+			ca, cb := compileNode(g, na), compileNode(g, nb)
 			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 				if ca.Candidate(g, v) != cb.Candidate(g, v) {
 					t.Fatalf("%v and %v share the signature %q and disagree on node %d %v", na, nb, sigA, v, g.Tuple(v))

@@ -230,24 +230,14 @@ func (q *Query) Neighbors(u NodeID) []NodeID {
 }
 
 // Candidates returns V_u: the graph nodes whose label matches u's label
-// (wildcard matches all) and which satisfy every literal of u.
+// (wildcard matches all) and which satisfy every literal of u. It is for
+// callers outside a match, which compile no pattern: it compiles u alone
+// (Compiled.Candidates).
 func (q *Query) Candidates(g *graph.Graph, u NodeID) []graph.NodeID {
-	pn := q.Nodes[u]
-	pool := g.NodesByLabel(pn.Label)
-	if len(pn.Literals) == 0 {
-		return pool
-	}
-	check := q.Check(g, u)
-	if check.label == noLabel {
-		return []graph.NodeID{}
-	}
-	out := make([]graph.NodeID, 0, len(pool))
-	for _, v := range pool { // pool carries the label already
-		if check.literals(g, v) {
-			out = append(out, v)
-		}
-	}
-	return out
+	one := &Query{Nodes: q.Nodes[u : u+1]}
+	var c Compiled
+	c.Compile(g, one)
+	return c.Candidates(g, one, 0)
 }
 
 // IsCandidate reports whether graph node v is a candidate of pattern
@@ -380,7 +370,8 @@ func AppendNodeSig(dst []byte, n *Node) []byte {
 	dst = graph.AppendKeyString(dst, n.Label)
 	lits := n.Literals
 	if !slices.IsSortedFunc(lits, Literal.Compare) {
-		lits = slices.Clone(lits)
+		var buf [8]Literal // most nodes fit: then sorting allocates nothing
+		lits = append(buf[:0], lits...)
 		slices.SortFunc(lits, Literal.Compare)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(lits)))
@@ -512,29 +503,6 @@ func (c LitCheck) Sat(g *graph.Graph, v graph.NodeID) bool {
 	return false
 }
 
-// Check compiles the candidate predicate of pattern node u against g.
-func (q *Query) Check(g *graph.Graph, u NodeID) NodeCheck {
-	return q.Nodes[u].Check(g)
-}
-
-// Check compiles the node's candidate predicate against g.
-func (n Node) Check(g *graph.Graph) NodeCheck {
-	return compile(g, n.Label, n.Literals)
-}
-
-// Check compiles the literal alone against g: Candidate is then Sat.
-func (l Literal) Check(g *graph.Graph) NodeCheck {
-	return compile(g, "", []Literal{l})
-}
-
-func compile(g *graph.Graph, label string, literals []Literal) NodeCheck {
-	lits := make([]LitCheck, len(literals))
-	for i, l := range literals {
-		lits[i] = l.compile(g)
-	}
-	return nodeCheck(labelID(g, label), lits)
-}
-
 // labelID is label's interned id in g: anyLabel for the wildcard,
 // noLabel when no node carries it.
 func labelID(g *graph.Graph, label string) int32 {
@@ -601,8 +569,9 @@ func (c *NodeCheck) literals(g *graph.Graph, v graph.NodeID) bool {
 // Compiled is a pattern compiled against one graph, for a search that
 // asks of many graph nodes whether they are candidates of a pattern
 // node, carry its label, or satisfy one of its literals, and every
-// node's distance from the focus (FocusDist). Compile refills it in
-// place, reusing its storage.
+// node's distance from the focus (FocusDist). A match compiles the
+// pattern it evaluates once, into its result, and every test of a node
+// against that pattern reads it; it is read-only once compiled.
 type Compiled struct {
 	Nodes []CompiledNode
 	Dist  []int
@@ -615,19 +584,47 @@ type CompiledNode struct {
 	Lits  []LitCheck // one per literal, in the node's order
 }
 
-// Compile compiles q against g into c.
+// Compile compiles q against g into c. Every node's literal checks lie in
+// one arena, so a compile allocates three slices whatever q's size.
 func (c *Compiled) Compile(g *graph.Graph, q *Query) {
-	if cap(c.Nodes) < len(q.Nodes) {
-		c.Nodes = make([]CompiledNode, len(q.Nodes))
+	n := 0
+	for i := range q.Nodes {
+		n += len(q.Nodes[i].Literals)
 	}
-	c.Nodes = c.Nodes[:len(q.Nodes)]
+	c.Nodes = make([]CompiledNode, len(q.Nodes))
+	arena := make([]LitCheck, 2*n) // per node: its Lits, then its Check's sorted copy
 	for u := range q.Nodes {
-		n, cn := &q.Nodes[u], &c.Nodes[u]
-		cn.Label, cn.Lits = NodeCheck{label: labelID(g, n.Label)}, cn.Lits[:0]
-		for _, l := range n.Literals {
-			cn.Lits = append(cn.Lits, l.compile(g))
+		nd, cn := &q.Nodes[u], &c.Nodes[u]
+		k := len(nd.Literals)
+		lits, sorted := arena[:k:k], arena[k:2*k:2*k]
+		arena = arena[2*k:]
+		for i, l := range nd.Literals {
+			lits[i] = l.compile(g)
 		}
-		cn.Check = nodeCheck(cn.Label.label, append(cn.Check.lits[:0], cn.Lits...))
+		copy(sorted, lits)
+		cn.Label, cn.Lits = NodeCheck{label: labelID(g, nd.Label)}, lits
+		cn.Check = nodeCheck(cn.Label.label, sorted)
 	}
-	c.Dist = q.FocusDist(c.Dist)
+	c.Dist = q.FocusDist(nil)
+}
+
+// Candidates returns V_u by c's test of u, where c is q compiled: the
+// graph nodes carrying u's label (wildcard: all) that satisfy every
+// literal of u, ascending.
+func (c *Compiled) Candidates(g *graph.Graph, q *Query, u NodeID) []graph.NodeID {
+	pool := g.NodesByLabel(q.Nodes[u].Label)
+	check := &c.Nodes[u].Check
+	if len(c.Nodes[u].Lits) == 0 {
+		return pool
+	}
+	if check.label == noLabel {
+		return []graph.NodeID{}
+	}
+	out := make([]graph.NodeID, 0, len(pool))
+	for _, v := range pool { // pool carries the label already
+		if check.literals(g, v) {
+			out = append(out, v)
+		}
+	}
+	return out
 }

@@ -287,6 +287,22 @@ func TestKey(t *testing.T) {
 	}
 }
 
+// TestNodeSigSortsWithoutAllocating: a node listing its literals out of
+// Compare order is signed in Compare order, and the sort allocates
+// nothing when the destination has room.
+func TestNodeSigSortsWithoutAllocating(t *testing.T) {
+	b := Literal{Attr: "b", Op: graph.EQ, Val: graph.N(2)}
+	a := Literal{Attr: "a", Op: graph.EQ, Val: graph.S("x")}
+	n, sorted := Node{Label: "A", Literals: []Literal{b, a}}, Node{Label: "A", Literals: []Literal{a, b}}
+	dst := make([]byte, 0, 256)
+	if got, want := AppendNodeSig(dst, &n), AppendNodeSig(nil, &sorted); !bytes.Equal(got, want) {
+		t.Fatalf("signature %q, in Compare order %q", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dst = AppendNodeSig(dst[:0], &n) }); allocs != 0 {
+		t.Errorf("AppendNodeSig of an out-of-order node allocates %v times", allocs)
+	}
+}
+
 // TestKeyAndLiteralGolden pins two byte formats. Literal.String is what
 // explanations and the benchmark's rendered operators print: the expected
 // strings are what the fmt-based renderer printed before it was rebuilt on
