@@ -41,7 +41,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# Repo-specific static analysis: the six wqe-lint rules that go vet,
+# Repo-specific static analysis: the five wqe-lint rules that go vet,
 # -race and the tests do not cover (internal/lint, README "Static
 # analysis & CI", DESIGN.md §9). Exits non-zero on any finding.
 lint:

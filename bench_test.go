@@ -91,10 +91,6 @@ func BenchmarkExp5UserStudy(b *testing.B) { benchExperiment(b, "5") }
 // (DESIGN.md §5 ablation).
 func BenchmarkAblationCacheCapacity(b *testing.B) { benchExperiment(b, "a1") }
 
-// BenchmarkAblationDistBackend compares the BFS and PLL distance
-// oracles (DESIGN.md §5 ablation).
-func BenchmarkAblationDistBackend(b *testing.B) { benchExperiment(b, "a2") }
-
 // BenchmarkAblationAnalysisCap sweeps the picky-generation analysis cap
 // (DESIGN.md §5 ablation).
 func BenchmarkAblationAnalysisCap(b *testing.B) { benchExperiment(b, "a3") }

@@ -8,8 +8,8 @@
 // -snapshot writes the versioned binary format of
 // internal/graph/snapshot.go (orders of magnitude faster to load than
 // JSON at million-node sizes); -embed-pll additionally builds the PLL
-// distance index and embeds its labels so a server cold-start skips
-// index construction entirely. Both -out and -snapshot may be given to
+// distance index and embeds its labels, which graphload restores though
+// no question reads them. Both -out and -snapshot may be given to
 // emit the two formats in one run.
 package main
 

@@ -1,7 +1,8 @@
 // Command wqe-lint runs the repo-specific static-analysis suite of
-// internal/lint over the module: mapiter (deterministic map iteration
-// in canonical-output packages), detsource (no nondeterminism sources
-// in canonical-output packages or the module packages they import),
+// internal/lint over the module: detsource (no nondeterminism sources —
+// raw map ranges, the wall clock, the global math/rand, multi-way
+// selects — in canonical-output packages or the module packages they
+// import),
 // errdrop (no silently discarded errors in internal packages and
 // command mains), panicfree (no panics in library code), gobound (no
 // goroutine spawns outside the internal/par worker pool), and

@@ -90,7 +90,7 @@ func TestGithubFormat(t *testing.T) {
 	// The fixture messages contain colons after escaping-relevant text;
 	// spot-check one known finding keeps its rule prefix in the message
 	// part (after the :: separator).
-	if !strings.Contains(out1, "::mapiter: ") {
+	if !strings.Contains(out1, "::detsource: ") {
 		t.Errorf("annotations should carry 'rule: message' after the data separator:\n%.300s", out1)
 	}
 	out2, _, _ := runOnce(t, "-root", fixtureRoot, "-format", "github")

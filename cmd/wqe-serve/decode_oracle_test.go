@@ -99,10 +99,13 @@ func (s *server) oracleCompileJob(req *oracleAskRequest, submit time.Time, cance
 	if err != nil {
 		return nil, chase.BatchJob{}, fmt.Errorf("parse exemplar: %w", err)
 	}
-	// The pattern caps are newer than this decoding: applied as the
-	// decoder applies them.
+	// The pattern and exemplar caps are newer than this decoding: applied
+	// as the decoder applies them.
 	if len(q.Nodes) > chase.MaxJobNodes || len(q.Edges) > chase.MaxJobEdges {
 		return nil, chase.BatchJob{}, fmt.Errorf("pattern too large: %d nodes and %d edges", len(q.Nodes), len(q.Edges))
+	}
+	if len(e.Tuples) > exemplar.MaxTuples {
+		return nil, chase.BatchJob{}, fmt.Errorf("exemplar too large: %d tuples", len(e.Tuples))
 	}
 	job := chase.BatchJob{
 		Q:        q,

@@ -239,6 +239,8 @@ func TestDecodeAskCases(t *testing.T) {
 		{"a pattern at both caps", `{"query":` + patternJSON(chase.MaxJobNodes, chase.MaxJobEdges) + `,"exemplar":` + e + `}`, true},
 		{"a node over the cap", `{"query":` + patternJSON(chase.MaxJobNodes+1, chase.MaxJobNodes) + `,"exemplar":` + e + `}`, false},
 		{"an edge over the cap", `{"query":` + patternJSON(chase.MaxJobNodes, chase.MaxJobEdges+1) + `,"exemplar":` + e + `}`, false},
+		{"an exemplar at the tuple cap", `{"query":` + q + `,"exemplar":` + exemplarJSON(exemplar.MaxTuples) + `}`, true},
+		{"a tuple over the cap", `{"query":` + q + `,"exemplar":` + exemplarJSON(exemplar.MaxTuples+1) + `}`, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := decodeServer()
@@ -279,6 +281,20 @@ func patternJSON(nodes, edges int) string {
 		}
 		from := i % nodes
 		fmt.Fprintf(&b, `{"from":%d,"to":%d,"bound":1}`, from, (from+1+i/nodes)%nodes)
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
+// exemplarJSON is an exemplar document of the given number of tuples.
+func exemplarJSON(tuples int) string {
+	var b strings.Builder
+	b.WriteString(`{"tuples":[`)
+	for i := range tuples {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"Price":{"const":%d}}`, i)
 	}
 	b.WriteString(`]}`)
 	return b.String()

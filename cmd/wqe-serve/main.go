@@ -1,7 +1,7 @@
 // Command wqe-serve is the long-lived Why-question server: it loads one
-// or more attributed graphs, builds a chase.Session per graph (shared
-// distance oracle, sharded star-view cache), and
-// serves Ask/AskFast/AskAll/Why/WhyEmpty/WhyMany over HTTP+JSON.
+// or more attributed graphs, builds a chase.Session per graph (sharded
+// star-view cache), and serves Ask/AskFast/AskAll/Why/WhyEmpty/WhyMany
+// over HTTP+JSON.
 //
 //	wqe-serve -addr :8080 -graph products=g.json
 //	wqe-serve -graph big=big.snap          # binary snapshot, sniffed by magic
@@ -9,10 +9,10 @@
 //
 // -graph accepts either on-disk format: graph JSON or the binary
 // snapshot written by wqe-datagen -snapshot / wqe -save-snapshot,
-// recognized by its leading magic bytes. A snapshot with embedded PLL
-// labels restores the distance index instead of rebuilding it, so a
-// million-node graph cold-starts in seconds; /stats reports each
-// graph's source format, snapshot version, and load time.
+// recognized by its leading magic bytes, so a million-node graph
+// cold-starts in seconds. /stats reports each graph's source format,
+// snapshot version, and load time. No question reads a snapshot's
+// embedded PLL labels: matching tests distances in its star tables.
 //
 // Endpoints (see README "Serving" for payloads):
 //
@@ -182,8 +182,7 @@ func run(args []string) int {
 }
 
 // loadHandles loads every -graph name=path pair (JSON or binary
-// snapshot, sniffed) and builds its resident session — over the
-// restored PLL index when the snapshot embeds one.
+// snapshot, sniffed) and builds its resident session.
 func loadHandles(specs []string, cfg chase.Config) ([]*graphHandle, error) {
 	var out []*graphHandle
 	seen := map[string]bool{}
@@ -203,7 +202,7 @@ func loadHandles(specs []string, cfg chase.Config) ([]*graphHandle, error) {
 		out = append(out, &graphHandle{
 			name:        name,
 			g:           res.G,
-			session:     chase.NewSessionWithIndex(res.G, cfg, res.Index),
+			session:     chase.NewSession(res.G, cfg),
 			source:      res.Source,
 			snapVersion: res.SnapshotVersion,
 			pllRestored: res.PLLRestored(),

@@ -29,8 +29,8 @@ var askEndpoints = []string{"/ask", "/askall", "/askfast", "/why", "/whyempty", 
 const statusClientGone = 499
 
 // graphHandle is one resident graph: its long-lived session (shared
-// distance oracle, star-view cache) plus the residency
-// metadata /graphs and /stats report.
+// star-view cache) plus the residency metadata /graphs and /stats
+// report.
 type graphHandle struct {
 	name    string
 	g       *graph.Graph

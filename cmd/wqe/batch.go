@@ -69,8 +69,8 @@ func loadJobs(path string) ([]chase.BatchJob, error) {
 }
 
 // runBatch answers every job in the jobs file concurrently over one
-// shared session (graph, star-view cache, distance oracle) and prints
-// the results in submission order followed by the aggregate statistics.
+// shared session (graph, star-view cache) and prints the results in
+// submission order followed by the aggregate statistics.
 // cfg.Workers bounds how many jobs run at once. The jobs file is read
 // before the graph, so a mistake in it shows before the graph's load time.
 func runBatch(cfg chase.Config, graphPath, batchPath string) error {
@@ -89,7 +89,7 @@ func runBatch(cfg chase.Config, graphPath, batchPath string) error {
 	if res.PLLRestored() {
 		fmt.Fprintln(os.Stderr, "wqe: restored PLL distance index from snapshot")
 	}
-	sess := chase.NewSessionWithIndex(g, cfg, res.Index)
+	sess := chase.NewSession(g, cfg)
 
 	fmt.Println("graph:", g)
 	fmt.Printf("batch: %d jobs over shared session\n\n", len(jobs))

@@ -11,14 +11,14 @@
 //
 // -graph accepts either on-disk format — graph JSON or the binary
 // snapshot written by -save-snapshot / wqe-datagen -snapshot — sniffed
-// from the file's leading bytes. A snapshot with embedded PLL labels
-// also restores the distance index, skipping its construction.
+// from the file's leading bytes. A snapshot's embedded PLL labels are
+// restored, and -save-snapshot writes them back; no question reads them.
 //
 // Algorithms: answ (exact anytime), topk, heu (beam search), whymany,
 // whyempty, fmansw (baseline).
 //
 // Batch mode answers many Why-questions concurrently over one shared
-// graph, star-view cache, and distance index. The jobs file is a JSON
+// graph and star-view cache. The jobs file is a JSON
 // array of the job objects wqe-serve's /askall takes (chase.DecodeJob),
 // where "query" and "exemplar" may also be file paths; results print in
 // submission order and are identical to running the jobs one at a time.
@@ -102,10 +102,9 @@ func run(cfg chase.Config, a question) error {
 		return fmt.Errorf("unknown -algo %q", a.algo)
 	}
 	var (
-		g   *graph.Graph
-		q   *query.Query
-		e   *exemplar.Exemplar
-		idx distindex.Index
+		g *graph.Graph
+		q *query.Query
+		e *exemplar.Exemplar
 	)
 	if a.demo {
 		f := datagen.NewFig1()
@@ -133,7 +132,7 @@ func run(cfg chase.Config, a question) error {
 		if err != nil {
 			return err
 		}
-		g, idx = res.G, res.Index
+		g = res.G
 		if res.PLLRestored() {
 			fmt.Fprintln(os.Stderr, "wqe: restored PLL distance index from snapshot")
 		}
@@ -148,7 +147,7 @@ func run(cfg chase.Config, a question) error {
 		}
 	}
 
-	sess := chase.NewSessionWithIndex(g, cfg, idx)
+	sess := chase.NewSession(g, cfg)
 	w, err := sess.Why(q, e)
 	if err != nil {
 		return err

@@ -44,7 +44,7 @@ type WhyInstance = datagen.WhyInstance
 // query with answers, a disturbed query, and an exemplar listing
 // desired entities.
 func GenerateWhyQuestion(g *Graph, spec WorkloadSpec, seed int64) (*WhyInstance, bool) {
-	m := NewMatcher(g, NewDistIndex(g), nil)
+	m := NewMatcher(g, nil, nil)
 	rng := rand.New(rand.NewSource(seed))
 	return datagen.GenWhy(g, m, spec, rng)
 }

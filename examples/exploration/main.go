@@ -31,8 +31,8 @@ func main() {
 	desired := inst.AnswerStar
 	fmt.Printf("\nhidden intent: %s (%d desired movies)\n", inst.Qstar, len(desired))
 
-	// A Session keeps the distance index and star-view cache warm
-	// across the whole exploration (§5.2).
+	// A Session keeps the star-view cache warm across the whole
+	// exploration (§5.2).
 	session := wqe.NewSession(g, wqe.DefaultConfig())
 
 	q := inst.Q

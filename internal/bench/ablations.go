@@ -6,7 +6,6 @@ import (
 
 	"wqe/internal/chase"
 	"wqe/internal/datagen"
-	"wqe/internal/distindex"
 )
 
 // The ablation experiments back the design choices DESIGN.md §5 calls
@@ -17,10 +16,6 @@ func init() {
 			ID  string
 			Run func(*Harness) *Table
 		}{"a1", (*Harness).AblationCacheCapacity},
-		struct {
-			ID  string
-			Run func(*Harness) *Table
-		}{"a2", (*Harness).AblationDistBackend},
 		struct {
 			ID  string
 			Run func(*Harness) *Table
@@ -60,44 +55,6 @@ func (h *Harness) AblationCacheCapacity() *Table {
 			rate = fmt.Sprintf("%.1f%%", 100*float64(hits)/float64(total))
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprint(cap), secs(mean(times)), rate})
-	}
-	return t
-}
-
-// AblationDistBackend compares the bounded-BFS oracle against Pruned
-// Landmark Labeling; setup time is the index build.
-func (h *Harness) AblationDistBackend() *Table {
-	t := &Table{
-		ID:     "Ablation A2",
-		Title:  "Distance oracle backend (AnsW on " + datagen.DatasetMovies + ")",
-		Header: []string{"backend", "mean time", "setup time"},
-	}
-	spec := InstanceSpec{Dataset: datagen.DatasetMovies}
-	g := h.GraphFor(datagen.DatasetMovies, h.Opts.Scale)
-	instances := h.Instances(spec)
-	for _, backend := range []string{"bfs", "pll"} {
-		s0 := time.Now()
-		var idx distindex.Index
-		switch backend {
-		case "bfs":
-			idx = distindex.NewBFS(g)
-		case "pll":
-			idx = distindex.NewPLLParallel(g, 0)
-		}
-		setup := time.Since(s0)
-		var times []time.Duration
-		for _, inst := range instances {
-			// A session per question: each starts with an empty star cache.
-			cfg := h.config(AlgoAnsW, defaultBudget)
-			w, err := chase.NewSessionWithIndex(g, cfg, idx).Why(inst.Q, inst.E)
-			if err != nil {
-				continue
-			}
-			start := time.Now()
-			w.AnsW()
-			times = append(times, time.Since(start))
-		}
-		t.Rows = append(t.Rows, []string{backend, secs(mean(times)), secs(setup)})
 	}
 	return t
 }

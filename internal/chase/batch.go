@@ -80,7 +80,9 @@ type BatchJob struct {
 // err is the input's own: it is not JSON, or a field holds a value of
 // the wrong kind (kept in types, as encoding/json kept the first). bad is
 // what is wrong with the question: no query or exemplar, one that does
-// not parse, or a pattern over MaxJobNodes nodes or MaxJobEdges edges.
+// not parse, a pattern over MaxJobNodes nodes or MaxJobEdges edges, or an
+// exemplar of more than exemplar.MaxTuples tuples, which no evaluation
+// admits.
 func DecodeJob(r *jsonscan.Reader, j *BatchJob, types *jsonscan.Sticky, field func(key []byte) (bool, error)) (bad, err error) {
 	var qErr, eErr error
 	limitMS := int(j.TimeLimit / time.Millisecond)
@@ -120,6 +122,8 @@ func DecodeJob(r *jsonscan.Reader, j *BatchJob, types *jsonscan.Sticky, field fu
 	case len(j.Q.Nodes) > MaxJobNodes || len(j.Q.Edges) > MaxJobEdges:
 		bad = fmt.Errorf("pattern too large: %d nodes and %d edges, at most %d and %d",
 			len(j.Q.Nodes), len(j.Q.Edges), MaxJobNodes, MaxJobEdges)
+	case len(j.E.Tuples) > exemplar.MaxTuples:
+		bad = fmt.Errorf("exemplar too large: %d tuples, at most %d", len(j.E.Tuples), exemplar.MaxTuples)
 	}
 	return bad, types.Keep(err)
 }
@@ -212,9 +216,9 @@ type BatchStats struct {
 const ErrCancelled = chaseError("chase: job cancelled before start")
 
 // AskAll answers a batch of Why-questions concurrently over the
-// session's shared graph, star-view cache, and distance oracle. It runs
-// up to Config.Workers jobs at once (0: one per logical CPU), never more
-// than there are jobs, each on one goroutine.
+// session's shared graph and star-view cache. It runs up to
+// Config.Workers jobs at once (0: one per logical CPU), never more than
+// there are jobs, each on one goroutine.
 //
 // Jobs are claimed dynamically, but results commit into submission-
 // order slots: results[i] is jobs[i]'s outcome no matter which worker

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"wqe/internal/distindex"
 	"wqe/internal/exemplar"
 	"wqe/internal/graph"
 	"wqe/internal/match"
@@ -179,7 +178,6 @@ type Why struct {
 	Eval *exemplar.Eval
 
 	Matcher *match.Matcher
-	Dist    distindex.Index
 
 	// FocusCands is V_{u_o}: the label-based candidate pool of the
 	// original focus, fixed across the chase (it normalizes closeness).
@@ -240,16 +238,16 @@ type Sample struct {
 
 // NewWhy compiles a Why-question on a session of its own: it validates
 // the query and exemplar, and builds the exemplar evaluator (rep(E, V),
-// closeness), the distance oracle, and the matcher. Callers asking more
-// than one question of a graph keep a Session instead.
+// closeness) and the matcher. Callers asking more than one question of
+// a graph keep a Session instead.
 func NewWhy(g *graph.Graph, q *query.Query, e *exemplar.Exemplar, cfg Config) (*Why, error) {
 	return NewSession(g, cfg).Why(q, e)
 }
 
 // newWhyWith compiles a Why-question under cfg over the per-graph
-// resources s owns: the distance oracle, the star-view cache (nil runs
-// uncached), the generation scratch pool, and the clock — deadlines and
-// elapsed stats must read the clock the session anchors submissions on.
+// resources s owns: the star-view cache (nil runs uncached), the
+// generation scratch pool, and the clock — deadlines and elapsed stats
+// must read the clock the session anchors submissions on.
 func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*Why, error) {
 	g := s.G
 	cfg.Search = cfg.Search.withDefaults()
@@ -269,7 +267,6 @@ func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 		E:            e,
 		Cfg:          cfg,
 		Eval:         ev,
-		Dist:         s.dist,
 		params:       ops.Params{MaxBound: cfg.MaxBound},
 		partnerCache: map[partnerCacheKey][]graph.NodeID{},
 		partnerSigs:  map[string]int32{},
@@ -281,7 +278,7 @@ func newWhyWith(s *Session, q *query.Query, e *exemplar.Exemplar, cfg Config) (*
 	// Warm the graph's lazy caches so concurrent Why-questions over the
 	// same graph stay race-free.
 	g.WarmCaches()
-	w.Matcher = match.NewMatcher(g, w.Dist, s.cache)
+	w.Matcher = match.NewMatcher(g, nil, s.cache)
 	w.FocusCands = g.NodesByLabel(q.Nodes[q.Focus].Label)
 	w.focusRep, w.ClStar = ev.RepAmong(w.FocusCands)
 	return w, nil

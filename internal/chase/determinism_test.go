@@ -19,7 +19,7 @@ func renderAnswer(a chase.Answer) string {
 // TestAnsHeuDeterministicFig1 rebuilds the running example from scratch
 // and re-runs AnsHeu: identical inputs must produce byte-identical
 // output. This is the regression gate for the map-iteration and
-// float-summation nondeterminism wqe-lint's mapiter rule exists to
+// float-summation nondeterminism wqe-lint's detsource rule exists to
 // prevent.
 func TestAnsHeuDeterministicFig1(t *testing.T) {
 	run := func() string {

@@ -56,7 +56,7 @@ func TestRunContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewSession(g, DefaultConfig())
-		m := match.NewMatcher(g, s.dist, nil)
+		m := match.NewMatcher(g, nil, nil)
 		rng := rand.New(rand.NewSource(47))
 		for _, a := range algos {
 			what := fmt.Sprintf("%s on %s", a.name, dataset)

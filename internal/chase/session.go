@@ -16,25 +16,23 @@ import (
 // Session supports the exploratory-search workflow of Fig 3: a user
 // iterates query → response → exemplar → rewrite over one graph, and
 // each iteration is a new Why-question. The session owns the expensive
-// per-graph state — the distance oracle and the star-view cache — so
-// consecutive Why-questions reuse materialized star tables, which is
-// exactly where the §5.2 cache pays off ("minimizing system response
-// time between search sessions").
+// per-graph state, the star-view cache, so consecutive Why-questions
+// reuse materialized star tables, which is exactly where the §5.2 cache
+// pays off ("minimizing system response time between search
+// sessions").
 //
 // A Session is safe for concurrent use: any number of goroutines may
 // call Ask/AskFast/Why/Run/AskAll on one Session. The shared pieces are
 // each internally synchronized (the star-view cache) or immutable after
-// construction (the distance oracle, the warmed graph). Each question
-// runs on the goroutine that asks it; AskAll runs up to Config.Workers
-// of them side by side.
+// construction (the warmed graph). Each question runs on the goroutine
+// that asks it; AskAll runs up to Config.Workers of them side by side.
 //
 // A graph.Graph has no mutators, as the paper asks every question of
-// one fixed G: star tables, memoized answers and the distance index are
-// pure functions of it, and none of them is ever invalidated.
+// one fixed G: star tables and memoized answers are pure functions of
+// it, and none of them is ever invalidated.
 type Session struct {
 	G     *graph.Graph
 	Cfg   Config
-	dist  distindex.Index
 	cache *match.Cache
 
 	// gens pools operator generation's scratch (genScratch): a running
@@ -63,23 +61,10 @@ type Session struct {
 // NewSession builds a session over g. The config's Budget/Theta/Lambda
 // apply to every Ask unless overridden per call.
 func NewSession(g *graph.Graph, cfg Config) *Session {
-	return NewSessionWithIndex(g, cfg, nil)
-}
-
-// NewSessionWithIndex is NewSession with a caller-supplied distance
-// oracle — typically one restored from a snapshot's embedded PLL
-// labels, so cold start skips index construction entirely. idx must
-// have been built over g (or a bit-identical restore of it); nil falls
-// back to the automatic backend choice.
-func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Session {
 	cfg.Search = cfg.Search.withDefaults()
-	if idx == nil {
-		idx = distindex.Auto(g)
-	}
 	s := &Session{
-		G:    g,
-		Cfg:  cfg,
-		dist: idx,
+		G:   g,
+		Cfg: cfg,
 		//lint:ignore detsource injectable-clock default; only stats and anytime deadline cutoffs read it, never ranking
 		clock: time.Now,
 	}
@@ -93,8 +78,16 @@ func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Sessi
 	return s
 }
 
+// NewSessionWithIndex is NewSession. idx is not read: a question's
+// distance tests are lookups in its star tables (match.Matcher), so a
+// session holds no distance oracle. The parameter stays for the callers
+// that pass one.
+func NewSessionWithIndex(g *graph.Graph, cfg Config, idx distindex.Index) *Session {
+	return NewSession(g, cfg)
+}
+
 // Why compiles one Why-question against the session's shared state: the
-// prebuilt distance oracle and the shared star-view cache.
+// shared star-view cache.
 func (s *Session) Why(q *query.Query, e *exemplar.Exemplar) (*Why, error) {
 	return newWhyWith(s, q, e, s.Cfg)
 }
@@ -190,9 +183,9 @@ type MultiFocusAnswer struct {
 // parallel slices.
 //
 // The foci run one after another, each a Run through the session's
-// shared distance oracle and star-view cache: they share star tables the
-// same way consecutive session questions do, and an OnImprove hook is
-// never called from two goroutines at once.
+// shared star-view cache: they share star tables the same way
+// consecutive session questions do, and an OnImprove hook is never
+// called from two goroutines at once.
 func (s *Session) AskMultiFocus(q *query.Query, foci []query.NodeID,
 	exemplars []*exemplar.Exemplar) ([]MultiFocusAnswer, error) {
 

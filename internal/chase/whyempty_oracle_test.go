@@ -287,7 +287,7 @@ func TestAnsWEMatchesByValuePlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewSession(g, DefaultConfig())
-		m := match.NewMatcher(g, s.dist, nil)
+		m := match.NewMatcher(g, nil, nil)
 		rng := rand.New(rand.NewSource(59))
 		for i := 0; i < 40; i++ {
 			spec := []datagen.WhySpec{whyEmpty, whyEmpty, cyclic, whyNot}[i%4]

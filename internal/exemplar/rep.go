@@ -30,9 +30,12 @@ type Eval struct {
 	nRep  int
 }
 
+// MaxTuples caps an exemplar's tuple patterns: a node's matches are a
+// bitmask over them, 64 bits wide. The paper's workloads use at most 25.
+const MaxTuples = 64
+
 // NewEval validates e and compiles it against g. The number of tuple
-// patterns is limited to 64 (a bitmask width; the paper's workloads use
-// at most 25).
+// patterns is limited to MaxTuples.
 func NewEval(g *graph.Graph, e *Exemplar, opts Options) (*Eval, error) {
 	ev, patterns, err := newEval(g, e, opts)
 	if err != nil {
@@ -60,7 +63,7 @@ func newEval(g *graph.Graph, e *Exemplar, opts Options) (*Eval, []compiledPatter
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(e.Tuples) > 64 {
+	if len(e.Tuples) > MaxTuples {
 		return nil, nil, errTooManyTuples
 	}
 	patterns := make([]compiledPattern, len(e.Tuples))

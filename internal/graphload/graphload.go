@@ -32,8 +32,8 @@ const sniffLen = 8
 type Result struct {
 	G *graph.Graph
 	// Index is the distance oracle restored from the snapshot's
-	// embedded PLL labels; nil when the file carried none (callers
-	// fall back to building one).
+	// embedded PLL labels; nil when the file carried none. No question
+	// reads it; wqe -save-snapshot carries it into the file it writes.
 	Index distindex.Index
 	// Source is SourceJSON or SourceSnapshot; SnapshotVersion is the
 	// binary format version read (0 for JSON).
@@ -45,7 +45,7 @@ type Result struct {
 }
 
 // PLLRestored reports whether the load restored a distance index from
-// embedded labels instead of leaving construction to the caller.
+// embedded labels.
 func (r *Result) PLLRestored() bool { return r.Index != nil }
 
 // Open loads the graph at path, sniffing the format from its leading

@@ -8,20 +8,31 @@ import (
 	"strings"
 )
 
+// canonicalOutputPkgs are the packages whose computation feeds
+// canonical, user-visible output (ranked operator lists, rewrite keys,
+// JSON renderings). Raw map iteration there makes top-k tie-breaking
+// depend on Go's randomized map order.
+var canonicalOutputPkgs = map[string]bool{
+	"query":    true,
+	"ops":      true,
+	"chase":    true,
+	"exemplar": true,
+}
+
 // DetSource returns the detsource analyzer: nondeterminism sources must
 // not appear where they can reach canonical output — in a
 // canonical-output package (query, ops, chase, exemplar) or in any
 // module package one of them imports, directly or transitively.
 //
-// mapiter polices map ranges inside the canonical packages themselves;
-// detsource closes the gap through helper packages: a helper that
-// ranges a map, reads the wall clock, draws from the global
-// math/rand, or races a multi-way select still perturbs canonical
-// output. Scope is by import, not by call: every function of an
-// imported package counts, whether or not canonical code calls it, and
-// a source injected from a package no canonical package imports (a
-// benchmark's clock, say) is out of scope. Each finding names the
-// import chain that puts its package in scope.
+// A raw map range (unless it only collects keys or values for sorting),
+// a wall-clock read, a draw from the global math/rand or a multi-way
+// select perturbs canonical output as much from a helper package as from
+// a canonical one: Go randomizes map iteration order, which silently
+// breaks tie-broken top-k ranking. Scope is by import, not by call:
+// every function of an imported package counts, whether or not
+// canonical code calls it, and a source injected from a package no
+// canonical package imports (a benchmark's clock, say) is out of scope.
+// Each finding names the import chain that puts its package in scope.
 func DetSource() *Analyzer {
 	return &Analyzer{
 		Name: "detsource",
@@ -99,12 +110,9 @@ func displayPath(mod *Module, p *Package) string {
 }
 
 // scanDetSources walks a package in scope for the four source kinds.
-// Map ranges inside canonical packages are mapiter's to report;
-// everything else is flagged here regardless of package.
 func scanDetSources(pkg *Package, via string) []Finding {
 	var out []Finding
 	info := pkg.Info
-	canonical := canonicalOutputPkgs[pkg.Name()]
 	report := func(node ast.Node, msg string, args ...any) {
 		out = append(out, Finding{
 			Pos:  pkg.Fset.Position(node.Pos()),
@@ -116,9 +124,6 @@ func scanDetSources(pkg *Package, via string) []Finding {
 		ast.Inspect(file, func(node ast.Node) bool {
 			switch node := node.(type) {
 			case *ast.RangeStmt:
-				if canonical {
-					return true
-				}
 				t := info.TypeOf(node.X)
 				if t == nil {
 					return true
@@ -173,4 +178,32 @@ func stdlibUse(info *types.Info, sel *ast.SelectorExpr) (string, string, bool) {
 		return "", "", false
 	}
 	return obj.Pkg().Path(), obj.Name(), true
+}
+
+// collectOnlyBody reports whether every statement of a range-over-map
+// body only gathers the iteration variables into slices via append —
+// the first half of the collect-then-sort idiom, which is safe because
+// the subsequent sort re-establishes a canonical order.
+func collectOnlyBody(info *types.Info, rs *ast.RangeStmt) bool {
+	if len(rs.Body.List) == 0 {
+		return false
+	}
+	for _, stmt := range rs.Body.List {
+		as, ok := stmt.(*ast.AssignStmt)
+		if !ok || len(as.Rhs) != 1 {
+			return false
+		}
+		call, ok := as.Rhs[0].(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		fn, ok := call.Fun.(*ast.Ident)
+		if !ok || fn.Name != "append" {
+			return false
+		}
+		if obj := info.Uses[fn]; obj != nil && obj != types.Universe.Lookup("append") {
+			return false
+		}
+	}
+	return true
 }

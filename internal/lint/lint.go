@@ -1,18 +1,16 @@
 // Package lint implements wqe's repo-specific static-analysis suite
 // using only the standard library's go/parser, go/ast, and go/types.
 //
-// Six analyzers enforce the invariants the paper's algorithms depend on
+// Five analyzers enforce the invariants the paper's algorithms depend on
 // for reproducible output, each one a defect that neither `go vet`,
 // `-race` nor the tests catch (DESIGN.md §9 names the probe for each):
 //
-//   - mapiter: no raw `for range` over maps in canonical-output
-//     packages (query, ops, chase, exemplar) — Go randomizes map
-//     iteration order, which silently breaks tie-broken top-k ranking;
-//     collect keys and sort them first.
 //   - detsource: nondeterminism sources (raw map range, time.Now,
 //     global math/rand, multi-way select) must not appear in a
-//     canonical-output package or in any module package one imports,
-//     directly or transitively.
+//     canonical-output package (query, ops, chase, exemplar) or in any
+//     module package one imports, directly or transitively — Go
+//     randomizes map iteration order, which silently breaks tie-broken
+//     top-k ranking; collect keys and sort them first.
 //   - errdrop: internal packages and command mains must not silently
 //     discard error returns (`_ =` or bare call statements).
 //   - panicfree: library code must not panic; only functions whose doc
@@ -64,7 +62,6 @@ type Analyzer struct {
 // Analyzers returns the full suite in stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		MapIter(),
 		DetSource(),
 		ErrDrop(),
 		PanicFree(),

@@ -14,7 +14,7 @@ import (
 
 // wantRe matches expectation markers in fixture sources:
 //
-//	for k := range m { // want mapiter
+//	for k := range m { // want detsource
 var wantRe = regexp.MustCompile(`// want ([a-z]+)`)
 
 // mark is one expected (or observed) finding location.
@@ -161,10 +161,10 @@ func TestAnalyzersIndividually(t *testing.T) {
 func TestFindingString(t *testing.T) {
 	f := Finding{
 		Pos:  token.Position{Filename: "a/b.go", Line: 7, Column: 3},
-		Rule: "mapiter",
+		Rule: "detsource",
 		Msg:  "map iteration order leaks",
 	}
-	if got, want := f.String(), "a/b.go:7: mapiter: map iteration order leaks"; got != want {
+	if got, want := f.String(), "a/b.go:7: detsource: map iteration order leaks"; got != want {
 		t.Errorf("Finding.String() = %q, want %q", got, want)
 	}
 }

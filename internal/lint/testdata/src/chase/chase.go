@@ -1,6 +1,6 @@
-// Package chase is a lint fixture: its name puts it in mapiter's scope
-// and makes it a root for detsource — nondeterminism sources in any
-// package it imports (see fixture/det) are flagged.
+// Package chase is a lint fixture: its name makes it a root for
+// detsource — nondeterminism sources in it and in any package it imports
+// (see fixture/det) are flagged.
 package chase
 
 import (

@@ -1,4 +1,4 @@
-// Package query is a lint fixture: its name puts it in mapiter's scope
+// Package query is a lint fixture: its name puts it in detsource's scope
 // (packages whose iteration order can leak into canonical output).
 package query
 
@@ -7,7 +7,7 @@ import "sort"
 // Process ranges over a map and emits in iteration order: flagged.
 func Process(m map[string]int) []string {
 	out := []string{}
-	for k, v := range m { // want mapiter
+	for k, v := range m { // want detsource
 		if v > 0 {
 			out = append(out, k)
 		}
@@ -28,7 +28,7 @@ func Sorted(m map[string]int) []string {
 // Justified documents why order cannot matter.
 func Justified(m map[string]int) int {
 	total := 0
-	//lint:ignore mapiter summing ints is exact and order-insensitive
+	//lint:ignore detsource summing ints is exact and order-insensitive
 	for _, v := range m {
 		total += v
 	}

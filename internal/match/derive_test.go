@@ -412,7 +412,7 @@ func sameResult(t *testing.T, what string, got, want *match.Result) {
 func TestMatchFromEqualsMatch(t *testing.T) {
 	pairs := 0
 	sweep := func(what string, w *chase.Why) {
-		alone := match.NewMatcher(w.G, w.Dist, nil)
+		alone := match.NewMatcher(w.G, nil, nil)
 		walkRewrites(w, what, func(what string, parent *match.Result, q *query.Query) *match.Result {
 			got := w.Matcher.MatchFrom(parent, q)
 			sameResult(t, what, got, alone.Match(q))
@@ -565,10 +565,17 @@ func TestFreshBuildAllocsIndependentOfCandidates(t *testing.T) {
 		if rows := match.BuildStarTable(g, q, s).NumRows(); rows != 8 {
 			t.Fatalf("%d candidates: %d rows, want 8", candidates, rows)
 		}
-		return testing.AllocsPerRun(20, func() { match.BuildStarTable(g, q, s) })
+		// The least of single-build rounds: sync.Pool may hand a build a
+		// cold scratch, and under the race detector it drops a quarter of
+		// all Puts at random, so an average over builds varies run to run.
+		least := math.Inf(1)
+		for range 20 {
+			least = min(least, testing.AllocsPerRun(1, func() { match.BuildStarTable(g, q, s) }))
+		}
+		return least
 	}
 	few, many := build(100), build(1600)
-	if many > few+2 { // sync.Pool may hand the build a cold scratch
+	if many > few+2 {
 		t.Errorf("a build allocates %v times among 100 center candidates and %v among 1600", few, many)
 	}
 }

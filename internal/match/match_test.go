@@ -28,9 +28,22 @@ func randomGraph(n, m int, seed int64) *graph.Graph {
 }
 
 func randomQuery(g *graph.Graph, rng *rand.Rand) *query.Query {
+	return randomPattern(rng, 1+rng.Intn(3), 0)
+}
+
+// randomCyclicQuery is randomQuery with four or five nodes and up to two
+// edges added to the tree: most of its patterns hold a cycle (a pair of
+// opposite edges counts), the one shape whose search tests an edge
+// between two nodes it has both assigned.
+func randomCyclicQuery(rng *rand.Rand) *query.Query {
+	return randomPattern(rng, 4+rng.Intn(2), 1+rng.Intn(2))
+}
+
+// randomPattern draws n nodes, connects them as a random tree, tries to
+// add extra edges between distinct unlinked nodes, and picks the focus.
+func randomPattern(rng *rand.Rand, n, extra int) *query.Query {
 	labels := []string{"A", "B", "C", ""}
 	q := query.New()
-	n := 1 + rng.Intn(3)
 	for i := 0; i < n; i++ {
 		u := q.AddNode(labels[rng.Intn(len(labels))])
 		if rng.Intn(2) == 0 {
@@ -39,13 +52,19 @@ func randomQuery(g *graph.Graph, rng *rand.Rand) *query.Query {
 				query.Literal{Attr: "x", Op: op, Val: graph.N(float64(rng.Intn(6)))})
 		}
 	}
-	// Connect randomly (tree-ish plus a chance of an extra edge).
+	// Connect randomly as a tree.
 	for i := 1; i < n; i++ {
 		a, b := query.NodeID(rng.Intn(i)), query.NodeID(i)
 		if rng.Intn(2) == 0 {
 			a, b = b, a
 		}
 		if q.FindEdge(a, b) < 0 {
+			q.AddEdge(a, b, 1+rng.Intn(2))
+		}
+	}
+	for i := 0; i < extra; i++ {
+		a, b := query.NodeID(rng.Intn(n)), query.NodeID(rng.Intn(n))
+		if a != b && q.FindEdge(a, b) < 0 {
 			q.AddEdge(a, b, 1+rng.Intn(2))
 		}
 	}
@@ -142,6 +161,39 @@ func TestMatcherAgainstBruteForce(t *testing.T) {
 					trial, c != nil, q, got, want)
 			}
 		}
+	}
+}
+
+// TestMatcherAgainstBruteForceCyclic is TestMatcherAgainstBruteForce
+// over cyclic patterns, the ones whose search tests an edge between two
+// assigned nodes against the star tables.
+func TestMatcherAgainstBruteForceCyclic(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cache := NewCache(256, 0.95)
+	cyclic, answered := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		// Denser graphs than TestMatcherAgainstBruteForce's, so that more
+		// cycles have matches.
+		g := randomGraph(10+rng.Intn(6), 30+rng.Intn(30), int64(trial))
+		q := randomCyclicQuery(rng)
+		if len(q.Edges) < len(q.Nodes) {
+			continue
+		}
+		cyclic++
+		want := bruteAnswer(g, q)
+		if len(want) > 0 {
+			answered++
+		}
+		for _, c := range []*Cache{nil, cache} {
+			got := NewMatcher(g, nil, c).Match(q).Answer
+			if !sameSet(got, want) {
+				t.Fatalf("trial %d (cache=%v):\nQ: %s\ngot  %v\nwant %v",
+					trial, c != nil, q, got, want)
+			}
+		}
+	}
+	if cyclic < 150 || answered < 50 {
+		t.Fatalf("%d of 300 patterns are cyclic and %d of them have matches: want 150 and 50", cyclic, answered)
 	}
 }
 

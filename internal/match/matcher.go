@@ -19,7 +19,6 @@ import (
 // caches first; chase.NewWhy does).
 type Matcher struct {
 	G     *graph.Graph
-	Dist  distindex.Index
 	Cache *Cache
 
 	// keyPrefix is the per-graph cache-key prefix ("g<uid>|"), hoisted
@@ -27,18 +26,19 @@ type Matcher struct {
 	keyPrefix string
 
 	// vpool recycles verifiers (and all their scratch: order, maps,
-	// per-depth constraint buffers, the distance memo) across Match
-	// calls, so the per-question beam loop stops allocating a fresh
-	// working set for every rewrite it evaluates.
+	// per-depth constraint buffers) across Match calls, so the
+	// per-question beam loop stops allocating a fresh working set for
+	// every rewrite it evaluates.
 	vpool sync.Pool
 }
 
-// NewMatcher returns a matcher over g using the given distance oracle
-// and an optional star-view cache (nil disables caching).
+// NewMatcher returns a matcher over g with an optional star-view cache
+// (nil disables caching). dist is not read: every distance test of a
+// match is a lookup in its star tables (verifier.checkRest). The
+// parameter stays for the callers that pass one.
 func NewMatcher(g *graph.Graph, dist distindex.Index, cache *Cache) *Matcher {
 	m := &Matcher{
 		G:     g,
-		Dist:  dist,
 		Cache: cache,
 		// The graph uid keeps one cache safe to share across graphs.
 		keyPrefix: "g" + strconv.FormatUint(g.UID(), 10) + "|",
@@ -226,12 +226,6 @@ type verifier struct {
 	cons [][]edgeConstraint
 	// balls holds one ball per search depth, for extend's BFS fallback.
 	balls [][]graph.NodeDist
-	// dmemo caches Within verdicts per (source, target) node pair for
-	// the duration of one Match. The backtracking search re-tests the
-	// same pairs across candidates and depths; the memo answers repeats
-	// without touching the distance oracle. See memoWithin for the
-	// bound encoding.
-	dmemo map[int64]int32
 }
 
 type enumRef struct {
@@ -290,12 +284,6 @@ func (v *verifier) prepare() {
 	for range q.Nodes {
 		v.h = append(v.h, -1)
 	}
-	if v.dmemo == nil {
-		v.dmemo = map[int64]int32{}
-	} else {
-		clear(v.dmemo)
-	}
-
 	v.focusAt = v.focusAt[:0]
 	for range v.stars {
 		v.focusAt = append(v.focusAt, 0)
@@ -332,6 +320,11 @@ type edgeConstraint struct {
 	anchor graph.NodeID // the assigned endpoint's image
 	bound  int
 	out    bool // anchor → u in the pattern
+	// partners is the anchor's row of the star centered at the anchor's
+	// pattern node, at this edge's column: the candidates of the node
+	// being assigned within bound of the anchor, ascending. nil when no
+	// star is centered there (a row's columns are never empty).
+	partners []graph.NodeID
 }
 
 // tryAssign extends the valuation with h(u) = w and recurses; the
@@ -346,54 +339,31 @@ func (v *verifier) tryAssign(u query.NodeID, w graph.NodeID, depth int) bool {
 	return ok
 }
 
-// memoWithin is Dist.Within with a per-Match memo on the node pair.
-// The verdict is monotone in the bound — within at b implies within at
-// every b' ≥ b, and not-within at b implies not-within at every
-// b' ≤ b — so the memo stores two half-open certificates per pair,
-// packed into one int32: the high 16 bits hold minTrue+1 (the smallest
-// bound proven within; 0 = none yet) and the low 16 bits hold
-// maxFalse+1 (the largest bound proven exceeded; 0 = none yet). Only
-// queries falling in the unknown gap between the certificates reach
-// the oracle, and only Within is ever called — never exact Dist, which
-// on the BFS oracle would trade a bounded search for an unbounded one.
-func (v *verifier) memoWithin(s, t graph.NodeID, bound int) bool {
-	if bound < 0 || bound >= 1<<16-1 {
-		return v.m.Dist.Within(s, t, bound)
-	}
-	key := int64(s)<<32 | int64(uint32(t))
-	rec := v.dmemo[key]
-	minTrue := int(rec>>16) - 1
-	maxFalse := int(rec&0xffff) - 1
-	if minTrue >= 0 && bound >= minTrue {
-		return true
-	}
-	if maxFalse >= 0 && bound <= maxFalse {
-		return false
-	}
-	within := v.m.Dist.Within(s, t, bound)
-	if within {
-		minTrue = bound
-	} else {
-		maxFalse = bound
-	}
-	v.dmemo[key] = int32(minTrue+1)<<16 | int32(maxFalse+1)
-	return within
-}
-
-// checkRest verifies the remaining distance constraints on w (all but
-// cons[skip], which the enumeration source already guarantees).
+// checkRest reports whether w, a candidate of u, meets every constraint
+// but cons[skip], which the enumeration source already guarantees. Each
+// test is a lookup in the star view: w in the anchor's partners, else
+// the anchor in w's row of the star centered at u. Every pattern edge
+// lies in a star centered at one of its endpoints, and a column lists
+// every check-passing node within the edge's bound, so membership is the
+// distance test; w without a row in u's star is no match of u at all.
 func (v *verifier) checkRest(cons []edgeConstraint, w graph.NodeID, skip int) bool {
 	for i, c := range cons {
 		if i == skip {
 			continue
 		}
-		var within bool
-		if c.out {
-			within = v.memoWithin(c.anchor, w, c.bound)
-		} else {
-			within = v.memoWithin(w, c.anchor, c.bound)
+		if c.partners != nil {
+			if _, ok := slices.BinarySearch(c.partners, w); !ok {
+				return false
+			}
+			continue
 		}
-		if !within {
+		ref := v.colFor[colIndex(c.edge, !c.out)]
+		t := v.stars[ref.star].Table
+		row, ok := t.Row(w)
+		if !ok {
+			return false
+		}
+		if _, ok := slices.BinarySearch(t.Col(row, ref.col), c.anchor); !ok {
 			return false
 		}
 	}
@@ -437,7 +407,8 @@ func (v *verifier) extend(depth int) bool {
 	// candidate-filtered (focus entries are label-only and re-checked).
 	bestList := -1
 	var list []graph.NodeID
-	for i, c := range cons {
+	for i := range cons {
+		c := &cons[i]
 		ref := v.colFor[colIndex(c.edge, c.out)]
 		if ref.star < 0 {
 			continue
@@ -449,8 +420,9 @@ func (v *verifier) extend(depth int) bool {
 			// valuation extends this assignment.
 			return false
 		}
-		if l := t.Col(row, ref.col); bestList < 0 || len(l) < len(list) {
-			bestList, list = i, l
+		c.partners = t.Col(row, ref.col)
+		if bestList < 0 || len(c.partners) < len(list) {
+			bestList, list = i, c.partners
 		}
 	}
 

@@ -161,8 +161,8 @@ func NewWhy(g *Graph, q *Query, e *Exemplar, cfg Config) (*Why, error) {
 }
 
 // Session supports the exploratory query → response → exemplar →
-// rewrite loop (Fig 3), keeping the distance oracle and star-view cache
-// warm across consecutive Why-questions on one graph.
+// rewrite loop (Fig 3), keeping the star-view cache warm across
+// consecutive Why-questions on one graph.
 type Session = chase.Session
 
 // NewSession builds an exploration session over g.
@@ -185,7 +185,8 @@ type (
 	StarCache = match.Cache
 )
 
-// NewMatcher builds a matcher over g; cache may be nil.
+// NewMatcher builds a matcher over g; cache may be nil. dist is not
+// read: the matcher tests distances in its star tables.
 func NewMatcher(g *Graph, dist DistIndex, cache *StarCache) *Matcher {
 	return match.NewMatcher(g, dist, cache)
 }
@@ -197,7 +198,8 @@ func NewStarCache(capacity int, decay float64) *StarCache {
 }
 
 // NewDistIndex picks a distance oracle for g: Pruned Landmark Labeling
-// on large graphs, bounded BFS otherwise.
+// on large graphs, bounded BFS otherwise. Neither a Matcher nor a Session
+// reads one; it answers distance queries of its own.
 func NewDistIndex(g *Graph) DistIndex { return distindex.Auto(g) }
 
 // NewPLL builds a Pruned Landmark Labeling index explicitly.
